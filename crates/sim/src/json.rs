@@ -6,6 +6,11 @@
 //! and exporting scenario-matrix aggregates (`rackfabric-scenario`). Numbers
 //! keep their source text so `u64` values (e.g. an event budget of
 //! `u64::MAX`) round-trip exactly.
+//!
+//! [`parse`] takes time linear in its input's length and nests at most 128
+//! arrays and objects deep: a deeper document is an error rather than a
+//! stack overflow, so one untrusted line (a `rackfabricd` request) cannot
+//! abort the process that parses it.
 
 use std::fmt;
 
@@ -192,11 +197,18 @@ fn write_canonical(value: &JsonValue, out: &mut String) {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The deepest
+/// document the repository writes (a journaled spec's edge tuples) nests
+/// under 10 levels; 128 levels of recursion fit easily in a thread's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -208,8 +220,11 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -241,8 +256,8 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
@@ -250,6 +265,28 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object, refusing to open more than
+    /// [`MAX_DEPTH`] at once.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
+    /// The UTF-16 code unit that the four bytes at `at` spell in hex, if
+    /// they do.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let hex = std::str::from_utf8(self.bytes.get(at..at + 4)?).ok()?;
+        u32::from_str_radix(hex, 16).ok()
     }
 
     fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -295,13 +332,23 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next delimiter as one slice. Both
+            // delimiters are ASCII, so the run ends on a char boundary of the
+            // `&str` input.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&self.input[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -316,26 +363,25 @@ impl Parser<'_> {
                             if self.pos + 5 > self.bytes.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogates are not combined; this suffices for
-                            // the BMP content the repo writes.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let mut code = self
+                                .hex4(self.pos + 1)
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             self.pos += 4;
+                            // A high surrogate escape followed by a low one is
+                            // one UTF-16 pair; a lone surrogate stays U+FFFD.
+                            if (0xd800..0xdc00).contains(&code)
+                                && self.bytes[self.pos + 1..].starts_with(b"\\u")
+                            {
+                                if let Some(low @ 0xdc00..=0xdfff) = self.hex4(self.pos + 3) {
+                                    code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                    self.pos += 6;
+                                }
+                            }
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar value.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -420,6 +466,52 @@ mod tests {
         let original = "quote \" backslash \\ newline \n tab \t unicode é";
         let doc = format!("\"{}\"", escape(original));
         assert_eq!(parse(&doc).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_stay_replacement_chars() {
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap().as_str(), Some("😀"));
+        assert_eq!(
+            parse(r#""a\ud834\udd1eb""#).unwrap().as_str(),
+            Some("a\u{1d11e}b")
+        );
+        for (doc, want) in [
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00""#, "\u{fffd}"),
+            (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+            (r#""\ud83dx\ude00""#, "\u{fffd}x\u{fffd}"),
+            (r#""\ud83dA""#, "\u{fffd}A"),
+            (r#""\ud83d😀""#, "\u{fffd}😀"),
+            (r#""\ud83d\n""#, "\u{fffd}\n"),
+        ] {
+            assert_eq!(parse(doc).unwrap().as_str(), Some(want), "{doc}");
+        }
+        // A malformed escape after a high surrogate fails where it always did.
+        let err = parse(r#""\ud83d\uzzzz""#).unwrap_err();
+        assert_eq!((err.message.as_str(), err.offset), ("bad \\u escape", 8));
+        let err = parse(r#""\ud83d\ude0"#).unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("truncated \\u escape", 8)
+        );
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let mixed = "{\"k\":".repeat(MAX_DEPTH - 1) + "[1]" + &"}".repeat(MAX_DEPTH - 1);
+        assert!(parse(&mixed).is_ok());
+
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&past).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert_eq!(err.message, "nesting deeper than 128 levels");
+        let err = parse(&"{\"k\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, 5 * MAX_DEPTH);
+        // Far past the limit fails the same way instead of overflowing the stack.
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
     }
 
     #[test]

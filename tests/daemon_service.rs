@@ -344,3 +344,52 @@ fn queued_jobs_cancel_over_the_wire_and_backpressure_rejects_overload() {
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&ref_dir);
 }
+
+#[test]
+fn a_too_deeply_nested_request_line_is_malformed_and_the_daemon_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let ref_dir = tmp_dir("deep-ref");
+    let dir = tmp_dir("deep");
+    let command = spec_pool(1).remove(0);
+    let reference = reference_lines(&ref_dir, std::slice::from_ref(&command)).remove(0);
+    let (_exec, daemon, _observer) = boot(&dir, 1, 4);
+
+    // 100,000 open brackets: a parser that recursed once per bracket would
+    // overflow the connection thread's stack and abort the whole daemon.
+    let stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut send = |line: String| writer.write_all((line + "\n").as_bytes()).unwrap();
+    let mut line = String::new();
+
+    send("[".repeat(100_000));
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(
+        Event::from_line(line.trim_end()),
+        Some(Event::Error {
+            job: None,
+            reason: "malformed request".into()
+        })
+    );
+
+    // The same connection still answers a normal request...
+    send(Request::Status.canonical_json());
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        matches!(Event::from_line(line.trim_end()), Some(Event::Status(_))),
+        "expected a status event, got {line}"
+    );
+
+    // ...and so does the daemon, with the batch path's bytes.
+    let client = Client::new(daemon.addr(), CLIENT_TIMEOUT);
+    let reply = client.submit("after-deep-line", 0, command).unwrap();
+    assert_eq!(reply.result_json, reference);
+
+    client.shutdown().unwrap();
+    daemon.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&ref_dir);
+}
