@@ -44,7 +44,7 @@ pub enum Scale {
     /// CI/test size: every campaign finishes in seconds. Goldens live in
     /// `golden/tiny/` and gate `cargo test -q`.
     Tiny,
-    /// The EXPERIMENTS.md reproduction size. Goldens live in
+    /// The paper-reproduction size. Goldens live in
     /// `golden/paper/` and gate the CI `paper-figures` job.
     Paper,
 }

@@ -1,5 +1,6 @@
 //! Experiment harness regenerating every figure of the paper plus the
-//! derived experiments listed in `DESIGN.md`.
+//! derived experiments mapped in the README's "Reproducing the paper
+//! figures" section.
 //!
 //! Every simulation-backed experiment (e1–e4, e8, e9) is a declarative
 //! scenario [`Matrix`] defined in [`figures`]
@@ -45,7 +46,8 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// Renders the result as the text block recorded in `EXPERIMENTS.md`.
+    /// Renders the result as a text block: the series tables, then the
+    /// key/value rows.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} — {} ==\n", self.id, self.title));
@@ -408,7 +410,7 @@ pub fn e9_scenario_matrix(sides: &[usize], loads: &[f64], seeds: usize) -> Exper
     }
 }
 
-/// Runs every experiment at the scale used for `EXPERIMENTS.md`, resolving
+/// Runs every experiment at the paper-reproduction scale, resolving
 /// each simulation job through the shared result store: a warm store (e.g.
 /// the second criterion sample of `cargo bench`) re-executes **nothing**.
 pub fn run_all() -> Vec<ExperimentResult> {

@@ -23,9 +23,10 @@
 //!   back-to-back frames sized by the first link's rate window, and each hop
 //!   forwards the whole batch with a single event. Per-packet latency stays
 //!   exact (see [`Packet::arrived_at`](rackfabric_switch::packet::Packet)).
-//! * Routes are served from an epoch-invalidated [`RouteCache`]; BFS or
-//!   Dijkstra runs once per `(src, dst)` pair per epoch instead of once per
-//!   packet.
+//! * Routes are served from an epoch-invalidated [`RouteCache`]. Under the
+//!   single-path algorithms one BFS/Dijkstra tree per source per epoch
+//!   serves every destination; a route is interned on its first lookup, and
+//!   a lookup is a hit when its source's tree already existed this epoch.
 
 use crate::controller::{ClosedRingControl, CrcConfig};
 use crate::metrics::FabricMetrics;
@@ -43,7 +44,7 @@ use rackfabric_switch::queue::EgressQueue;
 use rackfabric_switch::train::{train_frames, Train};
 use rackfabric_topo::arena::{LinkArena, LinkIdx};
 use rackfabric_topo::cache::{InternedRoute, RouteCache};
-use rackfabric_topo::routing::{self, Route, RoutingAlgorithm};
+use rackfabric_topo::routing::{self, RoutingAlgorithm};
 use rackfabric_topo::spec::TopologySpec;
 use rackfabric_topo::{NodeId, Topology};
 use rackfabric_workload::Flow;
@@ -152,6 +153,50 @@ impl LinkHot {
         fec: SimDuration::ZERO,
         up: false,
     };
+}
+
+/// The interned route for `(src, dst)`, served from an epoch cache. Both
+/// engines route through here (the sharded engine keeps one cache per
+/// shard).
+///
+/// The single-path algorithms (shortest hop, min cost) go through the
+/// cache's per-source trees, see [`RouteCache::tree_route`]. The per-pair
+/// ones compute on a miss, keyed by flow when the algorithm is per-flow.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn cached_route(
+    cache: &mut RouteCache,
+    routing: RoutingAlgorithm,
+    topo: &Topology,
+    arena: &LinkArena,
+    current_spec: &TopologySpec,
+    racks: &[u32],
+    cost_map: &HashMap<rackfabric_phy::LinkId, f64>,
+    src: NodeId,
+    dst: NodeId,
+    flow_seq: u64,
+) -> Option<Arc<InternedRoute>> {
+    match routing {
+        RoutingAlgorithm::ShortestHop => cache.tree_route(topo, arena, None, src, dst),
+        RoutingAlgorithm::MinCost => cache.tree_route(topo, arena, Some(cost_map), src, dst),
+        _ => {
+            let selector = if routing.per_flow() { flow_seq } else { 0 };
+            cache.get_or_compute(src, dst, selector, || {
+                match routing {
+                    RoutingAlgorithm::Ecmp => routing::ecmp_select(topo, src, dst, flow_seq),
+                    RoutingAlgorithm::Valiant => {
+                        routing::valiant_route(topo, racks, src, dst, flow_seq)
+                    }
+                    RoutingAlgorithm::Adaptive => {
+                        routing::adaptive_route(topo, racks, src, dst, flow_seq, cost_map, 1.0)
+                    }
+                    _ => routing::dimension_ordered(current_spec, topo, src, dst)
+                        .or_else(|| routing::shortest_path(topo, src, dst)),
+                }
+                .and_then(|r| InternedRoute::intern(r, arena))
+                .map(Arc::new)
+            })
+        }
+    }
 }
 
 /// Events driving the fabric model.
@@ -348,101 +393,6 @@ impl AdaptiveFabric {
         self.reconfiguring_until[link.index()]
     }
 
-    /// Computes a route the slow way for the per-pair algorithms (a cache
-    /// miss on ECMP or dimension-ordered routing; the single-path algorithms
-    /// go through the tree branch of [`Self::cached_route`] instead).
-    /// Associated function so the borrow of the route cache can coexist with
-    /// the lookup state. Shared with the sharded engine's per-shard route
-    /// caches.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn route_for(
-        config: &FabricConfig,
-        topo: &Topology,
-        current_spec: &TopologySpec,
-        racks: &[u32],
-        cost_map: &HashMap<rackfabric_phy::LinkId, f64>,
-        src: NodeId,
-        dst: NodeId,
-        flow_seq: u64,
-    ) -> Option<Route> {
-        match config.routing {
-            RoutingAlgorithm::Ecmp => routing::ecmp_select(topo, src, dst, flow_seq),
-            RoutingAlgorithm::Valiant => routing::valiant_route(topo, racks, src, dst, flow_seq),
-            RoutingAlgorithm::Adaptive => {
-                routing::adaptive_route(topo, racks, src, dst, flow_seq, cost_map, 1.0)
-            }
-            _ => routing::dimension_ordered(current_spec, topo, src, dst)
-                .or_else(|| routing::shortest_path(topo, src, dst)),
-        }
-    }
-
-    /// The interned route for `(src, dst)`, served from the epoch cache.
-    ///
-    /// A miss on the single-path algorithms (shortest hop, min cost) runs
-    /// one whole single-source tree and pre-populates the cache for **every**
-    /// destination of `src`, so one BFS/Dijkstra per source per epoch covers
-    /// all-to-all traffic.
-    fn cached_route(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        flow_seq: u64,
-    ) -> Option<Arc<InternedRoute>> {
-        let selector = if self.config.routing.per_flow() {
-            flow_seq
-        } else {
-            0
-        };
-        let AdaptiveFabric {
-            route_cache,
-            arena,
-            config,
-            topo,
-            current_spec,
-            cost_map,
-            racks,
-            ..
-        } = self;
-        if let Some(cached) = route_cache.lookup(src, dst, selector) {
-            return cached;
-        }
-        match config.routing {
-            RoutingAlgorithm::ShortestHop | RoutingAlgorithm::MinCost => {
-                let tree = match config.routing {
-                    RoutingAlgorithm::ShortestHop => routing::shortest_path_tree(topo, src),
-                    _ => routing::dijkstra_tree(topo, src, cost_map, 1.0),
-                };
-                let mut answer = None;
-                for node in topo.nodes() {
-                    let interned = routing::route_from_tree(src, node, &tree)
-                        .and_then(|r| InternedRoute::intern(r, arena))
-                        .map(Arc::new);
-                    if node == dst {
-                        answer = interned.clone();
-                    }
-                    route_cache.insert(src, node, selector, interned);
-                }
-                answer
-            }
-            _ => {
-                let computed = Self::route_for(
-                    config,
-                    topo,
-                    current_spec,
-                    racks,
-                    cost_map,
-                    src,
-                    dst,
-                    flow_seq,
-                )
-                .and_then(|r| InternedRoute::intern(r, arena))
-                .map(Arc::new);
-                route_cache.insert(src, dst, selector, computed.clone());
-                computed
-            }
-        }
-    }
-
     /// Schedules the flow's injector wake-up at `at`, unless one is already
     /// pending (one injector chain per flow, see [`FlowProgress`]).
     fn arm_injector(&mut self, ctx: &mut Context<FabricEvent>, flow_idx: usize, at: SimTime) {
@@ -468,7 +418,18 @@ impl AdaptiveFabric {
         let now = ctx.now();
         let retry_at = now + self.config.retry_delay;
 
-        let Some(route) = self.cached_route(flow.src, flow.dst, flow.id.0) else {
+        let Some(route) = cached_route(
+            &mut self.route_cache,
+            self.config.routing,
+            &self.topo,
+            &self.arena,
+            &self.current_spec,
+            &self.racks,
+            &self.cost_map,
+            flow.src,
+            flow.dst,
+            flow.id.0,
+        ) else {
             // No usable path right now (mid-reconfiguration); retry later.
             self.arm_injector(ctx, flow_idx, retry_at);
             return;
@@ -728,14 +689,19 @@ impl AdaptiveFabric {
 
         self.flush_wire_bytes(now);
 
-        // Assemble per-link utilization / occupancy / throughput.
+        // Assemble per-link utilization / occupancy / throughput. The total
+        // is summed in dense link order (not map order) so the series is
+        // deterministic.
         let mut utilization = HashMap::new();
         let mut throughput = HashMap::new();
         let mut queue_bytes: HashMap<rackfabric_phy::LinkId, f64> = HashMap::new();
+        let mut total_gbps = 0.0;
         for (idx, id) in self.arena.iter() {
             let bytes = self.bytes_this_epoch[idx.index()];
             let bps = bytes as f64 * 8.0 / epoch_s;
-            throughput.insert(id, BitRate::from_bps(bps as u64));
+            let rate = BitRate::from_bps(bps as u64);
+            total_gbps += rate.as_gbps_f64();
+            throughput.insert(id, rate);
             let cap = self.link_hot[idx.index()].capacity;
             let util = if cap.is_zero() {
                 0.0
@@ -760,7 +726,6 @@ impl AdaptiveFabric {
         self.metrics
             .utilization_series
             .push_at(now, report.mean_utilization());
-        let total_gbps: f64 = throughput.values().map(|r| r.as_gbps_f64()).sum();
         self.metrics.throughput_series.push_at(now, total_gbps);
 
         self.price_book = self.crc.price(&report);
@@ -980,6 +945,34 @@ mod tests {
             )
         };
         assert_eq!(run(5), run(5));
+    }
+
+    #[test]
+    fn telemetry_series_repeat_bit_for_bit() {
+        let flows = small_shuffle(16, Bytes::from_kib(64));
+        let run = || {
+            let mut c = quick_config(TopologySpec::grid(4, 4, 2));
+            c.crc.epoch = SimDuration::from_micros(5);
+            run_fabric(c, flows.clone()).metrics
+        };
+        let bits = |s: &rackfabric_sim::stats::Series| -> Vec<(u64, u64)> {
+            s.points()
+                .iter()
+                .map(|&(x, y)| (x.to_bits(), y.to_bits()))
+                .collect()
+        };
+        let first = run();
+        assert!(first.throughput_series.len() > 10);
+        for _ in 0..4 {
+            let again = run();
+            for (a, b) in [
+                (&first.power_series, &again.power_series),
+                (&first.utilization_series, &again.utilization_series),
+                (&first.throughput_series, &again.throughput_series),
+            ] {
+                assert_eq!(bits(a), bits(b), "{} must repeat bit for bit", a.name);
+            }
+        }
     }
 
     #[test]

@@ -62,7 +62,6 @@ use rackfabric_switch::train::train_frames;
 use rackfabric_topo::arena::{LinkArena, LinkIdx};
 use rackfabric_topo::cache::{InternedRoute, RouteCache};
 use rackfabric_topo::partition::FabricPartition;
-use rackfabric_topo::routing::RoutingAlgorithm;
 use rackfabric_topo::spec::TopologySpec;
 use rackfabric_topo::{NodeId, Topology};
 use rackfabric_workload::Flow;
@@ -245,69 +244,6 @@ impl ShardFabric {
         self.shared.partition.owner(node)
     }
 
-    /// The interned route for `(src, dst)` from this shard's epoch cache;
-    /// mirrors the monolithic engine's cache policy (whole single-source
-    /// trees for the single-path algorithms).
-    fn cached_route(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        flow_seq: u64,
-    ) -> Option<Arc<InternedRoute>> {
-        let selector = if self.config.routing.per_flow() {
-            flow_seq
-        } else {
-            0
-        };
-        if let Some(cached) = self.route_cache.lookup(src, dst, selector) {
-            return cached;
-        }
-        let shared = &self.shared;
-        match self.config.routing {
-            RoutingAlgorithm::ShortestHop | RoutingAlgorithm::MinCost => {
-                let tree = match self.config.routing {
-                    RoutingAlgorithm::ShortestHop => {
-                        rackfabric_topo::routing::shortest_path_tree(&shared.topo, src)
-                    }
-                    _ => rackfabric_topo::routing::dijkstra_tree(
-                        &shared.topo,
-                        src,
-                        &self.cost_map,
-                        1.0,
-                    ),
-                };
-                let mut answer = None;
-                for node in shared.topo.nodes() {
-                    let interned = rackfabric_topo::routing::route_from_tree(src, node, &tree)
-                        .and_then(|r| InternedRoute::intern(r, &shared.arena))
-                        .map(Arc::new);
-                    if node == dst {
-                        answer = interned.clone();
-                    }
-                    self.route_cache.insert(src, node, selector, interned);
-                }
-                answer
-            }
-            _ => {
-                let computed = crate::fabric::AdaptiveFabric::route_for(
-                    &self.config,
-                    &shared.topo,
-                    &shared.spec,
-                    &shared.racks,
-                    &self.cost_map,
-                    src,
-                    dst,
-                    flow_seq,
-                )
-                .and_then(|r| InternedRoute::intern(r, &shared.arena))
-                .map(Arc::new);
-                self.route_cache
-                    .insert(src, dst, selector, computed.clone());
-                computed
-            }
-        }
-    }
-
     /// Arms the flow's single injector chain at `at` (no-op when armed).
     fn arm_injector(&mut self, ctx: &mut WindowCtx<'_, ShardEvent>, flow_idx: usize, at: SimTime) {
         if !self.progress[flow_idx].injector_armed {
@@ -368,7 +304,19 @@ impl ShardFabric {
         let now = ctx.now();
         let retry_at = now + self.config.retry_delay;
 
-        let Some(route) = self.cached_route(flow.src, flow.dst, flow.id.0) else {
+        let shared = &self.shared;
+        let Some(route) = crate::fabric::cached_route(
+            &mut self.route_cache,
+            self.config.routing,
+            &shared.topo,
+            &shared.arena,
+            &shared.spec,
+            &shared.racks,
+            &self.cost_map,
+            flow.src,
+            flow.dst,
+            flow.id.0,
+        ) else {
             self.arm_injector(ctx, flow_idx, retry_at);
             return;
         };

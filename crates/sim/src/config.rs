@@ -3,8 +3,8 @@
 //! Every experiment is described by a [`SimConfig`] (engine-level knobs) that
 //! higher layers embed into their own configuration structs. Keeping it
 //! serde-serialisable lets the benchmark harness dump the exact configuration
-//! next to each result, which is what makes the numbers in `EXPERIMENTS.md`
-//! reproducible.
+//! next to each result, which is what makes the figure exports pinned under
+//! `golden/paper/` reproducible.
 
 use crate::json::{self, JsonError};
 use crate::time::SimTime;

@@ -1,6 +1,6 @@
 //! Statistics collection.
 //!
-//! Every experiment output in `EXPERIMENTS.md` is produced from these
+//! Every figure export pinned under `golden/` is produced from these
 //! collectors: monotonic [`Counter`]s, log-bucketed [`Histogram`]s for
 //! latency percentiles, [`TimeWeighted`] gauges for occupancy and power,
 //! [`RateMeter`]s for throughput, and [`Series`] recorders for plotting a

@@ -5,17 +5,30 @@
 //! *topology epoch* (the interval between reconfigurations, and between
 //! price updates for cost-aware routing) the route for a `(src, dst)` pair
 //! is a pure function, so it can be computed once, interned against the
-//! [`LinkArena`], and reused by every subsequent
-//! train of that pair.
+//! [`LinkArena`], and reused by every subsequent train of that pair.
+//!
+//! Two policies share one epoch counter:
+//!
+//! * **Single-path routing** (shortest hop, min cost) goes through
+//!   [`RouteCache::tree_route`]: one BFS/Dijkstra tree per source per
+//!   epoch. The first lookup from a source in an epoch builds that source's
+//!   predecessor tree and interns its links against the arena once. A route
+//!   is walked out of the tree and interned only on its first lookup, then
+//!   kept densely by destination, so a repeat lookup is two vector indexes
+//!   and no hashing. A lookup counts as a hit exactly when its source's tree
+//!   already existed this epoch.
+//! * **Per-flow routing** (ECMP, Valiant, UGAL-style adaptive) and the other
+//!   per-pair algorithms go through [`RouteCache::get_or_compute`], a map
+//!   keyed by `(src, dst, selector)`.
 //!
 //! Invalidation is by epoch counter: bumping the epoch makes every cached
-//! entry stale without touching the map (stale entries are overwritten on
-//! next access), so invalidation is O(1) no matter how many pairs are
-//! cached.
+//! tree and entry stale without touching them (stale state is overwritten
+//! on next access), so invalidation is O(1) no matter how much is cached.
 
 use crate::arena::{LinkArena, LinkIdx};
-use crate::graph::NodeId;
-use crate::routing::Route;
+use crate::graph::{NodeId, Topology};
+use crate::routing::{dijkstra_tree, shortest_path_tree, Route};
+use rackfabric_phy::LinkId;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -74,14 +87,57 @@ impl RouteCacheStats {
 /// routes that legitimately differ per flow on the same pair (ECMP).
 type Key = (NodeId, NodeId, u64);
 
+/// A predecessor-tree edge reaching a node: its parent, the physical link,
+/// and that link's arena index (`None` when the arena lacks the link).
+type TreeEdge = (NodeId, LinkId, Option<LinkIdx>);
+
+/// One source's single-path state: its predecessor tree and the routes
+/// looked up from it, both dense by node index.
+#[derive(Debug, Default)]
+struct SourceTree {
+    /// The epoch the tree was built in (`None`: never built).
+    epoch: Option<u64>,
+    /// `parent[n]` is the tree edge reaching `n`.
+    parent: Vec<Option<TreeEdge>>,
+    /// `routes[dst]` is `None` until `dst` is first looked up, then the
+    /// answer (which may be "no route").
+    routes: Vec<Option<Option<Arc<InternedRoute>>>>,
+}
+
+impl SourceTree {
+    /// The route from `src` to `dst` walked out of the tree, exactly as
+    /// [`route_from_tree`](crate::routing::route_from_tree) followed by
+    /// [`InternedRoute::intern`] would build it.
+    fn walk(parent: &[Option<TreeEdge>], src: NodeId, dst: NodeId) -> Option<Arc<InternedRoute>> {
+        let mut nodes = vec![dst];
+        let mut ids = Vec::new();
+        let mut links = Vec::new();
+        let mut cur = dst;
+        while cur != src {
+            let (prev, id, idx) = parent[cur.index()]?;
+            nodes.push(prev);
+            ids.push(id);
+            links.push(idx?);
+            cur = prev;
+        }
+        nodes.reverse();
+        ids.reverse();
+        links.reverse();
+        let route = Route { nodes, links: ids };
+        Some(Arc::new(InternedRoute { route, links }))
+    }
+}
+
 /// An epoch-tagged cache of interned routes.
 ///
-/// `None` values are cached too: "no route exists right now" is just as
+/// `None` answers are cached too: "no route exists right now" is just as
 /// expensive to recompute as a route.
 #[derive(Debug, Default)]
 pub struct RouteCache {
     epoch: u64,
     entries: HashMap<Key, (u64, Option<Arc<InternedRoute>>)>,
+    /// Single-path trees, dense by source node index.
+    trees: Vec<SourceTree>,
     stats: RouteCacheStats,
 }
 
@@ -104,36 +160,49 @@ impl RouteCache {
         self.epoch += 1;
     }
 
-    /// Looks up `(src, dst, selector)` in the current epoch. The outer
-    /// `Option` is hit/miss; the inner one is the cached answer (which may
-    /// be "no route"). Counts towards the hit/miss statistics.
-    pub fn lookup(
+    /// The single-path route from `src` to `dst` in the current epoch: the
+    /// hop-count (BFS) tree when `costs` is `None`, the min-cost (Dijkstra)
+    /// tree under `costs` (unlisted links cost 1) otherwise.
+    ///
+    /// The first lookup from `src` in an epoch is a miss and builds its
+    /// tree; every later one is a hit, and interns its route out of the tree
+    /// the first time `dst` is asked for. A destination the tree does not
+    /// reach, or reaches over a link `arena` lacks, is a cached `None`.
+    pub fn tree_route(
         &mut self,
+        topo: &Topology,
+        arena: &LinkArena,
+        costs: Option<&HashMap<LinkId, f64>>,
         src: NodeId,
         dst: NodeId,
-        selector: u64,
-    ) -> Option<Option<Arc<InternedRoute>>> {
-        if let Some((epoch, cached)) = self.entries.get(&(src, dst, selector)) {
-            if *epoch == self.epoch {
-                self.stats.hits += 1;
-                return Some(cached.clone());
-            }
+    ) -> Option<Arc<InternedRoute>> {
+        if self.trees.len() <= src.index() {
+            self.trees.resize_with(src.index() + 1, SourceTree::default);
         }
-        self.stats.misses += 1;
-        None
-    }
-
-    /// Stores an answer for `(src, dst, selector)` at the current epoch.
-    /// Used to pre-populate whole single-source route trees after one miss.
-    pub fn insert(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        selector: u64,
-        value: Option<Arc<InternedRoute>>,
-    ) {
-        self.entries
-            .insert((src, dst, selector), (self.epoch, value));
+        let tree = &mut self.trees[src.index()];
+        if tree.epoch == Some(self.epoch) {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+            let parents = match costs {
+                None => shortest_path_tree(topo, src),
+                Some(costs) => dijkstra_tree(topo, src, costs, 1.0),
+            };
+            tree.epoch = Some(self.epoch);
+            tree.parent.clear();
+            tree.parent.extend(
+                parents
+                    .into_iter()
+                    .map(|edge| edge.map(|(prev, id)| (prev, id, arena.index(id)))),
+            );
+            tree.routes.clear();
+            tree.routes.resize(tree.parent.len(), None);
+        }
+        let SourceTree { parent, routes, .. } = tree;
+        routes
+            .get_mut(dst.index())?
+            .get_or_insert_with(|| SourceTree::walk(parent, src, dst))
+            .clone()
     }
 
     /// Looks up the route for `(src, dst, selector)` in the current epoch,
@@ -145,14 +214,17 @@ impl RouteCache {
         selector: u64,
         compute: impl FnOnce() -> Option<Arc<InternedRoute>>,
     ) -> Option<Arc<InternedRoute>> {
-        match self.lookup(src, dst, selector) {
-            Some(cached) => cached,
-            None => {
-                let computed = compute();
-                self.insert(src, dst, selector, computed.clone());
-                computed
+        if let Some((epoch, cached)) = self.entries.get(&(src, dst, selector)) {
+            if *epoch == self.epoch {
+                self.stats.hits += 1;
+                return cached.clone();
             }
         }
+        self.stats.misses += 1;
+        let computed = compute();
+        self.entries
+            .insert((src, dst, selector), (self.epoch, computed.clone()));
+        computed
     }
 
     /// Hit/miss counters accumulated since construction.
@@ -160,28 +232,12 @@ impl RouteCache {
     pub fn stats(&self) -> RouteCacheStats {
         self.stats
     }
-
-    /// Number of stored entries (live and stale).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops every entry and resets the counters (the epoch is retained).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.stats = RouteCacheStats::default();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::shortest_path;
+    use crate::routing::{route_from_tree, shortest_path};
     use crate::spec::TopologySpec;
     use rackfabric_phy::PhyState;
     use rackfabric_sim::units::BitRate;
@@ -252,6 +308,144 @@ mod tests {
         broken.links[0] = rackfabric_phy::LinkId(9999);
         assert!(InternedRoute::intern(route, &arena).is_some());
         assert!(InternedRoute::intern(broken, &arena).is_none());
+    }
+
+    fn grid4() -> (crate::graph::Topology, LinkArena) {
+        let mut phy = PhyState::new();
+        let topo = TopologySpec::grid(4, 4, 1).instantiate(&mut phy, BitRate::from_gbps(25));
+        let arena = LinkArena::build(&topo);
+        (topo, arena)
+    }
+
+    /// A deterministic, non-uniform price per link.
+    fn skewed_costs(topo: &crate::graph::Topology) -> HashMap<LinkId, f64> {
+        topo.links()
+            .into_iter()
+            .enumerate()
+            .map(|(i, id)| (id, 1.0 + (i * 7 % 5) as f64))
+            .collect()
+    }
+
+    /// What the cache must answer: the tree built afresh, walked with
+    /// `route_from_tree` and interned.
+    fn expected(
+        topo: &crate::graph::Topology,
+        arena: &LinkArena,
+        costs: Option<&HashMap<LinkId, f64>>,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Option<InternedRoute> {
+        let tree = match costs {
+            None => shortest_path_tree(topo, src),
+            Some(costs) => dijkstra_tree(topo, src, costs, 1.0),
+        };
+        route_from_tree(src, dst, &tree).and_then(|r| InternedRoute::intern(r, arena))
+    }
+
+    #[test]
+    fn tree_routes_match_walking_and_interning_the_tree() {
+        let (topo, arena) = grid4();
+        let costs = skewed_costs(&topo);
+        let mut differs = false;
+        for costs in [None, Some(&costs)] {
+            let mut cache = RouteCache::new();
+            for src in topo.nodes() {
+                for dst in topo.nodes() {
+                    let got = cache.tree_route(&topo, &arena, costs, src, dst);
+                    let want = expected(&topo, &arena, costs, src, dst);
+                    assert_eq!(got.as_deref(), want.as_ref(), "{src:?} -> {dst:?}");
+                    assert!(want.is_some(), "the grid is connected");
+                    differs |= want != expected(&topo, &arena, None, src, dst);
+                }
+            }
+        }
+        assert!(differs, "the cost map must move some min-cost route");
+    }
+
+    #[test]
+    fn a_source_misses_once_per_epoch() {
+        let (topo, arena) = grid4();
+        let costs = skewed_costs(&topo);
+        let n = topo.node_count() as u64;
+        for costs in [None, Some(&costs)] {
+            let mut cache = RouteCache::new();
+            for epoch in 1..=2 {
+                for src in topo.nodes() {
+                    // Start at a different destination per source: the
+                    // first lookup misses whichever destination it asks.
+                    for i in 0..n {
+                        let dst = NodeId(((src.0 as u64 + 5 + i) % n) as u32);
+                        let before = cache.stats();
+                        let first = cache.tree_route(&topo, &arena, costs, src, dst);
+                        let misses = cache.stats().misses - before.misses;
+                        assert_eq!(misses, (i == 0) as u64, "{src:?} -> {dst:?}");
+                        let again = cache.tree_route(&topo, &arena, costs, src, dst);
+                        assert!(
+                            Arc::ptr_eq(&first.unwrap(), &again.unwrap()),
+                            "a repeat lookup serves the interned route"
+                        );
+                    }
+                }
+                let stats = cache.stats();
+                assert_eq!(stats.misses, n * epoch, "one miss per source per epoch");
+                assert_eq!(stats.hits, (2 * n * n - n) * epoch);
+                cache.bump_epoch();
+            }
+        }
+    }
+
+    #[test]
+    fn unreachable_destinations_are_cached_as_none() {
+        let (mut topo, _) = grid4();
+        // Cut the corner node off the grid.
+        for adj in topo.neighbors(NodeId(0)) {
+            topo.remove_edge(adj.link);
+        }
+        let arena = LinkArena::build(&topo);
+        let costs = skewed_costs(&topo);
+        for costs in [None, Some(&costs)] {
+            let mut cache = RouteCache::new();
+            for _ in 0..2 {
+                assert!(cache
+                    .tree_route(&topo, &arena, costs, NodeId(5), NodeId(0))
+                    .is_none());
+            }
+            assert!(cache
+                .tree_route(&topo, &arena, costs, NodeId(5), NodeId(15))
+                .is_some());
+            assert_eq!(cache.stats(), RouteCacheStats { hits: 2, misses: 1 });
+            let isolated = cache.tree_route(&topo, &arena, costs, NodeId(0), NodeId(0));
+            assert_eq!(isolated.unwrap().route, Route::trivial(NodeId(0)));
+            assert!(cache
+                .tree_route(&topo, &arena, costs, NodeId(0), NodeId(15))
+                .is_none());
+        }
+    }
+
+    #[test]
+    fn a_tree_through_a_link_the_arena_lacks_yields_none() {
+        let (mut topo, arena) = grid4();
+        // Re-lay the 0-1 link under an id the arena has never seen.
+        let old = topo.links_between(NodeId(0), NodeId(1));
+        assert_eq!(old.len(), 1);
+        topo.remove_edge(old[0]);
+        topo.add_edge(NodeId(0), NodeId(1), rackfabric_phy::LinkId(9999));
+        let mut cache = RouteCache::new();
+        let mut missing = 0;
+        for dst in topo.nodes() {
+            let got = cache.tree_route(&topo, &arena, None, NodeId(0), dst);
+            let want = expected(&topo, &arena, None, NodeId(0), dst);
+            assert_eq!(got.as_deref(), want.as_ref(), "0 -> {dst:?}");
+            missing += got.is_none() as usize;
+        }
+        assert!(missing > 0, "the tree crosses the unknown link");
+        assert!(cache
+            .tree_route(&topo, &arena, None, NodeId(0), NodeId(1))
+            .is_none());
+        assert!(cache
+            .tree_route(&topo, &arena, None, NodeId(0), NodeId(4))
+            .is_some());
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

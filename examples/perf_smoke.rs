@@ -10,8 +10,9 @@
 //! * 1-thread vs N-thread runners must export byte-identical aggregates,
 //! * **1-shard vs N-shard runs of the sharded multi-rack engine must export
 //!   byte-identical aggregates** — the acceptance gate of the sharded
-//!   engine, which also opens the 16×16 torus and multi-rack fat-tree cells
-//!   the monolithic engine could not afford.
+//!   engine, which also runs the 16×16 torus and multi-rack fat-tree cells.
+//!   Those cells exercise multi-rack sharding; the monolithic engine runs
+//!   them too, in comparable time.
 //!
 //! `BENCH_hotpath.json` bookkeeping: the `pre_pr_events_per_sec` baseline
 //! recorded by the first run on a machine is **preserved** across runs (it
@@ -100,9 +101,8 @@ fn matrix(tiny: bool, scheduler: SchedulerKind) -> Matrix {
         .master_seed(7)
 }
 
-/// The sharded-engine sweep: multi-rack cells the monolithic engine could
-/// not afford, each run at `shards` rack groups. Tiny mode keeps one small
-/// rack so the CI gate stays cheap.
+/// The sharded-engine sweep: multi-rack cells, each run at `shards` rack
+/// groups. Tiny mode keeps one small rack so the CI gate stays cheap.
 fn sharded_matrix(tiny: bool, shards: usize) -> Matrix {
     let (topologies, partition, horizon) = if tiny {
         (

@@ -3,7 +3,8 @@
 //! This crate only exists to host the repository's runnable examples
 //! (`examples/`) and cross-crate integration tests (`tests/`); the library
 //! surface is re-exported from the member crates. See `README.md` for the
-//! project overview and `DESIGN.md` for the system inventory.
+//! project overview and its "Workspace layout" section for the system
+//! inventory.
 
 pub use rackfabric;
 pub use rackfabric_netfpga as netfpga;
