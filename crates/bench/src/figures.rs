@@ -1087,10 +1087,11 @@ mod tests {
 
     #[test]
     fn figure_resolver_ignores_foreign_and_unknown_markers() {
-        let dir =
-            std::env::temp_dir().join(format!("rackfabric-figure-resolver-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let exec = Executor::new(ResultStore::open(&dir).unwrap(), Runner::single_threaded());
+        let dir = rackfabric_sweep::testdir::TestDir::new("figure-resolver");
+        let exec = Executor::new(
+            ResultStore::open(dir.path()).unwrap(),
+            Runner::single_threaded(),
+        );
         let foreign = Command::ExpandMatrix {
             campaign: "not-a-figure".into(),
             cells: 1,
@@ -1103,6 +1104,5 @@ mod tests {
             budget: None,
         };
         assert!(!FigureResolver.replay(&unknown, &exec).unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

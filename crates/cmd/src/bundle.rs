@@ -204,15 +204,7 @@ pub fn import_bundle(src: &Path, dest_root: &Path) -> io::Result<BundleStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "rackfabric-cmd-bundle-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use rackfabric_sweep::testdir::TestDir;
 
     fn write(path: &Path, contents: &str) {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -238,7 +230,7 @@ mod tests {
 
     #[test]
     fn round_trip_is_byte_for_byte_and_skips_temp_files() {
-        let root = tmp_dir("roundtrip");
+        let root = TestDir::new("cmd-bundle-roundtrip");
         let store = root.join("store");
         let journal = store.join("journal");
         let reports = root.join("reports");
@@ -289,12 +281,11 @@ mod tests {
             std::fs::read(&dest).unwrap(),
             std::fs::read(&dest2).unwrap()
         );
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn corrupt_bundles_are_rejected_before_any_write() {
-        let root = tmp_dir("corrupt");
+        let root = TestDir::new("cmd-bundle-corrupt");
         let store = root.join("store");
         write(&store.join("objects/ab/cd.json"), "{}\n");
         let dest = root.join("x.rfb");
@@ -322,6 +313,5 @@ mod tests {
         payload.extend_from_slice(&crc32(b"").to_le_bytes());
         std::fs::write(&evil, &payload).unwrap();
         assert!(import_bundle(&evil, &restored).is_err());
-        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -379,17 +379,8 @@ mod tests {
     use rackfabric_scenario::spec::{ScenarioSpec, WorkloadSpec};
     use rackfabric_sim::time::SimTime;
     use rackfabric_sim::units::Bytes;
+    use rackfabric_sweep::testdir::TestDir;
     use rackfabric_topo::spec::TopologySpec;
-    use std::path::PathBuf;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "rackfabric-cmd-executor-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn small_matrix() -> Matrix {
         let base = ScenarioSpec::new(
@@ -406,7 +397,7 @@ mod tests {
 
     #[test]
     fn journaled_campaign_matches_direct_run_byte_for_byte() {
-        let root = tmp_dir("campaign");
+        let root = TestDir::new("cmd-executor-campaign");
         let direct_store = ResultStore::open(root.join("direct")).unwrap();
         let direct = Sweep::new(small_matrix())
             .run(&direct_store, &Runner::single_threaded())
@@ -434,12 +425,11 @@ mod tests {
             records[0].command,
             Command::ExpandMatrix { jobs: 4, .. }
         ));
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn interrupted_campaign_recovers_from_journal_with_zero_reexecutions() {
-        let root = tmp_dir("recover");
+        let root = TestDir::new("cmd-executor-recover");
         let exec = Executor::with_journal(
             ResultStore::open(root.join("store")).unwrap(),
             Runner::single_threaded(),
@@ -491,12 +481,11 @@ mod tests {
         let stats = exec.recover(&NoCampaigns).unwrap();
         assert_eq!(stats.cells_replayed, 0);
         assert_eq!(stats.cells_already_stored, 2);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn run_scenario_is_store_first_and_journaled() {
-        let root = tmp_dir("scenario");
+        let root = TestDir::new("cmd-executor-scenario");
         let exec = Executor::with_journal(
             ResultStore::open(root.join("store")).unwrap(),
             Runner::single_threaded(),
@@ -519,6 +508,5 @@ mod tests {
         let (records, _) = read_log(&exec.journal_dir().unwrap()).unwrap();
         assert_eq!(records.len(), 1);
         assert!(matches!(records[0].command, Command::RunScenario { .. }));
-        let _ = std::fs::remove_dir_all(&root);
     }
 }

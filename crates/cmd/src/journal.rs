@@ -296,15 +296,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 mod tests {
     use super::*;
     use rackfabric_sweep::key::JobKey;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "rackfabric-cmd-journal-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use rackfabric_sweep::testdir::TestDir;
 
     fn sample(i: u64) -> Command {
         Command::ExecuteCell {
@@ -325,31 +317,30 @@ mod tests {
 
     #[test]
     fn append_read_round_trip_with_reopen() {
-        let dir = tmp_dir("roundtrip");
-        let mut journal = Journal::open(&dir).unwrap();
+        let dir = TestDir::new("cmd-journal-roundtrip");
+        let mut journal = Journal::open(dir.path()).unwrap();
         for i in 0..5 {
             assert_eq!(journal.append(&sample(i)).unwrap(), i);
         }
         drop(journal);
         // Reopen continues the sequence.
-        let mut journal = Journal::open(&dir).unwrap();
+        let mut journal = Journal::open(dir.path()).unwrap();
         assert_eq!(journal.next_seq(), 5);
         journal.append(&sample(5)).unwrap();
 
-        let (records, tail) = read_log(&dir).unwrap();
+        let (records, tail) = read_log(dir.path()).unwrap();
         assert!(tail.clean);
         assert_eq!(records.len(), 6);
         for (i, record) in records.iter().enumerate() {
             assert_eq!(record.seq, i as u64);
             assert_eq!(record.command, sample(i as u64));
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn segments_rotate_and_reads_span_them() {
-        let dir = tmp_dir("rotate");
-        let mut journal = Journal::open(&dir).unwrap();
+        let dir = TestDir::new("cmd-journal-rotate");
+        let mut journal = Journal::open(dir.path()).unwrap();
         // Big-ish records so the 64 KiB threshold trips quickly.
         let fat_spec = format!("{{\"seed\":{}}}", "9".repeat(4000));
         let n = 40u64;
@@ -361,22 +352,21 @@ mod tests {
                 })
                 .unwrap();
         }
-        let segments = segment_indices(&dir).unwrap();
+        let segments = segment_indices(dir.path()).unwrap();
         assert!(
             segments.len() >= 2,
             "expected rotation, got {} segment(s)",
             segments.len()
         );
-        let (records, tail) = read_log(&dir).unwrap();
+        let (records, tail) = read_log(dir.path()).unwrap();
         assert!(tail.clean);
         assert_eq!(records.len(), n as usize);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_checksum_truncates_to_valid_prefix() {
-        let dir = tmp_dir("corrupt");
-        let mut journal = Journal::open(&dir).unwrap();
+        let dir = TestDir::new("cmd-journal-corrupt");
+        let mut journal = Journal::open(dir.path()).unwrap();
         for i in 0..4 {
             journal.append(&sample(i)).unwrap();
         }
@@ -390,18 +380,17 @@ mod tests {
         bytes[2 * record_len + 12] ^= 0x40;
         std::fs::write(&seg, &bytes).unwrap();
 
-        let (records, tail) = read_log(&dir).unwrap();
+        let (records, tail) = read_log(dir.path()).unwrap();
         assert!(!tail.clean);
         assert_eq!(records.len(), 2, "prefix before the flipped byte survives");
         assert_eq!(tail.offset, (2 * record_len) as u64);
 
         // Reopening after damage truncates it and appends resume cleanly.
-        let mut journal = Journal::open(&dir).unwrap();
+        let mut journal = Journal::open(dir.path()).unwrap();
         assert_eq!(journal.next_seq(), 2);
         journal.append(&sample(2)).unwrap();
-        let (records, tail) = read_log(&dir).unwrap();
+        let (records, tail) = read_log(dir.path()).unwrap();
         assert!(tail.clean);
         assert_eq!(records.len(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,8 +5,9 @@
 //!
 //! The exhaustive test truncates a real campaign journal at **every byte
 //! boundary**; the property test flips arbitrary single bytes (corruption,
-//! not just truncation). Both run against the warm store the campaign
-//! produced, so any re-execution is a recovery bug, not a cache miss.
+//! not just truncation). Both run against (a copy of) the warm store the
+//! campaign produced, so any re-execution is a recovery bug, not a cache
+//! miss.
 
 use proptest::prelude::*;
 use rackfabric_cmd::journal::{read_log, LogRecord};
@@ -18,15 +19,17 @@ use rackfabric_sim::time::SimTime;
 use rackfabric_sim::units::Bytes;
 use rackfabric_sweep::campaign::Sweep;
 use rackfabric_sweep::store::ResultStore;
+use rackfabric_sweep::testdir::TestDir;
 use rackfabric_topo::spec::TopologySpec;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-/// The fixture: one journaled two-job campaign, run once per process. The
-/// torn copies live in per-test directories; the store stays warm and is
-/// only ever read by recovery.
+/// The fixture: one journaled two-job campaign, run once per process and
+/// kept in memory. Each test recovers in a directory of its own, holding a
+/// copy of the campaign's warm store that recovery only ever reads.
 struct Fixture {
-    root: PathBuf,
+    /// The warm store's files: path relative to the store root, contents.
+    store: Vec<(PathBuf, Vec<u8>)>,
     /// Bytes of the single journal segment the campaign wrote.
     bytes: Vec<u8>,
     /// Its validated records (marker + one per job).
@@ -36,9 +39,7 @@ struct Fixture {
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let root =
-            std::env::temp_dir().join(format!("rackfabric-cmd-torn-write-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = TestDir::new("cmd-torn-write-fixture");
         let exec = Executor::with_journal(
             ResultStore::open(root.join("store")).unwrap(),
             Runner::single_threaded(),
@@ -61,11 +62,41 @@ fn fixture() -> &'static Fixture {
         assert!(tail.clean);
         assert_eq!(records.len(), 3, "expand-matrix marker + 2 execute-cell");
         Fixture {
-            root,
+            store: files_under(&root.join("store")),
             bytes,
             records,
         }
     })
+}
+
+/// Every file under `dir`, as (path relative to `dir`, contents).
+fn files_under(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(at) = stack.pop() {
+        for entry in std::fs::read_dir(&at).unwrap().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                let rel = path.strip_prefix(dir).unwrap().to_path_buf();
+                files.push((rel, std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    files
+}
+
+/// A fresh directory holding a copy of the fixture's warm store at
+/// `store/`; tests write their torn journals beside it.
+fn scratch(fix: &Fixture, tag: &str) -> TestDir {
+    let dir = TestDir::new(tag);
+    for (rel, bytes) in &fix.store {
+        let path = dir.join("store").join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, bytes).unwrap();
+    }
+    dir
 }
 
 /// Byte offsets at which each record of `bytes` ends (frame boundaries).
@@ -88,11 +119,11 @@ fn write_torn_journal(dir: &Path, bytes: &[u8]) {
     std::fs::write(dir.join("seg-00000000.wal"), bytes).unwrap();
 }
 
-/// Opens an executor on the warm fixture store with the journal at `dir`
-/// and recovers; returns what recovery saw and did.
-fn recover_with(fix: &Fixture, dir: &Path) -> rackfabric_cmd::RecoveryStats {
+/// Opens an executor on the warm store copy in `scratch` with the journal
+/// at `dir` and recovers; returns what recovery saw and did.
+fn recover_with(scratch: &TestDir, dir: &Path) -> rackfabric_cmd::RecoveryStats {
     let exec = Executor::with_journal(
-        ResultStore::open(fix.root.join("store")).unwrap(),
+        ResultStore::open(scratch.join("store")).unwrap(),
         Runner::single_threaded(),
         dir,
     )
@@ -105,7 +136,8 @@ fn recovery_restores_longest_valid_prefix_at_every_truncation_point() {
     let fix = fixture();
     let boundaries = frame_boundaries(&fix.bytes);
     assert_eq!(boundaries.len(), fix.records.len());
-    let dir = fix.root.join("torn-exhaustive");
+    let scratch = scratch(fix, "cmd-torn-write-exhaustive");
+    let dir = scratch.join("journal");
 
     for cut in 0..=fix.bytes.len() {
         write_torn_journal(&dir, &fix.bytes[..cut]);
@@ -127,7 +159,7 @@ fn recovery_restores_longest_valid_prefix_at_every_truncation_point() {
 
         // Recovery over that prefix: the store is warm, so nothing may
         // re-execute, and opening must have healed the tear.
-        let stats = recover_with(fix, &dir);
+        let stats = recover_with(&scratch, &dir);
         assert_eq!(stats.commands, expected);
         assert_eq!(
             stats.cells_replayed, 0,
@@ -139,7 +171,6 @@ fn recovery_restores_longest_valid_prefix_at_every_truncation_point() {
         );
         assert!(!stats.torn_tail, "open must heal the tear before recovery");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
@@ -155,7 +186,8 @@ proptest! {
         let mut corrupt = fix.bytes.clone();
         corrupt[pos] ^= flip as u8;
 
-        let dir = fix.root.join(format!("torn-prop-{pos}-{flip}"));
+        let scratch = scratch(fix, "cmd-torn-write-prop");
+        let dir = scratch.join("journal");
         write_torn_journal(&dir, &corrupt);
 
         // Whatever the flip hit, the reader must yield a strict prefix of
@@ -165,9 +197,8 @@ proptest! {
         prop_assert!(records.len() <= fix.records.len());
         prop_assert_eq!(&records[..], &fix.records[..records.len()]);
 
-        let stats = recover_with(fix, &dir);
+        let stats = recover_with(&scratch, &dir);
         prop_assert_eq!(stats.cells_replayed, 0);
         prop_assert_eq!(stats.commands, records.len());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -27,6 +27,11 @@
 //!   single-path algorithms one BFS/Dijkstra tree per source per epoch
 //!   serves every destination; a route is interned on its first lookup, and
 //!   a lookup is a hit when its source's tree already existed this epoch.
+//! * Cost-aware routing (min cost, UGAL-style adaptive) reads one
+//!   `LinkIdx`-indexed cost vector, the [`PriceBook`] lowered once per
+//!   price update and again whenever the arena is rebuilt
+//!   (`PriceBook::link_costs`). Every link costs 1.0 before the first
+//!   price update.
 
 use crate::controller::{ClosedRingControl, CrcConfig};
 use crate::metrics::FabricMetrics;
@@ -170,14 +175,14 @@ pub(crate) fn cached_route(
     arena: &LinkArena,
     current_spec: &TopologySpec,
     racks: &[u32],
-    cost_map: &HashMap<rackfabric_phy::LinkId, f64>,
+    costs: &[f64],
     src: NodeId,
     dst: NodeId,
     flow_seq: u64,
 ) -> Option<Arc<InternedRoute>> {
     match routing {
         RoutingAlgorithm::ShortestHop => cache.tree_route(topo, arena, None, src, dst),
-        RoutingAlgorithm::MinCost => cache.tree_route(topo, arena, Some(cost_map), src, dst),
+        RoutingAlgorithm::MinCost => cache.tree_route(topo, arena, Some(costs), src, dst),
         _ => {
             let selector = if routing.per_flow() { flow_seq } else { 0 };
             cache.get_or_compute(src, dst, selector, || {
@@ -186,9 +191,14 @@ pub(crate) fn cached_route(
                     RoutingAlgorithm::Valiant => {
                         routing::valiant_route(topo, racks, src, dst, flow_seq)
                     }
-                    RoutingAlgorithm::Adaptive => {
-                        routing::adaptive_route(topo, racks, src, dst, flow_seq, cost_map, 1.0)
-                    }
+                    RoutingAlgorithm::Adaptive => routing::adaptive_route(
+                        topo,
+                        racks,
+                        src,
+                        dst,
+                        flow_seq,
+                        routing::dense_cost(arena, costs),
+                    ),
                     _ => routing::dimension_ordered(current_spec, topo, src, dst)
                         .or_else(|| routing::shortest_path(topo, src, dst)),
                 }
@@ -252,9 +262,10 @@ pub struct AdaptiveFabric {
     reconfiguring_until: Vec<SimTime>,
     route_cache: RouteCache,
     price_book: PriceBook,
-    /// The price book lowered to a routing cost map, rebuilt once per price
-    /// update instead of once per route-cache miss.
-    cost_map: HashMap<rackfabric_phy::LinkId, f64>,
+    /// The price book lowered to routing costs, `LinkIdx`-indexed: lowered
+    /// once per price update (cost-aware routing only, the one reader) and
+    /// again whenever the arena is rebuilt.
+    costs: Vec<f64>,
     /// Node-to-rack table of the current spec (dragonfly groups, torus
     /// rows), consumed by the rack-detour routing policies. Rebuilt with
     /// the dense state after whole-rack reconfigurations.
@@ -294,7 +305,7 @@ impl AdaptiveFabric {
             reconfiguring_until: Vec::new(),
             route_cache: RouteCache::new(),
             price_book: PriceBook::default(),
-            cost_map: HashMap::new(),
+            costs: Vec::new(),
             racks: Vec::new(),
             epoch_start: SimTime::ZERO,
             completed_flows: 0,
@@ -352,6 +363,7 @@ impl AdaptiveFabric {
         self.wire_bytes_this_epoch = wire;
         self.reconfiguring_until = fences;
         self.racks = self.current_spec.rack_of();
+        self.costs = self.price_book.link_costs(&self.arena);
         self.route_cache.bump_epoch();
         self.refresh_link_hot();
     }
@@ -425,7 +437,7 @@ impl AdaptiveFabric {
             &self.arena,
             &self.current_spec,
             &self.racks,
-            &self.cost_map,
+            &self.costs,
             flow.src,
             flow.dst,
             flow.id.0,
@@ -730,10 +742,10 @@ impl AdaptiveFabric {
 
         self.price_book = self.crc.price(&report);
         // Prices feed cost-aware routing (min-cost and the UGAL-style
-        // adaptive policy); only then is the cost map needed, and stale
+        // adaptive policy); only then are the costs needed, and stale
         // cached routes must not survive a price update.
         if self.config.routing.cost_aware() {
-            self.cost_map = self.price_book.as_cost_map();
+            self.costs = self.price_book.link_costs(&self.arena);
             self.route_cache.bump_epoch();
         }
 

@@ -10,6 +10,7 @@
 
 use rackfabric_phy::stats::{LinkTelemetry, TelemetryReport};
 use rackfabric_phy::LinkId;
+use rackfabric_topo::arena::LinkArena;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -150,20 +151,35 @@ impl PriceBook {
         self.prices.get(&link)
     }
 
+    /// The routing cost of one priced link: infinite for a down link, which
+    /// is therefore never routed over.
+    fn cost(&self, price: &LinkPrice) -> f64 {
+        if price.health_penalty >= 1.0 {
+            f64::INFINITY
+        } else {
+            // Strictly positive so Dijkstra terminates.
+            price.total(&self.weights).max(1e-6)
+        }
+    }
+
     /// The scalar cost map consumed by the routing layer: down links get an
     /// infinite cost and are therefore never routed over.
     pub fn as_cost_map(&self) -> HashMap<LinkId, f64> {
         self.prices
             .iter()
-            .map(|(id, p)| {
-                let cost = if p.health_penalty >= 1.0 {
-                    f64::INFINITY
-                } else {
-                    // Strictly positive so Dijkstra terminates.
-                    p.total(&self.weights).max(1e-6)
-                };
-                (*id, cost)
-            })
+            .map(|(id, p)| (*id, self.cost(p)))
+            .collect()
+    }
+
+    /// The cost map lowered onto `arena`: entry `i` is the cost of
+    /// `LinkIdx(i)`, and 1.0 for a link the book has not priced — what a
+    /// lookup in [`Self::as_cost_map`] with the engines' default cost of 1.0
+    /// answers. The engines lower the book once per price update and once
+    /// per arena rebuild, and cost-aware routing reads the vector.
+    pub(crate) fn link_costs(&self, arena: &LinkArena) -> Vec<f64> {
+        arena
+            .iter()
+            .map(|(_, id)| self.prices.get(&id).map_or(1.0, |p| self.cost(p)))
             .collect()
     }
 

@@ -222,7 +222,10 @@ pub struct ShardFabric {
     /// Switched wire bytes per link this epoch (this shard's contribution).
     wire_epoch: Vec<u64>,
     route_cache: RouteCache,
-    cost_map: HashMap<LinkId, f64>,
+    /// Routing costs, `LinkIdx`-indexed: one snapshot the coordinator
+    /// lowers and shares with every shard (see the monolithic engine's
+    /// field of the same name).
+    costs: Arc<[f64]>,
     metrics: FabricMetrics,
     own_flows: usize,
     completed_flows: usize,
@@ -312,7 +315,7 @@ impl ShardFabric {
             &shared.arena,
             &shared.spec,
             &shared.racks,
-            &self.cost_map,
+            &self.costs,
             flow.src,
             flow.dst,
             flow.id.0,
@@ -547,8 +550,8 @@ impl ShardFabric {
     }
 
     /// Migrates the dense per-link/per-port state into a rebuilt arena
-    /// (whole-rack reconfigurations only).
-    fn migrate(&mut self, old: &LinkArena, shared: Arc<SharedState>) {
+    /// (whole-rack reconfigurations only), with `costs` lowered onto it.
+    fn migrate(&mut self, old: &LinkArena, shared: Arc<SharedState>, costs: Arc<[f64]>) {
         let arena = &shared.arena;
         let links = arena.len();
         let mut ports: Vec<EgressQueue> = (0..arena.port_count())
@@ -575,6 +578,7 @@ impl ShardFabric {
         self.wire_epoch = wire;
         self.fences = fences;
         self.shared = shared;
+        self.costs = costs;
         self.route_cache.bump_epoch();
     }
 }
@@ -760,13 +764,14 @@ impl Coordinator {
         self.metrics.throughput_series.push_at(now, total_gbps);
 
         self.price_book = self.crc.price(&report);
-        // Cost-aware routing (min-cost, UGAL-style adaptive): broadcast one
-        // price snapshot to every shard and invalidate their caches together,
-        // so per-shard routing decisions stay shard-count-independent.
+        // Cost-aware routing (min-cost, UGAL-style adaptive): share one
+        // price snapshot with every shard and invalidate their caches
+        // together, so per-shard routing decisions stay
+        // shard-count-independent.
         if self.config.routing.cost_aware() {
-            let cost_map = self.price_book.as_cost_map();
+            let costs: Arc<[f64]> = self.price_book.link_costs(&self.shared.arena).into();
             for shard in shards.models_mut() {
-                shard.cost_map = cost_map.clone();
+                shard.costs = costs.clone();
                 shard.route_cache.bump_epoch();
             }
         }
@@ -869,9 +874,10 @@ impl Coordinator {
         });
         self.shared = shared.clone();
         self.link_hot = compute_link_hot(&self.phy, &self.shared.arena);
+        let costs: Arc<[f64]> = self.price_book.link_costs(&shared.arena).into();
         let until = now + duration;
         for shard in shards.models_mut() {
-            shard.migrate(&old_arena, shared.clone());
+            shard.migrate(&old_arena, shared.clone(), costs.clone());
             for fence in &mut shard.fences {
                 *fence = (*fence).max(until);
             }
@@ -981,6 +987,7 @@ impl ShardedFabric {
             racks,
         });
         let link_hot = compute_link_hot(&phy, &shared.arena);
+        let costs: Arc<[f64]> = PriceBook::default().link_costs(&shared.arena).into();
         let bypasses = phy.bypasses.clone();
         let config = Arc::new(fabric_config);
         let flows = Arc::new(flows);
@@ -1015,7 +1022,7 @@ impl ShardedFabric {
                     bytes_epoch: vec![0; shared.arena.len()],
                     wire_epoch: vec![0; shared.arena.len()],
                     route_cache: RouteCache::new(),
-                    cost_map: HashMap::new(),
+                    costs: costs.clone(),
                     metrics: FabricMetrics::default(),
                     own_flows,
                     completed_flows: 0,

@@ -6,7 +6,7 @@
 //! margin stops the choice from flapping when the channel sits exactly at a
 //! codec's threshold.
 
-use crate::fec::FecMode;
+use crate::fec::{invert_ber_to_snr_db, FecMode};
 use crate::link::Link;
 use serde::{Deserialize, Serialize};
 
@@ -42,8 +42,14 @@ impl AdaptiveFecController {
     /// The weakest mode whose post-FEC BER meets `target`, or the strongest
     /// mode if none do (best effort on a hopeless channel).
     pub fn weakest_sufficient(&self, pre_fec_ber: f64, target: f64) -> FecMode {
+        Self::weakest_at_snr(invert_ber_to_snr_db(pre_fec_ber), target)
+    }
+
+    /// [`Self::weakest_sufficient`] for a pre-FEC BER already inverted to
+    /// its received SNR: every codec is judged at that one SNR.
+    fn weakest_at_snr(snr_db: f64, target: f64) -> FecMode {
         for mode in FecMode::ALL {
-            if mode.post_fec_ber_from_pre(pre_fec_ber) <= target {
+            if mode.post_fec_ber(snr_db) <= target {
                 return mode;
             }
         }
@@ -53,11 +59,12 @@ impl AdaptiveFecController {
     /// Recommends a codec for `link` given its current pre-FEC BER. Returns
     /// `None` when the currently configured codec should be kept (either it
     /// is already the right one, or switching would not clear the hysteresis
-    /// margin).
+    /// margin). The BER is inverted once, through the link's memo
+    /// ([`Link::worst_pre_fec_snr_db`]).
     pub fn recommend(&self, link: &Link) -> Option<FecMode> {
-        let pre = link.worst_pre_fec_ber();
+        let snr = link.worst_pre_fec_snr_db();
         let current = link.fec;
-        let ideal = self.weakest_sufficient(pre, self.ber_target);
+        let ideal = Self::weakest_at_snr(snr, self.ber_target);
 
         if ideal == current {
             return None;
@@ -72,7 +79,7 @@ impl AdaptiveFecController {
         // Weakening: only if the weaker codec beats the target by the
         // hysteresis margin.
         let relaxed_target = self.ber_target * 10f64.powf(-self.hysteresis_decades);
-        let relaxed_ideal = self.weakest_sufficient(pre, relaxed_target);
+        let relaxed_ideal = Self::weakest_at_snr(snr, relaxed_target);
         if relaxed_ideal != current {
             Some(relaxed_ideal)
         } else {

@@ -17,6 +17,12 @@
 //! and re-evaluating the Q-function, which reproduces the characteristic
 //! waterfall shape (a strong code turns a 1e-6 channel into a practically
 //! error-free one but cannot rescue a 1e-2 channel).
+//!
+//! When only BER telemetry is available, the BER is first inverted back to
+//! an SNR by bisection ([`invert_ber_to_snr_db`]). That inversion is the
+//! costly step, so a [`Link`](crate::link::Link) memoises it for its worst
+//! lane ([`Link::worst_pre_fec_snr_db`](crate::link::Link::worst_pre_fec_snr_db)),
+//! and the adaptive FEC controller judges every codec at that one SNR.
 
 use crate::signal;
 use rackfabric_sim::time::SimDuration;

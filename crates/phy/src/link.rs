@@ -4,9 +4,14 @@
 //! Layer Primitives manipulate. It owns a set of [`Lane`]s, a [`Media`], a
 //! physical length and a [`FecMode`]; its effective capacity, traversal
 //! latency, error rate and power draw all derive from those.
+//!
+//! A link also memoises the SNR its worst pre-FEC BER inverts to
+//! ([`Link::worst_pre_fec_snr_db`]), the one numerical step of its post-FEC
+//! BER that is expensive. The memo is keyed by the BER itself, so no lane
+//! edit has to invalidate it.
 
 use crate::error::PhyError;
-use crate::fec::FecMode;
+use crate::fec::{invert_ber_to_snr_db, FecMode};
 use crate::lane::{Lane, LaneId, LaneState};
 use crate::media::Media;
 use crate::signal;
@@ -14,6 +19,7 @@ use crate::stats::LinkTelemetry;
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::{BitRate, Bytes, Length, Power};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 
 /// Identifier of a link within the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -51,6 +57,9 @@ pub struct Link {
     pub fec: FecMode,
     /// Operational state.
     pub state: LinkState,
+    /// The last [`Link::worst_pre_fec_snr_db`] answer: the BER's bits and
+    /// the SNR they invert to.
+    snr_memo: Cell<Option<(u64, f64)>>,
 }
 
 impl Link {
@@ -80,6 +89,7 @@ impl Link {
             lanes,
             fec: FecMode::None,
             state: LinkState::Up,
+            snr_memo: Cell::new(None),
         };
         link.refresh_ber();
         link
@@ -159,9 +169,33 @@ impl Link {
             .fold(1e-18, f64::max)
     }
 
-    /// Post-FEC BER of the link with the currently configured codec.
+    /// The received SNR equivalent to [`Link::worst_pre_fec_ber`], exactly
+    /// as [`invert_ber_to_snr_db`] returns it.
+    ///
+    /// The inversion is a 64-step bisection, and the control loop asks for
+    /// it every epoch (telemetry, then the FEC recommendation) while the BER
+    /// moves only when the lanes do. So the link keeps its last answer,
+    /// keyed by the BER's bits. The key is the inversion's own input: a lane
+    /// edit of any kind (a PLP, [`Link::refresh_ber`], a direct write to
+    /// `lanes`) yields different bits and so a fresh inversion, and nothing
+    /// has to invalidate the memo.
+    pub fn worst_pre_fec_snr_db(&self) -> f64 {
+        let ber = self.worst_pre_fec_ber();
+        let bits = ber.to_bits();
+        match self.snr_memo.get() {
+            Some((key, snr)) if key == bits => snr,
+            _ => {
+                let snr = invert_ber_to_snr_db(ber);
+                self.snr_memo.set(Some((bits, snr)));
+                snr
+            }
+        }
+    }
+
+    /// Post-FEC BER of the link with the currently configured codec (the
+    /// same value as `fec.post_fec_ber_from_pre(worst_pre_fec_ber())`).
     pub fn post_fec_ber(&self) -> f64 {
-        self.fec.post_fec_ber_from_pre(self.worst_pre_fec_ber())
+        self.fec.post_fec_ber(self.worst_pre_fec_snr_db())
     }
 
     /// Changes the FEC mode. The caller (PLP executor) is responsible for

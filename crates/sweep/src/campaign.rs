@@ -510,20 +510,17 @@ impl Dispatcher<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdir::TestDir;
     use rackfabric_scenario::matrix::AxisValue;
     use rackfabric_scenario::spec::WorkloadSpec;
     use rackfabric_sim::time::SimTime;
     use rackfabric_sim::units::Bytes;
     use rackfabric_topo::spec::TopologySpec;
-    use std::path::PathBuf;
 
-    fn tmp_store(tag: &str) -> (PathBuf, ResultStore) {
-        let dir = std::env::temp_dir().join(format!(
-            "rackfabric-sweep-campaign-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        (dir.clone(), ResultStore::open(&dir).unwrap())
+    fn tmp_store(tag: &str) -> (TestDir, ResultStore) {
+        let dir = TestDir::new(&format!("sweep-campaign-{tag}"));
+        let store = ResultStore::open(dir.path()).unwrap();
+        (dir, store)
     }
 
     fn small_matrix() -> Matrix {
@@ -541,7 +538,7 @@ mod tests {
 
     #[test]
     fn cold_run_executes_all_and_matches_the_plain_runner() {
-        let (dir, store) = tmp_store("cold");
+        let (_dir, store) = tmp_store("cold");
         let runner = Runner::single_threaded();
         let sweep = Sweep::new(small_matrix());
         let outcome = sweep.run(&store, &runner).unwrap();
@@ -552,12 +549,11 @@ mod tests {
         let plain = runner.run(&small_matrix());
         let sweep_csv = rackfabric_scenario::export::cells_to_csv(&outcome.cells);
         assert_eq!(sweep_csv, plain.to_csv());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn warm_run_executes_nothing_and_reproduces_bytes() {
-        let (dir, store) = tmp_store("warm");
+        let (_dir, store) = tmp_store("warm");
         let runner = Runner::single_threaded();
         let sweep = Sweep::new(small_matrix());
         let first = sweep.run(&store, &runner).unwrap();
@@ -576,13 +572,12 @@ mod tests {
             rackfabric_scenario::export::jobs_to_csv(&first.records),
             rackfabric_scenario::export::jobs_to_csv(&second.records)
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn interruption_resumes_to_identical_output() {
-        let (dir_a, store_a) = tmp_store("interrupt-a");
-        let (dir_b, store_b) = tmp_store("interrupt-b");
+        let (_dir_a, store_a) = tmp_store("interrupt-a");
+        let (_dir_b, store_b) = tmp_store("interrupt-b");
         let runner = Runner::single_threaded();
 
         // Reference: one uninterrupted run.
@@ -603,14 +598,12 @@ mod tests {
             rackfabric_scenario::export::cells_to_csv(&full.cells),
             rackfabric_scenario::export::cells_to_csv(&resumed.cells)
         );
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
     }
 
     #[test]
     fn cancellation_interrupts_cleanly_and_resumes_to_identical_output() {
-        let (dir_a, store_a) = tmp_store("cancel-a");
-        let (dir_b, store_b) = tmp_store("cancel-b");
+        let (_dir_a, store_a) = tmp_store("cancel-a");
+        let (_dir_b, store_b) = tmp_store("cancel-b");
         let runner = Runner::single_threaded();
 
         // Reference: one uninterrupted run.
@@ -639,7 +632,7 @@ mod tests {
         );
 
         // An already-tripped token stops the campaign before any dispatch.
-        let (dir_c, store_c) = tmp_store("cancel-c");
+        let (_dir_c, store_c) = tmp_store("cancel-c");
         let tripped = CancelToken::new();
         tripped.cancel();
         let none = Sweep::new(small_matrix())
@@ -648,14 +641,11 @@ mod tests {
             .unwrap();
         assert_eq!(none.executed, 0);
         assert!(none.interrupted);
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
-        let _ = std::fs::remove_dir_all(&dir_c);
     }
 
     #[test]
     fn budgeted_sweep_converges_and_reports_budgets() {
-        let (dir, store) = tmp_store("budget");
+        let (_dir, store) = tmp_store("budget");
         let runner = Runner::single_threaded();
         let policy = BudgetPolicy {
             target_rel_halfwidth: 0.5,
@@ -673,12 +663,11 @@ mod tests {
         let again = sweep.run(&store, &runner).unwrap();
         assert_eq!(again.executed, 0);
         assert_eq!(again.cell_budgets, outcome.cell_budgets);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn interrupted_budgeted_cells_report_interrupted_not_job_budget() {
-        let (dir, store) = tmp_store("budget-interrupt");
+        let (_dir, store) = tmp_store("budget-interrupt");
         let runner = Runner::single_threaded();
         let sweep = Sweep::new(small_matrix())
             .budget(BudgetPolicy {
@@ -698,6 +687,5 @@ mod tests {
         let files = crate::emit::render_files("budget-interrupt", &outcome);
         let report = &files.iter().find(|(n, _)| n == "report.md").unwrap().1;
         assert!(report.contains("interrupted"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -248,19 +248,12 @@ mod tests {
     use rackfabric_sim::time::SimTime;
     use rackfabric_sim::units::Bytes;
     use rackfabric_topo::spec::TopologySpec;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn outcome() -> SweepOutcome {
         // Libtest runs the tests on parallel threads: each call owns its
         // store directory, so one test cannot delete another's mid-run.
-        static CALLS: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "rackfabric-sweep-emit-{}-{}",
-            std::process::id(),
-            CALLS.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ResultStore::open(&dir).unwrap();
+        let dir = crate::testdir::TestDir::new("sweep-emit");
+        let store = ResultStore::open(dir.path()).unwrap();
         let base = ScenarioSpec::new(
             "emit-unit",
             TopologySpec::grid(2, 2, 2),
@@ -277,11 +270,9 @@ mod tests {
                 ],
             )
             .replicates(2);
-        let out = Sweep::new(matrix)
+        Sweep::new(matrix)
             .run(&store, &Runner::single_threaded())
-            .unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        out
+            .unwrap()
     }
 
     #[test]

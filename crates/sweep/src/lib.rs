@@ -65,6 +65,7 @@ pub mod key;
 pub mod lock;
 pub mod report;
 pub mod store;
+pub mod testdir;
 
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {

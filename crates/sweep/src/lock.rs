@@ -70,26 +70,16 @@ impl StoreLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_root(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "rackfabric-sweep-lock-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use crate::testdir::TestDir;
 
     #[test]
     fn exclusive_lock_excludes_a_second_holder_until_dropped() {
-        let root = tmp_root("exclusive");
-        let held = StoreLock::exclusive(&root).unwrap();
+        let root = TestDir::new("sweep-lock-exclusive");
+        let held = StoreLock::exclusive(root.path()).unwrap();
         // A second handle (same process, separate open file description)
         // must observe the contention, exactly like a second process would.
-        assert!(StoreLock::try_exclusive(&root).unwrap().is_none());
+        assert!(StoreLock::try_exclusive(root.path()).unwrap().is_none());
         drop(held);
-        assert!(StoreLock::try_exclusive(&root).unwrap().is_some());
-        let _ = std::fs::remove_dir_all(&root);
+        assert!(StoreLock::try_exclusive(root.path()).unwrap().is_some());
     }
 }

@@ -573,20 +573,12 @@ fn decode_stat_summary(doc: &JsonValue) -> Option<Summary> {
 mod tests {
     use super::*;
     use crate::key::job_key;
+    use crate::testdir::TestDir;
     use rackfabric_scenario::prelude::*;
     use rackfabric_scenario::runner::run_scenario;
     use rackfabric_sim::time::SimTime;
     use rackfabric_sim::units::Bytes;
     use rackfabric_topo::spec::TopologySpec;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "rackfabric-sweep-store-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     #[test]
     fn open_sweeps_orphaned_temp_files_but_spares_records_and_young_temps() {
@@ -600,8 +592,8 @@ mod tests {
         let result = run_scenario(&spec);
         let key = job_key(&spec);
 
-        let dir = tmp_dir("orphan");
-        let store = ResultStore::open(&dir).unwrap();
+        let dir = TestDir::new("sweep-store-orphan");
+        let store = ResultStore::open(dir.path()).unwrap();
         let outcome = JobOutcome::Completed(Box::new(result));
         store
             .put(&key, &crate::key::canonical_spec_json(&spec), &outcome)
@@ -614,15 +606,15 @@ mod tests {
 
         // Default grace spares a freshly written temp file (its writer may
         // still be between write and rename).
-        let store = ResultStore::open(&dir).unwrap();
+        let store = ResultStore::open(dir.path()).unwrap();
         assert!(orphan.exists(), "young temp files must survive open");
 
         // Zero grace models the temp file having aged past GC_TEMP_GRACE.
-        let store2 = ResultStore::open_with_tmp_grace(&dir, std::time::Duration::ZERO).unwrap();
+        let store2 =
+            ResultStore::open_with_tmp_grace(dir.path(), std::time::Duration::ZERO).unwrap();
         assert!(!orphan.exists(), "aged orphans are reclaimed at open");
         assert!(store2.get(&key).is_some(), "real records are untouched");
         assert_eq!(store.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -637,8 +629,8 @@ mod tests {
         let result = run_scenario(&spec);
         let key = job_key(&spec);
 
-        let dir = tmp_dir("roundtrip");
-        let store = ResultStore::open(&dir).unwrap();
+        let dir = TestDir::new("sweep-store-roundtrip");
+        let store = ResultStore::open(dir.path()).unwrap();
         assert!(store.get(&key).is_none());
         assert!(store.is_empty());
         let outcome = JobOutcome::Completed(Box::new(result.clone()));
@@ -666,7 +658,6 @@ mod tests {
             back.queueing_latency.summary(),
             result.queueing_latency.summary()
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -687,8 +678,8 @@ mod tests {
                 .replicates(2)
                 .master_seed(3)
         };
-        let dir = tmp_dir("gc");
-        let store = ResultStore::open(&dir).unwrap();
+        let dir = TestDir::new("sweep-store-gc");
+        let store = ResultStore::open(dir.path()).unwrap();
         let runner = Runner::single_threaded();
         Sweep::new(matrix(&[0.5, 1.0]))
             .run(&store, &runner)
@@ -722,13 +713,12 @@ mod tests {
         // The surviving campaign still answers fully from the store.
         let warm = Sweep::new(edited).run(&store, &runner).unwrap();
         assert_eq!(warm.executed, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn gc_spares_young_temp_files_and_tolerates_races() {
-        let dir = tmp_dir("gc-tmp");
-        let store = ResultStore::open(&dir).unwrap();
+        let dir = TestDir::new("sweep-store-gc-tmp");
+        let store = ResultStore::open(dir.path()).unwrap();
         let key = crate::key::JobKey(42);
         store
             .put(&key, "{}", &JobOutcome::Failed("x".into()))
@@ -758,13 +748,12 @@ mod tests {
         assert_eq!(store.gc([key].iter()).unwrap().removed, 1);
         assert!(!foreign.exists());
         assert_eq!(store.gc([key].iter()).unwrap().removed, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn counts_traffic_and_persists_cumulative_stats() {
-        let dir = tmp_dir("stats");
-        let store = ResultStore::open(&dir).unwrap();
+        let dir = TestDir::new("sweep-store-stats");
+        let store = ResultStore::open(dir.path()).unwrap();
         let key = crate::key::JobKey(21);
         assert!(store.get(&key).is_none());
         store
@@ -791,7 +780,7 @@ mod tests {
         // ...a second flush adds nothing...
         assert_eq!(store.flush_stats().unwrap(), total);
         // ...and a fresh handle accumulates on top of the persisted totals.
-        let reopened = ResultStore::open(&dir).unwrap();
+        let reopened = ResultStore::open(dir.path()).unwrap();
         assert!(reopened.get(&key).is_some());
         let cumulative = reopened.flush_stats().unwrap();
         assert_eq!(cumulative.hits, 2);
@@ -799,7 +788,6 @@ mod tests {
         assert_eq!(reopened.read_stats(), cumulative);
         // The sidecar lives outside the object tree and is not a record.
         assert_eq!(reopened.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -835,8 +823,8 @@ mod tests {
         // single-flight dedup, and the daemon+CLI overlap case after).
         // Every interleaving of write/rename pairs must end with exactly
         // one readable record and zero temp droppings.
-        let dir = tmp_dir("contend");
-        let store = ResultStore::open(&dir).unwrap();
+        let dir = TestDir::new("sweep-store-contend");
+        let store = ResultStore::open(dir.path()).unwrap();
         let key = crate::key::JobKey(0xABCD);
         let threads: Vec<_> = (0..8)
             .map(|w| {
@@ -861,7 +849,6 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "no temp files survive the race");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -869,8 +856,10 @@ mod tests {
         // Two handles on one directory (the daemon + CLI sharing gap):
         // without the advisory lock the sidecar's read-modify-write could
         // interleave and drop counts; with it the totals always add up.
-        let dir = tmp_dir("stats-race");
-        let handles: Vec<ResultStore> = (0..4).map(|_| ResultStore::open(&dir).unwrap()).collect();
+        let dir = TestDir::new("sweep-store-stats-race");
+        let handles: Vec<ResultStore> = (0..4)
+            .map(|_| ResultStore::open(dir.path()).unwrap())
+            .collect();
         let threads: Vec<_> = handles
             .into_iter()
             .enumerate()
@@ -889,19 +878,18 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let store = ResultStore::open(&dir).unwrap();
+        let store = ResultStore::open(dir.path()).unwrap();
         assert_eq!(
             store.read_stats().puts,
             40,
             "every handle's puts survive concurrent flushes"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn caches_failures_and_survives_corruption() {
-        let dir = tmp_dir("failure");
-        let store = ResultStore::open(&dir).unwrap();
+        let dir = TestDir::new("sweep-store-failure");
+        let store = ResultStore::open(dir.path()).unwrap();
         let key = crate::key::JobKey(7);
         let failed = JobOutcome::Failed("boom: no compute sleds".into());
         store.put(&key, "{}", &failed).unwrap();
@@ -913,6 +901,5 @@ mod tests {
         let path = store.object_path(&key);
         std::fs::write(&path, "{ not json").unwrap();
         assert!(store.get(&key).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,10 +11,16 @@
 //! The arena is rebuilt — and every consumer's dense state migrated — only
 //! when the topology itself changes (a whole-rack reconfiguration), which is
 //! rare and slow-path by construction.
+//!
+//! The reverse index `LinkId -> LinkIdx` is an array too, indexed by the raw
+//! id. That relies on the **dense-id invariant**: `PhyState` hands out
+//! `LinkId`s densely from 0 and never reuses one, so the table is as long as
+//! the highest live id plus one, and the ids retired by splits and bundles
+//! leave only a few empty slots. An id that was removed, or lies past the
+//! end of the table, answers `None`.
 
 use crate::graph::{NodeId, Topology};
 use rackfabric_phy::LinkId;
-use std::collections::HashMap;
 
 /// Dense index of a live link within one topology epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,8 +57,10 @@ pub struct LinkArena {
     ids: Vec<LinkId>,
     /// `LinkIdx -> (endpoint_a, endpoint_b)` with `a < b`.
     endpoints: Vec<(NodeId, NodeId)>,
-    /// Reverse map, used on cold paths (route interning, migrations).
-    index_of: HashMap<LinkId, LinkIdx>,
+    /// Reverse index `LinkId.0 -> LinkIdx` (see the module docs for the
+    /// dense-id invariant), read by route interning, min-cost routing's
+    /// per-edge cost lookups and migrations.
+    index_of: Vec<Option<LinkIdx>>,
 }
 
 impl LinkArena {
@@ -60,12 +68,12 @@ impl LinkArena {
     pub fn build(topo: &Topology) -> Self {
         let ids = topo.links(); // sorted
         let mut endpoints = Vec::with_capacity(ids.len());
-        let mut index_of = HashMap::with_capacity(ids.len());
+        let mut index_of = vec![None; ids.last().map_or(0, |id| table_slot(*id) + 1)];
         for (i, &id) in ids.iter().enumerate() {
             let (a, b) = topo.endpoints(id).expect("listed link has endpoints");
             let pair = if a <= b { (a, b) } else { (b, a) };
             endpoints.push(pair);
-            index_of.insert(id, LinkIdx(i as u32));
+            index_of[table_slot(id)] = Some(LinkIdx(i as u32));
         }
         LinkArena {
             ids,
@@ -101,7 +109,7 @@ impl LinkArena {
     /// The dense index of a physical link, if it is part of this epoch.
     #[inline]
     pub fn index(&self, id: LinkId) -> Option<LinkIdx> {
-        self.index_of.get(&id).copied()
+        self.index_of.get(table_slot(id)).copied().flatten()
     }
 
     /// The canonical `(min, max)` endpoints of an interned link.
@@ -156,6 +164,13 @@ impl LinkArena {
             .enumerate()
             .map(|(i, &id)| (LinkIdx(i as u32), id))
     }
+}
+
+/// The reverse-index slot of `id`: the raw id, saturated so an id beyond
+/// the address space lands past the end of any table.
+#[inline]
+fn table_slot(id: LinkId) -> usize {
+    usize::try_from(id.0).unwrap_or(usize::MAX)
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 
 use crate::arena::{LinkArena, LinkIdx};
 use crate::graph::{NodeId, Topology};
-use crate::routing::{dijkstra_tree, shortest_path_tree, Route};
+use crate::routing::{dense_cost, dijkstra_tree_by, shortest_path_tree, Route};
 use rackfabric_phy::LinkId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -162,7 +162,10 @@ impl RouteCache {
 
     /// The single-path route from `src` to `dst` in the current epoch: the
     /// hop-count (BFS) tree when `costs` is `None`, the min-cost (Dijkstra)
-    /// tree under `costs` (unlisted links cost 1) otherwise.
+    /// tree under `costs` otherwise. `costs` is dense by `arena`'s
+    /// [`LinkIdx`] (see [`dense_cost`]; links the arena lacks cost 1), and
+    /// builds the same tree as [`dijkstra_tree`](crate::routing::dijkstra_tree)
+    /// over the equivalent cost map.
     ///
     /// The first lookup from `src` in an epoch is a miss and builds its
     /// tree; every later one is a hit, and interns its route out of the tree
@@ -172,7 +175,7 @@ impl RouteCache {
         &mut self,
         topo: &Topology,
         arena: &LinkArena,
-        costs: Option<&HashMap<LinkId, f64>>,
+        costs: Option<&[f64]>,
         src: NodeId,
         dst: NodeId,
     ) -> Option<Arc<InternedRoute>> {
@@ -186,7 +189,7 @@ impl RouteCache {
             self.stats.misses += 1;
             let parents = match costs {
                 None => shortest_path_tree(topo, src),
-                Some(costs) => dijkstra_tree(topo, src, costs, 1.0),
+                Some(costs) => dijkstra_tree_by(topo, src, dense_cost(arena, costs)),
             };
             tree.epoch = Some(self.epoch);
             tree.parent.clear();
@@ -237,7 +240,7 @@ impl RouteCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::{route_from_tree, shortest_path};
+    use crate::routing::{dijkstra_tree, route_from_tree, shortest_path};
     use crate::spec::TopologySpec;
     use rackfabric_phy::PhyState;
     use rackfabric_sim::units::BitRate;
@@ -326,8 +329,16 @@ mod tests {
             .collect()
     }
 
-    /// What the cache must answer: the tree built afresh, walked with
-    /// `route_from_tree` and interned.
+    /// `costs` lowered onto `arena`, as the engines hand it to `tree_route`.
+    fn lowered(arena: &LinkArena, costs: &HashMap<LinkId, f64>) -> Vec<f64> {
+        arena
+            .iter()
+            .map(|(_, id)| costs.get(&id).copied().unwrap_or(1.0))
+            .collect()
+    }
+
+    /// What the cache must answer: the tree built afresh over the cost map,
+    /// walked with `route_from_tree` and interned.
     fn expected(
         topo: &crate::graph::Topology,
         arena: &LinkArena,
@@ -346,12 +357,13 @@ mod tests {
     fn tree_routes_match_walking_and_interning_the_tree() {
         let (topo, arena) = grid4();
         let costs = skewed_costs(&topo);
+        let dense = lowered(&arena, &costs);
         let mut differs = false;
-        for costs in [None, Some(&costs)] {
+        for (costs, dense) in [(None, None), (Some(&costs), Some(&dense[..]))] {
             let mut cache = RouteCache::new();
             for src in topo.nodes() {
                 for dst in topo.nodes() {
-                    let got = cache.tree_route(&topo, &arena, costs, src, dst);
+                    let got = cache.tree_route(&topo, &arena, dense, src, dst);
                     let want = expected(&topo, &arena, costs, src, dst);
                     assert_eq!(got.as_deref(), want.as_ref(), "{src:?} -> {dst:?}");
                     assert!(want.is_some(), "the grid is connected");
@@ -365,9 +377,9 @@ mod tests {
     #[test]
     fn a_source_misses_once_per_epoch() {
         let (topo, arena) = grid4();
-        let costs = skewed_costs(&topo);
+        let costs = lowered(&arena, &skewed_costs(&topo));
         let n = topo.node_count() as u64;
-        for costs in [None, Some(&costs)] {
+        for costs in [None, Some(&costs[..])] {
             let mut cache = RouteCache::new();
             for epoch in 1..=2 {
                 for src in topo.nodes() {
@@ -398,12 +410,12 @@ mod tests {
     fn unreachable_destinations_are_cached_as_none() {
         let (mut topo, _) = grid4();
         // Cut the corner node off the grid.
-        for adj in topo.neighbors(NodeId(0)) {
+        for adj in topo.neighbors(NodeId(0)).to_vec() {
             topo.remove_edge(adj.link);
         }
         let arena = LinkArena::build(&topo);
-        let costs = skewed_costs(&topo);
-        for costs in [None, Some(&costs)] {
+        let costs = lowered(&arena, &skewed_costs(&topo));
+        for costs in [None, Some(&costs[..])] {
             let mut cache = RouteCache::new();
             for _ in 0..2 {
                 assert!(cache

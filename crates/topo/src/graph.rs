@@ -4,6 +4,11 @@
 //! edge carries the [`LinkId`] of the physical link realising it. It is the
 //! structure routing operates on and the structure the Closed Ring Control
 //! rewrites when it reconfigures the fabric.
+//!
+//! Each node's adjacency is a vector kept sorted by `(neighbour, link)` as
+//! edges are inserted, so [`Topology::neighbors`] hands out a slice in the
+//! deterministic order routing's tie-breaking relies on, without a lookup,
+//! a copy or a sort per call.
 
 use rackfabric_phy::LinkId;
 use serde::{Deserialize, Serialize};
@@ -37,7 +42,9 @@ pub struct Adjacency {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Topology {
     node_count: usize,
-    adjacency: HashMap<NodeId, Vec<Adjacency>>,
+    /// `adjacency[n]` lists node `n`'s edges, kept sorted by
+    /// `(neighbor, link)` as they are inserted.
+    adjacency: Vec<Vec<Adjacency>>,
     /// Reverse index: which node pair a link connects.
     link_endpoints: HashMap<LinkId, (NodeId, NodeId)>,
 }
@@ -47,7 +54,7 @@ impl Topology {
     pub fn new(node_count: usize) -> Self {
         Topology {
             node_count,
-            adjacency: HashMap::new(),
+            adjacency: vec![Vec::new(); node_count],
             link_endpoints: HashMap::new(),
         }
     }
@@ -80,40 +87,35 @@ impl Topology {
             !self.link_endpoints.contains_key(&link),
             "link {link:?} already in topology"
         );
-        self.adjacency
-            .entry(a)
-            .or_default()
-            .push(Adjacency { neighbor: b, link });
-        self.adjacency
-            .entry(b)
-            .or_default()
-            .push(Adjacency { neighbor: a, link });
+        for (from, to) in [(a, b), (b, a)] {
+            let adjs = &mut self.adjacency[from.index()];
+            let at = adjs.partition_point(|adj| (adj.neighbor, adj.link) < (to, link));
+            adjs.insert(at, Adjacency { neighbor: to, link });
+        }
         self.link_endpoints.insert(link, (a, b));
     }
 
     /// Removes the edge realised by `link`, returning its endpoints.
     pub fn remove_edge(&mut self, link: LinkId) -> Option<(NodeId, NodeId)> {
         let (a, b) = self.link_endpoints.remove(&link)?;
-        if let Some(v) = self.adjacency.get_mut(&a) {
-            v.retain(|adj| adj.link != link);
-        }
-        if let Some(v) = self.adjacency.get_mut(&b) {
-            v.retain(|adj| adj.link != link);
+        // `retain` keeps the survivors in their sorted order.
+        for n in [a, b] {
+            self.adjacency[n.index()].retain(|adj| adj.link != link);
         }
         Some((a, b))
     }
 
     /// Neighbours of `n` (with the links reaching them), sorted by neighbour
-    /// id then link id for determinism.
-    pub fn neighbors(&self, n: NodeId) -> Vec<Adjacency> {
-        let mut v = self.adjacency.get(&n).cloned().unwrap_or_default();
-        v.sort_by_key(|adj| (adj.neighbor, adj.link));
-        v
+    /// id then link id for determinism. The order is kept at insertion, so
+    /// this is a plain slice of the graph (empty for an unknown node).
+    #[inline]
+    pub fn neighbors(&self, n: NodeId) -> &[Adjacency] {
+        self.adjacency.get(n.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Degree of node `n`.
     pub fn degree(&self, n: NodeId) -> usize {
-        self.adjacency.get(&n).map_or(0, |v| v.len())
+        self.neighbors(n).len()
     }
 
     /// The endpoints of `link`, if it is part of the topology.
@@ -123,18 +125,12 @@ impl Topology {
 
     /// All links between `a` and `b` (parallel links possible), sorted.
     pub fn links_between(&self, a: NodeId, b: NodeId) -> Vec<LinkId> {
-        let mut v: Vec<LinkId> = self
-            .adjacency
-            .get(&a)
-            .map(|adjs| {
-                adjs.iter()
-                    .filter(|adj| adj.neighbor == b)
-                    .map(|adj| adj.link)
-                    .collect()
-            })
-            .unwrap_or_default();
-        v.sort();
-        v
+        // One neighbour's run of the sorted adjacency is sorted by link.
+        self.neighbors(a)
+            .iter()
+            .filter(|adj| adj.neighbor == b)
+            .map(|adj| adj.link)
+            .collect()
     }
 
     /// All link ids, sorted.

@@ -21,6 +21,7 @@
 //! flow id)` — no internal randomness — which is what lets the sharded
 //! engine's per-shard route caches agree byte-for-byte at any shard count.
 
+use crate::arena::LinkArena;
 use crate::graph::{NodeId, Topology};
 use crate::spec::{TopologyKind, TopologySpec};
 use rackfabric_phy::LinkId;
@@ -155,13 +156,38 @@ pub fn shortest_path_tree(topo: &Topology, src: NodeId) -> PredecessorTree {
 }
 
 /// Dijkstra minimum-cost *tree* from `src` under `costs`, with the same
-/// deterministic tie-breaking as [`dijkstra`]. Links with non-finite or
-/// negative cost are unusable.
+/// deterministic tie-breaking as [`dijkstra`]. Links missing from `costs`
+/// get `default_cost`; links with non-finite or negative cost are unusable.
 pub fn dijkstra_tree(
     topo: &Topology,
     src: NodeId,
     costs: &HashMap<LinkId, f64>,
     default_cost: f64,
+) -> PredecessorTree {
+    dijkstra_tree_by(topo, src, map_cost(costs, default_cost))
+}
+
+/// The per-link cost lookup of a cost map: links missing from `costs` cost
+/// `default_cost`.
+fn map_cost(costs: &HashMap<LinkId, f64>, default_cost: f64) -> impl Fn(LinkId) -> f64 + '_ {
+    move |link| costs.get(&link).copied().unwrap_or(default_cost)
+}
+
+/// The per-link cost lookup over `costs`, a vector dense by `arena`'s
+/// [`LinkIdx`](crate::arena::LinkIdx): what the engines route by. A link
+/// the arena lacks costs 1.0, as a link missing from a cost map does under
+/// the engines' default cost.
+pub fn dense_cost<'a>(arena: &'a LinkArena, costs: &'a [f64]) -> impl Fn(LinkId) -> f64 + 'a {
+    move |link| arena.index(link).map_or(1.0, |idx| costs[idx.index()])
+}
+
+/// The traversal behind [`dijkstra_tree`], generic over the per-link cost
+/// lookup: the route cache reads a dense cost vector ([`dense_cost`]), the
+/// map-taking signature a hash lookup.
+pub(crate) fn dijkstra_tree_by(
+    topo: &Topology,
+    src: NodeId,
+    cost_of: impl Fn(LinkId) -> f64,
 ) -> PredecessorTree {
     #[derive(PartialEq)]
     struct Item {
@@ -197,7 +223,7 @@ pub fn dijkstra_tree(
             continue;
         }
         for adj in topo.neighbors(node) {
-            let link_cost = costs.get(&adj.link).copied().unwrap_or(default_cost);
+            let link_cost = cost_of(adj.link);
             if !link_cost.is_finite() || link_cost < 0.0 {
                 continue;
             }
@@ -285,6 +311,7 @@ pub fn dijkstra(
         }
     }
 
+    let cost_of = map_cost(costs, default_cost);
     let mut dist: HashMap<NodeId, f64> = HashMap::new();
     let mut prev: HashMap<NodeId, (NodeId, LinkId)> = HashMap::new();
     let mut heap = BinaryHeap::new();
@@ -302,7 +329,7 @@ pub fn dijkstra(
             continue;
         }
         for adj in topo.neighbors(node) {
-            let link_cost = costs.get(&adj.link).copied().unwrap_or(default_cost);
+            let link_cost = cost_of(adj.link);
             if !link_cost.is_finite() || link_cost < 0.0 {
                 continue;
             }
@@ -346,7 +373,8 @@ pub fn ecmp_paths(topo: &Topology, src: NodeId, dst: NodeId, max_paths: usize) -
         // Deterministic order: iterate neighbours sorted (reverse for stack).
         let mut nexts: Vec<_> = topo
             .neighbors(node)
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|adj| {
                 dist_to_dst
                     .get(&adj.neighbor)
@@ -479,35 +507,31 @@ fn shortest_path_avoiding(
     None
 }
 
-/// Total cost of a route under `costs` (links absent from the map cost
-/// `default_cost`). Summed in traversal order, so the result is bit-exact
-/// for the same route and map on every shard.
-pub fn route_cost(route: &Route, costs: &HashMap<LinkId, f64>, default_cost: f64) -> f64 {
-    route
-        .links
-        .iter()
-        .map(|l| costs.get(l).copied().unwrap_or(default_cost))
-        .sum()
+/// Total cost of a route under the per-link lookup `cost_of` (a
+/// [`dense_cost`] in the engines). Summed in traversal order, so the result
+/// is bit-exact for the same route and costs on every shard.
+pub fn route_cost(route: &Route, cost_of: impl Fn(LinkId) -> f64) -> f64 {
+    route.links.iter().map(|&l| cost_of(l)).sum()
 }
 
 /// UGAL-style adaptive routing: compares the minimal path against the
-/// flow's Valiant detour under the CRC's current price map and takes the
-/// strictly cheaper one (ties go minimal, so an unpriced fabric routes
-/// minimally — the Valiant path can never win on hop count alone).
+/// flow's Valiant detour under the CRC's current prices (`cost_of`, see
+/// [`dense_cost`]) and takes the strictly cheaper one (ties go minimal, so
+/// an unpriced fabric routes minimally — the Valiant path can never win on
+/// hop count alone).
 pub fn adaptive_route(
     topo: &Topology,
     racks: &[u32],
     src: NodeId,
     dst: NodeId,
     flow_id: u64,
-    costs: &HashMap<LinkId, f64>,
-    default_cost: f64,
+    cost_of: impl Fn(LinkId) -> f64,
 ) -> Option<Route> {
     let minimal = shortest_path(topo, src, dst)?;
     let Some(valiant) = valiant_route(topo, racks, src, dst, flow_id) else {
         return Some(minimal);
     };
-    if route_cost(&valiant, costs, default_cost) < route_cost(&minimal, costs, default_cost) {
+    if route_cost(&valiant, &cost_of) < route_cost(&minimal, &cost_of) {
         Some(valiant)
     } else {
         Some(minimal)
@@ -797,7 +821,7 @@ mod tests {
         let minimal = shortest_path(&topo, src, dst).unwrap();
         // Unpriced fabric: every flow routes minimally.
         for flow in 0..8u64 {
-            let r = adaptive_route(&topo, &racks, src, dst, flow, &HashMap::new(), 1.0).unwrap();
+            let r = adaptive_route(&topo, &racks, src, dst, flow, |_| 1.0).unwrap();
             assert_eq!(r, minimal);
         }
         // Price the minimal path's links sky-high: flows whose Valiant
@@ -806,12 +830,13 @@ mod tests {
         for l in &minimal.links {
             costs.insert(*l, 1000.0);
         }
+        let cost_of = |l: LinkId| costs.get(&l).copied().unwrap_or(1.0);
         let mut switched = false;
         for flow in 0..16u64 {
-            let r = adaptive_route(&topo, &racks, src, dst, flow, &costs, 1.0).unwrap();
+            let r = adaptive_route(&topo, &racks, src, dst, flow, cost_of).unwrap();
             if r != minimal {
                 switched = true;
-                assert!(route_cost(&r, &costs, 1.0) < route_cost(&minimal, &costs, 1.0));
+                assert!(route_cost(&r, cost_of) < route_cost(&minimal, cost_of));
             }
         }
         assert!(switched, "congestion pricing must divert some flows");

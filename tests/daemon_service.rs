@@ -28,23 +28,21 @@ use rackfabric_sim::prelude::*;
 use rackfabric_sweep::key::canonical_spec_json;
 use rackfabric_sweep::lock::StoreLock;
 use rackfabric_sweep::store::ResultStore;
-use std::path::PathBuf;
+use rackfabric_sweep::testdir::TestDir;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-request client timeout: a liveness backstop, not a latency target.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(120);
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rackfabricd-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tmp_dir(tag: &str) -> TestDir {
+    TestDir::new(&format!("rackfabricd-it-{tag}"))
 }
 
 /// A daemon over a fresh store in `dir`, with a metrics registry attached.
-fn boot(dir: &PathBuf, workers: usize, max_queue: usize) -> (Arc<Executor>, Daemon, Observer) {
+fn boot(dir: &TestDir, workers: usize, max_queue: usize) -> (Arc<Executor>, Daemon, Observer) {
     let observer = Observer::off().with_registry(Arc::new(Registry::new()));
-    let store = ResultStore::open(dir).unwrap();
+    let store = ResultStore::open(dir.path()).unwrap();
     let runner = Runner::new(1).with_observer(observer.clone());
     let exec = Arc::new(Executor::new(store, runner));
     let daemon = Daemon::start(
@@ -83,8 +81,8 @@ fn spec_pool(count: usize) -> Vec<Command> {
 
 /// The reference answers, produced by the plain batch path against an
 /// independent store — no daemon, no scheduler, no sockets.
-fn reference_lines(dir: &PathBuf, commands: &[Command]) -> Vec<String> {
-    let exec = Executor::new(ResultStore::open(dir).unwrap(), Runner::new(1));
+fn reference_lines(dir: &TestDir, commands: &[Command]) -> Vec<String> {
+    let exec = Executor::new(ResultStore::open(dir.path()).unwrap(), Runner::new(1));
     commands
         .iter()
         .map(|command| {
@@ -200,8 +198,6 @@ fn storm_of_mixed_cold_and_warm_requests_is_byte_deterministic() {
 
     client.shutdown().unwrap();
     daemon.wait();
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 #[test]
@@ -260,8 +256,6 @@ fn concurrent_identical_submissions_cost_one_execution_and_one_answer() {
 
     client.shutdown().unwrap();
     daemon.wait();
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 #[test]
@@ -282,7 +276,7 @@ fn queued_jobs_cancel_over_the_wire_and_backpressure_rejects_overload() {
     // against a job's runtime. (The guard is declared after the daemon:
     // if an assertion unwinds, it releases before the daemon's Drop joins
     // the blocked worker.)
-    let gate = StoreLock::exclusive(&dir).unwrap();
+    let gate = StoreLock::exclusive(dir.path()).unwrap();
     let a = {
         let client = client.clone();
         let blocker = Command::GcStore { live: Vec::new() };
@@ -341,8 +335,6 @@ fn queued_jobs_cancel_over_the_wire_and_backpressure_rejects_overload() {
 
     client.shutdown().unwrap();
     daemon.wait();
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 #[test]
@@ -390,6 +382,4 @@ fn a_too_deeply_nested_request_line_is_malformed_and_the_daemon_keeps_serving() 
 
     client.shutdown().unwrap();
     daemon.wait();
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }

@@ -12,7 +12,7 @@ use rackfabric_obs::prelude::*;
 use rackfabric_scenario::prelude::*;
 use rackfabric_sim::prelude::*;
 use rackfabric_sweep::prelude::*;
-use std::path::PathBuf;
+use rackfabric_sweep::testdir::TestDir;
 
 /// A small controller × load matrix exercising both engines' export paths.
 fn matrix() -> Matrix {
@@ -36,10 +36,10 @@ fn matrix() -> Matrix {
         .master_seed(515)
 }
 
-fn tmp_store(tag: &str) -> (PathBuf, ResultStore) {
-    let dir = std::env::temp_dir().join(format!("rackfabric-obs-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    (dir.clone(), ResultStore::open(&dir).unwrap())
+fn tmp_store(tag: &str) -> (TestDir, ResultStore) {
+    let dir = TestDir::new(&format!("obs-it-{tag}"));
+    let store = ResultStore::open(dir.path()).unwrap();
+    (dir, store)
 }
 
 #[test]
@@ -125,7 +125,7 @@ fn observed_sweep_reproduces_reports_and_store_records() {
     );
 
     // Store records byte-identical: same file names, same bytes.
-    let records = |dir: &PathBuf| -> Vec<(String, Vec<u8>)> {
+    let records = |dir: &TestDir| -> Vec<(String, Vec<u8>)> {
         let mut out = Vec::new();
         for shard in std::fs::read_dir(dir.join("objects")).unwrap() {
             let shard = shard.unwrap();
@@ -151,7 +151,4 @@ fn observed_sweep_reproduces_reports_and_store_records() {
     let stats = observed_store.read_stats();
     assert_eq!(stats.puts, observed.executed as u64);
     assert_eq!(stats.misses, observed.total_jobs() as u64);
-
-    let _ = std::fs::remove_dir_all(&plain_dir);
-    let _ = std::fs::remove_dir_all(&observed_dir);
 }

@@ -24,6 +24,7 @@ use rackfabric_cmd::Executor;
 use rackfabric_daemon::prelude::*;
 use rackfabric_scenario::runner::Runner;
 use rackfabric_sweep::prelude::*;
+use rackfabric_sweep::testdir::TestDir;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -31,19 +32,14 @@ fn golden_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("golden")
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "rackfabric-paper-figures-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tmp_dir(tag: &str) -> TestDir {
+    TestDir::new(&format!("paper-figures-{tag}"))
 }
 
 #[test]
 fn tiny_figures_match_goldens_and_resume_to_zero_jobs() {
     let dir = tmp_dir("e2e");
-    let exec = Executor::new(ResultStore::open(&dir).unwrap(), Runner::new(0));
+    let exec = Executor::new(ResultStore::open(dir.path()).unwrap(), Runner::new(0));
 
     // Cold: every simulation-backed figure executes its campaign.
     let cold = figures::run_figures(Scale::Tiny, &exec).unwrap();
@@ -74,8 +70,6 @@ fn tiny_figures_match_goldens_and_resume_to_zero_jobs() {
         );
         assert_eq!(c.export_file(), w.export_file());
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -125,8 +119,6 @@ fn interrupted_figure_campaign_recovers_from_journal_to_golden_bytes() {
     // A second recovery pass is a no-op: everything journaled is stored.
     let again = exec.recover(&FigureResolver).unwrap();
     assert_eq!(again.cells_replayed, 0);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -218,8 +210,6 @@ fn daemon_cancelled_figure_campaign_recovers_from_journal_to_batch_bytes() {
     );
     client.shutdown().unwrap();
     daemon.wait();
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -258,7 +248,7 @@ fn figure_store_gc_reclaims_nothing_while_campaigns_are_live() {
     // After a full figure run, every record in the store is referenced by
     // some figure: gc against the live set must keep them all.
     let dir = tmp_dir("gc");
-    let exec = Executor::new(ResultStore::open(&dir).unwrap(), Runner::new(0));
+    let exec = Executor::new(ResultStore::open(dir.path()).unwrap(), Runner::new(0));
     let runs = figures::run_figures(Scale::Tiny, &exec).unwrap();
     let live: Vec<JobKey> = figures::live_keys(&runs).into_iter().collect();
     assert_eq!(
@@ -269,5 +259,4 @@ fn figure_store_gc_reclaims_nothing_while_campaigns_are_live() {
     let stats = exec.gc(&live).unwrap();
     assert_eq!(stats.removed, 0);
     assert_eq!(stats.kept, live.len());
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,13 +14,12 @@ use rackfabric::prelude::TopologySpec;
 use rackfabric_scenario::prelude::*;
 use rackfabric_sim::prelude::*;
 use rackfabric_sweep::prelude::*;
-use std::path::PathBuf;
+use rackfabric_sweep::testdir::TestDir;
 
-fn tmp_store(tag: &str) -> (PathBuf, ResultStore) {
-    let dir =
-        std::env::temp_dir().join(format!("rackfabric-sweep-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    (dir.clone(), ResultStore::open(&dir).unwrap())
+fn tmp_store(tag: &str) -> (TestDir, ResultStore) {
+    let dir = TestDir::new(&format!("sweep-it-{tag}"));
+    let store = ResultStore::open(dir.path()).unwrap();
+    (dir, store)
 }
 
 /// racks × load × controller with 2 seeds: 8 cells, 16 jobs.
@@ -56,7 +55,7 @@ fn campaign(loads: [f64; 2]) -> Matrix {
 
 #[test]
 fn warm_store_rerun_executes_nothing_and_reproduces_every_byte() {
-    let (dir, store) = tmp_store("warm");
+    let (_dir, store) = tmp_store("warm");
     let runner = Runner::new(2);
     let sweep = Sweep::new(campaign([0.5, 1.0]));
 
@@ -77,13 +76,12 @@ fn warm_store_rerun_executes_nothing_and_reproduces_every_byte() {
         assert_eq!(name_a, name_b);
         assert_eq!(bytes_a, bytes_b, "file {name_a} diverged on the warm run");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn interrupted_sweep_resumes_to_byte_identical_exports() {
-    let (dir_ref, store_ref) = tmp_store("kill-ref");
-    let (dir, store) = tmp_store("kill");
+    let (_dir_ref, store_ref) = tmp_store("kill-ref");
+    let (_dir, store) = tmp_store("kill");
     let runner = Runner::new(2);
 
     // Reference: one uninterrupted run in a separate store.
@@ -116,13 +114,11 @@ fn interrupted_sweep_resumes_to_byte_identical_exports() {
         render_files("resume-acceptance", &reference),
         render_files("resume-acceptance", &resumed)
     );
-    let _ = std::fs::remove_dir_all(&dir_ref);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn editing_one_axis_value_reexecutes_only_the_affected_cells() {
-    let (dir, store) = tmp_store("edit");
+    let (_dir, store) = tmp_store("edit");
     let runner = Runner::new(2);
 
     let first = Sweep::new(campaign([0.5, 1.0]))
@@ -146,13 +142,12 @@ fn editing_one_axis_value_reexecutes_only_the_affected_cells() {
         .run(&store, &runner)
         .unwrap();
     assert_eq!(warm.executed, 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn budgeted_runner_beats_fixed_replication_while_meeting_the_target() {
-    let (dir_fixed, store_fixed) = tmp_store("fixed");
-    let (dir_budget, store_budget) = tmp_store("budget");
+    let (_dir_fixed, store_fixed) = tmp_store("fixed");
+    let (_dir_budget, store_budget) = tmp_store("budget");
     let runner = Runner::new(2);
 
     // Fixed-seed replication: 8 seeds per cell, no questions asked.
@@ -197,6 +192,4 @@ fn budgeted_runner_beats_fixed_replication_while_meeting_the_target() {
          the fixed count: {:?}",
         budgeted.cell_budgets
     );
-    let _ = std::fs::remove_dir_all(&dir_fixed);
-    let _ = std::fs::remove_dir_all(&dir_budget);
 }
