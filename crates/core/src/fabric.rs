@@ -4,7 +4,8 @@
 //! [`AdaptiveFabric`] implements [`Model`] for the DES engine. It owns the
 //! physical state (links, lanes, bypasses), the topology graph, one egress
 //! queue per directed link use, the per-node NICs, the workload's flows, and
-//! — when `adaptive` is enabled — a [`ClosedRingControl`] that runs every
+//! — when `adaptive` is enabled — a
+//! [`ClosedRingControl`](crate::controller::ClosedRingControl) that runs every
 //! control epoch. With `adaptive` disabled the very same model is the static
 //! packet-switched baseline the paper compares against.
 //!
@@ -13,12 +14,14 @@
 //! The per-packet datapath does **zero hashing** and fires **one event per
 //! link drain** rather than one per packet:
 //!
-//! * All per-link and per-port state (egress queues, epoch byte counters,
-//!   reconfiguration fences, cached link capacities/latencies) lives in
-//!   dense vectors indexed by [`LinkIdx`]/[`PortIdx`](rackfabric_topo::PortIdx),
-//!   interned once per topology epoch by a [`LinkArena`]. The arena is
-//!   rebuilt — and the dense state migrated by `LinkId` — only on
-//!   whole-rack reconfigurations.
+//! * All per-link and per-port state lives in one `LinkTable`: the egress
+//!   queues, the cached link constants (capacity, propagation, FEC latency,
+//!   liveness), the reconfiguration fences, the epoch byte counter, the
+//!   routing-cost snapshot and the route cache, in dense vectors indexed by
+//!   [`LinkIdx`]/[`PortIdx`](rackfabric_topo::PortIdx) as interned once per
+//!   topology epoch by a [`LinkArena`]. The sharded engine keeps one table
+//!   per shard. The arena is rebuilt — and the queues and fences migrated by
+//!   `LinkId` — only on whole-rack reconfigurations.
 //! * Packets move in [`Train`]s: each injection admits a batch of
 //!   back-to-back frames sized by the first link's rate window, and each hop
 //!   forwards the whole batch with a single event. Per-packet latency stays
@@ -28,16 +31,17 @@
 //!   serves every destination; a route is interned on its first lookup, and
 //!   a lookup is a hit when its source's tree already existed this epoch.
 //! * Cost-aware routing (min cost, UGAL-style adaptive) reads one
-//!   `LinkIdx`-indexed cost vector, the [`PriceBook`] lowered once per
-//!   price update and again whenever the arena is rebuilt
+//!   `LinkIdx`-indexed cost vector, the [`PriceBook`](crate::price::PriceBook)
+//!   lowered once per price update and again whenever the arena is rebuilt
 //!   (`PriceBook::link_costs`). Every link costs 1.0 before the first
 //!   price update.
+//! * Every control epoch runs the crate's one `ControlStep`, which the
+//!   sharded coordinator runs too: one CRC epoch over the link tables.
 
-use crate::controller::{ClosedRingControl, CrcConfig};
+use crate::control::{self, ControlStep};
+use crate::controller::CrcConfig;
 use crate::metrics::FabricMetrics;
-use crate::price::PriceBook;
-use crate::reconfigure;
-use rackfabric_phy::{PhyState, PlpExecutor, PlpTiming};
+use rackfabric_phy::{LinkState, PhyState, PlpTiming};
 use rackfabric_sim::config::SimConfig;
 use rackfabric_sim::event::{Context, Model};
 use rackfabric_sim::time::{SimDuration, SimTime};
@@ -53,7 +57,6 @@ use rackfabric_topo::routing::{self, RoutingAlgorithm};
 use rackfabric_topo::spec::TopologySpec;
 use rackfabric_topo::{NodeId, Topology};
 use rackfabric_workload::Flow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Configuration of a fabric run.
@@ -125,25 +128,25 @@ impl FabricConfig {
     }
 }
 
-/// Per-flow progress.
+/// Per-flow progress, kept at the flow's source (by the sharded engine, at
+/// its source shard).
 #[derive(Debug, Clone, Default)]
-struct FlowProgress {
-    injected: u64,
-    delivered: u64,
-    completed: bool,
-    /// True while an `InjectNext` event for this flow is pending. Each flow
+pub(crate) struct FlowProgress {
+    pub(crate) injected: u64,
+    pub(crate) delivered: u64,
+    pub(crate) completed: bool,
+    /// True while an injector wake-up for this flow is pending. Each flow
     /// keeps exactly **one** injector chain: without this, every drop-retry
     /// spawned an additional chain, and thousands of concurrent chains per
     /// flow re-probed full ports every retry interval (an event storm that
     /// multiplied drop counts ~100× under heavy shuffle).
-    injector_armed: bool,
+    pub(crate) injector_armed: bool,
 }
 
 /// Cached per-link datapath constants, refreshed whenever the physical layer
 /// changes (PLP commands, reconfigurations) — never consulted through a hash
-/// map on the per-packet path. Shared with the sharded engine
-/// ([`crate::shard`]), which broadcasts one copy per shard at sync points.
-#[derive(Debug, Clone, Copy)]
+/// map on the per-packet path. The default is a dead link.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LinkHot {
     pub(crate) capacity: BitRate,
     pub(crate) propagation: SimDuration,
@@ -152,12 +155,129 @@ pub(crate) struct LinkHot {
 }
 
 impl LinkHot {
-    pub(crate) const DOWN: LinkHot = LinkHot {
-        capacity: BitRate::ZERO,
-        propagation: SimDuration::ZERO,
-        fec: SimDuration::ZERO,
-        up: false,
-    };
+    /// Reads the constants of every link `arena` interns out of the physical
+    /// state, `LinkIdx`-indexed. A link the physical state lacks is down.
+    pub(crate) fn table(phy: &PhyState, arena: &LinkArena) -> Vec<LinkHot> {
+        arena
+            .iter()
+            .map(|(_, id)| match phy.link(id) {
+                Some(l) => LinkHot {
+                    capacity: l.capacity(),
+                    propagation: l.propagation_delay(),
+                    fec: l.fec_latency(),
+                    up: matches!(l.state, LinkState::Up),
+                },
+                None => LinkHot::default(),
+            })
+            .collect()
+    }
+}
+
+/// The dense per-link state of one datapath — the monolithic engine's, or
+/// one shard's — over one arena epoch, `LinkIdx`-indexed (the queues
+/// `PortIdx`-indexed, two per link).
+pub(crate) struct LinkTable {
+    /// One egress queue per directed port. A shard only touches the ports
+    /// its own nodes transmit on.
+    pub(crate) ports: Vec<EgressQueue>,
+    /// Link constants, re-read from the physical state whenever it changes.
+    pub(crate) hot: Vec<LinkHot>,
+    /// The instant each link's reconfiguration fence lifts (`<= now` when the
+    /// link is not retraining). Traffic *waits* for a fence — retraining
+    /// pauses the fabric, it does not black-hole it — whereas a dead link
+    /// drops. A fence on a cut link is installed in every shard's table, so
+    /// fences span shards.
+    pub(crate) fences: Vec<SimTime>,
+    /// Bytes each link carried this control epoch, switched or bypassed.
+    pub(crate) epoch_bytes: Vec<u64>,
+    /// Routing costs: the price book lowered once per price update and per
+    /// arena rebuild, one snapshot shared by every table.
+    pub(crate) costs: Arc<[f64]>,
+    /// Epoch-invalidated routes; its hit and miss counters span the run.
+    pub(crate) routes: RouteCache,
+}
+
+impl LinkTable {
+    /// A table over `arena` with empty queues of `port_buffer` bytes and no
+    /// fences.
+    pub(crate) fn new(
+        arena: &LinkArena,
+        port_buffer: Bytes,
+        hot: Vec<LinkHot>,
+        costs: Arc<[f64]>,
+    ) -> Self {
+        LinkTable {
+            ports: (0..arena.port_count())
+                .map(|_| EgressQueue::new(port_buffer))
+                .collect(),
+            hot,
+            fences: vec![SimTime::ZERO; arena.len()],
+            epoch_bytes: vec![0; arena.len()],
+            costs,
+            routes: RouteCache::new(),
+        }
+    }
+
+    /// True if the link is administratively up and carries capacity. A live
+    /// link may still be fenced.
+    #[inline]
+    pub(crate) fn live(&self, link: LinkIdx) -> bool {
+        let hot = &self.hot[link.index()];
+        hot.up && !hot.capacity.is_zero()
+    }
+
+    /// Moves the table from arena `old` into `arena` (a whole-rack
+    /// reconfiguration): the queues and fences of every surviving link carry
+    /// over by `LinkId`, every fence then holds until at least
+    /// `paused_until`, and the route cache — counters kept — moves to a new
+    /// epoch under `costs`. The epoch byte counters start at zero: the
+    /// control step has just reset them. The link constants are left for
+    /// the caller to re-read.
+    pub(crate) fn migrate(
+        &mut self,
+        old: &LinkArena,
+        arena: &LinkArena,
+        port_buffer: Bytes,
+        costs: Arc<[f64]>,
+        paused_until: SimTime,
+    ) {
+        let mut ports: Vec<EgressQueue> = (0..arena.port_count())
+            .map(|_| EgressQueue::new(port_buffer))
+            .collect();
+        let mut fences = vec![paused_until; arena.len()];
+        for (idx, id) in arena.iter() {
+            if let Some(old_idx) = old.index(id) {
+                fences[idx.index()] = self.fences[old_idx.index()].max(paused_until);
+                // Endpoint sides are canonical (min, max), so port parity is
+                // stable for a surviving link id.
+                for side in 0..2 {
+                    ports[idx.index() * 2 + side] = std::mem::replace(
+                        &mut self.ports[old_idx.index() * 2 + side],
+                        EgressQueue::new(port_buffer),
+                    );
+                }
+            }
+        }
+        self.ports = ports;
+        self.fences = fences;
+        self.epoch_bytes = vec![0; arena.len()];
+        self.costs = costs;
+        self.routes.bump_epoch();
+    }
+
+    /// Installs one control epoch's results: a new cost snapshot, if prices
+    /// feed routing (which invalidates the cached routes), and the fences of
+    /// the links PLP commands reconfigured.
+    pub(crate) fn apply(&mut self, costs: Option<&Arc<[f64]>>, fences: &[(LinkIdx, SimTime)]) {
+        if let Some(costs) = costs {
+            self.costs = costs.clone();
+            self.routes.bump_epoch();
+        }
+        for &(link, until) in fences {
+            let fence = &mut self.fences[link.index()];
+            *fence = (*fence).max(until);
+        }
+    }
 }
 
 /// The interned route for `(src, dst)`, served from an epoch cache. Both
@@ -243,36 +363,17 @@ pub struct AdaptiveFabric {
     pub nics: Vec<Nic>,
     /// Collected metrics.
     pub metrics: FabricMetrics,
-    crc: ClosedRingControl,
-    executor: PlpExecutor,
+    control: ControlStep,
     flows: Vec<Flow>,
     progress: Vec<FlowProgress>,
     /// Dense link/port interning for the current topology epoch.
     arena: LinkArena,
-    /// One egress queue per directed port, `PortIdx`-indexed.
-    ports: Vec<EgressQueue>,
-    /// Cached link constants, `LinkIdx`-indexed.
-    link_hot: Vec<LinkHot>,
-    /// Telemetry bytes per link this epoch (includes bypassed traffic).
-    bytes_this_epoch: Vec<u64>,
-    /// Switched wire bytes per link this epoch, flushed to lane statistics
-    /// at epoch boundaries instead of per packet.
-    wire_bytes_this_epoch: Vec<u64>,
-    /// Per-link reconfiguration fences, `LinkIdx`-indexed.
-    reconfiguring_until: Vec<SimTime>,
-    route_cache: RouteCache,
-    price_book: PriceBook,
-    /// The price book lowered to routing costs, `LinkIdx`-indexed: lowered
-    /// once per price update (cost-aware routing only, the one reader) and
-    /// again whenever the arena is rebuilt.
-    costs: Vec<f64>,
+    links: LinkTable,
     /// Node-to-rack table of the current spec (dragonfly groups, torus
     /// rows), consumed by the rack-detour routing policies. Rebuilt with
-    /// the dense state after whole-rack reconfigurations.
+    /// the arena after whole-rack reconfigurations.
     racks: Vec<u32>,
-    epoch_start: SimTime,
     completed_flows: usize,
-    topology_upgraded: bool,
 }
 
 impl AdaptiveFabric {
@@ -284,35 +385,29 @@ impl AdaptiveFabric {
             .map(|n| Nic::new(NodeId(n), config.port_buffer))
             .collect();
         let progress = vec![FlowProgress::default(); flows.len()];
-        let crc = ClosedRingControl::new(config.crc);
-        let executor = PlpExecutor::new(config.plp_timing);
-        let mut fabric = AdaptiveFabric {
+        let control = ControlStep::new(&config);
+        let arena = LinkArena::build(&topo);
+        let links = LinkTable::new(
+            &arena,
+            config.port_buffer,
+            LinkHot::table(&phy, &arena),
+            control.costs(&arena),
+        );
+        AdaptiveFabric {
             current_spec: config.spec.clone(),
+            racks: config.spec.rack_of(),
             config,
             phy,
             topo,
             nics,
             metrics: FabricMetrics::default(),
-            crc,
-            executor,
+            control,
             flows,
             progress,
-            arena: LinkArena::default(),
-            ports: Vec::new(),
-            link_hot: Vec::new(),
-            bytes_this_epoch: Vec::new(),
-            wire_bytes_this_epoch: Vec::new(),
-            reconfiguring_until: Vec::new(),
-            route_cache: RouteCache::new(),
-            price_book: PriceBook::default(),
-            costs: Vec::new(),
-            racks: Vec::new(),
-            epoch_start: SimTime::ZERO,
+            arena,
+            links,
             completed_flows: 0,
-            topology_upgraded: false,
-        };
-        fabric.rebuild_dense_state();
-        fabric
+        }
     }
 
     /// The flows registered with the fabric.
@@ -327,82 +422,7 @@ impl AdaptiveFabric {
 
     /// Route-cache hit/miss counters for this run so far.
     pub fn route_cache_stats(&self) -> rackfabric_topo::cache::RouteCacheStats {
-        self.route_cache.stats()
-    }
-
-    /// (Re)interns the live links and migrates all dense per-link/per-port
-    /// state into the new index space. Called at construction and after
-    /// whole-rack reconfigurations; never on the per-packet path.
-    fn rebuild_dense_state(&mut self) {
-        let arena = LinkArena::build(&self.topo);
-        let links = arena.len();
-        let mut ports: Vec<EgressQueue> = (0..arena.port_count())
-            .map(|_| EgressQueue::new(self.config.port_buffer))
-            .collect();
-        let mut bytes = vec![0u64; links];
-        let mut wire = vec![0u64; links];
-        let mut fences = vec![SimTime::ZERO; links];
-        for (idx, id) in arena.iter() {
-            if let Some(old) = self.arena.index(id) {
-                bytes[idx.index()] = self.bytes_this_epoch[old.index()];
-                wire[idx.index()] = self.wire_bytes_this_epoch[old.index()];
-                fences[idx.index()] = self.reconfiguring_until[old.index()];
-                // Endpoint sides are canonical (min, max), so port parity is
-                // stable for a surviving link id.
-                for side in 0..2 {
-                    ports[idx.index() * 2 + side] = std::mem::replace(
-                        &mut self.ports[old.index() * 2 + side],
-                        EgressQueue::new(self.config.port_buffer),
-                    );
-                }
-            }
-        }
-        self.arena = arena;
-        self.ports = ports;
-        self.bytes_this_epoch = bytes;
-        self.wire_bytes_this_epoch = wire;
-        self.reconfiguring_until = fences;
-        self.racks = self.current_spec.rack_of();
-        self.costs = self.price_book.link_costs(&self.arena);
-        self.route_cache.bump_epoch();
-        self.refresh_link_hot();
-    }
-
-    /// Re-reads capacity/propagation/FEC/liveness for every interned link.
-    /// Called after anything that can change the physical layer.
-    fn refresh_link_hot(&mut self) {
-        self.link_hot.clear();
-        self.link_hot.reserve(self.arena.len());
-        for (_, id) in self.arena.iter() {
-            let hot = match self.phy.link(id) {
-                Some(l) => LinkHot {
-                    capacity: l.capacity(),
-                    propagation: l.propagation_delay(),
-                    fec: l.fec_latency(),
-                    up: matches!(l.state, rackfabric_phy::LinkState::Up),
-                },
-                None => LinkHot::DOWN,
-            };
-            self.link_hot.push(hot);
-        }
-    }
-
-    /// True if the link exists, is administratively up and carries capacity.
-    /// A live link may still be *fenced* (mid-reconfiguration); see
-    /// [`Self::fence_lift`].
-    #[inline]
-    fn link_live(&self, link: LinkIdx) -> bool {
-        let hot = &self.link_hot[link.index()];
-        hot.up && !hot.capacity.is_zero()
-    }
-
-    /// The instant the link's reconfiguration fence lifts (`<= now` when the
-    /// link is not retraining). Traffic *waits* for a fence — retraining
-    /// pauses the fabric, it does not black-hole it — whereas a dead link
-    /// drops.
-    #[inline]
-    fn fence_lift(&self, link: LinkIdx) -> SimTime {
-        self.reconfiguring_until[link.index()]
+        self.links.routes.stats()
     }
 
     /// Schedules the flow's injector wake-up at `at`, unless one is already
@@ -431,13 +451,13 @@ impl AdaptiveFabric {
         let retry_at = now + self.config.retry_delay;
 
         let Some(route) = cached_route(
-            &mut self.route_cache,
+            &mut self.links.routes,
             self.config.routing,
             &self.topo,
             &self.arena,
             &self.current_spec,
             &self.racks,
-            &self.costs,
+            &self.links.costs,
             flow.src,
             flow.dst,
             flow.id.0,
@@ -456,18 +476,18 @@ impl AdaptiveFabric {
         }
 
         let first_link = route.links[0];
-        if !self.link_live(first_link) {
+        if !self.links.live(first_link) {
             self.metrics.dropped_packets.incr();
             self.arm_injector(ctx, flow_idx, retry_at);
             return;
         }
-        let fence = self.fence_lift(first_link);
+        let fence = self.links.fences[first_link.index()];
         if now < fence {
             // The first hop is retraining: hold injection until it returns.
             self.arm_injector(ctx, flow_idx, fence);
             return;
         }
-        let hot = self.link_hot[first_link.index()];
+        let hot = self.links.hot[first_link.index()];
 
         // Size the train by the link's rate window.
         let mtu = self.config.mtu.as_u64();
@@ -484,7 +504,7 @@ impl AdaptiveFabric {
         let mut packets =
             self.nics[flow.src.index()].build_train(now, FlowId(flow_idx as u64), flow.dst, &sizes);
         let port = self.arena.port(flow.src, first_link);
-        let admission = self.ports[port.index()].enqueue_train(
+        let admission = self.links.ports[port.index()].enqueue_train(
             &mut packets,
             hot.capacity,
             hot.propagation,
@@ -498,8 +518,7 @@ impl AdaptiveFabric {
             .map(|p| p.size.as_u64())
             .sum();
         self.progress[flow_idx].injected += accepted_bytes;
-        self.bytes_this_epoch[first_link.index()] += accepted_bytes;
-        self.wire_bytes_this_epoch[first_link.index()] += accepted_bytes;
+        self.links.epoch_bytes[first_link.index()] += accepted_bytes;
 
         if admission.dropped {
             self.metrics.dropped_packets.incr();
@@ -564,8 +583,8 @@ impl AdaptiveFabric {
         // Forward the whole train to the next hop.
         let in_link = train.route.links[train.hop_index - 1];
         let out_link = train.route.links[train.hop_index];
-        let out_live = self.link_live(out_link);
-        let fence = self.fence_lift(out_link);
+        let out_live = self.links.live(out_link);
+        let fence = self.links.fences[out_link.index()];
         if out_live && now < fence {
             // The egress link is retraining: hold the train at this node and
             // wake when the fence lifts. Pausing (not dropping) is how the
@@ -589,7 +608,7 @@ impl AdaptiveFabric {
             .filter(|b| b.out_link == self.arena.link_id(out_link));
         if let Some(bypass) = bypass {
             if out_live {
-                let hot = self.link_hot[out_link.index()];
+                let hot = self.links.hot[out_link.index()];
                 let mut last_arrive = now;
                 for packet in &mut train.packets {
                     packet.breakdown.bypass += bypass.latency;
@@ -601,7 +620,7 @@ impl AdaptiveFabric {
                         packet.arrived_at + bypass.latency + hot.propagation + hot.fec;
                     last_arrive = last_arrive.max(packet.arrived_at);
                 }
-                self.bytes_this_epoch[out_link.index()] += train.bytes();
+                self.links.epoch_bytes[out_link.index()] += train.bytes();
                 train.hop_index += 1;
                 ctx.schedule_at(last_arrive, FabricEvent::TrainArrive { train });
                 return;
@@ -616,7 +635,7 @@ impl AdaptiveFabric {
             self.drop_train(ctx, flow_idx, bytes, n);
             return;
         }
-        let hot = self.link_hot[out_link.index()];
+        let hot = self.links.hot[out_link.index()];
         let switch = self.config.switch;
         for packet in &mut train.packets {
             let traversal = switch.traversal_latency_at(packet.size, hot.capacity);
@@ -629,7 +648,7 @@ impl AdaptiveFabric {
             packet.arrived_at += traversal;
         }
         let port = self.arena.port(at_node, out_link);
-        let admission = self.ports[port.index()].enqueue_train(
+        let admission = self.links.ports[port.index()].enqueue_train(
             &mut train.packets,
             hot.capacity,
             hot.propagation,
@@ -640,8 +659,7 @@ impl AdaptiveFabric {
             .iter()
             .map(|p| p.size.as_u64())
             .sum();
-        self.bytes_this_epoch[out_link.index()] += accepted_bytes;
-        self.wire_bytes_this_epoch[out_link.index()] += accepted_bytes;
+        self.links.epoch_bytes[out_link.index()] += accepted_bytes;
 
         if admission.dropped {
             // Tail of the train overflowed the egress buffer: the first
@@ -680,141 +698,48 @@ impl AdaptiveFabric {
         }
     }
 
-    /// Flushes the accumulated switched bytes into the per-lane statistics.
-    /// Batched per epoch instead of per packet; totals are identical.
-    fn flush_wire_bytes(&mut self, now: SimTime) {
-        for (idx, id) in self.arena.iter() {
-            let bytes = self.wire_bytes_this_epoch[idx.index()];
-            if bytes > 0 {
-                if let Some(l) = self.phy.link_mut(id) {
-                    l.record_traffic(now, bytes);
-                }
-                self.wire_bytes_this_epoch[idx.index()] = 0;
-            }
-        }
-    }
-
     fn crc_epoch(&mut self, ctx: &mut Context<FabricEvent>) {
         let now = ctx.now();
-        let epoch = now.saturating_since(self.epoch_start);
-        let epoch_s = epoch.as_secs_f64().max(1e-12);
-
-        self.flush_wire_bytes(now);
-
-        // Assemble per-link utilization / occupancy / throughput. The total
-        // is summed in dense link order (not map order) so the series is
-        // deterministic.
-        let mut utilization = HashMap::new();
-        let mut throughput = HashMap::new();
-        let mut queue_bytes: HashMap<rackfabric_phy::LinkId, f64> = HashMap::new();
-        let mut total_gbps = 0.0;
-        for (idx, id) in self.arena.iter() {
-            let bytes = self.bytes_this_epoch[idx.index()];
-            let bps = bytes as f64 * 8.0 / epoch_s;
-            let rate = BitRate::from_bps(bps as u64);
-            total_gbps += rate.as_gbps_f64();
-            throughput.insert(id, rate);
-            let cap = self.link_hot[idx.index()].capacity;
-            let util = if cap.is_zero() {
-                0.0
-            } else {
-                bps / cap.as_bps() as f64
-            };
-            utilization.insert(id, util);
+        let epoch = self.control.run(
+            now,
+            &self.config,
+            &mut self.phy,
+            &self.arena,
+            &mut [&mut self.links],
+            |_| 0,
+            &mut self.metrics,
+        );
+        if epoch.phy_changed {
+            self.links.hot = LinkHot::table(&self.phy, &self.arena);
         }
-        for (port, q) in self.ports.iter_mut().enumerate() {
-            let link = self.arena.link_id(LinkIdx(port as u32 / 2));
-            let occ = q.mean_occupancy(now);
-            let entry = queue_bytes.entry(link).or_insert(0.0);
-            *entry = entry.max(occ);
+        if let Some(target) = epoch.escalate {
+            self.upgrade_topology(now, target);
         }
-
-        let report = self
-            .phy
-            .telemetry_report(now, &utilization, &queue_bytes, &throughput);
-        self.metrics
-            .power_series
-            .push_at(now, report.total_power.as_watts_f64());
-        self.metrics
-            .utilization_series
-            .push_at(now, report.mean_utilization());
-        self.metrics.throughput_series.push_at(now, total_gbps);
-
-        self.price_book = self.crc.price(&report);
-        // Prices feed cost-aware routing (min-cost and the UGAL-style
-        // adaptive policy); only then are the costs needed, and stale
-        // cached routes must not survive a price update.
-        if self.config.routing.cost_aware() {
-            self.costs = self.price_book.link_costs(&self.arena);
-            self.route_cache.bump_epoch();
-        }
-
-        if self.config.adaptive {
-            let decision = self.crc.decide(&report, &self.phy);
-            let mut phy_changed = false;
-            for command in &decision.commands {
-                match self.executor.execute(&mut self.phy, command) {
-                    Ok(completion) => {
-                        phy_changed = true;
-                        for link in &completion.affected {
-                            if let Some(idx) = self.arena.index(*link) {
-                                let until = now + completion.duration;
-                                let fence = &mut self.reconfiguring_until[idx.index()];
-                                *fence = (*fence).max(until);
-                            }
-                        }
-                        self.metrics
-                            .reconfig_events
-                            .push((now.as_micros_f64(), completion.command.clone()));
-                    }
-                    Err(_) => {
-                        // A rejected command (e.g. a link went down between
-                        // telemetry and actuation) is skipped; the next epoch
-                        // will re-evaluate.
-                    }
-                }
-            }
-            if phy_changed {
-                self.refresh_link_hot();
-            }
-            if decision.escalate_topology && !self.topology_upgraded {
-                if let Some(target) = self.config.upgrade_spec.clone() {
-                    self.upgrade_topology(now, &target);
-                }
-            }
-        }
-
-        // Reset epoch accounting and reschedule.
-        self.bytes_this_epoch.fill(0);
-        self.epoch_start = now;
         ctx.schedule_in(self.config.crc.epoch, FabricEvent::CrcEpoch);
     }
 
-    fn upgrade_topology(&mut self, now: SimTime, target: &TopologySpec) {
-        match reconfigure::plan(&self.current_spec, target, &self.topo, &self.phy) {
-            Ok(plan) if !plan.is_empty() => {
-                if let Ok(duration) =
-                    reconfigure::apply(&plan, &self.executor, &mut self.phy, &mut self.topo)
-                {
-                    self.current_spec = plan.target.clone();
-                    self.topology_upgraded = true;
-                    // The link set changed: re-intern and migrate the dense
-                    // state (this also invalidates the route cache).
-                    self.rebuild_dense_state();
-                    // Traffic pauses on every link while the fabric
-                    // re-trains (worst case, conservative).
-                    let until = now + duration;
-                    for fence in &mut self.reconfiguring_until {
-                        *fence = (*fence).max(until);
-                    }
-                    self.metrics.topology_reconfigurations += 1;
-                    self.metrics
-                        .reconfig_events
-                        .push((now.as_micros_f64(), format!("topology->{}", target.name)));
-                }
-            }
-            _ => {}
-        }
+    /// Escalates to `target` and, once applied, re-interns the link set and
+    /// migrates the link table onto it, fencing every link while the fabric
+    /// re-trains (worst case, conservative).
+    fn upgrade_topology(&mut self, now: SimTime, target: TopologySpec) {
+        let Some(until) = self.control.escalate(
+            now,
+            &self.current_spec,
+            &target,
+            &mut self.topo,
+            &mut self.phy,
+            &mut self.metrics,
+        ) else {
+            return;
+        };
+        let arena = LinkArena::build(&self.topo);
+        let costs = self.control.costs(&arena);
+        self.links
+            .migrate(&self.arena, &arena, self.config.port_buffer, costs, until);
+        self.links.hot = LinkHot::table(&self.phy, &arena);
+        self.arena = arena;
+        self.racks = target.rack_of();
+        self.current_spec = target;
     }
 }
 
@@ -825,7 +750,7 @@ impl Model for AdaptiveFabric {
         // The scenario layer may have applied PLP commands (FEC, lane caps,
         // power states) between construction and the first event; re-read
         // the link constants so the datapath sees them.
-        self.refresh_link_hot();
+        self.links.hot = LinkHot::table(&self.phy, &self.arena);
         for (idx, flow) in self.flows.iter().enumerate() {
             ctx.schedule_at(flow.start_at, FabricEvent::FlowStart(idx));
         }
@@ -846,8 +771,13 @@ impl Model for AdaptiveFabric {
     fn finish(&mut self, ctx: &mut Context<FabricEvent>) {
         // Flush the tail of the epoch's lane statistics and publish the
         // route-cache counters into the metrics.
-        self.flush_wire_bytes(ctx.now());
-        let stats = self.route_cache.stats();
+        control::flush_epoch_bytes(
+            ctx.now(),
+            &mut self.phy,
+            &self.arena,
+            &mut [&mut self.links],
+        );
+        let stats = self.links.routes.stats();
         self.metrics.route_cache_hits = stats.hits;
         self.metrics.route_cache_misses = stats.misses;
     }

@@ -55,6 +55,7 @@
 
 pub mod baseline;
 pub mod breakeven;
+mod control;
 pub mod controller;
 pub mod fabric;
 pub mod metrics;

@@ -5,9 +5,11 @@
 //! groups of nodes, see [`FabricPartition`] — and drives them with the
 //! conservative time-window engine in [`rackfabric_sim::windowed`]:
 //!
-//! * Every shard owns the dense per-link/per-port state its nodes transmit
-//!   on (egress queues, epoch byte counters, NICs) plus the flow progress of
-//!   the flows *sourced* in the shard, and runs its own calendar queue.
+//! * Every shard owns a full-width link table (egress queues, epoch byte
+//!   counters, fences, link constants, route cache), of which it touches
+//!   only the ports its nodes transmit on, plus its nodes' NICs and the flow
+//!   progress of the flows *sourced* in the shard, and runs its own calendar
+//!   queue.
 //! * Packet trains whose next hop crosses a **cut link** are handed to the
 //!   destination shard through a mailbox envelope timestamped with the
 //!   train's exact analytic arrival; the cut link's propagation + FEC
@@ -21,12 +23,14 @@
 //!   bit-identical to an N-shard run: every shard sees the same events, at
 //!   the same instants, in the same content-keyed order.
 //! * The Closed Ring Control runs at **sync points** aligned with its
-//!   control epoch: the coordinator merges per-shard telemetry (byte
-//!   counters summed per link in dense order, port occupancies from their
-//!   owning shards), prices and decides exactly like the monolithic engine,
-//!   and broadcasts the results — link constants, price-derived cost maps,
-//!   and **reconfiguration fences that span shards** (a fence on a cut link
-//!   pauses traffic on both sides) — back to every shard.
+//!   control epoch, as the same control step the monolithic engine runs
+//!   over the shards' link tables: byte counters are summed per link in
+//!   dense order, each port's occupancy is read from its owning shard, and
+//!   the results — one shared cost vector and **reconfiguration fences that
+//!   span shards** (a fence on a cut link pauses traffic on both sides) —
+//!   are installed in every shard's table. The coordinator then broadcasts
+//!   the link constants and the bypass table whenever the physical layer
+//!   changed.
 //!
 //! ## Determinism contract
 //!
@@ -43,29 +47,25 @@
 //! its exports are internally consistent across shard counts, not
 //! byte-comparable to `run_fabric`.
 
-use crate::controller::ClosedRingControl;
-use crate::fabric::{FabricConfig, LinkHot};
+use crate::control::ControlStep;
+use crate::fabric::{FabricConfig, FlowProgress, LinkHot, LinkTable};
 use crate::metrics::FabricMetrics;
-use crate::price::PriceBook;
-use crate::reconfigure;
 use rackfabric_obs::profile::{WindowProfile, WindowProfiler};
 use rackfabric_obs::{Observer, TimeDomain};
-use rackfabric_phy::{LinkId, PhyState, PlpExecutor};
+use rackfabric_phy::PhyState;
 use rackfabric_sim::engine::RunOutcome;
 use rackfabric_sim::time::{SimDuration, SimTime};
-use rackfabric_sim::units::{BitRate, Bytes};
+use rackfabric_sim::units::Bytes;
 use rackfabric_sim::windowed::{ShardModel, ShardsView, SyncHook, WindowCtx, WindowedSim};
 use rackfabric_switch::nic::Nic;
 use rackfabric_switch::packet::{FlowId, Packet};
-use rackfabric_switch::queue::EgressQueue;
 use rackfabric_switch::train::train_frames;
-use rackfabric_topo::arena::{LinkArena, LinkIdx};
-use rackfabric_topo::cache::{InternedRoute, RouteCache};
+use rackfabric_topo::arena::LinkArena;
+use rackfabric_topo::cache::InternedRoute;
 use rackfabric_topo::partition::FabricPartition;
 use rackfabric_topo::spec::TopologySpec;
 use rackfabric_topo::{NodeId, Topology};
 use rackfabric_workload::Flow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Configuration of a sharded fabric run.
@@ -182,17 +182,6 @@ pub enum ShardEvent {
     },
 }
 
-/// Per-flow progress at the flow's source shard.
-#[derive(Debug, Clone, Default)]
-struct FlowProgress {
-    injected: u64,
-    delivered: u64,
-    completed: bool,
-    /// True while an [`ShardEvent::Inject`] is pending (one injector chain
-    /// per flow, exactly like the monolithic engine).
-    injector_armed: bool,
-}
-
 /// One rack group of the sharded fabric.
 pub struct ShardFabric {
     id: usize,
@@ -207,25 +196,12 @@ pub struct ShardFabric {
     train_seq: Vec<u32>,
     /// Per-node NICs; only this shard's nodes are touched.
     nics: Vec<Nic>,
-    /// Full-width egress queues; only ports transmitted by this shard's
-    /// nodes are touched.
-    ports: Vec<EgressQueue>,
-    /// Link constants, broadcast by the coordinator at sync points.
-    link_hot: Vec<LinkHot>,
-    /// Read-only copy of the bypass table, broadcast at sync points.
+    /// Full-width link table; only ports transmitted by this shard's nodes
+    /// are touched, and the byte counters hold this shard's contribution.
+    links: LinkTable,
+    /// Read-only copy of the bypass table, broadcast with the link
+    /// constants.
     bypasses: rackfabric_phy::bypass::BypassTable,
-    /// Reconfiguration fences, broadcast by the coordinator. A fence on a
-    /// cut link is visible on both sides — fences span shards.
-    fences: Vec<SimTime>,
-    /// Telemetry bytes per link this epoch (this shard's contribution).
-    bytes_epoch: Vec<u64>,
-    /// Switched wire bytes per link this epoch (this shard's contribution).
-    wire_epoch: Vec<u64>,
-    route_cache: RouteCache,
-    /// Routing costs, `LinkIdx`-indexed: one snapshot the coordinator
-    /// lowers and shares with every shard (see the monolithic engine's
-    /// field of the same name).
-    costs: Arc<[f64]>,
     metrics: FabricMetrics,
     own_flows: usize,
     completed_flows: usize,
@@ -236,12 +212,6 @@ pub struct ShardFabric {
 }
 
 impl ShardFabric {
-    #[inline]
-    fn link_live(&self, link: LinkIdx) -> bool {
-        let hot = &self.link_hot[link.index()];
-        hot.up && !hot.capacity.is_zero()
-    }
-
     #[inline]
     fn owner_of(&self, node: NodeId) -> usize {
         self.shared.partition.owner(node)
@@ -309,13 +279,13 @@ impl ShardFabric {
 
         let shared = &self.shared;
         let Some(route) = crate::fabric::cached_route(
-            &mut self.route_cache,
+            &mut self.links.routes,
             self.config.routing,
             &shared.topo,
             &shared.arena,
             &shared.spec,
             &shared.racks,
-            &self.costs,
+            &self.links.costs,
             flow.src,
             flow.dst,
             flow.id.0,
@@ -332,17 +302,17 @@ impl ShardFabric {
         }
 
         let first_link = route.links[0];
-        if !self.link_live(first_link) {
+        if !self.links.live(first_link) {
             self.metrics.dropped_packets.incr();
             self.arm_injector(ctx, flow_idx, retry_at);
             return;
         }
-        let fence = self.fences[first_link.index()];
+        let fence = self.links.fences[first_link.index()];
         if now < fence {
             self.arm_injector(ctx, flow_idx, fence);
             return;
         }
-        let hot = self.link_hot[first_link.index()];
+        let hot = self.links.hot[first_link.index()];
 
         let mtu = self.config.mtu.as_u64();
         let budget = train_frames(hot.capacity, self.config.train_window, self.config.mtu);
@@ -358,7 +328,7 @@ impl ShardFabric {
         let mut packets =
             self.nics[flow.src.index()].build_train(now, FlowId(flow_idx as u64), flow.dst, &sizes);
         let port = self.shared.arena.port(flow.src, first_link);
-        let admission = self.ports[port.index()].enqueue_train(
+        let admission = self.links.ports[port.index()].enqueue_train(
             &mut packets,
             hot.capacity,
             hot.propagation,
@@ -372,8 +342,7 @@ impl ShardFabric {
             .map(|p| p.size.as_u64())
             .sum();
         self.progress[flow_idx].injected += accepted_bytes;
-        self.bytes_epoch[first_link.index()] += accepted_bytes;
-        self.wire_epoch[first_link.index()] += accepted_bytes;
+        self.links.epoch_bytes[first_link.index()] += accepted_bytes;
 
         if admission.dropped {
             self.metrics.dropped_packets.incr();
@@ -462,8 +431,8 @@ impl ShardFabric {
 
         let in_link = train.route.links[train.hop - 1];
         let out_link = train.route.links[train.hop];
-        let out_live = self.link_live(out_link);
-        let fence = self.fences[out_link.index()];
+        let out_live = self.links.live(out_link);
+        let fence = self.links.fences[out_link.index()];
         if out_live && now < fence {
             // The egress link is retraining: hold the train here and wake at
             // the fence (the wait is charged as queueing, like the
@@ -487,7 +456,7 @@ impl ShardFabric {
             .filter(|b| b.out_link == arena.link_id(out_link));
         if let Some(bypass) = bypass {
             if out_live {
-                let hot = self.link_hot[out_link.index()];
+                let hot = self.links.hot[out_link.index()];
                 let mut last_arrive = now;
                 for packet in &mut train.packets {
                     packet.breakdown.bypass += bypass.latency;
@@ -498,7 +467,7 @@ impl ShardFabric {
                         packet.arrived_at + bypass.latency + hot.propagation + hot.fec;
                     last_arrive = last_arrive.max(packet.arrived_at);
                 }
-                self.bytes_epoch[out_link.index()] +=
+                self.links.epoch_bytes[out_link.index()] +=
                     train.packets.iter().map(|p| p.size.as_u64()).sum::<u64>();
                 train.hop += 1;
                 self.emit_train(ctx, last_arrive, flow_idx, train);
@@ -514,7 +483,7 @@ impl ShardFabric {
             self.notify_drop(ctx, flow_idx, bytes, n, train.seq, train.hop);
             return;
         }
-        let hot = self.link_hot[out_link.index()];
+        let hot = self.links.hot[out_link.index()];
         let switch = self.config.switch;
         for packet in &mut train.packets {
             let traversal = switch.traversal_latency_at(packet.size, hot.capacity);
@@ -523,7 +492,7 @@ impl ShardFabric {
             packet.arrived_at += traversal;
         }
         let port = arena.port(at_node, out_link);
-        let admission = self.ports[port.index()].enqueue_train(
+        let admission = self.links.ports[port.index()].enqueue_train(
             &mut train.packets,
             hot.capacity,
             hot.propagation,
@@ -534,8 +503,7 @@ impl ShardFabric {
             .iter()
             .map(|p| p.size.as_u64())
             .sum();
-        self.bytes_epoch[out_link.index()] += accepted_bytes;
-        self.wire_epoch[out_link.index()] += accepted_bytes;
+        self.links.epoch_bytes[out_link.index()] += accepted_bytes;
 
         if admission.dropped {
             let tail = &train.packets[admission.accepted..];
@@ -547,39 +515,6 @@ impl ShardFabric {
             train.hop += 1;
             self.emit_train(ctx, admission.last_arrives_at.max(now), flow_idx, train);
         }
-    }
-
-    /// Migrates the dense per-link/per-port state into a rebuilt arena
-    /// (whole-rack reconfigurations only), with `costs` lowered onto it.
-    fn migrate(&mut self, old: &LinkArena, shared: Arc<SharedState>, costs: Arc<[f64]>) {
-        let arena = &shared.arena;
-        let links = arena.len();
-        let mut ports: Vec<EgressQueue> = (0..arena.port_count())
-            .map(|_| EgressQueue::new(self.config.port_buffer))
-            .collect();
-        let mut bytes = vec![0u64; links];
-        let mut wire = vec![0u64; links];
-        let mut fences = vec![SimTime::ZERO; links];
-        for (idx, id) in arena.iter() {
-            if let Some(old_idx) = old.index(id) {
-                bytes[idx.index()] = self.bytes_epoch[old_idx.index()];
-                wire[idx.index()] = self.wire_epoch[old_idx.index()];
-                fences[idx.index()] = self.fences[old_idx.index()];
-                for side in 0..2 {
-                    ports[idx.index() * 2 + side] = std::mem::replace(
-                        &mut self.ports[old_idx.index() * 2 + side],
-                        EgressQueue::new(self.config.port_buffer),
-                    );
-                }
-            }
-        }
-        self.ports = ports;
-        self.bytes_epoch = bytes;
-        self.wire_epoch = wire;
-        self.fences = fences;
-        self.shared = shared;
-        self.costs = costs;
-        self.route_cache.bump_epoch();
     }
 }
 
@@ -617,60 +552,52 @@ impl ShardModel for ShardFabric {
     }
 }
 
-/// Reads the dense link constants out of the physical state.
-fn compute_link_hot(phy: &PhyState, arena: &LinkArena) -> Vec<LinkHot> {
-    arena
-        .iter()
-        .map(|(_, id)| match phy.link(id) {
-            Some(l) => LinkHot {
-                capacity: l.capacity(),
-                propagation: l.propagation_delay(),
-                fec: l.fec_latency(),
-                up: matches!(l.state, rackfabric_phy::LinkState::Up),
-            },
-            None => LinkHot::DOWN,
-        })
-        .collect()
-}
-
 /// The global control side of the sharded engine: owns the physical state
-/// and the CRC, and runs them at window-aligned sync points.
+/// and the control step, and runs them at window-aligned sync points.
 struct Coordinator {
     config: Arc<FabricConfig>,
     ack_delay: SimDuration,
     phy: PhyState,
-    crc: ClosedRingControl,
-    executor: PlpExecutor,
-    price_book: PriceBook,
+    control: ControlStep,
     /// Holds the coordinator-side metrics: telemetry series, reconfiguration
     /// events, topology counters. Merged with the shard metrics at the end.
     metrics: FabricMetrics,
     shared: Arc<SharedState>,
-    link_hot: Vec<LinkHot>,
     lookahead: SimDuration,
-    epoch_start: SimTime,
     next_epoch: SimTime,
-    topology_upgraded: bool,
     total_flows: usize,
 }
 
 impl Coordinator {
-    /// Recomputes the conservative lookahead from the **inter-rack link
-    /// class**. Shards group whole racks ([`FabricPartition`] never splits
-    /// one), so every cut link joins two racks by construction and the
-    /// minimum live inter-rack latency lower-bounds every cross-shard
-    /// envelope. The class is a topology property — not a partition
-    /// property — so the value (and with it the window sequence and where
-    /// stop/budget checks land) is identical for every shard count. Longer
-    /// inter-rack cables directly buy longer windows; intra-rack hops no
-    /// longer throttle them. Falls back to the all-links minimum when no
-    /// live inter-rack link exists (a single-rack fabric never hands off,
-    /// and the fallback keeps its window lattice unchanged).
-    fn refresh_lookahead(&mut self) {
+    /// Re-reads the link constants and the bypass table out of the physical
+    /// state into every shard, and recomputes the lookahead from the
+    /// constants. Runs at run start, after PLP commands and after an
+    /// escalation.
+    fn refresh_from_phy<'s>(&mut self, shards: impl Iterator<Item = &'s mut ShardFabric>) {
+        let hot = LinkHot::table(&self.phy, &self.shared.arena);
+        self.lookahead = self.lookahead_over(&hot);
+        for shard in shards {
+            shard.links.hot = hot.clone();
+            shard.bypasses = self.phy.bypasses.clone();
+        }
+    }
+
+    /// The conservative lookahead over link constants `hot`, from the
+    /// **inter-rack link class**. Shards group whole racks
+    /// ([`FabricPartition`] never splits one), so every cut link joins two
+    /// racks by construction and the minimum live inter-rack latency
+    /// lower-bounds every cross-shard envelope. The class is a topology
+    /// property — not a partition property — so the value (and with it the
+    /// window sequence and where stop/budget checks land) is identical for
+    /// every shard count. Longer inter-rack cables directly buy longer
+    /// windows; intra-rack hops no longer throttle them. Falls back to the
+    /// all-links minimum when no live inter-rack link exists (a single-rack
+    /// fabric never hands off, and the fallback keeps its window lattice
+    /// unchanged).
+    fn lookahead_over(&self, hot: &[LinkHot]) -> SimDuration {
         let mask = &self.shared.inter_mask;
         let live_min = |inter_only: bool| {
-            self.link_hot
-                .iter()
+            hot.iter()
                 .enumerate()
                 .filter(|(i, h)| (!inter_only || mask[*i]) && h.up && !h.capacity.is_zero())
                 .map(|(_, h)| h.propagation + h.fec)
@@ -679,176 +606,60 @@ impl Coordinator {
         let link_min = live_min(true)
             .or_else(|| live_min(false))
             .unwrap_or(SimDuration::MAX);
-        self.lookahead = link_min
+        link_min
             .min(self.config.retry_delay)
             .min(self.ack_delay)
-            .max(SimDuration::from_picos(1));
+            .max(SimDuration::from_picos(1))
     }
 
-    /// Pushes the current link constants and bypass table to every shard.
-    fn broadcast_hot(&self, shards: &mut ShardsView<'_, ShardFabric>) {
-        for shard in shards.models_mut() {
-            shard.link_hot = self.link_hot.clone();
-            shard.bypasses = self.phy.bypasses.clone();
-        }
-    }
-
-    /// One Closed Ring Control epoch over merged shard telemetry (mirrors
-    /// the monolithic `crc_epoch`).
+    /// One control epoch over the shards' link tables.
     fn crc_epoch(&mut self, now: SimTime, shards: &mut ShardsView<'_, ShardFabric>) {
-        let epoch = now.saturating_since(self.epoch_start);
-        let epoch_s = epoch.as_secs_f64().max(1e-12);
-        let arena_iter: Vec<(LinkIdx, LinkId)> = self.shared.arena.iter().collect();
-        let shard_count = shards.len();
-
-        // Flush merged wire bytes into the per-lane statistics, dense order.
-        for &(idx, id) in &arena_iter {
-            let mut total = 0u64;
-            for s in 0..shard_count {
-                let shard = shards.model(s);
-                total += shard.wire_epoch[idx.index()];
-                shard.wire_epoch[idx.index()] = 0;
-            }
-            if total > 0 {
-                if let Some(l) = self.phy.link_mut(id) {
-                    l.record_traffic(now, total);
-                }
-            }
-        }
-
-        // Merge per-link utilization / occupancy / throughput.
-        let mut utilization = HashMap::new();
-        let mut throughput = HashMap::new();
-        let mut queue_bytes: HashMap<LinkId, f64> = HashMap::new();
-        for &(idx, id) in &arena_iter {
-            let mut bytes = 0u64;
-            for s in 0..shard_count {
-                bytes += shards.model(s).bytes_epoch[idx.index()];
-            }
-            let bps = bytes as f64 * 8.0 / epoch_s;
-            throughput.insert(id, BitRate::from_bps(bps as u64));
-            let cap = self.link_hot[idx.index()].capacity;
-            let util = if cap.is_zero() {
-                0.0
-            } else {
-                bps / cap.as_bps() as f64
-            };
-            utilization.insert(id, util);
-
+        let shared = &self.shared;
+        let mut tables: Vec<&mut LinkTable> = shards.models_mut().map(|s| &mut s.links).collect();
+        let epoch = self.control.run(
+            now,
+            &self.config,
+            &mut self.phy,
+            &shared.arena,
+            &mut tables,
             // Each directed port is owned by its transmitting node's shard.
-            let mut occ = 0.0f64;
-            for side in 0..2u32 {
-                let port = rackfabric_topo::arena::PortIdx(idx.0 * 2 + side);
-                let owner = self.shared.partition.port_owner(&self.shared.arena, port);
-                let value = shards.model(owner).ports[port.index()].mean_occupancy(now);
-                occ = occ.max(value);
-            }
-            queue_bytes.insert(id, occ);
+            |port| shared.partition.port_owner(&shared.arena, port),
+            &mut self.metrics,
+        );
+        if epoch.phy_changed {
+            self.refresh_from_phy(shards.models_mut());
         }
-
-        let report = self
-            .phy
-            .telemetry_report(now, &utilization, &queue_bytes, &throughput);
-        self.metrics
-            .power_series
-            .push_at(now, report.total_power.as_watts_f64());
-        self.metrics
-            .utilization_series
-            .push_at(now, report.mean_utilization());
-        // Sum throughput in dense link order (not map order) so the series
-        // is deterministic.
-        let total_gbps: f64 = arena_iter
-            .iter()
-            .map(|&(_, id)| throughput.get(&id).map(|r| r.as_gbps_f64()).unwrap_or(0.0))
-            .sum();
-        self.metrics.throughput_series.push_at(now, total_gbps);
-
-        self.price_book = self.crc.price(&report);
-        // Cost-aware routing (min-cost, UGAL-style adaptive): share one
-        // price snapshot with every shard and invalidate their caches
-        // together, so per-shard routing decisions stay
-        // shard-count-independent.
-        if self.config.routing.cost_aware() {
-            let costs: Arc<[f64]> = self.price_book.link_costs(&self.shared.arena).into();
-            for shard in shards.models_mut() {
-                shard.costs = costs.clone();
-                shard.route_cache.bump_epoch();
-            }
+        if let Some(target) = epoch.escalate {
+            self.upgrade_topology(now, target, shards);
         }
-
-        if self.config.adaptive {
-            let decision = self.crc.decide(&report, &self.phy);
-            let mut phy_changed = false;
-            for command in &decision.commands {
-                match self.executor.execute(&mut self.phy, command) {
-                    Ok(completion) => {
-                        phy_changed = true;
-                        for link in &completion.affected {
-                            if let Some(idx) = self.shared.arena.index(*link) {
-                                let until = now + completion.duration;
-                                // Reconfiguration fences span shards: every
-                                // shard sees the pause, including both sides
-                                // of a cut link.
-                                for shard in shards.models_mut() {
-                                    let fence = &mut shard.fences[idx.index()];
-                                    *fence = (*fence).max(until);
-                                }
-                            }
-                        }
-                        self.metrics
-                            .reconfig_events
-                            .push((now.as_micros_f64(), completion.command.clone()));
-                    }
-                    Err(_) => {
-                        // Rejected commands are skipped; the next epoch
-                        // re-evaluates.
-                    }
-                }
-            }
-            if phy_changed {
-                self.link_hot = compute_link_hot(&self.phy, &self.shared.arena);
-                self.broadcast_hot(shards);
-                self.refresh_lookahead();
-            }
-            if decision.escalate_topology && !self.topology_upgraded {
-                if let Some(target) = self.config.upgrade_spec.clone() {
-                    self.upgrade_topology(now, &target, shards);
-                }
-            }
-        }
-
-        for shard in shards.models_mut() {
-            shard.bytes_epoch.fill(0);
-        }
-        self.epoch_start = now;
         self.next_epoch = now + self.config.crc.epoch;
     }
 
     /// Whole-rack reconfiguration at a sync point: stop-the-world while the
-    /// link set, arena, partition cut and every shard's dense state are
+    /// link set, arena, partition cut and every shard's link table are
     /// rebuilt.
     fn upgrade_topology(
         &mut self,
         now: SimTime,
-        target: &TopologySpec,
+        target: TopologySpec,
         shards: &mut ShardsView<'_, ShardFabric>,
     ) {
-        let plan = match reconfigure::plan(&self.shared.spec, target, &self.shared.topo, &self.phy)
-        {
-            Ok(plan) if !plan.is_empty() => plan,
-            _ => return,
-        };
         let mut topo = self.shared.topo.clone();
-        let Ok(duration) = reconfigure::apply(&plan, &self.executor, &mut self.phy, &mut topo)
-        else {
+        let Some(until) = self.control.escalate(
+            now,
+            &self.shared.spec,
+            &target,
+            &mut topo,
+            &mut self.phy,
+            &mut self.metrics,
+        ) else {
             return;
         };
-        let old_arena = self.shared.arena.clone();
         let arena = LinkArena::build(&topo);
         // In-flight trains hold routes interned against the old arena; the
         // upgrade is only safe when surviving links keep their dense index
         // (true for add-only plans — splits allocate fresh, higher ids).
-        for (idx, id) in old_arena.iter() {
+        for (idx, id) in self.shared.arena.iter() {
             if let Some(new_idx) = arena.index(id) {
                 assert_eq!(
                     idx, new_idx,
@@ -862,33 +673,31 @@ impl Coordinator {
         // Re-derive the inter-rack class for the new link set by the same
         // rack rule the partition groups by, so reconfiguration-added links
         // land in the right lookahead class.
-        let inter_mask = plan.target.inter_rack_mask(&arena);
-        let racks = plan.target.rack_of();
-        let shared = Arc::new(SharedState {
-            topo,
-            arena,
-            spec: plan.target.clone(),
-            partition,
-            inter_mask,
-            racks,
-        });
-        self.shared = shared.clone();
-        self.link_hot = compute_link_hot(&self.phy, &self.shared.arena);
-        let costs: Arc<[f64]> = self.price_book.link_costs(&shared.arena).into();
-        let until = now + duration;
+        let inter_mask = target.inter_rack_mask(&arena);
+        let racks = target.rack_of();
+        let old = std::mem::replace(
+            &mut self.shared,
+            Arc::new(SharedState {
+                topo,
+                arena,
+                spec: target,
+                partition,
+                inter_mask,
+                racks,
+            }),
+        );
+        let costs = self.control.costs(&self.shared.arena);
         for shard in shards.models_mut() {
-            shard.migrate(&old_arena, shared.clone(), costs.clone());
-            for fence in &mut shard.fences {
-                *fence = (*fence).max(until);
-            }
+            shard.links.migrate(
+                &old.arena,
+                &self.shared.arena,
+                self.config.port_buffer,
+                costs.clone(),
+                until,
+            );
+            shard.shared = self.shared.clone();
         }
-        self.broadcast_hot(shards);
-        self.refresh_lookahead();
-        self.topology_upgraded = true;
-        self.metrics.topology_reconfigurations += 1;
-        self.metrics
-            .reconfig_events
-            .push((now.as_micros_f64(), format!("topology->{}", target.name)));
+        self.refresh_from_phy(shards.models_mut());
     }
 }
 
@@ -986,9 +795,9 @@ impl ShardedFabric {
             inter_mask,
             racks,
         });
-        let link_hot = compute_link_hot(&phy, &shared.arena);
-        let costs: Arc<[f64]> = PriceBook::default().link_costs(&shared.arena).into();
-        let bypasses = phy.bypasses.clone();
+        let control = ControlStep::new(&fabric_config);
+        let hot = LinkHot::table(&phy, &shared.arena);
+        let costs = control.costs(&shared.arena);
         let config = Arc::new(fabric_config);
         let flows = Arc::new(flows);
         assert!(
@@ -1013,16 +822,13 @@ impl ShardedFabric {
                     nics: (0..shared.spec.nodes as u32)
                         .map(|n| Nic::new(NodeId(n), config.port_buffer))
                         .collect(),
-                    ports: (0..shared.arena.port_count())
-                        .map(|_| EgressQueue::new(config.port_buffer))
-                        .collect(),
-                    link_hot: link_hot.clone(),
-                    bypasses: bypasses.clone(),
-                    fences: vec![SimTime::ZERO; shared.arena.len()],
-                    bytes_epoch: vec![0; shared.arena.len()],
-                    wire_epoch: vec![0; shared.arena.len()],
-                    route_cache: RouteCache::new(),
-                    costs: costs.clone(),
+                    links: LinkTable::new(
+                        &shared.arena,
+                        config.port_buffer,
+                        hot.clone(),
+                        costs.clone(),
+                    ),
+                    bypasses: phy.bypasses.clone(),
                     metrics: FabricMetrics::default(),
                     own_flows,
                     completed_flows: 0,
@@ -1062,23 +868,18 @@ impl ShardedFabric {
             }
         }
 
-        let mut coordinator = Coordinator {
-            crc: ClosedRingControl::new(config.crc),
-            executor: PlpExecutor::new(config.plp_timing),
+        let coordinator = Coordinator {
+            control,
             ack_delay,
             phy,
-            price_book: PriceBook::default(),
             metrics: FabricMetrics::default(),
             shared,
-            link_hot,
+            // Set with the link constants at run start.
             lookahead: SimDuration::from_picos(1),
-            epoch_start: SimTime::ZERO,
             next_epoch: SimTime::ZERO + config.crc.epoch,
-            topology_upgraded: false,
             total_flows: flows.len(),
             config,
         };
-        coordinator.refresh_lookahead();
 
         ShardedFabric {
             sim,
@@ -1103,17 +904,9 @@ impl ShardedFabric {
     /// Runs to the configured horizon and merges the per-shard metrics.
     pub fn run(mut self) -> ShardedRun {
         // The phy may have been reconfigured between construction and the
-        // run (initial PLP policy); re-read the constants, like the
-        // monolithic engine's `init`.
-        self.coordinator.link_hot =
-            compute_link_hot(&self.coordinator.phy, &self.coordinator.shared.arena);
-        self.coordinator.refresh_lookahead();
-        {
-            let hot = self.coordinator.link_hot.clone();
-            for s in 0..self.sim.shard_count() {
-                self.sim.model_mut(s).link_hot = hot.clone();
-            }
-        }
+        // run (initial PLP policy: FEC, lane caps, power states, bypasses);
+        // re-read it, like the monolithic engine's `init`.
+        self.coordinator.refresh_from_phy(self.sim.models_mut());
 
         let out = self.sim.run(self.horizon, &mut self.coordinator);
         let shards = self.sim.shard_count();
@@ -1144,7 +937,7 @@ impl ShardedFabric {
             total_flows_done += model.completed_flows;
             own_total += model.own_flows;
             last_completion = last_completion.max(model.last_completion);
-            let stats = model.route_cache.stats();
+            let stats = model.links.routes.stats();
             hits += stats.hits;
             misses += stats.misses;
             trains += model.trains_sent;

@@ -49,4 +49,4 @@ pub use link::{Link, LinkId, LinkState};
 pub use media::{Media, MediaKind};
 pub use plp::{PhyState, PlpCommand, PlpCompletion, PlpExecutor, PlpTiming};
 pub use power::{PowerModel, PowerState};
-pub use stats::{LaneStats, LinkTelemetry, TelemetryReport};
+pub use stats::{LaneStats, LinkLoad, LinkTelemetry, TelemetryReport};

@@ -146,9 +146,12 @@ impl Link {
 
     /// One-way traversal latency of a frame of `size`: serialization +
     /// propagation + FEC. Queueing and switching are accounted by the switch
-    /// layer, not here.
+    /// layer, not here. A link without capacity (powered off, every lane
+    /// down) never finishes serializing: its latency is
+    /// [`SimDuration::MAX`].
     pub fn traversal_latency(&self, size: Bytes) -> SimDuration {
-        self.serialization_delay(size) + self.propagation_delay() + self.fec_latency()
+        self.serialization_delay(size)
+            .saturating_add(self.propagation_delay() + self.fec_latency())
     }
 
     /// Recomputes each lane's pre-FEC BER from the signal-integrity model

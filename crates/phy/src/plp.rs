@@ -20,7 +20,7 @@ use crate::lane::LaneState;
 use crate::link::{Link, LinkId, LinkState};
 use crate::media::Media;
 use crate::power::{PowerModel, PowerState};
-use crate::stats::{LinkTelemetry, TelemetryReport};
+use crate::stats::{LinkLoad, TelemetryReport};
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::{BitRate, Length, Power};
 use serde::{Deserialize, Serialize};
@@ -302,9 +302,36 @@ impl PhyState {
         link_power + self.power_model.bypass_power(self.bypasses.len())
     }
 
-    /// Builds the rack-wide telemetry report consumed by the CRC.
-    /// `utilization`, `queue_bytes` and `throughput` are supplied per link by
-    /// the switching layer (absent entries default to idle).
+    /// Builds the rack-wide telemetry report consumed by the CRC, reading
+    /// each link's load from `load` (one call per link, in id order). Each
+    /// link's power is computed once, and `total_power` is their sum plus the
+    /// bypass cross-connects: what [`Self::total_power`] charges for the same
+    /// throughputs.
+    pub fn telemetry_report_by(
+        &self,
+        at: SimTime,
+        load: impl Fn(LinkId) -> LinkLoad,
+    ) -> TelemetryReport {
+        let mut report = TelemetryReport::new(at);
+        let mut link_power = Power::ZERO;
+        for id in self.link_ids() {
+            let link = &self.links[&id];
+            let load = load(id);
+            let power = self
+                .power_model
+                .link_power(link, load.throughput, self.power_state(id));
+            link_power += power;
+            report
+                .links
+                .push(link.telemetry(at, load.utilization, load.queue_bytes, power));
+        }
+        report.total_power = link_power + self.power_model.bypass_power(self.bypasses.len());
+        report.active_bypasses = self.bypasses.len();
+        report
+    }
+
+    /// [`Self::telemetry_report_by`] over per-link maps supplied by the
+    /// switching layer (absent entries default to idle).
     pub fn telemetry_report(
         &self,
         at: SimTime,
@@ -312,24 +339,11 @@ impl PhyState {
         queue_bytes: &HashMap<LinkId, f64>,
         throughput: &HashMap<LinkId, BitRate>,
     ) -> TelemetryReport {
-        let mut report = TelemetryReport::new(at);
-        for id in self.link_ids() {
-            let link = &self.links[&id];
-            let tput = throughput.get(&id).copied().unwrap_or(BitRate::ZERO);
-            let power = self
-                .power_model
-                .link_power(link, tput, self.power_state(id));
-            let t: LinkTelemetry = link.telemetry(
-                at,
-                utilization.get(&id).copied().unwrap_or(0.0),
-                queue_bytes.get(&id).copied().unwrap_or(0.0),
-                power,
-            );
-            report.links.push(t);
-        }
-        report.total_power = self.total_power(throughput);
-        report.active_bypasses = self.bypasses.len();
-        report
+        self.telemetry_report_by(at, |id| LinkLoad {
+            utilization: utilization.get(&id).copied().unwrap_or(0.0),
+            queue_bytes: queue_bytes.get(&id).copied().unwrap_or(0.0),
+            throughput: throughput.get(&id).copied().unwrap_or(BitRate::ZERO),
+        })
     }
 }
 

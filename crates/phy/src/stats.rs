@@ -14,6 +14,12 @@ use rackfabric_sim::units::{BitRate, Power};
 use serde::{Deserialize, Serialize};
 
 /// Raw counters kept by each lane (PLP #5: per-lane statistics).
+///
+/// The fabric engines charge every byte a link carried — switched or
+/// bypassed, since both cross its lanes — once per control epoch, split
+/// over the link's usable lanes by [`Link::record_traffic`](crate::Link::record_traffic).
+/// The monolithic engine also charges the run's last, partial epoch. The
+/// control loop reads none of these counters.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LaneStats {
     /// Total bytes carried by the lane.
@@ -24,6 +30,19 @@ pub struct LaneStats {
     pub state_transitions: u64,
     /// Last instant the lane carried traffic.
     pub last_activity: SimTime,
+}
+
+/// One link's load over a control epoch, as the switching layer measured it
+/// (the input [`PhyState::telemetry_report_by`](crate::PhyState::telemetry_report_by)
+/// reads per link). The default is an idle link.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LinkLoad {
+    /// Offered load as a fraction of capacity.
+    pub utilization: f64,
+    /// Mean queue occupancy in bytes at the link's busier transmitting port.
+    pub queue_bytes: f64,
+    /// Carried throughput.
+    pub throughput: BitRate,
 }
 
 /// A per-link telemetry snapshot, produced once per control epoch.

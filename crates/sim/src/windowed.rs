@@ -871,6 +871,13 @@ impl<M: ShardModel> WindowedSim<M> {
             .model
     }
 
+    /// Iterates over every shard's model between runs.
+    pub fn models_mut(&mut self) -> impl Iterator<Item = &mut M> + '_ {
+        self.cells
+            .iter_mut()
+            .map(|c| &mut c.cell.get_mut().expect("shard lock poisoned").model)
+    }
+
     /// Consumes the simulation, returning the shard models in order.
     pub fn into_models(self) -> Vec<M> {
         self.cells

@@ -4,10 +4,33 @@
 //! engine's own parallel decomposition. Every float, percentile, counter and
 //! label participates via the textual comparison.
 
-use rackfabric::prelude::TopologySpec;
+use rackfabric::prelude::{FabricMetrics, TopologySpec};
 use rackfabric::shard::{run_sharded, ShardedConfig};
 use rackfabric_scenario::prelude::*;
+use rackfabric_scenario::runner::run_scenario;
 use rackfabric_sim::prelude::*;
+
+/// Everything the control loop writes, floats as bits: the power,
+/// utilization and throughput series, the PLP command log and the topology
+/// escalation count. The run summary keeps only their means and counts.
+type ControlOutput = (Vec<Vec<(u64, u64)>>, Vec<(u64, String)>, u32);
+
+fn control_output(m: &FabricMetrics) -> ControlOutput {
+    let series = [&m.power_series, &m.utilization_series, &m.throughput_series]
+        .map(|s| {
+            s.points()
+                .iter()
+                .map(|&(x, y)| (x.to_bits(), y.to_bits()))
+                .collect()
+        })
+        .to_vec();
+    let commands = m
+        .reconfig_events
+        .iter()
+        .map(|(at, command)| (at.to_bits(), command.clone()))
+        .collect();
+    (series, commands, m.topology_reconfigurations)
+}
 
 /// A small controller × load sweep on the sharded engine with `shards` rack
 /// groups per job.
@@ -205,6 +228,7 @@ fn topology_upgrade_is_shard_count_independent() {
     );
     assert_eq!(four.shards, 4);
     assert_eq!(one.metrics.summary(), four.metrics.summary());
+    assert_eq!(control_output(&one.metrics), control_output(&four.metrics));
     assert_eq!(one.events_processed, four.events_processed);
     assert_eq!(one.syncs, four.syncs);
 }
@@ -213,7 +237,7 @@ fn topology_upgrade_is_shard_count_independent() {
 /// cuts only global links, and the three routing policies (minimal /
 /// Valiant / UGAL-style adaptive) must export byte-identically at every
 /// shard count. Valiant and adaptive are per-flow and cost-aware — the
-/// strongest test of the shared rack table and the broadcast cost map.
+/// strongest test of the shared rack table and the shared cost vector.
 fn dragonfly_matrix(shards: usize) -> Matrix {
     use rackfabric_topo::routing::RoutingAlgorithm;
     let base = ScenarioSpec::new(
@@ -311,8 +335,36 @@ fn dragonfly_upgrade_fence_on_a_global_link_is_shard_count_independent() {
         let many = run(shards);
         assert_eq!(many.shards, shards);
         assert_eq!(one.metrics.summary(), many.metrics.summary());
+        assert_eq!(control_output(&one.metrics), control_output(&many.metrics));
         assert_eq!(one.events_processed, many.events_processed);
         assert_eq!(one.syncs, many.syncs);
+    }
+}
+
+/// PHY bypasses installed before the run (the scenario layer's bypass
+/// chain) reach every shard: on e8's chain each bypassed switch saves the
+/// same 500.12 ns of minimum packet latency at every shard count, as it
+/// does on the monolithic engine.
+#[test]
+fn bypasses_installed_before_the_run_reach_every_shard() {
+    let jobs = rackfabric_bench::figures::e8_matrix(4).expand();
+    for shards in [0, 1, 2] {
+        let min_latency_ps: Vec<f64> = jobs
+            .iter()
+            .map(|job| {
+                let result = run_scenario(&job.spec.clone().shards(shards));
+                assert!(result.all_flows_complete);
+                result.summary.packet_latency.min
+            })
+            .collect();
+        for (bypassed, pair) in min_latency_ps.windows(2).enumerate() {
+            assert_eq!(
+                pair[0] - pair[1],
+                500_120.0,
+                "{shards} shards: bypassing switch {} must save one switch traversal",
+                bypassed + 1
+            );
+        }
     }
 }
 
