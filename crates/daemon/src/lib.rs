@@ -11,7 +11,8 @@
 //!   responses are byte-equal lines.
 //! - [`sched`] — the scheduler: a bounded priority queue with single-flight
 //!   deduplication (identical in-flight submissions share one execution),
-//!   per-job [`rackfabric_sweep::cancel::CancelToken`]s and backpressure.
+//!   per-job [`rackfabric_sweep::cancel::CancelToken`]s and backpressure;
+//!   it holds a job only until the job's last watcher has seen its end.
 //! - [`service`] — the daemon itself: acceptor + bounded worker pool, each
 //!   worker a numbered `daemon worker` trace lane, gauges and a response
 //!   latency histogram in the obs registry.

@@ -131,6 +131,11 @@ pub struct StatusCounts {
     /// Submissions that attached to an identical in-flight job instead of
     /// enqueuing a duplicate.
     pub dedup_attached: u64,
+    /// Jobs the scheduler still holds: queued, active, or ended with a
+    /// watcher yet to see the end. Zero on an idle daemon whose clients
+    /// all have their replies; an id no longer held answers `cancel` as a
+    /// finished job does.
+    pub held: u64,
 }
 
 /// One server event line.
@@ -223,6 +228,7 @@ impl Event {
                 ("completed", uint(counts.completed)),
                 ("dedup_attached", uint(counts.dedup_attached)),
                 ("event", string("status")),
+                ("held", uint(counts.held)),
                 ("queued", uint(counts.queued)),
                 ("rejected", uint(counts.rejected)),
                 ("warm_hits", uint(counts.warm_hits)),
@@ -268,6 +274,7 @@ impl Event {
                 rejected: value.get("rejected")?.as_u64()?,
                 cancelled: value.get("cancelled")?.as_u64()?,
                 dedup_attached: value.get("dedup_attached")?.as_u64()?,
+                held: value.get("held")?.as_u64()?,
             })),
             "shutting-down" => Some(Event::ShuttingDown),
             _ => None,
@@ -331,6 +338,7 @@ mod tests {
                 rejected: 5,
                 cancelled: 6,
                 dedup_attached: 7,
+                held: 8,
             }),
             Event::ShuttingDown,
         ];

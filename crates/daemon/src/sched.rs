@@ -11,11 +11,34 @@
 //! Two tenants submitting the **same** command concurrently must not burn
 //! the engine twice: the store would deduplicate the persisted result
 //! anyway, but both executions would still run. The scheduler keys every
-//! queued/active job by its command's canonical JSON; a submission matching
-//! an in-flight job *attaches* to it — same job id, same terminal event,
-//! one execution. (Once a job completes its key is released: a later
-//! identical submission schedules normally and is answered by the store as
-//! a warm hit.)
+//! queued/active job by its command's canonical JSON, rendered once at
+//! submission; a submission matching an in-flight job *attaches* to it —
+//! same job id, same terminal event, one execution. (Once a job completes
+//! its key is released: a later identical submission schedules normally
+//! and is answered by the store as a warm hit.)
+//!
+//! ## Job lifecycle
+//!
+//! A job is *held* (counted by [`StatusCounts::held`]) from its submission
+//! until it has ended **and** its last watcher has seen the end, whichever
+//! happens last. Its watchers are the submission that enqueued it plus
+//! every submission that attached to it. Each watcher lets go exactly once:
+//!
+//! - when [`Scheduler::watch`] hands it the `Ended` phase — the last
+//!   watcher receives the end by move, earlier ones a copy, and none can
+//!   watch that end again;
+//! - or when it gives up first (the daemon's connection threads do so when
+//!   a watch times out or a write to their client fails).
+//!
+//! A job that ends with no watcher left is let go at once. An idle daemon
+//! therefore holds no job, and its memory does not grow with the requests
+//! it has served; the result itself stays in the store, so a resubmission
+//! is a warm hit. A cancel or a watch of an id no longer held answers as
+//! for an unknown id.
+//!
+//! A caller of [`Scheduler::submit`] is a watcher too: the scheduler holds
+//! its job, end included, until the caller has watched that end. A job
+//! that is submitted, run and completed but never watched stays held.
 //!
 //! ## Ordering
 //!
@@ -91,6 +114,10 @@ struct JobEntry {
     seq: u64,
     tenant: String,
     command: Command,
+    /// The command's canonical JSON: its single-flight key.
+    key: String,
+    /// Watchers that have neither seen the end nor given up.
+    watchers: u32,
     state: JobState,
     cancel: CancelToken,
     enqueued_at: Instant,
@@ -112,6 +139,48 @@ struct State {
     cancelled: u64,
     dedup_attached: u64,
     shutting_down: bool,
+}
+
+impl State {
+    /// Ends a queued or active job: frees its key, counts the end, and lets
+    /// the entry go at once when no watcher is left to see the end. Returns
+    /// the job's residence time (enqueue -> end), `None` when `id` is not
+    /// held.
+    fn end(&mut self, id: u64, end: JobEnd) -> Option<Duration> {
+        let entry = self.jobs.get_mut(&id)?;
+        if self.inflight.get(&entry.key) == Some(&id) {
+            self.inflight.remove(&entry.key);
+        }
+        self.completed += 1;
+        match &end {
+            JobEnd::Done { cached: true, .. } => self.warm_hits += 1,
+            JobEnd::Cancelled => self.cancelled += 1,
+            _ => {}
+        }
+        let residence = entry.enqueued_at.elapsed();
+        if entry.watchers == 0 {
+            self.jobs.remove(&id);
+        } else {
+            entry.state = JobState::Ended(end);
+        }
+        Some(residence)
+    }
+
+    /// One watcher of `id` lets go. Returns the job's end when it has one:
+    /// moved out of the entry for the last watcher, whose release lets the
+    /// entry go, and copied for the others.
+    fn release(&mut self, id: u64) -> Option<JobEnd> {
+        let entry = self.jobs.get_mut(&id)?;
+        entry.watchers = entry.watchers.saturating_sub(1);
+        match &entry.state {
+            JobState::Ended(end) if entry.watchers > 0 => Some(end.clone()),
+            JobState::Ended(_) => match self.jobs.remove(&id)?.state {
+                JobState::Ended(end) => Some(end),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
 }
 
 /// The shared scheduler. All methods are callable from any thread.
@@ -162,6 +231,8 @@ impl Scheduler {
         }
         if let Some(&id) = state.inflight.get(&key) {
             state.dedup_attached += 1;
+            let entry = state.jobs.get_mut(&id).expect("an in-flight job is held");
+            entry.watchers += 1;
             return Submitted::Attached(id);
         }
         if state.queue.len() >= self.max_queue {
@@ -170,6 +241,7 @@ impl Scheduler {
         }
         state.next_id += 1;
         let id = state.next_id;
+        state.inflight.insert(key.clone(), id);
         state.jobs.insert(
             id,
             JobEntry {
@@ -177,13 +249,14 @@ impl Scheduler {
                 seq: id,
                 tenant: tenant.to_string(),
                 command,
+                key,
+                watchers: 1,
                 state: JobState::Queued,
                 cancel,
                 enqueued_at: Instant::now(),
             },
         );
         state.queue.push(id);
-        state.inflight.insert(key, id);
         self.changed.notify_all();
         Submitted::Enqueued(id)
     }
@@ -214,72 +287,52 @@ impl Scheduler {
         }
     }
 
-    /// Marks an active job terminal and wakes its watchers. Returns the
-    /// job's total residence time (enqueue -> completion).
+    /// Marks an active job terminal and wakes its watchers; with none left,
+    /// the job is let go at once. Returns the job's total residence time
+    /// (enqueue -> completion), zero for an id not held.
     pub fn complete(&self, id: u64, end: JobEnd) -> Duration {
         let mut state = self.lock();
-        let key = state
-            .jobs
-            .get(&id)
-            .map(|entry| entry.command.canonical_json());
-        if let Some(key) = key {
-            if state.inflight.get(&key) == Some(&id) {
-                state.inflight.remove(&key);
-            }
-        }
         state.active = state.active.saturating_sub(1);
-        state.completed += 1;
-        match &end {
-            JobEnd::Done { cached: true, .. } => state.warm_hits += 1,
-            JobEnd::Cancelled => state.cancelled += 1,
-            _ => {}
-        }
-        let entry = state.jobs.get_mut(&id).expect("completed job exists");
-        let residence = entry.enqueued_at.elapsed();
-        entry.state = JobState::Ended(end);
+        let residence = state.end(id, end).unwrap_or_default();
         self.changed.notify_all();
         residence
     }
 
     /// Cancels a job: queued jobs drop to `Cancelled` immediately; an
     /// active job's token trips (its campaign interrupts at the next job
-    /// boundary and completes as cancelled). Returns false for unknown or
-    /// already-terminal jobs.
+    /// boundary and completes as cancelled). Returns false for jobs that
+    /// are unknown, already terminal or no longer held.
     pub fn cancel(&self, id: u64) -> bool {
         let mut state = self.lock();
-        let key = match state.jobs.get(&id) {
-            None => return false,
-            Some(entry) => {
-                entry.cancel.cancel();
-                match entry.state {
-                    JobState::Queued => entry.command.canonical_json(),
-                    JobState::Active => return true,
-                    JobState::Ended(_) => return false,
-                }
-            }
+        let Some(entry) = state.jobs.get(&id) else {
+            return false;
         };
-        if state.inflight.get(&key) == Some(&id) {
-            state.inflight.remove(&key);
+        entry.cancel.cancel();
+        match entry.state {
+            JobState::Queued => {}
+            JobState::Active => return true,
+            JobState::Ended(_) => return false,
         }
         state.queue.retain(|&q| q != id);
-        let entry = state.jobs.get_mut(&id).expect("checked above");
-        entry.state = JobState::Ended(JobEnd::Cancelled);
-        state.completed += 1;
-        state.cancelled += 1;
+        state.end(id, JobEnd::Cancelled);
         self.changed.notify_all();
         true
     }
 
     /// Waits (bounded by `timeout`) for the job's next phase after
     /// `saw_started`: `Started` once a worker picks it up, then `Ended`.
-    /// `None` on timeout or unknown id.
+    /// `None` on timeout, or for an id that is unknown or no longer held.
+    ///
+    /// The caller must be one of the job's watchers (see the module docs).
+    /// Returning `Ended` lets that watcher go, so each watcher sees the end
+    /// once.
     pub fn watch(&self, id: u64, saw_started: bool, timeout: Duration) -> Option<Observed> {
         let deadline = Instant::now() + timeout;
         let mut state = self.lock();
         loop {
             match state.jobs.get(&id).map(|entry| &entry.state) {
                 None => return None,
-                Some(JobState::Ended(end)) => return Some(Observed::Ended(end.clone())),
+                Some(JobState::Ended(_)) => return state.release(id).map(Observed::Ended),
                 Some(JobState::Active) if !saw_started => return Some(Observed::Started),
                 _ => {}
             }
@@ -287,19 +340,20 @@ impl Scheduler {
             if now >= deadline {
                 return None;
             }
-            let (next, timed_out) = self
+            state = self
                 .changed
                 .wait_timeout(state, deadline - now)
-                .expect("scheduler lock poisoned");
-            state = next;
-            if timed_out.timed_out() {
-                // Check once more under the lock before giving up.
-                match state.jobs.get(&id).map(|entry| &entry.state) {
-                    Some(JobState::Ended(end)) => return Some(Observed::Ended(end.clone())),
-                    Some(JobState::Active) if !saw_started => return Some(Observed::Started),
-                    _ => return None,
-                }
-            }
+                .expect("scheduler lock poisoned")
+                .0;
+        }
+    }
+
+    /// A watcher of `id` gives up before seeing its end. An ended job with
+    /// no watcher left is let go. A poisoned lock skips the release instead
+    /// of panicking, so a `Drop` may call this.
+    pub(crate) fn release(&self, id: u64) {
+        if let Ok(mut state) = self.state.lock() {
+            state.release(id);
         }
     }
 
@@ -308,26 +362,13 @@ impl Scheduler {
     pub fn shutdown(&self) {
         let mut state = self.lock();
         state.shutting_down = true;
-        let queued: Vec<u64> = state.queue.drain(..).collect();
-        for id in queued {
-            let key = state.jobs[&id].command.canonical_json();
-            if state.inflight.get(&key) == Some(&id) {
-                state.inflight.remove(&key);
+        for entry in state.jobs.values() {
+            if !matches!(entry.state, JobState::Ended(_)) {
+                entry.cancel.cancel();
             }
-            let entry = state.jobs.get_mut(&id).expect("queued job exists");
-            entry.cancel.cancel();
-            entry.state = JobState::Ended(JobEnd::Cancelled);
-            state.completed += 1;
-            state.cancelled += 1;
         }
-        let tokens: Vec<CancelToken> = state
-            .jobs
-            .values()
-            .filter(|entry| matches!(entry.state, JobState::Active))
-            .map(|entry| entry.cancel.clone())
-            .collect();
-        for token in tokens {
-            token.cancel();
+        for id in std::mem::take(&mut state.queue) {
+            state.end(id, JobEnd::Cancelled);
         }
         self.changed.notify_all();
     }
@@ -348,6 +389,7 @@ impl Scheduler {
             rejected: state.rejected,
             cancelled: state.cancelled,
             dedup_attached: state.dedup_attached,
+            held: state.jobs.len() as u64,
         }
     }
 
@@ -428,6 +470,103 @@ mod tests {
             sched.submit("a", 0, cmd(7)),
             Submitted::Enqueued(_)
         ));
+    }
+
+    fn done(result: &str) -> JobEnd {
+        JobEnd::Done {
+            cached: false,
+            result: rackfabric_sim::json::parse(result).unwrap(),
+        }
+    }
+
+    #[test]
+    fn every_watcher_sees_the_end_once_and_the_last_one_lets_the_job_go() {
+        const ATTACHED: usize = 3;
+        let sched = Scheduler::new(16);
+        let id = sched.submit("a", 0, cmd(7)).job_id().unwrap();
+        for _ in 0..ATTACHED {
+            assert!(matches!(
+                sched.submit("b", 0, cmd(7)),
+                Submitted::Attached(got) if got == id
+            ));
+        }
+        let watchers = ATTACHED + 1;
+        assert_eq!(sched.next_job().unwrap().0, id);
+        // Seeing the start lets no watcher go.
+        for _ in 0..watchers {
+            assert!(matches!(
+                sched.watch(id, false, Duration::ZERO),
+                Some(Observed::Started)
+            ));
+        }
+        sched.complete(id, done("{\"x\":[1,2]}"));
+        for seen in 0..watchers {
+            assert_eq!(sched.counts().held, 1, "held after {seen} of {watchers}");
+            match sched.watch(id, true, Duration::ZERO) {
+                Some(Observed::Ended(JobEnd::Done { cached, result })) => {
+                    assert!(!cached);
+                    assert_eq!(
+                        result,
+                        rackfabric_sim::json::parse("{\"x\":[1,2]}").unwrap()
+                    );
+                }
+                other => panic!("watcher {seen}: expected the end, got {other:?}"),
+            }
+        }
+        assert_eq!(sched.counts().held, 0, "the last watcher lets the job go");
+        assert!(
+            sched.watch(id, true, Duration::ZERO).is_none(),
+            "no watcher returns to the end"
+        );
+        assert_eq!(sched.counts().completed, 1);
+    }
+
+    #[test]
+    fn a_watcher_that_gives_up_early_leaves_the_job_to_its_worker() {
+        let sched = Scheduler::new(16);
+        let id = sched.submit("a", 0, cmd(1)).job_id().unwrap();
+        assert_eq!(sched.next_job().unwrap().0, id);
+        sched.release(id);
+        assert_eq!(sched.counts().held, 1, "an active job stays for its worker");
+        // The worker completes a job nobody watches: it leaves at once.
+        sched.complete(id, done("{}"));
+        let counts = sched.counts();
+        assert_eq!((counts.held, counts.active, counts.completed), (0, 0, 1));
+        assert!(!sched.cancel(id), "an id no longer held is finished");
+        assert!(sched.watch(id, true, Duration::ZERO).is_none());
+
+        // A queued job whose watcher gave up ends and leaves on cancel.
+        let queued = sched.submit("a", 0, cmd(2)).job_id().unwrap();
+        sched.release(queued);
+        assert!(sched.cancel(queued));
+        assert_eq!(sched.counts().held, 0);
+        assert!(!sched.cancel(queued), "cancelled and no longer held");
+    }
+
+    #[test]
+    fn a_submission_that_is_never_watched_stays_held() {
+        let sched = Scheduler::new(16);
+        let id = sched.submit("a", 0, cmd(1)).job_id().unwrap();
+        assert_eq!(sched.next_job().unwrap().0, id);
+        sched.complete(id, done("{}"));
+        assert_eq!(sched.counts().held, 1, "the submitter has not seen the end");
+        assert!(matches!(
+            sched.watch(id, true, Duration::ZERO),
+            Some(Observed::Ended(_))
+        ));
+        assert_eq!(sched.counts().held, 0);
+    }
+
+    #[test]
+    fn giving_up_tolerates_a_poisoned_lock() {
+        let sched = Scheduler::new(16);
+        let id = sched.submit("a", 0, cmd(1)).job_id().unwrap();
+        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = sched.state.lock().unwrap();
+            panic!("poison the scheduler lock");
+        }));
+        assert!(poison.is_err() && sched.state.is_poisoned());
+        sched.release(id);
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //! `daemon.queue_depth` / `daemon.active_jobs` gauges, warm-hit /
 //! rejection / cancellation counters, and the `daemon.response_ns`
 //! histogram (enqueue-to-completion residence, wall domain).
+//!
+//! A connection holds its claim on a submitted job as a guard: seeing the
+//! job's end lets the claim go inside [`Scheduler::watch`], and dropping
+//! the guard earlier (a watch timed out, a write to the client failed)
+//! gives it up, so the scheduler lets go of every job once its clients are
+//! done with it. A request line longer than [`MAX_REQUEST_LINE`] bytes is
+//! refused and its connection closed, and the acceptor outlives `accept`
+//! errors (counted as `daemon.accept_errors`).
 
 use crate::proto::{Event, Request};
 use crate::sched::{JobEnd, Observed, Scheduler, Submitted};
@@ -28,7 +36,7 @@ use rackfabric_sweep::campaign::Sweep;
 use rackfabric_sweep::cancel::CancelToken;
 use rackfabric_sweep::key::job_key;
 use rackfabric_sweep::store::outcome_to_json;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -42,6 +50,17 @@ pub const DAEMON_LANE_BASE: u64 = 3000;
 /// reporting an error instead of hanging the client forever. Generous:
 /// this is a liveness backstop, not a latency target.
 const WATCH_TIMEOUT: Duration = Duration::from_secs(300);
+
+/// The longest request line the daemon reads, newline excluded. The largest
+/// legitimate request is a `gc-store` naming every live key, about 35 bytes
+/// a key: 16 MiB holds about 480k keys. Past it the daemon answers
+/// `request line too long` and closes the connection, so no client can grow
+/// a line buffer without limit.
+pub const MAX_REQUEST_LINE: u64 = 16 << 20;
+
+/// How long the acceptor pauses after a failed `accept` (a pending network
+/// error, or no descriptor left) before it tries again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -174,15 +193,19 @@ impl Drop for Daemon {
 
 /// The acceptor: one protocol thread per connection. Connection threads
 /// are detached — they die with their sockets, and shutdown completes
-/// every job they could be watching.
+/// every job they could be watching. A failed `accept` is counted and
+/// retried after [`ACCEPT_BACKOFF`]; only a shutdown ends the loop.
 fn accept_loop(listener: TcpListener, sched: Arc<Scheduler>, observer: Observer) {
     loop {
-        let Ok((stream, _)) = listener.accept() else {
-            return;
-        };
+        let accepted = listener.accept();
         if sched.is_shutting_down() {
             return;
         }
+        let Ok((stream, _)) = accepted else {
+            observer.count("daemon.accept_errors", TimeDomain::Wall, 1);
+            std::thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
         let sched = sched.clone();
         let observer = observer.clone();
         let _ = std::thread::Builder::new()
@@ -193,7 +216,7 @@ fn accept_loop(listener: TcpListener, sched: Arc<Scheduler>, observer: Observer)
     }
 }
 
-fn write_event(stream: &mut TcpStream, event: &Event) -> io::Result<()> {
+fn write_event(mut stream: &TcpStream, event: &Event) -> io::Result<()> {
     let mut line = event.canonical_json();
     line.push('\n');
     stream.write_all(line.as_bytes())
@@ -201,18 +224,36 @@ fn write_event(stream: &mut TcpStream, event: &Event) -> io::Result<()> {
 
 /// One connection: read request lines, answer with event lines. A submit
 /// streams its job's lifecycle (`accepted`, `started`, terminal) before
-/// the next request is read.
+/// the next request is read. Reads and writes share the one socket
+/// descriptor, so a connection needs no second one.
 fn serve_connection(stream: TcpStream, sched: &Scheduler, observer: &Observer) -> io::Result<()> {
-    let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let writer = &stream;
+    let mut reader = BufReader::new(&stream);
+    let mut line = String::new();
+    loop {
+        line.clear();
+        let read = (&mut reader)
+            .take(MAX_REQUEST_LINE + 1)
+            .read_line(&mut line)?;
+        if read == 0 {
+            return Ok(());
+        }
+        if read as u64 > MAX_REQUEST_LINE && !line.ends_with('\n') {
+            return write_event(
+                writer,
+                &Event::Error {
+                    job: None,
+                    reason: "request line too long".to_string(),
+                },
+            );
+        }
+        // The parser skips the line's trailing `\n` or `\r\n` as whitespace.
         if line.trim().is_empty() {
             continue;
         }
         let Some(request) = Request::from_line(&line) else {
             write_event(
-                &mut writer,
+                writer,
                 &Event::Error {
                     job: None,
                     reason: "malformed request".to_string(),
@@ -230,17 +271,24 @@ fn serve_connection(stream: TcpStream, sched: &Scheduler, observer: &Observer) -
                 match sched.submit(&tenant, priority, command) {
                     Submitted::Rejected(reason) => {
                         observer.count("daemon.rejected", TimeDomain::Wall, 1);
-                        write_event(&mut writer, &Event::Rejected { reason })?;
+                        write_event(writer, &Event::Rejected { reason })?;
                     }
                     accepted => {
                         let id = accepted.job_id().expect("accepted submissions have ids");
+                        // Claimed before the first write: a failed write
+                        // gives the claim up as the guard drops.
+                        let watch = Watch {
+                            sched,
+                            id,
+                            saw_end: false,
+                        };
                         observer.gauge_set(
                             "daemon.queue_depth",
                             TimeDomain::Wall,
                             sched.queue_depth() as i64,
                         );
-                        write_event(&mut writer, &Event::Accepted { job: job_name(id) })?;
-                        stream_job(&mut writer, sched, id)?;
+                        write_event(writer, &Event::Accepted { job: job_name(id) })?;
+                        stream_job(writer, watch)?;
                     }
                 }
             }
@@ -248,10 +296,10 @@ fn serve_connection(stream: TcpStream, sched: &Scheduler, observer: &Observer) -
                 let ok = parse_job_name(&job).is_some_and(|id| sched.cancel(id));
                 if ok {
                     observer.count("daemon.cancel_requests", TimeDomain::Wall, 1);
-                    write_event(&mut writer, &Event::Cancelled { job })?;
+                    write_event(writer, &Event::Cancelled { job })?;
                 } else {
                     write_event(
-                        &mut writer,
+                        writer,
                         &Event::Error {
                             job: Some(job),
                             reason: "unknown or finished job".to_string(),
@@ -260,23 +308,51 @@ fn serve_connection(stream: TcpStream, sched: &Scheduler, observer: &Observer) -
                 }
             }
             Request::Status => {
-                write_event(&mut writer, &Event::Status(sched.counts()))?;
+                write_event(writer, &Event::Status(sched.counts()))?;
             }
             Request::Shutdown => {
-                write_event(&mut writer, &Event::ShuttingDown)?;
+                write_event(writer, &Event::ShuttingDown)?;
                 sched.shutdown();
                 return Ok(());
             }
         }
     }
-    Ok(())
 }
 
-/// Streams one job's phases to the client until a terminal event.
-fn stream_job(writer: &mut TcpStream, sched: &Scheduler, id: u64) -> io::Result<()> {
+/// A connection's claim, as one of a job's watchers, on the job it
+/// streams. Seeing the end lets the claim go inside [`Scheduler::watch`];
+/// dropping the guard before that gives the claim up.
+struct Watch<'a> {
+    sched: &'a Scheduler,
+    id: u64,
+    saw_end: bool,
+}
+
+impl Watch<'_> {
+    /// The job's next phase after `saw_started`, `None` once
+    /// [`WATCH_TIMEOUT`] passes.
+    fn next(&mut self, saw_started: bool) -> Option<Observed> {
+        let phase = self.sched.watch(self.id, saw_started, WATCH_TIMEOUT);
+        self.saw_end = matches!(phase, Some(Observed::Ended(_)));
+        phase
+    }
+}
+
+impl Drop for Watch<'_> {
+    fn drop(&mut self) {
+        if !self.saw_end {
+            self.sched.release(self.id);
+        }
+    }
+}
+
+/// Streams one job's phases to the client until a terminal event. The
+/// claim is let go before the terminal event is written.
+fn stream_job(writer: &TcpStream, mut watch: Watch<'_>) -> io::Result<()> {
+    let id = watch.id;
     let mut saw_started = false;
     loop {
-        match sched.watch(id, saw_started, WATCH_TIMEOUT) {
+        match watch.next(saw_started) {
             Some(Observed::Started) => {
                 saw_started = true;
                 write_event(writer, &Event::Started { job: job_name(id) })?;
@@ -297,6 +373,7 @@ fn stream_job(writer: &mut TcpStream, sched: &Scheduler, id: u64) -> io::Result<
                 return write_event(writer, &event);
             }
             None => {
+                drop(watch);
                 return write_event(
                     writer,
                     &Event::Error {

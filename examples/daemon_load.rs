@@ -9,6 +9,8 @@
 //! 2. **Warm economy** — only the first execution of each distinct
 //!    scenario touches the engine; the store answers everything else
 //!    (store puts == distinct scenarios).
+//! 3. **Bounded state** — once every client has its reply, the scheduler
+//!    holds no job (`held == 0`), however many requests it served.
 //!
 //! It prints the response-time histogram (p50/p99/max) from the daemon's
 //! obs registry and can export artifacts for CI's byte-comparison gate:
@@ -243,9 +245,22 @@ fn main() {
 
     let counts = daemon.scheduler().counts();
     eprintln!(
-        "daemon_load: {} completed ({} warm hits, {} dedup-attached, {} rejected) in {:.2?} — 0 determinism violations, {} store put(s)",
-        counts.completed, counts.warm_hits, counts.dedup_attached, counts.rejected, elapsed, puts
+        "daemon_load: {} completed ({} warm hits, {} dedup-attached, {} rejected, {} held) in {:.2?} — 0 determinism violations, {} store put(s)",
+        counts.completed,
+        counts.warm_hits,
+        counts.dedup_attached,
+        counts.rejected,
+        counts.held,
+        elapsed,
+        puts
     );
+    // Bounded state: every client has its reply, so no job is left held.
+    if counts.held != 0 {
+        fail(format!(
+            "{} job(s) still held after every reply",
+            counts.held
+        ));
+    }
 
     // Response-time histogram from the daemon's own registry.
     let registry = observer.registry().expect("registry is always on here");

@@ -12,6 +12,10 @@
 //! 3. queued jobs cancel over the wire, the queue bound rejects overload,
 //!    and neither disturbs the surviving jobs' bytes.
 //!
+//! After each of these, `status` reports `held == 0`: a connection lets its
+//! job go before it writes the terminal event, so once every client has its
+//! reply the scheduler holds nothing, however many requests it served.
+//!
 //! Flake resistance: the daemon binds port 0 (OS-assigned, no collisions),
 //! every wait is bounded by a generous deadline, and a timeout panics with
 //! the scheduler counters and metrics registry attached — the suite is
@@ -175,6 +179,11 @@ fn storm_of_mixed_cold_and_warm_requests_is_byte_deterministic() {
     );
     let counts = daemon.scheduler().counts();
     assert_eq!(counts.rejected, 0, "the queue bound must admit the storm");
+    assert_eq!(
+        client.status().unwrap().held,
+        0,
+        "every job is let go once its clients have their replies"
+    );
 
     // The p99 response time is recorded in the obs registry; print it.
     let registry = observer.registry().expect("boot() attaches a registry");
@@ -248,6 +257,11 @@ fn concurrent_identical_submissions_cost_one_execution_and_one_answer() {
         counts.completed + counts.dedup_attached,
         THREADS as u64,
         "every submission either scheduled a job or attached to one"
+    );
+    assert_eq!(
+        client.status().unwrap().held,
+        0,
+        "the last of a job's watchers lets it go"
     );
     println!(
         "dedup: {THREADS} identical submissions — {} job(s) scheduled, {} attached, {} warm hit(s), 1 store put",
@@ -332,6 +346,15 @@ fn queued_jobs_cancel_over_the_wire_and_backpressure_rejects_overload() {
     assert_eq!(counts.cancelled, 1);
     assert_eq!(counts.rejected, 1);
     assert_eq!(counts.completed, 3, "A, B (cancelled) and C are terminal");
+    assert_eq!(
+        client.status().unwrap().held,
+        0,
+        "cancelled and finished jobs are let go once seen"
+    );
+    assert!(
+        !client.cancel("j-2").unwrap(),
+        "an id no longer held cancels as a finished job"
+    );
 
     client.shutdown().unwrap();
     daemon.wait();
@@ -378,6 +401,49 @@ fn a_too_deeply_nested_request_line_is_malformed_and_the_daemon_keeps_serving() 
     // ...and so does the daemon, with the batch path's bytes.
     let client = Client::new(daemon.addr(), CLIENT_TIMEOUT);
     let reply = client.submit("after-deep-line", 0, command).unwrap();
+    assert_eq!(reply.result_json, reference);
+
+    client.shutdown().unwrap();
+    daemon.wait();
+}
+
+#[test]
+fn an_overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
+    use rackfabric_daemon::service::MAX_REQUEST_LINE;
+    use std::io::{BufRead, BufReader, Write};
+
+    let ref_dir = tmp_dir("long-ref");
+    let dir = tmp_dir("long");
+    let command = spec_pool(1).remove(0);
+    let reference = reference_lines(&ref_dir, std::slice::from_ref(&command)).remove(0);
+    let (_exec, daemon, _observer) = boot(&dir, 1, 4);
+
+    // One byte past the bound and no newline: a reader without a bound
+    // would buffer on, waiting for the end of the line.
+    let stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    let overlong = usize::try_from(MAX_REQUEST_LINE + 1).unwrap();
+    (&stream).write_all(&vec![b'x'; overlong]).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(
+        Event::from_line(line.trim_end()),
+        Some(Event::Error {
+            job: None,
+            reason: "request line too long".into()
+        })
+    );
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).unwrap(),
+        0,
+        "the daemon closes the connection, got {line:?}"
+    );
+
+    // A fresh client still gets the batch path's bytes.
+    let client = Client::new(daemon.addr(), CLIENT_TIMEOUT);
+    let reply = client.submit("after-long-line", 0, command).unwrap();
     assert_eq!(reply.result_json, reference);
 
     client.shutdown().unwrap();
