@@ -230,7 +230,7 @@ impl LinkTable {
     /// reconfiguration): the queues and fences of every surviving link carry
     /// over by `LinkId`, every fence then holds until at least
     /// `paused_until`, and the route cache — counters kept — moves to a new
-    /// epoch under `costs`. The epoch byte counters start at zero: the
+    /// topology epoch under `costs`. The epoch byte counters start at zero: the
     /// control step has just reset them. The link constants are left for
     /// the caller to re-read.
     pub(crate) fn migrate(
@@ -262,7 +262,7 @@ impl LinkTable {
         self.fences = fences;
         self.epoch_bytes = vec![0; arena.len()];
         self.costs = costs;
-        self.routes.bump_epoch();
+        self.routes.bump_topology_epoch();
     }
 
     /// Installs one control epoch's results: a new cost snapshot, if prices
@@ -285,8 +285,10 @@ impl LinkTable {
 /// shard).
 ///
 /// The single-path algorithms (shortest hop, min cost) go through the
-/// cache's per-source trees, see [`RouteCache::tree_route`]. The per-pair
-/// ones compute on a miss, keyed by flow when the algorithm is per-flow.
+/// cache's per-source trees, see [`RouteCache::tree_route`], and adaptive
+/// routing through its price-free candidates, see
+/// [`RouteCache::adaptive_route`]. The other per-pair ones compute on a
+/// miss, keyed by flow when the algorithm is per-flow.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn cached_route(
     cache: &mut RouteCache,
@@ -303,6 +305,9 @@ pub(crate) fn cached_route(
     match routing {
         RoutingAlgorithm::ShortestHop => cache.tree_route(topo, arena, None, src, dst),
         RoutingAlgorithm::MinCost => cache.tree_route(topo, arena, Some(costs), src, dst),
+        RoutingAlgorithm::Adaptive => {
+            cache.adaptive_route(topo, arena, racks, costs, src, dst, flow_seq)
+        }
         _ => {
             let selector = if routing.per_flow() { flow_seq } else { 0 };
             cache.get_or_compute(src, dst, selector, || {
@@ -311,14 +316,6 @@ pub(crate) fn cached_route(
                     RoutingAlgorithm::Valiant => {
                         routing::valiant_route(topo, racks, src, dst, flow_seq)
                     }
-                    RoutingAlgorithm::Adaptive => routing::adaptive_route(
-                        topo,
-                        racks,
-                        src,
-                        dst,
-                        flow_seq,
-                        routing::dense_cost(arena, costs),
-                    ),
                     _ => routing::dimension_ordered(current_spec, topo, src, dst)
                         .or_else(|| routing::shortest_path(topo, src, dst)),
                 }

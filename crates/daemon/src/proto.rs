@@ -202,12 +202,17 @@ impl Event {
                 job,
                 cached,
                 result,
-            } => obj(vec![
-                ("cached", JsonValue::Bool(*cached)),
-                ("event", string("done")),
-                ("job", string(job)),
-                ("result", result.clone()),
-            ]),
+            } => {
+                // Rendered around the borrowed result instead of a copy of
+                // it, with the keys already in canonical order.
+                let mut line = format!(
+                    "{{\"cached\":{cached},\"event\":\"done\",\"job\":\"{}\",\"result\":",
+                    json::escape(job)
+                );
+                json::write_canonical(result, &mut line);
+                line.push('}');
+                return line;
+            }
             Event::Cancelled { job } => {
                 obj(vec![("event", string("cancelled")), ("job", string(job))])
             }
@@ -251,11 +256,19 @@ impl Event {
             "started" => Some(Event::Started {
                 job: value.get("job")?.as_str()?.to_string(),
             }),
-            "done" => Some(Event::Done {
-                job: value.get("job")?.as_str()?.to_string(),
-                cached: value.get("cached")?.as_bool()?,
-                result: value.get("result")?.clone(),
-            }),
+            "done" => {
+                let job = value.get("job")?.as_str()?.to_string();
+                let cached = value.get("cached")?.as_bool()?;
+                let JsonValue::Object(fields) = value else {
+                    return None;
+                };
+                let (_, result) = fields.into_iter().find(|(key, _)| key == "result")?;
+                Some(Event::Done {
+                    job,
+                    cached,
+                    result,
+                })
+            }
             "cancelled" => Some(Event::Cancelled {
                 job: value.get("job")?.as_str()?.to_string(),
             }),
@@ -321,6 +334,11 @@ mod tests {
                 cached: true,
                 result: json::parse("{\"failed\":\"x\"}").unwrap(),
             },
+            Event::Done {
+                job: "j-\"3\"\n".into(),
+                cached: false,
+                result: json::parse("{\"a\":\"\\u0001\",\"z\":[1,{\"a\":null,\"b\":2}]}").unwrap(),
+            },
             Event::Cancelled { job: "j-1".into() },
             Event::Error {
                 job: None,
@@ -344,6 +362,8 @@ mod tests {
         ];
         for event in examples {
             let line = event.canonical_json();
+            let parsed = json::parse(&line).unwrap();
+            assert_eq!(json::canonical(&parsed), line, "the line is canonical");
             let back = Event::from_line(&line).unwrap();
             assert_eq!(back, event);
             assert_eq!(back.canonical_json(), line);

@@ -20,12 +20,11 @@
 //! width and count only affect speed. The equivalence is property-tested in
 //! `tests/scheduler_equivalence.rs`.
 //!
-//! Cancellation follows the same lazy scheme as the heap queue: a pending-id
-//! set makes `cancel` exact (delivered ids report false), and a cancelled-id
-//! set lets entries be discarded when their bucket is drained.
+//! Nothing is hashed per event: like the heap queue, the calendar offers no
+//! cancellation, so every stored entry is pending.
 
 use crate::event::EventId;
-use crate::queue::{Entry, IdSet, Scheduler};
+use crate::queue::{Entry, Scheduler};
 use crate::time::SimTime;
 use std::collections::BinaryHeap;
 
@@ -49,13 +48,8 @@ pub struct CalendarQueue<E> {
     far_horizon: u64,
     /// Overflow heap for the far future.
     far: BinaryHeap<Entry<E>>,
-    /// Entries sitting in `buckets` (excluding `current` and `far`),
-    /// including not-yet-pruned cancelled ones.
+    /// Entries sitting in `buckets` (excluding `current` and `far`).
     near_count: usize,
-    /// Ids cancelled while still stored; pruned on pop.
-    cancelled: IdSet,
-    /// Ids scheduled and not yet delivered or cancelled.
-    pending: IdSet,
     /// log2 of the bucket width in picoseconds.
     width_shift: u32,
     /// `buckets.len() - 1`; bucket count is a power of two.
@@ -94,32 +88,20 @@ impl<E> CalendarQueue<E> {
             far_horizon: horizon_for(0, width_shift, count as u64),
             far: BinaryHeap::new(),
             near_count: 0,
-            cancelled: IdSet::default(),
-            pending: IdSet::default(),
             width_shift,
             index_mask: count as u64 - 1,
         }
     }
 
-    /// Peeks the earliest pending entry's `(time, id)` without popping it,
-    /// pruning lazily-cancelled heads like
-    /// [`peek_time`](crate::queue::Scheduler::peek_time). The windowed
-    /// engine uses the id (a content key there) to merge two queues with
-    /// the exact `(time, key)` tie-break order a single queue would give.
+    /// Peeks the earliest pending entry's `(time, id)` without popping it.
+    /// The windowed engine uses the id (a content key there) to merge two
+    /// queues with the exact `(time, key)` tie-break order a single queue
+    /// would give.
     pub fn peek_entry(&mut self) -> Option<(SimTime, EventId)> {
-        loop {
-            while let Some(head) = self.current.peek() {
-                if self.cancelled.contains(&head.id) {
-                    let entry = self.current.pop().expect("peeked entry must pop");
-                    self.cancelled.remove(&entry.id);
-                    continue;
-                }
-                return Some((head.at, head.id));
-            }
-            if !self.advance() {
-                return None;
-            }
+        if self.current.is_empty() && !self.advance() {
+            return None;
         }
+        self.current.peek().map(|head| (head.at, head.id))
     }
 
     /// Width of one bucket in picoseconds.
@@ -218,52 +200,24 @@ fn horizon_for(start: u64, width_shift: u32, bucket_count: u64) -> u64 {
 
 impl<E> Scheduler<E> for CalendarQueue<E> {
     fn push(&mut self, at: SimTime, id: EventId, event: E) {
-        self.pending.insert(id);
         self.place(Entry { at, id, event });
     }
 
-    fn cancel(&mut self, id: EventId) -> bool {
-        if self.pending.remove(&id) {
-            self.cancelled.insert(id);
-            true
-        } else {
-            false
-        }
-    }
-
     fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
-        loop {
-            while let Some(entry) = self.current.pop() {
-                if self.cancelled.remove(&entry.id) {
-                    continue;
-                }
-                self.pending.remove(&entry.id);
-                return Some((entry.at, entry.id, entry.event));
-            }
-            if !self.advance() {
-                return None;
-            }
+        if self.current.is_empty() && !self.advance() {
+            return None;
         }
+        self.current
+            .pop()
+            .map(|entry| (entry.at, entry.id, entry.event))
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            while let Some(head) = self.current.peek() {
-                if self.cancelled.contains(&head.id) {
-                    let entry = self.current.pop().expect("peeked entry must pop");
-                    self.cancelled.remove(&entry.id);
-                    continue;
-                }
-                return Some(head.at);
-            }
-            if !self.advance() {
-                return None;
-            }
-        }
+        self.peek_entry().map(|(at, _)| at)
     }
 
     fn len(&self) -> usize {
-        self.pending.len()
+        self.near_count + self.current.len() + self.far.len()
     }
 
     fn clear(&mut self) {
@@ -273,8 +227,6 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
         self.current.clear();
         self.far.clear();
         self.near_count = 0;
-        self.cancelled.clear();
-        self.pending.clear();
         self.cursor_start = 0;
         self.far_horizon = horizon_for(0, self.width_shift, self.index_mask + 1);
     }
@@ -331,42 +283,17 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_and_delivered_id_semantics() {
-        let mut q = CalendarQueue::new();
-        q.push(t(1), EventId(0), "keep");
-        q.push(t(2), EventId(1), "drop");
-        q.push(t(3), EventId(2), "keep2");
-        assert!(q.cancel(EventId(1)));
-        assert!(!q.cancel(EventId(1)));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap().2, "keep");
-        // Delivered ids must not cancel (the EventQueue regression, mirrored).
-        assert!(!q.cancel(EventId(0)));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().2, "keep2");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn peek_time_prunes_cancelled_heads() {
-        let mut q = CalendarQueue::new();
-        q.push(t(1), EventId(0), 1u32);
-        q.push(t(2), EventId(1), 2u32);
-        q.cancel(EventId(0));
-        assert_eq!(q.peek_time(), Some(t(2)));
-        assert_eq!(q.pop().unwrap().2, 2);
-    }
-
-    #[test]
-    fn cancelled_entry_in_far_future_is_skipped() {
+    fn peek_time_reports_the_head_across_buckets() {
         let mut q = CalendarQueue::with_geometry(10, 3);
-        q.push(t(1), EventId(0), "now");
+        assert_eq!(q.peek_time(), None);
         q.push(t(10_000_000), EventId(1), "far");
-        q.push(t(20_000_000), EventId(2), "farther");
-        q.cancel(EventId(1));
+        q.push(t(1), EventId(0), "now");
+        assert_eq!(q.peek_time(), Some(t(1)));
         assert_eq!(q.pop().unwrap().2, "now");
-        assert_eq!(q.pop().unwrap().2, "farther");
-        assert!(q.pop().is_none());
+        assert_eq!(q.peek_time(), Some(t(10_000_000)));
+        assert_eq!(q.len(), 1, "a peek removes nothing");
+        assert_eq!(q.pop().unwrap().2, "far");
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -407,12 +334,7 @@ mod tests {
                     heap.push(at, EventId(id), id);
                     id += 1;
                 }
-                2 => {
-                    if id > 0 {
-                        let victim = EventId(next(id));
-                        assert_eq!(cal.cancel(victim), heap.cancel(victim));
-                    }
-                }
+                2 => assert_eq!(cal.peek_time(), heap.peek_time()),
                 _ => {
                     let a = cal.pop();
                     let b = heap.pop();

@@ -235,9 +235,6 @@ impl<M: Model, S: Scheduler<M::Event>> Simulator<M, S> {
         for (id, directive) in directives.drain(..) {
             match directive {
                 Directive::Schedule { at, event } => queue.push(at, id, event),
-                Directive::Cancel(target) => {
-                    queue.cancel(target);
-                }
                 Directive::Stop => *stop = true,
             }
         }
@@ -437,11 +434,6 @@ mod tests {
                     self.remaining -= 1;
                     let d = ctx.rng().range_u64(1..2_000_000);
                     ctx.schedule_in(SimDuration::from_picos(d), d);
-                    // Occasionally schedule-and-cancel to exercise that path.
-                    if self.remaining.is_multiple_of(17) {
-                        let id = ctx.schedule_in(SimDuration::from_nanos(5), 999);
-                        ctx.cancel(id);
-                    }
                 }
             }
         }
@@ -455,37 +447,5 @@ mod tests {
         cal_sim.run();
         assert_eq!(heap_sim.events_processed(), cal_sim.events_processed());
         assert_eq!(heap_sim.model().trace, cal_sim.model().trace);
-    }
-
-    #[test]
-    fn cancellation_through_context() {
-        struct Canceller {
-            fired: Vec<&'static str>,
-        }
-        #[derive(Debug)]
-        enum Ev {
-            Arm,
-            Bomb,
-        }
-        impl Model for Canceller {
-            type Event = Ev;
-            fn init(&mut self, ctx: &mut Context<Ev>) {
-                ctx.schedule_in(SimDuration::from_nanos(10), Ev::Arm);
-            }
-            fn handle(&mut self, ctx: &mut Context<Ev>, ev: Ev) {
-                match ev {
-                    Ev::Arm => {
-                        self.fired.push("arm");
-                        let bomb = ctx.schedule_in(SimDuration::from_nanos(10), Ev::Bomb);
-                        // Defuse immediately.
-                        ctx.cancel(bomb);
-                    }
-                    Ev::Bomb => self.fired.push("bomb"),
-                }
-            }
-        }
-        let mut sim = Simulator::new(Canceller { fired: Vec::new() }, 0);
-        sim.run();
-        assert_eq!(sim.model().fired, vec!["arm"]);
     }
 }

@@ -14,7 +14,8 @@
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
-/// Identifier of a scheduled event, usable for cancellation.
+/// Identifier of a scheduled event: the tie-break between events due at the
+/// same instant, which are delivered in ascending id order.
 ///
 /// The engine allocates ids from a monotone sequence counter; the raw value
 /// is public so standalone scheduler harnesses (benchmarks, the
@@ -57,8 +58,6 @@ pub trait Model {
 pub(crate) enum Directive<E> {
     /// Schedule `event` at the absolute time given.
     Schedule { at: SimTime, event: E },
-    /// Cancel a previously scheduled event.
-    Cancel(EventId),
     /// Stop the simulation after the current event completes.
     Stop,
 }
@@ -116,13 +115,6 @@ impl<'a, E> Context<'a, E> {
         self.schedule_at(self.now, event)
     }
 
-    /// Cancels a previously scheduled event. Cancelling an event that has
-    /// already fired (or was already cancelled) is a harmless no-op.
-    pub fn cancel(&mut self, id: EventId) {
-        let marker = EventId(u64::MAX);
-        self.directives.push((marker, Directive::Cancel(id)));
-    }
-
     /// Requests that the simulation stop once the current callback returns.
     pub fn stop(&mut self) {
         let marker = EventId(u64::MAX);
@@ -172,17 +164,15 @@ mod tests {
     }
 
     #[test]
-    fn cancel_and_stop_are_recorded() {
+    fn stop_is_recorded() {
         let mut next = 0;
         let mut dirs = Vec::new();
         let mut rng = DetRng::new(1);
         let mut ctx = make_ctx(SimTime::ZERO, &mut next, &mut dirs, &mut rng);
-        let id = ctx.schedule_now(7);
-        ctx.cancel(id);
+        ctx.schedule_now(7);
         ctx.stop();
-        assert_eq!(dirs.len(), 3);
-        assert!(matches!(dirs[1].1, Directive::Cancel(x) if x == id));
-        assert!(matches!(dirs[2].1, Directive::Stop));
+        assert_eq!(dirs.len(), 2);
+        assert!(matches!(dirs[1].1, Directive::Stop));
     }
 
     #[test]

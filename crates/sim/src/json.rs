@@ -157,7 +157,8 @@ pub fn canonical(value: &JsonValue) -> String {
     out
 }
 
-fn write_canonical(value: &JsonValue, out: &mut String) {
+/// Appends the [`canonical`] rendering of `value` to `out`.
+pub fn write_canonical(value: &JsonValue, out: &mut String) {
     match value {
         JsonValue::Null => out.push_str("null"),
         JsonValue::Bool(true) => out.push_str("true"),

@@ -14,20 +14,16 @@
 //! to scheduling order, which is what keeps simulations deterministic when
 //! many components react at the same instant (e.g. all mappers of a shuffle
 //! start at t=0). The property test in `tests/scheduler_equivalence.rs`
-//! checks the two implementations agree on arbitrary schedule/cancel
+//! checks the two implementations agree on arbitrary schedule/pop/peek
 //! sequences.
 //!
-//! Cancellation is lazy: cancelled ids are kept in a set and skipped when
-//! popped, which is O(1) per cancellation and avoids a heap rebuild. A
-//! second set tracks the ids that are actually pending, so cancelling an id
-//! that was already delivered (or never scheduled) is a detectable no-op
-//! instead of silently corrupting the live count.
+//! Scheduled events cannot be cancelled: no model needs it, so a push or a
+//! pop hashes nothing and every stored entry is pending.
 
 use crate::event::EventId;
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BinaryHeap;
 
 /// One scheduled entry. Shared with the calendar scheduler.
 pub(crate) struct Entry<E> {
@@ -55,47 +51,21 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// A fast multiply-mix hasher for [`EventId`] sets. Event ids are dense
-/// sequence numbers, so SipHash's DoS resistance buys nothing on this hot
-/// path; a single splitmix round distributes them well.
-#[derive(Default, Clone)]
-pub(crate) struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = crate::rng::mix64(n.wrapping_add(0x9E37_79B9_7F4A_7C15));
-    }
-}
-
-/// A hash set of event ids using the fast id hasher.
-pub(crate) type IdSet = HashSet<EventId, BuildHasherDefault<IdHasher>>;
-
 /// The pending-event set interface the [`Simulator`](crate::engine::Simulator)
 /// drives. Implementations must deliver events in strictly increasing
-/// `(time, EventId)` order; ids pushed must be unique over the lifetime of
-/// the scheduler (the engine's monotone sequence counter guarantees this).
+/// `(time, EventId)` order; ids pushed must be unique among pending events
+/// (the engine's monotone sequence counter guarantees this).
 pub trait Scheduler<E> {
     /// Inserts an event at `at` with identity `id`.
     fn push(&mut self, at: SimTime, id: EventId, event: E);
-    /// Marks a pending event as cancelled. Returns true only if the id was
-    /// actually pending (not yet delivered, not already cancelled).
-    fn cancel(&mut self, id: EventId) -> bool;
-    /// Removes and returns the earliest live event, skipping cancelled ones.
+    /// Removes and returns the earliest pending event.
     fn pop(&mut self) -> Option<(SimTime, EventId, E)>;
-    /// Timestamp of the earliest live event without removing it. Takes
-    /// `&mut self` so implementations may prune cancelled entries.
+    /// Timestamp of the earliest pending event without removing it. Takes
+    /// `&mut self` so implementations may reorganise their storage.
     fn peek_time(&mut self) -> Option<SimTime>;
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending events.
     fn len(&self) -> usize;
-    /// True if there are no live pending events.
+    /// True if there are no pending events.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -103,14 +73,10 @@ pub trait Scheduler<E> {
     fn clear(&mut self);
 }
 
-/// A timestamp-ordered binary-heap queue of pending events with lazy
-/// cancellation — the reference [`Scheduler`] implementation.
+/// A timestamp-ordered binary-heap queue of pending events — the reference
+/// [`Scheduler`] implementation.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Ids cancelled while still sitting in the heap; skipped on pop.
-    cancelled: IdSet,
-    /// Ids scheduled and not yet delivered or cancelled.
-    pending: IdSet,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -124,79 +90,45 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: IdSet::default(),
-            pending: IdSet::default(),
         }
     }
 
     /// Inserts an event at `at` with identity `id`.
     pub fn push(&mut self, at: SimTime, id: EventId, event: E) {
         self.heap.push(Entry { at, id, event });
-        self.pending.insert(id);
     }
 
-    /// Marks an event as cancelled. Returns true only if the id was still
-    /// pending; cancelling a delivered, unknown or already-cancelled id is a
-    /// no-op that returns false.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if self.pending.remove(&id) {
-            self.cancelled.insert(id);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Removes and returns the earliest live event, skipping cancelled ones.
+    /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.id) {
-                continue;
-            }
-            self.pending.remove(&entry.id);
-            return Some((entry.at, entry.id, entry.event));
-        }
-        None
+        self.heap
+            .pop()
+            .map(|entry| (entry.at, entry.id, entry.event))
     }
 
-    /// Timestamp of the earliest live event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop cancelled heads so the peek is accurate.
-        while let Some(head) = self.heap.peek() {
-            if self.cancelled.contains(&head.id) {
-                let popped = self.heap.pop().expect("peeked entry must pop");
-                self.cancelled.remove(&popped.id);
-            } else {
-                return Some(head.at);
-            }
-        }
-        None
+    /// Timestamp of the earliest pending event without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|head| head.at)
     }
 
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.heap.len()
     }
 
-    /// True if there are no live pending events.
+    /// True if there are no pending events.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.heap.is_empty()
     }
 
     /// Discards every pending event.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.cancelled.clear();
-        self.pending.clear();
     }
 }
 
 impl<E> Scheduler<E> for EventQueue<E> {
     fn push(&mut self, at: SimTime, id: EventId, event: E) {
         EventQueue::push(self, at, id, event)
-    }
-    fn cancel(&mut self, id: EventId) -> bool {
-        EventQueue::cancel(self, id)
     }
     fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
         EventQueue::pop(self)
@@ -244,66 +176,15 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_skips_events() {
+    fn peek_time_reports_the_head_without_removing_it() {
         let mut q = EventQueue::new();
-        q.push(t(1), EventId(0), "keep");
-        q.push(t(2), EventId(1), "drop");
-        q.push(t(3), EventId(2), "keep2");
-        assert!(q.cancel(EventId(1)));
-        assert!(!q.cancel(EventId(1)), "double cancel reports false");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap().2, "keep");
-        assert_eq!(q.pop().unwrap().2, "keep2");
-        assert!(q.pop().is_none());
-    }
-
-    /// Regression test: cancelling an id that was already delivered used to
-    /// report success, permanently leak the id into the cancelled set, and
-    /// undercount the live total (making `is_empty` lie and stopping
-    /// simulations early).
-    #[test]
-    fn cancelling_a_delivered_id_is_a_no_op() {
-        let mut q = EventQueue::new();
-        q.push(t(1), EventId(0), "a");
-        q.push(t(2), EventId(1), "b");
-        assert_eq!(q.pop().unwrap().2, "a");
-        // Id 0 has been delivered: cancelling it must fail and must not
-        // affect the still-pending id 1.
-        assert!(!q.cancel(EventId(0)), "delivered ids cannot be cancelled");
-        assert_eq!(q.len(), 1, "live count must not be corrupted");
-        assert!(!q.is_empty());
-        assert_eq!(q.pop().unwrap().2, "b", "pending event must still deliver");
-        assert!(q.pop().is_none());
-        // Cancelling an id that was never scheduled is also a no-op.
-        assert!(!q.cancel(EventId(99)));
-        assert_eq!(q.len(), 0);
-    }
-
-    /// The delivered-id leak also corrupted a later push/pop cycle when the
-    /// cancelled set was consulted; pushing fresh events after a bogus cancel
-    /// must still deliver all of them.
-    #[test]
-    fn bogus_cancels_do_not_leak_into_later_cycles() {
-        let mut q = EventQueue::new();
-        q.push(t(1), EventId(0), 0u32);
-        assert!(q.pop().is_some());
-        assert!(!q.cancel(EventId(0)));
-        q.push(t(2), EventId(1), 1u32);
-        q.push(t(3), EventId(2), 2u32);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap().2, 1);
-        assert_eq!(q.pop().unwrap().2, 2);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_ignores_cancelled_head() {
-        let mut q = EventQueue::new();
-        q.push(t(1), EventId(0), 1u32);
+        assert_eq!(q.peek_time(), None);
         q.push(t(2), EventId(1), 2u32);
-        q.cancel(EventId(0));
+        q.push(t(1), EventId(0), 1u32);
+        assert_eq!(q.peek_time(), Some(t(1)));
+        assert_eq!(q.len(), 2, "a peek removes nothing");
+        assert_eq!(q.pop().unwrap().2, 1);
         assert_eq!(q.peek_time(), Some(t(2)));
-        assert_eq!(q.pop().unwrap().2, 2);
     }
 
     #[test]

@@ -16,14 +16,7 @@ use rand::RngCore;
 /// SplitMix64 step, used for seeding.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    mix64(*state)
-}
-
-/// The SplitMix64 finalizer: one strong avalanche round over a `u64`. The
-/// single shared implementation of this constant soup in the workspace —
-/// also used to hash event ids on the scheduler hot path.
-pub(crate) fn mix64(x: u64) -> u64 {
-    let mut z = x;
+    let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -57,6 +57,7 @@ impl SimTime {
     }
 
     /// Raw picosecond count.
+    #[inline]
     pub const fn as_picos(self) -> u64 {
         self.0
     }
@@ -78,6 +79,7 @@ impl SimTime {
     }
 
     /// Time elapsed since `earlier`, saturating at zero if `earlier` is later.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -163,6 +165,7 @@ impl SimDuration {
     }
 
     /// True if this is the zero duration.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
@@ -209,6 +212,7 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -219,6 +223,7 @@ impl Add<SimDuration> for SimTime {
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -226,6 +231,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -237,6 +243,7 @@ impl Sub<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -248,6 +255,7 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -258,6 +266,7 @@ impl Add for SimDuration {
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }

@@ -6,7 +6,7 @@
 //! newtypes prevents the classic unit mix-ups (bits vs. bytes, Gb/s vs. GB/s)
 //! and centralises the conversions into [`SimDuration`]s.
 
-use crate::time::SimDuration;
+use crate::time::{SimDuration, PS_PER_S};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
@@ -24,6 +24,7 @@ impl Bytes {
     pub const ZERO: Bytes = Bytes(0);
 
     /// Creates a size from a byte count.
+    #[inline]
     pub const fn new(bytes: u64) -> Self {
         Bytes(bytes)
     }
@@ -40,10 +41,12 @@ impl Bytes {
         Bytes(gib * 1024 * 1024 * 1024)
     }
     /// The raw byte count.
+    #[inline]
     pub const fn as_u64(self) -> u64 {
         self.0
     }
     /// The size in bits.
+    #[inline]
     pub const fn bits(self) -> u64 {
         self.0 * 8
     }
@@ -140,25 +143,43 @@ impl BitRate {
         self.0 as f64 / 1e9
     }
     /// True if the rate is zero.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Time to serialize `size` at this rate. A zero rate yields
     /// [`SimDuration::MAX`] (the data never finishes transmitting).
+    #[inline]
     pub fn serialization_delay(self, size: Bytes) -> SimDuration {
         if self.0 == 0 {
             return SimDuration::MAX;
         }
-        // bits * 1e12 / bps, computed in u128 to avoid overflow.
-        let ps = (size.bits() as u128 * 1_000_000_000_000u128) / self.0 as u128;
-        SimDuration::from_picos(ps.min(u64::MAX as u128) as u64)
+        // bits * 1e12 / bps, in u64 while the product fits (every frame
+        // up to 2,305,843 B), in u128 past that.
+        let ps = match size.bits().checked_mul(PS_PER_S) {
+            Some(scaled) => scaled / self.0,
+            None => {
+                let ps = (size.bits() as u128 * PS_PER_S as u128) / self.0 as u128;
+                ps.min(u64::MAX as u128) as u64
+            }
+        };
+        SimDuration::from_picos(ps)
     }
 
     /// How many bytes can be carried in `window` at this rate.
+    #[inline]
     pub fn bytes_in(self, window: SimDuration) -> Bytes {
-        let bits = (self.0 as u128 * window.as_picos() as u128) / 1_000_000_000_000u128;
-        Bytes::new((bits / 8).min(u64::MAX as u128) as u64)
+        // bps * ps / 1e12 / 8, in u64 while the product fits (windows up
+        // to ~184 us at 100 Gb/s), in u128 past that.
+        let bytes = match self.0.checked_mul(window.as_picos()) {
+            Some(scaled) => scaled / PS_PER_S / 8,
+            None => {
+                let bits = (self.0 as u128 * window.as_picos() as u128) / PS_PER_S as u128;
+                (bits / 8).min(u64::MAX as u128) as u64
+            }
+        };
+        Bytes::new(bytes)
     }
 
     /// Scales the rate by a factor in [0, +inf), saturating.
@@ -510,6 +531,70 @@ mod tests {
         let window = SimDuration::from_micros(1);
         // 100 Gb/s for 1 us = 100 kb = 12.5 kB.
         assert_eq!(rate.bytes_in(window).as_u64(), 12_500);
+    }
+
+    /// `serialization_delay` of `size` bytes at `bps`, in u128 throughout.
+    fn delay_u128(bps: u64, size: u64) -> u64 {
+        let ps = (size as u128 * 8 * 1_000_000_000_000) / bps as u128;
+        ps.min(u64::MAX as u128) as u64
+    }
+
+    /// `bytes_in` a window of `ps` at `bps`, in u128 throughout.
+    fn bytes_in_u128(bps: u64, ps: u64) -> u64 {
+        let bits = (bps as u128 * ps as u128) / 1_000_000_000_000;
+        (bits / 8).min(u64::MAX as u128) as u64
+    }
+
+    fn check(bps: u64, size: u64, ps: u64) {
+        let rate = BitRate::from_bps(bps);
+        assert_eq!(
+            rate.serialization_delay(Bytes::new(size)).as_picos(),
+            delay_u128(bps, size),
+            "{size} B at {bps} b/s"
+        );
+        assert_eq!(
+            rate.bytes_in(SimDuration::from_picos(ps)).as_u64(),
+            bytes_in_u128(bps, ps),
+            "{ps} ps at {bps} b/s"
+        );
+    }
+
+    #[test]
+    fn rate_arithmetic_equals_the_u128_formulas() {
+        let mut rng = crate::rng::DetRng::new(19);
+        // Values of every magnitude, so both sides of each overflow check
+        // are drawn often; sizes stay small enough for `bits` to fit a u64.
+        let mut any = || {
+            let shift = rng.range_u64(0..64);
+            rng.next_u64() >> shift
+        };
+        for _ in 0..100_000 {
+            check(any().max(1), any() >> 3, any());
+        }
+    }
+
+    #[test]
+    fn rate_arithmetic_is_exact_at_each_overflow_boundary() {
+        // The largest size whose bits * 1e12 fits a u64.
+        let last_fast_size = u64::MAX / 8 / 1_000_000_000_000;
+        assert_eq!(last_fast_size, 2_305_843);
+        for bps in [
+            1,
+            3,
+            25_000_000_000,
+            100_000_000_000,
+            400_000_000_000,
+            u64::MAX,
+        ] {
+            // The longest window whose bps * ps fits a u64: 184,467,440 ps
+            // (~184 us) at 100 Gb/s.
+            let last_fast_ps = u64::MAX / bps;
+            for step in 0..=4 {
+                let size = last_fast_size - 2 + step;
+                let ps = last_fast_ps.saturating_sub(2).saturating_add(step);
+                check(bps, size, ps);
+            }
+        }
     }
 
     #[test]

@@ -63,11 +63,10 @@
 //! for 1 shard and N shards, and identical no matter how rounds interleave
 //! with local scheduling.
 //!
-//! Two caveats follow from keyed ids: keys must be unique among events
-//! pending at the same instant (models derive them from identities that can
-//! be pending at most once), and cancellation is not offered (the lazy
-//! cancel sets in the schedulers assume ids are never reused; keyed models
-//! re-use a key only after its event was delivered).
+//! One caveat follows from keyed ids: keys must be unique among events
+//! pending at the same instant, or the tie-break between them is undefined.
+//! Models derive them from identities that can be pending at most once, and
+//! re-use a key only after its event was delivered.
 //!
 //! ## Passive events and adaptive window fusion
 //!

@@ -1,6 +1,6 @@
 //! Property test: the calendar-queue scheduler delivers exactly the same
 //! `(time, EventId)` sequence as the reference binary-heap scheduler for
-//! arbitrary schedule/cancel/pop interleavings, across arbitrary queue
+//! arbitrary schedule/pop/peek interleavings, across arbitrary queue
 //! geometries. This is the invariant that lets the engine swap schedulers
 //! without ever changing simulation results.
 
@@ -15,9 +15,6 @@ use rackfabric_sim::time::SimTime;
 enum Op {
     /// Schedule at `now + offset_ps`.
     Push(u64),
-    /// Cancel the id `k % ids_issued` (exercises pending, delivered and
-    /// repeated cancellations alike).
-    Cancel(u64),
     /// Pop one event.
     Pop,
     /// Peek the next timestamp.
@@ -41,16 +38,6 @@ fn run_script(ops: &[Op], width_shift: u32, bucket_shift: u32) -> Vec<(u64, u64)
                 heap.push(at, id, id.as_u64());
                 cal.push(at, id, id.as_u64());
             }
-            Op::Cancel(k) => {
-                if next_id > 0 {
-                    let victim = EventId(k % next_id);
-                    assert_eq!(
-                        heap.cancel(victim),
-                        cal.cancel(victim),
-                        "cancel({victim:?}) disagreed"
-                    );
-                }
-            }
             Op::Pop => {
                 let a = heap.pop();
                 let b = cal.pop();
@@ -69,7 +56,7 @@ fn run_script(ops: &[Op], width_shift: u32, bucket_shift: u32) -> Vec<(u64, u64)
                 assert_eq!(heap.peek_time(), cal.peek_time(), "peek_time diverged");
             }
         }
-        assert_eq!(heap.len(), cal.len(), "live counts diverged");
+        assert_eq!(heap.len(), cal.len(), "pending counts diverged");
         assert_eq!(heap.is_empty(), cal.is_empty());
     }
     // Drain both completely; the tails must agree too.
@@ -87,7 +74,7 @@ fn run_script(ops: &[Op], width_shift: u32, bucket_shift: u32) -> Vec<(u64, u64)
 }
 
 /// Decodes a deterministic operation script from a seed: a mix of pushes
-/// (short, medium and far offsets), cancels, pops and peeks.
+/// (short, medium and far offsets), pops and peeks.
 fn script_from_seed(seed: u64, len: usize) -> Vec<Op> {
     let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
     let mut next = || {
@@ -109,8 +96,7 @@ fn script_from_seed(seed: u64, len: usize) -> Vec<Op> {
                 };
                 Op::Push(magnitude)
             }
-            4..=5 => Op::Cancel(next()),
-            6 => Op::Peek,
+            4..=5 => Op::Peek,
             _ => Op::Pop,
         })
         .collect()
@@ -119,7 +105,7 @@ fn script_from_seed(seed: u64, len: usize) -> Vec<Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// 256 random schedule/cancel/pop scripts over random queue geometries
+    /// 256 random schedule/pop/peek scripts over random queue geometries
     /// must produce identical `(time, id)` delivery orders on both
     /// schedulers, pop for pop.
     #[test]

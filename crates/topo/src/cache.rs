@@ -7,7 +7,7 @@
 //! is a pure function, so it can be computed once, interned against the
 //! [`LinkArena`], and reused by every subsequent train of that pair.
 //!
-//! Two policies share one epoch counter:
+//! Three policies share one epoch counter:
 //!
 //! * **Single-path routing** (shortest hop, min cost) goes through
 //!   [`RouteCache::tree_route`]: one BFS/Dijkstra tree per source per
@@ -17,17 +17,26 @@
 //!   kept densely by destination, so a repeat lookup is two vector indexes
 //!   and no hashing. A lookup counts as a hit exactly when its source's tree
 //!   already existed this epoch.
-//! * **Per-flow routing** (ECMP, Valiant, UGAL-style adaptive) and the other
-//!   per-pair algorithms go through [`RouteCache::get_or_compute`], a map
-//!   keyed by `(src, dst, selector)`.
+//! * **UGAL-style adaptive routing** goes through
+//!   [`RouteCache::adaptive_route`], keyed by `(src, dst, flow)`. Its two
+//!   candidates, the minimal route and the flow's Valiant detour, do not
+//!   depend on prices, so they are kept until the topology changes and a
+//!   price update only re-prices them.
+//! * **Per-flow routing** (ECMP, Valiant) and the other per-pair algorithms
+//!   go through [`RouteCache::get_or_compute`], a map keyed by
+//!   `(src, dst, selector)`.
 //!
 //! Invalidation is by epoch counter: bumping the epoch makes every cached
 //! tree and entry stale without touching them (stale state is overwritten
 //! on next access), so invalidation is O(1) no matter how much is cached.
+//! A second counter, the topology epoch, guards the adaptive candidates.
 
 use crate::arena::{LinkArena, LinkIdx};
 use crate::graph::{NodeId, Topology};
-use crate::routing::{dense_cost, dijkstra_tree_by, shortest_path_tree, Route};
+use crate::routing::{
+    dense_cost, dijkstra_tree_by, route_cost, shortest_path, shortest_path_tree, valiant_route,
+    Route,
+};
 use rackfabric_phy::LinkId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -47,12 +56,15 @@ impl InternedRoute {
     /// references a link the arena does not know (a torn-down link id from a
     /// previous epoch) — callers should recompute the route.
     pub fn intern(route: Route, arena: &LinkArena) -> Option<InternedRoute> {
-        let links = route
-            .links
-            .iter()
-            .map(|&id| arena.index(id))
-            .collect::<Option<Vec<_>>>()?;
-        Some(InternedRoute { route, links })
+        Self::try_intern(route, arena).ok()
+    }
+
+    /// [`intern`](Self::intern), handing `route` back on failure.
+    fn try_intern(route: Route, arena: &LinkArena) -> Result<InternedRoute, Route> {
+        match route.links.iter().map(|&id| arena.index(id)).collect() {
+            Some(links) => Ok(InternedRoute { route, links }),
+            None => Err(route),
+        }
     }
 
     /// Number of hops.
@@ -128,6 +140,39 @@ impl SourceTree {
     }
 }
 
+/// A UGAL candidate route: interned, or kept raw for pricing when the arena
+/// lacks one of its links (choosing it then answers `None`, as interning
+/// the choice would). Boxed, because only a topology the arena was not
+/// built from produces it.
+type Candidate = Result<Arc<InternedRoute>, Box<Route>>;
+
+fn candidate(route: Route, arena: &LinkArena) -> Candidate {
+    InternedRoute::try_intern(route, arena)
+        .map(Arc::new)
+        .map_err(Box::new)
+}
+
+fn priced(candidate: &Candidate) -> &Route {
+    match candidate {
+        Ok(interned) => &interned.route,
+        Err(route) => route,
+    }
+}
+
+/// One adaptive `(src, dst, flow)`: its candidates, built once per topology
+/// epoch, and the answer chosen between them once per epoch.
+#[derive(Debug, Default)]
+struct AdaptiveEntry {
+    /// The topology epoch the candidates were built in (`None`: never).
+    topology_epoch: Option<u64>,
+    /// The epoch `answer` was chosen in (`None`: never).
+    epoch: Option<u64>,
+    /// The minimal route and the flow's Valiant detour, if one exists;
+    /// `None` when no minimal route exists.
+    candidates: Option<(Candidate, Option<Candidate>)>,
+    answer: Option<Arc<InternedRoute>>,
+}
+
 /// An epoch-tagged cache of interned routes.
 ///
 /// `None` answers are cached too: "no route exists right now" is just as
@@ -135,7 +180,9 @@ impl SourceTree {
 #[derive(Debug, Default)]
 pub struct RouteCache {
     epoch: u64,
+    topology_epoch: u64,
     entries: HashMap<Key, (u64, Option<Arc<InternedRoute>>)>,
+    adaptive: HashMap<Key, AdaptiveEntry>,
     /// Single-path trees, dense by source node index.
     trees: Vec<SourceTree>,
     stats: RouteCacheStats,
@@ -153,11 +200,18 @@ impl RouteCache {
         self.epoch
     }
 
-    /// Invalidates every cached route in O(1) by advancing the epoch. Call
-    /// on reconfiguration, and on every price update when routing is
-    /// cost-aware.
+    /// Invalidates every cached route in O(1) by advancing the epoch, but
+    /// keeps the price-free adaptive candidates. Call on every price update
+    /// when routing is cost-aware.
     pub fn bump_epoch(&mut self) {
         self.epoch += 1;
+    }
+
+    /// Invalidates every cached route and adaptive candidate in O(1). Call
+    /// whenever the topology changes.
+    pub fn bump_topology_epoch(&mut self) {
+        self.topology_epoch += 1;
+        self.bump_epoch();
     }
 
     /// The single-path route from `src` to `dst` in the current epoch: the
@@ -208,6 +262,58 @@ impl RouteCache {
             .clone()
     }
 
+    /// The UGAL-style adaptive route of flow `flow` from `src` to `dst`:
+    /// what [`adaptive_route`](crate::routing::adaptive_route) under `costs`
+    /// (dense by `arena`'s [`LinkIdx`], see [`dense_cost`]) followed by
+    /// [`InternedRoute::intern`] builds.
+    ///
+    /// The first lookup of a `(src, dst, flow)` in an epoch is a miss and
+    /// chooses between the two candidates under `costs`; it rebuilds the
+    /// candidates only when the topology epoch moved since they were built.
+    #[allow(clippy::too_many_arguments)]
+    pub fn adaptive_route(
+        &mut self,
+        topo: &Topology,
+        arena: &LinkArena,
+        racks: &[u32],
+        costs: &[f64],
+        src: NodeId,
+        dst: NodeId,
+        flow: u64,
+    ) -> Option<Arc<InternedRoute>> {
+        let entry = self.adaptive.entry((src, dst, flow)).or_default();
+        if entry.epoch == Some(self.epoch) {
+            self.stats.hits += 1;
+            return entry.answer.clone();
+        }
+        self.stats.misses += 1;
+        if entry.topology_epoch != Some(self.topology_epoch) {
+            entry.topology_epoch = Some(self.topology_epoch);
+            entry.candidates = shortest_path(topo, src, dst).map(|minimal| {
+                let valiant = valiant_route(topo, racks, src, dst, flow);
+                (
+                    candidate(minimal, arena),
+                    valiant.map(|route| candidate(route, arena)),
+                )
+            });
+        }
+        let cost_of = dense_cost(arena, costs);
+        entry.epoch = Some(self.epoch);
+        entry.answer = entry.candidates.as_ref().and_then(|(minimal, valiant)| {
+            let chosen = match valiant {
+                Some(valiant)
+                    if route_cost(priced(valiant), &cost_of)
+                        < route_cost(priced(minimal), &cost_of) =>
+                {
+                    valiant
+                }
+                _ => minimal,
+            };
+            chosen.as_ref().ok().cloned()
+        });
+        entry.answer.clone()
+    }
+
     /// Looks up the route for `(src, dst, selector)` in the current epoch,
     /// computing and caching it via `compute` on a miss.
     pub fn get_or_compute(
@@ -240,7 +346,7 @@ impl RouteCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::{dijkstra_tree, route_from_tree, shortest_path};
+    use crate::routing::{adaptive_route, dijkstra_tree, route_from_tree, shortest_path};
     use crate::spec::TopologySpec;
     use rackfabric_phy::PhyState;
     use rackfabric_sim::units::BitRate;
@@ -458,6 +564,122 @@ mod tests {
             .tree_route(&topo, &arena, None, NodeId(0), NodeId(4))
             .is_some());
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    /// A priced dragonfly: 4 groups of 2 routers with 2 hosts each.
+    fn dragonfly() -> (crate::graph::Topology, LinkArena, Vec<u32>) {
+        let spec = TopologySpec::dragonfly(4, 2, 2, 1);
+        let mut phy = PhyState::new();
+        let topo = spec.instantiate(&mut phy, BitRate::from_gbps(25));
+        let arena = LinkArena::build(&topo);
+        (topo, arena, spec.rack_of())
+    }
+
+    /// Price book `k` over `arena`: uniform for 0, skewed differently for
+    /// every other `k`.
+    fn price_book(arena: &LinkArena, k: usize) -> Vec<f64> {
+        arena
+            .iter()
+            .map(|(idx, _)| 1.0 + (idx.index() * (3 * k + 4) % 7 * k) as f64 * 40.0)
+            .collect()
+    }
+
+    /// What the adaptive lookup must answer: UGAL under `costs`, interned.
+    fn ugal(
+        topo: &crate::graph::Topology,
+        arena: &LinkArena,
+        racks: &[u32],
+        costs: &[f64],
+        key: Key,
+    ) -> Option<InternedRoute> {
+        let (src, dst, flow) = key;
+        adaptive_route(topo, racks, src, dst, flow, dense_cost(arena, costs))
+            .and_then(|r| InternedRoute::intern(r, arena))
+    }
+
+    fn keys(topo: &crate::graph::Topology) -> Vec<Key> {
+        let mut keys = Vec::new();
+        for src in topo.nodes() {
+            for dst in topo.nodes() {
+                keys.extend((0..4).map(|flow| (src, dst, flow)));
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn adaptive_routes_match_ugal_across_price_updates() {
+        let (topo, arena, racks) = dragonfly();
+        let keys = keys(&topo);
+        let mut cache = RouteCache::new();
+        let mut first: HashMap<Key, Arc<InternedRoute>> = HashMap::new();
+        let mut detours = 0;
+        for k in 0..4 {
+            let costs = price_book(&arena, k);
+            for &(src, dst, flow) in &keys {
+                let want = ugal(&topo, &arena, &racks, &costs, (src, dst, flow));
+                let got = cache.adaptive_route(&topo, &arena, &racks, &costs, src, dst, flow);
+                assert_eq!(
+                    got.as_deref(),
+                    want.as_ref(),
+                    "book {k}: {src:?} -> {dst:?}"
+                );
+                let got = got.expect("the dragonfly is connected");
+                let again = cache.adaptive_route(&topo, &arena, &racks, &costs, src, dst, flow);
+                assert!(Arc::ptr_eq(&got, &again.unwrap()), "a repeat lookup hits");
+                let first = first.entry((src, dst, flow)).or_insert_with(|| got.clone());
+                if got == *first {
+                    assert!(
+                        Arc::ptr_eq(&got, first),
+                        "a price update re-prices the candidates, never rebuilds them"
+                    );
+                } else {
+                    detours += 1;
+                }
+            }
+            cache.bump_epoch();
+        }
+        assert!(
+            detours > 0,
+            "some price book must move a flow onto its detour"
+        );
+        let n = keys.len() as u64;
+        assert_eq!(
+            cache.stats(),
+            RouteCacheStats {
+                hits: 4 * n,
+                misses: 4 * n
+            }
+        );
+    }
+
+    #[test]
+    fn adaptive_routes_follow_a_topology_change() {
+        let (mut topo, arena, racks) = dragonfly();
+        let keys = keys(&topo);
+        let costs = price_book(&arena, 2);
+        let mut cache = RouteCache::new();
+        let before: Vec<_> = keys
+            .iter()
+            .map(|&(src, dst, flow)| {
+                cache.adaptive_route(&topo, &arena, &racks, &costs, src, dst, flow)
+            })
+            .collect();
+        // Cut one global link: the routes over it must move.
+        let global = topo.links_between(NodeId(0), NodeId(6));
+        assert_eq!(global.len(), 1, "routers 0 and 6 share a global link");
+        topo.remove_edge(global[0]);
+        let arena = LinkArena::build(&topo);
+        let costs = price_book(&arena, 2);
+        cache.bump_topology_epoch();
+        let mut moved = 0;
+        for (&(src, dst, flow), before) in keys.iter().zip(&before) {
+            let want = ugal(&topo, &arena, &racks, &costs, (src, dst, flow));
+            let got = cache.adaptive_route(&topo, &arena, &racks, &costs, src, dst, flow);
+            assert_eq!(got.as_deref(), want.as_ref(), "{src:?} -> {dst:?}");
+            moved += (got != *before) as u32;
+        }
+        assert!(moved > 0, "the cut link carried some route");
     }
 
     #[test]
