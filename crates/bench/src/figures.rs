@@ -96,7 +96,7 @@ fn num(value: f64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign matrices (shared with the `ExperimentResult` wrappers in lib.rs).
+// Campaign matrices.
 // ---------------------------------------------------------------------------
 
 /// e1 — per-hop latency probe: a single 1500-byte flow pushed down a line of
@@ -364,7 +364,7 @@ pub fn e9_matrix(sides: &[usize], loads: &[f64], buffers: &[Bytes], seeds: usize
 /// Looks up the resolved spec of a cell's first record (campaign reducers
 /// read spec-derived facts — node counts, bypass depth — straight from the
 /// job instead of parsing labels).
-pub(crate) fn cell_spec(outcome: &SweepOutcome, cell: usize) -> Option<&ScenarioSpec> {
+fn cell_spec(outcome: &SweepOutcome, cell: usize) -> Option<&ScenarioSpec> {
     outcome
         .records
         .iter()
@@ -372,9 +372,8 @@ pub(crate) fn cell_spec(outcome: &SweepOutcome, cell: usize) -> Option<&Scenario
         .map(|r| &r.job.spec)
 }
 
-/// The value of `axis` in a cell's labels (empty when absent). Shared with
-/// the `ExperimentResult` reducers in the crate root.
-pub(crate) fn cell_label<'a>(cell: &'a CellSummary, axis: &str) -> &'a str {
+/// The value of `axis` in a cell's labels (empty when absent).
+fn cell_label<'a>(cell: &'a CellSummary, axis: &str) -> &'a str {
     cell.labels
         .iter()
         .find(|(k, _)| k == axis)

@@ -464,17 +464,6 @@ impl Series {
             .map(|&(_, y)| y)
             .fold(None, |acc, y| Some(acc.map_or(y, |m: f64| m.max(y))))
     }
-
-    /// Renders the series as aligned text rows (x then y), used by the
-    /// experiment harness to print figure data.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("# {}\n", self.name));
-        for (x, y) in &self.points {
-            out.push_str(&format!("{x:>16.4} {y:>16.6}\n"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -636,8 +625,5 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.last_y(), Some(450.0));
         assert_eq!(s.max_y(), Some(450.0));
-        let table = s.to_table();
-        assert!(table.starts_with("# latency_ns\n"));
-        assert_eq!(table.lines().count(), 3);
     }
 }

@@ -109,26 +109,10 @@ impl RoutingAlgorithm {
 }
 
 /// BFS shortest path by hop count. Ties are broken deterministically by
-/// neighbour id. Returns `None` if `dst` is unreachable.
+/// neighbour id, so the route is the one [`shortest_path_tree`] holds for
+/// `dst`. Returns `None` if `dst` is unreachable.
 pub fn shortest_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Route> {
-    if src == dst {
-        return Some(Route::trivial(src));
-    }
-    let mut prev: HashMap<NodeId, (NodeId, LinkId)> = HashMap::new();
-    let mut queue = VecDeque::new();
-    queue.push_back(src);
-    while let Some(n) = queue.pop_front() {
-        for adj in topo.neighbors(n) {
-            if adj.neighbor != src && !prev.contains_key(&adj.neighbor) {
-                prev.insert(adj.neighbor, (n, adj.link));
-                if adj.neighbor == dst {
-                    return Some(rebuild(src, dst, &prev));
-                }
-                queue.push_back(adj.neighbor);
-            }
-        }
-    }
-    None
+    shortest_path_avoiding(topo, src, dst, |_| false)
 }
 
 /// A single-source predecessor tree: `tree[n]` is the `(parent, link)` pair
@@ -141,23 +125,43 @@ pub type PredecessorTree = Vec<Option<(NodeId, LinkId)>>;
 /// BFS shortest-path *tree* from `src`, covering every reachable node. One
 /// call amortises route construction for all destinations of a source.
 pub fn shortest_path_tree(topo: &Topology, src: NodeId) -> PredecessorTree {
+    bfs_tree(topo, src, None, |_| false)
+}
+
+/// The one BFS behind [`shortest_path_tree`] and [`shortest_path`]:
+/// neighbours are visited in id order, nodes where `banned` holds are
+/// skipped (`stop` is always admitted), and the search ends as soon as it
+/// reaches `stop`.
+fn bfs_tree(
+    topo: &Topology,
+    src: NodeId,
+    stop: Option<NodeId>,
+    banned: impl Fn(NodeId) -> bool,
+) -> PredecessorTree {
     let mut prev: PredecessorTree = vec![None; topo.node_count()];
     let mut queue = VecDeque::new();
     queue.push_back(src);
     while let Some(n) = queue.pop_front() {
         for adj in topo.neighbors(n) {
-            if adj.neighbor != src && prev[adj.neighbor.index()].is_none() {
-                prev[adj.neighbor.index()] = Some((n, adj.link));
-                queue.push_back(adj.neighbor);
+            let next = adj.neighbor;
+            let skip = next == src || prev[next.index()].is_some();
+            if skip || (Some(next) != stop && banned(next)) {
+                continue;
             }
+            prev[next.index()] = Some((n, adj.link));
+            if Some(next) == stop {
+                return prev;
+            }
+            queue.push_back(next);
         }
     }
     prev
 }
 
-/// Dijkstra minimum-cost *tree* from `src` under `costs`, with the same
-/// deterministic tie-breaking as [`dijkstra`]. Links missing from `costs`
-/// get `default_cost`; links with non-finite or negative cost are unusable.
+/// Dijkstra minimum-cost *tree* from `src` under `costs`. Equal-cost nodes
+/// settle in node-id order, so the tree is deterministic. Links missing
+/// from `costs` get `default_cost`; links with non-finite or negative cost
+/// are unusable.
 pub fn dijkstra_tree(
     topo: &Topology,
     src: NodeId,
@@ -262,23 +266,10 @@ pub fn route_from_tree(src: NodeId, dst: NodeId, tree: &PredecessorTree) -> Opti
     Some(Route { nodes, links })
 }
 
-fn rebuild(src: NodeId, dst: NodeId, prev: &HashMap<NodeId, (NodeId, LinkId)>) -> Route {
-    let mut nodes = vec![dst];
-    let mut links = Vec::new();
-    let mut cur = dst;
-    while cur != src {
-        let (p, l) = prev[&cur];
-        links.push(l);
-        nodes.push(p);
-        cur = p;
-    }
-    nodes.reverse();
-    links.reverse();
-    Route { nodes, links }
-}
-
-/// Dijkstra minimum-cost path. Links missing from `costs` get `default_cost`;
-/// links with non-finite or negative cost are treated as unusable.
+/// Dijkstra minimum-cost path: the route [`dijkstra_tree`] holds for `dst`.
+/// Links missing from `costs` get `default_cost`; links with non-finite or
+/// negative cost are treated as unusable. Returns `None` when `dst` is
+/// unreachable or `src` is not a node of `topo`.
 pub fn dijkstra(
     topo: &Topology,
     src: NodeId,
@@ -289,62 +280,10 @@ pub fn dijkstra(
     if src == dst {
         return Some(Route::trivial(src));
     }
-    #[derive(PartialEq)]
-    struct Item {
-        cost: f64,
-        node: NodeId,
+    if src.index() >= topo.node_count() {
+        return None;
     }
-    impl Eq for Item {}
-    impl Ord for Item {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Min-heap on cost, then node id for determinism.
-            other
-                .cost
-                .partial_cmp(&self.cost)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| other.node.cmp(&self.node))
-        }
-    }
-    impl PartialOrd for Item {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let cost_of = map_cost(costs, default_cost);
-    let mut dist: HashMap<NodeId, f64> = HashMap::new();
-    let mut prev: HashMap<NodeId, (NodeId, LinkId)> = HashMap::new();
-    let mut heap = BinaryHeap::new();
-    dist.insert(src, 0.0);
-    heap.push(Item {
-        cost: 0.0,
-        node: src,
-    });
-
-    while let Some(Item { cost, node }) = heap.pop() {
-        if node == dst {
-            return Some(rebuild(src, dst, &prev));
-        }
-        if cost > *dist.get(&node).unwrap_or(&f64::INFINITY) {
-            continue;
-        }
-        for adj in topo.neighbors(node) {
-            let link_cost = cost_of(adj.link);
-            if !link_cost.is_finite() || link_cost < 0.0 {
-                continue;
-            }
-            let next = cost + link_cost;
-            if next < *dist.get(&adj.neighbor).unwrap_or(&f64::INFINITY) {
-                dist.insert(adj.neighbor, next);
-                prev.insert(adj.neighbor, (node, adj.link));
-                heap.push(Item {
-                    cost: next,
-                    node: adj.neighbor,
-                });
-            }
-        }
-    }
-    None
+    route_from_tree(src, dst, &dijkstra_tree(topo, src, costs, default_cost))
 }
 
 /// Every minimum-hop path from `src` to `dst`, capped at `max_paths`
@@ -477,7 +416,7 @@ pub fn valiant_route(
 
 /// BFS shortest path skipping every node where `banned` holds (`src` and
 /// `dst` are always admitted). Same deterministic tie-breaking as
-/// [`shortest_path`].
+/// [`shortest_path`], which is this search with nothing banned.
 fn shortest_path_avoiding(
     topo: &Topology,
     src: NodeId,
@@ -487,24 +426,7 @@ fn shortest_path_avoiding(
     if src == dst {
         return Some(Route::trivial(src));
     }
-    let mut prev: HashMap<NodeId, (NodeId, LinkId)> = HashMap::new();
-    let mut queue = VecDeque::new();
-    queue.push_back(src);
-    while let Some(n) = queue.pop_front() {
-        for adj in topo.neighbors(n) {
-            if adj.neighbor != dst && banned(adj.neighbor) {
-                continue;
-            }
-            if adj.neighbor != src && !prev.contains_key(&adj.neighbor) {
-                prev.insert(adj.neighbor, (n, adj.link));
-                if adj.neighbor == dst {
-                    return Some(rebuild(src, dst, &prev));
-                }
-                queue.push_back(adj.neighbor);
-            }
-        }
-    }
-    None
+    route_from_tree(src, dst, &bfs_tree(topo, src, Some(dst), banned))
 }
 
 /// Total cost of a route under the per-link lookup `cost_of` (a

@@ -10,13 +10,19 @@
 //!   vector, equal `dijkstra_tree` over the equivalent cost map, for random
 //!   costs (ties, infinite and negative ones) and maps that omit links;
 //! * `LinkArena::index` round-trips every interned id and answers `None`
-//!   for removed ids and for ids past its table.
+//!   for removed ids and for ids past its table;
+//! * `shortest_path` answers every pair with the route its BFS tree holds,
+//!   and `dijkstra` and `shortest_path` from a source outside the topology
+//!   answer `None`.
 
 use rackfabric_phy::{LinkId, PhyState};
 use rackfabric_sim::units::BitRate;
 use rackfabric_sim::DetRng;
 use rackfabric_topo::graph::Adjacency;
-use rackfabric_topo::routing::{dense_cost, dijkstra_tree, route_cost, route_from_tree};
+use rackfabric_topo::routing::{
+    dense_cost, dijkstra, dijkstra_tree, route_cost, route_from_tree, shortest_path,
+    shortest_path_tree,
+};
 use rackfabric_topo::{InternedRoute, LinkArena, NodeId, RouteCache, Topology, TopologySpec};
 use std::collections::{BTreeMap, HashMap};
 
@@ -145,8 +151,26 @@ fn check_dense_state(
         );
     }
 
+    for src in topo.nodes() {
+        let tree = shortest_path_tree(topo, src);
+        for dst in topo.nodes() {
+            assert_eq!(
+                shortest_path(topo, src, dst),
+                route_from_tree(src, dst, &tree),
+                "{context}: shortest_path {src:?} -> {dst:?}"
+            );
+        }
+    }
+    let outside = NodeId(topo.node_count() as u32);
+    assert_eq!(shortest_path(topo, outside, NodeId(0)), None, "{context}");
+
     for round in 0..3 {
         let map = random_costs(rng, topo);
+        assert_eq!(
+            dijkstra(topo, outside, NodeId(0), &map, 1.0),
+            None,
+            "{context}, costs {round}: dijkstra from outside the topology"
+        );
         let dense: Vec<f64> = arena
             .iter()
             .map(|(_, id)| map.get(&id).copied().unwrap_or(1.0))
