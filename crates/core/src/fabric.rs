@@ -26,10 +26,19 @@
 //!   back-to-back frames sized by the first link's rate window, and each hop
 //!   forwards the whole batch with a single event. Per-packet latency stays
 //!   exact (see [`Packet::arrived_at`](rackfabric_switch::packet::Packet)).
+//! * The steady-state datapath does not allocate. Injection, written once
+//!   for both engines as `LinkTable::inject`, offers a fresh train to the
+//!   first link's port frame by frame and builds a packet only once its
+//!   frame is accepted: a rejected injection builds nothing. The train's
+//!   packet buffer comes from the table's spare list, which every train
+//!   that ends (delivered, dropped whole, or stopped by a dead link) refills
+//!   with its emptied buffer.
 //! * Routes are served from an epoch-invalidated [`RouteCache`]. Under the
 //!   single-path algorithms one BFS/Dijkstra tree per source per epoch
-//!   serves every destination; a route is interned on its first lookup, and
-//!   a lookup is a hit when its source's tree already existed this epoch.
+//!   serves every destination; a route is walked out of the tree into one
+//!   shared allocation on its first lookup, and a lookup is a hit when its
+//!   source's tree already existed this epoch. Lookups lend the route; its
+//!   handle is cloned only when a train leaves on it.
 //! * Cost-aware routing (min cost, UGAL-style adaptive) reads one
 //!   `LinkIdx`-indexed cost vector, the [`PriceBook`](crate::price::PriceBook)
 //!   lowered once per price update and again whenever the arena is rebuilt
@@ -44,11 +53,12 @@ use crate::metrics::FabricMetrics;
 use rackfabric_phy::{LinkState, PhyState, PlpTiming};
 use rackfabric_sim::config::SimConfig;
 use rackfabric_sim::event::{Context, Model};
+use rackfabric_sim::stats::Counter;
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::{BitRate, Bytes};
 use rackfabric_switch::model::SwitchModel;
 use rackfabric_switch::nic::Nic;
-use rackfabric_switch::packet::FlowId;
+use rackfabric_switch::packet::{FlowId, Packet};
 use rackfabric_switch::queue::EgressQueue;
 use rackfabric_switch::train::{train_frames, Train};
 use rackfabric_topo::arena::{LinkArena, LinkIdx};
@@ -155,6 +165,13 @@ pub(crate) struct LinkHot {
 }
 
 impl LinkHot {
+    /// True if the link is administratively up and carries capacity. A live
+    /// link may still be fenced.
+    #[inline]
+    pub(crate) fn live(&self) -> bool {
+        self.up && !self.capacity.is_zero()
+    }
+
     /// Reads the constants of every link `arena` interns out of the physical
     /// state, `LinkIdx`-indexed. A link the physical state lacks is down.
     pub(crate) fn table(phy: &PhyState, arena: &LinkArena) -> Vec<LinkHot> {
@@ -195,6 +212,9 @@ pub(crate) struct LinkTable {
     pub(crate) costs: Arc<[f64]>,
     /// Epoch-invalidated routes; its hit and miss counters span the run.
     pub(crate) routes: RouteCache,
+    /// Emptied packet buffers of trains that ended, which injections take
+    /// their trains' buffers from.
+    pub(crate) spare: Vec<Vec<Packet>>,
 }
 
 impl LinkTable {
@@ -215,15 +235,14 @@ impl LinkTable {
             epoch_bytes: vec![0; arena.len()],
             costs,
             routes: RouteCache::new(),
+            spare: Vec::new(),
         }
     }
 
-    /// True if the link is administratively up and carries capacity. A live
-    /// link may still be fenced.
+    /// True if the link is live (see [`LinkHot::live`]).
     #[inline]
     pub(crate) fn live(&self, link: LinkIdx) -> bool {
-        let hot = &self.hot[link.index()];
-        hot.up && !hot.capacity.is_zero()
+        self.hot[link.index()].live()
     }
 
     /// Moves the table from arena `old` into `arena` (a whole-rack
@@ -278,50 +297,196 @@ impl LinkTable {
             *fence = (*fence).max(until);
         }
     }
+
+    /// Keeps the packet buffer of a train that ended for a later injection.
+    pub(crate) fn recycle(&mut self, mut packets: Vec<Packet>) {
+        packets.clear();
+        if packets.capacity() > 0 {
+            self.spare.push(packets);
+        }
+    }
+
+    /// Offers the next train of a flow at its source, the injection both
+    /// engines run: the route lookup, the first-hop checks, and admission
+    /// to the first link's egress port. A train is sized by that link's
+    /// rate window, and each packet is built only once its frame is
+    /// accepted, into a recycled buffer. A rejected injection builds
+    /// nothing and counts one drop in `dropped`, as does a dead first link.
+    pub(crate) fn inject(
+        &mut self,
+        net: &Network<'_>,
+        config: &FabricConfig,
+        now: SimTime,
+        source: Source<'_>,
+        dropped: &mut Counter,
+    ) -> Injection {
+        let Source {
+            index,
+            flow,
+            progress,
+            nic,
+        } = source;
+        let remaining = flow.size.as_u64().saturating_sub(progress.injected);
+        if remaining == 0 || progress.completed {
+            return Injection::Idle;
+        }
+        let retry_at = now + config.retry_delay;
+        let Some(route) = net.route(
+            &mut self.routes,
+            config.routing,
+            &self.costs,
+            flow.src,
+            flow.dst,
+            flow.id.0,
+        ) else {
+            // No usable path right now (mid-reconfiguration); retry later.
+            return Injection::Wait(retry_at);
+        };
+        if route.hops() == 0 {
+            // Degenerate self-flow: no link rate bounds it, deliver all
+            // remaining bytes at once.
+            progress.injected += remaining;
+            progress.delivered += remaining;
+            return Injection::Local;
+        }
+
+        let first_link = route.link(0);
+        let hot = self.hot[first_link.index()];
+        if !hot.live() {
+            dropped.incr();
+            return Injection::Wait(retry_at);
+        }
+        let fence = self.fences[first_link.index()];
+        if now < fence {
+            // The first hop is retraining: hold injection until it returns.
+            return Injection::Wait(fence);
+        }
+
+        // Size the train by the link's rate window.
+        let mtu = config.mtu.as_u64();
+        let budget = train_frames(hot.capacity, config.train_window, config.mtu);
+        let frames = budget.min(remaining.div_ceil(mtu)).max(1);
+        let sizes = (0..frames).scan(remaining, |left, _| {
+            let size = (*left).min(mtu);
+            *left -= size;
+            Some(Bytes::new(size))
+        });
+        let mut packets = self.spare.pop().unwrap_or_default();
+        let port = net.arena.port(flow.src, first_link);
+        let admission = self.ports[port.index()].enqueue_fresh_train(
+            now,
+            sizes,
+            hot.capacity,
+            hot.propagation,
+            hot.fec,
+            &mut packets,
+            |size| nic.send(now, FlowId(index as u64), flow.dst, size),
+        );
+        if admission.dropped {
+            dropped.incr();
+        }
+        if admission.accepted == 0 {
+            self.recycle(packets);
+            return Injection::Wait(retry_at);
+        }
+        let accepted_bytes: u64 = packets.iter().map(|p| p.size.as_u64()).sum();
+        progress.injected += accepted_bytes;
+        self.epoch_bytes[first_link.index()] += accepted_bytes;
+        Injection::Sent(Sent {
+            route: route.clone(),
+            packets,
+            last_departs_at: admission.last_departs_at,
+            last_arrives_at: admission.last_arrives_at,
+        })
+    }
 }
 
-/// The interned route for `(src, dst)`, served from an epoch cache. Both
-/// engines route through here (the sharded engine keeps one cache per
-/// shard).
-///
-/// The single-path algorithms (shortest hop, min cost) go through the
-/// cache's per-source trees, see [`RouteCache::tree_route`], and adaptive
-/// routing through its price-free candidates, see
-/// [`RouteCache::adaptive_route`]. The other per-pair ones compute on a
-/// miss, keyed by flow when the algorithm is per-flow.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cached_route(
-    cache: &mut RouteCache,
-    routing: RoutingAlgorithm,
-    topo: &Topology,
-    arena: &LinkArena,
-    current_spec: &TopologySpec,
-    racks: &[u32],
-    costs: &[f64],
-    src: NodeId,
-    dst: NodeId,
-    flow_seq: u64,
-) -> Option<Arc<InternedRoute>> {
-    match routing {
-        RoutingAlgorithm::ShortestHop => cache.tree_route(topo, arena, None, src, dst),
-        RoutingAlgorithm::MinCost => cache.tree_route(topo, arena, Some(costs), src, dst),
-        RoutingAlgorithm::Adaptive => {
-            cache.adaptive_route(topo, arena, racks, costs, src, dst, flow_seq)
-        }
-        _ => {
-            let selector = if routing.per_flow() { flow_seq } else { 0 };
-            cache.get_or_compute(src, dst, selector, || {
-                match routing {
-                    RoutingAlgorithm::Ecmp => routing::ecmp_select(topo, src, dst, flow_seq),
-                    RoutingAlgorithm::Valiant => {
-                        routing::valiant_route(topo, racks, src, dst, flow_seq)
+/// A flow's source-side state, as one injection reads and updates it.
+pub(crate) struct Source<'a> {
+    /// The flow's index, which its packets carry as their [`FlowId`].
+    pub(crate) index: usize,
+    pub(crate) flow: Flow,
+    /// The flow's progress, kept where the flow is sourced.
+    pub(crate) progress: &'a mut FlowProgress,
+    /// The NIC of the flow's source node, which numbers its packets.
+    pub(crate) nic: &'a mut Nic,
+}
+
+/// What one injection attempt did (see [`LinkTable::inject`]).
+pub(crate) enum Injection {
+    /// Nothing is left to send.
+    Idle,
+    /// The flow's source is its destination: its remaining bytes were
+    /// delivered in place.
+    Local,
+    /// Nothing was sent: the injector wakes again at this instant, the
+    /// retry delay after a missing route, a dead first link or a rejected
+    /// first frame, or the lifting of the first link's fence.
+    Wait(SimTime),
+    /// A train was admitted to the first link.
+    Sent(Sent),
+}
+
+/// A train an injection admitted: the packets leave on hop 0 of `route`.
+pub(crate) struct Sent {
+    pub(crate) route: InternedRoute,
+    pub(crate) packets: Vec<Packet>,
+    /// When the last packet leaves the source, which is when the flow's
+    /// next train may start.
+    pub(crate) last_departs_at: SimTime,
+    /// When the last packet arrives at hop 1, the train's event time.
+    pub(crate) last_arrives_at: SimTime,
+}
+
+/// The topology epoch routes are looked up in: the graph, its arena, the
+/// spec it matches and the spec's node-to-rack table. Each engine lends its
+/// own (the sharded engine's is shared by every shard).
+pub(crate) struct Network<'a> {
+    pub(crate) topo: &'a Topology,
+    pub(crate) arena: &'a LinkArena,
+    pub(crate) spec: &'a TopologySpec,
+    pub(crate) racks: &'a [u32],
+}
+
+impl Network<'_> {
+    /// The interned route for `(src, dst)` under `routing`, served from the
+    /// epoch cache `cache` and borrowed from it.
+    ///
+    /// The single-path algorithms (shortest hop, min cost) go through the
+    /// cache's per-source trees, see [`RouteCache::tree_route`], and
+    /// adaptive routing through its price-free candidates, see
+    /// [`RouteCache::adaptive_route`]. The other per-pair ones compute on a
+    /// miss, keyed by flow when the algorithm is per-flow.
+    pub(crate) fn route<'c>(
+        &self,
+        cache: &'c mut RouteCache,
+        routing: RoutingAlgorithm,
+        costs: &[f64],
+        src: NodeId,
+        dst: NodeId,
+        flow_seq: u64,
+    ) -> Option<&'c InternedRoute> {
+        let (topo, arena) = (self.topo, self.arena);
+        match routing {
+            RoutingAlgorithm::ShortestHop => cache.tree_route(topo, arena, None, src, dst),
+            RoutingAlgorithm::MinCost => cache.tree_route(topo, arena, Some(costs), src, dst),
+            RoutingAlgorithm::Adaptive => {
+                cache.adaptive_route(topo, arena, self.racks, costs, src, dst, flow_seq)
+            }
+            _ => {
+                let selector = if routing.per_flow() { flow_seq } else { 0 };
+                cache.get_or_compute(src, dst, selector, || {
+                    match routing {
+                        RoutingAlgorithm::Ecmp => routing::ecmp_select(topo, src, dst, flow_seq),
+                        RoutingAlgorithm::Valiant => {
+                            routing::valiant_route(topo, self.racks, src, dst, flow_seq)
+                        }
+                        _ => routing::dimension_ordered(self.spec, topo, src, dst)
+                            .or_else(|| routing::shortest_path(topo, src, dst)),
                     }
-                    _ => routing::dimension_ordered(current_spec, topo, src, dst)
-                        .or_else(|| routing::shortest_path(topo, src, dst)),
-                }
-                .and_then(|r| InternedRoute::intern(r, arena))
-                .map(Arc::new)
-            })
+                    .and_then(|r| InternedRoute::intern(r, arena))
+                })
+            }
         }
     }
 }
@@ -341,9 +506,6 @@ pub enum FabricEvent {
     },
     /// One Closed Ring Control epoch.
     CrcEpoch,
-    /// A set of links finishes reconfiguring (informational; availability is
-    /// tracked by timestamps).
-    PlpComplete,
 }
 
 /// The fabric simulation model.
@@ -437,104 +599,36 @@ impl AdaptiveFabric {
         // below if there is more to send.
         self.progress[flow_idx].injector_armed = false;
         let flow = self.flows[flow_idx];
-        let remaining = flow
-            .size
-            .as_u64()
-            .saturating_sub(self.progress[flow_idx].injected);
-        if remaining == 0 || self.progress[flow_idx].completed {
-            return;
-        }
-        let now = ctx.now();
-        let retry_at = now + self.config.retry_delay;
-
-        let Some(route) = cached_route(
-            &mut self.links.routes,
-            self.config.routing,
-            &self.topo,
-            &self.arena,
-            &self.current_spec,
-            &self.racks,
-            &self.links.costs,
-            flow.src,
-            flow.dst,
-            flow.id.0,
-        ) else {
-            // No usable path right now (mid-reconfiguration); retry later.
-            self.arm_injector(ctx, flow_idx, retry_at);
-            return;
+        let net = Network {
+            topo: &self.topo,
+            arena: &self.arena,
+            spec: &self.current_spec,
+            racks: &self.racks,
         };
-        if route.hops() == 0 {
-            // Degenerate self-flow: no link rate bounds it, deliver all
-            // remaining bytes at once.
-            self.progress[flow_idx].injected += remaining;
-            self.progress[flow_idx].delivered += remaining;
-            self.check_flow_completion(ctx, flow_idx);
-            return;
-        }
-
-        let first_link = route.links[0];
-        if !self.links.live(first_link) {
-            self.metrics.dropped_packets.incr();
-            self.arm_injector(ctx, flow_idx, retry_at);
-            return;
-        }
-        let fence = self.links.fences[first_link.index()];
-        if now < fence {
-            // The first hop is retraining: hold injection until it returns.
-            self.arm_injector(ctx, flow_idx, fence);
-            return;
-        }
-        let hot = self.links.hot[first_link.index()];
-
-        // Size the train by the link's rate window.
-        let mtu = self.config.mtu.as_u64();
-        let budget = train_frames(hot.capacity, self.config.train_window, self.config.mtu);
-        let frames = budget.min(remaining.div_ceil(mtu)).max(1);
-        let mut sizes = Vec::with_capacity(frames as usize);
-        let mut left = remaining;
-        for _ in 0..frames {
-            let size = left.min(mtu);
-            sizes.push(Bytes::new(size));
-            left -= size;
-        }
-
-        let mut packets =
-            self.nics[flow.src.index()].build_train(now, FlowId(flow_idx as u64), flow.dst, &sizes);
-        let port = self.arena.port(flow.src, first_link);
-        let admission = self.links.ports[port.index()].enqueue_train(
-            &mut packets,
-            hot.capacity,
-            hot.propagation,
-            hot.fec,
-            true,
-        );
-        self.nics[flow.src.index()].record_sent(admission.accepted as u64);
-
-        let accepted_bytes: u64 = packets[..admission.accepted]
-            .iter()
-            .map(|p| p.size.as_u64())
-            .sum();
-        self.progress[flow_idx].injected += accepted_bytes;
-        self.links.epoch_bytes[first_link.index()] += accepted_bytes;
-
-        if admission.dropped {
-            self.metrics.dropped_packets.incr();
-        }
-        if admission.accepted > 0 {
-            packets.truncate(admission.accepted);
-            let train = Train {
-                route,
-                hop_index: 1,
-                packets,
-            };
-            ctx.schedule_at(
-                admission.last_arrives_at,
-                FabricEvent::TrainArrive { train },
-            );
-            // Pipeline the next train right behind this one's last frame.
-            self.arm_injector(ctx, flow_idx, admission.last_departs_at);
-        } else {
-            self.arm_injector(ctx, flow_idx, retry_at);
+        let source = Source {
+            index: flow_idx,
+            flow,
+            progress: &mut self.progress[flow_idx],
+            nic: &mut self.nics[flow.src.index()],
+        };
+        let dropped = &mut self.metrics.dropped_packets;
+        match self
+            .links
+            .inject(&net, &self.config, ctx.now(), source, dropped)
+        {
+            Injection::Idle => {}
+            Injection::Local => self.check_flow_completion(ctx, flow_idx),
+            Injection::Wait(at) => self.arm_injector(ctx, flow_idx, at),
+            Injection::Sent(sent) => {
+                let train = Train {
+                    route: sent.route,
+                    hop_index: 1,
+                    packets: sent.packets,
+                };
+                ctx.schedule_at(sent.last_arrives_at, FabricEvent::TrainArrive { train });
+                // Pipeline the next train right behind this one's last frame.
+                self.arm_injector(ctx, flow_idx, sent.last_departs_at);
+            }
         }
     }
 
@@ -552,7 +646,7 @@ impl AdaptiveFabric {
     /// one batched forward.
     fn train_arrive(&mut self, ctx: &mut Context<FabricEvent>, mut train: Train) {
         let now = ctx.now();
-        let at_node = train.route.route.nodes[train.hop_index];
+        let at_node = train.route.node(train.hop_index);
         let flow_idx = train.packets[0].flow.0 as usize;
 
         if at_node == train.packets[0].dst {
@@ -573,13 +667,14 @@ impl AdaptiveFabric {
                 self.metrics.breakdown.accumulate(&packet.breakdown);
                 self.progress[flow_idx].delivered += packet.size.as_u64();
             }
+            self.links.recycle(train.packets);
             self.check_flow_completion(ctx, flow_idx);
             return;
         }
 
         // Forward the whole train to the next hop.
-        let in_link = train.route.links[train.hop_index - 1];
-        let out_link = train.route.links[train.hop_index];
+        let in_link = train.route.link(train.hop_index - 1);
+        let out_link = train.route.link(train.hop_index);
         let out_live = self.links.live(out_link);
         let fence = self.links.fences[out_link.index()];
         if out_live && now < fence {
@@ -629,6 +724,7 @@ impl AdaptiveFabric {
             // The route's link disappeared in a reconfiguration; resend.
             let bytes = train.bytes();
             let n = train.packets.len() as u64;
+            self.links.recycle(train.packets);
             self.drop_train(ctx, flow_idx, bytes, n);
             return;
         }
@@ -675,6 +771,8 @@ impl AdaptiveFabric {
                 admission.last_arrives_at.max(now),
                 FabricEvent::TrainArrive { train },
             );
+        } else {
+            self.links.recycle(train.packets);
         }
     }
 
@@ -761,7 +859,6 @@ impl Model for AdaptiveFabric {
             }
             FabricEvent::TrainArrive { train } => self.train_arrive(ctx, train),
             FabricEvent::CrcEpoch => self.crc_epoch(ctx),
-            FabricEvent::PlpComplete => {}
         }
     }
 

@@ -10,6 +10,9 @@
 //!   only the ports its nodes transmit on, plus its nodes' NICs and the flow
 //!   progress of the flows *sourced* in the shard, and runs its own calendar
 //!   queue.
+//! * A flow's trains start at its source shard through the injection the
+//!   monolithic engine runs too (`LinkTable::inject`); only the scheduling
+//!   differs: a keyed envelope carrying the flow's train sequence number.
 //! * Packet trains whose next hop crosses a **cut link** are handed to the
 //!   destination shard through a mailbox envelope timestamped with the
 //!   train's exact analytic arrival; the cut link's propagation + FEC
@@ -22,6 +25,11 @@
 //!   destination share a shard, which is precisely why a 1-shard run is
 //!   bit-identical to an N-shard run: every shard sees the same events, at
 //!   the same instants, in the same content-keyed order.
+//! * An ack also carries the emptied packet buffer of a train that ended
+//!   (delivered, or dropped whole) back to the source shard's spare list,
+//!   where that shard's next injection takes it. A shard's list thus holds
+//!   only buffers its own trains used, never more than it had in flight at
+//!   once, whatever the traffic between shards.
 //! * The Closed Ring Control runs at **sync points** aligned with its
 //!   control epoch, as the same control step the monolithic engine runs
 //!   over the shards' link tables: byte counters are summed per link in
@@ -48,18 +56,16 @@
 //! byte-comparable to `run_fabric`.
 
 use crate::control::ControlStep;
-use crate::fabric::{FabricConfig, FlowProgress, LinkHot, LinkTable};
+use crate::fabric::{FabricConfig, FlowProgress, Injection, LinkHot, LinkTable, Network, Source};
 use crate::metrics::FabricMetrics;
 use rackfabric_obs::profile::{WindowProfile, WindowProfiler};
 use rackfabric_obs::{Observer, TimeDomain};
 use rackfabric_phy::PhyState;
 use rackfabric_sim::engine::RunOutcome;
 use rackfabric_sim::time::{SimDuration, SimTime};
-use rackfabric_sim::units::Bytes;
 use rackfabric_sim::windowed::{ShardModel, ShardsView, SyncHook, WindowCtx, WindowedSim};
 use rackfabric_switch::nic::Nic;
-use rackfabric_switch::packet::{FlowId, Packet};
-use rackfabric_switch::train::train_frames;
+use rackfabric_switch::packet::Packet;
 use rackfabric_topo::arena::LinkArena;
 use rackfabric_topo::cache::InternedRoute;
 use rackfabric_topo::partition::FabricPartition;
@@ -150,7 +156,7 @@ fn event_key(class: u64, flow: usize, seq: u32, hop: usize) -> u64 {
 /// the packets with their analytic arrival instants.
 #[derive(Debug)]
 pub struct ShardTrain {
-    route: Arc<InternedRoute>,
+    route: InternedRoute,
     hop: usize,
     seq: u32,
     packets: Vec<Packet>,
@@ -172,6 +178,9 @@ pub enum ShardEvent {
         flow: u32,
         /// Bytes the destination received from the acked train.
         bytes: u64,
+        /// The train's emptied packet buffer, returned to the source shard
+        /// for its next injection.
+        buffer: Vec<Packet>,
     },
     /// Drop notification to the flow's source shard (the retry trigger).
     Dropped {
@@ -179,6 +188,9 @@ pub enum ShardEvent {
         flow: u32,
         /// Bytes to re-send.
         bytes: u64,
+        /// The emptied packet buffer of a train dropped whole (empty when
+        /// only the train's tail was dropped).
+        buffer: Vec<Packet>,
     },
 }
 
@@ -237,7 +249,7 @@ impl ShardFabric {
         flow_idx: usize,
         train: ShardTrain,
     ) {
-        let node = train.route.route.nodes[train.hop];
+        let node = train.route.node(train.hop);
         let to = self.owner_of(node);
         let key = event_key(CLASS_TRAIN, flow_idx, train.seq, train.hop);
         self.trains_sent += 1;
@@ -257,8 +269,9 @@ impl ShardFabric {
         }
     }
 
-    /// Injects the next train of a flow at its source (mirrors the
-    /// monolithic `inject_next`).
+    /// Injects the next train of a flow at its source: the injection the
+    /// monolithic engine runs too, then a keyed envelope toward the shard
+    /// owning the train's next node.
     fn inject(&mut self, ctx: &mut WindowCtx<'_, ShardEvent>, flow_idx: usize) {
         self.progress[flow_idx].injector_armed = false;
         let flow = self.flows[flow_idx];
@@ -267,115 +280,55 @@ impl ShardFabric {
             self.id,
             "flow injected at a shard that does not own its source"
         );
-        let remaining = flow
-            .size
-            .as_u64()
-            .saturating_sub(self.progress[flow_idx].injected);
-        if remaining == 0 || self.progress[flow_idx].completed {
-            return;
-        }
         let now = ctx.now();
-        let retry_at = now + self.config.retry_delay;
-
-        let shared = &self.shared;
-        let Some(route) = crate::fabric::cached_route(
-            &mut self.links.routes,
-            self.config.routing,
-            &shared.topo,
-            &shared.arena,
-            &shared.spec,
-            &shared.racks,
-            &self.links.costs,
-            flow.src,
-            flow.dst,
-            flow.id.0,
-        ) else {
-            self.arm_injector(ctx, flow_idx, retry_at);
-            return;
+        let shared = &*self.shared;
+        let net = Network {
+            topo: &shared.topo,
+            arena: &shared.arena,
+            spec: &shared.spec,
+            racks: &shared.racks,
         };
-        if route.hops() == 0 {
-            // Degenerate self-flow: delivered in place, no wire involved.
-            self.progress[flow_idx].injected += remaining;
-            self.progress[flow_idx].delivered += remaining;
-            self.check_completion(now, flow_idx);
-            return;
-        }
-
-        let first_link = route.links[0];
-        if !self.links.live(first_link) {
-            self.metrics.dropped_packets.incr();
-            self.arm_injector(ctx, flow_idx, retry_at);
-            return;
-        }
-        let fence = self.links.fences[first_link.index()];
-        if now < fence {
-            self.arm_injector(ctx, flow_idx, fence);
-            return;
-        }
-        let hot = self.links.hot[first_link.index()];
-
-        let mtu = self.config.mtu.as_u64();
-        let budget = train_frames(hot.capacity, self.config.train_window, self.config.mtu);
-        let frames = budget.min(remaining.div_ceil(mtu)).max(1);
-        let mut sizes = Vec::with_capacity(frames as usize);
-        let mut left = remaining;
-        for _ in 0..frames {
-            let size = left.min(mtu);
-            sizes.push(Bytes::new(size));
-            left -= size;
-        }
-
-        let mut packets =
-            self.nics[flow.src.index()].build_train(now, FlowId(flow_idx as u64), flow.dst, &sizes);
-        let port = self.shared.arena.port(flow.src, first_link);
-        let admission = self.links.ports[port.index()].enqueue_train(
-            &mut packets,
-            hot.capacity,
-            hot.propagation,
-            hot.fec,
-            true,
-        );
-        self.nics[flow.src.index()].record_sent(admission.accepted as u64);
-
-        let accepted_bytes: u64 = packets[..admission.accepted]
-            .iter()
-            .map(|p| p.size.as_u64())
-            .sum();
-        self.progress[flow_idx].injected += accepted_bytes;
-        self.links.epoch_bytes[first_link.index()] += accepted_bytes;
-
-        if admission.dropped {
-            self.metrics.dropped_packets.incr();
-        }
-        if admission.accepted > 0 {
-            packets.truncate(admission.accepted);
-            let seq = self.train_seq[flow_idx];
-            self.train_seq[flow_idx] = seq.wrapping_add(1);
-            let train = ShardTrain {
-                route,
-                hop: 1,
-                seq,
-                packets,
-            };
-            self.emit_train(ctx, admission.last_arrives_at, flow_idx, train);
-            self.arm_injector(ctx, flow_idx, admission.last_departs_at);
-        } else {
-            self.arm_injector(ctx, flow_idx, retry_at);
+        let source = Source {
+            index: flow_idx,
+            flow,
+            progress: &mut self.progress[flow_idx],
+            nic: &mut self.nics[flow.src.index()],
+        };
+        let dropped = &mut self.metrics.dropped_packets;
+        match self.links.inject(&net, &self.config, now, source, dropped) {
+            Injection::Idle => {}
+            Injection::Local => self.check_completion(now, flow_idx),
+            Injection::Wait(at) => self.arm_injector(ctx, flow_idx, at),
+            Injection::Sent(sent) => {
+                let seq = self.train_seq[flow_idx];
+                self.train_seq[flow_idx] = seq.wrapping_add(1);
+                let train = ShardTrain {
+                    route: sent.route,
+                    hop: 1,
+                    seq,
+                    packets: sent.packets,
+                };
+                self.emit_train(ctx, sent.last_arrives_at, flow_idx, train);
+                self.arm_injector(ctx, flow_idx, sent.last_departs_at);
+            }
         }
     }
 
     /// Sends a drop notification to the flow's source shard: `n` packets
     /// carrying `bytes` were lost by the train with `(seq, hop)` identity.
+    /// `buffer` is the packet buffer of a train dropped whole, returned to
+    /// the source shard emptied.
     fn notify_drop(
         &mut self,
         ctx: &mut WindowCtx<'_, ShardEvent>,
         flow_idx: usize,
         bytes: u64,
         n: u64,
-        seq: u32,
-        hop: usize,
+        (seq, hop): (u32, usize),
+        mut buffer: Vec<Packet>,
     ) {
         self.metrics.dropped_packets.add(n);
+        buffer.clear();
         let src = self.flows[flow_idx].src;
         let to = self.owner_of(src);
         ctx.send(
@@ -385,6 +338,7 @@ impl ShardFabric {
             ShardEvent::Dropped {
                 flow: flow_idx as u32,
                 bytes,
+                buffer,
             },
         );
     }
@@ -393,7 +347,7 @@ impl ShardFabric {
     /// monolithic `train_arrive`, with acks instead of cross-node state).
     fn train_arrive(&mut self, ctx: &mut WindowCtx<'_, ShardEvent>, mut train: ShardTrain) {
         let now = ctx.now();
-        let at_node = train.route.route.nodes[train.hop];
+        let at_node = train.route.node(train.hop);
         let flow_idx = train.packets[0].flow.0 as usize;
 
         if at_node == train.packets[0].dst {
@@ -417,6 +371,8 @@ impl ShardFabric {
             }
             let src = self.flows[flow_idx].src;
             let to = self.owner_of(src);
+            let mut buffer = train.packets;
+            buffer.clear();
             ctx.send(
                 to,
                 now + self.ack_delay,
@@ -424,13 +380,14 @@ impl ShardFabric {
                 ShardEvent::Delivered {
                     flow: flow_idx as u32,
                     bytes,
+                    buffer,
                 },
             );
             return;
         }
 
-        let in_link = train.route.links[train.hop - 1];
-        let out_link = train.route.links[train.hop];
+        let in_link = train.route.link(train.hop - 1);
+        let out_link = train.route.link(train.hop);
         let out_live = self.links.live(out_link);
         let fence = self.links.fences[out_link.index()];
         if out_live && now < fence {
@@ -480,7 +437,8 @@ impl ShardFabric {
             // re-sends after the retry delay.
             let bytes: u64 = train.packets.iter().map(|p| p.size.as_u64()).sum();
             let n = train.packets.len() as u64;
-            self.notify_drop(ctx, flow_idx, bytes, n, train.seq, train.hop);
+            let id = (train.seq, train.hop);
+            self.notify_drop(ctx, flow_idx, bytes, n, id, train.packets);
             return;
         }
         let hot = self.links.hot[out_link.index()];
@@ -508,7 +466,14 @@ impl ShardFabric {
         if admission.dropped {
             let tail = &train.packets[admission.accepted..];
             let tail_bytes: u64 = tail.iter().map(|p| p.size.as_u64()).sum();
-            self.notify_drop(ctx, flow_idx, tail_bytes, 1, train.seq, train.hop);
+            // A train dropped whole hands its buffer back with the ack.
+            let buffer = if admission.accepted == 0 {
+                std::mem::take(&mut train.packets)
+            } else {
+                Vec::new()
+            };
+            let id = (train.seq, train.hop);
+            self.notify_drop(ctx, flow_idx, tail_bytes, 1, id, buffer);
         }
         if admission.accepted > 0 {
             train.packets.truncate(admission.accepted);
@@ -525,13 +490,23 @@ impl ShardModel for ShardFabric {
         match event {
             ShardEvent::Inject(flow) => self.inject(ctx, flow as usize),
             ShardEvent::Train(train) => self.train_arrive(ctx, train),
-            ShardEvent::Delivered { flow, bytes } => {
+            ShardEvent::Delivered {
+                flow,
+                bytes,
+                buffer,
+            } => {
                 let flow = flow as usize;
                 self.progress[flow].delivered += bytes;
+                self.links.recycle(buffer);
                 self.check_completion(ctx.now(), flow);
             }
-            ShardEvent::Dropped { flow, bytes } => {
+            ShardEvent::Dropped {
+                flow,
+                bytes,
+                buffer,
+            } => {
                 let flow = flow as usize;
+                self.links.recycle(buffer);
                 let p = &mut self.progress[flow];
                 p.injected = p.injected.saturating_sub(bytes);
                 let now = ctx.now();
@@ -599,7 +574,7 @@ impl Coordinator {
         let live_min = |inter_only: bool| {
             hot.iter()
                 .enumerate()
-                .filter(|(i, h)| (!inter_only || mask[*i]) && h.up && !h.capacity.is_zero())
+                .filter(|(i, h)| (!inter_only || mask[*i]) && h.live())
                 .map(|(_, h)| h.propagation + h.fec)
                 .min()
         };

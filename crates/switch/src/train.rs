@@ -10,12 +10,17 @@
 //! exact: each packet's departure/arrival instants are computed analytically
 //! by [`EgressQueue::enqueue_train`](crate::queue::EgressQueue::enqueue_train)
 //! and carried on the packet itself ([`Packet::arrived_at`]).
+//!
+//! A fresh train is admitted at its source by
+//! [`EgressQueue::enqueue_fresh_train`](crate::queue::EgressQueue::enqueue_fresh_train),
+//! which builds each packet only once its frame is accepted. A train holds
+//! its route as a shared [`InternedRoute`] handle, and the fabric recycles
+//! the packet buffer of every train that ends into the next injection.
 
 use crate::packet::Packet;
 use rackfabric_sim::time::SimDuration;
 use rackfabric_sim::units::{BitRate, Bytes};
 use rackfabric_topo::InternedRoute;
-use std::sync::Arc;
 
 /// A batch of same-flow packets moving together along one route. The train's
 /// event fires when its **last** packet finishes arriving; earlier packets'
@@ -23,8 +28,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Train {
     /// The route every packet in the train follows (shared, interned).
-    pub route: Arc<InternedRoute>,
-    /// Index of the next node in `route.route.nodes` the train arrives at.
+    pub route: InternedRoute,
+    /// Index of the next node of `route` (see [`InternedRoute::node`]) the
+    /// train arrives at.
     pub hop_index: usize,
     /// The packets, in injection order.
     pub packets: Vec<Packet>,
@@ -63,7 +69,7 @@ mod tests {
     use crate::packet::{FlowId, PacketId};
     use rackfabric_sim::time::SimTime;
     use rackfabric_topo::routing::Route;
-    use rackfabric_topo::NodeId;
+    use rackfabric_topo::{LinkArena, NodeId};
 
     #[test]
     fn train_frames_scales_with_rate_window() {
@@ -86,10 +92,8 @@ mod tests {
 
     #[test]
     fn train_accounting() {
-        let route = Arc::new(InternedRoute {
-            route: Route::trivial(NodeId(0)),
-            links: Vec::new(),
-        });
+        let route = InternedRoute::intern(Route::trivial(NodeId(0)), &LinkArena::default())
+            .expect("a trivial route crosses no link");
         let t = Train {
             route,
             hop_index: 0,

@@ -9,19 +9,25 @@
 //!
 //! Three policies share one epoch counter:
 //!
+//! An [`InternedRoute`] is one shared allocation: each hop a node and the
+//! dense link leaving it. Cloning it bumps a reference count, and the
+//! lookups below lend it rather than clone it.
+//!
 //! * **Single-path routing** (shortest hop, min cost) goes through
 //!   [`RouteCache::tree_route`]: one BFS/Dijkstra tree per source per
 //!   epoch. The first lookup from a source in an epoch builds that source's
 //!   predecessor tree and interns its links against the arena once. A route
-//!   is walked out of the tree and interned only on its first lookup, then
-//!   kept densely by destination, so a repeat lookup is two vector indexes
-//!   and no hashing. A lookup counts as a hit exactly when its source's tree
+//!   is walked out of the tree (in a scratch buffer the cache reuses, then
+//!   copied into its one allocation) only on its first lookup, then kept
+//!   densely by destination, so a repeat lookup is two vector indexes and
+//!   no hashing. A lookup counts as a hit exactly when its source's tree
 //!   already existed this epoch.
 //! * **UGAL-style adaptive routing** goes through
 //!   [`RouteCache::adaptive_route`], keyed by `(src, dst, flow)`. Its two
 //!   candidates, the minimal route and the flow's Valiant detour, do not
 //!   depend on prices, so they are kept until the topology changes and a
-//!   price update only re-prices them.
+//!   price update only re-prices them, summing the new costs over their
+//!   hops.
 //! * **Per-flow routing** (ECMP, Valiant) and the other per-pair algorithms
 //!   go through [`RouteCache::get_or_compute`], a map keyed by
 //!   `(src, dst, selector)`.
@@ -37,18 +43,23 @@ use crate::routing::{
     dense_cost, dijkstra_tree_by, route_cost, shortest_path, shortest_path_tree, valiant_route,
     Route,
 };
-use rackfabric_phy::LinkId;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A route resolved against a [`LinkArena`]: the public [`Route`] plus the
-/// dense link indices the hot path consumes.
+/// One hop of an interned route: a node and the dense index of the link
+/// leaving it toward the next node (`None` at the destination).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Hop {
+    node: NodeId,
+    link: Option<LinkIdx>,
+}
+
+/// A route resolved against a [`LinkArena`]: its nodes and the dense links
+/// between them, in one shared allocation. Cloning the handle bumps a
+/// reference count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternedRoute {
-    /// The underlying node/link route.
-    pub route: Route,
-    /// `route.links` interned to dense indices, same order.
-    pub links: Vec<LinkIdx>,
+    hops: Arc<[Hop]>,
 }
 
 impl InternedRoute {
@@ -61,16 +72,66 @@ impl InternedRoute {
 
     /// [`intern`](Self::intern), handing `route` back on failure.
     fn try_intern(route: Route, arena: &LinkArena) -> Result<InternedRoute, Route> {
-        match route.links.iter().map(|&id| arena.index(id)).collect() {
-            Some(links) => Ok(InternedRoute { route, links }),
+        let Some((&dst, nodes)) = route.nodes.split_last() else {
+            return Err(route);
+        };
+        if nodes.len() != route.links.len() {
+            return Err(route);
+        }
+        let hops: Option<Arc<[Hop]>> = nodes
+            .iter()
+            .zip(&route.links)
+            .map(|(&node, &id)| {
+                let link = Some(arena.index(id)?);
+                Some(Hop { node, link })
+            })
+            .chain([Some(Hop {
+                node: dst,
+                link: None,
+            })])
+            .collect();
+        match hops {
+            Some(hops) => Ok(InternedRoute { hops }),
             None => Err(route),
         }
     }
 
-    /// Number of hops.
+    /// Number of hops (links traversed).
     #[inline]
     pub fn hops(&self) -> usize {
-        self.links.len()
+        self.hops.len() - 1
+    }
+
+    /// The `i`-th node: the source at 0, the destination at
+    /// [`hops`](Self::hops).
+    #[inline]
+    pub fn node(&self, i: usize) -> NodeId {
+        self.hops[i].node
+    }
+
+    /// The dense link from node `i` to node `i + 1`.
+    #[inline]
+    pub fn link(&self, i: usize) -> LinkIdx {
+        self.hops[i]
+            .link
+            .expect("the destination has no outgoing link")
+    }
+
+    /// The route's cost under `costs`, dense by the arena's [`LinkIdx`]:
+    /// the same sum, in the same order, as [`route_cost`] under
+    /// [`dense_cost`] over the un-interned route.
+    pub fn cost(&self, costs: &[f64]) -> f64 {
+        self.hops
+            .iter()
+            .filter_map(|hop| hop.link)
+            .map(|link| costs[link.index()])
+            .sum()
+    }
+
+    /// True when both handles share one allocation.
+    #[inline]
+    pub fn ptr_eq(a: &InternedRoute, b: &InternedRoute) -> bool {
+        Arc::ptr_eq(&a.hops, &b.hops)
     }
 }
 
@@ -99,9 +160,9 @@ impl RouteCacheStats {
 /// routes that legitimately differ per flow on the same pair (ECMP).
 type Key = (NodeId, NodeId, u64);
 
-/// A predecessor-tree edge reaching a node: its parent, the physical link,
-/// and that link's arena index (`None` when the arena lacks the link).
-type TreeEdge = (NodeId, LinkId, Option<LinkIdx>);
+/// A predecessor-tree edge reaching a node: its parent and the arena index
+/// of the link between them (`None` when the arena lacks the link).
+type TreeEdge = (NodeId, Option<LinkIdx>);
 
 /// One source's single-path state: its predecessor tree and the routes
 /// looked up from it, both dense by node index.
@@ -113,30 +174,38 @@ struct SourceTree {
     parent: Vec<Option<TreeEdge>>,
     /// `routes[dst]` is `None` until `dst` is first looked up, then the
     /// answer (which may be "no route").
-    routes: Vec<Option<Option<Arc<InternedRoute>>>>,
+    routes: Vec<Option<Option<InternedRoute>>>,
 }
 
 impl SourceTree {
     /// The route from `src` to `dst` walked out of the tree, exactly as
     /// [`route_from_tree`](crate::routing::route_from_tree) followed by
-    /// [`InternedRoute::intern`] would build it.
-    fn walk(parent: &[Option<TreeEdge>], src: NodeId, dst: NodeId) -> Option<Arc<InternedRoute>> {
-        let mut nodes = vec![dst];
-        let mut ids = Vec::new();
-        let mut links = Vec::new();
+    /// [`InternedRoute::intern`] would build it. The walk runs in `scratch`,
+    /// so the route is the one allocation it makes.
+    fn walk(
+        parent: &[Option<TreeEdge>],
+        src: NodeId,
+        dst: NodeId,
+        scratch: &mut Vec<Hop>,
+    ) -> Option<InternedRoute> {
+        scratch.clear();
+        scratch.push(Hop {
+            node: dst,
+            link: None,
+        });
         let mut cur = dst;
         while cur != src {
-            let (prev, id, idx) = parent[cur.index()]?;
-            nodes.push(prev);
-            ids.push(id);
-            links.push(idx?);
+            let (prev, link) = parent[cur.index()]?;
+            scratch.push(Hop {
+                node: prev,
+                link: Some(link?),
+            });
             cur = prev;
         }
-        nodes.reverse();
-        ids.reverse();
-        links.reverse();
-        let route = Route { nodes, links: ids };
-        Some(Arc::new(InternedRoute { route, links }))
+        scratch.reverse();
+        Some(InternedRoute {
+            hops: Arc::from(&scratch[..]),
+        })
     }
 }
 
@@ -144,18 +213,18 @@ impl SourceTree {
 /// lacks one of its links (choosing it then answers `None`, as interning
 /// the choice would). Boxed, because only a topology the arena was not
 /// built from produces it.
-type Candidate = Result<Arc<InternedRoute>, Box<Route>>;
+type Candidate = Result<InternedRoute, Box<Route>>;
 
 fn candidate(route: Route, arena: &LinkArena) -> Candidate {
-    InternedRoute::try_intern(route, arena)
-        .map(Arc::new)
-        .map_err(Box::new)
+    InternedRoute::try_intern(route, arena).map_err(Box::new)
 }
 
-fn priced(candidate: &Candidate) -> &Route {
+/// A candidate's cost under `costs`: bit-identical to [`route_cost`] under
+/// [`dense_cost`] over the un-interned route.
+fn priced(candidate: &Candidate, arena: &LinkArena, costs: &[f64]) -> f64 {
     match candidate {
-        Ok(interned) => &interned.route,
-        Err(route) => route,
+        Ok(interned) => interned.cost(costs),
+        Err(route) => route_cost(route, dense_cost(arena, costs)),
     }
 }
 
@@ -170,7 +239,7 @@ struct AdaptiveEntry {
     /// The minimal route and the flow's Valiant detour, if one exists;
     /// `None` when no minimal route exists.
     candidates: Option<(Candidate, Option<Candidate>)>,
-    answer: Option<Arc<InternedRoute>>,
+    answer: Option<InternedRoute>,
 }
 
 /// An epoch-tagged cache of interned routes.
@@ -181,10 +250,13 @@ struct AdaptiveEntry {
 pub struct RouteCache {
     epoch: u64,
     topology_epoch: u64,
-    entries: HashMap<Key, (u64, Option<Arc<InternedRoute>>)>,
+    /// Per-pair routes and the epoch each was computed in.
+    entries: HashMap<Key, (Option<u64>, Option<InternedRoute>)>,
     adaptive: HashMap<Key, AdaptiveEntry>,
     /// Single-path trees, dense by source node index.
     trees: Vec<SourceTree>,
+    /// The buffer tree walks run in.
+    scratch: Vec<Hop>,
     stats: RouteCacheStats,
 }
 
@@ -232,7 +304,7 @@ impl RouteCache {
         costs: Option<&[f64]>,
         src: NodeId,
         dst: NodeId,
-    ) -> Option<Arc<InternedRoute>> {
+    ) -> Option<&InternedRoute> {
         if self.trees.len() <= src.index() {
             self.trees.resize_with(src.index() + 1, SourceTree::default);
         }
@@ -250,16 +322,17 @@ impl RouteCache {
             tree.parent.extend(
                 parents
                     .into_iter()
-                    .map(|edge| edge.map(|(prev, id)| (prev, id, arena.index(id)))),
+                    .map(|edge| edge.map(|(prev, id)| (prev, arena.index(id)))),
             );
             tree.routes.clear();
             tree.routes.resize(tree.parent.len(), None);
         }
         let SourceTree { parent, routes, .. } = tree;
+        let scratch = &mut self.scratch;
         routes
             .get_mut(dst.index())?
-            .get_or_insert_with(|| SourceTree::walk(parent, src, dst))
-            .clone()
+            .get_or_insert_with(|| SourceTree::walk(parent, src, dst, scratch))
+            .as_ref()
     }
 
     /// The UGAL-style adaptive route of flow `flow` from `src` to `dst`:
@@ -280,11 +353,11 @@ impl RouteCache {
         src: NodeId,
         dst: NodeId,
         flow: u64,
-    ) -> Option<Arc<InternedRoute>> {
+    ) -> Option<&InternedRoute> {
         let entry = self.adaptive.entry((src, dst, flow)).or_default();
         if entry.epoch == Some(self.epoch) {
             self.stats.hits += 1;
-            return entry.answer.clone();
+            return entry.answer.as_ref();
         }
         self.stats.misses += 1;
         if entry.topology_epoch != Some(self.topology_epoch) {
@@ -297,21 +370,17 @@ impl RouteCache {
                 )
             });
         }
-        let cost_of = dense_cost(arena, costs);
         entry.epoch = Some(self.epoch);
         entry.answer = entry.candidates.as_ref().and_then(|(minimal, valiant)| {
             let chosen = match valiant {
-                Some(valiant)
-                    if route_cost(priced(valiant), &cost_of)
-                        < route_cost(priced(minimal), &cost_of) =>
-                {
+                Some(valiant) if priced(valiant, arena, costs) < priced(minimal, arena, costs) => {
                     valiant
                 }
                 _ => minimal,
             };
             chosen.as_ref().ok().cloned()
         });
-        entry.answer.clone()
+        entry.answer.as_ref()
     }
 
     /// Looks up the route for `(src, dst, selector)` in the current epoch,
@@ -321,19 +390,17 @@ impl RouteCache {
         src: NodeId,
         dst: NodeId,
         selector: u64,
-        compute: impl FnOnce() -> Option<Arc<InternedRoute>>,
-    ) -> Option<Arc<InternedRoute>> {
-        if let Some((epoch, cached)) = self.entries.get(&(src, dst, selector)) {
-            if *epoch == self.epoch {
-                self.stats.hits += 1;
-                return cached.clone();
-            }
+        compute: impl FnOnce() -> Option<InternedRoute>,
+    ) -> Option<&InternedRoute> {
+        let (epoch, route) = self.entries.entry((src, dst, selector)).or_default();
+        if *epoch == Some(self.epoch) {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+            *epoch = Some(self.epoch);
+            *route = compute();
         }
-        self.stats.misses += 1;
-        let computed = compute();
-        self.entries
-            .insert((src, dst, selector), (self.epoch, computed.clone()));
-        computed
+        route.as_ref()
     }
 
     /// Hit/miss counters accumulated since construction.
@@ -348,7 +415,7 @@ mod tests {
     use super::*;
     use crate::routing::{adaptive_route, dijkstra_tree, route_from_tree, shortest_path};
     use crate::spec::TopologySpec;
-    use rackfabric_phy::PhyState;
+    use rackfabric_phy::{LinkId, PhyState};
     use rackfabric_sim::units::BitRate;
 
     fn setup() -> (crate::graph::Topology, LinkArena) {
@@ -368,7 +435,6 @@ mod tests {
                 computes += 1;
                 shortest_path(&topo, NodeId(0), NodeId(8))
                     .and_then(|r| InternedRoute::intern(r, &arena))
-                    .map(Arc::new)
             });
             assert_eq!(r.unwrap().hops(), 4);
         }
@@ -471,7 +537,7 @@ mod tests {
                 for dst in topo.nodes() {
                     let got = cache.tree_route(&topo, &arena, dense, src, dst);
                     let want = expected(&topo, &arena, costs, src, dst);
-                    assert_eq!(got.as_deref(), want.as_ref(), "{src:?} -> {dst:?}");
+                    assert_eq!(got, want.as_ref(), "{src:?} -> {dst:?}");
                     assert!(want.is_some(), "the grid is connected");
                     differs |= want != expected(&topo, &arena, None, src, dst);
                 }
@@ -494,13 +560,13 @@ mod tests {
                     for i in 0..n {
                         let dst = NodeId(((src.0 as u64 + 5 + i) % n) as u32);
                         let before = cache.stats();
-                        let first = cache.tree_route(&topo, &arena, costs, src, dst);
+                        let first = cache.tree_route(&topo, &arena, costs, src, dst).cloned();
                         let misses = cache.stats().misses - before.misses;
                         assert_eq!(misses, (i == 0) as u64, "{src:?} -> {dst:?}");
                         let again = cache.tree_route(&topo, &arena, costs, src, dst);
                         assert!(
-                            Arc::ptr_eq(&first.unwrap(), &again.unwrap()),
-                            "a repeat lookup serves the interned route"
+                            InternedRoute::ptr_eq(&first.unwrap(), again.unwrap()),
+                            "a repeat lookup serves the same allocation"
                         );
                     }
                 }
@@ -533,7 +599,9 @@ mod tests {
                 .is_some());
             assert_eq!(cache.stats(), RouteCacheStats { hits: 2, misses: 1 });
             let isolated = cache.tree_route(&topo, &arena, costs, NodeId(0), NodeId(0));
-            assert_eq!(isolated.unwrap().route, Route::trivial(NodeId(0)));
+            let trivial = InternedRoute::intern(Route::trivial(NodeId(0)), &arena);
+            assert_eq!(isolated, trivial.as_ref());
+            assert_eq!(isolated.unwrap().hops(), 0);
             assert!(cache
                 .tree_route(&topo, &arena, costs, NodeId(0), NodeId(15))
                 .is_none());
@@ -553,7 +621,7 @@ mod tests {
         for dst in topo.nodes() {
             let got = cache.tree_route(&topo, &arena, None, NodeId(0), dst);
             let want = expected(&topo, &arena, None, NodeId(0), dst);
-            assert_eq!(got.as_deref(), want.as_ref(), "0 -> {dst:?}");
+            assert_eq!(got, want.as_ref(), "0 -> {dst:?}");
             missing += got.is_none() as usize;
         }
         assert!(missing > 0, "the tree crosses the unknown link");
@@ -612,25 +680,26 @@ mod tests {
         let (topo, arena, racks) = dragonfly();
         let keys = keys(&topo);
         let mut cache = RouteCache::new();
-        let mut first: HashMap<Key, Arc<InternedRoute>> = HashMap::new();
+        let mut first: HashMap<Key, InternedRoute> = HashMap::new();
         let mut detours = 0;
         for k in 0..4 {
             let costs = price_book(&arena, k);
             for &(src, dst, flow) in &keys {
                 let want = ugal(&topo, &arena, &racks, &costs, (src, dst, flow));
-                let got = cache.adaptive_route(&topo, &arena, &racks, &costs, src, dst, flow);
-                assert_eq!(
-                    got.as_deref(),
-                    want.as_ref(),
-                    "book {k}: {src:?} -> {dst:?}"
-                );
+                let got = cache
+                    .adaptive_route(&topo, &arena, &racks, &costs, src, dst, flow)
+                    .cloned();
+                assert_eq!(got, want, "book {k}: {src:?} -> {dst:?}");
                 let got = got.expect("the dragonfly is connected");
                 let again = cache.adaptive_route(&topo, &arena, &racks, &costs, src, dst, flow);
-                assert!(Arc::ptr_eq(&got, &again.unwrap()), "a repeat lookup hits");
+                assert!(
+                    InternedRoute::ptr_eq(&got, again.unwrap()),
+                    "a repeat lookup hits"
+                );
                 let first = first.entry((src, dst, flow)).or_insert_with(|| got.clone());
                 if got == *first {
                     assert!(
-                        Arc::ptr_eq(&got, first),
+                        InternedRoute::ptr_eq(&got, first),
                         "a price update re-prices the candidates, never rebuilds them"
                     );
                 } else {
@@ -662,7 +731,9 @@ mod tests {
         let before: Vec<_> = keys
             .iter()
             .map(|&(src, dst, flow)| {
-                cache.adaptive_route(&topo, &arena, &racks, &costs, src, dst, flow)
+                cache
+                    .adaptive_route(&topo, &arena, &racks, &costs, src, dst, flow)
+                    .cloned()
             })
             .collect();
         // Cut one global link: the routes over it must move.
@@ -675,8 +746,10 @@ mod tests {
         let mut moved = 0;
         for (&(src, dst, flow), before) in keys.iter().zip(&before) {
             let want = ugal(&topo, &arena, &racks, &costs, (src, dst, flow));
-            let got = cache.adaptive_route(&topo, &arena, &racks, &costs, src, dst, flow);
-            assert_eq!(got.as_deref(), want.as_ref(), "{src:?} -> {dst:?}");
+            let got = cache
+                .adaptive_route(&topo, &arena, &racks, &costs, src, dst, flow)
+                .cloned();
+            assert_eq!(got, want, "{src:?} -> {dst:?}");
             moved += (got != *before) as u32;
         }
         assert!(moved > 0, "the cut link carried some route");

@@ -340,14 +340,88 @@ fn splitmix(flow_id: u64) -> u64 {
     h
 }
 
-/// Selects one of the ECMP paths by hashing `flow_id` (deterministic).
+/// How many minimum-hop paths [`ecmp_select`] spreads flows over.
+const ECMP_PATHS: u32 = 16;
+
+/// Selects one of the ECMP paths by hashing `flow_id` (deterministic): the
+/// path `ecmp_paths(topo, src, dst, 16)[splitmix(flow_id) % len]`, found
+/// without enumerating paths.
+///
+/// One dense BFS from `dst` gives hop distances; then each node closer to
+/// `dst` than `src` counts its shortest-path continuations (parallel links
+/// count separately), capped at 16. [`ecmp_paths`] enumerates paths
+/// depth-first in adjacency order, so the `idx`-th path leaves each node
+/// through the first successor whose count exceeds what is left of `idx`
+/// after subtracting the counts of the successors before it. The cap
+/// cannot change a choice: `idx` stays below 16, so a capped count of 16
+/// exceeds it exactly when the true count does.
 pub fn ecmp_select(topo: &Topology, src: NodeId, dst: NodeId, flow_id: u64) -> Option<Route> {
-    let paths = ecmp_paths(topo, src, dst, 16);
-    if paths.is_empty() {
+    if src == dst {
+        return Some(Route::trivial(src));
+    }
+    let n = topo.node_count();
+    if src.index() >= n || dst.index() >= n {
         return None;
     }
-    let idx = (splitmix(flow_id) % paths.len() as u64) as usize;
-    Some(paths[idx].clone())
+    // BFS from dst until src is dequeued: every node at most as far from
+    // dst as src then holds its final distance, and `order` lists the
+    // nodes by distance.
+    let mut dist = vec![u32::MAX; n];
+    let mut order = vec![dst];
+    dist[dst.index()] = 0;
+    let mut head = 0;
+    while let Some(&node) = order.get(head) {
+        head += 1;
+        if node == src {
+            break;
+        }
+        for adj in topo.neighbors(node) {
+            if dist[adj.neighbor.index()] == u32::MAX {
+                dist[adj.neighbor.index()] = dist[node.index()] + 1;
+                order.push(adj.neighbor);
+            }
+        }
+    }
+    if dist[src.index()] == u32::MAX {
+        return None;
+    }
+    // The next hops of `node` on its shortest paths toward dst.
+    let dist = &dist;
+    let toward_dst = |node: NodeId| {
+        let d = dist[node.index()];
+        topo.neighbors(node)
+            .iter()
+            .filter(move |adj| dist[adj.neighbor.index()].wrapping_add(1) == d)
+    };
+    let mut count = vec![0u32; n];
+    count[dst.index()] = 1;
+    for &node in &order[1..head] {
+        count[node.index()] = toward_dst(node).fold(0, |c, adj| {
+            (c + count[adj.neighbor.index()]).min(ECMP_PATHS)
+        });
+    }
+    let mut idx = (splitmix(flow_id) % count[src.index()] as u64) as u32;
+    let hops = dist[src.index()] as usize;
+    let mut route = Route {
+        nodes: Vec::with_capacity(hops + 1),
+        links: Vec::with_capacity(hops),
+    };
+    route.nodes.push(src);
+    let mut node = src;
+    while node != dst {
+        for adj in toward_dst(node) {
+            let c = count[adj.neighbor.index()];
+            if c <= idx {
+                idx -= c;
+                continue;
+            }
+            route.nodes.push(adj.neighbor);
+            route.links.push(adj.link);
+            node = adj.neighbor;
+            break;
+        }
+    }
+    Some(route)
 }
 
 /// Valiant load balancing over the rack (dragonfly group) structure:
@@ -628,6 +702,66 @@ mod tests {
             2,
             "different flows should spread over both paths"
         );
+    }
+
+    /// `ecmp_select` picks the path the flow hash indexes among the first 16
+    /// that [`ecmp_paths`] enumerates — how it selected before it counted
+    /// paths instead — for every ordered pair and flows 0..16, on fabrics
+    /// with more than 16 shortest paths per pair and with parallel links.
+    #[test]
+    fn ecmp_select_picks_the_enumerated_path() {
+        let mut parallel = build(&TopologySpec::grid(3, 3, 1));
+        let fresh = LinkId(parallel.links().last().unwrap().0 + 1);
+        parallel.add_edge(NodeId(1), NodeId(4), fresh);
+        let mut cut = build(&TopologySpec::grid(3, 3, 1));
+        for adj in cut.neighbors(NodeId(4)).to_vec() {
+            cut.remove_edge(adj.link);
+        }
+        let torus = build(&TopologySpec::torus(4, 4, 1));
+        assert!(
+            ecmp_paths(&torus, NodeId(0), NodeId(10), 64).len() > 16,
+            "some pair must have more shortest paths than the cap"
+        );
+        let fabrics = [
+            build(&TopologySpec::grid(6, 6, 1)),
+            torus,
+            build(&TopologySpec::fat_tree(16, 8, 2, 2)),
+            build(&TopologySpec::dragonfly(4, 2, 2, 1)),
+            parallel,
+            cut,
+        ];
+        for topo in &fabrics {
+            for src in topo.nodes() {
+                for dst in topo.nodes() {
+                    let paths = ecmp_paths(topo, src, dst, 16);
+                    for flow in 0..16 {
+                        let want = (!paths.is_empty())
+                            .then(|| paths[(splitmix(flow) % paths.len() as u64) as usize].clone());
+                        assert_eq!(
+                            ecmp_select(topo, src, dst, flow),
+                            want,
+                            "{src:?} -> {dst:?}, flow {flow}"
+                        );
+                    }
+                }
+            }
+        }
+        let cut = &fabrics[5];
+        assert_eq!(ecmp_select(cut, NodeId(0), NodeId(4), 3), None);
+        assert_eq!(ecmp_select(cut, NodeId(4), NodeId(8), 3), None);
+        assert_eq!(
+            ecmp_select(cut, NodeId(4), NodeId(4), 3),
+            Some(Route::trivial(NodeId(4)))
+        );
+        let parallel = &fabrics[4];
+        let picks: std::collections::HashSet<Vec<LinkId>> = (0..64)
+            .map(|f| {
+                ecmp_select(parallel, NodeId(1), NodeId(4), f)
+                    .unwrap()
+                    .links
+            })
+            .collect();
+        assert_eq!(picks.len(), 2, "parallel links are separate paths");
     }
 
     #[test]

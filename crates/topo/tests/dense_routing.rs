@@ -181,18 +181,23 @@ fn check_dense_state(
             let tree = dijkstra_tree(topo, src, &map, 1.0);
             for dst in topo.nodes() {
                 let got = cache.tree_route(topo, &arena, Some(&dense), src, dst);
-                let want =
-                    route_from_tree(src, dst, &tree).and_then(|r| InternedRoute::intern(r, &arena));
+                let raw = route_from_tree(src, dst, &tree);
+                let want = raw.clone().and_then(|r| InternedRoute::intern(r, &arena));
                 assert_eq!(
-                    got.as_deref(),
+                    got,
                     want.as_ref(),
                     "{context}, costs {round}: {src:?} -> {dst:?}"
                 );
-                if let Some(route) = got {
+                if let (Some(route), Some(raw)) = (got, raw) {
                     assert_eq!(
-                        route_cost(&route.route, dense_cost(&arena, &dense)).to_bits(),
-                        route_cost(&route.route, by_map).to_bits(),
+                        route_cost(&raw, dense_cost(&arena, &dense)).to_bits(),
+                        route_cost(&raw, by_map).to_bits(),
                         "{context}, costs {round}: cost of {src:?} -> {dst:?}"
+                    );
+                    assert_eq!(
+                        route.cost(&dense).to_bits(),
+                        route_cost(&raw, by_map).to_bits(),
+                        "{context}, costs {round}: interned cost of {src:?} -> {dst:?}"
                     );
                 }
             }
