@@ -25,7 +25,7 @@
 //!   destination share a shard, which is precisely why a 1-shard run is
 //!   bit-identical to an N-shard run: every shard sees the same events, at
 //!   the same instants, in the same content-keyed order.
-//! * An ack also carries the emptied packet buffer of a train that ended
+//! * An ack also carries the packet buffer of a train that ended
 //!   (delivered, or dropped whole) back to the source shard's spare list,
 //!   where that shard's next injection takes it. A shard's list thus holds
 //!   only buffers its own trains used, never more than it had in flight at
@@ -157,9 +157,19 @@ fn event_key(class: u64, flow: usize, seq: u32, hop: usize) -> u64 {
 #[derive(Debug)]
 pub struct ShardTrain {
     route: InternedRoute,
-    hop: usize,
+    /// The next node's index into `route`: a `u32` beside `seq`, so the
+    /// train, the largest payload of the event queues, stays at 48 bytes.
+    hop: u32,
     seq: u32,
     packets: Vec<Packet>,
+}
+
+impl ShardTrain {
+    /// The index of the route node the train arrives at next.
+    #[inline]
+    fn hop(&self) -> usize {
+        self.hop as usize
+    }
 }
 
 /// Events driving one fabric shard. Local events and mailbox envelopes share
@@ -178,8 +188,8 @@ pub enum ShardEvent {
         flow: u32,
         /// Bytes the destination received from the acked train.
         bytes: u64,
-        /// The train's emptied packet buffer, returned to the source shard
-        /// for its next injection.
+        /// The train's packet buffer, returned to the source shard for its
+        /// next injection.
         buffer: Vec<Packet>,
     },
     /// Drop notification to the flow's source shard (the retry trigger).
@@ -188,8 +198,8 @@ pub enum ShardEvent {
         flow: u32,
         /// Bytes to re-send.
         bytes: u64,
-        /// The emptied packet buffer of a train dropped whole (empty when
-        /// only the train's tail was dropped).
+        /// The packet buffer of a train dropped whole (empty when only the
+        /// train's tail was dropped).
         buffer: Vec<Packet>,
     },
 }
@@ -249,9 +259,9 @@ impl ShardFabric {
         flow_idx: usize,
         train: ShardTrain,
     ) {
-        let node = train.route.node(train.hop);
+        let node = train.route.node(train.hop());
         let to = self.owner_of(node);
-        let key = event_key(CLASS_TRAIN, flow_idx, train.seq, train.hop);
+        let key = event_key(CLASS_TRAIN, flow_idx, train.seq, train.hop());
         self.trains_sent += 1;
         ctx.send(to, at, key, ShardEvent::Train(train));
     }
@@ -317,7 +327,7 @@ impl ShardFabric {
     /// Sends a drop notification to the flow's source shard: `n` packets
     /// carrying `bytes` were lost by the train with `(seq, hop)` identity.
     /// `buffer` is the packet buffer of a train dropped whole, returned to
-    /// the source shard emptied.
+    /// the source shard.
     fn notify_drop(
         &mut self,
         ctx: &mut WindowCtx<'_, ShardEvent>,
@@ -325,10 +335,9 @@ impl ShardFabric {
         bytes: u64,
         n: u64,
         (seq, hop): (u32, usize),
-        mut buffer: Vec<Packet>,
+        buffer: Vec<Packet>,
     ) {
         self.metrics.dropped_packets.add(n);
-        buffer.clear();
         let src = self.flows[flow_idx].src;
         let to = self.owner_of(src);
         ctx.send(
@@ -347,7 +356,7 @@ impl ShardFabric {
     /// monolithic `train_arrive`, with acks instead of cross-node state).
     fn train_arrive(&mut self, ctx: &mut WindowCtx<'_, ShardEvent>, mut train: ShardTrain) {
         let now = ctx.now();
-        let at_node = train.route.node(train.hop);
+        let at_node = train.route.node(train.hop());
         let flow_idx = train.packets[0].flow.0 as usize;
 
         if at_node == train.packets[0].dst {
@@ -371,8 +380,6 @@ impl ShardFabric {
             }
             let src = self.flows[flow_idx].src;
             let to = self.owner_of(src);
-            let mut buffer = train.packets;
-            buffer.clear();
             ctx.send(
                 to,
                 now + self.ack_delay,
@@ -380,14 +387,14 @@ impl ShardFabric {
                 ShardEvent::Delivered {
                     flow: flow_idx as u32,
                     bytes,
-                    buffer,
+                    buffer: train.packets,
                 },
             );
             return;
         }
 
-        let in_link = train.route.link(train.hop - 1);
-        let out_link = train.route.link(train.hop);
+        let in_link = train.route.link(train.hop() - 1);
+        let out_link = train.route.link(train.hop());
         let out_live = self.links.live(out_link);
         let fence = self.links.fences[out_link.index()];
         if out_live && now < fence {
@@ -398,7 +405,7 @@ impl ShardFabric {
                 packet.breakdown.queueing += fence.saturating_since(packet.arrived_at);
                 packet.arrived_at = fence;
             }
-            let key = event_key(CLASS_TRAIN, flow_idx, train.seq, train.hop);
+            let key = event_key(CLASS_TRAIN, flow_idx, train.seq, train.hop());
             ctx.schedule(fence, key, ShardEvent::Train(train));
             return;
         }
@@ -437,7 +444,7 @@ impl ShardFabric {
             // re-sends after the retry delay.
             let bytes: u64 = train.packets.iter().map(|p| p.size.as_u64()).sum();
             let n = train.packets.len() as u64;
-            let id = (train.seq, train.hop);
+            let id = (train.seq, train.hop());
             self.notify_drop(ctx, flow_idx, bytes, n, id, train.packets);
             return;
         }
@@ -472,7 +479,7 @@ impl ShardFabric {
             } else {
                 Vec::new()
             };
-            let id = (train.seq, train.hop);
+            let id = (train.seq, train.hop());
             self.notify_drop(ctx, flow_idx, tail_bytes, 1, id, buffer);
         }
         if admission.accepted > 0 {

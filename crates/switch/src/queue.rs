@@ -252,8 +252,8 @@ impl EgressQueue {
     /// and the packet is pushed onto `train` charged exactly as
     /// [`enqueue_train`](Self::enqueue_train) with serialization charged
     /// would charge a prebuilt packet that arrived at `now`. Admission stops
-    /// at the first tail-drop, which is counted as there; the dropped frame
-    /// and the ones after it are never built.
+    /// at the first tail-drop, counted as `enqueue_train` counts it; the
+    /// dropped frame and the ones after it are never built.
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue_fresh_train(
         &mut self,

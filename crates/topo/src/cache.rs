@@ -7,11 +7,11 @@
 //! is a pure function, so it can be computed once, interned against the
 //! [`LinkArena`], and reused by every subsequent train of that pair.
 //!
-//! Three policies share one epoch counter:
-//!
 //! An [`InternedRoute`] is one shared allocation: each hop a node and the
 //! dense link leaving it. Cloning it bumps a reference count, and the
 //! lookups below lend it rather than clone it.
+//!
+//! Three policies share one epoch counter:
 //!
 //! * **Single-path routing** (shortest hop, min cost) goes through
 //!   [`RouteCache::tree_route`]: one BFS/Dijkstra tree per source per
