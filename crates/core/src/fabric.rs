@@ -26,13 +26,14 @@
 //!   back-to-back frames sized by the first link's rate window, and each hop
 //!   forwards the whole batch with a single event. Per-packet latency stays
 //!   exact (see [`Packet::arrived_at`](rackfabric_switch::packet::Packet)).
-//! * The steady-state datapath does not allocate. Injection, written once
-//!   for both engines as `LinkTable::inject`, offers a fresh train to the
-//!   first link's port frame by frame and builds a packet only once its
-//!   frame is accepted: a rejected injection builds nothing. The train's
-//!   packet buffer comes from the table's spare list, which every train
-//!   that ends (delivered, dropped whole, or stopped by a dead link) refills
-//!   with its emptied buffer.
+//! * A train allocates nothing of its own beyond its route's first walk.
+//!   Injection, written once for both engines as `LinkTable::inject`,
+//!   builds a fresh train into a packet buffer from the table's spare list
+//!   and offers it to the first link's port; every train that ends
+//!   (delivered, dropped whole, stopped by a dead link, or rejected at
+//!   injection) refills the list with its emptied buffer. What the engines
+//!   still allocate is mostly the calendar queue's bucket growth and, when
+//!   sharded, the mailboxes (`tests/datapath_allocs.rs`).
 //! * Routes are served from an epoch-invalidated [`RouteCache`]. Under the
 //!   single-path algorithms one BFS/Dijkstra tree per source per epoch
 //!   serves every destination; a route is walked out of the tree into one
@@ -309,9 +310,9 @@ impl LinkTable {
     /// Offers the next train of a flow at its source, the injection both
     /// engines run: the route lookup, the first-hop checks, and admission
     /// to the first link's egress port. A train is sized by that link's
-    /// rate window, and each packet is built only once its frame is
-    /// accepted, into a recycled buffer. A rejected injection builds
-    /// nothing and counts one drop in `dropped`, as does a dead first link.
+    /// rate window and built into a recycled buffer; the frames the port
+    /// rejects are cut off again. A tail-drop counts one drop in `dropped`,
+    /// as does a dead first link.
     pub(crate) fn inject(
         &mut self,
         net: &Network<'_>,
@@ -372,16 +373,17 @@ impl LinkTable {
             Some(Bytes::new(size))
         });
         let mut packets = self.spare.pop().unwrap_or_default();
+        nic.build_train(now, FlowId(index as u64), flow.dst, sizes, &mut packets);
         let port = net.arena.port(flow.src, first_link);
-        let admission = self.ports[port.index()].enqueue_fresh_train(
-            now,
-            sizes,
+        let admission = self.ports[port.index()].enqueue_train(
+            &mut packets,
             hot.capacity,
             hot.propagation,
             hot.fec,
-            &mut packets,
-            |size| nic.send(now, FlowId(index as u64), flow.dst, size),
+            true,
         );
+        nic.record_sent(admission.accepted as u64);
+        packets.truncate(admission.accepted);
         if admission.dropped {
             dropped.incr();
         }

@@ -76,15 +76,30 @@ impl Nic {
         self.bytes_received += packet.size.as_u64();
     }
 
-    /// Builds the next packet of `flow` toward `dst`, created at `now`, and
-    /// counts it as injected. The fabric calls this only once the egress
-    /// port of the route's first link (an arena-indexed queue this NIC does
-    /// not own) has accepted the packet's frame, so only admitted packets
-    /// are numbered.
-    pub fn send(&mut self, now: SimTime, flow: FlowId, dst: NodeId, size: Bytes) -> Packet {
-        self.packets_sent += 1;
-        let id = self.alloc_packet_id();
-        Packet::new(id, flow, self.node, dst, size, now)
+    /// Builds the next train of `flow` toward `dst` into `train` — one
+    /// packet per size `sizes` yields, with node-scoped ids — without
+    /// offering it to a queue. The fabric admits trains to the egress port
+    /// of the route's first link (an arena-indexed queue this NIC does not
+    /// own), so building and admission are separate steps;
+    /// [`Nic::record_sent`] closes the loop once admission is known.
+    pub fn build_train(
+        &mut self,
+        now: SimTime,
+        flow: FlowId,
+        dst: NodeId,
+        sizes: impl IntoIterator<Item = Bytes>,
+        train: &mut Vec<Packet>,
+    ) {
+        train.extend(sizes.into_iter().map(|size| {
+            let id = self.alloc_packet_id();
+            Packet::new(id, flow, self.node, dst, size, now)
+        }));
+    }
+
+    /// Counts `n` packets as injected (train admission happens at the
+    /// arena's port queue, outside the NIC).
+    pub fn record_sent(&mut self, n: u64) {
+        self.packets_sent += n;
     }
 
     /// Records delivery of a whole train's packets to this node.
@@ -119,13 +134,6 @@ mod tests {
         assert_ne!(p1.id, p2.id);
         assert!(matches!(o1, EnqueueOutcome::Accepted { .. }));
         assert_eq!(nic.packets_sent, 2);
-        let p3 = nic.send(SimTime::ZERO, FlowId(0), NodeId(7), Bytes::new(1500));
-        assert!(p3.id != p1.id && p3.id != p2.id);
-        assert_eq!(
-            (p3.src, p3.dst, p3.size),
-            (NodeId(3), NodeId(7), Bytes::new(1500))
-        );
-        assert_eq!(nic.packets_sent, 3, "a sent packet counts as injected");
         assert_eq!(p1.src, NodeId(3));
         assert_eq!(p1.dst, NodeId(7));
     }

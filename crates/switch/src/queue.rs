@@ -50,41 +50,6 @@ pub struct TrainAdmission {
     pub last_arrives_at: SimTime,
 }
 
-impl TrainAdmission {
-    /// Nothing admitted yet.
-    fn empty() -> Self {
-        TrainAdmission {
-            accepted: 0,
-            dropped: false,
-            last_departs_at: SimTime::ZERO,
-            last_arrives_at: SimTime::ZERO,
-        }
-    }
-
-    /// Charges an accepted frame's hop to `packet` — the queueing and
-    /// `serialization` it was charged, the link's `propagation` and `fec`,
-    /// and an arrival at its departure plus both — and counts it as the
-    /// train's last admitted packet.
-    fn charge(
-        &mut self,
-        packet: &mut Packet,
-        queueing: SimDuration,
-        serialization: SimDuration,
-        departs_at: SimTime,
-        propagation: SimDuration,
-        fec: SimDuration,
-    ) {
-        packet.breakdown.queueing += queueing;
-        packet.breakdown.serialization += serialization;
-        packet.breakdown.propagation += propagation;
-        packet.breakdown.fec += fec;
-        packet.arrived_at = departs_at + propagation + fec;
-        self.accepted += 1;
-        self.last_departs_at = departs_at;
-        self.last_arrives_at = packet.arrived_at;
-    }
-}
-
 /// An egress port queue with tail-drop and ECN marking.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EgressQueue {
@@ -214,7 +179,12 @@ impl EgressQueue {
         fec: SimDuration,
         charge_serialization: bool,
     ) -> TrainAdmission {
-        let mut admission = TrainAdmission::empty();
+        let mut admission = TrainAdmission {
+            accepted: 0,
+            dropped: false,
+            last_departs_at: SimTime::ZERO,
+            last_arrives_at: SimTime::ZERO,
+        };
         for packet in packets.iter_mut() {
             match self.enqueue(packet.arrived_at, packet.size, rate) {
                 EnqueueOutcome::Accepted {
@@ -223,67 +193,16 @@ impl EgressQueue {
                     departs_at,
                     ..
                 } => {
-                    let serialization = if charge_serialization {
-                        serialization
-                    } else {
-                        SimDuration::ZERO
-                    };
-                    admission.charge(
-                        packet,
-                        queueing,
-                        serialization,
-                        departs_at,
-                        propagation,
-                        fec,
-                    );
-                }
-                EnqueueOutcome::Dropped => {
-                    admission.dropped = true;
-                    break;
-                }
-            }
-        }
-        admission
-    }
-
-    /// Offers a **fresh** train at its source: frames of the sizes `frames`
-    /// yields, all ready at `now`, through [`enqueue`](Self::enqueue) one by
-    /// one. `build` makes a frame's packet only once the frame is accepted,
-    /// and the packet is pushed onto `train` charged exactly as
-    /// [`enqueue_train`](Self::enqueue_train) with serialization charged
-    /// would charge a prebuilt packet that arrived at `now`. Admission stops
-    /// at the first tail-drop, counted as `enqueue_train` counts it; the
-    /// dropped frame and the ones after it are never built.
-    #[allow(clippy::too_many_arguments)]
-    pub fn enqueue_fresh_train(
-        &mut self,
-        now: SimTime,
-        frames: impl IntoIterator<Item = Bytes>,
-        rate: BitRate,
-        propagation: SimDuration,
-        fec: SimDuration,
-        train: &mut Vec<Packet>,
-        mut build: impl FnMut(Bytes) -> Packet,
-    ) -> TrainAdmission {
-        let mut admission = TrainAdmission::empty();
-        for size in frames {
-            match self.enqueue(now, size, rate) {
-                EnqueueOutcome::Accepted {
-                    queueing,
-                    serialization,
-                    departs_at,
-                    ..
-                } => {
-                    let mut packet = build(size);
-                    admission.charge(
-                        &mut packet,
-                        queueing,
-                        serialization,
-                        departs_at,
-                        propagation,
-                        fec,
-                    );
-                    train.push(packet);
+                    packet.breakdown.queueing += queueing;
+                    if charge_serialization {
+                        packet.breakdown.serialization += serialization;
+                    }
+                    packet.breakdown.propagation += propagation;
+                    packet.breakdown.fec += fec;
+                    packet.arrived_at = departs_at + propagation + fec;
+                    admission.accepted += 1;
+                    admission.last_departs_at = departs_at;
+                    admission.last_arrives_at = packet.arrived_at;
                 }
                 EnqueueOutcome::Dropped => {
                     admission.dropped = true;
@@ -547,88 +466,6 @@ mod tests {
         // The untouched tail packet kept its pristine breakdown.
         assert_eq!(packets[3].breakdown.queueing, SimDuration::ZERO);
         assert_eq!(packets[3].arrived_at, t);
-    }
-
-    /// A fresh train admitted frame by frame computes what `enqueue_train`
-    /// computes for the same packets prebuilt at `now`, builds only the
-    /// accepted ones, and leaves the queue in the same state.
-    #[test]
-    fn fresh_train_admission_matches_a_prebuilt_train() {
-        use crate::packet::{FlowId, PacketId};
-        use rackfabric_topo::NodeId;
-        let packet = |i: usize, size: Bytes, now: SimTime| {
-            Packet::new(
-                PacketId(i as u64),
-                FlowId(3),
-                NodeId(0),
-                NodeId(1),
-                size,
-                now,
-            )
-        };
-        let sizes: Vec<Bytes> = [1500, 1500, 1500, 700, 1500, 64]
-            .into_iter()
-            .map(Bytes::new)
-            .collect();
-        let prop = SimDuration::from_nanos(10);
-        let fec = SimDuration::from_nanos(100);
-        // Roomy, tail-dropping mid-train, and rejecting the first frame.
-        let expected_accepted = |buffer: Bytes| match buffer.as_u64() {
-            1000 => 0,
-            4000 => 2,
-            _ => sizes.len(),
-        };
-        for buffer in [Bytes::from_kib(64), Bytes::new(4000), Bytes::new(1000)] {
-            let mut prebuilt_queue = EgressQueue::new(buffer);
-            let mut fresh_queue = EgressQueue::new(buffer);
-            // Leave some backlog from an earlier train so queueing shows.
-            for q in [&mut prebuilt_queue, &mut fresh_queue] {
-                q.enqueue(SimTime::from_nanos(990), Bytes::new(900), GBPS100);
-            }
-            let now = SimTime::from_micros(1);
-            let mut prebuilt: Vec<Packet> = sizes
-                .iter()
-                .enumerate()
-                .map(|(i, &size)| packet(i, size, now))
-                .collect();
-            let want = prebuilt_queue.enqueue_train(&mut prebuilt, GBPS100, prop, fec, true);
-            prebuilt.truncate(want.accepted);
-
-            let mut train = Vec::new();
-            let mut built = 0;
-            let got = fresh_queue.enqueue_fresh_train(
-                now,
-                sizes.iter().copied(),
-                GBPS100,
-                prop,
-                fec,
-                &mut train,
-                |size| {
-                    built += 1;
-                    packet(built - 1, size, now)
-                },
-            );
-            assert_eq!(got, want, "buffer {buffer:?}");
-            assert_eq!(got.accepted, expected_accepted(buffer), "buffer {buffer:?}");
-            assert!(train
-                .first()
-                .is_none_or(|p| p.breakdown.queueing > SimDuration::ZERO));
-            assert_eq!(train, prebuilt, "buffer {buffer:?}");
-            assert_eq!(built, want.accepted, "only accepted frames are built");
-            let state = |q: &mut EgressQueue| {
-                let at = SimTime::from_micros(2);
-                (
-                    q.accepted,
-                    q.dropped,
-                    q.marked,
-                    q.bytes_out,
-                    q.backlog_at(at),
-                    q.mean_occupancy(at).to_bits(),
-                    q.peak_occupancy().to_bits(),
-                )
-            };
-            assert_eq!(state(&mut fresh_queue), state(&mut prebuilt_queue));
-        }
     }
 
     #[test]

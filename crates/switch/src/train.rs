@@ -11,11 +11,9 @@
 //! by [`EgressQueue::enqueue_train`](crate::queue::EgressQueue::enqueue_train)
 //! and carried on the packet itself ([`Packet::arrived_at`]).
 //!
-//! A fresh train is admitted at its source by
-//! [`EgressQueue::enqueue_fresh_train`](crate::queue::EgressQueue::enqueue_fresh_train),
-//! which builds each packet only once its frame is accepted. A train holds
-//! its route as a shared [`InternedRoute`] handle, and the fabric recycles
-//! the packet buffer of every train that ends into the next injection.
+//! A train holds its route as a shared [`InternedRoute`] handle, and the
+//! fabric recycles the packet buffer of every train that ends into the next
+//! injection.
 
 use crate::packet::Packet;
 use rackfabric_sim::time::SimDuration;

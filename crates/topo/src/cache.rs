@@ -127,12 +127,6 @@ impl InternedRoute {
             .map(|link| costs[link.index()])
             .sum()
     }
-
-    /// True when both handles share one allocation.
-    #[inline]
-    pub fn ptr_eq(a: &InternedRoute, b: &InternedRoute) -> bool {
-        Arc::ptr_eq(&a.hops, &b.hops)
-    }
 }
 
 /// Hit/miss counters of a [`RouteCache`], cheap to copy into run metrics.
@@ -565,7 +559,7 @@ mod tests {
                         assert_eq!(misses, (i == 0) as u64, "{src:?} -> {dst:?}");
                         let again = cache.tree_route(&topo, &arena, costs, src, dst);
                         assert!(
-                            InternedRoute::ptr_eq(&first.unwrap(), again.unwrap()),
+                            Arc::ptr_eq(&first.unwrap().hops, &again.unwrap().hops),
                             "a repeat lookup serves the same allocation"
                         );
                     }
@@ -693,13 +687,13 @@ mod tests {
                 let got = got.expect("the dragonfly is connected");
                 let again = cache.adaptive_route(&topo, &arena, &racks, &costs, src, dst, flow);
                 assert!(
-                    InternedRoute::ptr_eq(&got, again.unwrap()),
+                    Arc::ptr_eq(&got.hops, &again.unwrap().hops),
                     "a repeat lookup hits"
                 );
                 let first = first.entry((src, dst, flow)).or_insert_with(|| got.clone());
                 if got == *first {
                     assert!(
-                        InternedRoute::ptr_eq(&got, first),
+                        Arc::ptr_eq(&got.hops, &first.hops),
                         "a price update re-prices the candidates, never rebuilds them"
                     );
                 } else {

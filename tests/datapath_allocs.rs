@@ -1,6 +1,6 @@
-//! The steady-state packet datapath allocates almost nothing: a train takes
-//! a recycled packet buffer, a rejected injection builds nothing, and a
-//! route walked out of a cached tree is one allocation.
+//! The steady-state packet datapath allocates almost nothing: a train, and
+//! a rejected injection too, takes a recycled packet buffer, and a route
+//! walked out of a cached tree is one allocation.
 //!
 //! A counting global allocator counts the allocations of the thread running
 //! a cell (a thread-local switch, so tests running in parallel on other
