@@ -429,6 +429,27 @@ mod tests {
     }
 
     #[test]
+    fn budgeted_figure_record_keeps_its_journal_bytes() {
+        let record = Command::RegenerateFigure {
+            id: "e9".into(),
+            scale: "paper".into(),
+            budget: Some(BudgetSpec {
+                target_rel_halfwidth: 0.25,
+                confidence_z: 1.96,
+                min_replicates: 3,
+                max_replicates: 12,
+                max_total_jobs: Some(500),
+            }),
+        };
+        assert_eq!(
+            record.canonical_json(),
+            "{\"budget\":{\"confidence_z\":1.96,\"max_replicates\":12,\"max_total_jobs\":500,\
+             \"min_replicates\":3,\"target_rel_halfwidth\":0.25},\"id\":\"e9\",\
+             \"op\":\"regenerate-figure\",\"scale\":\"paper\"}"
+        );
+    }
+
+    #[test]
     fn budget_spec_mirrors_policy() {
         let policy = BudgetPolicy {
             target_rel_halfwidth: 0.2,

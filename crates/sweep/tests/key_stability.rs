@@ -10,7 +10,8 @@
 //! * distinct whenever a result-shaping field differs.
 
 use proptest::prelude::*;
-use rackfabric_phy::PlpTiming;
+use rackfabric::policy::CrcPolicy;
+use rackfabric_phy::{FecMode, MediaKind, PlpTiming, PowerState};
 use rackfabric_scenario::prelude::*;
 use rackfabric_sim::prelude::*;
 use rackfabric_sweep::prelude::*;
@@ -263,6 +264,183 @@ proptest! {
         // `None` (controller default) is its own point in key space.
         prop_assert!(!unique.contains(&job_key(&spec)));
     }
+
+    /// Every result-shaping field the properties above leave out changes
+    /// the key on its own, and no two of these edits share a key: a field
+    /// the key ignored would let the store serve one simulation's result
+    /// for another.
+    #[test]
+    fn every_other_result_shaping_field_changes_the_key(
+        seed in 1u64..10_000,
+        bump in 1u64..1_000,
+        load in 0.25f64..0.75,
+        lanes in 1usize..8,
+        event_budget in 1u64..u64::MAX,
+    ) {
+        let base = ScenarioSpec::new(
+            "field-changes",
+            TopologySpec::grid(3, 3, 2),
+            WorkloadSpec::shuffle(Bytes::from_kib(2)),
+        )
+        .horizon(SimTime::from_millis(10))
+        .seed(seed);
+        let edited = |edit: &dyn Fn(&mut ScenarioSpec)| {
+            let mut spec = base.clone();
+            edit(&mut spec);
+            spec
+        };
+        let mut edits: Vec<(String, ScenarioSpec)> = vec![
+            ("upgrade".into(), edited(&|s| s.upgrade = Some(TopologySpec::torus(3, 3, 1)))),
+            (
+                "lane_rate".into(),
+                edited(&|s| s.lane_rate = BitRate::from_bps(s.lane_rate.as_bps() + bump)),
+            ),
+            (
+                "horizon".into(),
+                edited(&|s| s.horizon = SimTime::from_picos(s.horizon.as_picos() + bump)),
+            ),
+            ("event_budget".into(), edited(&|s| s.event_budget = event_budget)),
+            ("stop_when_done".into(), edited(&|s| s.stop_when_done = false)),
+            ("phy.lanes".into(), edited(&|s| s.phy.active_lanes = Some(lanes))),
+        ];
+        for power in [PowerState::LowPower, PowerState::Off] {
+            edits.push((format!("phy.power {power:?}"), edited(&|s| s.phy.power = power)));
+        }
+        for mode in [FecMode::None, FecMode::FireCode, FecMode::Rs528, FecMode::Rs544] {
+            edits.push((
+                format!("phy.fec {mode:?}"),
+                edited(&|s| s.phy.fec = FecSetting::Fixed(mode)),
+            ));
+        }
+        for (field, workload) in workload_edits(load, bump) {
+            edits.push((field.into(), edited(&|s| s.workload = workload.clone())));
+        }
+        for (field, controller) in controller_edits(bump) {
+            edits.push((field.into(), edited(&|s| s.controller = controller)));
+        }
+
+        let mut seen = BTreeSet::from([job_key(&base)]);
+        for (field, spec) in &edits {
+            prop_assert!(seen.insert(job_key(spec)), "changing {} left a key unchanged", field);
+        }
+    }
+}
+
+/// Every workload kind at `load`, then the same kind with one parameter
+/// changed, for each of its parameters.
+fn workload_edits(load: f64, bump: u64) -> Vec<(&'static str, WorkloadSpec)> {
+    let shuffle = |partition, load| WorkloadSpec::Shuffle { partition, load };
+    let incast = |request, load| WorkloadSpec::Incast { request, load };
+    let permutation = |size, load| WorkloadSpec::Permutation { size, load };
+    let single_flow = |size, load| WorkloadSpec::SingleFlow { size, load };
+    let uniform = |flows_per_node, size, mean_interarrival, load| WorkloadSpec::Uniform {
+        flows_per_node,
+        size,
+        mean_interarrival,
+        load,
+    };
+    let hotspot = |flows_per_node, size, zipf_exponent, load| WorkloadSpec::Hotspot {
+        flows_per_node,
+        size,
+        zipf_exponent,
+        load,
+    };
+    let storage = |ops_per_node, io_size, read_fraction, load| WorkloadSpec::Storage {
+        ops_per_node,
+        io_size,
+        read_fraction,
+        load,
+    };
+    let (size, bigger, more) = (Bytes::from_kib(4), Bytes::new(4096 + bump), load + 0.5);
+    let gap = SimDuration::from_nanos(500);
+    let later = SimDuration::from_picos(gap.as_picos() + bump);
+    vec![
+        ("shuffle", shuffle(size, load)),
+        ("shuffle.partition", shuffle(bigger, load)),
+        ("shuffle.load", shuffle(size, more)),
+        ("incast", incast(size, load)),
+        ("incast.request", incast(bigger, load)),
+        ("incast.load", incast(size, more)),
+        ("permutation", permutation(size, load)),
+        ("permutation.size", permutation(bigger, load)),
+        ("permutation.load", permutation(size, more)),
+        ("single_flow", single_flow(size, load)),
+        ("single_flow.size", single_flow(bigger, load)),
+        ("single_flow.load", single_flow(size, more)),
+        ("uniform", uniform(2.0, size, gap, load)),
+        ("uniform.flows_per_node", uniform(2.5, size, gap, load)),
+        ("uniform.size", uniform(2.0, bigger, gap, load)),
+        ("uniform.mean_interarrival", uniform(2.0, size, later, load)),
+        ("uniform.load", uniform(2.0, size, gap, more)),
+        ("hotspot", hotspot(2.0, size, 1.2, load)),
+        ("hotspot.flows_per_node", hotspot(2.5, size, 1.2, load)),
+        ("hotspot.size", hotspot(2.0, bigger, 1.2, load)),
+        ("hotspot.zipf_exponent", hotspot(2.0, size, 1.5, load)),
+        ("hotspot.load", hotspot(2.0, size, 1.2, more)),
+        ("storage", storage(3.0, size, 0.7, load)),
+        ("storage.ops_per_node", storage(3.5, size, 0.7, load)),
+        ("storage.io_size", storage(3.0, bigger, 0.7, load)),
+        ("storage.read_fraction", storage(3.0, size, 0.9, load)),
+        ("storage.load", storage(3.0, size, 0.7, more)),
+    ]
+}
+
+/// Every CRC policy under one epoch and routing, then each policy's budget,
+/// the epoch and the routing changed one at a time. The 7 µs epoch keeps
+/// every entry apart from the spec's default adaptive controller.
+fn controller_edits(bump: u64) -> Vec<(&'static str, ControllerSpec)> {
+    let epoch = SimDuration::from_micros(7);
+    let budget = Power::from_milliwatts(500_000);
+    let more = Power::from_milliwatts(500_000 + bump);
+    let adaptive = |policy, epoch, routing| ControllerSpec::Adaptive {
+        policy,
+        epoch,
+        routing,
+    };
+    let min_cost = RoutingAlgorithm::MinCost;
+    vec![
+        ("controller baseline", ControllerSpec::Baseline),
+        (
+            "policy latency_minimize",
+            adaptive(CrcPolicy::LatencyMinimize, epoch, min_cost),
+        ),
+        (
+            "policy congestion_balance",
+            adaptive(CrcPolicy::CongestionBalance, epoch, min_cost),
+        ),
+        (
+            "policy power_cap",
+            adaptive(CrcPolicy::PowerCap { budget }, epoch, min_cost),
+        ),
+        (
+            "policy hybrid",
+            adaptive(CrcPolicy::Hybrid { budget }, epoch, min_cost),
+        ),
+        (
+            "power_cap.budget",
+            adaptive(CrcPolicy::PowerCap { budget: more }, epoch, min_cost),
+        ),
+        (
+            "hybrid.budget",
+            adaptive(CrcPolicy::Hybrid { budget: more }, epoch, min_cost),
+        ),
+        (
+            "controller.epoch",
+            adaptive(
+                CrcPolicy::Hybrid { budget },
+                SimDuration::from_picos(epoch.as_picos() + bump),
+                min_cost,
+            ),
+        ),
+        (
+            "controller.routing",
+            adaptive(
+                CrcPolicy::Hybrid { budget },
+                epoch,
+                RoutingAlgorithm::Valiant,
+            ),
+        ),
+    ]
 }
 
 /// Worker counts live on the runner, not the spec — by construction they
@@ -276,4 +454,163 @@ fn runner_thread_count_cannot_reach_the_key() {
     let parallel: Vec<JobKey> = matrix.expand().iter().map(|j| job_key(&j.spec)).collect();
     assert_eq!(serial, parallel);
     assert_eq!(serial.len(), 64);
+}
+
+/// Eight specs whose keys are pinned as literals. Together they reach every
+/// variant of the spec's field-less enums (routing, FEC, power state,
+/// switch kind, topology kind, media, link class), every workload kind,
+/// both controllers and all four CRC policies, an upgrade, a lane cap and a
+/// routing override each set and unset, shard counts 0 and 1..3, and a
+/// topology with rack spacing. A change to the canonical spec form fails
+/// here; only a deliberate change to the key preimage may re-pin them.
+fn pinned_specs() -> Vec<(ScenarioSpec, &'static str)> {
+    let adaptive = |policy, epoch_us, routing| ControllerSpec::Adaptive {
+        policy,
+        epoch: SimDuration::from_micros(epoch_us),
+        routing,
+    };
+    let spec = |name: &str, topology, workload| {
+        ScenarioSpec::new(name, topology, workload)
+            .horizon(SimTime::from_millis(10))
+            .seed(7)
+    };
+
+    let grid_baseline = spec(
+        "pinned-grid",
+        TopologySpec::grid(3, 3, 2),
+        WorkloadSpec::shuffle(Bytes::from_kib(4)),
+    )
+    .controller(ControllerSpec::Baseline);
+
+    let mut spaced_torus = spec(
+        "pinned-torus",
+        TopologySpec::torus(4, 4, 1).with_rack_spacing(Length::from_m(20)),
+        WorkloadSpec::incast(Bytes::from_kib(16)),
+    )
+    .controller(adaptive(
+        CrcPolicy::LatencyMinimize,
+        10,
+        RoutingAlgorithm::DimensionOrdered,
+    ))
+    .shards(1);
+    spaced_torus.phy.fec = FecSetting::Fixed(FecMode::None);
+    spaced_torus.phy.power = PowerState::LowPower;
+
+    let mut line = spec(
+        "pinned-line",
+        TopologySpec::line(6, 2),
+        WorkloadSpec::single_flow(Bytes::from_kib(64)),
+    )
+    .controller(ControllerSpec::Baseline)
+    .switch_model(SwitchModel::store_and_forward())
+    .routing(RoutingAlgorithm::ShortestHop);
+    line.phy.fec = FecSetting::Fixed(FecMode::FireCode);
+    line.phy.power = PowerState::Off;
+    line.phy.bypassed_nodes = 2;
+
+    let mut ring = spec(
+        "pinned-ring",
+        TopologySpec::ring(8, 2),
+        WorkloadSpec::permutation(Bytes::from_kib(32)),
+    )
+    .upgrade(TopologySpec::hypercube(3, 2))
+    .controller(adaptive(
+        CrcPolicy::Hybrid {
+            budget: Power::from_watts(300),
+        },
+        20,
+        RoutingAlgorithm::MinCost,
+    ));
+    ring.phy.fec = FecSetting::Fixed(FecMode::Rs528);
+    ring.phy.active_lanes = Some(1);
+
+    let mut fat_tree = spec(
+        "pinned-fat-tree",
+        TopologySpec::fat_tree(8, 4, 2, 1),
+        WorkloadSpec::Uniform {
+            flows_per_node: 1.5,
+            size: Bytes::from_kib(8),
+            mean_interarrival: SimDuration::from_nanos(1500),
+            load: 0.8,
+        },
+    )
+    .controller(adaptive(
+        CrcPolicy::CongestionBalance,
+        40,
+        RoutingAlgorithm::Ecmp,
+    ))
+    .routing(RoutingAlgorithm::Ecmp)
+    .port_buffer(Bytes::from_kib(64))
+    .plp_timing(PlpTiming::default().scaled(5.0))
+    .stop_when_done(false);
+    fat_tree.phy.fec = FecSetting::Fixed(FecMode::Rs544);
+    fat_tree.event_budget = 2_000_000;
+
+    let dragonfly = spec(
+        "pinned-dragonfly",
+        TopologySpec::dragonfly(3, 2, 1, 1),
+        WorkloadSpec::Hotspot {
+            flows_per_node: 2.0,
+            size: Bytes::from_kib(4),
+            zipf_exponent: 1.1,
+            load: 0.6,
+        },
+    )
+    .controller(adaptive(
+        CrcPolicy::PowerCap {
+            budget: Power::from_milliwatts(1_234_567),
+        },
+        25,
+        RoutingAlgorithm::Adaptive,
+    ))
+    .routing(RoutingAlgorithm::Valiant)
+    .shards(3);
+
+    let mut backplane = TopologySpec::grid(2, 2, 1);
+    backplane.edges[0].media = MediaKind::Backplane;
+    let storage = spec(
+        "pinned-storage",
+        backplane,
+        WorkloadSpec::Storage {
+            ops_per_node: 3.0,
+            io_size: Bytes::from_kib(64),
+            read_fraction: 0.7,
+            load: 1.0,
+        },
+    )
+    .routing(RoutingAlgorithm::Adaptive)
+    .mtu(Bytes::new(9000))
+    .train_window(SimDuration::from_nanos(500));
+
+    let escalating = ScenarioSpec::new(
+        "pinned-escalation",
+        TopologySpec::grid(4, 4, 2),
+        WorkloadSpec::shuffle(Bytes::from_kib(64)),
+    )
+    .upgrade(TopologySpec::torus(4, 4, 2))
+    .seed(20_180_820);
+
+    vec![
+        (grid_baseline, "906ac8ce3810309c35d234c628a43062"),
+        (spaced_torus, "e3066d193ae7e874cb133eae52978517"),
+        (line, "d04dcbca3e7bc14432ee6409fc721406"),
+        (ring, "0488b5982fa1296b6f0f549ed19a80e9"),
+        (fat_tree, "3c4ed4bd0359bdb17e90764fa04460d9"),
+        (dragonfly, "ba153fd522ca5bfe2391f25bb2fbd237"),
+        (storage, "add26ca7cd07a2727839298b9ecec450"),
+        (escalating, "97aad33b2a5eda1f5218be86e5cdebf5"),
+    ]
+}
+
+#[test]
+fn pinned_specs_keep_their_keys() {
+    for (spec, pinned) in pinned_specs() {
+        assert_eq!(
+            job_key(&spec).hex(),
+            pinned,
+            "{} moved; canonical form: {}",
+            spec.name,
+            canonical_spec_json(&spec)
+        );
+    }
 }
