@@ -886,8 +886,8 @@ impl CampaignResolver for FigureResolver {
             return Ok(false);
         };
         let mut sweep = Sweep::new(*matrix);
-        if let Some(spec) = budget {
-            sweep = sweep.budget(spec.to_policy());
+        if let Some(policy) = budget {
+            sweep = sweep.budget(*policy);
         }
         exec.regenerate_figure(id, scale.golden_dir(), &sweep)?;
         Ok(true)

@@ -7,7 +7,7 @@
 //! valid record, which is what makes journal checksums and log diffs
 //! meaningful.
 
-use rackfabric_sim::json::{self, JsonValue};
+use rackfabric_sim::json::{self, float, obj, string, uint, JsonValue};
 use rackfabric_sweep::budget::BudgetPolicy;
 use rackfabric_sweep::key::JobKey;
 
@@ -49,9 +49,10 @@ pub enum Command {
         id: String,
         /// Figure scale (`"tiny"` or `"paper"`).
         scale: String,
-        /// Budgeted-replication override; `None` keeps fixed replicates
-        /// (the byte-deterministic golden default).
-        budget: Option<BudgetSpec>,
+        /// Budgeted-replication override, journaled so the record pins the
+        /// exact budget it ran under; `None` keeps fixed replicates (the
+        /// byte-deterministic golden default).
+        budget: Option<BudgetPolicy>,
     },
     /// Garbage-collect the store down to `live` keys.
     GcStore {
@@ -79,67 +80,6 @@ pub enum Command {
     },
 }
 
-/// The serializable mirror of [`BudgetPolicy`], so a journaled figure
-/// command pins the exact replication budget it ran under.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BudgetSpec {
-    /// Stop when the p99 CI half-width is below this fraction of the mean.
-    pub target_rel_halfwidth: f64,
-    /// Z-score of the confidence level.
-    pub confidence_z: f64,
-    /// Replicates every cell starts with.
-    pub min_replicates: u64,
-    /// Hard per-cell replicate cap.
-    pub max_replicates: u64,
-    /// Optional campaign-wide job budget.
-    pub max_total_jobs: Option<u64>,
-}
-
-impl BudgetSpec {
-    /// Converts the journaled form back into a runnable policy.
-    pub fn to_policy(&self) -> BudgetPolicy {
-        BudgetPolicy {
-            target_rel_halfwidth: self.target_rel_halfwidth,
-            confidence_z: self.confidence_z,
-            min_replicates: self.min_replicates as usize,
-            max_replicates: self.max_replicates as usize,
-            max_total_jobs: self.max_total_jobs,
-        }
-    }
-
-    /// Captures a policy into its journaled form.
-    pub fn from_policy(policy: &BudgetPolicy) -> BudgetSpec {
-        BudgetSpec {
-            target_rel_halfwidth: policy.target_rel_halfwidth,
-            confidence_z: policy.confidence_z,
-            min_replicates: policy.min_replicates as u64,
-            max_replicates: policy.max_replicates as u64,
-            max_total_jobs: policy.max_total_jobs,
-        }
-    }
-}
-
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn string(s: &str) -> JsonValue {
-    JsonValue::String(s.to_string())
-}
-
-fn uint(v: u64) -> JsonValue {
-    JsonValue::Number(v.to_string())
-}
-
-fn float(v: f64) -> JsonValue {
-    JsonValue::Number(json::number(v))
-}
-
 /// Embeds a canonical spec JSON string as a structured value, so the
 /// journal record is one JSON document rather than JSON-in-a-string.
 fn spec_field(spec_json: &str) -> JsonValue {
@@ -165,7 +105,7 @@ impl Command {
     /// journal's writer).
     pub fn to_value(&self) -> JsonValue {
         match self {
-            Command::RunScenario { spec_json } => obj(vec![
+            Command::RunScenario { spec_json } => obj([
                 ("op", string("run-scenario")),
                 ("spec", spec_field(spec_json)),
             ]),
@@ -173,33 +113,30 @@ impl Command {
                 campaign,
                 cells,
                 jobs,
-            } => obj(vec![
+            } => obj([
                 ("campaign", string(campaign)),
                 ("cells", uint(*cells)),
                 ("jobs", uint(*jobs)),
                 ("op", string("expand-matrix")),
             ]),
-            Command::ExecuteCell { key, spec_json } => obj(vec![
+            Command::ExecuteCell { key, spec_json } => obj([
                 ("key", string(&key.hex())),
                 ("op", string("execute-cell")),
                 ("spec", spec_field(spec_json)),
             ]),
-            Command::RegenerateFigure { id, scale, budget } => obj(vec![
+            Command::RegenerateFigure { id, scale, budget } => obj([
                 (
                     "budget",
                     match budget {
                         None => JsonValue::Null,
-                        Some(b) => obj(vec![
+                        Some(b) => obj([
                             ("confidence_z", float(b.confidence_z)),
-                            ("max_replicates", uint(b.max_replicates)),
+                            ("max_replicates", uint(b.max_replicates as u64)),
                             (
                                 "max_total_jobs",
-                                match b.max_total_jobs {
-                                    None => JsonValue::Null,
-                                    Some(n) => uint(n),
-                                },
+                                b.max_total_jobs.map_or(JsonValue::Null, uint),
                             ),
-                            ("min_replicates", uint(b.min_replicates)),
+                            ("min_replicates", uint(b.min_replicates as u64)),
                             ("target_rel_halfwidth", float(b.target_rel_halfwidth)),
                         ]),
                     },
@@ -208,23 +145,22 @@ impl Command {
                 ("op", string("regenerate-figure")),
                 ("scale", string(scale)),
             ]),
-            Command::GcStore { live } => obj(vec![
+            Command::GcStore { live } => obj([
                 (
                     "live",
                     JsonValue::Array(live.iter().map(|k| string(&k.hex())).collect()),
                 ),
                 ("op", string("gc-store")),
             ]),
-            Command::EmitReport { campaign, dir } => obj(vec![
+            Command::EmitReport { campaign, dir } => obj([
                 ("campaign", string(campaign)),
                 ("dir", string(dir)),
                 ("op", string("emit-report")),
             ]),
-            Command::ExportBundle { dest } => obj(vec![
-                ("dest", string(dest)),
-                ("op", string("export-bundle")),
-            ]),
-            Command::ImportBundle { src, dest } => obj(vec![
+            Command::ExportBundle { dest } => {
+                obj([("dest", string(dest)), ("op", string("export-bundle"))])
+            }
+            Command::ImportBundle { src, dest } => obj([
                 ("dest", string(dest)),
                 ("op", string("import-bundle")),
                 ("src", string(src)),
@@ -260,11 +196,11 @@ impl Command {
                 scale: value.get("scale")?.as_str()?.to_string(),
                 budget: match value.get("budget")? {
                     JsonValue::Null => None,
-                    b => Some(BudgetSpec {
+                    b => Some(BudgetPolicy {
                         target_rel_halfwidth: b.get("target_rel_halfwidth")?.as_f64()?,
                         confidence_z: b.get("confidence_z")?.as_f64()?,
-                        min_replicates: b.get("min_replicates")?.as_u64()?,
-                        max_replicates: b.get("max_replicates")?.as_u64()?,
+                        min_replicates: b.get("min_replicates")?.as_u64()? as usize,
+                        max_replicates: b.get("max_replicates")?.as_u64()? as usize,
                         max_total_jobs: match b.get("max_total_jobs")? {
                             JsonValue::Null => None,
                             n => Some(n.as_u64()?),
@@ -377,7 +313,7 @@ mod tests {
             Command::RegenerateFigure {
                 id: "e9".into(),
                 scale: "paper".into(),
-                budget: Some(BudgetSpec {
+                budget: Some(BudgetPolicy {
                     target_rel_halfwidth: 0.25,
                     confidence_z: 1.96,
                     min_replicates: 3,
@@ -433,7 +369,7 @@ mod tests {
         let record = Command::RegenerateFigure {
             id: "e9".into(),
             scale: "paper".into(),
-            budget: Some(BudgetSpec {
+            budget: Some(BudgetPolicy {
                 target_rel_halfwidth: 0.25,
                 confidence_z: 1.96,
                 min_replicates: 3,
@@ -447,22 +383,5 @@ mod tests {
              \"min_replicates\":3,\"target_rel_halfwidth\":0.25},\"id\":\"e9\",\
              \"op\":\"regenerate-figure\",\"scale\":\"paper\"}"
         );
-    }
-
-    #[test]
-    fn budget_spec_mirrors_policy() {
-        let policy = BudgetPolicy {
-            target_rel_halfwidth: 0.2,
-            confidence_z: 2.58,
-            min_replicates: 4,
-            max_replicates: 16,
-            max_total_jobs: None,
-        };
-        let spec = BudgetSpec::from_policy(&policy);
-        let back = spec.to_policy();
-        assert_eq!(back.min_replicates, 4);
-        assert_eq!(back.max_replicates, 16);
-        assert_eq!(back.target_rel_halfwidth, 0.2);
-        assert_eq!(back.max_total_jobs, None);
     }
 }

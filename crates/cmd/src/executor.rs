@@ -19,7 +19,7 @@
 use crate::bundle::{self, BundleStats};
 use crate::command::Command;
 use crate::journal::{read_log, Journal};
-use crate::spec_codec::decode_spec;
+use rackfabric_scenario::codec::decode_spec;
 use rackfabric_scenario::matrix::Job;
 use rackfabric_scenario::runner::{JobOutcome, Runner};
 use rackfabric_sweep::campaign::{DirectBoundary, EngineBoundary, Sweep, SweepOutcome};
@@ -213,10 +213,7 @@ impl Executor {
         self.journal_append(&Command::RegenerateFigure {
             id: id.to_string(),
             scale: scale.to_string(),
-            budget: sweep
-                .budget
-                .as_ref()
-                .map(crate::command::BudgetSpec::from_policy),
+            budget: sweep.budget,
         })?;
         sweep.run_via(&self.store, &self.runner, self)
     }

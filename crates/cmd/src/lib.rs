@@ -16,7 +16,9 @@
 //!
 //! * [`Executor::recover`] — replay a truncated or interrupted campaign to
 //!   completion, executing **zero** jobs that are already journaled and
-//!   stored;
+//!   stored. A journaled spec decodes through the same codec that wrote
+//!   it, [`rackfabric_scenario::codec`] (re-exported here as
+//!   [`decode_spec`]);
 //! * [`diff`] — render two campaign logs command-by-command, making
 //!   "editing one axis re-executes only its cells" auditable instead of
 //!   implicit;
@@ -36,21 +38,20 @@ pub mod command;
 pub mod diff;
 pub mod executor;
 pub mod journal;
-pub mod spec_codec;
 
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use crate::bundle::{export_bundle, import_bundle, BundleStats};
-    pub use crate::command::{BudgetSpec, Command};
+    pub use crate::command::Command;
     pub use crate::diff::{diff_journal_dirs, render_diff};
     pub use crate::executor::{CampaignResolver, Executor, NoCampaigns, RecoveryStats};
     pub use crate::journal::{Journal, LogRecord, LogTail};
-    pub use crate::spec_codec::decode_spec;
+    pub use rackfabric_scenario::codec::decode_spec;
 }
 
 pub use bundle::{export_bundle, import_bundle, BundleStats};
-pub use command::{BudgetSpec, Command};
+pub use command::Command;
 pub use diff::{diff_journal_dirs, render_diff};
 pub use executor::{CampaignResolver, Executor, NoCampaigns, RecoveryStats};
 pub use journal::{Journal, LogRecord, LogTail};
-pub use spec_codec::decode_spec;
+pub use rackfabric_scenario::codec::decode_spec;

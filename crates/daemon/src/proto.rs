@@ -14,37 +14,7 @@
 //! the same instruction set as the batch CLI and the journal.
 
 use rackfabric_cmd::command::Command;
-use rackfabric_sim::json::{self, JsonValue};
-
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn string(s: &str) -> JsonValue {
-    JsonValue::String(s.to_string())
-}
-
-fn uint(v: u64) -> JsonValue {
-    JsonValue::Number(v.to_string())
-}
-
-fn int(v: i64) -> JsonValue {
-    JsonValue::Number(v.to_string())
-}
-
-/// The facade exposes `as_u64`/`as_f64` only; priorities are signed, so
-/// parse the lossless number text directly.
-fn as_i64(value: &JsonValue) -> Option<i64> {
-    match value {
-        JsonValue::Number(text) => text.parse().ok(),
-        _ => None,
-    }
-}
+use rackfabric_sim::json::{self, int, obj, string, uint, JsonValue};
 
 /// One client request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,15 +50,15 @@ impl Request {
                 tenant,
                 priority,
                 command,
-            } => obj(vec![
+            } => obj([
                 ("command", command.to_value()),
                 ("op", string("submit")),
                 ("priority", int(*priority)),
                 ("tenant", string(tenant)),
             ]),
-            Request::Cancel { job } => obj(vec![("job", string(job)), ("op", string("cancel"))]),
-            Request::Status => obj(vec![("op", string("status"))]),
-            Request::Shutdown => obj(vec![("op", string("shutdown"))]),
+            Request::Cancel { job } => obj([("job", string(job)), ("op", string("cancel"))]),
+            Request::Status => obj([("op", string("status"))]),
+            Request::Shutdown => obj([("op", string("shutdown"))]),
         };
         json::canonical(&value)
     }
@@ -100,7 +70,7 @@ impl Request {
         match value.get("op")?.as_str()? {
             "submit" => Some(Request::Submit {
                 tenant: value.get("tenant")?.as_str()?.to_string(),
-                priority: as_i64(value.get("priority")?)?,
+                priority: value.get("priority")?.as_i64()?,
                 command: Command::from_value(value.get("command")?)?,
             }),
             "cancel" => Some(Request::Cancel {
@@ -190,14 +160,11 @@ impl Event {
     /// The event as one canonical JSON line (without the newline).
     pub fn canonical_json(&self) -> String {
         let value = match self {
-            Event::Accepted { job } => {
-                obj(vec![("event", string("accepted")), ("job", string(job))])
+            Event::Accepted { job } => obj([("event", string("accepted")), ("job", string(job))]),
+            Event::Rejected { reason } => {
+                obj([("event", string("rejected")), ("reason", string(reason))])
             }
-            Event::Rejected { reason } => obj(vec![
-                ("event", string("rejected")),
-                ("reason", string(reason)),
-            ]),
-            Event::Started { job } => obj(vec![("event", string("started")), ("job", string(job))]),
+            Event::Started { job } => obj([("event", string("started")), ("job", string(job))]),
             Event::Done {
                 job,
                 cached,
@@ -213,21 +180,13 @@ impl Event {
                 line.push('}');
                 return line;
             }
-            Event::Cancelled { job } => {
-                obj(vec![("event", string("cancelled")), ("job", string(job))])
-            }
-            Event::Error { job, reason } => obj(vec![
+            Event::Cancelled { job } => obj([("event", string("cancelled")), ("job", string(job))]),
+            Event::Error { job, reason } => obj([
                 ("event", string("error")),
-                (
-                    "job",
-                    match job {
-                        None => JsonValue::Null,
-                        Some(id) => string(id),
-                    },
-                ),
+                ("job", job.as_deref().map_or(JsonValue::Null, string)),
                 ("reason", string(reason)),
             ]),
-            Event::Status(counts) => obj(vec![
+            Event::Status(counts) => obj([
                 ("active", uint(counts.active)),
                 ("cancelled", uint(counts.cancelled)),
                 ("completed", uint(counts.completed)),
@@ -238,7 +197,7 @@ impl Event {
                 ("rejected", uint(counts.rejected)),
                 ("warm_hits", uint(counts.warm_hits)),
             ]),
-            Event::ShuttingDown => obj(vec![("event", string("shutting-down"))]),
+            Event::ShuttingDown => obj([("event", string("shutting-down"))]),
         };
         json::canonical(&value)
     }

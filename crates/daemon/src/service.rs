@@ -28,10 +28,10 @@ use crate::proto::{Event, Request};
 use crate::sched::{JobEnd, Observed, Scheduler, Submitted};
 use rackfabric_bench::figures::{figure_defs, FigureKind, Scale};
 use rackfabric_cmd::command::Command;
+use rackfabric_cmd::decode_spec;
 use rackfabric_cmd::executor::Executor;
-use rackfabric_cmd::spec_codec::decode_spec;
 use rackfabric_obs::{Observer, TimeDomain};
-use rackfabric_sim::json::{self, JsonValue};
+use rackfabric_sim::json::{self, obj, string, uint, JsonValue};
 use rackfabric_sweep::campaign::Sweep;
 use rackfabric_sweep::cancel::CancelToken;
 use rackfabric_sweep::key::job_key;
@@ -441,15 +441,6 @@ fn worker_loop(w: usize, exec: &Executor, sched: &Scheduler, observer: &Observer
     }
 }
 
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 /// Executes one command exactly as a daemon worker would, returning
 /// `(cached, canonical_result_line)`. The CLI's `--oneshot` batch mode and
 /// CI's byte-comparison gate use this to produce reference bytes with no
@@ -481,49 +472,38 @@ fn execute_command(exec: &Executor, command: &Command, cancel: &CancelToken) -> 
             let Some(def) = figure_defs(scale).into_iter().find(|def| def.id == *id) else {
                 return JobEnd::Failed(format!("unknown figure {id:?}"));
             };
+            // A figure's answer: its export and the jobs it executed (none
+            // means the store answered it).
+            let done = |executed: usize, export: String| JobEnd::Done {
+                cached: executed == 0,
+                result: obj([
+                    ("executed", uint(executed as u64)),
+                    ("export", JsonValue::String(export)),
+                    ("figure", string(def.id)),
+                    ("interrupted", JsonValue::Bool(false)),
+                ]),
+            };
             let (matrix, export) = match def.kind {
-                FigureKind::Analytic(render) => {
-                    let result = obj(vec![
-                        ("executed", JsonValue::Number("0".into())),
-                        ("export", JsonValue::String(render())),
-                        ("figure", JsonValue::String(def.id.to_string())),
-                        ("interrupted", JsonValue::Bool(false)),
-                    ]);
-                    return JobEnd::Done {
-                        cached: true,
-                        result,
-                    };
-                }
+                FigureKind::Analytic(render) => return done(0, render()),
                 FigureKind::Sim(matrix, export) => (matrix, export),
             };
             let mut sweep = Sweep::new(*matrix).cancel(cancel.clone());
-            if let Some(spec) = budget {
-                sweep = sweep.budget(spec.to_policy());
+            if let Some(policy) = budget {
+                sweep = sweep.budget(*policy);
             }
             match exec.regenerate_figure(id, scale.golden_dir(), &sweep) {
                 Err(e) => JobEnd::Failed(e.to_string()),
                 Ok(outcome) if outcome.interrupted => JobEnd::Cancelled,
-                Ok(outcome) => {
-                    let result = obj(vec![
-                        ("executed", JsonValue::Number(outcome.executed.to_string())),
-                        ("export", JsonValue::String(export(&outcome))),
-                        ("figure", JsonValue::String(def.id.to_string())),
-                        ("interrupted", JsonValue::Bool(false)),
-                    ]);
-                    JobEnd::Done {
-                        cached: outcome.executed == 0,
-                        result,
-                    }
-                }
+                Ok(outcome) => done(outcome.executed, export(&outcome)),
             }
         }
         Command::GcStore { live } => match exec.gc(live) {
             Err(e) => JobEnd::Failed(e.to_string()),
             Ok(stats) => JobEnd::Done {
                 cached: false,
-                result: obj(vec![
-                    ("kept", JsonValue::Number(stats.kept.to_string())),
-                    ("removed", JsonValue::Number(stats.removed.to_string())),
+                result: obj([
+                    ("kept", uint(stats.kept as u64)),
+                    ("removed", uint(stats.removed as u64)),
                 ]),
             },
         },

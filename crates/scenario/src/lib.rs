@@ -18,6 +18,8 @@
 //! * [`Runner`] — a work-stealing pool of OS threads running
 //!   hundreds of independent single-threaded simulations; results are keyed
 //!   by job index, so output is **bit-identical for 1 and N threads**.
+//! * [`codec`] — the canonical spec JSON and its decoder, side by side:
+//!   the job-key preimage, and what journals and daemon requests carry.
 //! * [`aggregate`] / [`export`] — per-cell p50/p99/p999 latency (histograms
 //!   merged across replicates via [`rackfabric_sim::stats`]), throughput,
 //!   power and reconfiguration counts, rendered as CSV or JSON.
@@ -51,6 +53,7 @@
 //! ```
 
 pub mod aggregate;
+pub mod codec;
 pub mod export;
 pub mod matrix;
 pub mod runner;

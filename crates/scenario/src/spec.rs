@@ -267,15 +267,10 @@ pub enum FecSetting {
 }
 
 impl FecSetting {
-    /// Short name for cell labels.
+    /// Short name for cell labels: the setting's name in the canonical spec
+    /// form.
     pub fn label(&self) -> String {
-        match self {
-            FecSetting::Default => "default".into(),
-            FecSetting::Fixed(FecMode::None) => "none".into(),
-            FecSetting::Fixed(FecMode::FireCode) => "firecode".into(),
-            FecSetting::Fixed(FecMode::Rs528) => "rs528".into(),
-            FecSetting::Fixed(FecMode::Rs544) => "rs544".into(),
-        }
+        crate::codec::wire_name(*self).into()
     }
 }
 

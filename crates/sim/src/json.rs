@@ -40,6 +40,14 @@ impl JsonValue {
         }
     }
 
+    /// The value as `i64`, if it is an integral number in range.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            JsonValue::Number(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+
     /// The value as `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -144,6 +152,37 @@ pub fn number(value: f64) -> String {
     } else {
         "0".to_string()
     }
+}
+
+/// An object from `(key, value)` fields, in the given order ([`canonical`]
+/// sorts them when it renders).
+pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, JsonValue)>) -> JsonValue {
+    JsonValue::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// A string value.
+pub fn string(s: &str) -> JsonValue {
+    JsonValue::String(s.to_string())
+}
+
+/// An unsigned integer, exact.
+pub fn uint(v: u64) -> JsonValue {
+    JsonValue::Number(v.to_string())
+}
+
+/// A signed integer, exact.
+pub fn int(v: i64) -> JsonValue {
+    JsonValue::Number(v.to_string())
+}
+
+/// A float, formatted by [`number`].
+pub fn float(v: f64) -> JsonValue {
+    JsonValue::Number(number(v))
 }
 
 /// Renders a value as **canonical JSON**: compact (no whitespace), object

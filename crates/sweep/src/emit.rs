@@ -6,7 +6,6 @@
 //! `sweep` CLI, tests) can write or diff them without touching the
 //! filesystem here.
 
-use crate::budget::BudgetPolicy;
 use crate::campaign::SweepOutcome;
 use crate::report::{cdf_plot, line_plot, PlotSeries};
 use rackfabric_scenario::export;
@@ -218,23 +217,6 @@ fn markdown(name: &str, outcome: &SweepOutcome, files: &[(String, String)]) -> S
     }
     out.push_str("- [`report.md`](report.md)\n");
     out
-}
-
-/// Renders the budget policy as a short markdown fragment (used by the CLI
-/// to document what a budgeted campaign was asked to do).
-pub fn policy_markdown(policy: &BudgetPolicy) -> String {
-    let cap = match policy.max_total_jobs {
-        Some(cap) => cap.to_string(),
-        None => "unbounded".to_string(),
-    };
-    format!(
-        "budget: target p99 CI rel half-width {:.3} at z={:.2}, replicates {}..{}, \
-         job cap {cap}\n",
-        policy.target_rel_halfwidth,
-        policy.confidence_z,
-        policy.min_replicates,
-        policy.max_replicates
-    )
 }
 
 #[cfg(test)]

@@ -1,32 +1,14 @@
 //! Content-addressed job keys.
 //!
-//! A [`JobKey`] is a 128-bit FNV-1a hash of the **canonical JSON** rendering
-//! of a fully resolved [`ScenarioSpec`] — the complete simulation input. Two
-//! specs get the same key exactly when the engine is guaranteed to produce
-//! byte-identical results for them, so the key deliberately **excludes**
-//! every knob that is proven result-neutral:
-//!
-//! * the scheduler choice (`SchedulerKind`) — heap and calendar deliver
-//!   events in identical order (`crates/sim/tests/scheduler_equivalence.rs`),
-//! * the shard **count** — every `shards >= 1` run is byte-identical
-//!   (`tests/shard_determinism.rs`); only the engine *kind* (monolithic vs
-//!   sharded, a genuinely different model) is keyed,
-//! * worker/thread counts — never part of the spec at all,
-//! * the campaign and topology display names — labels, not inputs.
-//!
-//! Everything that does shape results — topology edges, workload, PHY
-//! policy (FEC, lanes, power, bypass chains), controller, lane rate, switch
-//! model, port buffers, PLP timing table, MTU, train window, seed, horizon,
-//! event budget — is serialised field by field, with canonical key ordering
-//! via [`json::canonical`], so the hash is stable across axis orderings and
-//! code-level field reorderings.
+//! A [`JobKey`] is a 128-bit FNV-1a hash of the canonical JSON of a fully
+//! resolved [`ScenarioSpec`] — the complete simulation input, rendered by
+//! [`canonical_spec_json`] (`rackfabric_scenario::codec`, whose module docs
+//! list what the form deliberately leaves out: scheduler, shard count and
+//! display names). Two specs get the same key exactly when the engine is
+//! guaranteed to produce byte-identical results for them.
 
-use rackfabric::policy::CrcPolicy;
-use rackfabric_phy::{FecMode, PowerState};
-use rackfabric_scenario::spec::{ControllerSpec, FecSetting, ScenarioSpec, WorkloadSpec};
-use rackfabric_sim::json::{self, JsonValue};
-use rackfabric_switch::model::SwitchKind;
-use rackfabric_topo::spec::TopologySpec;
+pub use rackfabric_scenario::codec::canonical_spec_json;
+use rackfabric_scenario::spec::ScenarioSpec;
 use std::fmt;
 
 /// A 128-bit content hash identifying one fully resolved job spec.
@@ -66,274 +48,19 @@ fn fnv1a_128(bytes: &[u8]) -> u128 {
     hash
 }
 
-/// The canonical JSON preimage of a spec's key: every result-shaping field,
-/// rendered with sorted object keys and no whitespace. This is what gets
-/// hashed, and also what the store records next to each result for
-/// debugging.
-pub fn canonical_spec_json(spec: &ScenarioSpec) -> String {
-    json::canonical(&spec_value(spec))
-}
-
 /// The content-addressed key of a fully resolved spec.
 pub fn job_key(spec: &ScenarioSpec) -> JobKey {
     JobKey(fnv1a_128(canonical_spec_json(spec).as_bytes()))
 }
 
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn uint(v: u64) -> JsonValue {
-    JsonValue::Number(v.to_string())
-}
-
-fn float(v: f64) -> JsonValue {
-    JsonValue::Number(json::number(v))
-}
-
-fn string(s: &str) -> JsonValue {
-    JsonValue::String(s.to_string())
-}
-
-fn spec_value(spec: &ScenarioSpec) -> JsonValue {
-    // `spec.name`, `spec.scheduler` and the shard count are intentionally
-    // absent — see the module docs.
-    let engine = if spec.shards == 0 {
-        "monolithic"
-    } else {
-        "sharded"
-    };
-    obj(vec![
-        ("controller", controller_value(&spec.controller)),
-        ("engine", string(engine)),
-        ("event_budget", uint(spec.event_budget)),
-        ("horizon_ps", uint(spec.horizon.as_picos())),
-        ("lane_rate_bps", uint(spec.lane_rate.as_bps())),
-        ("mtu_bytes", uint(spec.mtu.as_u64())),
-        (
-            "phy",
-            obj(vec![
-                ("bypassed_nodes", uint(spec.phy.bypassed_nodes as u64)),
-                ("fec", string(&fec_name(&spec.phy.fec))),
-                (
-                    "lanes",
-                    match spec.phy.active_lanes {
-                        Some(n) => uint(n as u64),
-                        None => JsonValue::Null,
-                    },
-                ),
-                ("power", string(power_name(spec.phy.power))),
-            ]),
-        ),
-        (
-            "plp_timing",
-            obj(vec![
-                ("bundle_ps", uint(spec.plp_timing.bundle.as_picos())),
-                ("bypass_ps", uint(spec.plp_timing.bypass.as_picos())),
-                ("move_lanes_ps", uint(spec.plp_timing.move_lanes.as_picos())),
-                (
-                    "set_active_lanes_ps",
-                    uint(spec.plp_timing.set_active_lanes.as_picos()),
-                ),
-                ("set_fec_ps", uint(spec.plp_timing.set_fec.as_picos())),
-                ("set_power_ps", uint(spec.plp_timing.set_power.as_picos())),
-                ("split_ps", uint(spec.plp_timing.split.as_picos())),
-            ]),
-        ),
-        ("port_buffer_bytes", uint(spec.port_buffer.as_u64())),
-        (
-            // The spec-level routing override. `controller-default` means the
-            // lowered config keeps the controller's choice (shortest-hop for
-            // baseline, the CRC routing recorded under `controller` above).
-            "routing",
-            match spec.routing {
-                Some(r) => string(&format!("{r:?}")),
-                None => string("controller-default"),
-            },
-        ),
-        ("seed", uint(spec.seed)),
-        (
-            "switch",
-            obj(vec![
-                (
-                    "kind",
-                    string(match spec.switch.kind {
-                        SwitchKind::CutThrough => "cut_through",
-                        SwitchKind::StoreAndForward => "store_and_forward",
-                    }),
-                ),
-                ("pipeline_ps", uint(spec.switch.pipeline_latency.as_picos())),
-            ]),
-        ),
-        ("stop_when_done", JsonValue::Bool(spec.stop_when_done)),
-        ("topology", topology_value(&spec.topology)),
-        ("train_window_ps", uint(spec.train_window.as_picos())),
-        (
-            "upgrade",
-            match &spec.upgrade {
-                Some(t) => topology_value(t),
-                None => JsonValue::Null,
-            },
-        ),
-        ("workload", workload_value(&spec.workload)),
-    ])
-}
-
-fn topology_value(t: &TopologySpec) -> JsonValue {
-    // The display name is excluded: instantiation consumes only the node
-    // count and the edge list, so renaming a spec must not invalidate the
-    // cache. Edges are serialised exactly (endpoints, lanes, length, media,
-    // link class — the class steers the conservative lookahead, so it
-    // shapes sharded results).
-    let edges: Vec<JsonValue> = t
-        .edges
-        .iter()
-        .map(|e| {
-            JsonValue::Array(vec![
-                uint(e.a.0 as u64),
-                uint(e.b.0 as u64),
-                uint(e.lanes as u64),
-                uint(e.length.as_mm()),
-                string(&format!("{:?}", e.media)),
-                string(&format!("{:?}", e.class)),
-            ])
-        })
-        .collect();
-    obj(vec![
-        (
-            "dims",
-            match t.dims {
-                Some((r, c)) => JsonValue::Array(vec![uint(r as u64), uint(c as u64)]),
-                None => JsonValue::Null,
-            },
-        ),
-        ("edges", JsonValue::Array(edges)),
-        ("kind", string(&format!("{:?}", t.kind))),
-        ("nodes", uint(t.nodes as u64)),
-    ])
-}
-
-fn controller_value(c: &ControllerSpec) -> JsonValue {
-    match c {
-        ControllerSpec::Baseline => obj(vec![("kind", string("baseline"))]),
-        ControllerSpec::Adaptive {
-            policy,
-            epoch,
-            routing,
-        } => obj(vec![
-            ("epoch_ps", uint(epoch.as_picos())),
-            ("kind", string("adaptive")),
-            ("policy", policy_value(policy)),
-            ("routing", string(&format!("{routing:?}"))),
-        ]),
-    }
-}
-
-fn policy_value(p: &CrcPolicy) -> JsonValue {
-    match p {
-        CrcPolicy::LatencyMinimize => obj(vec![("kind", string("latency_minimize"))]),
-        CrcPolicy::CongestionBalance => obj(vec![("kind", string("congestion_balance"))]),
-        CrcPolicy::PowerCap { budget } => obj(vec![
-            ("budget_mw", uint(budget.as_milliwatts())),
-            ("kind", string("power_cap")),
-        ]),
-        CrcPolicy::Hybrid { budget } => obj(vec![
-            ("budget_mw", uint(budget.as_milliwatts())),
-            ("kind", string("hybrid")),
-        ]),
-    }
-}
-
-fn fec_name(f: &FecSetting) -> String {
-    match f {
-        FecSetting::Default => "default".into(),
-        FecSetting::Fixed(FecMode::None) => "none".into(),
-        FecSetting::Fixed(FecMode::FireCode) => "firecode".into(),
-        FecSetting::Fixed(FecMode::Rs528) => "rs528".into(),
-        FecSetting::Fixed(FecMode::Rs544) => "rs544".into(),
-    }
-}
-
-fn power_name(p: PowerState) -> &'static str {
-    match p {
-        PowerState::Active => "active",
-        PowerState::LowPower => "low_power",
-        PowerState::Off => "off",
-    }
-}
-
-fn workload_value(w: &WorkloadSpec) -> JsonValue {
-    match w {
-        WorkloadSpec::Shuffle { partition, load } => obj(vec![
-            ("kind", string("shuffle")),
-            ("load", float(*load)),
-            ("partition_bytes", uint(partition.as_u64())),
-        ]),
-        WorkloadSpec::Incast { request, load } => obj(vec![
-            ("kind", string("incast")),
-            ("load", float(*load)),
-            ("request_bytes", uint(request.as_u64())),
-        ]),
-        WorkloadSpec::Permutation { size, load } => obj(vec![
-            ("kind", string("permutation")),
-            ("load", float(*load)),
-            ("size_bytes", uint(size.as_u64())),
-        ]),
-        WorkloadSpec::SingleFlow { size, load } => obj(vec![
-            ("kind", string("single_flow")),
-            ("load", float(*load)),
-            ("size_bytes", uint(size.as_u64())),
-        ]),
-        WorkloadSpec::Uniform {
-            flows_per_node,
-            size,
-            mean_interarrival,
-            load,
-        } => obj(vec![
-            ("flows_per_node", float(*flows_per_node)),
-            ("kind", string("uniform")),
-            ("load", float(*load)),
-            ("mean_interarrival_ps", uint(mean_interarrival.as_picos())),
-            ("size_bytes", uint(size.as_u64())),
-        ]),
-        WorkloadSpec::Hotspot {
-            flows_per_node,
-            size,
-            zipf_exponent,
-            load,
-        } => obj(vec![
-            ("flows_per_node", float(*flows_per_node)),
-            ("kind", string("hotspot")),
-            ("load", float(*load)),
-            ("size_bytes", uint(size.as_u64())),
-            ("zipf_exponent", float(*zipf_exponent)),
-        ]),
-        WorkloadSpec::Storage {
-            ops_per_node,
-            io_size,
-            read_fraction,
-            load,
-        } => obj(vec![
-            ("io_size_bytes", uint(io_size.as_u64())),
-            ("kind", string("storage")),
-            ("load", float(*load)),
-            ("ops_per_node", float(*ops_per_node)),
-            ("read_fraction", float(*read_fraction)),
-        ]),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rackfabric_scenario::spec::{ControllerSpec, WorkloadSpec};
     use rackfabric_sim::engine::SchedulerKind;
     use rackfabric_sim::time::{SimDuration, SimTime};
     use rackfabric_sim::units::Bytes;
+    use rackfabric_topo::spec::TopologySpec;
 
     fn base() -> ScenarioSpec {
         ScenarioSpec::new(

@@ -7,17 +7,22 @@
 //! * invariant under the proven result-neutral knobs: scheduler choice,
 //!   shard count (within the sharded engine), runner worker counts (which
 //!   never touch the spec), and display names,
-//! * distinct whenever a result-shaping field differs.
+//! * distinct whenever a result-shaping field differs,
+//! * unchanged by a round trip through the spec codec
+//!   (`rackfabric_scenario::codec`): decoding a canonical form and encoding
+//!   it again gives back its bytes, and so its key.
 
 use proptest::prelude::*;
 use rackfabric::policy::CrcPolicy;
 use rackfabric_phy::{FecMode, MediaKind, PlpTiming, PowerState};
+use rackfabric_scenario::codec::decode_spec;
 use rackfabric_scenario::prelude::*;
 use rackfabric_sim::prelude::*;
 use rackfabric_sweep::prelude::*;
-use rackfabric_switch::model::SwitchModel;
+use rackfabric_switch::model::{SwitchKind, SwitchModel};
 use rackfabric_topo::routing::RoutingAlgorithm;
-use rackfabric_topo::spec::TopologySpec;
+use rackfabric_topo::spec::{EdgeSpec, LinkClass, TopologyKind, TopologySpec};
+use rackfabric_topo::NodeId;
 use std::collections::BTreeSet;
 
 /// The sweep axes the properties permute, parameterised by a few drawn
@@ -323,6 +328,163 @@ proptest! {
         for (field, spec) in &edits {
             prop_assert!(seen.insert(job_key(spec)), "changing {} left a key unchanged", field);
         }
+    }
+}
+
+/// `variants!(T: A, B)` lists every variant of the field-less enum `T`. The
+/// exhaustive `match` stops compiling when `T` gains a variant the list
+/// does not name; once it is listed, the round-trip property below draws
+/// it, and encoding panics until the codec's wire table names it too.
+macro_rules! variants {
+    ($t:ident: $($v:ident),+) => {{
+        fn listed(value: $t) -> $t {
+            match value {
+                $($t::$v)|+ => value,
+            }
+        }
+        [$(listed($t::$v)),+]
+    }};
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Decoding a spec's canonical form and encoding it again gives back the
+    /// same bytes, and so the same key. The drawn specs reach every variant
+    /// of the field-less enums, every workload kind, both controllers and
+    /// every CRC policy, with numbers across their whole range.
+    #[test]
+    fn decoding_the_canonical_form_gives_back_its_bytes_and_key(
+        topology_kind in 0usize..1_000,
+        upgrade_kind in 0usize..1_000,
+        edge_seed in 0u64..u64::MAX,
+        edges in 0usize..6,
+        routing in 0usize..1_000,
+        controller in 0usize..5,
+        controller_routing in 0usize..1_000,
+        budget_mw in 0u64..u64::MAX,
+        epoch_ps in 0u64..u64::MAX,
+        fec in 0usize..1_000,
+        power in 0usize..1_000,
+        lanes in 0usize..9,
+        bypassed_nodes in 0usize..4,
+        switch in 0usize..1_000,
+        pipeline_ps in 0u64..u64::MAX,
+        workload in 0usize..7,
+        bytes in 0u64..u64::MAX,
+        load in 0.0f64..4.0,
+        fraction in 0.0f64..1.0,
+        picos in 0u64..u64::MAX,
+        shards in 0usize..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let topology_kinds =
+            variants!(TopologyKind: Line, Ring, Grid, Torus, Hypercube, FatTree, Dragonfly);
+        let media = variants!(MediaKind: CopperDac, OpticalFiber, Backplane);
+        let classes = variants!(LinkClass: IntraRack, InterRack);
+        let routings =
+            variants!(RoutingAlgorithm: ShortestHop, MinCost, Ecmp, DimensionOrdered, Valiant, Adaptive);
+        let fec_modes = variants!(FecMode: None, FireCode, Rs528, Rs544);
+        let powers = variants!(PowerState: Active, LowPower, Off);
+        let switches = variants!(SwitchKind: CutThrough, StoreAndForward);
+
+        // An edge list has no fixed length, so its fields come from a
+        // generator seeded by the drawn `edge_seed`.
+        let mut rng = DetRng::new(edge_seed);
+        let mut topology = |kind: TopologyKind| TopologySpec {
+            name: "drawn".into(),
+            kind,
+            nodes: rng.index(1 << 20),
+            edges: (0..edges)
+                .map(|_| EdgeSpec {
+                    a: NodeId(rng.next_u64() as u32),
+                    b: NodeId(rng.next_u64() as u32),
+                    lanes: rng.index(64),
+                    length: Length::from_mm(rng.next_u64()),
+                    media: media[rng.index(media.len())],
+                    class: classes[rng.index(classes.len())],
+                })
+                .collect(),
+            dims: rng.chance(0.5).then(|| (rng.index(64), rng.index(64))),
+        };
+        let size = Bytes::new(bytes);
+        let workloads = [
+            WorkloadSpec::Shuffle { partition: size, load },
+            WorkloadSpec::Incast { request: size, load },
+            WorkloadSpec::Permutation { size, load },
+            WorkloadSpec::SingleFlow { size, load },
+            WorkloadSpec::Uniform {
+                flows_per_node: load * 3.0,
+                size,
+                mean_interarrival: SimDuration::from_picos(picos),
+                load,
+            },
+            WorkloadSpec::Hotspot {
+                flows_per_node: load * 3.0,
+                size,
+                zipf_exponent: fraction * 2.0,
+                load,
+            },
+            WorkloadSpec::Storage {
+                ops_per_node: load * 3.0,
+                io_size: size,
+                read_fraction: fraction,
+                load,
+            },
+        ];
+        let budget = Power::from_milliwatts(budget_mw);
+        let policies = [
+            CrcPolicy::LatencyMinimize,
+            CrcPolicy::CongestionBalance,
+            CrcPolicy::PowerCap { budget },
+            CrcPolicy::Hybrid { budget },
+        ];
+
+        let mut spec = ScenarioSpec::new(
+            "round-trip",
+            topology(topology_kinds[topology_kind % topology_kinds.len()]),
+            workloads[workload].clone(),
+        );
+        // One index past each list draws `None`.
+        spec.upgrade = topology_kinds
+            .get(upgrade_kind % (topology_kinds.len() + 1))
+            .map(|&kind| topology(kind));
+        spec.routing = routings.get(routing % (routings.len() + 1)).copied();
+        spec.controller = match controller {
+            0 => ControllerSpec::Baseline,
+            i => ControllerSpec::Adaptive {
+                policy: policies[i - 1],
+                epoch: SimDuration::from_picos(epoch_ps),
+                routing: routings[controller_routing % routings.len()],
+            },
+        };
+        spec.phy = PhyPolicy {
+            fec: fec_modes
+                .get(fec % (fec_modes.len() + 1))
+                .map_or(FecSetting::Default, |&mode| FecSetting::Fixed(mode)),
+            active_lanes: (lanes > 0).then_some(lanes),
+            power: powers[power % powers.len()],
+            bypassed_nodes,
+        };
+        spec.switch = SwitchModel {
+            kind: switches[switch % switches.len()],
+            pipeline_latency: SimDuration::from_picos(pipeline_ps),
+        };
+        spec.lane_rate = BitRate::from_bps(picos ^ seed);
+        spec.port_buffer = Bytes::new(bytes ^ seed);
+        spec.plp_timing = PlpTiming::default().scaled(load);
+        spec.mtu = Bytes::new(seed % 65_536);
+        spec.train_window = SimDuration::from_picos(picos / 3);
+        spec.horizon = SimTime::from_picos(seed ^ budget_mw);
+        spec.event_budget = epoch_ps ^ bytes;
+        spec.stop_when_done = seed % 2 == 0;
+        spec.seed = seed;
+        spec.shards = shards;
+
+        let canonical = canonical_spec_json(&spec);
+        let decoded = decode_spec(&canonical).unwrap_or_else(|e| panic!("{e}: {canonical}"));
+        prop_assert_eq!(canonical_spec_json(&decoded), canonical);
+        prop_assert_eq!(job_key(&decoded), job_key(&spec));
     }
 }
 
