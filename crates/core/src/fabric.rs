@@ -11,8 +11,11 @@
 //!
 //! ## Hot-path architecture
 //!
-//! The per-packet datapath does **zero hashing** and fires **one event per
-//! link drain** rather than one per packet:
+//! The per-packet datapath fires **one event per link drain** rather than
+//! one per packet, and under shortest-hop and min-cost routing it does
+//! **zero hashing**. (ECMP, Valiant, dimension-ordered and UGAL routing
+//! look each injection's `(src, dst, flow)` up in a hashed route-cache
+//! map; see `Network::route`.)
 //!
 //! * All per-link and per-port state lives in one `LinkTable`: the egress
 //!   queues, the cached link constants (capacity, propagation, FEC latency,

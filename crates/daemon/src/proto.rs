@@ -183,7 +183,13 @@ impl Event {
             Event::Cancelled { job } => obj([("event", string("cancelled")), ("job", string(job))]),
             Event::Error { job, reason } => obj([
                 ("event", string("error")),
-                ("job", job.as_deref().map_or(JsonValue::Null, string)),
+                (
+                    "job",
+                    match job {
+                        None => JsonValue::Null,
+                        Some(id) => string(id),
+                    },
+                ),
                 ("reason", string(reason)),
             ]),
             Event::Status(counts) => obj([

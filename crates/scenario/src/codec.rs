@@ -27,13 +27,9 @@
 //! the matrix that produced it. Its contract, checked by the tests here and
 //! relied on by recovery: `canonical_spec_json(&decode_spec(&c)?) == c` for
 //! every canonical form `c`, so a replayed job lands under the same key (and
-//! store record) as the original.
-//!
-//! Each field-less enum the form names (routing, FEC, power state, switch
-//! kind, topology kind, media, link class) has one table of wire names that
-//! both directions read. A variant missing from its table panics on encode;
-//! the round-trip property in `crates/sweep/tests/key_stability.rs` draws
-//! every variant.
+//! store record) as the original. Both directions read one table of wire
+//! names per field-less enum (routing, FEC, power, switch and topology
+//! kinds, media, link class).
 
 use crate::spec::{ControllerSpec, FecSetting, PhyPolicy, ScenarioSpec, WorkloadSpec};
 use rackfabric::policy::CrcPolicy;
@@ -97,10 +93,9 @@ pub fn decode_spec(spec_json: &str) -> Result<ScenarioSpec, String> {
 fn spec_value(spec: &ScenarioSpec) -> JsonValue {
     // `spec.name`, `spec.scheduler` and the shard count are intentionally
     // absent — see the module docs.
-    let engine = if spec.shards == 0 {
-        "monolithic"
-    } else {
-        "sharded"
+    let engine = match spec.shards {
+        0 => "monolithic",
+        _ => "sharded",
     };
     obj([
         ("controller", controller_value(&spec.controller)),
@@ -446,7 +441,9 @@ fn decode_workload(doc: &JsonValue) -> Result<WorkloadSpec, String> {
 }
 
 /// A field-less enum the canonical form names: one wire name per variant,
-/// read by both directions of the codec.
+/// read by both directions of the codec. A variant missing from `NAMES`
+/// panics on encode; the round-trip property in
+/// `crates/sweep/tests/key_stability.rs` draws every variant.
 pub(crate) trait WireName: Copy + PartialEq + 'static {
     /// What a decode error calls the enum (`unknown <WHAT> "name"`).
     const WHAT: &'static str;
@@ -456,19 +453,15 @@ pub(crate) trait WireName: Copy + PartialEq + 'static {
 
 /// The wire name of `value`.
 pub(crate) fn wire_name<T: WireName>(value: T) -> &'static str {
-    T::NAMES
-        .iter()
-        .find(|(_, v)| *v == value)
-        .map(|(name, _)| *name)
-        .unwrap_or_else(|| panic!("a {} has no wire name", T::WHAT))
+    match T::NAMES.iter().find(|(_, v)| *v == value) {
+        Some((name, _)) => name,
+        None => panic!("a {} has no wire name", T::WHAT),
+    }
 }
 
 fn from_wire<T: WireName>(name: &str) -> Result<T, String> {
-    T::NAMES
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| *v)
-        .ok_or_else(|| format!("unknown {} {name:?}", T::WHAT))
+    let variant = T::NAMES.iter().find(|(n, _)| *n == name).map(|e| e.1);
+    variant.ok_or_else(|| format!("unknown {} {name:?}", T::WHAT))
 }
 
 /// Implements [`WireName`]: `Type, "what": [(name, variant), ...];`.

@@ -267,8 +267,7 @@ pub enum FecSetting {
 }
 
 impl FecSetting {
-    /// Short name for cell labels: the setting's name in the canonical spec
-    /// form.
+    /// Short name for cell labels: the setting's canonical wire name.
     pub fn label(&self) -> String {
         crate::codec::wire_name(*self).into()
     }

@@ -7,8 +7,9 @@
 //! trustworthy, and render their own reports.
 //!
 //! * [`key`] — content-addressed [`JobKey`]s: a 128-bit hash of the
-//!   canonical JSON of a fully resolved [`ScenarioSpec`], excluding every
-//!   proven result-neutral knob (scheduler, shard count, names).
+//!   canonical JSON of a fully resolved [`ScenarioSpec`], which
+//!   `rackfabric_scenario::codec` writes (and decodes) and which excludes
+//!   every proven result-neutral knob (scheduler, shard count, names).
 //! * [`store`] — the on-disk [`ResultStore`]: one atomic JSON record per
 //!   executed job, keyed by hash, holding exact (wall-clock-free)
 //!   simulation output; [`ResultStore::gc`](store::ResultStore::gc)
