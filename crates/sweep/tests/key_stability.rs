@@ -375,6 +375,14 @@ proptest! {
         load in 0.0f64..4.0,
         fraction in 0.0f64..1.0,
         picos in 0u64..u64::MAX,
+        lane_rate_bps in 0u64..u64::MAX,
+        port_buffer in 0u64..u64::MAX,
+        plp_scale in 0.0f64..50.0,
+        mtu in 0u64..u64::MAX,
+        train_window_ps in 0u64..u64::MAX,
+        horizon_ps in 0u64..u64::MAX,
+        event_budget in 0u64..u64::MAX,
+        stop_when_done in 0usize..2,
         shards in 0usize..4,
         seed in 0u64..u64::MAX,
     ) {
@@ -470,14 +478,14 @@ proptest! {
             kind: switches[switch % switches.len()],
             pipeline_latency: SimDuration::from_picos(pipeline_ps),
         };
-        spec.lane_rate = BitRate::from_bps(picos ^ seed);
-        spec.port_buffer = Bytes::new(bytes ^ seed);
-        spec.plp_timing = PlpTiming::default().scaled(load);
-        spec.mtu = Bytes::new(seed % 65_536);
-        spec.train_window = SimDuration::from_picos(picos / 3);
-        spec.horizon = SimTime::from_picos(seed ^ budget_mw);
-        spec.event_budget = epoch_ps ^ bytes;
-        spec.stop_when_done = seed % 2 == 0;
+        spec.lane_rate = BitRate::from_bps(lane_rate_bps);
+        spec.port_buffer = Bytes::new(port_buffer);
+        spec.plp_timing = PlpTiming::default().scaled(plp_scale);
+        spec.mtu = Bytes::new(mtu);
+        spec.train_window = SimDuration::from_picos(train_window_ps);
+        spec.horizon = SimTime::from_picos(horizon_ps);
+        spec.event_budget = event_budget;
+        spec.stop_when_done = stop_when_done == 1;
         spec.seed = seed;
         spec.shards = shards;
 
