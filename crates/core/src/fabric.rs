@@ -14,8 +14,9 @@
 //! The per-packet datapath fires **one event per link drain** rather than
 //! one per packet, and under shortest-hop and min-cost routing it does
 //! **zero hashing**. (ECMP, Valiant, dimension-ordered and UGAL routing
-//! look each injection's `(src, dst, flow)` up in a hashed route-cache
-//! map; see `Network::route`.)
+//! look each injection's `(src, dst, flow)` up in a route-cache map under
+//! a multiply-and-rotate hash of three words, not SipHash; see
+//! `Network::route`.)
 //!
 //! * All per-link and per-port state lives in one `LinkTable`: the egress
 //!   queues, the cached link constants (capacity, propagation, FEC latency,
@@ -30,13 +31,16 @@
 //!   forwards the whole batch with a single event. Per-packet latency stays
 //!   exact (see [`Packet::arrived_at`](rackfabric_switch::packet::Packet)).
 //! * A train allocates nothing of its own beyond its route's first walk.
-//!   Injection, written once for both engines as `LinkTable::inject`,
-//!   builds a fresh train into a packet buffer from the table's spare list
-//!   and offers it to the first link's port; every train that ends
-//!   (delivered, dropped whole, stopped by a dead link, or rejected at
-//!   injection) refills the list with its emptied buffer. What the engines
-//!   still allocate is mostly the calendar queue's bucket growth and, when
-//!   sharded, the mailboxes (`tests/datapath_allocs.rs`).
+//!   Injection, written once for both engines as `LinkTable::inject`, first
+//!   asks the first link's port whether the train's first frame fits; if
+//!   not, it offers that frame alone, which tail-drops it, and builds
+//!   nothing. Otherwise it builds a fresh train into a packet buffer from
+//!   the table's spare list and offers it to the port, and the frames past
+//!   the port's first tail-drop are cut off again; every train that ends
+//!   (delivered, dropped whole, or stopped by a dead link) refills the list
+//!   with its emptied buffer. What the engines still allocate is mostly the
+//!   calendar queue's bucket growth and, when sharded, the mailboxes
+//!   (`tests/datapath_allocs.rs`).
 //! * Routes are served from an epoch-invalidated [`RouteCache`]. Under the
 //!   single-path algorithms one BFS/Dijkstra tree per source per epoch
 //!   serves every destination; a route is walked out of the tree into one
@@ -63,7 +67,7 @@ use rackfabric_sim::units::{BitRate, Bytes};
 use rackfabric_switch::model::SwitchModel;
 use rackfabric_switch::nic::Nic;
 use rackfabric_switch::packet::{FlowId, Packet};
-use rackfabric_switch::queue::EgressQueue;
+use rackfabric_switch::queue::{EgressQueue, EnqueueOutcome};
 use rackfabric_switch::train::{train_frames, Train};
 use rackfabric_topo::arena::{LinkArena, LinkIdx};
 use rackfabric_topo::cache::{InternedRoute, RouteCache};
@@ -312,10 +316,11 @@ impl LinkTable {
 
     /// Offers the next train of a flow at its source, the injection both
     /// engines run: the route lookup, the first-hop checks, and admission
-    /// to the first link's egress port. A train is sized by that link's
-    /// rate window and built into a recycled buffer; the frames the port
-    /// rejects are cut off again. A tail-drop counts one drop in `dropped`,
-    /// as does a dead first link.
+    /// to the first link's egress port. When the port has no room for the
+    /// first frame, the train is turned away unbuilt. Otherwise it is sized
+    /// by the link's rate window and built into a recycled buffer, and the
+    /// frames past the port's first tail-drop are cut off again. A tail-drop
+    /// counts one drop in `dropped`, as does a dead first link.
     pub(crate) fn inject(
         &mut self,
         net: &Network<'_>,
@@ -366,8 +371,20 @@ impl LinkTable {
             return Injection::Wait(fence);
         }
 
-        // Size the train by the link's rate window.
+        // A train whose first frame the port has no room for is turned away
+        // before it is built: offering that frame alone drops it with the
+        // accounting `enqueue_train` would do, and takes no packet id.
         let mtu = config.mtu.as_u64();
+        let queue = &mut self.ports[net.arena.port(flow.src, first_link).index()];
+        let first = Bytes::new(remaining.min(mtu));
+        if !queue.admits(now, first) {
+            let outcome = queue.enqueue(now, first, hot.capacity);
+            debug_assert_eq!(outcome, EnqueueOutcome::Dropped);
+            dropped.incr();
+            return Injection::Wait(retry_at);
+        }
+
+        // Size the train by the link's rate window.
         let budget = train_frames(hot.capacity, config.train_window, config.mtu);
         let frames = budget.min(remaining.div_ceil(mtu)).max(1);
         let sizes = (0..frames).scan(remaining, |left, _| {
@@ -377,23 +394,14 @@ impl LinkTable {
         });
         let mut packets = self.spare.pop().unwrap_or_default();
         nic.build_train(now, FlowId(index as u64), flow.dst, sizes, &mut packets);
-        let port = net.arena.port(flow.src, first_link);
-        let admission = self.ports[port.index()].enqueue_train(
-            &mut packets,
-            hot.capacity,
-            hot.propagation,
-            hot.fec,
-            true,
-        );
+        let admission =
+            queue.enqueue_train(&mut packets, hot.capacity, hot.propagation, hot.fec, true);
         nic.record_sent(admission.accepted as u64);
         packets.truncate(admission.accepted);
         if admission.dropped {
             dropped.incr();
         }
-        if admission.accepted == 0 {
-            self.recycle(packets);
-            return Injection::Wait(retry_at);
-        }
+        debug_assert!(admission.accepted > 0, "the port admitted no first frame");
         let accepted_bytes: u64 = packets.iter().map(|p| p.size.as_u64()).sum();
         progress.injected += accepted_bytes;
         self.epoch_bytes[first_link.index()] += accepted_bytes;
@@ -1134,5 +1142,62 @@ mod tests {
             events < frames,
             "batching must use fewer events ({events}) than frames ({frames})"
         );
+    }
+
+    #[test]
+    fn an_injection_into_a_full_port_builds_no_train() {
+        use rackfabric_switch::packet::PacketId;
+        let mut config = quick_config(TopologySpec::line(2, 4));
+        config.adaptive = false;
+        config.routing = RoutingAlgorithm::ShortestHop;
+        let flows = vec![Flow {
+            id: rackfabric_workload::WorkloadFlowId(0),
+            src: NodeId(0),
+            dst: NodeId(1),
+            size: Bytes::from_kib(64),
+            start_at: SimTime::ZERO,
+        }];
+        let mut fabric = AdaptiveFabric::new(config, flows);
+        let (mtu, rate) = (fabric.config.mtu, BitRate::from_gbps(100));
+        let now = SimTime::from_micros(1);
+        for port in &mut fabric.links.ports {
+            while port.admits(now, mtu) {
+                port.enqueue(now, mtu, rate);
+            }
+        }
+        let port_drops = |f: &AdaptiveFabric| f.links.ports.iter().map(|p| p.dropped).sum::<u64>();
+        let inject = |f: &mut AdaptiveFabric, at: SimTime| {
+            let net = Network {
+                topo: &f.topo,
+                arena: &f.arena,
+                spec: &f.current_spec,
+                racks: &f.racks,
+            };
+            let source = Source {
+                index: 0,
+                flow: f.flows[0],
+                progress: &mut f.progress[0],
+                nic: &mut f.nics[0],
+            };
+            f.links
+                .inject(&net, &f.config, at, source, &mut f.metrics.dropped_packets)
+        };
+
+        let rejected = inject(&mut fabric, now);
+        let retry_at = now + fabric.config.retry_delay;
+        assert!(matches!(rejected, Injection::Wait(at) if at == retry_at));
+        assert_eq!(fabric.metrics.dropped_packets.get(), 1);
+        assert_eq!(port_drops(&fabric), 1, "the first frame alone is offered");
+        assert!(fabric.links.spare.is_empty(), "no packet buffer was taken");
+        assert_eq!(fabric.progress[0].injected, 0);
+        assert_eq!(fabric.nics[0].packets_sent, 0);
+
+        // Once the port drains, the next train numbers its packets from the
+        // node's first id: the rejection built none.
+        let Injection::Sent(sent) = inject(&mut fabric, SimTime::from_millis(1)) else {
+            panic!("a drained port admits the train");
+        };
+        assert_eq!(sent.packets[0].id, PacketId(0));
+        assert_eq!(fabric.metrics.dropped_packets.get(), 1);
     }
 }

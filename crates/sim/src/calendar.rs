@@ -13,12 +13,19 @@
 //! * **Far level** — events beyond the ring's coverage go to an overflow
 //!   binary heap and migrate into the ring as the cursor sweeps forward.
 //!
-//! The bucket currently being drained is kept as a small binary heap ordered
-//! by `(time, EventId)`, so delivery order is **identical** to
-//! [`EventQueue`](crate::queue::EventQueue): strictly increasing `(time, id)`
-//! across the whole run. Determinism does not depend on the geometry; bucket
-//! width and count only affect speed. The equivalence is property-tested in
-//! `tests/scheduler_equivalence.rs`.
+//! The bucket currently being drained is sorted by `(time, EventId)` once,
+//! when it becomes current, and then popped from the end of that sorted
+//! **run**. Entries pushed into the window being drained after it was loaded
+//! (zero-delay re-schedules, same-instant retries) go to a small **late**
+//! heap beside the run, and each pop takes the earlier of the two heads. A
+//! bucket can hold thousands of entries at one instant (e10's injector
+//! retries), so one sort per bucket beats a heap pop per entry. Delivery
+//! order is **identical** to [`EventQueue`](crate::queue::EventQueue):
+//! strictly increasing `(time, id)` across the whole run. Ids are unique
+//! among pending entries (checked in debug builds whenever a bucket is
+//! sorted), so an unstable sort is exact. Determinism does not depend on the
+//! geometry; bucket width and count only affect speed. The equivalence is
+//! property-tested in `tests/scheduler_equivalence.rs`.
 //!
 //! Nothing is hashed per event: like the heap queue, the calendar offers no
 //! cancellation, so every stored entry is pending.
@@ -39,8 +46,12 @@ const DEFAULT_BUCKET_SHIFT: u32 = 11;
 pub struct CalendarQueue<E> {
     /// Future near-level buckets; each holds one window's entries, unsorted.
     buckets: Vec<Vec<Entry<E>>>,
-    /// The bucket currently being drained, as a `(time, id)` min-heap.
-    current: BinaryHeap<Entry<E>>,
+    /// The bucket currently being drained, sorted once when it was loaded.
+    /// `Entry`'s order is reversed, so the earliest entry is last.
+    run: Vec<Entry<E>>,
+    /// Entries placed into the window being drained after it was loaded, as
+    /// a `(time, id)` min-heap.
+    late: BinaryHeap<Entry<E>>,
     /// Start (inclusive) of the current bucket's window, in picoseconds.
     cursor_start: u64,
     /// First instant (exclusive) covered by the ring; entries at or beyond
@@ -48,7 +59,7 @@ pub struct CalendarQueue<E> {
     far_horizon: u64,
     /// Overflow heap for the far future.
     far: BinaryHeap<Entry<E>>,
-    /// Entries sitting in `buckets` (excluding `current` and `far`).
+    /// Entries sitting in `buckets` (excluding `run`, `late` and `far`).
     near_count: usize,
     /// log2 of the bucket width in picoseconds.
     width_shift: u32,
@@ -83,7 +94,8 @@ impl<E> CalendarQueue<E> {
         buckets.resize_with(count, Vec::new);
         CalendarQueue {
             buckets,
-            current: BinaryHeap::new(),
+            run: Vec::new(),
+            late: BinaryHeap::new(),
             cursor_start: 0,
             far_horizon: horizon_for(0, width_shift, count as u64),
             far: BinaryHeap::new(),
@@ -98,10 +110,31 @@ impl<E> CalendarQueue<E> {
     /// queues with the exact `(time, key)` tie-break order a single queue
     /// would give.
     pub fn peek_entry(&mut self) -> Option<(SimTime, EventId)> {
-        if self.current.is_empty() && !self.advance() {
+        if self.window_drained() && !self.advance() {
             return None;
         }
-        self.current.peek().map(|head| (head.at, head.id))
+        let head = if self.late_first() {
+            self.late.peek()
+        } else {
+            self.run.last()
+        }?;
+        Some((head.at, head.id))
+    }
+
+    /// True when nothing of the window being drained is left.
+    #[inline]
+    fn window_drained(&self) -> bool {
+        self.run.is_empty() && self.late.is_empty()
+    }
+
+    /// True when the late heap, not the run, holds the window's earliest
+    /// entry. `Entry`'s order is reversed: the greater entry is earlier.
+    #[inline]
+    fn late_first(&self) -> bool {
+        match (self.run.last(), self.late.peek()) {
+            (Some(run), Some(late)) => late > run,
+            (run, _) => run.is_none(),
+        }
     }
 
     /// Width of one bucket in picoseconds.
@@ -123,12 +156,12 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Stores an entry in whichever level owns its timestamp. Entries at or
-    /// before the current window go straight into the drain heap, which
-    /// keeps out-of-order pushes (and same-instant re-schedules) correct.
+    /// before the current window go to the late heap, which keeps
+    /// out-of-order pushes (and same-instant re-schedules) correct.
     fn place(&mut self, entry: Entry<E>) {
         let t = entry.at.as_picos();
         if t < self.current_window_end() {
-            self.current.push(entry);
+            self.late.push(entry);
         } else if t < self.far_horizon {
             let slot = self.slot_of(t);
             self.buckets[slot].push(entry);
@@ -149,11 +182,14 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Advances to the next non-empty region, filling `current`. Returns
-    /// false when nothing is stored anywhere. Does not deliver events, so it
-    /// is safe to call from `peek_time`.
+    /// Advances to the next non-empty region, filling `run` or `late`.
+    /// Returns false when nothing is stored anywhere. Does not deliver
+    /// events, so it is safe to call from `peek_time`.
     fn advance(&mut self) -> bool {
-        debug_assert!(self.current.is_empty());
+        debug_assert!(self.window_drained());
+        // The late heap outlives no window: a burst of same-instant pushes
+        // (e10 starts 65,280 flows at t = 0) must not keep its buffer alive.
+        self.late = BinaryHeap::new();
         loop {
             if self.near_count == 0 {
                 // The ring is empty: jump the wheel straight to the earliest
@@ -166,12 +202,12 @@ impl<E> CalendarQueue<E> {
                 self.far_horizon =
                     horizon_for(self.cursor_start, self.width_shift, self.index_mask + 1);
                 self.drain_far();
-                if self.current.is_empty() {
+                if self.window_drained() {
                     // Pathological timestamps at or beyond the saturated
                     // horizon (e.g. SimTime::MAX) cannot be placed in the
-                    // ring; drain them straight into the current heap.
+                    // ring; drain them straight into the run.
                     let entry = self.far.pop().expect("far head exists");
-                    self.current.push(entry);
+                    self.run.push(entry);
                 }
                 return true;
             }
@@ -183,9 +219,14 @@ impl<E> CalendarQueue<E> {
             self.drain_far();
             let slot = self.slot_of(self.cursor_start);
             if !self.buckets[slot].is_empty() {
-                let v = std::mem::take(&mut self.buckets[slot]);
-                self.near_count -= v.len();
-                self.current = v.into();
+                let mut run = std::mem::take(&mut self.buckets[slot]);
+                self.near_count -= run.len();
+                run.sort_unstable();
+                debug_assert!(
+                    run.windows(2).all(|pair| pair[0] != pair[1]),
+                    "two pending events share a (time, id)"
+                );
+                self.run = run;
                 return true;
             }
         }
@@ -204,12 +245,15 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
     }
 
     fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
-        if self.current.is_empty() && !self.advance() {
+        if self.window_drained() && !self.advance() {
             return None;
         }
-        self.current
-            .pop()
-            .map(|entry| (entry.at, entry.id, entry.event))
+        let entry = if self.late_first() {
+            self.late.pop()
+        } else {
+            self.run.pop()
+        }?;
+        Some((entry.at, entry.id, entry.event))
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
@@ -217,14 +261,15 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
     }
 
     fn len(&self) -> usize {
-        self.near_count + self.current.len() + self.far.len()
+        self.near_count + self.run.len() + self.late.len() + self.far.len()
     }
 
     fn clear(&mut self) {
         for bucket in &mut self.buckets {
             bucket.clear();
         }
-        self.current.clear();
+        self.run.clear();
+        self.late.clear();
         self.far.clear();
         self.near_count = 0;
         self.cursor_start = 0;
@@ -262,6 +307,44 @@ mod tests {
         assert_eq!(q.pop().unwrap().2, "first");
         assert_eq!(q.pop().unwrap().2, "second");
         assert_eq!(q.pop().unwrap().2, "third");
+    }
+
+    #[test]
+    fn pushes_into_the_window_being_drained_merge_with_its_run() {
+        let ps = SimTime::from_picos;
+        let mut q = CalendarQueue::with_geometry(10, 3); // 1,024 ps buckets
+        q.push(ps(2_500), EventId(2), "c");
+        q.push(ps(2_100), EventId(0), "a");
+        q.push(ps(2_300), EventId(1), "b");
+        assert_eq!(q.pop().unwrap().2, "a", "the bucket loads as a sorted run");
+        assert_eq!(q.run.len(), 2);
+        // Both land in the window being drained: the late heap.
+        q.push(ps(2_200), EventId(3), "late");
+        q.push(ps(2_100), EventId(4), "same instant");
+        assert_eq!(q.late.len(), 2);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, _, v)| v)).collect();
+        assert_eq!(order, ["same instant", "late", "b", "c"]);
+    }
+
+    #[test]
+    fn the_late_heap_keeps_no_buffer_past_its_window() {
+        let mut q = CalendarQueue::with_geometry(10, 3);
+        // A same-instant burst before the first pop lands in the window
+        // being drained.
+        for i in 0..1_000u64 {
+            q.push(SimTime::ZERO, EventId(1_000 - i), i);
+        }
+        assert_eq!(q.late.len(), 1_000);
+        for i in (0..1_000u64).rev() {
+            assert_eq!(q.pop().unwrap().2, i);
+        }
+        q.push(t(5), EventId(0), 1_000);
+        assert_eq!(q.pop().unwrap().2, 1_000);
+        assert_eq!(
+            q.late.capacity(),
+            0,
+            "the burst's buffer outlived its window"
+        );
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! [`Simulator`] owns the clock, the pending-event set and the model, and
 //! advances the model by repeatedly popping the earliest event and calling
-//! [`Model::handle`]. Directives issued through
-//! the [`Context`] are applied after each callback.
+//! [`Model::handle`]. The [`Context`] handed to each callback schedules
+//! straight into the pending-event set, with ids from the simulator's one
+//! sequence counter, and a stop request ends the run once the callback
+//! returns.
 //!
 //! The pending-event set is pluggable through the
 //! [`Scheduler`] trait: [`Simulator::new`] uses the
@@ -15,7 +17,7 @@
 //! changes simulation results, only wall-clock speed.
 
 use crate::calendar::CalendarQueue;
-use crate::event::{Context, Directive, EventId, Model};
+use crate::event::{Context, EventId, Model};
 use crate::queue::{EventQueue, Scheduler};
 use crate::rng::DetRng;
 use crate::time::SimTime;
@@ -170,18 +172,16 @@ impl<M: Model, S: Scheduler<M::Event>> Simulator<M, S> {
     /// `horizon` if the horizon was reached with events still pending (so a
     /// subsequent call resumes cleanly).
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        let mut directives: Vec<(EventId, Directive<M::Event>)> = Vec::new();
-
         if !self.initialized {
             self.initialized = true;
             let mut ctx = Context {
                 now: self.now,
                 next_id: &mut self.next_id,
-                directives: &mut directives,
+                queue: &mut self.queue,
+                stop: &mut self.stop_requested,
                 rng: &mut self.rng,
             };
             self.model.init(&mut ctx);
-            Self::apply_directives(&mut self.queue, &mut self.stop_requested, &mut directives);
         }
 
         let outcome = loop {
@@ -207,37 +207,24 @@ impl<M: Model, S: Scheduler<M::Event>> Simulator<M, S> {
             let mut ctx = Context {
                 now: self.now,
                 next_id: &mut self.next_id,
-                directives: &mut directives,
+                queue: &mut self.queue,
+                stop: &mut self.stop_requested,
                 rng: &mut self.rng,
             };
             self.model.handle(&mut ctx, event);
-            Self::apply_directives(&mut self.queue, &mut self.stop_requested, &mut directives);
         };
 
         // Give the model a chance to flush statistics.
         let mut ctx = Context {
             now: self.now,
             next_id: &mut self.next_id,
-            directives: &mut directives,
+            queue: &mut self.queue,
+            stop: &mut self.stop_requested,
             rng: &mut self.rng,
         };
         self.model.finish(&mut ctx);
-        Self::apply_directives(&mut self.queue, &mut self.stop_requested, &mut directives);
 
         outcome
-    }
-
-    fn apply_directives(
-        queue: &mut S,
-        stop: &mut bool,
-        directives: &mut Vec<(EventId, Directive<M::Event>)>,
-    ) {
-        for (id, directive) in directives.drain(..) {
-            match directive {
-                Directive::Schedule { at, event } => queue.push(at, id, event),
-                Directive::Stop => *stop = true,
-            }
-        }
     }
 }
 

@@ -11,6 +11,7 @@
 //! keeps event delivery deterministic, and matches how the omnet++ model in
 //! the paper was organised (modules compiled into one simulation image).
 
+use crate::queue::Scheduler;
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -53,23 +54,18 @@ pub trait Model {
     }
 }
 
-/// A scheduling request produced by the model during one `handle` call.
-#[derive(Debug)]
-pub(crate) enum Directive<E> {
-    /// Schedule `event` at the absolute time given.
-    Schedule { at: SimTime, event: E },
-    /// Stop the simulation after the current event completes.
-    Stop,
-}
-
 /// The interface a [`Model`] uses to interact with the engine.
 ///
-/// A `Context` is only valid for the duration of one callback; directives are
-/// applied by the engine when the callback returns.
+/// A `Context` is only valid for the duration of one callback. It schedules
+/// straight into the engine's pending-event set, and a stop request takes
+/// effect once the callback returns. The model cannot see the pending set,
+/// so scheduling during the callback delivers exactly what scheduling after
+/// it would.
 pub struct Context<'a, E> {
     pub(crate) now: SimTime,
     pub(crate) next_id: &'a mut u64,
-    pub(crate) directives: &'a mut Vec<(EventId, Directive<E>)>,
+    pub(crate) queue: &'a mut dyn Scheduler<E>,
+    pub(crate) stop: &'a mut bool,
     pub(crate) rng: &'a mut DetRng,
 }
 
@@ -98,8 +94,7 @@ impl<'a, E> Context<'a, E> {
         );
         let id = EventId(*self.next_id);
         *self.next_id += 1;
-        self.directives
-            .push((id, Directive::Schedule { at, event }));
+        self.queue.push(at, id, event);
         id
     }
 
@@ -117,25 +112,27 @@ impl<'a, E> Context<'a, E> {
 
     /// Requests that the simulation stop once the current callback returns.
     pub fn stop(&mut self) {
-        let marker = EventId(u64::MAX);
-        self.directives.push((marker, Directive::Stop));
+        *self.stop = true;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::EventQueue;
 
     fn make_ctx<'a>(
         now: SimTime,
         next_id: &'a mut u64,
-        directives: &'a mut Vec<(EventId, Directive<u32>)>,
+        queue: &'a mut EventQueue<u32>,
+        stop: &'a mut bool,
         rng: &'a mut DetRng,
     ) -> Context<'a, u32> {
         Context {
             now,
             next_id,
-            directives,
+            queue,
+            stop,
             rng,
         }
     }
@@ -143,44 +140,61 @@ mod tests {
     #[test]
     fn schedule_produces_monotonic_ids() {
         let mut next = 0;
-        let mut dirs = Vec::new();
+        let mut queue = EventQueue::new();
+        let mut stop = false;
         let mut rng = DetRng::new(1);
-        let mut ctx = make_ctx(SimTime::from_nanos(5), &mut next, &mut dirs, &mut rng);
+        let mut ctx = make_ctx(
+            SimTime::from_nanos(5),
+            &mut next,
+            &mut queue,
+            &mut stop,
+            &mut rng,
+        );
         let a = ctx.schedule_in(SimDuration::from_nanos(1), 1);
         let b = ctx.schedule_now(2);
         let c = ctx.schedule_at(SimTime::from_nanos(100), 3);
         assert!(a < b && b < c);
-        assert_eq!(dirs.len(), 3);
+        assert_eq!(queue.len(), 3);
+        assert_eq!(queue.pop(), Some((SimTime::from_nanos(5), b, 2)));
     }
 
     #[test]
     #[should_panic(expected = "in the past")]
     fn scheduling_in_the_past_panics() {
         let mut next = 0;
-        let mut dirs = Vec::new();
+        let mut queue = EventQueue::new();
+        let mut stop = false;
         let mut rng = DetRng::new(1);
-        let mut ctx = make_ctx(SimTime::from_nanos(5), &mut next, &mut dirs, &mut rng);
+        let mut ctx = make_ctx(
+            SimTime::from_nanos(5),
+            &mut next,
+            &mut queue,
+            &mut stop,
+            &mut rng,
+        );
         ctx.schedule_at(SimTime::from_nanos(4), 9);
     }
 
     #[test]
     fn stop_is_recorded() {
         let mut next = 0;
-        let mut dirs = Vec::new();
+        let mut queue = EventQueue::new();
+        let mut stop = false;
         let mut rng = DetRng::new(1);
-        let mut ctx = make_ctx(SimTime::ZERO, &mut next, &mut dirs, &mut rng);
+        let mut ctx = make_ctx(SimTime::ZERO, &mut next, &mut queue, &mut stop, &mut rng);
         ctx.schedule_now(7);
         ctx.stop();
-        assert_eq!(dirs.len(), 2);
-        assert!(matches!(dirs[1].1, Directive::Stop));
+        assert!(stop);
+        assert_eq!(queue.len(), 1, "a stop request schedules nothing");
     }
 
     #[test]
     fn rng_is_reachable_through_context() {
         let mut next = 0;
-        let mut dirs: Vec<(EventId, Directive<u32>)> = Vec::new();
+        let mut queue = EventQueue::new();
+        let mut stop = false;
         let mut rng = DetRng::new(42);
-        let mut ctx = make_ctx(SimTime::ZERO, &mut next, &mut dirs, &mut rng);
+        let mut ctx = make_ctx(SimTime::ZERO, &mut next, &mut queue, &mut stop, &mut rng);
         let x = ctx.rng().next_u64();
         let y = ctx.rng().next_u64();
         assert_ne!(x, y);

@@ -103,6 +103,14 @@ impl EgressQueue {
         self.queued_bytes.saturating_sub(drained.as_u64())
     }
 
+    /// True if a packet of `size` offered at `now` fits the buffer: the
+    /// tail-drop test [`enqueue`](Self::enqueue) makes, without touching the
+    /// queue.
+    #[inline]
+    pub fn admits(&self, now: SimTime, size: Bytes) -> bool {
+        self.backlog_at(now) + size.as_u64() <= self.buffer.as_u64()
+    }
+
     /// Offers a packet of `size` to the queue at `now`, transmitting at
     /// `rate` (the link's current effective capacity). A zero rate (link down
     /// or reconfiguring) drops the packet.
@@ -466,6 +474,89 @@ mod tests {
         // The untouched tail packet kept its pristine breakdown.
         assert_eq!(packets[3].breakdown.queueing, SimDuration::ZERO);
         assert_eq!(packets[3].arrived_at, t);
+    }
+
+    #[test]
+    fn admits_is_the_tail_drop_test_of_enqueue() {
+        let mut q = EgressQueue::new(Bytes::new(4_000));
+        let t = |ns: u64| SimTime::from_nanos(ns);
+        q.enqueue(t(1_000), Bytes::new(1_500), GBPS100);
+        q.enqueue(t(1_000), Bytes::new(1_500), GBPS100);
+        for ns in [990, 1_000, 1_004, 1_010, 1_030, 1_100] {
+            for size in [64, 900, 1_000, 1_062, 1_063, 1_500] {
+                let (at, size) = (t(ns), Bytes::new(size));
+                let accepted = matches!(
+                    q.clone().enqueue(at, size, GBPS100),
+                    EnqueueOutcome::Accepted { .. }
+                );
+                assert_eq!(q.admits(at, size), accepted, "{size:?} at {at}");
+            }
+        }
+    }
+
+    /// Injection offers a train's first frame alone when `admits` says it
+    /// does not fit; that must leave the port exactly as offering the whole
+    /// train would have.
+    #[test]
+    fn a_train_whose_first_frame_does_not_fit_acts_as_that_frame_alone() {
+        use crate::packet::{FlowId, PacketId};
+        use rackfabric_topo::NodeId;
+        let t = |ns: u64| SimTime::from_nanos(ns);
+        let primed = || {
+            let mut q = EgressQueue::new(Bytes::new(4_000));
+            q.enqueue(t(1_000), Bytes::new(1_500), GBPS100);
+            q.enqueue(t(1_000), Bytes::new(1_500), GBPS100);
+            q
+        };
+        // 5 ns after two MTUs, 62 B have drained: 2,938 + 1,500 > 4,000.
+        let now = t(1_005);
+        let (mut whole, mut alone) = (primed(), primed());
+        assert!(!whole.admits(now, Bytes::new(1_500)));
+        let mut packets: Vec<Packet> = (0..3)
+            .map(|i| {
+                Packet::new(
+                    PacketId(i),
+                    FlowId(0),
+                    NodeId(0),
+                    NodeId(1),
+                    Bytes::new(1_500),
+                    now,
+                )
+            })
+            .collect();
+        let prop = SimDuration::from_nanos(10);
+        let admission = whole.enqueue_train(&mut packets, GBPS100, prop, prop, true);
+        assert_eq!((admission.accepted, admission.dropped), (0, true));
+        assert_eq!(
+            alone.enqueue(now, Bytes::new(1_500), GBPS100),
+            EnqueueOutcome::Dropped
+        );
+        let same = |whole: &mut EgressQueue, alone: &mut EgressQueue| {
+            let counters = |q: &EgressQueue| (q.accepted, q.dropped, q.marked, q.bytes_out);
+            assert_eq!(counters(whole), counters(alone));
+            assert_eq!(whole.peak_occupancy(), alone.peak_occupancy());
+            for at in [now, t(1_010), t(1_020), t(1_100), t(5_000)] {
+                assert_eq!(
+                    whole.backlog_at(at),
+                    alone.backlog_at(at),
+                    "backlog at {at}"
+                );
+                assert_eq!(
+                    whole.mean_occupancy(at),
+                    alone.mean_occupancy(at),
+                    "mean at {at}"
+                );
+            }
+        };
+        same(&mut whole, &mut alone);
+        // The drain state matches too: later offers fare alike.
+        for (ns, size) in [(1_012, 1_500), (1_013, 1_500), (1_040, 700)] {
+            assert_eq!(
+                whole.enqueue(t(ns), Bytes::new(size), GBPS100),
+                alone.enqueue(t(ns), Bytes::new(size), GBPS100)
+            );
+        }
+        same(&mut whole, &mut alone);
     }
 
     #[test]

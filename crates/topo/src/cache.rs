@@ -32,6 +32,10 @@
 //!   go through [`RouteCache::get_or_compute`], a map keyed by
 //!   `(src, dst, selector)`.
 //!
+//! The two keyed maps hash a key as three words with one rotate, xor and
+//! multiply each, not with std's SipHash: they sit on every injection under
+//! the per-flow and adaptive policies.
+//!
 //! Invalidation is by epoch counter: bumping the epoch makes every cached
 //! tree and entry stale without touching them (stale state is overwritten
 //! on next access), so invalidation is O(1) no matter how much is cached.
@@ -44,6 +48,7 @@ use crate::routing::{
     Route,
 };
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// One hop of an interned route: a node and the dense index of the link
@@ -154,6 +159,46 @@ impl RouteCacheStats {
 /// routes that legitimately differ per flow on the same pair (ECMP).
 type Key = (NodeId, NodeId, u64);
 
+/// The hasher of the per-flow maps: per word, rotate, xor and multiply
+/// (the Fx hash). The keys are simulation state, never external input, so
+/// SipHash's resistance to chosen keys buys nothing; and the maps are only
+/// looked up, never iterated, so the hash cannot reach an output.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.add(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by [`Key`] under [`KeyHasher`].
+type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
+
 /// A predecessor-tree edge reaching a node: its parent and the arena index
 /// of the link between them (`None` when the arena lacks the link).
 type TreeEdge = (NodeId, Option<LinkIdx>);
@@ -245,8 +290,8 @@ pub struct RouteCache {
     epoch: u64,
     topology_epoch: u64,
     /// Per-pair routes and the epoch each was computed in.
-    entries: HashMap<Key, (Option<u64>, Option<InternedRoute>)>,
-    adaptive: HashMap<Key, AdaptiveEntry>,
+    entries: KeyMap<(Option<u64>, Option<InternedRoute>)>,
+    adaptive: KeyMap<AdaptiveEntry>,
     /// Single-path trees, dense by source node index.
     trees: Vec<SourceTree>,
     /// The buffer tree walks run in.
