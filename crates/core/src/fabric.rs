@@ -30,6 +30,10 @@
 //!   back-to-back frames sized by the first link's rate window, and each hop
 //!   forwards the whole batch with a single event. Per-packet latency stays
 //!   exact (see [`Packet::arrived_at`](rackfabric_switch::packet::Packet)).
+//!   The per-hop step — delivery check, dead link, fence hold, bypass or
+//!   switch traversal into the egress port — is written once for both
+//!   engines as `LinkTable::forward`; each engine keeps only its own
+//!   bookkeeping and scheduling around it.
 //! * A train allocates nothing of its own beyond its route's first walk.
 //!   Injection, written once for both engines as `LinkTable::inject`, first
 //!   asks the first link's port whether the train's first frame fits; if
@@ -58,6 +62,7 @@
 use crate::control::{self, ControlStep};
 use crate::controller::CrcConfig;
 use crate::metrics::FabricMetrics;
+use rackfabric_phy::bypass::BypassTable;
 use rackfabric_phy::{LinkState, PhyState, PlpTiming};
 use rackfabric_sim::config::SimConfig;
 use rackfabric_sim::event::{Context, Model};
@@ -247,12 +252,6 @@ impl LinkTable {
         }
     }
 
-    /// True if the link is live (see [`LinkHot::live`]).
-    #[inline]
-    pub(crate) fn live(&self, link: LinkIdx) -> bool {
-        self.hot[link.index()].live()
-    }
-
     /// Moves the table from arena `old` into `arena` (a whole-rack
     /// reconfiguration): the queues and fences of every surviving link carry
     /// over by `LinkId`, every fence then holds until at least
@@ -412,6 +411,132 @@ impl LinkTable {
             last_arrives_at: admission.last_arrives_at,
         })
     }
+
+    /// Moves a train that has finished arriving at node `hop` of `route` one
+    /// hop on, the forwarding step both engines run. A train at its
+    /// destination is left to the caller. A dead egress link loses the whole
+    /// train. A fenced one holds it: every packet waits at this node until
+    /// the fence lifts, and the wait is charged as queueing, since
+    /// retraining pauses the fabric rather than black-holing it. A bypass
+    /// (PLP #2) re-times the packets past the switching logic; otherwise
+    /// each packet traverses `switch` and is offered to the egress port,
+    /// which may cut the train's tail off. The bytes that leave count
+    /// towards the link's epoch bytes, and `packets` keeps only them.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(crate) fn forward(
+        &mut self,
+        arena: &LinkArena,
+        bypasses: &BypassTable,
+        switch: SwitchModel,
+        now: SimTime,
+        route: &InternedRoute,
+        hop: usize,
+        packets: &mut Vec<Packet>,
+    ) -> Hop {
+        let at_node = route.node(hop);
+        if at_node == packets[0].dst {
+            return Hop::Arrived;
+        }
+        let in_link = route.link(hop - 1);
+        let out_link = route.link(hop);
+        let hot = self.hot[out_link.index()];
+        if !hot.live() {
+            // The route's link disappeared in a reconfiguration. A fence
+            // only ever holds a live link, so this check may come first.
+            return Hop::Lost {
+                bytes: packets.iter().map(|p| p.size.as_u64()).sum(),
+                drops: packets.len() as u64,
+            };
+        }
+        let fence = self.fences[out_link.index()];
+        if now < fence {
+            for packet in packets.iter_mut() {
+                packet.breakdown.queueing += fence.saturating_since(packet.arrived_at);
+                packet.arrived_at = fence;
+            }
+            return Hop::Held(fence);
+        }
+
+        let bypass = bypasses
+            .lookup(at_node.as_u32(), arena.link_id(in_link))
+            .filter(|b| b.out_link == arena.link_id(out_link));
+        if let Some(bypass) = bypass {
+            let mut next = now;
+            let mut bytes = 0;
+            for packet in packets.iter_mut() {
+                packet.breakdown.bypass += bypass.latency;
+                packet.breakdown.propagation += hot.propagation;
+                packet.breakdown.fec += hot.fec;
+                packet.breakdown.bypassed_hops += 1;
+                // Each frame re-times from its own arrival at this node.
+                packet.arrived_at = packet.arrived_at + bypass.latency + hot.propagation + hot.fec;
+                next = next.max(packet.arrived_at);
+                bytes += packet.size.as_u64();
+            }
+            self.epoch_bytes[out_link.index()] += bytes;
+            return Hop::Moved { next, cut: None };
+        }
+
+        for packet in packets.iter_mut() {
+            let traversal = switch.traversal_latency_at(packet.size, hot.capacity);
+            packet.breakdown.switching += traversal;
+            packet.breakdown.switch_hops += 1;
+            // Each frame becomes ready at the egress port a traversal after
+            // its *own* arrival at this node, preserving the per-packet
+            // pipelining across hops (the train event merely batches the
+            // bookkeeping at the last frame's arrival).
+            packet.arrived_at += traversal;
+        }
+        let port = arena.port(at_node, out_link);
+        let admission = self.ports[port.index()].enqueue_train(
+            packets,
+            hot.capacity,
+            hot.propagation,
+            hot.fec,
+            false,
+        );
+        let (sent, tail) = packets.split_at(admission.accepted);
+        self.epoch_bytes[out_link.index()] += sent.iter().map(|p| p.size.as_u64()).sum::<u64>();
+        // The first frame the port overflowed on counts as one drop; the
+        // source re-sends the whole tail.
+        let cut = admission
+            .dropped
+            .then(|| (tail.iter().map(|p| p.size.as_u64()).sum::<u64>(), 1));
+        packets.truncate(admission.accepted);
+        match cut {
+            Some((bytes, drops)) if packets.is_empty() => Hop::Lost { bytes, drops },
+            // The last accepted frame's arrival is at or after this event in
+            // every reachable state; the clamp guards the engines'
+            // no-past-scheduling invariant against pathological timing
+            // interleavings.
+            _ => Hop::Moved {
+                next: admission.last_arrives_at.max(now),
+                cut,
+            },
+        }
+    }
+}
+
+/// What one forwarding step did to a train (see [`LinkTable::forward`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Hop {
+    /// The train is at its destination and was not touched.
+    Arrived,
+    /// The egress link is retraining: the train arrives at this node again
+    /// at this instant, when the fence lifts.
+    Held(SimTime),
+    /// The train, or the prefix of it the port accepted, left for the next
+    /// node, where it finishes arriving at `next`. `cut` is the bytes and
+    /// the drop count of a tail the port cut off.
+    Moved {
+        next: SimTime,
+        cut: Option<(u64, u64)>,
+    },
+    /// Nothing left: the egress link is dead, or the port dropped the
+    /// train's first frame. The source re-sends `bytes`, and `drops`
+    /// packets count as dropped.
+    Lost { bytes: u64, drops: u64 },
 }
 
 /// A flow's source-side state, as one injection reads and updates it.
@@ -658,134 +783,41 @@ impl AdaptiveFabric {
     /// Handles a train finishing arrival at its next node: final delivery or
     /// one batched forward.
     fn train_arrive(&mut self, ctx: &mut Context<FabricEvent>, mut train: Train) {
-        let now = ctx.now();
-        let at_node = train.route.node(train.hop_index);
         let flow_idx = train.packets[0].flow.0 as usize;
-
-        if at_node == train.packets[0].dst {
-            // Delivered: record per-packet metrics at each packet's own
-            // analytic arrival instant.
-            self.nics[at_node.index()].deliver_train(&train.packets);
-            self.metrics
-                .delivered_packets
-                .add(train.packets.len() as u64);
-            for packet in &train.packets {
-                self.metrics.delivered_bytes += packet.size.as_u64();
-                self.metrics
-                    .packet_latency
-                    .record_duration(packet.latency_at(packet.arrived_at));
-                self.metrics
-                    .queueing_latency
-                    .record_duration(packet.breakdown.queueing);
-                self.metrics.breakdown.accumulate(&packet.breakdown);
-                self.progress[flow_idx].delivered += packet.size.as_u64();
-            }
-            self.links.recycle(train.packets);
-            self.check_flow_completion(ctx, flow_idx);
-            return;
-        }
-
-        // Forward the whole train to the next hop.
-        let in_link = train.route.link(train.hop_index - 1);
-        let out_link = train.route.link(train.hop_index);
-        let out_live = self.links.live(out_link);
-        let fence = self.links.fences[out_link.index()];
-        if out_live && now < fence {
-            // The egress link is retraining: hold the train at this node and
-            // wake when the fence lifts. Pausing (not dropping) is how the
-            // paper models PLP retraining windows. Every packet's analytic
-            // arrival moves to the fence; the wait is real latency and is
-            // charged as queueing so breakdowns keep summing to end-to-end.
-            for packet in &mut train.packets {
-                packet.breakdown.queueing += fence.saturating_since(packet.arrived_at);
-                packet.arrived_at = fence;
-            }
-            ctx.schedule_at(fence, FabricEvent::TrainArrive { train });
-            return;
-        }
-
-        // PLP #2: a bypass at this node short-circuits the switching logic.
-        let bypass = self
-            .phy
-            .bypasses
-            .lookup(at_node.as_u32(), self.arena.link_id(in_link))
-            .copied()
-            .filter(|b| b.out_link == self.arena.link_id(out_link));
-        if let Some(bypass) = bypass {
-            if out_live {
-                let hot = self.links.hot[out_link.index()];
-                let mut last_arrive = now;
-                for packet in &mut train.packets {
-                    packet.breakdown.bypass += bypass.latency;
-                    packet.breakdown.propagation += hot.propagation;
-                    packet.breakdown.fec += hot.fec;
-                    packet.breakdown.bypassed_hops += 1;
-                    // Each frame re-times from its own arrival at this node.
-                    packet.arrived_at =
-                        packet.arrived_at + bypass.latency + hot.propagation + hot.fec;
-                    last_arrive = last_arrive.max(packet.arrived_at);
-                }
-                self.links.epoch_bytes[out_link.index()] += train.bytes();
-                train.hop_index += 1;
-                ctx.schedule_at(last_arrive, FabricEvent::TrainArrive { train });
-                return;
-            }
-        }
-
-        // Normal switched forwarding.
-        if !out_live {
-            // The route's link disappeared in a reconfiguration; resend.
-            let bytes = train.bytes();
-            let n = train.packets.len() as u64;
-            self.links.recycle(train.packets);
-            self.drop_train(ctx, flow_idx, bytes, n);
-            return;
-        }
-        let hot = self.links.hot[out_link.index()];
-        let switch = self.config.switch;
-        for packet in &mut train.packets {
-            let traversal = switch.traversal_latency_at(packet.size, hot.capacity);
-            packet.breakdown.switching += traversal;
-            packet.breakdown.switch_hops += 1;
-            // Each frame becomes ready at the egress port a traversal after
-            // its *own* arrival at this node, preserving the per-packet
-            // pipelining across hops (the train event merely batches the
-            // bookkeeping at the last frame's arrival).
-            packet.arrived_at += traversal;
-        }
-        let port = self.arena.port(at_node, out_link);
-        let admission = self.links.ports[port.index()].enqueue_train(
+        let hop = self.links.forward(
+            &self.arena,
+            &self.phy.bypasses,
+            self.config.switch,
+            ctx.now(),
+            &train.route,
+            train.hop_index,
             &mut train.packets,
-            hot.capacity,
-            hot.propagation,
-            hot.fec,
-            false,
         );
-        let accepted_bytes: u64 = train.packets[..admission.accepted]
-            .iter()
-            .map(|p| p.size.as_u64())
-            .sum();
-        self.links.epoch_bytes[out_link.index()] += accepted_bytes;
-
-        if admission.dropped {
-            // Tail of the train overflowed the egress buffer: the first
-            // overflow counts as a drop, the rest of the tail is re-sent.
-            let tail = &train.packets[admission.accepted..];
-            let tail_bytes: u64 = tail.iter().map(|p| p.size.as_u64()).sum();
-            self.drop_train(ctx, flow_idx, tail_bytes, 1);
-        }
-        if admission.accepted > 0 {
-            train.packets.truncate(admission.accepted);
-            train.hop_index += 1;
-            // The last accepted frame's arrival is at or after this event in
-            // every reachable state; the clamp guards the engine's no-past-
-            // scheduling invariant against pathological timing interleavings.
-            ctx.schedule_at(
-                admission.last_arrives_at.max(now),
-                FabricEvent::TrainArrive { train },
-            );
-        } else {
-            self.links.recycle(train.packets);
+        match hop {
+            Hop::Arrived => {
+                // Per-packet metrics at each packet's own analytic arrival
+                // instant.
+                self.nics[train.packets[0].dst.index()].deliver_train(&train.packets);
+                self.progress[flow_idx].delivered += self.metrics.record_delivery(&train.packets);
+                self.links.recycle(train.packets);
+                self.check_flow_completion(ctx, flow_idx);
+            }
+            Hop::Held(at) => {
+                ctx.schedule_at(at, FabricEvent::TrainArrive { train });
+            }
+            Hop::Moved { next, cut } => {
+                // Event ids break same-instant ties, so the drop, which may
+                // arm the injector, goes before the train's next arrival.
+                if let Some((bytes, drops)) = cut {
+                    self.drop_train(ctx, flow_idx, bytes, drops);
+                }
+                train.hop_index += 1;
+                ctx.schedule_at(next, FabricEvent::TrainArrive { train });
+            }
+            Hop::Lost { bytes, drops } => {
+                self.links.recycle(train.packets);
+                self.drop_train(ctx, flow_idx, bytes, drops);
+            }
         }
     }
 
@@ -1142,6 +1174,214 @@ mod tests {
             events < frames,
             "batching must use fewer events ({events}) than frames ({frames})"
         );
+    }
+
+    /// A four-node line, its link table and the interned route from node 0
+    /// to node 3, for driving [`LinkTable::forward`] by hand.
+    struct Line {
+        phy: PhyState,
+        arena: LinkArena,
+        links: LinkTable,
+        route: InternedRoute,
+    }
+
+    const FRAME: u64 = 1500;
+
+    impl Line {
+        fn new(port_buffer: Bytes) -> Self {
+            let mut phy = PhyState::new();
+            let topo = TopologySpec::line(4, 4).instantiate(&mut phy, BitRate::from_gbps(25));
+            let arena = LinkArena::build(&topo);
+            let hot = LinkHot::table(&phy, &arena);
+            let links = LinkTable::new(&arena, port_buffer, hot, vec![1.0; arena.len()].into());
+            let route = routing::shortest_path(&topo, NodeId(0), NodeId(3))
+                .and_then(|r| InternedRoute::intern(r, &arena))
+                .expect("a line routes end to end");
+            Line {
+                phy,
+                arena,
+                links,
+                route,
+            }
+        }
+
+        /// Forwards `packets` as a train that finished arriving at node
+        /// `hop` of the route at `now`.
+        fn forward(&mut self, now: SimTime, hop: usize, packets: &mut Vec<Packet>) -> Hop {
+            self.links.forward(
+                &self.arena,
+                &self.phy.bypasses,
+                SwitchModel::cut_through(),
+                now,
+                &self.route,
+                hop,
+                packets,
+            )
+        }
+
+        fn epoch_bytes(&self) -> u64 {
+            self.links.epoch_bytes.iter().sum()
+        }
+    }
+
+    /// `n` MTU frames of flow 0 from node 0 to node 3, the `i`th finishing
+    /// its arrival `i` ns after `first`.
+    fn frames(n: u64, first: SimTime) -> Vec<Packet> {
+        use rackfabric_switch::packet::PacketId;
+        (0..n)
+            .map(|i| {
+                let mut packet = Packet::new(
+                    PacketId(i),
+                    FlowId(0),
+                    NodeId(0),
+                    NodeId(3),
+                    Bytes::new(FRAME),
+                    SimTime::ZERO,
+                );
+                packet.arrived_at = first + SimDuration::from_nanos(i);
+                packet
+            })
+            .collect()
+    }
+
+    #[test]
+    fn forward_leaves_a_train_at_its_destination_untouched() {
+        let mut line = Line::new(Bytes::from_kib(256));
+        let now = SimTime::from_micros(1);
+        let mut packets = frames(3, now);
+        let before = packets.clone();
+        assert_eq!(line.forward(now, 3, &mut packets), Hop::Arrived);
+        assert_eq!(packets, before);
+        assert_eq!(line.epoch_bytes(), 0);
+    }
+
+    #[test]
+    fn forward_holds_a_fenced_train_and_charges_the_wait_as_queueing() {
+        let mut line = Line::new(Bytes::from_kib(256));
+        let now = SimTime::from_micros(1);
+        let fence = now + SimDuration::from_micros(5);
+        line.links.fences[line.route.link(1).index()] = fence;
+        let mut packets = frames(3, SimTime::from_nanos(990));
+        let before = packets.clone();
+        assert_eq!(line.forward(now, 1, &mut packets), Hop::Held(fence));
+        assert_eq!(packets.len(), 3);
+        for (held, was) in packets.iter().zip(&before) {
+            assert_eq!(held.arrived_at, fence);
+            assert_eq!(
+                held.breakdown.queueing,
+                fence.saturating_since(was.arrived_at)
+            );
+            assert_eq!(held.breakdown.switch_hops, 0);
+        }
+        assert_eq!(line.epoch_bytes(), 0);
+    }
+
+    #[test]
+    fn forward_bypasses_the_switch_and_counts_the_epoch_bytes() {
+        use rackfabric_phy::bypass::Bypass;
+        let mut line = Line::new(Bytes::from_kib(256));
+        let (in_link, out_link) = (line.route.link(0), line.route.link(1));
+        let latency = Bypass::default_latency();
+        line.phy
+            .bypasses
+            .install(Bypass {
+                at_node: 1,
+                in_link: line.arena.link_id(in_link),
+                out_link: line.arena.link_id(out_link),
+                latency,
+            })
+            .unwrap();
+        let hot = line.links.hot[out_link.index()];
+        let now = SimTime::from_micros(1);
+        let mut packets = frames(3, SimTime::from_nanos(990));
+        let before = packets.clone();
+        let hop = line.forward(now, 1, &mut packets);
+        let last = before[2].arrived_at + latency + hot.propagation + hot.fec;
+        assert_eq!(
+            hop,
+            Hop::Moved {
+                next: last,
+                cut: None
+            }
+        );
+        for (moved, was) in packets.iter().zip(&before) {
+            assert_eq!(
+                moved.arrived_at,
+                was.arrived_at + latency + hot.propagation + hot.fec
+            );
+            assert_eq!(moved.breakdown.bypass, latency);
+            assert_eq!(moved.breakdown.bypassed_hops, 1);
+            assert_eq!(moved.breakdown.switch_hops, 0);
+        }
+        assert_eq!(line.links.epoch_bytes[out_link.index()], 3 * FRAME);
+        assert_eq!(line.epoch_bytes(), 3 * FRAME);
+    }
+
+    #[test]
+    fn forward_loses_a_train_whole_at_a_dead_egress_link() {
+        let mut line = Line::new(Bytes::from_kib(256));
+        let out_link = line.route.link(1);
+        line.links.hot[out_link.index()] = LinkHot::default();
+        let now = SimTime::from_micros(1);
+        let mut packets = frames(3, now);
+        assert_eq!(
+            line.forward(now, 1, &mut packets),
+            Hop::Lost {
+                bytes: 3 * FRAME,
+                drops: 3
+            }
+        );
+        assert_eq!(line.epoch_bytes(), 0);
+        let port = &line.links.ports[line.arena.port(NodeId(1), out_link).index()];
+        assert_eq!((port.accepted, port.dropped), (0, 0), "nothing was offered");
+    }
+
+    #[test]
+    fn forward_cuts_the_tail_a_small_port_drops() {
+        // Room for two frames: the third overflows, and the tail from it on
+        // is re-sent.
+        let mut line = Line::new(Bytes::new(2 * FRAME));
+        let out_link = line.route.link(1);
+        let now = SimTime::from_micros(1);
+        let mut packets = frames(5, now);
+        let hop = line.forward(now, 1, &mut packets);
+        assert_eq!(packets.len(), 2, "the accepted prefix leaves");
+        assert_eq!(
+            hop,
+            Hop::Moved {
+                next: packets[1].arrived_at,
+                cut: Some((3 * FRAME, 1))
+            }
+        );
+        assert!(packets.iter().all(|p| p.breakdown.switch_hops == 1));
+        assert_eq!(line.links.epoch_bytes[out_link.index()], 2 * FRAME);
+        let port = &line.links.ports[line.arena.port(NodeId(1), out_link).index()];
+        assert_eq!((port.accepted, port.dropped), (2, 1));
+    }
+
+    #[test]
+    fn forward_loses_a_train_whose_first_frame_the_port_drops() {
+        let mut line = Line::new(Bytes::new(2 * FRAME));
+        let out_link = line.route.link(1);
+        let rate = line.links.hot[out_link.index()].capacity;
+        let now = SimTime::from_micros(1);
+        let port = line.arena.port(NodeId(1), out_link).index();
+        // Fill the port as of a later instant: an offer before it sees the
+        // whole backlog, so the train's first frame finds no room.
+        let later = SimTime::from_millis(1);
+        while line.links.ports[port].admits(later, Bytes::new(FRAME)) {
+            line.links.ports[port].enqueue(later, Bytes::new(FRAME), rate);
+        }
+        let mut packets = frames(3, now);
+        assert_eq!(
+            line.forward(now, 1, &mut packets),
+            Hop::Lost {
+                bytes: 3 * FRAME,
+                drops: 1
+            }
+        );
+        assert!(packets.is_empty());
+        assert_eq!(line.epoch_bytes(), 0);
     }
 
     #[test]

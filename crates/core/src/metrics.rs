@@ -2,7 +2,7 @@
 
 use rackfabric_sim::stats::{Counter, Histogram, Series, Summary};
 use rackfabric_sim::time::{SimDuration, SimTime};
-use rackfabric_switch::packet::LatencyBreakdown;
+use rackfabric_switch::packet::{LatencyBreakdown, Packet};
 use rackfabric_topo::cache::RouteCacheStats;
 use rackfabric_workload::WorkloadFlowId;
 use serde::{Deserialize, Serialize};
@@ -66,6 +66,24 @@ impl Default for FabricMetrics {
 }
 
 impl FabricMetrics {
+    /// Records the packets of a train delivered to its destination, each at
+    /// its own analytic arrival instant, and returns the bytes they carried.
+    #[inline(always)]
+    pub(crate) fn record_delivery(&mut self, packets: &[Packet]) -> u64 {
+        self.delivered_packets.add(packets.len() as u64);
+        let mut bytes = 0;
+        for packet in packets {
+            bytes += packet.size.as_u64();
+            self.packet_latency
+                .record_duration(packet.latency_at(packet.arrived_at));
+            self.queueing_latency
+                .record_duration(packet.breakdown.queueing);
+            self.breakdown.accumulate(&packet.breakdown);
+        }
+        self.delivered_bytes += bytes;
+        bytes
+    }
+
     /// Condenses the run into the row format printed by the experiment
     /// harness.
     pub fn summary(&self) -> RunSummary {

@@ -11,20 +11,22 @@
 //!   progress of the flows *sourced* in the shard, and runs its own calendar
 //!   queue.
 //! * A flow's trains start at its source shard through the injection the
-//!   monolithic engine runs too (`LinkTable::inject`); only the scheduling
-//!   differs: a keyed envelope carrying the flow's train sequence number.
+//!   monolithic engine runs too (`LinkTable::inject`), and move hop by hop
+//!   through its forwarding step too (`LinkTable::forward`); only the
+//!   scheduling differs: keyed events carrying the flow's train sequence
+//!   number.
 //! * Packet trains whose next hop crosses a **cut link** are handed to the
 //!   destination shard through a mailbox envelope timestamped with the
 //!   train's exact analytic arrival; the cut link's propagation + FEC
 //!   latency is what funds the conservative lookahead.
 //! * Flow accounting that the monolithic engine did across nodes in one
 //!   address space becomes explicit messages: a delivery at the destination
-//!   sends a **delivery ack** to the source shard after `ack_delay`, and a
-//!   mid-route drop sends a **drop ack** after the retry delay. The acks
-//!   travel through the same keyed mailbox path even when source and
-//!   destination share a shard, which is precisely why a 1-shard run is
-//!   bit-identical to an N-shard run: every shard sees the same events, at
-//!   the same instants, in the same content-keyed order.
+//!   sends a **delivery ack** to the source shard, and a mid-route drop a
+//!   **drop ack**, both after the fabric's retry delay. The acks travel
+//!   through the same keyed mailbox path even when source and destination
+//!   share a shard, which is precisely why a 1-shard run is bit-identical
+//!   to an N-shard run: every shard sees the same events, at the same
+//!   instants, in the same content-keyed order.
 //! * An ack also carries the packet buffer of a train that ended
 //!   (delivered, or dropped whole) back to the source shard's spare list,
 //!   where that shard's next injection takes it. A shard's list thus holds
@@ -50,13 +52,15 @@
 //! and the CRC consumes telemetry merged in dense link order.
 //!
 //! Because flow acks are modelled as messages with real latency, the
-//! sharded engine is a *different model* from the monolithic one (a drop is
-//! known to the source a retry-delay later, completion an ack-delay later):
-//! its exports are internally consistent across shard counts, not
-//! byte-comparable to `run_fabric`.
+//! sharded engine is a *different model* from the monolithic one (the
+//! source learns of a drop or a delivery a retry delay later): its exports
+//! are internally consistent across shard counts, not byte-comparable to
+//! `run_fabric`.
 
 use crate::control::ControlStep;
-use crate::fabric::{FabricConfig, FlowProgress, Injection, LinkHot, LinkTable, Network, Source};
+use crate::fabric::{
+    FabricConfig, FlowProgress, Hop, Injection, LinkHot, LinkTable, Network, Source,
+};
 use crate::metrics::FabricMetrics;
 use rackfabric_obs::profile::{WindowProfile, WindowProfiler};
 use rackfabric_obs::{Observer, TimeDomain};
@@ -82,9 +86,6 @@ pub struct ShardedConfig {
     /// Number of shards (rack groups). Clamped to the node count; `1` runs
     /// the reference single-shard engine with identical semantics.
     pub shards: usize,
-    /// Latency of a delivery acknowledgement back to the flow's source
-    /// shard. Defaults to the fabric's retry delay.
-    pub ack_delay: SimDuration,
     /// Worker threads for window execution (0 = one per shard, capped at
     /// the machine's parallelism). Never affects results.
     pub workers: usize,
@@ -104,11 +105,9 @@ pub struct ShardedConfig {
 impl ShardedConfig {
     /// A sharded run over `fabric` with `shards` rack groups.
     pub fn new(fabric: FabricConfig, shards: usize) -> Self {
-        let ack_delay = fabric.retry_delay;
         ShardedConfig {
             fabric,
             shards,
-            ack_delay,
             workers: 0,
             profile: false,
             observer: Observer::off(),
@@ -145,6 +144,8 @@ const CLASS_DROPPED: u64 = 3;
 /// Packs a content-derived event key: `[class:2][flow:22][seq:32][hop:8]`.
 /// Same-instant events deliver in ascending key order on every shard, so the
 /// key layout — not allocation order — defines simultaneous-event semantics.
+/// The class bits keep keys unique across classes, so one calendar queue per
+/// shard orders events of every class.
 fn event_key(class: u64, flow: usize, seq: u32, hop: usize) -> u64 {
     debug_assert!(flow < (1 << 22), "flow index exceeds the 22-bit key field");
     debug_assert!(hop < (1 << 8), "hop index exceeds the 8-bit key field");
@@ -209,7 +210,6 @@ pub struct ShardFabric {
     id: usize,
     shared: Arc<SharedState>,
     config: Arc<FabricConfig>,
-    ack_delay: SimDuration,
     flows: Arc<Vec<Flow>>,
     /// Flow progress; only entries whose flow is sourced in this shard are
     /// ever touched.
@@ -352,140 +352,55 @@ impl ShardFabric {
         );
     }
 
-    /// Handles a train finishing arrival at its next node (mirrors the
-    /// monolithic `train_arrive`, with acks instead of cross-node state).
+    /// Handles a train finishing arrival at its next node: the forwarding
+    /// step the monolithic engine runs too, then the acks and the keyed
+    /// scheduling of this engine.
     fn train_arrive(&mut self, ctx: &mut WindowCtx<'_, ShardEvent>, mut train: ShardTrain) {
         let now = ctx.now();
-        let at_node = train.route.node(train.hop());
         let flow_idx = train.packets[0].flow.0 as usize;
-
-        if at_node == train.packets[0].dst {
-            // Delivered: per-packet metrics at each packet's own analytic
-            // arrival instant, then one ack back to the source shard.
-            self.nics[at_node.index()].deliver_train(&train.packets);
-            self.metrics
-                .delivered_packets
-                .add(train.packets.len() as u64);
-            let mut bytes = 0u64;
-            for packet in &train.packets {
-                bytes += packet.size.as_u64();
-                self.metrics.delivered_bytes += packet.size.as_u64();
-                self.metrics
-                    .packet_latency
-                    .record_duration(packet.latency_at(packet.arrived_at));
-                self.metrics
-                    .queueing_latency
-                    .record_duration(packet.breakdown.queueing);
-                self.metrics.breakdown.accumulate(&packet.breakdown);
-            }
-            let src = self.flows[flow_idx].src;
-            let to = self.owner_of(src);
-            ctx.send(
-                to,
-                now + self.ack_delay,
-                event_key(CLASS_DELIVERED, flow_idx, train.seq, 0),
-                ShardEvent::Delivered {
-                    flow: flow_idx as u32,
-                    bytes,
-                    buffer: train.packets,
-                },
-            );
-            return;
-        }
-
-        let in_link = train.route.link(train.hop() - 1);
-        let out_link = train.route.link(train.hop());
-        let out_live = self.links.live(out_link);
-        let fence = self.links.fences[out_link.index()];
-        if out_live && now < fence {
-            // The egress link is retraining: hold the train here and wake at
-            // the fence (the wait is charged as queueing, like the
-            // monolithic engine).
-            for packet in &mut train.packets {
-                packet.breakdown.queueing += fence.saturating_since(packet.arrived_at);
-                packet.arrived_at = fence;
-            }
-            let key = event_key(CLASS_TRAIN, flow_idx, train.seq, train.hop());
-            ctx.schedule(fence, key, ShardEvent::Train(train));
-            return;
-        }
-
-        // PLP #2: a bypass at this node short-circuits the switching logic.
-        // The bypass table is a read-only copy broadcast at sync points.
-        let arena = &self.shared.arena;
-        let bypass = self
-            .bypasses
-            .lookup(at_node.as_u32(), arena.link_id(in_link))
-            .copied()
-            .filter(|b| b.out_link == arena.link_id(out_link));
-        if let Some(bypass) = bypass {
-            if out_live {
-                let hot = self.links.hot[out_link.index()];
-                let mut last_arrive = now;
-                for packet in &mut train.packets {
-                    packet.breakdown.bypass += bypass.latency;
-                    packet.breakdown.propagation += hot.propagation;
-                    packet.breakdown.fec += hot.fec;
-                    packet.breakdown.bypassed_hops += 1;
-                    packet.arrived_at =
-                        packet.arrived_at + bypass.latency + hot.propagation + hot.fec;
-                    last_arrive = last_arrive.max(packet.arrived_at);
-                }
-                self.links.epoch_bytes[out_link.index()] +=
-                    train.packets.iter().map(|p| p.size.as_u64()).sum::<u64>();
-                train.hop += 1;
-                self.emit_train(ctx, last_arrive, flow_idx, train);
-                return;
-            }
-        }
-
-        if !out_live {
-            // The route's link disappeared in a reconfiguration; the source
-            // re-sends after the retry delay.
-            let bytes: u64 = train.packets.iter().map(|p| p.size.as_u64()).sum();
-            let n = train.packets.len() as u64;
-            let id = (train.seq, train.hop());
-            self.notify_drop(ctx, flow_idx, bytes, n, id, train.packets);
-            return;
-        }
-        let hot = self.links.hot[out_link.index()];
-        let switch = self.config.switch;
-        for packet in &mut train.packets {
-            let traversal = switch.traversal_latency_at(packet.size, hot.capacity);
-            packet.breakdown.switching += traversal;
-            packet.breakdown.switch_hops += 1;
-            packet.arrived_at += traversal;
-        }
-        let port = arena.port(at_node, out_link);
-        let admission = self.links.ports[port.index()].enqueue_train(
+        let hop = self.links.forward(
+            &self.shared.arena,
+            &self.bypasses,
+            self.config.switch,
+            now,
+            &train.route,
+            train.hop(),
             &mut train.packets,
-            hot.capacity,
-            hot.propagation,
-            hot.fec,
-            false,
         );
-        let accepted_bytes: u64 = train.packets[..admission.accepted]
-            .iter()
-            .map(|p| p.size.as_u64())
-            .sum();
-        self.links.epoch_bytes[out_link.index()] += accepted_bytes;
-
-        if admission.dropped {
-            let tail = &train.packets[admission.accepted..];
-            let tail_bytes: u64 = tail.iter().map(|p| p.size.as_u64()).sum();
-            // A train dropped whole hands its buffer back with the ack.
-            let buffer = if admission.accepted == 0 {
-                std::mem::take(&mut train.packets)
-            } else {
-                Vec::new()
-            };
-            let id = (train.seq, train.hop());
-            self.notify_drop(ctx, flow_idx, tail_bytes, 1, id, buffer);
-        }
-        if admission.accepted > 0 {
-            train.packets.truncate(admission.accepted);
-            train.hop += 1;
-            self.emit_train(ctx, admission.last_arrives_at.max(now), flow_idx, train);
+        let id = (train.seq, train.hop());
+        match hop {
+            Hop::Arrived => {
+                // Per-packet metrics at each packet's own analytic arrival
+                // instant, then one ack back to the source shard.
+                self.nics[train.packets[0].dst.index()].deliver_train(&train.packets);
+                let bytes = self.metrics.record_delivery(&train.packets);
+                let to = self.owner_of(self.flows[flow_idx].src);
+                ctx.send(
+                    to,
+                    now + self.config.retry_delay,
+                    event_key(CLASS_DELIVERED, flow_idx, train.seq, 0),
+                    ShardEvent::Delivered {
+                        flow: flow_idx as u32,
+                        bytes,
+                        buffer: train.packets,
+                    },
+                );
+            }
+            Hop::Held(at) => {
+                let key = event_key(CLASS_TRAIN, flow_idx, train.seq, train.hop());
+                ctx.schedule(at, key, ShardEvent::Train(train));
+            }
+            Hop::Moved { next, cut } => {
+                if let Some((bytes, drops)) = cut {
+                    self.notify_drop(ctx, flow_idx, bytes, drops, id, Vec::new());
+                }
+                train.hop += 1;
+                self.emit_train(ctx, next, flow_idx, train);
+            }
+            // A train lost whole hands its buffer back with the ack.
+            Hop::Lost { bytes, drops } => {
+                self.notify_drop(ctx, flow_idx, bytes, drops, id, train.packets)
+            }
         }
     }
 }
@@ -522,13 +437,6 @@ impl ShardModel for ShardFabric {
         }
     }
 
-    /// Delivery acks only fold bytes into flow progress — they never
-    /// schedule or send — so the window executor may fuse over stretches
-    /// where nothing but deliveries is pending (the ack tail of a run).
-    fn passive_key(key: u64) -> bool {
-        key >> 62 == CLASS_DELIVERED
-    }
-
     fn stop_contribution(&self) -> u64 {
         self.completed_flows as u64
     }
@@ -538,7 +446,6 @@ impl ShardModel for ShardFabric {
 /// and the control step, and runs them at window-aligned sync points.
 struct Coordinator {
     config: Arc<FabricConfig>,
-    ack_delay: SimDuration,
     phy: PhyState,
     control: ControlStep,
     /// Holds the coordinator-side metrics: telemetry series, reconfiguration
@@ -590,7 +497,6 @@ impl Coordinator {
             .unwrap_or(SimDuration::MAX);
         link_min
             .min(self.config.retry_delay)
-            .min(self.ack_delay)
             .max(SimDuration::from_picos(1))
     }
 
@@ -746,7 +652,6 @@ impl ShardedFabric {
         let ShardedConfig {
             fabric: fabric_config,
             shards,
-            ack_delay,
             workers,
             profile,
             observer,
@@ -797,7 +702,6 @@ impl ShardedFabric {
                     id,
                     shared: shared.clone(),
                     config: config.clone(),
-                    ack_delay,
                     flows: flows.clone(),
                     progress: vec![FlowProgress::default(); flows.len()],
                     train_seq: vec![0; flows.len()],
@@ -852,7 +756,6 @@ impl ShardedFabric {
 
         let coordinator = Coordinator {
             control,
-            ack_delay,
             phy,
             metrics: FabricMetrics::default(),
             shared,

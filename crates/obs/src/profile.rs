@@ -45,8 +45,6 @@ pub struct WindowProfiler {
     windows: AtomicU64,
     syncs: AtomicU64,
     window_picos: AtomicU64,
-    fused_windows: AtomicU64,
-    fused_picos: AtomicU64,
     window_len_picos: LogHistogram,
     events_per_window: LogHistogram,
 }
@@ -61,8 +59,6 @@ impl WindowProfiler {
             windows: AtomicU64::new(0),
             syncs: AtomicU64::new(0),
             window_picos: AtomicU64::new(0),
-            fused_windows: AtomicU64::new(0),
-            fused_picos: AtomicU64::new(0),
             window_len_picos: LogHistogram::new(),
             events_per_window: LogHistogram::new(),
         }
@@ -125,14 +121,6 @@ impl WindowProfiler {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one fused window: a window the planner extended past the
-    /// base conservative edge by `extra_picos` of sim time.
-    #[inline]
-    pub fn record_fused_window(&self, extra_picos: u64) {
-        self.fused_windows.fetch_add(1, Ordering::Relaxed);
-        self.fused_picos.fetch_add(extra_picos, Ordering::Relaxed);
-    }
-
     /// Takes a plain snapshot of everything recorded so far.
     pub fn snapshot(&self) -> WindowProfile {
         WindowProfile {
@@ -158,8 +146,6 @@ impl WindowProfiler {
             windows: self.windows.load(Ordering::Relaxed),
             syncs: self.syncs.load(Ordering::Relaxed),
             window_picos: self.window_picos.load(Ordering::Relaxed),
-            fused_windows: self.fused_windows.load(Ordering::Relaxed),
-            fused_picos: self.fused_picos.load(Ordering::Relaxed),
             window_len_picos: HistogramSnapshot::of(&self.window_len_picos),
             events_per_window: HistogramSnapshot::of(&self.events_per_window),
         }
@@ -297,11 +283,6 @@ pub struct WindowProfile {
     pub syncs: u64,
     /// Total sim-time covered by windows, picoseconds.
     pub window_picos: u64,
-    /// Windows the planner fused past the base conservative edge.
-    pub fused_windows: u64,
-    /// Sim picoseconds of window length gained by fusion (included in
-    /// `window_picos`).
-    pub fused_picos: u64,
     /// Distribution of window lengths (sim picoseconds).
     pub window_len_picos: HistogramSnapshot,
     /// Distribution of events per window (all shards).
@@ -382,8 +363,6 @@ impl WindowProfile {
         self.windows += other.windows;
         self.syncs += other.syncs;
         self.window_picos += other.window_picos;
-        self.fused_windows += other.fused_windows;
-        self.fused_picos += other.fused_picos;
         self.window_len_picos.merge(&other.window_len_picos);
         self.events_per_window.merge(&other.events_per_window);
     }
@@ -395,15 +374,13 @@ impl WindowProfile {
         let mut out = String::from("{");
         out.push_str(&format!(
             "\"windows\": {}, \"syncs\": {}, \"window_sim_picos\": {}, \
-             \"fused_windows\": {}, \"fused_sim_picos\": {}, \"early_advances\": {}, \
-             \"barrier_wait_ns_total\": {}, \"barrier_wait_fraction\": {:.6}, \
+             \"early_advances\": {}, \"barrier_wait_ns_total\": {}, \
+             \"barrier_wait_fraction\": {:.6}, \
              \"shard_event_imbalance\": {:.6}, \"events_per_window_mean\": {:.3}, \
              \"window_len_picos_p50\": {}, \"window_len_picos_p99\": {}",
             self.windows,
             self.syncs,
             self.window_picos,
-            self.fused_windows,
-            self.fused_picos,
             self.early_advances(),
             self.barrier_wait_nanos(),
             self.barrier_wait_fraction(wall_nanos, workers),

@@ -105,22 +105,6 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Peeks the earliest pending entry's `(time, id)` without popping it.
-    /// The windowed engine uses the id (a content key there) to merge two
-    /// queues with the exact `(time, key)` tie-break order a single queue
-    /// would give.
-    pub fn peek_entry(&mut self) -> Option<(SimTime, EventId)> {
-        if self.window_drained() && !self.advance() {
-            return None;
-        }
-        let head = if self.late_first() {
-            self.late.peek()
-        } else {
-            self.run.last()
-        }?;
-        Some((head.at, head.id))
-    }
-
     /// True when nothing of the window being drained is left.
     #[inline]
     fn window_drained(&self) -> bool {
@@ -257,7 +241,15 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_entry().map(|(at, _)| at)
+        if self.window_drained() && !self.advance() {
+            return None;
+        }
+        let head = if self.late_first() {
+            self.late.peek()
+        } else {
+            self.run.last()
+        }?;
+        Some(head.at)
     }
 
     fn len(&self) -> usize {

@@ -18,26 +18,26 @@
 //!   merges its shards' inboxes at the start of its next round.
 //! * Every envelope must be timestamped at least one **lookahead** after the
 //!   sending shard's current time (asserted at send). The window length never
-//!   exceeds the lookahead (see *window fusion* below for the one widening
-//!   that preserves the bound), so an envelope handed over between rounds is
+//!   exceeds the lookahead, so an envelope handed over between rounds is
 //!   always still in the receiver's future.
 //!
 //! ## The phase-counted round protocol
 //!
 //! Workers never meet at a barrier. Each worker `w` owns the shard cells
 //! `w, w + workers, …` and publishes, per **round**, a small summary of its
-//! cells (earliest pending active/passive event, cumulative event and stop
-//! counters) into a parity-double-buffered slot, then advances a monotonic
-//! **seal** counter. A worker enters round `r` as soon as every peer's seal
-//! has reached `r - 1`; when that already holds on arrival the worker
+//! cells (earliest pending event, cumulative event and stop counters) into
+//! a parity-double-buffered slot, then advances a monotonic **seal**
+//! counter. A worker enters round `r` as soon as every peer's seal has
+//! reached `r - 1`; when that already holds on arrival the worker
 //! **early-advances** without waiting. Every worker then runs the *same pure
 //! planner* over the *same sealed summaries*, so all workers compute an
 //! identical window/sync/stop decision without any coordinator thread — the
 //! serial section and the two barrier crossings of the previous
-//! sense-reversing design are gone. The parity buffer is safe because a peer
-//! cannot start round `r + 1` (and overwrite the `r - 1` parity) before this
-//! worker seals round `r`, which happens only after it finished reading the
-//! `r - 1` summaries.
+//! sense-reversing design are gone. A window starts at the earliest pending
+//! event `t` and ends before `min(t + lookahead, next sync, horizon + 1)`.
+//! The parity buffer is safe because a peer cannot start round `r + 1` (and
+//! overwrite the `r - 1` parity) before this worker seals round `r`, which
+//! happens only after it finished reading the `r - 1` summaries.
 //!
 //! A full rendezvous happens only at [`SyncHook`] control points: all workers
 //! seal the sync round, worker 0 waits for every seal, runs `on_sync` with
@@ -68,29 +68,10 @@
 //! Models derive them from identities that can be pending at most once, and
 //! re-use a key only after its event was delivered.
 //!
-//! ## Passive events and adaptive window fusion
-//!
-//! A model may classify some event keys as **passive** via
-//! [`ShardModel::passive_key`]: a passive event's handler must not schedule
-//! or send anything (it only folds the event into model state — e.g. a
-//! delivery acknowledgment updating flow progress). Passive events live in a
-//! second calendar per cell so the planner can see the earliest *active*
-//! event separately. When the planner has observed a streak of windows that
-//! processed only passive events (nothing could have crossed shards), it
-//! **fuses** upcoming windows: the window edge extends beyond one lookahead,
-//! up to `earliest_active + lookahead` (so any active event inside the fused
-//! span can still legally send an envelope past the edge) and a deterministic
-//! cap. Fusion is a pure function of sim state — never wall clock — and is
-//! disabled whenever an event budget or stop threshold is set, so the exact
-//! instant those checks land stays on the unfused lattice. Fusion (and early
-//! advance) can change how many windows a run takes, but never which events
-//! run, in which order, or what the model computes — exports stay
-//! byte-identical.
-//!
 //! Worker threads are persistent for the whole run; with a single worker the
 //! same code path runs inline with no synchronisation at all. Thread count
-//! never affects results — only the shard *content* does, and a well-keyed
-//! model makes even the shard count immaterial.
+//! and early advance never affect results — only the shard *content* does,
+//! and a well-keyed model makes even the shard count immaterial.
 
 use crate::calendar::CalendarQueue;
 use crate::engine::RunOutcome;
@@ -122,12 +103,8 @@ pub struct WindowCtx<'a, E> {
     now: SimTime,
     shard: usize,
     window_end_ps: u64,
-    active: &'a mut CalendarQueue<E>,
-    passive: &'a mut CalendarQueue<E>,
+    queue: &'a mut CalendarQueue<E>,
     outbox: &'a mut Vec<Envelope<E>>,
-    classify: fn(u64) -> bool,
-    #[cfg(debug_assertions)]
-    handling_passive: bool,
 }
 
 impl<'a, E> WindowCtx<'a, E> {
@@ -148,13 +125,6 @@ impl<'a, E> WindowCtx<'a, E> {
     /// # Panics
     /// Panics if `at` is in the past.
     pub fn schedule(&mut self, at: SimTime, key: u64, event: E) {
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            !self.handling_passive,
-            "shard {} scheduled from a passive event handler (key classified \
-             passive must not schedule or send)",
-            self.shard
-        );
         assert!(
             at >= self.now,
             "shard {} scheduled an event in the past (now={}, at={})",
@@ -162,11 +132,7 @@ impl<'a, E> WindowCtx<'a, E> {
             self.now,
             at
         );
-        if (self.classify)(key) {
-            self.passive.push(at, EventId(key), event);
-        } else {
-            self.active.push(at, EventId(key), event);
-        }
+        self.queue.push(at, EventId(key), event);
     }
 
     /// Sends an event to shard `to` (possibly this shard) at `at` with
@@ -184,13 +150,6 @@ impl<'a, E> WindowCtx<'a, E> {
             self.schedule(at, key, event);
             return;
         }
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            !self.handling_passive,
-            "shard {} sent from a passive event handler (key classified \
-             passive must not schedule or send)",
-            self.shard
-        );
         assert!(
             at.as_picos() >= self.window_end_ps,
             "shard {} sent an envelope below the conservative window edge \
@@ -210,15 +169,6 @@ pub trait ShardModel: Send {
 
     /// Processes one event. All scheduling goes through the context.
     fn handle(&mut self, ctx: &mut WindowCtx<'_, Self::Event>, event: Self::Event);
-
-    /// Classifies an event key as **passive**: its handler folds the event
-    /// into model state without scheduling or sending anything. Passive
-    /// events are what window fusion amortises over (see module docs). Must
-    /// be a pure function of the key. Defaults to "nothing is passive".
-    fn passive_key(key: u64) -> bool {
-        let _ = key;
-        false
-    }
 
     /// This shard's contribution towards the hook's
     /// [`stop_threshold`](SyncHook::stop_threshold) (e.g. completed flows).
@@ -293,81 +243,41 @@ pub trait SyncHook<M: ShardModel> {
 pub(crate) struct ShardCell<M: ShardModel> {
     shard: usize,
     pub(crate) model: M,
-    active: CalendarQueue<M::Event>,
-    passive: CalendarQueue<M::Event>,
+    queue: CalendarQueue<M::Event>,
     outbox: Vec<Envelope<M::Event>>,
-    /// Cumulative events processed by this cell (active + passive).
+    /// Cumulative events processed by this cell.
     events: u64,
-    /// Cumulative active events processed by this cell.
-    active_events: u64,
 }
 
 impl<M: ShardModel> ShardCell<M> {
-    fn push(&mut self, at: SimTime, key: u64, event: M::Event, classify: fn(u64) -> bool) {
-        if classify(key) {
-            self.passive.push(at, EventId(key), event);
-        } else {
-            self.active.push(at, EventId(key), event);
-        }
+    fn push(&mut self, at: SimTime, key: u64, event: M::Event) {
+        self.queue.push(at, EventId(key), event);
     }
 
-    /// Processes every pending event strictly before `end_ps`, merging the
-    /// active and passive calendars in `(time, key)` order.
-    fn drain(&mut self, end_ps: u64, classify: fn(u64) -> bool) {
-        loop {
-            let a = self.active.peek_entry();
-            let p = self.passive.peek_entry();
-            let (t, from_passive) = match (a, p) {
-                (None, None) => break,
-                (Some((ta, _)), None) => (ta, false),
-                (None, Some((tp, _))) => (tp, true),
-                (Some((ta, ka)), Some((tp, kp))) => {
-                    if (tp, kp.0) < (ta, ka.0) {
-                        (tp, true)
-                    } else {
-                        (ta, false)
-                    }
-                }
-            };
-            if t.as_picos() >= end_ps {
-                break;
-            }
-            let (at, _id, event) = if from_passive {
-                self.passive.pop().expect("peeked event must pop")
-            } else {
-                self.active.pop().expect("peeked event must pop")
-            };
+    /// Processes every pending event strictly before `end_ps`, in
+    /// `(time, key)` order.
+    fn drain(&mut self, end_ps: u64) {
+        while self
+            .queue
+            .peek_time()
+            .is_some_and(|t| t.as_picos() < end_ps)
+        {
+            let (now, _key, event) = self.queue.pop().expect("peeked event must pop");
             self.events += 1;
-            if !from_passive {
-                self.active_events += 1;
-            }
             let mut ctx = WindowCtx {
-                now: at,
+                now,
                 shard: self.shard,
                 window_end_ps: end_ps,
-                active: &mut self.active,
-                passive: &mut self.passive,
+                queue: &mut self.queue,
                 outbox: &mut self.outbox,
-                classify,
-                #[cfg(debug_assertions)]
-                handling_passive: from_passive,
             };
             self.model.handle(&mut ctx, event);
         }
     }
 
-    /// Earliest pending `(active, passive)` instants in picoseconds
-    /// (`u64::MAX` when the respective calendar is empty).
-    fn mins(&mut self) -> (u64, u64) {
-        let a = self
-            .active
-            .peek_entry()
-            .map_or(u64::MAX, |(t, _)| t.as_picos());
-        let p = self
-            .passive
-            .peek_entry()
-            .map_or(u64::MAX, |(t, _)| t.as_picos());
-        (a, p)
+    /// Earliest pending instant in picoseconds (`u64::MAX` when empty).
+    fn min(&mut self) -> u64 {
+        self.queue.peek_time().map_or(u64::MAX, |t| t.as_picos())
     }
 }
 
@@ -390,24 +300,14 @@ pub struct WindowedOutcome {
 /// panic instead of deadlocking.
 const POISONED: u64 = u64::MAX;
 
-/// Consecutive passive-only windows before fusion engages.
-const FUSION_STREAK: u64 = 4;
-
-/// A fused window never spans more than this many lookaheads.
-const FUSION_CAP: u64 = 1024;
-
 /// Per-round summary a worker publishes about its owned cells.
 #[derive(Debug, Default)]
 struct RoundData {
-    /// Earliest pending active event (ps) across owned cells and envelopes
-    /// flushed this round.
-    active_min: AtomicU64,
-    /// Earliest pending passive event (ps), same coverage.
-    passive_min: AtomicU64,
+    /// Earliest pending event (ps) across owned cells and envelopes flushed
+    /// this round.
+    min: AtomicU64,
     /// Cumulative events processed by owned cells.
     events: AtomicU64,
-    /// Cumulative active events processed by owned cells.
-    active_events: AtomicU64,
     /// Sum of owned models' stop contributions.
     contrib: AtomicU64,
 }
@@ -433,12 +333,8 @@ impl PhaseSlot {
     /// Release is the subsequent seal update).
     fn store_round(&self, round: u64, totals: &WorkerTotals) {
         let slot = &self.rounds[(round % 2) as usize];
-        slot.active_min.store(totals.active_min, Ordering::Relaxed);
-        slot.passive_min
-            .store(totals.passive_min, Ordering::Relaxed);
+        slot.min.store(totals.min, Ordering::Relaxed);
         slot.events.store(totals.events, Ordering::Relaxed);
-        slot.active_events
-            .store(totals.active_events, Ordering::Relaxed);
         slot.contrib.store(totals.contrib, Ordering::Relaxed);
     }
 
@@ -485,18 +381,14 @@ impl Board {
     fn snapshot(&self, round: u64) -> Snapshot {
         let parity = (round % 2) as usize;
         let mut s = Snapshot {
-            active_min: u64::MAX,
-            passive_min: u64::MAX,
+            min: u64::MAX,
             events: 0,
-            active_events: 0,
             contrib: 0,
         };
         for phase in &self.phases {
             let r = &phase.rounds[parity];
-            s.active_min = s.active_min.min(r.active_min.load(Ordering::Relaxed));
-            s.passive_min = s.passive_min.min(r.passive_min.load(Ordering::Relaxed));
+            s.min = s.min.min(r.min.load(Ordering::Relaxed));
             s.events += r.events.load(Ordering::Relaxed);
-            s.active_events += r.active_events.load(Ordering::Relaxed);
             s.contrib += r.contrib.load(Ordering::Relaxed);
         }
         s
@@ -507,49 +399,32 @@ impl Board {
 /// every worker because it derives only from sealed round summaries.
 #[derive(Debug, Clone, Copy)]
 struct Snapshot {
-    active_min: u64,
-    passive_min: u64,
+    min: u64,
     events: u64,
-    active_events: u64,
     contrib: u64,
 }
 
 /// Accumulator for one worker's owned cells within one round.
 #[derive(Debug, Clone, Copy)]
 struct WorkerTotals {
-    active_min: u64,
-    passive_min: u64,
+    min: u64,
     events: u64,
-    active_events: u64,
     contrib: u64,
 }
 
 impl WorkerTotals {
     fn new() -> Self {
         WorkerTotals {
-            active_min: u64::MAX,
-            passive_min: u64::MAX,
+            min: u64::MAX,
             events: 0,
-            active_events: 0,
             contrib: 0,
         }
     }
 
     fn absorb_cell<M: ShardModel>(&mut self, cell: &mut ShardCell<M>) {
-        let (a, p) = cell.mins();
-        self.active_min = self.active_min.min(a);
-        self.passive_min = self.passive_min.min(p);
+        self.min = self.min.min(cell.min());
         self.events += cell.events;
-        self.active_events += cell.active_events;
         self.contrib += cell.model.stop_contribution();
-    }
-
-    fn cover_envelope(&mut self, at_ps: u64, passive: bool) {
-        if passive {
-            self.passive_min = self.passive_min.min(at_ps);
-        } else {
-            self.active_min = self.active_min.min(at_ps);
-        }
     }
 }
 
@@ -557,9 +432,8 @@ impl WorkerTotals {
 enum Plan {
     /// Run the sync hook at this instant.
     Sync(SimTime),
-    /// Drain all shards up to `end_ps`; `fused_ps` is how far the edge was
-    /// extended beyond one lookahead (0 = unfused).
-    Window { end_ps: u64, fused_ps: u64 },
+    /// Drain all shards up to `end_ps`.
+    Window { end_ps: u64 },
     /// Nothing left to do.
     Done(RunOutcome),
 }
@@ -582,11 +456,6 @@ struct Planner {
     windows: u64,
     syncs: u64,
     prev_events: u64,
-    prev_active: u64,
-    /// Consecutive windows that processed zero active events (and therefore
-    /// could not have produced a cross-shard envelope). A pure function of
-    /// event content, so identical across shard and worker counts.
-    streak: u64,
     /// The window planned last round, awaiting accounting.
     prev_window: Option<(u64, u64)>,
 }
@@ -607,13 +476,6 @@ impl Planner {
             self.now = SimTime::from_picos(end.saturating_sub(1)).min(self.horizon);
             let delta = snap.events.saturating_sub(self.prev_events);
             self.prev_events = snap.events;
-            let active_delta = snap.active_events.saturating_sub(self.prev_active);
-            self.prev_active = snap.active_events;
-            if active_delta == 0 {
-                self.streak += 1;
-            } else {
-                self.streak = 0;
-            }
             finished = Some((end.saturating_sub(start), delta));
             if snap.events >= self.budget {
                 return Decision {
@@ -633,7 +495,7 @@ impl Planner {
         let has_sync = next_sync_ps < u64::MAX;
         let lookahead = lookahead_ps.max(1);
         let horizon_ps = self.horizon.as_picos();
-        let t = snap.active_min.min(snap.passive_min);
+        let t = snap.min;
         let step = if t == u64::MAX {
             if has_sync && next_sync_ps <= horizon_ps {
                 Plan::Sync(SimTime::from_picos(next_sync_ps))
@@ -648,34 +510,12 @@ impl Planner {
         } else {
             // Half-open [t, end): the window may not cross the next sync
             // point, and events exactly at the horizon still run.
-            let bound = |e: u64| e.min(next_sync_ps).min(horizon_ps.saturating_add(1));
-            let base = bound(t.saturating_add(lookahead));
-            let mut end = base;
-            let mut fused_ps = 0;
-            // Fusion: only passive events below the earliest active one, so
-            // nothing in [t, end) can send below the edge as long as the edge
-            // stays ≤ active_min + lookahead. Disabled when budget/stop
-            // checks must land on the unfused window lattice.
-            if self.budget == u64::MAX
-                && stop_threshold == u64::MAX
-                && self.streak >= FUSION_STREAK
-                && snap.active_min > t
-            {
-                let cap = bound(
-                    snap.active_min
-                        .saturating_add(lookahead)
-                        .min(t.saturating_add(lookahead.saturating_mul(FUSION_CAP))),
-                );
-                if cap > base {
-                    fused_ps = cap - base;
-                    end = cap;
-                }
-            }
-            self.prev_window = Some((t, end));
-            Plan::Window {
-                end_ps: end,
-                fused_ps,
-            }
+            let end_ps = t
+                .saturating_add(lookahead)
+                .min(next_sync_ps)
+                .min(horizon_ps.saturating_add(1));
+            self.prev_window = Some((t, end_ps));
+            Plan::Window { end_ps }
         };
         Decision { step, finished }
     }
@@ -743,9 +583,6 @@ pub struct WindowedSim<M: ShardModel> {
     /// Worker threads used for window execution (0 = one per shard, capped
     /// at the machine's parallelism).
     workers: usize,
-    /// The model's passive-key classifier, captured as a fn pointer so cell
-    /// plumbing stays generic over the event type only.
-    classify: fn(u64) -> bool,
     /// Chaos seed for stress tests (see [`WindowedSim::with_stagger`]).
     stagger: Option<u64>,
     /// Shard/window profiler (barrier waits, drain times, window stats);
@@ -769,11 +606,9 @@ impl<M: ShardModel> WindowedSim<M> {
                 cell: Mutex::new(ShardCell {
                     shard,
                     model,
-                    active: CalendarQueue::new(),
-                    passive: CalendarQueue::new(),
+                    queue: CalendarQueue::new(),
                     outbox: Vec::new(),
                     events: 0,
-                    active_events: 0,
                 }),
                 inbox: Mutex::new(Vec::new()),
             })
@@ -784,7 +619,6 @@ impl<M: ShardModel> WindowedSim<M> {
             events: 0,
             event_budget: u64::MAX,
             workers: 0,
-            classify: M::passive_key,
             stagger: None,
             profiler: None,
             observer: Observer::off(),
@@ -853,12 +687,11 @@ impl<M: ShardModel> WindowedSim<M> {
 
     /// Schedules an event on shard `shard` from outside the run (seeding).
     pub fn schedule(&mut self, shard: usize, at: SimTime, key: u64, event: M::Event) {
-        let classify = self.classify;
-        let cell = self.cells[shard]
+        self.cells[shard]
             .cell
             .get_mut()
-            .expect("shard lock poisoned");
-        cell.push(at, key, event, classify);
+            .expect("shard lock poisoned")
+            .push(at, key, event);
     }
 
     /// Exclusive access to shard `shard`'s model between runs.
@@ -940,7 +773,7 @@ impl<M: ShardModel> WindowedSim<M> {
         }
     }
 
-    /// Merges a cell's inbox into its calendars, drains it through the
+    /// Merges a cell's inbox into its calendar, drains it through the
     /// window, flushes its outbox into destination inboxes (covering the
     /// envelopes' instants in `totals`), and absorbs the cell's summary.
     fn process_cell(
@@ -950,13 +783,12 @@ impl<M: ShardModel> WindowedSim<M> {
         totals: &mut WorkerTotals,
         profiler: Option<&WindowProfiler>,
     ) {
-        let classify = self.classify;
         let slot = &self.cells[idx];
         let mut cell = slot.cell.lock().expect("shard lock poisoned");
         {
             let mut inbox = slot.inbox.lock().expect("inbox lock poisoned");
             for env in inbox.drain(..) {
-                cell.push(env.at, env.key, env.event, classify);
+                cell.push(env.at, env.key, env.event);
             }
         }
         if let Some(end_ps) = end_ps {
@@ -964,20 +796,20 @@ impl<M: ShardModel> WindowedSim<M> {
                 Some(p) => {
                     let before = cell.events;
                     let start = Instant::now();
-                    cell.drain(end_ps, classify);
+                    cell.drain(end_ps);
                     p.record_drain(
                         cell.shard,
                         start.elapsed().as_nanos() as u64,
                         cell.events - before,
                     );
                 }
-                None => cell.drain(end_ps, classify),
+                None => cell.drain(end_ps),
             }
             for env in cell.outbox.drain(..) {
                 if let Some(p) = profiler {
                     p.record_mailbox_in(env.to, 1);
                 }
-                totals.cover_envelope(env.at.as_picos(), classify(env.key));
+                totals.min = totals.min.min(env.at.as_picos());
                 self.cells[env.to]
                     .inbox
                     .lock()
@@ -1078,11 +910,8 @@ impl<M: ShardModel> WindowedSim<M> {
                     planner.syncs += 1;
                     planner.now = at;
                 }
-                Plan::Window { end_ps, fused_ps } => {
+                Plan::Window { end_ps } => {
                     let mut span = if worker == 0 {
-                        if let (Some(p), true) = (profiler, fused_ps > 0) {
-                            p.record_fused_window(fused_ps);
-                        }
                         self.observer.span(0, "window", "windows")
                     } else {
                         self.observer.span(worker as u64, "drain", "windows")
@@ -1131,9 +960,7 @@ impl<M: ShardModel> WindowedSim<M> {
         // previous budget/stop exit, then publish every worker's round-0
         // summary so the first round plans from complete coverage.
         let board = Board::new(workers);
-        let classify = self.classify;
         let mut prev_events = 0u64;
-        let mut prev_active = 0u64;
         for (w, phase) in board.phases.iter().enumerate() {
             let mut totals = WorkerTotals::new();
             for idx in (w..self.cells.len()).step_by(workers) {
@@ -1141,13 +968,12 @@ impl<M: ShardModel> WindowedSim<M> {
                 let cell = slot.cell.get_mut().expect("shard lock poisoned");
                 let inbox = slot.inbox.get_mut().expect("inbox lock poisoned");
                 for env in inbox.drain(..) {
-                    cell.push(env.at, env.key, env.event, classify);
+                    cell.push(env.at, env.key, env.event);
                 }
                 totals.absorb_cell(cell);
             }
             phase.store_round(0, &totals);
             prev_events += totals.events;
-            prev_active += totals.active_events;
         }
         board
             .lookahead_ps
@@ -1165,8 +991,6 @@ impl<M: ShardModel> WindowedSim<M> {
             windows: 0,
             syncs: 0,
             prev_events,
-            prev_active,
-            streak: 0,
             prev_window: None,
         };
         let result = if workers == 1 {
@@ -1482,114 +1306,6 @@ mod tests {
         let one = run(1, 1);
         assert_eq!(one, run(4, 1));
         assert_eq!(one, run(4, 3));
-    }
-
-    /// A model with passive tail events (deliveries that only fold into
-    /// state): after enough passive-only windows the planner fuses windows,
-    /// shrinking the window count without moving a single event.
-    mod fusion {
-        use super::*;
-
-        const PASSIVE_BIT: u64 = 1 << 63;
-
-        struct Soak {
-            shard: usize,
-            shards: usize,
-            trace: Vec<(u64, u64)>,
-        }
-
-        impl ShardModel for Soak {
-            type Event = u64;
-            fn handle(&mut self, ctx: &mut WindowCtx<'_, u64>, key: u64) {
-                self.trace.push((ctx.now().as_picos(), key));
-                // Active tokens hop to the next shard a few times; passive
-                // events only record.
-                if key & PASSIVE_BIT == 0 && key < 10 {
-                    let to = (self.shard + 1) % self.shards;
-                    ctx.send(to, ctx.now() + SimDuration::from_nanos(7), key + 1, key + 1);
-                }
-            }
-            fn passive_key(key: u64) -> bool {
-                key & PASSIVE_BIT != 0
-            }
-        }
-
-        fn run_soak(
-            shards: usize,
-            workers: usize,
-            profiler: Option<Arc<WindowProfiler>>,
-        ) -> (WindowedOutcome, Vec<(u64, u64)>) {
-            let models: Vec<Soak> = (0..shards)
-                .map(|shard| Soak {
-                    shard,
-                    shards,
-                    trace: Vec::new(),
-                })
-                .collect();
-            let mut sim = WindowedSim::new(models).with_workers(workers);
-            if let Some(p) = profiler {
-                sim = sim.with_profiler(p);
-            }
-            // One active chain early, then a long passive tail: 300 events
-            // spaced one lookahead apart starting at 1 µs.
-            sim.schedule(0, SimTime::ZERO, 0, 0);
-            for k in 0..300u64 {
-                let at = SimTime::from_nanos(1_000 + 7 * k);
-                let key = PASSIVE_BIT | k;
-                sim.schedule((k as usize) % shards, at, key, key);
-            }
-            let out = sim.run(
-                SimTime::MAX,
-                &mut NoSyncSoak {
-                    lookahead: SimDuration::from_nanos(7),
-                },
-            );
-            assert_eq!(out.outcome, RunOutcome::Drained);
-            assert_eq!(out.events, 311);
-            let mut trace: Vec<(u64, u64)> = sim
-                .into_models()
-                .into_iter()
-                .flat_map(|m| m.trace)
-                .collect();
-            trace.sort();
-            (out, trace)
-        }
-
-        struct NoSyncSoak {
-            lookahead: SimDuration,
-        }
-        impl SyncHook<Soak> for NoSyncSoak {
-            fn next_sync(&self) -> SimTime {
-                SimTime::MAX
-            }
-            fn on_sync(&mut self, _: SimTime, _: &mut ShardsView<'_, Soak>) {}
-            fn lookahead(&self) -> SimDuration {
-                self.lookahead
-            }
-        }
-
-        #[test]
-        fn passive_tails_fuse_windows_without_moving_events() {
-            let (one, trace_one) = run_soak(1, 1, None);
-            // The passive tail spans 300 lookaheads; fusion must collapse it
-            // far below one window per event.
-            assert!(
-                one.windows < 100,
-                "expected fused windows, got {}",
-                one.windows
-            );
-            let profiler = Arc::new(WindowProfiler::new(3));
-            let (three, trace_three) = run_soak(3, 2, Some(profiler.clone()));
-            assert_eq!(trace_one, trace_three);
-            assert_eq!(one.events, three.events);
-            // The fusion lattice is shard-count independent: it keys off
-            // active-event streaks, not cross-shard traffic counts.
-            assert_eq!(one.windows, three.windows);
-            assert_eq!(one.now, three.now);
-            let profile = profiler.snapshot();
-            assert!(profile.fused_windows > 0);
-            assert!(profile.fused_picos > 0);
-        }
     }
 
     #[test]

@@ -34,23 +34,6 @@ pub struct Train {
     pub packets: Vec<Packet>,
 }
 
-impl Train {
-    /// Number of packets in the train.
-    pub fn len(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// True if the train carries no packets.
-    pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
-    }
-
-    /// Total bytes carried.
-    pub fn bytes(&self) -> u64 {
-        self.packets.iter().map(|p| p.size.as_u64()).sum()
-    }
-}
-
 /// Maximum number of MTU frames one train may carry: the number of frames a
 /// link at `rate` serialises within `window`, at least 1. This is the
 /// event-collapsing factor of the batched drain.
@@ -64,10 +47,6 @@ pub fn train_frames(rate: BitRate, window: SimDuration, mtu: Bytes) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{FlowId, PacketId};
-    use rackfabric_sim::time::SimTime;
-    use rackfabric_topo::routing::Route;
-    use rackfabric_topo::{LinkArena, NodeId};
 
     #[test]
     fn train_frames_scales_with_rate_window() {
@@ -86,30 +65,5 @@ mod tests {
             train_frames(BitRate::ZERO, SimDuration::from_micros(1), mtu),
             1
         );
-    }
-
-    #[test]
-    fn train_accounting() {
-        let route = InternedRoute::intern(Route::trivial(NodeId(0)), &LinkArena::default())
-            .expect("a trivial route crosses no link");
-        let t = Train {
-            route,
-            hop_index: 0,
-            packets: (0..3)
-                .map(|i| {
-                    Packet::new(
-                        PacketId(i),
-                        FlowId(0),
-                        NodeId(0),
-                        NodeId(1),
-                        Bytes::new(1000),
-                        SimTime::ZERO,
-                    )
-                })
-                .collect(),
-        };
-        assert_eq!(t.len(), 3);
-        assert!(!t.is_empty());
-        assert_eq!(t.bytes(), 3000);
     }
 }

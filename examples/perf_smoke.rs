@@ -564,8 +564,7 @@ fn main() {
                         .collect();
                     // Early advances count rounds a worker entered without
                     // spinning on a peer (the phase-counted executor's fast
-                    // path); fused windows count the zero-activity windows
-                    // the planner merged. Both are wall-clock-free.
+                    // path).
                     let advances: Vec<String> = p
                         .workers
                         .iter()
@@ -574,13 +573,11 @@ fn main() {
                         .collect();
                     format!(
                         ", \"shard_events\": [{}], \"barrier_wait_ns\": [{}], \
-                         \"barrier_wait_fraction\": {}, \"early_advances\": [{}], \
-                         \"fused_windows\": {}",
+                         \"barrier_wait_fraction\": {}, \"early_advances\": [{}]",
                         shard_events.join(", "),
                         waits.join(", "),
                         json::number(p.barrier_wait_fraction(point.wall_nanos, point.workers)),
                         advances.join(", "),
-                        p.fused_windows,
                     )
                 })
                 .unwrap_or_default();
