@@ -615,7 +615,13 @@ fn run_figure_mode(args: &Args, exec: &Executor) {
              (recover with --recover against the same store and journal)"
         );
     } else {
-        let failures = figures::check_goldens(golden_root, scale, &runs);
+        let failures = match figures::check_goldens(golden_root, scale, &runs) {
+            Ok(failures) => failures,
+            Err(missing) => {
+                eprintln!("sweep: FAIL — {missing}");
+                std::process::exit(1);
+            }
+        };
         if !failures.is_empty() {
             for failure in &failures {
                 eprintln!("sweep: golden drift:\n{failure}");

@@ -979,8 +979,22 @@ pub fn golden_path(root: &Path, scale: Scale, figure: &FigureRun) -> PathBuf {
 }
 
 /// Compares every figure against its checked-in golden under `golden_root`.
-/// Returns the list of failures (empty = all pinned).
-pub fn check_goldens(golden_root: &Path, scale: Scale, figures: &[FigureRun]) -> Vec<String> {
+/// Returns the drifted figures' diffs (empty = all pinned). When
+/// `<golden_root>/<scale>` is not a directory nothing can be compared, which
+/// is not drift: the error names the resolved directory instead.
+pub fn check_goldens(
+    golden_root: &Path,
+    scale: Scale,
+    figures: &[FigureRun],
+) -> Result<Vec<String>, String> {
+    let dir = golden_root.join(scale.golden_dir());
+    if !dir.is_dir() {
+        let resolved = std::path::absolute(&dir).unwrap_or(dir);
+        return Err(format!(
+            "no golden directory at {}: run from the repository root or pass --golden DIR",
+            resolved.display()
+        ));
+    }
     let mut failures = Vec::new();
     for figure in figures {
         let path = golden_path(golden_root, scale, figure);
@@ -997,7 +1011,7 @@ pub fn check_goldens(golden_root: &Path, scale: Scale, figures: &[FigureRun]) ->
             )),
         }
     }
-    failures
+    Ok(failures)
 }
 
 /// Writes (or rewrites) the goldens for `figures` under `golden_root`.
@@ -1056,6 +1070,30 @@ mod tests {
         let actual = "a,b\n1,2\n";
         let err = compare_export("t.csv", golden, actual).unwrap_err();
         assert!(err.contains("3 line(s)"), "diff was: {err}");
+    }
+
+    #[test]
+    fn a_missing_golden_directory_is_not_drift() {
+        let dir = rackfabric_sweep::testdir::TestDir::new("missing-golden");
+        let figure = FigureRun {
+            id: "e5",
+            slug: "breakeven",
+            title: "break-even flow size",
+            export: e5_export(),
+            executed: 0,
+            cached: 0,
+            interrupted: false,
+            outcome: None,
+        };
+        let root = dir.path().join("absent");
+        let err = check_goldens(&root, Scale::Tiny, &[figure]).unwrap_err();
+        let resolved = std::path::absolute(root.join("tiny")).unwrap();
+        assert!(
+            err.contains(&resolved.display().to_string()),
+            "error was: {err}"
+        );
+        assert!(err.contains("--golden DIR"), "error was: {err}");
+        assert!(!err.contains("--update-golden"), "error was: {err}");
     }
 
     #[test]

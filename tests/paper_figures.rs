@@ -49,7 +49,8 @@ fn tiny_figures_match_goldens_and_resume_to_zero_jobs() {
     assert!(cold.iter().all(|f| !f.interrupted));
 
     // Byte-for-byte against the checked-in goldens.
-    let failures = figures::check_goldens(&golden_root(), Scale::Tiny, &cold);
+    let failures = figures::check_goldens(&golden_root(), Scale::Tiny, &cold)
+        .expect("golden/tiny is checked in");
     assert!(
         failures.is_empty(),
         "figure exports drifted from golden/tiny:\n{}",
@@ -109,7 +110,8 @@ fn interrupted_figure_campaign_recovers_from_journal_to_golden_bytes() {
     let recovered = figures::run_figures(Scale::Tiny, &exec).unwrap();
     let executed: usize = recovered.iter().map(|f| f.executed).sum();
     assert_eq!(executed, 0, "recovery must have completed every campaign");
-    let failures = figures::check_goldens(&golden_root(), Scale::Tiny, &recovered);
+    let failures = figures::check_goldens(&golden_root(), Scale::Tiny, &recovered)
+        .expect("golden/tiny is checked in");
     assert!(
         failures.is_empty(),
         "recovered exports drifted from golden/tiny:\n{}",
