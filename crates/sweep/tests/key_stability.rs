@@ -784,3 +784,38 @@ fn pinned_specs_keep_their_keys() {
         );
     }
 }
+
+/// FNV-1a, 64-bit: the campaign digest below.
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The key preimage of every job of the e1–e11 figure campaigns at both
+/// scales, pinned as one digest: the canonical spec forms in campaign order,
+/// one line each. A change to the canonical form that moves any figure's
+/// key fails here, not only one that moves a pinned spec above.
+#[test]
+fn figure_campaign_key_preimages_are_pinned() {
+    use rackfabric_bench::figures::{figure_defs, FigureKind, Scale};
+    let mut preimages = String::new();
+    let mut specs = 0;
+    for scale in [Scale::Tiny, Scale::Paper] {
+        for def in figure_defs(scale) {
+            if let FigureKind::Sim(matrix, _) = def.kind {
+                for job in matrix.expand() {
+                    preimages.push_str(&canonical_spec_json(&job.spec));
+                    preimages.push('\n');
+                    specs += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(specs, 164, "the campaigns' job count moved");
+    assert_eq!(
+        format!("{:016x}", fnv1a_64(preimages.as_bytes())),
+        "2a54441bd509b7b8",
+        "a figure job's key preimage moved"
+    );
+}
