@@ -140,7 +140,7 @@ fn mean_y(series: &Series) -> f64 {
 }
 
 /// The condensed result of one fabric run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunSummary {
     /// Packets delivered end to end.
     pub delivered_packets: u64,

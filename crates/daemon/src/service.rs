@@ -5,10 +5,11 @@
 //! The design keeps every determinism property of the batch path because
 //! the daemon *is* the batch path behind a socket: workers call the exact
 //! executor methods the CLI calls, results come from the same shared
-//! [`ResultStore`](rackfabric_sweep::store::ResultStore), and response
-//! payloads are canonical JSON of the same
-//! encoded outcomes. Concurrency changes who waits, never what is
-//! computed.
+//! [`ResultStore`](rackfabric_sweep::store::ResultStore), and a response
+//! payload is the canonical rendering of the outcome tree
+//! ([`outcome_value`]) whose canonical text the batch path writes
+//! ([`outcome_to_json`](rackfabric_sweep::store::outcome_to_json)).
+//! Concurrency changes who waits, never what is computed.
 //!
 //! Worker trace lanes start at [`DAEMON_LANE_BASE`] (see the lane table in
 //! `rackfabric-obs`). The service feeds the metrics registry with
@@ -35,7 +36,7 @@ use rackfabric_sim::json::{self, obj, string, uint, JsonValue};
 use rackfabric_sweep::campaign::Sweep;
 use rackfabric_sweep::cancel::CancelToken;
 use rackfabric_sweep::key::job_key;
-use rackfabric_sweep::store::outcome_to_json;
+use rackfabric_sweep::store::outcome_value;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -535,10 +536,9 @@ fn run_spec(
     }
     match exec.run_scenario_tracked(&spec) {
         Err(e) => JobEnd::Failed(e.to_string()),
-        Ok((outcome, cached)) => {
-            let text = outcome_to_json(&outcome);
-            let result = json::parse(&text).expect("outcome_to_json emits valid JSON");
-            JobEnd::Done { cached, result }
-        }
+        Ok((outcome, cached)) => JobEnd::Done {
+            cached,
+            result: outcome_value(&outcome),
+        },
     }
 }

@@ -35,7 +35,7 @@ impl Counter {
 }
 
 /// Summary statistics extracted from a histogram or sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
     /// Number of recorded samples.
     pub count: u64,
@@ -56,18 +56,10 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// A summary representing "no samples".
+    /// A summary representing "no samples": every field zero, as
+    /// [`Default`] makes it.
     pub fn empty() -> Self {
-        Summary {
-            count: 0,
-            min: 0.0,
-            max: 0.0,
-            mean: 0.0,
-            p50: 0.0,
-            p90: 0.0,
-            p99: 0.0,
-            p999: 0.0,
-        }
+        Summary::default()
     }
 }
 

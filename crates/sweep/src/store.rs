@@ -8,7 +8,10 @@
 //! ```
 //!
 //! Each file records the canonical spec JSON (the hash preimage, kept for
-//! debugging and audits) and the job's outcome. Everything stored is
+//! debugging and audits) and the job's outcome. A lookup decodes a record in
+//! one pass over its bytes with [`json::Reader`]: `format` and `outcome` are
+//! read in place, and `spec` is checked as [`json::parse`] would check it but
+//! never built. Everything stored is
 //! deterministic simulation output — wall-clock timings are explicitly *not*
 //! persisted, so a cache hit reproduces the exact bytes a fresh run would
 //! export. Failed jobs are cached too (panics are deterministic), which is
@@ -22,7 +25,7 @@ use crate::key::JobKey;
 use crate::lock::StoreLock;
 use rackfabric::metrics::RunSummary;
 use rackfabric_scenario::runner::{JobOutcome, JobResult};
-use rackfabric_sim::json::{self, JsonValue};
+use rackfabric_sim::json::{self, float, obj, string, uint, JsonError, JsonValue, Kind, Reader};
 use rackfabric_sim::stats::{Histogram, Summary};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -142,24 +145,18 @@ impl ResultStore {
     }
 
     fn get_inner(&self, key: &JobKey) -> Option<JobOutcome> {
-        let text = std::fs::read_to_string(self.object_path(key)).ok()?;
-        let doc = json::parse(&text).ok()?;
-        if doc.get("format")?.as_u64()? != FORMAT {
-            return None;
-        }
-        decode_outcome(doc.get("outcome")?)
+        outcome_from_record(&std::fs::read_to_string(self.object_path(key)).ok()?)
     }
 
     /// Persists a job outcome under its key, atomically.
     pub fn put(&self, key: &JobKey, spec_json: &str, outcome: &JobOutcome) -> io::Result<()> {
         let path = self.object_path(key);
         std::fs::create_dir_all(path.parent().expect("object paths have parents"))?;
-        let mut out = String::from("{");
-        out.push_str(&format!("\"format\": {FORMAT}"));
-        out.push_str(&format!(", \"key\": \"{}\"", key.hex()));
-        out.push_str(&format!(", \"spec\": {spec_json}"));
-        out.push_str(", \"outcome\": ");
-        encode_outcome(outcome, &mut out);
+        let mut out = format!(
+            "{{\"format\": {FORMAT}, \"key\": \"{}\", \"spec\": {spec_json}, \"outcome\": ",
+            key.hex()
+        );
+        write_record_layout(&outcome_value(outcome), &mut out);
         out.push_str("}\n");
         // The tmp name carries the writer's identity: two processes (or
         // threads) racing to persist the same key must not interleave one
@@ -329,22 +326,68 @@ impl ResultStore {
     }
 }
 
+/// The outcome as a JSON tree, fields in the order records list them.
+/// [`outcome_to_json`] is its canonical rendering, a store record holds it
+/// in the record layout, and `rackfabricd` answers with the tree itself.
+pub fn outcome_value(outcome: &JobOutcome) -> JsonValue {
+    match outcome {
+        JobOutcome::Failed(message) => obj([("failed", string(message))]),
+        JobOutcome::Completed(result) => obj([
+            (
+                "all_flows_complete",
+                JsonValue::Bool(result.all_flows_complete),
+            ),
+            ("events_processed", uint(result.events_processed)),
+            ("packet_latency", histogram_value(&result.packet_latency)),
+            (
+                "queueing_latency",
+                histogram_value(&result.queueing_latency),
+            ),
+            ("summary", summary_value(&result.summary)),
+        ]),
+    }
+}
+
 /// Renders a job outcome as **canonical** JSON (sorted keys, no
-/// whitespace, one line): the exact encoding stored in a record's
-/// `outcome` field, re-serialised canonically. Equal outcomes render to
-/// equal bytes, which is what lets a service hand results over a wire and
-/// still promise byte-identical answers to the batch path.
+/// whitespace, one line): the canonical form of a record's `outcome` field.
+/// Equal outcomes render to equal bytes, which is what lets a service hand
+/// results over a wire and still promise byte-identical answers to the
+/// batch path.
 pub fn outcome_to_json(outcome: &JobOutcome) -> String {
-    let mut raw = String::new();
-    encode_outcome(outcome, &mut raw);
-    let doc = json::parse(&raw).expect("the outcome encoder emits valid JSON");
-    json::canonical(&doc)
+    json::canonical(&outcome_value(outcome))
 }
 
 /// Parses an outcome rendered by [`outcome_to_json`] (or the `outcome`
 /// field of a store record). `None` on malformed input.
 pub fn outcome_from_json(text: &str) -> Option<JobOutcome> {
-    decode_outcome(&json::parse(text).ok()?)
+    let mut reader = Reader::new(text);
+    let outcome = read_outcome(&mut reader).ok()?;
+    reader.finish().ok()?;
+    outcome
+}
+
+/// Decodes a store record's text, as [`ResultStore::get`] does the file:
+/// `None` unless the whole text is JSON, its `format` is the current one and
+/// its `outcome` decodes. The first field of a name counts, as
+/// [`JsonValue::get`] would find it; `spec` and any other field are checked
+/// and passed over.
+pub fn outcome_from_record(text: &str) -> Option<JobOutcome> {
+    let mut reader = Reader::new(text);
+    let mut format = 0;
+    let mut outcome = None;
+    let fields = ["format", "outcome"];
+    let decoded = read_fields(&mut reader, &fields, |name, r| {
+        Ok(match name {
+            "format" => set(&mut format, r.value()?.as_u64()),
+            _ => set(&mut outcome, read_outcome(r)?.map(Some)),
+        })
+    })
+    .ok()?;
+    reader.finish().ok()?;
+    if decoded != fields.len() || format != FORMAT {
+        return None;
+    }
+    outcome
 }
 
 /// How old a temp file must be before [`ResultStore::gc`] reclaims it — a
@@ -401,172 +444,337 @@ pub struct GcStats {
     pub removed: usize,
 }
 
-fn encode_outcome(outcome: &JobOutcome, out: &mut String) {
-    match outcome {
-        JobOutcome::Failed(message) => {
-            out.push_str(&format!("{{\"failed\": \"{}\"}}", json::escape(message)));
-        }
-        JobOutcome::Completed(result) => {
+/// Writes `value` in the layout store records have always used: fields in
+/// tree order, `": "` after each name and `", "` between fields, arrays
+/// without spaces. [`outcome_value`] lists fields in the record order, so
+/// FORMAT 4's bytes stay as they were.
+fn write_record_layout(value: &JsonValue, out: &mut String) {
+    match value {
+        JsonValue::Object(fields) => {
             out.push('{');
-            out.push_str(&format!(
-                "\"all_flows_complete\": {}, \"events_processed\": {}",
-                result.all_flows_complete, result.events_processed
-            ));
-            out.push_str(", \"packet_latency\": ");
-            encode_histogram(&result.packet_latency, out);
-            out.push_str(", \"queueing_latency\": ");
-            encode_histogram(&result.queueing_latency, out);
-            out.push_str(", \"summary\": ");
-            encode_summary(&result.summary, out);
+            for (i, (name, field)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                json::write_string(name, out);
+                out.push_str(": ");
+                write_record_layout(field, out);
+            }
             out.push('}');
         }
+        JsonValue::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_record_layout(item, out);
+            }
+            out.push(']');
+        }
+        scalar => json::write_canonical(scalar, out),
     }
 }
 
-fn decode_outcome(doc: &JsonValue) -> Option<JobOutcome> {
-    if let Some(message) = doc.get("failed") {
-        return Some(JobOutcome::Failed(message.as_str()?.to_string()));
+fn histogram_value(h: &Histogram) -> JsonValue {
+    let buckets = h
+        .sparse_counts()
+        .into_iter()
+        .map(|(value, count)| JsonValue::Array(vec![uint(value), uint(count)]))
+        .collect();
+    let (min, max) = match (h.min_sample(), h.max_sample()) {
+        (Some(min), Some(max)) => (uint(min), uint(max)),
+        _ => (JsonValue::Null, JsonValue::Null),
+    };
+    obj([
+        ("buckets", JsonValue::Array(buckets)),
+        // u128 sums exceed what a u64 field can carry; keep the decimal text.
+        ("sum", JsonValue::String(h.sample_sum().to_string())),
+        ("min", min),
+        ("max", max),
+    ])
+}
+
+fn summary_value(s: &RunSummary) -> JsonValue {
+    obj([
+        ("delivered_packets", uint(s.delivered_packets)),
+        ("dropped_packets", uint(s.dropped_packets)),
+        ("delivered_bytes", uint(s.delivered_bytes)),
+        ("packet_latency", stat_summary_value(&s.packet_latency)),
+        ("queueing_latency", stat_summary_value(&s.queueing_latency)),
+        ("completed_flows", uint(s.completed_flows as u64)),
+        ("flow_completion_mean_us", float(s.flow_completion_mean_us)),
+        ("flow_completion_max_us", float(s.flow_completion_max_us)),
+        (
+            "job_completion_us",
+            s.job_completion_us.map_or(JsonValue::Null, float),
+        ),
+        ("mean_power_w", float(s.mean_power_w)),
+        ("max_power_w", float(s.max_power_w)),
+        ("plp_commands", uint(s.plp_commands as u64)),
+        (
+            "topology_reconfigurations",
+            uint(s.topology_reconfigurations.into()),
+        ),
+        ("switching_fraction", float(s.switching_fraction)),
+        ("propagation_fraction", float(s.propagation_fraction)),
+        ("route_cache_hits", uint(s.route_cache_hits)),
+        ("route_cache_misses", uint(s.route_cache_misses)),
+        ("route_cache_hit_rate", float(s.route_cache_hit_rate)),
+    ])
+}
+
+fn stat_summary_value(s: &Summary) -> JsonValue {
+    obj([
+        ("count", uint(s.count)),
+        ("min", float(s.min)),
+        ("max", float(s.max)),
+        ("mean", float(s.mean)),
+        ("p50", float(s.p50)),
+        ("p90", float(s.p90)),
+        ("p99", float(s.p99)),
+        ("p999", float(s.p999)),
+    ])
+}
+
+/// A number read in place, as [`JsonValue::as_u64`] reads it; any other
+/// value is passed over and reads as none. Histogram buckets, most of a
+/// record, are read this way.
+fn read_u64(r: &mut Reader<'_>) -> Result<Option<u64>, JsonError> {
+    if r.peek()? != Kind::Number {
+        r.skip()?;
+        return Ok(None);
     }
-    let result = JobResult {
-        summary: decode_summary(doc.get("summary")?)?,
-        packet_latency: decode_histogram(doc.get("packet_latency")?)?,
-        queueing_latency: decode_histogram(doc.get("queueing_latency")?)?,
-        all_flows_complete: doc.get("all_flows_complete")?.as_bool()?,
-        events_processed: doc.get("events_processed")?.as_u64()?,
+    Ok(r.number()?.parse().ok())
+}
+
+/// Stores `value` in `slot` if there is one; whether there was.
+fn set<T>(slot: &mut T, value: Option<T>) -> bool {
+    value.map(|v| *slot = v).is_some()
+}
+
+/// Reads one object, handing `read` the first field of each name in
+/// `names` (a later field of the same name is shadowed, as
+/// [`JsonValue::get`] finds the first) and passing over every other field.
+/// `read` reads its field's value whole and says whether it decoded it.
+/// Returns how many of `names` were there and decoded; a value that is not
+/// an object is passed over whole and has none.
+fn read_fields<'a>(
+    r: &mut Reader<'a>,
+    names: &[&'static str],
+    mut read: impl FnMut(&'static str, &mut Reader<'a>) -> Result<bool, JsonError>,
+) -> Result<usize, JsonError> {
+    if r.peek()? != Kind::Object {
+        r.skip()?;
+        return Ok(0);
+    }
+    r.begin_object()?;
+    let mut seen = 0u32;
+    let mut decoded = 0;
+    // Records list their fields in `names` order: try the next one first.
+    let mut next = 0;
+    while let Some(name) = r.next_field()? {
+        let index = if names.get(next).is_some_and(|n| *n == name) {
+            Some(next)
+        } else {
+            names.iter().position(|n| *n == name)
+        };
+        match index {
+            Some(i) if seen & 1 << i == 0 => {
+                seen |= 1 << i;
+                next = i + 1;
+                decoded += usize::from(read(names[i], r)?);
+            }
+            _ => r.skip()?,
+        }
+    }
+    Ok(decoded)
+}
+
+/// Decodes one outcome value; `Ok(None)` when it is JSON but not an
+/// outcome.
+fn read_outcome(r: &mut Reader<'_>) -> Result<Option<JobOutcome>, JsonError> {
+    let mut result = JobResult {
+        summary: RunSummary::default(),
+        packet_latency: Histogram::new(),
+        queueing_latency: Histogram::new(),
+        all_flows_complete: false,
+        events_processed: 0,
         // Wall-clock is never persisted: it is the one non-deterministic
         // field, and cache hits cost no engine time anyway.
         wall_nanos: 0,
     };
-    Some(JobOutcome::Completed(Box::new(result)))
-}
-
-fn encode_histogram(h: &Histogram, out: &mut String) {
-    out.push_str("{\"buckets\": [");
-    for (i, (value, count)) in h.sparse_counts().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{value},{count}]"));
-    }
-    // u128 sums exceed what a u64 field can carry; keep the decimal text.
-    out.push_str(&format!("], \"sum\": \"{}\"", h.sample_sum()));
-    match (h.min_sample(), h.max_sample()) {
-        (Some(min), Some(max)) => {
-            out.push_str(&format!(", \"min\": {min}, \"max\": {max}}}"));
-        }
-        _ => out.push_str(", \"min\": null, \"max\": null}"),
-    }
-}
-
-fn decode_histogram(doc: &JsonValue) -> Option<Histogram> {
-    let buckets: Vec<(u64, u64)> = doc
-        .get("buckets")?
-        .as_array()?
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_array()?;
-            Some((pair.first()?.as_u64()?, pair.get(1)?.as_u64()?))
+    let mut failed = None;
+    let fields = [
+        "all_flows_complete",
+        "events_processed",
+        "packet_latency",
+        "queueing_latency",
+        "summary",
+        "failed",
+    ];
+    let decoded = read_fields(r, &fields, |name, r| {
+        Ok(match name {
+            "all_flows_complete" => set(&mut result.all_flows_complete, r.value()?.as_bool()),
+            "events_processed" => set(&mut result.events_processed, read_u64(r)?),
+            "packet_latency" => set(&mut result.packet_latency, read_histogram(r)?),
+            "queueing_latency" => set(&mut result.queueing_latency, read_histogram(r)?),
+            "summary" => set(&mut result.summary, read_summary(r)?),
+            _ => {
+                failed = Some(match r.value()? {
+                    JsonValue::String(message) => Some(message),
+                    _ => None,
+                });
+                false
+            }
         })
-        .collect::<Option<_>>()?;
-    let sum: u128 = match doc.get("sum")? {
-        JsonValue::String(s) => s.parse().ok()?,
-        _ => return None,
-    };
-    let min = doc.get("min")?.as_u64();
-    let max = doc.get("max")?.as_u64();
-    Some(Histogram::from_sparse(&buckets, sum, min, max))
-}
-
-fn encode_summary(s: &RunSummary, out: &mut String) {
-    out.push('{');
-    out.push_str(&format!(
-        "\"delivered_packets\": {}, \"dropped_packets\": {}, \"delivered_bytes\": {}",
-        s.delivered_packets, s.dropped_packets, s.delivered_bytes
-    ));
-    out.push_str(", \"packet_latency\": ");
-    encode_stat_summary(&s.packet_latency, out);
-    out.push_str(", \"queueing_latency\": ");
-    encode_stat_summary(&s.queueing_latency, out);
-    out.push_str(&format!(
-        ", \"completed_flows\": {}, \"flow_completion_mean_us\": {}, \
-         \"flow_completion_max_us\": {}",
-        s.completed_flows,
-        json::number(s.flow_completion_mean_us),
-        json::number(s.flow_completion_max_us)
-    ));
-    match s.job_completion_us {
-        Some(us) => out.push_str(&format!(", \"job_completion_us\": {}", json::number(us))),
-        None => out.push_str(", \"job_completion_us\": null"),
+    })?;
+    // A `failed` field decides the outcome, whatever else the object holds.
+    if let Some(message) = failed {
+        return Ok(message.map(JobOutcome::Failed));
     }
-    out.push_str(&format!(
-        ", \"mean_power_w\": {}, \"max_power_w\": {}, \"plp_commands\": {}, \
-         \"topology_reconfigurations\": {}, \"switching_fraction\": {}, \
-         \"propagation_fraction\": {}, \"route_cache_hits\": {}, \
-         \"route_cache_misses\": {}, \"route_cache_hit_rate\": {}}}",
-        json::number(s.mean_power_w),
-        json::number(s.max_power_w),
-        s.plp_commands,
-        s.topology_reconfigurations,
-        json::number(s.switching_fraction),
-        json::number(s.propagation_fraction),
-        s.route_cache_hits,
-        s.route_cache_misses,
-        json::number(s.route_cache_hit_rate)
-    ));
+    Ok((decoded == fields.len() - 1).then(|| JobOutcome::Completed(Box::new(result))))
 }
 
-fn decode_summary(doc: &JsonValue) -> Option<RunSummary> {
-    Some(RunSummary {
-        delivered_packets: doc.get("delivered_packets")?.as_u64()?,
-        dropped_packets: doc.get("dropped_packets")?.as_u64()?,
-        delivered_bytes: doc.get("delivered_bytes")?.as_u64()?,
-        packet_latency: decode_stat_summary(doc.get("packet_latency")?)?,
-        queueing_latency: decode_stat_summary(doc.get("queueing_latency")?)?,
-        completed_flows: doc.get("completed_flows")?.as_u64()? as usize,
-        flow_completion_mean_us: doc.get("flow_completion_mean_us")?.as_f64()?,
-        flow_completion_max_us: doc.get("flow_completion_max_us")?.as_f64()?,
-        job_completion_us: match doc.get("job_completion_us")? {
-            JsonValue::Null => None,
-            v => Some(v.as_f64()?),
-        },
-        mean_power_w: doc.get("mean_power_w")?.as_f64()?,
-        max_power_w: doc.get("max_power_w")?.as_f64()?,
-        plp_commands: doc.get("plp_commands")?.as_u64()? as usize,
-        topology_reconfigurations: doc.get("topology_reconfigurations")?.as_u64()? as u32,
-        switching_fraction: doc.get("switching_fraction")?.as_f64()?,
-        propagation_fraction: doc.get("propagation_fraction")?.as_f64()?,
-        route_cache_hits: doc.get("route_cache_hits")?.as_u64()?,
-        route_cache_misses: doc.get("route_cache_misses")?.as_u64()?,
-        route_cache_hit_rate: doc.get("route_cache_hit_rate")?.as_f64()?,
-    })
+fn read_histogram(r: &mut Reader<'_>) -> Result<Option<Histogram>, JsonError> {
+    let mut buckets = Vec::new();
+    let mut sum = 0;
+    let (mut min, mut max) = (None, None);
+    let fields = ["buckets", "sum", "min", "max"];
+    let decoded = read_fields(r, &fields, |name, r| {
+        Ok(match name {
+            "buckets" => read_buckets(r, &mut buckets)?,
+            "sum" => match r.value()? {
+                JsonValue::String(text) => set(&mut sum, text.parse().ok()),
+                _ => false,
+            },
+            // Present, but a bound that is not a u64 (`null` for an empty
+            // histogram) is no bound.
+            "min" => {
+                min = r.value()?.as_u64();
+                true
+            }
+            _ => {
+                max = r.value()?.as_u64();
+                true
+            }
+        })
+    })?;
+    Ok((decoded == fields.len()).then(|| Histogram::from_sparse(&buckets, sum, min, max)))
 }
 
-fn encode_stat_summary(s: &Summary, out: &mut String) {
-    out.push_str(&format!(
-        "{{\"count\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"p50\": {}, \
-         \"p90\": {}, \"p99\": {}, \"p999\": {}}}",
-        s.count,
-        json::number(s.min),
-        json::number(s.max),
-        json::number(s.mean),
-        json::number(s.p50),
-        json::number(s.p90),
-        json::number(s.p99),
-        json::number(s.p999)
-    ));
+/// Reads a histogram's `[[value, count], ...]` into `out`; false when it is
+/// not an array or an item does not start with two u64s. Items past a
+/// pair's second are passed over, as they always were.
+fn read_buckets(r: &mut Reader<'_>, out: &mut Vec<(u64, u64)>) -> Result<bool, JsonError> {
+    if r.peek()? != Kind::Array {
+        r.skip()?;
+        return Ok(false);
+    }
+    r.begin_array()?;
+    let mut all = true;
+    while r.next_item()? {
+        let mut pair = [None; 2];
+        if r.peek()? == Kind::Array {
+            r.begin_array()?;
+            let mut at = 0;
+            while r.next_item()? {
+                match pair.get_mut(at) {
+                    Some(slot) => *slot = read_u64(r)?,
+                    None => r.skip()?,
+                }
+                at += 1;
+            }
+        } else {
+            r.skip()?;
+        }
+        match pair {
+            [Some(value), Some(count)] => out.push((value, count)),
+            _ => all = false,
+        }
+    }
+    Ok(all)
 }
 
-fn decode_stat_summary(doc: &JsonValue) -> Option<Summary> {
-    Some(Summary {
-        count: doc.get("count")?.as_u64()?,
-        min: doc.get("min")?.as_f64()?,
-        max: doc.get("max")?.as_f64()?,
-        mean: doc.get("mean")?.as_f64()?,
-        p50: doc.get("p50")?.as_f64()?,
-        p90: doc.get("p90")?.as_f64()?,
-        p99: doc.get("p99")?.as_f64()?,
-        p999: doc.get("p999")?.as_f64()?,
-    })
+fn read_summary(r: &mut Reader<'_>) -> Result<Option<RunSummary>, JsonError> {
+    let mut s = RunSummary::default();
+    let fields = [
+        "delivered_packets",
+        "dropped_packets",
+        "delivered_bytes",
+        "packet_latency",
+        "queueing_latency",
+        "completed_flows",
+        "flow_completion_mean_us",
+        "flow_completion_max_us",
+        "job_completion_us",
+        "mean_power_w",
+        "max_power_w",
+        "plp_commands",
+        "topology_reconfigurations",
+        "switching_fraction",
+        "propagation_fraction",
+        "route_cache_hits",
+        "route_cache_misses",
+        "route_cache_hit_rate",
+    ];
+    let decoded = read_fields(r, &fields, |name, r| {
+        if let "packet_latency" | "queueing_latency" = name {
+            let latency = read_stat_summary(r)?;
+            return Ok(match name {
+                "packet_latency" => set(&mut s.packet_latency, latency),
+                _ => set(&mut s.queueing_latency, latency),
+            });
+        }
+        let v = r.value()?;
+        Ok(match name {
+            "delivered_packets" => set(&mut s.delivered_packets, v.as_u64()),
+            "dropped_packets" => set(&mut s.dropped_packets, v.as_u64()),
+            "delivered_bytes" => set(&mut s.delivered_bytes, v.as_u64()),
+            "completed_flows" => set(&mut s.completed_flows, v.as_u64().map(|n| n as usize)),
+            "flow_completion_mean_us" => set(&mut s.flow_completion_mean_us, v.as_f64()),
+            "flow_completion_max_us" => set(&mut s.flow_completion_max_us, v.as_f64()),
+            "job_completion_us" => set(
+                &mut s.job_completion_us,
+                match v {
+                    JsonValue::Null => Some(None),
+                    v => v.as_f64().map(Some),
+                },
+            ),
+            "mean_power_w" => set(&mut s.mean_power_w, v.as_f64()),
+            "max_power_w" => set(&mut s.max_power_w, v.as_f64()),
+            "plp_commands" => set(&mut s.plp_commands, v.as_u64().map(|n| n as usize)),
+            "topology_reconfigurations" => set(
+                &mut s.topology_reconfigurations,
+                v.as_u64().map(|n| n as u32),
+            ),
+            "switching_fraction" => set(&mut s.switching_fraction, v.as_f64()),
+            "propagation_fraction" => set(&mut s.propagation_fraction, v.as_f64()),
+            "route_cache_hits" => set(&mut s.route_cache_hits, v.as_u64()),
+            "route_cache_misses" => set(&mut s.route_cache_misses, v.as_u64()),
+            _ => set(&mut s.route_cache_hit_rate, v.as_f64()),
+        })
+    })?;
+    Ok((decoded == fields.len()).then_some(s))
+}
+
+fn read_stat_summary(r: &mut Reader<'_>) -> Result<Option<Summary>, JsonError> {
+    let mut s = Summary::default();
+    let fields = ["count", "min", "max", "mean", "p50", "p90", "p99", "p999"];
+    let decoded = read_fields(r, &fields, |name, r| {
+        let v = r.value()?;
+        Ok(match name {
+            "count" => set(&mut s.count, v.as_u64()),
+            "min" => set(&mut s.min, v.as_f64()),
+            "max" => set(&mut s.max, v.as_f64()),
+            "mean" => set(&mut s.mean, v.as_f64()),
+            "p50" => set(&mut s.p50, v.as_f64()),
+            "p90" => set(&mut s.p90, v.as_f64()),
+            "p99" => set(&mut s.p99, v.as_f64()),
+            _ => set(&mut s.p999, v.as_f64()),
+        })
+    })?;
+    Ok((decoded == fields.len()).then_some(s))
 }
 
 #[cfg(test)]
