@@ -19,9 +19,9 @@
 //! Everything that does shape results — topology edges, workload, PHY
 //! policy (FEC, lanes, power, bypass chains), controller, lane rate, switch
 //! model, port buffers, PLP timing table, MTU, train window, seed, horizon,
-//! event budget — is written field by field, with sorted object keys
-//! ([`json::canonical`]), so the form is stable across axis orderings and
-//! code-level field reorderings.
+//! event budget — is written field by field in sorted key order, straight
+//! into one string ([`json::CanonicalWriter`]), so the form is canonical JSON
+//! and stable across axis orderings and code-level field reorderings.
 //!
 //! [`decode_spec`] lets the journal replay an `execute-cell` record without
 //! the matrix that produced it. Its contract, checked by the tests here and
@@ -34,7 +34,7 @@
 use crate::spec::{ControllerSpec, FecSetting, PhyPolicy, ScenarioSpec, WorkloadSpec};
 use rackfabric::policy::CrcPolicy;
 use rackfabric_phy::{FecMode, MediaKind, PlpTiming, PowerState};
-use rackfabric_sim::json::{self, float, obj, string, uint, JsonValue};
+use rackfabric_sim::json::{self, CanonicalWriter, JsonValue};
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::{BitRate, Bytes, Length, Power};
 use rackfabric_switch::model::{SwitchKind, SwitchModel};
@@ -45,7 +45,9 @@ use rackfabric_topo::NodeId;
 /// The canonical JSON of a spec: every result-shaping field, with sorted
 /// object keys and no whitespace.
 pub fn canonical_spec_json(spec: &ScenarioSpec) -> String {
-    json::canonical(&spec_value(spec))
+    let mut w = CanonicalWriter::default();
+    write_spec(&mut w, spec);
+    w.finish()
 }
 
 /// Decodes a canonical spec JSON document into a runnable spec.
@@ -90,55 +92,64 @@ pub fn decode_spec(spec_json: &str) -> Result<ScenarioSpec, String> {
     Ok(spec)
 }
 
-fn spec_value(spec: &ScenarioSpec) -> JsonValue {
+// The writers below emit each object's fields in ascending key order: the
+// writer does not sort them.
+
+fn write_spec(w: &mut CanonicalWriter, spec: &ScenarioSpec) {
     // `spec.name`, `spec.scheduler` and the shard count are intentionally
     // absent — see the module docs.
     let engine = match spec.shards {
         0 => "monolithic",
         _ => "sharded",
     };
-    obj([
-        ("controller", controller_value(&spec.controller)),
-        ("engine", string(engine)),
-        ("event_budget", uint(spec.event_budget)),
-        ("horizon_ps", uint(spec.horizon.as_picos())),
-        ("lane_rate_bps", uint(spec.lane_rate.as_bps())),
-        ("mtu_bytes", uint(spec.mtu.as_u64())),
-        ("phy", phy_value(&spec.phy)),
-        ("plp_timing", plp_timing_value(&spec.plp_timing)),
-        ("port_buffer_bytes", uint(spec.port_buffer.as_u64())),
-        (
-            // The spec-level routing override. `controller-default` means the
-            // lowered config keeps the controller's choice (shortest-hop for
-            // baseline, the CRC routing recorded under `controller` above).
-            "routing",
-            string(spec.routing.map_or("controller-default", wire_name)),
-        ),
-        ("seed", uint(spec.seed)),
-        ("stop_when_done", JsonValue::Bool(spec.stop_when_done)),
-        ("switch", switch_value(&spec.switch)),
-        ("topology", topology_value(&spec.topology)),
-        ("train_window_ps", uint(spec.train_window.as_picos())),
-        (
-            "upgrade",
-            spec.upgrade
-                .as_ref()
-                .map_or(JsonValue::Null, topology_value),
-        ),
-        ("workload", workload_value(&spec.workload)),
-    ])
+    w.begin_object();
+    w.key("controller");
+    write_controller(w, &spec.controller);
+    w.key("engine").string(engine);
+    w.key("event_budget").uint(spec.event_budget);
+    w.key("horizon_ps").uint(spec.horizon.as_picos());
+    w.key("lane_rate_bps").uint(spec.lane_rate.as_bps());
+    w.key("mtu_bytes").uint(spec.mtu.as_u64());
+    w.key("phy");
+    write_phy(w, &spec.phy);
+    w.key("plp_timing");
+    write_plp_timing(w, &spec.plp_timing);
+    w.key("port_buffer_bytes").uint(spec.port_buffer.as_u64());
+    // The spec-level routing override. `controller-default` means the
+    // lowered config keeps the controller's choice (shortest-hop for
+    // baseline, the CRC routing recorded under `controller` above).
+    w.key("routing")
+        .string(spec.routing.map_or("controller-default", wire_name));
+    w.key("seed").uint(spec.seed);
+    w.key("stop_when_done").bool(spec.stop_when_done);
+    w.key("switch");
+    write_switch(w, &spec.switch);
+    w.key("topology");
+    write_topology(w, &spec.topology);
+    w.key("train_window_ps").uint(spec.train_window.as_picos());
+    w.key("upgrade");
+    match &spec.upgrade {
+        Some(upgrade) => write_topology(w, upgrade),
+        None => {
+            w.null();
+        }
+    }
+    w.key("workload");
+    write_workload(w, &spec.workload);
+    w.end_object();
 }
 
-fn phy_value(phy: &PhyPolicy) -> JsonValue {
-    obj([
-        ("bypassed_nodes", uint(phy.bypassed_nodes as u64)),
-        ("fec", string(wire_name(phy.fec))),
-        (
-            "lanes",
-            phy.active_lanes.map_or(JsonValue::Null, |n| uint(n as u64)),
-        ),
-        ("power", string(wire_name(phy.power))),
-    ])
+fn write_phy(w: &mut CanonicalWriter, phy: &PhyPolicy) {
+    w.begin_object();
+    w.key("bypassed_nodes").uint(phy.bypassed_nodes as u64);
+    w.key("fec").string(wire_name(phy.fec));
+    w.key("lanes");
+    match phy.active_lanes {
+        Some(lanes) => w.uint(lanes as u64),
+        None => w.null(),
+    };
+    w.key("power").string(wire_name(phy.power));
+    w.end_object();
 }
 
 fn decode_phy(doc: &JsonValue) -> Result<PhyPolicy, String> {
@@ -153,16 +164,17 @@ fn decode_phy(doc: &JsonValue) -> Result<PhyPolicy, String> {
     })
 }
 
-fn plp_timing_value(t: &PlpTiming) -> JsonValue {
-    obj([
-        ("bundle_ps", uint(t.bundle.as_picos())),
-        ("bypass_ps", uint(t.bypass.as_picos())),
-        ("move_lanes_ps", uint(t.move_lanes.as_picos())),
-        ("set_active_lanes_ps", uint(t.set_active_lanes.as_picos())),
-        ("set_fec_ps", uint(t.set_fec.as_picos())),
-        ("set_power_ps", uint(t.set_power.as_picos())),
-        ("split_ps", uint(t.split.as_picos())),
-    ])
+fn write_plp_timing(w: &mut CanonicalWriter, t: &PlpTiming) {
+    w.begin_object();
+    w.key("bundle_ps").uint(t.bundle.as_picos());
+    w.key("bypass_ps").uint(t.bypass.as_picos());
+    w.key("move_lanes_ps").uint(t.move_lanes.as_picos());
+    w.key("set_active_lanes_ps")
+        .uint(t.set_active_lanes.as_picos());
+    w.key("set_fec_ps").uint(t.set_fec.as_picos());
+    w.key("set_power_ps").uint(t.set_power.as_picos());
+    w.key("split_ps").uint(t.split.as_picos());
+    w.end_object();
 }
 
 fn decode_plp_timing(doc: &JsonValue) -> Result<PlpTiming, String> {
@@ -178,11 +190,12 @@ fn decode_plp_timing(doc: &JsonValue) -> Result<PlpTiming, String> {
     })
 }
 
-fn switch_value(switch: &SwitchModel) -> JsonValue {
-    obj([
-        ("kind", string(wire_name(switch.kind))),
-        ("pipeline_ps", uint(switch.pipeline_latency.as_picos())),
-    ])
+fn write_switch(w: &mut CanonicalWriter, switch: &SwitchModel) {
+    w.begin_object();
+    w.key("kind").string(wire_name(switch.kind));
+    w.key("pipeline_ps")
+        .uint(switch.pipeline_latency.as_picos());
+    w.end_object();
 }
 
 fn decode_switch(doc: &JsonValue) -> Result<SwitchModel, String> {
@@ -192,26 +205,37 @@ fn decode_switch(doc: &JsonValue) -> Result<SwitchModel, String> {
     })
 }
 
-fn topology_value(t: &TopologySpec) -> JsonValue {
+fn write_topology(w: &mut CanonicalWriter, t: &TopologySpec) {
     // The display name is excluded: instantiation consumes only the node
     // count and the edge list, so renaming a spec must not invalidate the
     // cache. Edges are serialised exactly (endpoints, lanes, length, media,
     // link class — the class steers the conservative lookahead, so it
     // shapes sharded results).
-    obj([
-        (
-            "dims",
-            t.dims.map_or(JsonValue::Null, |(r, c)| {
-                JsonValue::Array(vec![uint(r as u64), uint(c as u64)])
-            }),
-        ),
-        (
-            "edges",
-            JsonValue::Array(t.edges.iter().map(edge_value).collect()),
-        ),
-        ("kind", string(wire_name(t.kind))),
-        ("nodes", uint(t.nodes as u64)),
-    ])
+    w.begin_object();
+    w.key("dims");
+    match t.dims {
+        Some((rows, cols)) => w
+            .begin_array()
+            .uint(rows as u64)
+            .uint(cols as u64)
+            .end_array(),
+        None => w.null(),
+    };
+    w.key("edges").begin_array();
+    for e in &t.edges {
+        w.begin_array()
+            .uint(e.a.0 as u64)
+            .uint(e.b.0 as u64)
+            .uint(e.lanes as u64)
+            .uint(e.length.as_mm())
+            .string(wire_name(e.media))
+            .string(wire_name(e.class))
+            .end_array();
+    }
+    w.end_array();
+    w.key("kind").string(wire_name(t.kind));
+    w.key("nodes").uint(t.nodes as u64);
+    w.end_object();
 }
 
 fn decode_topology(doc: &JsonValue) -> Result<TopologySpec, String> {
@@ -241,17 +265,6 @@ fn decode_topology(doc: &JsonValue) -> Result<TopologySpec, String> {
         edges,
         dims,
     })
-}
-
-fn edge_value(e: &EdgeSpec) -> JsonValue {
-    JsonValue::Array(vec![
-        uint(e.a.0 as u64),
-        uint(e.b.0 as u64),
-        uint(e.lanes as u64),
-        uint(e.length.as_mm()),
-        string(wire_name(e.media)),
-        string(wire_name(e.class)),
-    ])
 }
 
 /// Decodes edge number `index` of a topology's edge list.
@@ -288,20 +301,25 @@ fn decode_edge(index: usize, doc: &JsonValue) -> Result<EdgeSpec, String> {
     })
 }
 
-fn controller_value(c: &ControllerSpec) -> JsonValue {
+fn write_controller(w: &mut CanonicalWriter, c: &ControllerSpec) {
+    w.begin_object();
     match c {
-        ControllerSpec::Baseline => obj([("kind", string("baseline"))]),
+        ControllerSpec::Baseline => {
+            w.key("kind").string("baseline");
+        }
         ControllerSpec::Adaptive {
             policy,
             epoch,
             routing,
-        } => obj([
-            ("epoch_ps", uint(epoch.as_picos())),
-            ("kind", string("adaptive")),
-            ("policy", policy_value(policy)),
-            ("routing", string(wire_name(*routing))),
-        ]),
+        } => {
+            w.key("epoch_ps").uint(epoch.as_picos());
+            w.key("kind").string("adaptive");
+            w.key("policy");
+            write_policy(w, policy);
+            w.key("routing").string(wire_name(*routing));
+        }
     }
+    w.end_object();
 }
 
 fn decode_controller(doc: &JsonValue) -> Result<ControllerSpec, String> {
@@ -317,14 +335,16 @@ fn decode_controller(doc: &JsonValue) -> Result<ControllerSpec, String> {
 }
 
 /// A CRC policy; its `kind` is [`CrcPolicy::name`].
-fn policy_value(p: &CrcPolicy) -> JsonValue {
-    let kind = ("kind", string(p.name()));
+fn write_policy(w: &mut CanonicalWriter, p: &CrcPolicy) {
+    w.begin_object();
     match p {
-        CrcPolicy::LatencyMinimize | CrcPolicy::CongestionBalance => obj([kind]),
+        CrcPolicy::LatencyMinimize | CrcPolicy::CongestionBalance => {}
         CrcPolicy::PowerCap { budget } | CrcPolicy::Hybrid { budget } => {
-            obj([("budget_mw", uint(budget.as_milliwatts())), kind])
+            w.key("budget_mw").uint(budget.as_milliwatts());
         }
     }
+    w.key("kind").string(p.name());
+    w.end_object();
 }
 
 fn decode_policy(doc: &JsonValue) -> Result<CrcPolicy, String> {
@@ -338,65 +358,68 @@ fn decode_policy(doc: &JsonValue) -> Result<CrcPolicy, String> {
     })
 }
 
-fn workload_value(w: &WorkloadSpec) -> JsonValue {
-    match w {
-        WorkloadSpec::Shuffle { partition, load } => obj([
-            ("kind", string("shuffle")),
-            ("load", float(*load)),
-            ("partition_bytes", uint(partition.as_u64())),
-        ]),
-        WorkloadSpec::Incast { request, load } => obj([
-            ("kind", string("incast")),
-            ("load", float(*load)),
-            ("request_bytes", uint(request.as_u64())),
-        ]),
-        WorkloadSpec::Permutation { size, load } => obj([
-            ("kind", string("permutation")),
-            ("load", float(*load)),
-            ("size_bytes", uint(size.as_u64())),
-        ]),
-        WorkloadSpec::SingleFlow { size, load } => obj([
-            ("kind", string("single_flow")),
-            ("load", float(*load)),
-            ("size_bytes", uint(size.as_u64())),
-        ]),
+fn write_workload(w: &mut CanonicalWriter, workload: &WorkloadSpec) {
+    w.begin_object();
+    match *workload {
+        WorkloadSpec::Shuffle { partition, load } => {
+            w.key("kind").string("shuffle");
+            w.key("load").float(load);
+            w.key("partition_bytes").uint(partition.as_u64());
+        }
+        WorkloadSpec::Incast { request, load } => {
+            w.key("kind").string("incast");
+            w.key("load").float(load);
+            w.key("request_bytes").uint(request.as_u64());
+        }
+        WorkloadSpec::Permutation { size, load } => {
+            w.key("kind").string("permutation");
+            w.key("load").float(load);
+            w.key("size_bytes").uint(size.as_u64());
+        }
+        WorkloadSpec::SingleFlow { size, load } => {
+            w.key("kind").string("single_flow");
+            w.key("load").float(load);
+            w.key("size_bytes").uint(size.as_u64());
+        }
         WorkloadSpec::Uniform {
             flows_per_node,
             size,
             mean_interarrival,
             load,
-        } => obj([
-            ("flows_per_node", float(*flows_per_node)),
-            ("kind", string("uniform")),
-            ("load", float(*load)),
-            ("mean_interarrival_ps", uint(mean_interarrival.as_picos())),
-            ("size_bytes", uint(size.as_u64())),
-        ]),
+        } => {
+            w.key("flows_per_node").float(flows_per_node);
+            w.key("kind").string("uniform");
+            w.key("load").float(load);
+            w.key("mean_interarrival_ps")
+                .uint(mean_interarrival.as_picos());
+            w.key("size_bytes").uint(size.as_u64());
+        }
         WorkloadSpec::Hotspot {
             flows_per_node,
             size,
             zipf_exponent,
             load,
-        } => obj([
-            ("flows_per_node", float(*flows_per_node)),
-            ("kind", string("hotspot")),
-            ("load", float(*load)),
-            ("size_bytes", uint(size.as_u64())),
-            ("zipf_exponent", float(*zipf_exponent)),
-        ]),
+        } => {
+            w.key("flows_per_node").float(flows_per_node);
+            w.key("kind").string("hotspot");
+            w.key("load").float(load);
+            w.key("size_bytes").uint(size.as_u64());
+            w.key("zipf_exponent").float(zipf_exponent);
+        }
         WorkloadSpec::Storage {
             ops_per_node,
             io_size,
             read_fraction,
             load,
-        } => obj([
-            ("io_size_bytes", uint(io_size.as_u64())),
-            ("kind", string("storage")),
-            ("load", float(*load)),
-            ("ops_per_node", float(*ops_per_node)),
-            ("read_fraction", float(*read_fraction)),
-        ]),
+        } => {
+            w.key("io_size_bytes").uint(io_size.as_u64());
+            w.key("kind").string("storage");
+            w.key("load").float(load);
+            w.key("ops_per_node").float(ops_per_node);
+            w.key("read_fraction").float(read_fraction);
+        }
     }
+    w.end_object();
 }
 
 fn decode_workload(doc: &JsonValue) -> Result<WorkloadSpec, String> {
@@ -552,6 +575,11 @@ mod tests {
     /// key contract without the sweep layer.
     fn assert_round_trip(spec: &ScenarioSpec) {
         let canonical = canonical_spec_json(spec);
+        assert_eq!(
+            json::canonical(&json::parse(&canonical).unwrap()),
+            canonical,
+            "the writer must emit canonical JSON: fields in key order"
+        );
         let decoded = decode_spec(&canonical).expect("decode");
         assert_eq!(
             canonical_spec_json(&decoded),
