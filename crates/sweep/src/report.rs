@@ -6,6 +6,7 @@
 //! byte-for-byte — the property the CI resume gate `cmp`s.
 
 use rackfabric_sim::stats::Histogram;
+use std::fmt::Write as _;
 
 /// One named polyline of a line plot.
 #[derive(Debug, Clone)]
@@ -81,19 +82,19 @@ impl Scale {
     }
 }
 
+// The renderers below write into `out` in place: `write!` into a `String`
+// cannot fail.
+
 fn svg_header(title: &str, out: &mut String) {
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{WIDTH}\" height=\"{HEIGHT}\" \
-         viewBox=\"0 0 {WIDTH} {HEIGHT}\" font-family=\"sans-serif\">\n"
-    ));
-    out.push_str(&format!(
-        "  <rect width=\"{WIDTH}\" height=\"{HEIGHT}\" fill=\"white\"/>\n"
-    ));
-    out.push_str(&format!(
-        "  <text x=\"{}\" y=\"24\" font-size=\"15\" text-anchor=\"middle\">{}</text>\n",
+         viewBox=\"0 0 {WIDTH} {HEIGHT}\" font-family=\"sans-serif\">\n\
+         \x20 <rect width=\"{WIDTH}\" height=\"{HEIGHT}\" fill=\"white\"/>\n\
+         \x20 <text x=\"{}\" y=\"24\" font-size=\"15\" text-anchor=\"middle\">{}</text>\n",
         (MARGIN_LEFT + (WIDTH - MARGIN_RIGHT)) / 2.0,
         xml_escape(title)
-    ));
+    );
 }
 
 fn axes(x: &Scale, y: &Scale, x_label: &str, y_label: &str, out: &mut String) {
@@ -101,48 +102,46 @@ fn axes(x: &Scale, y: &Scale, x_label: &str, y_label: &str, out: &mut String) {
     let right = WIDTH - MARGIN_RIGHT;
     let top = MARGIN_TOP;
     let bottom = HEIGHT - MARGIN_BOTTOM;
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "  <line x1=\"{left}\" y1=\"{bottom}\" x2=\"{right}\" y2=\"{bottom}\" stroke=\"#333\"/>\n\
          \x20 <line x1=\"{left}\" y1=\"{top}\" x2=\"{left}\" y2=\"{bottom}\" stroke=\"#333\"/>\n"
-    ));
+    );
     for tick in x.ticks(5) {
         let px = fmt_coord(x.map(tick));
-        out.push_str(&format!(
-            "  <line x1=\"{px}\" y1=\"{bottom}\" x2=\"{px}\" y2=\"{}\" stroke=\"#333\"/>\n",
-            bottom + 4.0
-        ));
-        out.push_str(&format!(
-            "  <text x=\"{px}\" y=\"{}\" font-size=\"11\" text-anchor=\"middle\">{}</text>\n",
+        let _ = write!(
+            out,
+            "  <line x1=\"{px}\" y1=\"{bottom}\" x2=\"{px}\" y2=\"{}\" stroke=\"#333\"/>\n\
+             \x20 <text x=\"{px}\" y=\"{}\" font-size=\"11\" text-anchor=\"middle\">{}</text>\n",
+            bottom + 4.0,
             bottom + 17.0,
             fmt_num(tick)
-        ));
+        );
     }
     for tick in y.ticks(5) {
         let py = fmt_coord(y.map(tick));
-        out.push_str(&format!(
-            "  <line x1=\"{}\" y1=\"{py}\" x2=\"{left}\" y2=\"{py}\" stroke=\"#333\"/>\n",
-            left - 4.0
-        ));
-        out.push_str(&format!(
-            "  <text x=\"{}\" y=\"{py}\" font-size=\"11\" text-anchor=\"end\" \
+        let _ = write!(
+            out,
+            "  <line x1=\"{}\" y1=\"{py}\" x2=\"{left}\" y2=\"{py}\" stroke=\"#333\"/>\n\
+             \x20 <text x=\"{}\" y=\"{py}\" font-size=\"11\" text-anchor=\"end\" \
              dominant-baseline=\"middle\">{}</text>\n",
+            left - 4.0,
             left - 8.0,
             fmt_num(tick)
-        ));
+        );
     }
-    out.push_str(&format!(
-        "  <text x=\"{}\" y=\"{}\" font-size=\"12\" text-anchor=\"middle\">{}</text>\n",
+    let _ = write!(
+        out,
+        "  <text x=\"{}\" y=\"{}\" font-size=\"12\" text-anchor=\"middle\">{}</text>\n\
+         \x20 <text x=\"16\" y=\"{}\" font-size=\"12\" text-anchor=\"middle\" \
+         transform=\"rotate(-90 16 {})\">{}</text>\n",
         (left + right) / 2.0,
         HEIGHT - 12.0,
-        xml_escape(x_label)
-    ));
-    out.push_str(&format!(
-        "  <text x=\"16\" y=\"{}\" font-size=\"12\" text-anchor=\"middle\" \
-         transform=\"rotate(-90 16 {})\">{}</text>\n",
+        xml_escape(x_label),
         (top + bottom) / 2.0,
         (top + bottom) / 2.0,
         xml_escape(y_label)
-    ));
+    );
 }
 
 fn legend(labels: &[&str], out: &mut String) {
@@ -150,17 +149,16 @@ fn legend(labels: &[&str], out: &mut String) {
     for (i, label) in labels.iter().enumerate() {
         let y = MARGIN_TOP + 14.0 * i as f64;
         let color = PALETTE[i % PALETTE.len()];
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "  <line x1=\"{x}\" y1=\"{y}\" x2=\"{}\" y2=\"{y}\" stroke=\"{color}\" \
-             stroke-width=\"2\"/>\n",
-            x + 16.0
-        ));
-        out.push_str(&format!(
-            "  <text x=\"{}\" y=\"{}\" font-size=\"10\" dominant-baseline=\"middle\">{}</text>\n",
+             stroke-width=\"2\"/>\n\
+             \x20 <text x=\"{}\" y=\"{}\" font-size=\"10\" dominant-baseline=\"middle\">{}</text>\n",
+            x + 16.0,
             x + 20.0,
             y,
             xml_escape(label)
-        ));
+        );
     }
 }
 
@@ -168,21 +166,31 @@ fn polyline(series: &PlotSeries, color: &str, x: &Scale, y: &Scale, out: &mut St
     if series.points.is_empty() {
         return;
     }
-    let coords: Vec<String> = series
-        .points
-        .iter()
-        .map(|&(px, py)| format!("{},{}", fmt_coord(x.map(px)), fmt_coord(y.map(py))))
-        .collect();
-    out.push_str(&format!(
-        "  <polyline fill=\"none\" stroke=\"{color}\" stroke-width=\"2\" points=\"{}\"/>\n",
-        coords.join(" ")
-    ));
+    // Each point's `x,y` is formatted once, into `coords`: the polyline
+    // lists them all, and each point's circle copies its own.
+    let mut coords = String::new();
+    let mut cuts = Vec::with_capacity(series.points.len());
     for &(px, py) in &series.points {
-        out.push_str(&format!(
-            "  <circle cx=\"{}\" cy=\"{}\" r=\"2.5\" fill=\"{color}\"/>\n",
-            fmt_coord(x.map(px)),
-            fmt_coord(y.map(py))
-        ));
+        if !coords.is_empty() {
+            coords.push(' ');
+        }
+        let start = coords.len();
+        let _ = write!(coords, "{:.2}", x.map(px));
+        let comma = coords.len();
+        let _ = write!(coords, ",{:.2}", y.map(py));
+        cuts.push((start, comma, coords.len()));
+    }
+    let _ = writeln!(
+        out,
+        "  <polyline fill=\"none\" stroke=\"{color}\" stroke-width=\"2\" points=\"{coords}\"/>"
+    );
+    for (start, comma, end) in cuts {
+        let _ = writeln!(
+            out,
+            "  <circle cx=\"{}\" cy=\"{}\" r=\"2.5\" fill=\"{color}\"/>",
+            &coords[start..comma],
+            &coords[comma + 1..end]
+        );
     }
 }
 
