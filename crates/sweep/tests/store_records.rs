@@ -196,8 +196,7 @@ fn damaged_records_miss_exactly_where_the_tree_decoder_missed() {
     let replacements = [
         '"', ',', ':', '[', ']', '{', '}', '0', '9', '-', '.', 'e', 'n', '\\', ' ', 'x',
     ];
-    let mut hits = 0;
-    let mut variants = 0;
+    let (mut replaced, mut hits) = (0, 0);
     for (name, text, _) in FIXTURES {
         let boundaries: Vec<usize> = text.char_indices().map(|(i, _)| i).collect();
         for &i in &boundaries {
@@ -209,14 +208,13 @@ fn damaged_records_miss_exactly_where_the_tree_decoder_missed() {
             damaged.replace_range(i..i + c.len_utf8(), &with.to_string());
             hits +=
                 usize::from(decodes_as_before(&damaged, &format!("{name} {i}={with:?}")).is_some());
-            variants += 2;
+            replaced += 1;
         }
         for tail in [" ", "\r\n\t", "x", "{}", "0", ",", "\"", "]"] {
             let extended = format!("{text}{tail}");
             if let Some(canonical) = decodes_as_before(&extended, name) {
                 assert_eq!(canonical, canonical_outcome_field(&extended), "{name}");
             }
-            variants += 1;
         }
         let format_field = "\"format\": 4";
         assert!(text.starts_with(&format!("{{{format_field},")));
@@ -227,7 +225,6 @@ fn damaged_records_miss_exactly_where_the_tree_decoder_missed() {
             let hit = decodes_as_before(&formatted, &format!("{name} format {other}"));
             // `as_u64` reads leading zeros: "04" is format 4.
             assert_eq!(hit.is_some(), other == "04", "{name} format {other}");
-            variants += 1;
         }
         // The first field of a name counts, later ones are shadowed.
         let body = &text[format_field.len() + 2..];
@@ -242,11 +239,10 @@ fn damaged_records_miss_exactly_where_the_tree_decoder_missed() {
         );
         let missing = text.replacen(format_field, "\"formats\": 4", 1);
         assert!(decodes_as_before(&missing, name).is_none());
-        variants += 4;
     }
-    // Most single replacements land in numbers, names and the spec; some
-    // still decode (a digit changed), most do not.
-    assert!(hits > 0 && hits < variants, "{hits} hits of {variants}");
+    // Some replaced records still decode (a digit changed), most do not:
+    // the replacements reach both sides of the decoder.
+    assert!(hits > 0 && hits < replaced, "{hits} hits of {replaced}");
 }
 
 #[test]
