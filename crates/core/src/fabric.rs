@@ -3,8 +3,8 @@
 //!
 //! [`AdaptiveFabric`] implements [`Model`] for the DES engine. It owns the
 //! physical state (links, lanes, bypasses), the topology graph, one egress
-//! queue per directed link use, the per-node NICs, the workload's flows, and
-//! — when `adaptive` is enabled — a
+//! queue per directed link use, the per-node packet sequences, the
+//! workload's flows, and — when `adaptive` is enabled — a
 //! [`ClosedRingControl`](crate::controller::ClosedRingControl) that runs every
 //! control epoch. With `adaptive` disabled the very same model is the static
 //! packet-switched baseline the paper compares against.
@@ -70,8 +70,7 @@ use rackfabric_sim::stats::Counter;
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::{BitRate, Bytes};
 use rackfabric_switch::model::SwitchModel;
-use rackfabric_switch::nic::Nic;
-use rackfabric_switch::packet::{FlowId, Packet};
+use rackfabric_switch::packet::{FlowId, Packet, PacketId};
 use rackfabric_switch::queue::{EgressQueue, EnqueueOutcome};
 use rackfabric_switch::train::{train_frames, Train};
 use rackfabric_topo::arena::{LinkArena, LinkIdx};
@@ -317,9 +316,10 @@ impl LinkTable {
     /// engines run: the route lookup, the first-hop checks, and admission
     /// to the first link's egress port. When the port has no room for the
     /// first frame, the train is turned away unbuilt. Otherwise it is sized
-    /// by the link's rate window and built into a recycled buffer, and the
-    /// frames past the port's first tail-drop are cut off again. A tail-drop
-    /// counts one drop in `dropped`, as does a dead first link.
+    /// by the link's rate window and built into a recycled buffer, its
+    /// packets numbered from the source node's sequence, and the frames past
+    /// the port's first tail-drop are cut off again. A tail-drop counts one
+    /// drop in `dropped`, as do a turned-away train and a dead first link.
     pub(crate) fn inject(
         &mut self,
         net: &Network<'_>,
@@ -332,7 +332,7 @@ impl LinkTable {
             index,
             flow,
             progress,
-            nic,
+            next_packet,
         } = source;
         let remaining = flow.size.as_u64().saturating_sub(progress.injected);
         if remaining == 0 || progress.completed {
@@ -383,19 +383,23 @@ impl LinkTable {
             return Injection::Wait(retry_at);
         }
 
-        // Size the train by the link's rate window.
+        // Size the train by the link's rate window. Packet ids are
+        // node-scoped: the source node in the high bits, its sequence in the
+        // low 40.
         let budget = train_frames(hot.capacity, config.train_window, config.mtu);
         let frames = budget.min(remaining.div_ceil(mtu)).max(1);
-        let sizes = (0..frames).scan(remaining, |left, _| {
-            let size = (*left).min(mtu);
-            *left -= size;
-            Some(Bytes::new(size))
-        });
+        let (node_ids, flow_id) = ((flow.src.as_u32() as u64) << 40, FlowId(index as u64));
+        let mut left = remaining;
         let mut packets = self.spare.pop().unwrap_or_default();
-        nic.build_train(now, FlowId(index as u64), flow.dst, sizes, &mut packets);
+        packets.extend((0..frames).map(|_| {
+            let size = left.min(mtu);
+            left -= size;
+            let id = PacketId(node_ids | *next_packet);
+            *next_packet += 1;
+            Packet::new(id, flow_id, flow.src, flow.dst, Bytes::new(size), now)
+        }));
         let admission =
             queue.enqueue_train(&mut packets, hot.capacity, hot.propagation, hot.fec, true);
-        nic.record_sent(admission.accepted as u64);
         packets.truncate(admission.accepted);
         if admission.dropped {
             dropped.incr();
@@ -415,8 +419,8 @@ impl LinkTable {
     /// Moves a train that has finished arriving at node `hop` of `route` one
     /// hop on, the forwarding step both engines run. A train at its
     /// destination is left to the caller. A dead egress link loses the whole
-    /// train. A fenced one holds it: every packet waits at this node until
-    /// the fence lifts, and the wait is charged as queueing, since
+    /// train, as one drop. A fenced one holds it: every packet waits at this
+    /// node until the fence lifts, and the wait is charged as queueing, since
     /// retraining pauses the fabric rather than black-holing it. A bypass
     /// (PLP #2) re-times the packets past the switching logic; otherwise
     /// each packet traverses `switch` and is offered to the egress port,
@@ -446,7 +450,6 @@ impl LinkTable {
             // only ever holds a live link, so this check may come first.
             return Hop::Lost {
                 bytes: packets.iter().map(|p| p.size.as_u64()).sum(),
-                drops: packets.len() as u64,
             };
         }
         let fence = self.fences[out_link.index()];
@@ -468,7 +471,6 @@ impl LinkTable {
                 packet.breakdown.bypass += bypass.latency;
                 packet.breakdown.propagation += hot.propagation;
                 packet.breakdown.fec += hot.fec;
-                packet.breakdown.bypassed_hops += 1;
                 // Each frame re-times from its own arrival at this node.
                 packet.arrived_at = packet.arrived_at + bypass.latency + hot.propagation + hot.fec;
                 next = next.max(packet.arrived_at);
@@ -481,7 +483,6 @@ impl LinkTable {
         for packet in packets.iter_mut() {
             let traversal = switch.traversal_latency_at(packet.size, hot.capacity);
             packet.breakdown.switching += traversal;
-            packet.breakdown.switch_hops += 1;
             // Each frame becomes ready at the egress port a traversal after
             // its *own* arrival at this node, preserving the per-packet
             // pipelining across hops (the train event merely batches the
@@ -498,14 +499,14 @@ impl LinkTable {
         );
         let (sent, tail) = packets.split_at(admission.accepted);
         self.epoch_bytes[out_link.index()] += sent.iter().map(|p| p.size.as_u64()).sum::<u64>();
-        // The first frame the port overflowed on counts as one drop; the
-        // source re-sends the whole tail.
+        // The source re-sends the whole tail from the frame the port
+        // overflowed on.
         let cut = admission
             .dropped
-            .then(|| (tail.iter().map(|p| p.size.as_u64()).sum::<u64>(), 1));
+            .then(|| tail.iter().map(|p| p.size.as_u64()).sum::<u64>());
         packets.truncate(admission.accepted);
         match cut {
-            Some((bytes, drops)) if packets.is_empty() => Hop::Lost { bytes, drops },
+            Some(bytes) if packets.is_empty() => Hop::Lost { bytes },
             // The last accepted frame's arrival is at or after this event in
             // every reachable state; the clamp guards the engines'
             // no-past-scheduling invariant against pathological timing
@@ -519,6 +520,7 @@ impl LinkTable {
 }
 
 /// What one forwarding step did to a train (see [`LinkTable::forward`]).
+/// A cut tail and a lost train each count one drop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Hop {
     /// The train is at its destination and was not touched.
@@ -527,16 +529,12 @@ pub(crate) enum Hop {
     /// at this instant, when the fence lifts.
     Held(SimTime),
     /// The train, or the prefix of it the port accepted, left for the next
-    /// node, where it finishes arriving at `next`. `cut` is the bytes and
-    /// the drop count of a tail the port cut off.
-    Moved {
-        next: SimTime,
-        cut: Option<(u64, u64)>,
-    },
+    /// node, where it finishes arriving at `next`. `cut` is the bytes of a
+    /// tail the port cut off.
+    Moved { next: SimTime, cut: Option<u64> },
     /// Nothing left: the egress link is dead, or the port dropped the
-    /// train's first frame. The source re-sends `bytes`, and `drops`
-    /// packets count as dropped.
-    Lost { bytes: u64, drops: u64 },
+    /// train's first frame. The source re-sends `bytes`.
+    Lost { bytes: u64 },
 }
 
 /// A flow's source-side state, as one injection reads and updates it.
@@ -546,8 +544,8 @@ pub(crate) struct Source<'a> {
     pub(crate) flow: Flow,
     /// The flow's progress, kept where the flow is sourced.
     pub(crate) progress: &'a mut FlowProgress,
-    /// The NIC of the flow's source node, which numbers its packets.
-    pub(crate) nic: &'a mut Nic,
+    /// The sequence number of the source node's next packet.
+    pub(crate) next_packet: &'a mut u64,
 }
 
 /// What one injection attempt did (see [`LinkTable::inject`]).
@@ -656,13 +654,13 @@ pub struct AdaptiveFabric {
     pub topo: Topology,
     /// The spec the fabric currently matches.
     pub current_spec: TopologySpec,
-    /// Per-node NICs (counters and packet-id allocation).
-    pub nics: Vec<Nic>,
     /// Collected metrics.
     pub metrics: FabricMetrics,
     control: ControlStep,
     flows: Vec<Flow>,
     progress: Vec<FlowProgress>,
+    /// Per-node packet sequence numbers (see [`Source::next_packet`]).
+    next_packet: Vec<u64>,
     /// Dense link/port interning for the current topology epoch.
     arena: LinkArena,
     links: LinkTable,
@@ -678,9 +676,7 @@ impl AdaptiveFabric {
     pub fn new(config: FabricConfig, flows: Vec<Flow>) -> Self {
         let mut phy = PhyState::new();
         let topo = config.spec.instantiate(&mut phy, config.lane_rate);
-        let nics = (0..config.spec.nodes as u32)
-            .map(|n| Nic::new(NodeId(n), config.port_buffer))
-            .collect();
+        let next_packet = vec![0; config.spec.nodes];
         let progress = vec![FlowProgress::default(); flows.len()];
         let control = ControlStep::new(&config);
         let arena = LinkArena::build(&topo);
@@ -696,11 +692,11 @@ impl AdaptiveFabric {
             config,
             phy,
             topo,
-            nics,
             metrics: FabricMetrics::default(),
             control,
             flows,
             progress,
+            next_packet,
             arena,
             links,
             completed_flows: 0,
@@ -747,7 +743,7 @@ impl AdaptiveFabric {
             index: flow_idx,
             flow,
             progress: &mut self.progress[flow_idx],
-            nic: &mut self.nics[flow.src.index()],
+            next_packet: &mut self.next_packet[flow.src.index()],
         };
         let dropped = &mut self.metrics.dropped_packets;
         match self
@@ -770,10 +766,11 @@ impl AdaptiveFabric {
         }
     }
 
-    /// Drops an in-flight train: the source re-sends its bytes after the
-    /// retry delay (merged into the flow's single injector chain).
-    fn drop_train(&mut self, ctx: &mut Context<FabricEvent>, flow_idx: usize, bytes: u64, n: u64) {
-        self.metrics.dropped_packets.add(n);
+    /// Drops an in-flight train, or its tail, as one drop: the source
+    /// re-sends its bytes after the retry delay (merged into the flow's
+    /// single injector chain).
+    fn drop_train(&mut self, ctx: &mut Context<FabricEvent>, flow_idx: usize, bytes: u64) {
+        self.metrics.dropped_packets.incr();
         let p = &mut self.progress[flow_idx];
         p.injected = p.injected.saturating_sub(bytes);
         let retry_at = ctx.now() + self.config.retry_delay;
@@ -797,7 +794,6 @@ impl AdaptiveFabric {
             Hop::Arrived => {
                 // Per-packet metrics at each packet's own analytic arrival
                 // instant.
-                self.nics[train.packets[0].dst.index()].deliver_train(&train.packets);
                 self.progress[flow_idx].delivered += self.metrics.record_delivery(&train.packets);
                 self.links.recycle(train.packets);
                 self.check_flow_completion(ctx, flow_idx);
@@ -808,15 +804,15 @@ impl AdaptiveFabric {
             Hop::Moved { next, cut } => {
                 // Event ids break same-instant ties, so the drop, which may
                 // arm the injector, goes before the train's next arrival.
-                if let Some((bytes, drops)) = cut {
-                    self.drop_train(ctx, flow_idx, bytes, drops);
+                if let Some(bytes) = cut {
+                    self.drop_train(ctx, flow_idx, bytes);
                 }
                 train.hop_index += 1;
                 ctx.schedule_at(next, FabricEvent::TrainArrive { train });
             }
-            Hop::Lost { bytes, drops } => {
+            Hop::Lost { bytes } => {
                 self.links.recycle(train.packets);
-                self.drop_train(ctx, flow_idx, bytes, drops);
+                self.drop_train(ctx, flow_idx, bytes);
             }
         }
     }
@@ -970,7 +966,6 @@ mod tests {
         assert_eq!(s.completed_flows, 1);
         assert_eq!(s.delivered_bytes, 15 * 1024);
         assert_eq!(s.dropped_packets, 0);
-        // Three switch hops... actually two intermediate switches (nodes 1, 2).
         assert!(s.packet_latency.p50 > 0.0);
         // Per-packet latency should be of order a few microseconds at most on
         // an idle 4-node line.
@@ -979,7 +974,18 @@ mod tests {
             "p_max latency {} ps is implausibly high",
             s.packet_latency.max
         );
-        assert!(fabric.metrics.breakdown.switch_hops > 0);
+        // Every packet crossed the two intermediate switches (nodes 1, 2),
+        // each adding the same cut-through traversal.
+        let capacity = fabric
+            .phy
+            .link(fabric.arena.link_id(LinkIdx(0)))
+            .unwrap()
+            .capacity();
+        let traversal = SwitchModel::cut_through().traversal_latency_at(Bytes::new(1500), capacity);
+        assert_eq!(
+            fabric.metrics.breakdown.switching,
+            traversal * (2 * s.delivered_packets)
+        );
     }
 
     #[test]
@@ -1271,7 +1277,7 @@ mod tests {
                 held.breakdown.queueing,
                 fence.saturating_since(was.arrived_at)
             );
-            assert_eq!(held.breakdown.switch_hops, 0);
+            assert_eq!(held.breakdown.switching, SimDuration::ZERO);
         }
         assert_eq!(line.epoch_bytes(), 0);
     }
@@ -1310,8 +1316,7 @@ mod tests {
                 was.arrived_at + latency + hot.propagation + hot.fec
             );
             assert_eq!(moved.breakdown.bypass, latency);
-            assert_eq!(moved.breakdown.bypassed_hops, 1);
-            assert_eq!(moved.breakdown.switch_hops, 0);
+            assert_eq!(moved.breakdown.switching, SimDuration::ZERO);
         }
         assert_eq!(line.links.epoch_bytes[out_link.index()], 3 * FRAME);
         assert_eq!(line.epoch_bytes(), 3 * FRAME);
@@ -1324,16 +1329,14 @@ mod tests {
         line.links.hot[out_link.index()] = LinkHot::default();
         let now = SimTime::from_micros(1);
         let mut packets = frames(3, now);
+        let before = packets.clone();
+        // One drop for the whole train, as for a train the port turns away.
         assert_eq!(
             line.forward(now, 1, &mut packets),
-            Hop::Lost {
-                bytes: 3 * FRAME,
-                drops: 3
-            }
+            Hop::Lost { bytes: 3 * FRAME }
         );
+        assert_eq!(packets, before, "nothing crossed the switch");
         assert_eq!(line.epoch_bytes(), 0);
-        let port = &line.links.ports[line.arena.port(NodeId(1), out_link).index()];
-        assert_eq!((port.accepted, port.dropped), (0, 0), "nothing was offered");
     }
 
     #[test]
@@ -1342,6 +1345,8 @@ mod tests {
         // is re-sent.
         let mut line = Line::new(Bytes::new(2 * FRAME));
         let out_link = line.route.link(1);
+        let rate = line.links.hot[out_link.index()].capacity;
+        let traversal = SwitchModel::cut_through().traversal_latency_at(Bytes::new(FRAME), rate);
         let now = SimTime::from_micros(1);
         let mut packets = frames(5, now);
         let hop = line.forward(now, 1, &mut packets);
@@ -1350,13 +1355,26 @@ mod tests {
             hop,
             Hop::Moved {
                 next: packets[1].arrived_at,
-                cut: Some((3 * FRAME, 1))
+                cut: Some(3 * FRAME)
             }
         );
-        assert!(packets.iter().all(|p| p.breakdown.switch_hops == 1));
+        assert!(packets.iter().all(|p| p.breakdown.switching == traversal));
         assert_eq!(line.links.epoch_bytes[out_link.index()], 2 * FRAME);
-        let port = &line.links.ports[line.arena.port(NodeId(1), out_link).index()];
-        assert_eq!((port.accepted, port.dropped), (2, 1));
+        // The port was offered the two frames it took and the one it
+        // dropped, and nothing of the tail behind them.
+        let mut alone = EgressQueue::new(Bytes::new(2 * FRAME));
+        for frame in frames(3, now) {
+            alone.enqueue(frame.arrived_at + traversal, frame.size, rate);
+        }
+        let port = &mut line.links.ports[line.arena.port(NodeId(1), out_link).index()];
+        for at in [now + SimDuration::from_nanos(500), SimTime::from_micros(5)] {
+            assert_eq!(port.backlog_at(at), alone.backlog_at(at), "backlog at {at}");
+            assert_eq!(
+                port.mean_occupancy(at),
+                alone.mean_occupancy(at),
+                "mean at {at}"
+            );
+        }
     }
 
     #[test]
@@ -1375,29 +1393,88 @@ mod tests {
         let mut packets = frames(3, now);
         assert_eq!(
             line.forward(now, 1, &mut packets),
-            Hop::Lost {
-                bytes: 3 * FRAME,
-                drops: 1
-            }
+            Hop::Lost { bytes: 3 * FRAME }
         );
         assert!(packets.is_empty());
         assert_eq!(line.epoch_bytes(), 0);
     }
 
+    /// A flow of `size` bytes from `src` to `dst`, starting at time zero.
+    fn flow(id: u64, src: u32, dst: u32, size: Bytes) -> Flow {
+        Flow {
+            id: rackfabric_workload::WorkloadFlowId(id),
+            src: NodeId(src),
+            dst: NodeId(dst),
+            size,
+            start_at: SimTime::ZERO,
+        }
+    }
+
+    /// A static fabric over `spec` with `flows` registered, for driving
+    /// [`LinkTable::inject`] by hand.
+    fn static_fabric(spec: TopologySpec, flows: Vec<Flow>) -> AdaptiveFabric {
+        let mut config = quick_config(spec);
+        config.adaptive = false;
+        config.routing = RoutingAlgorithm::ShortestHop;
+        AdaptiveFabric::new(config, flows)
+    }
+
+    /// One injection attempt of flow `index` at `at`.
+    fn inject(f: &mut AdaptiveFabric, index: usize, at: SimTime) -> Injection {
+        let net = Network {
+            topo: &f.topo,
+            arena: &f.arena,
+            spec: &f.current_spec,
+            racks: &f.racks,
+        };
+        let flow = f.flows[index];
+        let source = Source {
+            index,
+            flow,
+            progress: &mut f.progress[index],
+            next_packet: &mut f.next_packet[flow.src.index()],
+        };
+        f.links
+            .inject(&net, &f.config, at, source, &mut f.metrics.dropped_packets)
+    }
+
+    /// Packet ids are node-scoped: the source node in the high bits and its
+    /// sequence in the low 40, counted across all of the node's flows in
+    /// the order their trains are built. No export carries ids, so this is
+    /// what pins them.
+    #[test]
+    fn trains_number_their_packets_per_source_node() {
+        let size = Bytes::from_kib(64);
+        let flows = vec![
+            flow(0, 0, 2, size),
+            flow(1, 2, 0, size),
+            flow(2, 0, 1, size),
+        ];
+        let mut fabric = static_fabric(TopologySpec::line(3, 4), flows);
+        let ids = |f: &mut AdaptiveFabric, index: usize, at: SimTime| -> Vec<u64> {
+            let Injection::Sent(sent) = inject(f, index, at) else {
+                panic!("flow {index} sends at {at}");
+            };
+            sent.packets.iter().map(|p| p.id.0).collect()
+        };
+        let node =
+            |n: u64, seq: std::ops::Range<u64>| -> Vec<u64> { seq.map(|s| n << 40 | s).collect() };
+        let now = SimTime::ZERO;
+        // A 1 µs train window at 100 Gb/s holds eight MTU frames.
+        assert_eq!(ids(&mut fabric, 0, now), node(0, 0..8));
+        assert_eq!(ids(&mut fabric, 1, now), node(2, 0..8));
+        assert_eq!(ids(&mut fabric, 2, now), node(0, 8..16));
+        let later = SimTime::from_micros(5);
+        assert_eq!(ids(&mut fabric, 0, later), node(0, 16..24));
+        assert_eq!(ids(&mut fabric, 1, later), node(2, 8..16));
+        assert_eq!(fabric.next_packet, [24, 0, 16]);
+    }
+
     #[test]
     fn an_injection_into_a_full_port_builds_no_train() {
         use rackfabric_switch::packet::PacketId;
-        let mut config = quick_config(TopologySpec::line(2, 4));
-        config.adaptive = false;
-        config.routing = RoutingAlgorithm::ShortestHop;
-        let flows = vec![Flow {
-            id: rackfabric_workload::WorkloadFlowId(0),
-            src: NodeId(0),
-            dst: NodeId(1),
-            size: Bytes::from_kib(64),
-            start_at: SimTime::ZERO,
-        }];
-        let mut fabric = AdaptiveFabric::new(config, flows);
+        let flows = vec![flow(0, 0, 1, Bytes::from_kib(64))];
+        let mut fabric = static_fabric(TopologySpec::line(2, 4), flows);
         let (mtu, rate) = (fabric.config.mtu, BitRate::from_gbps(100));
         let now = SimTime::from_micros(1);
         for port in &mut fabric.links.ports {
@@ -1405,36 +1482,32 @@ mod tests {
                 port.enqueue(now, mtu, rate);
             }
         }
-        let port_drops = |f: &AdaptiveFabric| f.links.ports.iter().map(|p| p.dropped).sum::<u64>();
-        let inject = |f: &mut AdaptiveFabric, at: SimTime| {
-            let net = Network {
-                topo: &f.topo,
-                arena: &f.arena,
-                spec: &f.current_spec,
-                racks: &f.racks,
-            };
-            let source = Source {
-                index: 0,
-                flow: f.flows[0],
-                progress: &mut f.progress[0],
-                nic: &mut f.nics[0],
-            };
-            f.links
-                .inject(&net, &f.config, at, source, &mut f.metrics.dropped_packets)
-        };
+        // What the source's port would be after being offered the train's
+        // first frame alone.
+        let source_port = fabric.arena.port(NodeId(0), LinkIdx(0)).index();
+        let mut alone = fabric.links.ports[source_port].clone();
+        assert_eq!(alone.enqueue(now, mtu, rate), EnqueueOutcome::Dropped);
 
-        let rejected = inject(&mut fabric, now);
+        let rejected = inject(&mut fabric, 0, now);
         let retry_at = now + fabric.config.retry_delay;
         assert!(matches!(rejected, Injection::Wait(at) if at == retry_at));
         assert_eq!(fabric.metrics.dropped_packets.get(), 1);
-        assert_eq!(port_drops(&fabric), 1, "the first frame alone is offered");
+        let port = &mut fabric.links.ports[source_port];
+        for at in [now, SimTime::from_micros(2)] {
+            assert_eq!(port.backlog_at(at), alone.backlog_at(at), "backlog at {at}");
+            assert_eq!(
+                port.mean_occupancy(at),
+                alone.mean_occupancy(at),
+                "mean at {at}"
+            );
+        }
         assert!(fabric.links.spare.is_empty(), "no packet buffer was taken");
         assert_eq!(fabric.progress[0].injected, 0);
-        assert_eq!(fabric.nics[0].packets_sent, 0);
+        assert_eq!(fabric.next_packet[0], 0, "no packet id was taken");
 
         // Once the port drains, the next train numbers its packets from the
         // node's first id: the rejection built none.
-        let Injection::Sent(sent) = inject(&mut fabric, SimTime::from_millis(1)) else {
+        let Injection::Sent(sent) = inject(&mut fabric, 0, SimTime::from_millis(1)) else {
             panic!("a drained port admits the train");
         };
         assert_eq!(sent.packets[0].id, PacketId(0));

@@ -18,7 +18,10 @@ pub struct FabricMetrics {
     pub flow_completions: Vec<(WorkloadFlowId, SimDuration)>,
     /// Packets delivered.
     pub delivered_packets: Counter,
-    /// Packets dropped (buffer overflow or link unavailable).
+    /// Loss events, not packets: one per tail-drop at a port (which cuts a
+    /// train's tail off, or turns the whole train away) and one per train
+    /// or injection attempt a dead link stops, however many packets each
+    /// cost.
     pub dropped_packets: Counter,
     /// Bytes delivered to their destination.
     pub delivered_bytes: u64,
@@ -144,7 +147,7 @@ fn mean_y(series: &Series) -> f64 {
 pub struct RunSummary {
     /// Packets delivered end to end.
     pub delivered_packets: u64,
-    /// Packets lost to drops.
+    /// Loss events, not packets (see [`FabricMetrics::dropped_packets`]).
     pub dropped_packets: u64,
     /// Bytes delivered.
     pub delivered_bytes: u64,

@@ -7,9 +7,9 @@
 //!
 //! * Every shard owns a full-width link table (egress queues, epoch byte
 //!   counters, fences, link constants, route cache), of which it touches
-//!   only the ports its nodes transmit on, plus its nodes' NICs and the flow
-//!   progress of the flows *sourced* in the shard, and runs its own calendar
-//!   queue.
+//!   only the ports its nodes transmit on, plus its nodes' packet sequences
+//!   and the flow progress of the flows *sourced* in the shard, and runs its
+//!   own calendar queue.
 //! * A flow's trains start at its source shard through the injection the
 //!   monolithic engine runs too (`LinkTable::inject`), and move hop by hop
 //!   through its forwarding step too (`LinkTable::forward`); only the
@@ -68,7 +68,6 @@ use rackfabric_phy::PhyState;
 use rackfabric_sim::engine::RunOutcome;
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::windowed::{ShardModel, ShardsView, SyncHook, WindowCtx, WindowedSim};
-use rackfabric_switch::nic::Nic;
 use rackfabric_switch::packet::Packet;
 use rackfabric_topo::arena::LinkArena;
 use rackfabric_topo::cache::InternedRoute;
@@ -216,8 +215,9 @@ pub struct ShardFabric {
     progress: Vec<FlowProgress>,
     /// Per-flow train sequence numbers (source shard only).
     train_seq: Vec<u32>,
-    /// Per-node NICs; only this shard's nodes are touched.
-    nics: Vec<Nic>,
+    /// Per-node packet sequence numbers; only this shard's nodes are
+    /// touched.
+    next_packet: Vec<u64>,
     /// Full-width link table; only ports transmitted by this shard's nodes
     /// are touched, and the byte counters hold this shard's contribution.
     links: LinkTable,
@@ -302,7 +302,7 @@ impl ShardFabric {
             index: flow_idx,
             flow,
             progress: &mut self.progress[flow_idx],
-            nic: &mut self.nics[flow.src.index()],
+            next_packet: &mut self.next_packet[flow.src.index()],
         };
         let dropped = &mut self.metrics.dropped_packets;
         match self.links.inject(&net, &self.config, now, source, dropped) {
@@ -324,20 +324,19 @@ impl ShardFabric {
         }
     }
 
-    /// Sends a drop notification to the flow's source shard: `n` packets
-    /// carrying `bytes` were lost by the train with `(seq, hop)` identity.
-    /// `buffer` is the packet buffer of a train dropped whole, returned to
-    /// the source shard.
+    /// Counts one drop and sends a drop notification to the flow's source
+    /// shard: the train with `(seq, hop)` identity lost packets carrying
+    /// `bytes`. `buffer` is the packet buffer of a train dropped whole,
+    /// returned to the source shard.
     fn notify_drop(
         &mut self,
         ctx: &mut WindowCtx<'_, ShardEvent>,
         flow_idx: usize,
         bytes: u64,
-        n: u64,
         (seq, hop): (u32, usize),
         buffer: Vec<Packet>,
     ) {
-        self.metrics.dropped_packets.add(n);
+        self.metrics.dropped_packets.incr();
         let src = self.flows[flow_idx].src;
         let to = self.owner_of(src);
         ctx.send(
@@ -372,7 +371,6 @@ impl ShardFabric {
             Hop::Arrived => {
                 // Per-packet metrics at each packet's own analytic arrival
                 // instant, then one ack back to the source shard.
-                self.nics[train.packets[0].dst.index()].deliver_train(&train.packets);
                 let bytes = self.metrics.record_delivery(&train.packets);
                 let to = self.owner_of(self.flows[flow_idx].src);
                 ctx.send(
@@ -391,16 +389,14 @@ impl ShardFabric {
                 ctx.schedule(at, key, ShardEvent::Train(train));
             }
             Hop::Moved { next, cut } => {
-                if let Some((bytes, drops)) = cut {
-                    self.notify_drop(ctx, flow_idx, bytes, drops, id, Vec::new());
+                if let Some(bytes) = cut {
+                    self.notify_drop(ctx, flow_idx, bytes, id, Vec::new());
                 }
                 train.hop += 1;
                 self.emit_train(ctx, next, flow_idx, train);
             }
             // A train lost whole hands its buffer back with the ack.
-            Hop::Lost { bytes, drops } => {
-                self.notify_drop(ctx, flow_idx, bytes, drops, id, train.packets)
-            }
+            Hop::Lost { bytes } => self.notify_drop(ctx, flow_idx, bytes, id, train.packets),
         }
     }
 }
@@ -705,9 +701,7 @@ impl ShardedFabric {
                     flows: flows.clone(),
                     progress: vec![FlowProgress::default(); flows.len()],
                     train_seq: vec![0; flows.len()],
-                    nics: (0..shared.spec.nodes as u32)
-                        .map(|n| Nic::new(NodeId(n), config.port_buffer))
-                        .collect(),
+                    next_packet: vec![0; shared.spec.nodes],
                     links: LinkTable::new(
                         &shared.arena,
                         config.port_buffer,

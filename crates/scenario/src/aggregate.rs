@@ -28,7 +28,8 @@ pub struct CellSummary {
     pub queueing_latency: Summary,
     /// Total bytes delivered across replicates.
     pub delivered_bytes: u64,
-    /// Total packets dropped across replicates.
+    /// Total loss events across replicates (see
+    /// `RunSummary::dropped_packets`).
     pub dropped_packets: u64,
     /// Mean goodput over completed replicates (Gb/s).
     pub mean_goodput_gbps: f64,

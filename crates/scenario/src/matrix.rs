@@ -53,8 +53,7 @@ pub enum AxisValue {
     /// Set the switch datapath model (forwarding discipline + pipeline
     /// latency) used at every node.
     SwitchModel(SwitchModel),
-    /// Set the per-port egress buffer (tail-drop depth; ECN marks above
-    /// half of it).
+    /// Set the per-port egress buffer (the tail-drop depth).
     PortBuffer(Bytes),
     /// Set the PLP reconfiguration-latency table (what every reconfiguration
     /// command costs before traffic may resume).

@@ -373,7 +373,7 @@ pub struct ScenarioSpec {
     /// The switch datapath model used at every node (forwarding discipline
     /// plus pipeline latency).
     pub switch: SwitchModel,
-    /// Egress buffer per port (tail drop beyond it, ECN above half).
+    /// Egress buffer per port (tail drop beyond it).
     pub port_buffer: Bytes,
     /// Reconfiguration-latency table charged per PLP command class.
     pub plp_timing: PlpTiming,
@@ -570,8 +570,7 @@ impl ScenarioSpec {
         config.stop_when_done = self.stop_when_done;
         config.sim = SimConfig::with_seed(self.seed)
             .horizon(self.horizon)
-            .event_budget(self.event_budget)
-            .label(self.name.clone());
+            .event_budget(self.event_budget);
         config
     }
 }
@@ -656,7 +655,7 @@ mod tests {
         let config = spec.to_fabric_config();
         assert!(config.adaptive);
         assert_eq!(config.sim.seed, 77);
-        assert_eq!(config.sim.label, "unit");
+        assert_eq!(config.sim.horizon, SimTime::from_millis(10));
         assert_eq!(
             config.upgrade_spec.as_ref().unwrap().name,
             TopologySpec::torus(3, 3, 1).name

@@ -1,12 +1,8 @@
 //! Simulation configuration.
 //!
 //! Every experiment is described by a [`SimConfig`] (engine-level knobs) that
-//! higher layers embed into their own configuration structs. Keeping it
-//! serde-serialisable lets the benchmark harness dump the exact configuration
-//! next to each result, which is what makes the figure exports pinned under
-//! `golden/paper/` reproducible.
+//! higher layers embed into their own configuration structs.
 
-use crate::json::{self, JsonError};
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -20,8 +16,6 @@ pub struct SimConfig {
     /// Upper bound on processed events, as a livelock guard (`u64::MAX` to
     /// disable).
     pub event_budget: u64,
-    /// Free-form label recorded alongside results.
-    pub label: String,
 }
 
 impl Default for SimConfig {
@@ -30,7 +24,6 @@ impl Default for SimConfig {
             seed: 1,
             horizon: SimTime::from_millis(100),
             event_budget: u64::MAX,
-            label: String::new(),
         }
     }
 }
@@ -50,51 +43,10 @@ impl SimConfig {
         self
     }
 
-    /// Sets the label, returning the modified config.
-    pub fn label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-
     /// Sets the event budget, returning the modified config.
     pub fn event_budget(mut self, budget: u64) -> Self {
         self.event_budget = budget;
         self
-    }
-
-    /// Serialises the config to a JSON string (used by the experiment
-    /// harness to record run provenance).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"seed\": {},\n  \"horizon_ps\": {},\n  \"event_budget\": {},\n  \"label\": \"{}\"\n}}",
-            self.seed,
-            self.horizon.as_picos(),
-            self.event_budget,
-            json::escape(&self.label),
-        )
-    }
-
-    /// Parses a config from JSON.
-    pub fn from_json(s: &str) -> Result<Self, JsonError> {
-        let doc = json::parse(s)?;
-        let field = |key: &str| {
-            doc.get(key)
-                .ok_or_else(|| JsonError::schema(format!("missing field \"{key}\"")))
-        };
-        let number = |key: &str| {
-            field(key)?
-                .as_u64()
-                .ok_or_else(|| JsonError::schema(format!("field \"{key}\" must be a u64")))
-        };
-        Ok(SimConfig {
-            seed: number("seed")?,
-            horizon: SimTime::from_picos(number("horizon_ps")?),
-            event_budget: number("event_budget")?,
-            label: field("label")?
-                .as_str()
-                .ok_or_else(|| JsonError::schema("field \"label\" must be a string"))?
-                .to_string(),
-        })
     }
 }
 
@@ -114,24 +66,9 @@ mod tests {
     fn builder_methods_chain() {
         let c = SimConfig::with_seed(42)
             .horizon(SimTime::from_secs(1))
-            .label("fig1")
             .event_budget(1000);
         assert_eq!(c.seed, 42);
         assert_eq!(c.horizon, SimTime::from_secs(1));
-        assert_eq!(c.label, "fig1");
         assert_eq!(c.event_budget, 1000);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let c = SimConfig::with_seed(7).label("round-trip");
-        let json = c.to_json();
-        let back = SimConfig::from_json(&json).unwrap();
-        assert_eq!(c, back);
-    }
-
-    #[test]
-    fn json_rejects_garbage() {
-        assert!(SimConfig::from_json("not json").is_err());
     }
 }

@@ -2,7 +2,6 @@
 //!
 //! The build environment has no registry access, so `serde_json` is not
 //! available; this module covers the repository's actual JSON needs instead:
-//! recording run provenance next to experiment results ([`crate::config`]),
 //! exporting scenario-matrix aggregates (`rackfabric-scenario`), and the
 //! result store's records, journals and `rackfabricd` lines above them.
 //! Numbers keep their source text so `u64` values (e.g. an event budget of
@@ -108,23 +107,13 @@ impl JsonValue {
     }
 }
 
-/// A parse (or schema) error with a byte offset into the input.
+/// A parse error with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError {
     /// What went wrong.
     pub message: String,
-    /// Byte offset in the input, when known.
+    /// Byte offset in the input.
     pub offset: usize,
-}
-
-impl JsonError {
-    /// An error not tied to a source position (e.g. a missing field).
-    pub fn schema(message: impl Into<String>) -> Self {
-        JsonError {
-            message: message.into(),
-            offset: 0,
-        }
-    }
 }
 
 impl fmt::Display for JsonError {

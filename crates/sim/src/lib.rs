@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::event::{Context, Model};
     pub use crate::queue::{EventQueue, Scheduler};
     pub use crate::rng::DetRng;
-    pub use crate::stats::{Counter, Histogram, RateMeter, Series, Summary, TimeWeighted};
+    pub use crate::stats::{Counter, Histogram, Series, Summary, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::units::{BitRate, Bytes, Energy, Length, Power};
     pub use crate::windowed::{ShardModel, SyncHook, WindowCtx, WindowedOutcome, WindowedSim};

@@ -3,8 +3,8 @@
 //! Every figure export pinned under `golden/` is produced from these
 //! collectors: monotonic [`Counter`]s, log-bucketed [`Histogram`]s for
 //! latency percentiles, [`TimeWeighted`] gauges for occupancy and power,
-//! [`RateMeter`]s for throughput, and [`Series`] recorders for plotting a
-//! value against simulated time (the figures).
+//! and [`Series`] recorders for plotting a value against simulated time (the
+//! figures).
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -222,18 +222,19 @@ impl Histogram {
     /// `(representative value, count)` pairs of [`Histogram::sparse_counts`],
     /// the integer [`Histogram::sample_sum`], and the recorded min/max
     /// samples. Round-trips bit-identically: every representative value maps
-    /// back to the bucket it came from.
+    /// back to the bucket it came from. `None` when the counts overflow a
+    /// `u64`, in a bucket or in total: no histogram has them.
     pub fn from_sparse(
         sparse: &[(u64, u64)],
         sum: u128,
         min: Option<u64>,
         max: Option<u64>,
-    ) -> Histogram {
+    ) -> Option<Histogram> {
         let mut h = Histogram::new();
         for &(value, count) in sparse {
-            let idx = Self::bucket_index(value);
-            h.counts[idx] += count;
-            h.total += count;
+            let bucket = &mut h.counts[Self::bucket_index(value)];
+            *bucket = bucket.checked_add(count)?;
+            h.total = h.total.checked_add(count)?;
         }
         h.sum = sum;
         if let Some(min) = min {
@@ -242,7 +243,7 @@ impl Histogram {
         if let Some(max) = max {
             h.max = max as f64;
         }
-        h
+        Some(h)
     }
 
     /// Merges another histogram into this one. Merging is exact: counts and
@@ -267,7 +268,6 @@ pub struct TimeWeighted {
     last_value: f64,
     weighted_sum: f64,
     elapsed_ps: f64,
-    max: f64,
     started: bool,
 }
 
@@ -285,7 +285,6 @@ impl TimeWeighted {
             last_value: 0.0,
             weighted_sum: 0.0,
             elapsed_ps: 0.0,
-            max: f64::NEG_INFINITY,
             started: false,
         }
     }
@@ -300,7 +299,6 @@ impl TimeWeighted {
         self.started = true;
         self.last_time = now;
         self.last_value = value;
-        self.max = self.max.max(value);
     }
 
     /// Closes the observation window at `now` and returns the time-weighted
@@ -313,91 +311,6 @@ impl TimeWeighted {
             self.last_value
         } else {
             self.weighted_sum / self.elapsed_ps
-        }
-    }
-
-    /// The maximum value ever set (or 0 when never set).
-    pub fn max(&self) -> f64 {
-        if self.max == f64::NEG_INFINITY {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// The most recent value (or 0 when never set).
-    pub fn current(&self) -> f64 {
-        if self.started {
-            self.last_value
-        } else {
-            0.0
-        }
-    }
-}
-
-/// An exponentially weighted rate meter for throughput-style measurements.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RateMeter {
-    window: SimDuration,
-    last_update: SimTime,
-    bytes_in_window: f64,
-    rate_bps: f64,
-    total_bytes: u64,
-}
-
-impl RateMeter {
-    /// Creates a meter with the given smoothing window.
-    pub fn new(window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "rate meter window must be non-zero");
-        RateMeter {
-            window,
-            last_update: SimTime::ZERO,
-            bytes_in_window: 0.0,
-            rate_bps: 0.0,
-            total_bytes: 0,
-        }
-    }
-
-    /// Records `bytes` delivered at time `now`.
-    pub fn record(&mut self, now: SimTime, bytes: u64) {
-        self.decay_to(now);
-        self.bytes_in_window += bytes as f64;
-        self.total_bytes += bytes;
-        self.refresh_rate();
-    }
-
-    fn decay_to(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.last_update);
-        if dt.is_zero() {
-            return;
-        }
-        let alpha = (-(dt.as_picos() as f64) / self.window.as_picos() as f64).exp();
-        self.bytes_in_window *= alpha;
-        self.last_update = now;
-    }
-
-    fn refresh_rate(&mut self) {
-        let window_s = self.window.as_secs_f64();
-        self.rate_bps = self.bytes_in_window * 8.0 / window_s;
-    }
-
-    /// The smoothed rate in bits per second as of the last record.
-    pub fn rate_bps(&self) -> f64 {
-        self.rate_bps
-    }
-
-    /// Total bytes ever recorded.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Average goodput over `[start, end]` based on the total byte count.
-    pub fn average_bps(&self, start: SimTime, end: SimTime) -> f64 {
-        let dt = end.saturating_since(start).as_secs_f64();
-        if dt <= 0.0 {
-            0.0
-        } else {
-            self.total_bytes as f64 * 8.0 / dt
         }
     }
 }
@@ -543,15 +456,26 @@ mod tests {
             h.sample_sum(),
             h.min_sample(),
             h.max_sample(),
-        );
+        )
+        .unwrap();
         assert_eq!(back.count(), h.count());
         assert_eq!(back.sample_sum(), h.sample_sum());
         assert_eq!(back.summary(), h.summary());
         assert_eq!(back.sparse_counts(), h.sparse_counts());
 
-        let empty = Histogram::from_sparse(&[], 0, None, None);
+        let empty = Histogram::from_sparse(&[], 0, None, None).unwrap();
         assert_eq!(empty.summary(), Summary::empty());
         assert_eq!(empty.sparse_counts(), Vec::new());
+    }
+
+    #[test]
+    fn histogram_from_sparse_rejects_counts_past_u64() {
+        let max = u64::MAX;
+        // One bucket, and the total over two buckets.
+        assert!(Histogram::from_sparse(&[(7, max), (7, 1)], 0, None, None).is_none());
+        assert!(Histogram::from_sparse(&[(7, max), (8, 1)], 0, None, None).is_none());
+        let full = Histogram::from_sparse(&[(7, max - 1), (8, 1)], 0, None, None).unwrap();
+        assert_eq!(full.count(), max);
     }
 
     #[test]
@@ -570,42 +494,12 @@ mod tests {
         let mean = g.mean_until(SimTime::from_nanos(100));
         // 0 for 50 ns then 10 for 50 ns -> mean 5.
         assert!((mean - 5.0).abs() < 1e-9, "mean was {mean}");
-        assert_eq!(g.max(), 10.0);
-        assert_eq!(g.current(), 10.0);
     }
 
     #[test]
     fn time_weighted_unset_is_zero() {
         let mut g = TimeWeighted::new();
         assert_eq!(g.mean_until(SimTime::from_secs(1)), 0.0);
-        assert_eq!(g.max(), 0.0);
-        assert_eq!(g.current(), 0.0);
-    }
-
-    #[test]
-    fn rate_meter_tracks_constant_stream() {
-        let mut m = RateMeter::new(SimDuration::from_micros(10));
-        // 1250 bytes every microsecond is 10 Gb/s.
-        for i in 1..=200u64 {
-            m.record(SimTime::from_micros(i), 1250);
-        }
-        let rate = m.rate_bps();
-        assert!(
-            (rate - 1e10).abs() / 1e10 < 0.25,
-            "smoothed rate should approach 10 Gb/s, was {rate}"
-        );
-        assert_eq!(m.total_bytes(), 250_000);
-        let avg = m.average_bps(SimTime::ZERO, SimTime::from_micros(200));
-        assert!((avg - 1e10).abs() / 1e10 < 0.01, "average was {avg}");
-    }
-
-    #[test]
-    fn rate_meter_decays_when_idle() {
-        let mut m = RateMeter::new(SimDuration::from_micros(1));
-        m.record(SimTime::from_micros(1), 10_000);
-        let busy = m.rate_bps();
-        m.record(SimTime::from_micros(100), 0);
-        assert!(m.rate_bps() < busy / 100.0);
     }
 
     #[test]

@@ -660,7 +660,12 @@ fn read_histogram(r: &mut Reader<'_>) -> Result<Option<Histogram>, JsonError> {
             }
         })
     })?;
-    Ok((decoded == fields.len()).then(|| Histogram::from_sparse(&buckets, sum, min, max)))
+    // Counts that overflow a u64 make no histogram: the record misses.
+    Ok(if decoded == fields.len() {
+        Histogram::from_sparse(&buckets, sum, min, max)
+    } else {
+        None
+    })
 }
 
 /// Reads a histogram's `[[value, count], ...]` into `out`; false when it is

@@ -9,25 +9,22 @@
 //! adaptive fabric then works around:
 //!
 //! * [`packet`] — packets, flows, and per-packet latency breakdowns.
-//! * [`queue`] — egress-port queues with tail-drop and ECN marking, the
-//!   source of queueing delay and congestion telemetry.
+//! * [`queue`] — egress-port queues with tail-drop, the source of queueing
+//!   delay and of the occupancy telemetry the Closed Ring Control prices
+//!   links by.
 //! * [`model`] — cut-through and store-and-forward switch datapath models
 //!   (per-hop latency), plus an iSLIP-style round-robin crossbar arbiter used
 //!   by the cycle-level hardware model.
-//! * [`nic`] — the host NIC injection path (serialization at the sender and
-//!   an injection queue).
 //! * [`train`] — packet trains: batches of back-to-back frames that move
 //!   through the fabric with one event per link drain instead of one per
 //!   packet, the event-collapsing core of the hot-path refactor.
 
 pub mod model;
-pub mod nic;
 pub mod packet;
 pub mod queue;
 pub mod train;
 
 pub use model::{CrossbarArbiter, SwitchKind, SwitchModel};
-pub use nic::Nic;
 pub use packet::{FlowId, LatencyBreakdown, Packet, PacketId};
 pub use queue::{EgressQueue, EnqueueOutcome, TrainAdmission};
 pub use train::{train_frames, Train};

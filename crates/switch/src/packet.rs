@@ -77,7 +77,8 @@ impl Packet {
 /// the paper's Figure 1.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyBreakdown {
-    /// Serialization onto links (sender NIC plus store-and-forward hops).
+    /// Serialization onto the source's first link (a store-and-forward hop
+    /// re-serialises within its switch traversal, charged to `switching`).
     pub serialization: SimDuration,
     /// Propagation through the medium.
     pub propagation: SimDuration,
@@ -89,10 +90,6 @@ pub struct LatencyBreakdown {
     pub fec: SimDuration,
     /// Bypass cross-connect retiming.
     pub bypass: SimDuration,
-    /// Number of switch hops traversed (bypassed nodes are not counted).
-    pub switch_hops: u32,
-    /// Number of bypassed nodes.
-    pub bypassed_hops: u32,
 }
 
 impl LatencyBreakdown {
@@ -135,8 +132,6 @@ impl LatencyBreakdown {
         self.queueing += other.queueing;
         self.fec += other.fec;
         self.bypass += other.bypass;
-        self.switch_hops += other.switch_hops;
-        self.bypassed_hops += other.bypassed_hops;
     }
 }
 
@@ -172,15 +167,14 @@ mod tests {
             queueing: SimDuration::from_nanos(70),
             fec: SimDuration::ZERO,
             bypass: SimDuration::ZERO,
-            switch_hops: 1,
-            bypassed_hops: 0,
         };
         assert_eq!(b.total(), SimDuration::from_nanos(600));
         assert!((b.switching_fraction() - 400.0 / 600.0).abs() < 1e-9);
         let other = b;
         b.accumulate(&other);
         assert_eq!(b.total(), SimDuration::from_nanos(1200));
-        assert_eq!(b.switch_hops, 2);
+        assert_eq!(b.switching, SimDuration::from_nanos(800));
+        assert!((b.switching_fraction() - 400.0 / 600.0).abs() < 1e-9);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Each directed use of a link has an egress queue at its transmitting node.
 //! The queue serialises packets at the link's effective rate, tail-drops when
-//! a configured buffer is exceeded, marks ECN above a threshold, and exposes
-//! occupancy telemetry — the congestion signal the Closed Ring Control prices
-//! links by.
+//! a configured buffer is exceeded, and exposes occupancy telemetry — the
+//! congestion signal the Closed Ring Control prices links by.
 
 use crate::packet::Packet;
 use rackfabric_sim::stats::TimeWeighted;
@@ -25,8 +24,6 @@ pub enum EnqueueOutcome {
         serialization: SimDuration,
         /// Absolute instant the last bit leaves the port.
         departs_at: SimTime,
-        /// True if the queue was above its ECN threshold on arrival.
-        ecn_marked: bool,
     },
     /// The buffer was full; the packet is dropped.
     Dropped,
@@ -39,8 +36,9 @@ pub struct TrainAdmission {
     /// Packets admitted — always a prefix of the offered train (the first
     /// tail-drop stops the batch; the source retries the remainder).
     pub accepted: usize,
-    /// True if the packet following the accepted prefix was tail-dropped
-    /// (counted in [`EgressQueue::dropped`]).
+    /// True if the packet following the accepted prefix was tail-dropped.
+    /// The packets after it were not offered; the caller counts the cut as
+    /// one loss.
     pub dropped: bool,
     /// Departure instant of the last accepted packet (only meaningful when
     /// `accepted > 0`).
@@ -50,44 +48,28 @@ pub struct TrainAdmission {
     pub last_arrives_at: SimTime,
 }
 
-/// An egress port queue with tail-drop and ECN marking.
+/// An egress port queue with tail-drop.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EgressQueue {
     /// Buffer size in bytes (tail drop beyond this).
     pub buffer: Bytes,
-    /// ECN marking threshold in bytes.
-    pub ecn_threshold: Bytes,
     busy_until: SimTime,
     queued_bytes: u64,
     last_drain: SimTime,
     drain_rate: BitRate,
     occupancy: TimeWeighted,
-    /// Packets accepted.
-    pub accepted: u64,
-    /// Packets dropped at the tail.
-    pub dropped: u64,
-    /// Packets ECN-marked.
-    pub marked: u64,
-    /// Bytes transmitted.
-    pub bytes_out: u64,
 }
 
 impl EgressQueue {
-    /// Creates a queue with `buffer` bytes of storage; ECN marks above half
-    /// the buffer.
+    /// Creates a queue with `buffer` bytes of storage.
     pub fn new(buffer: Bytes) -> Self {
         EgressQueue {
             buffer,
-            ecn_threshold: Bytes::new(buffer.as_u64() / 2),
             busy_until: SimTime::ZERO,
             queued_bytes: 0,
             last_drain: SimTime::ZERO,
             drain_rate: BitRate::ZERO,
             occupancy: TimeWeighted::new(),
-            accepted: 0,
-            dropped: 0,
-            marked: 0,
-            bytes_out: 0,
         }
     }
 
@@ -124,7 +106,6 @@ impl EgressQueue {
     /// own `now` through the monotone `busy_until` chain.
     pub fn enqueue(&mut self, now: SimTime, size: Bytes, rate: BitRate) -> EnqueueOutcome {
         if rate.is_zero() {
-            self.dropped += 1;
             return EnqueueOutcome::Dropped;
         }
         // Advance the drain model to now (monotonically).
@@ -134,14 +115,8 @@ impl EgressQueue {
         self.drain_rate = rate;
 
         if backlog + size.as_u64() > self.buffer.as_u64() {
-            self.dropped += 1;
             self.occupancy.set(self.last_drain, backlog as f64);
             return EnqueueOutcome::Dropped;
-        }
-
-        let ecn_marked = backlog >= self.ecn_threshold.as_u64();
-        if ecn_marked {
-            self.marked += 1;
         }
 
         let serialization = rate.serialization_delay(size);
@@ -154,8 +129,6 @@ impl EgressQueue {
         let departs_at = start + serialization;
         self.busy_until = departs_at;
         self.queued_bytes += size.as_u64();
-        self.accepted += 1;
-        self.bytes_out += size.as_u64();
         self.occupancy
             .set(self.last_drain, self.queued_bytes as f64);
 
@@ -163,7 +136,6 @@ impl EgressQueue {
             queueing,
             serialization,
             departs_at,
-            ecn_marked,
         }
     }
 
@@ -175,10 +147,10 @@ impl EgressQueue {
     /// its last frame's arrival. Each accepted packet's latency breakdown is
     /// updated and its `arrived_at` becomes its departure plus `propagation`
     /// and `fec`. Admission stops at the first tail-drop: the dropped packet
-    /// is counted and the rest of the train is left untouched for the source
-    /// to retry. When `charge_serialization` is false the serialization
-    /// delay still shapes departures but is not added to the breakdown
-    /// (forwarding hops charge only queueing, matching the per-packet path).
+    /// and the rest of the train are left untouched for the source to retry.
+    /// When `charge_serialization` is false the serialization delay still
+    /// shapes departures but is not added to the breakdown (forwarding hops
+    /// charge only queueing, matching the per-packet path).
     pub fn enqueue_train(
         &mut self,
         packets: &mut [Packet],
@@ -199,7 +171,6 @@ impl EgressQueue {
                     queueing,
                     serialization,
                     departs_at,
-                    ..
                 } => {
                     packet.breakdown.queueing += queueing;
                     if charge_serialization {
@@ -226,41 +197,6 @@ impl EgressQueue {
     pub fn mean_occupancy(&mut self, now: SimTime) -> f64 {
         self.occupancy.mean_until(now)
     }
-
-    /// Peak occupancy in bytes.
-    pub fn peak_occupancy(&self) -> f64 {
-        self.occupancy.max()
-    }
-
-    /// Utilization of the port over `[window_start, now]`: transmitted bytes
-    /// relative to what the rate could have carried.
-    pub fn utilization(&self, window_start: SimTime, now: SimTime, rate: BitRate) -> f64 {
-        let capacity = rate.bytes_in(now.saturating_since(window_start)).as_u64();
-        if capacity == 0 {
-            0.0
-        } else {
-            self.bytes_out as f64 / capacity as f64
-        }
-    }
-
-    /// Drop probability observed so far.
-    pub fn drop_rate(&self) -> f64 {
-        let offered = self.accepted + self.dropped;
-        if offered == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / offered as f64
-        }
-    }
-
-    /// Resets byte/packet counters (not the drain state); used when a
-    /// telemetry epoch closes.
-    pub fn reset_counters(&mut self) {
-        self.accepted = 0;
-        self.dropped = 0;
-        self.marked = 0;
-        self.bytes_out = 0;
-    }
 }
 
 #[cfg(test)]
@@ -278,12 +214,10 @@ mod tests {
                 queueing,
                 serialization,
                 departs_at,
-                ecn_marked,
             } => {
                 assert_eq!(queueing, SimDuration::ZERO);
                 assert_eq!(serialization.as_picos(), 120_000);
                 assert_eq!(departs_at, SimTime::from_micros(1) + serialization);
-                assert!(!ecn_marked);
             }
             EnqueueOutcome::Dropped => panic!("must accept"),
         }
@@ -339,37 +273,17 @@ mod tests {
             q.enqueue(t, Bytes::new(1500), GBPS100),
             EnqueueOutcome::Dropped
         );
-        assert_eq!(q.accepted, 2);
-        assert_eq!(q.dropped, 1);
-        assert!((q.drop_rate() - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ecn_marks_above_threshold() {
-        let mut q = EgressQueue::new(Bytes::new(10_000));
-        assert_eq!(q.ecn_threshold, Bytes::new(5_000));
-        let t = SimTime::from_micros(1);
-        // Fill past the threshold.
-        for _ in 0..4 {
-            q.enqueue(t, Bytes::new(1500), GBPS100);
-        }
-        // Backlog is now 6000 >= 5000, so the next packet is marked.
-        let out = q.enqueue(t, Bytes::new(1500), GBPS100);
-        assert!(matches!(
-            out,
-            EnqueueOutcome::Accepted {
-                ecn_marked: true,
-                ..
-            }
-        ));
-        assert_eq!(q.marked, 1);
+        // Only the two accepted frames count towards the backlog and the
+        // occupancy the port reports.
+        assert_eq!(q.backlog_at(t), 3000);
+        assert_eq!(q.mean_occupancy(t + SimDuration::from_nanos(10)), 3000.0);
     }
 
     /// Regression test: trains converging from different upstream hops can
     /// offer frames whose readiness instants go *backwards* relative to the
     /// port's accounting high-water mark. Rewinding `last_drain` would
     /// double-drain the overlap window and undercount backlog (missing
-    /// tail-drops and ECN marks).
+    /// tail-drops).
     #[test]
     fn out_of_order_enqueues_do_not_rewind_the_drain_model() {
         let mut q = EgressQueue::new(Bytes::new(3200));
@@ -431,8 +345,9 @@ mod tests {
         let arrivals: Vec<SimTime> = packets.iter().map(|p| p.arrived_at).collect();
         assert_eq!(arrivals, reference, "per-packet arrivals must be exact");
         assert_eq!(admission.last_arrives_at, *reference.last().unwrap());
-        assert_eq!(batched.accepted, seq.accepted);
-        assert_eq!(batched.bytes_out, seq.bytes_out);
+        let later = t + SimDuration::from_nanos(500);
+        assert_eq!(batched.backlog_at(t), seq.backlog_at(t));
+        assert_eq!(batched.mean_occupancy(later), seq.mean_occupancy(later));
         // Breakdown accounting: the second packet queued behind the first.
         assert!(packets[1].breakdown.queueing > SimDuration::ZERO);
         assert_eq!(packets[1].breakdown.propagation, prop);
@@ -469,8 +384,7 @@ mod tests {
         );
         assert_eq!(admission.accepted, 2);
         assert!(admission.dropped);
-        assert_eq!(q.accepted, 2);
-        assert_eq!(q.dropped, 1, "only the first overflow is counted");
+        assert_eq!(q.backlog_at(t), 3000, "only the accepted prefix is queued");
         // The untouched tail packet kept its pristine breakdown.
         assert_eq!(packets[3].breakdown.queueing, SimDuration::ZERO);
         assert_eq!(packets[3].arrived_at, t);
@@ -532,9 +446,6 @@ mod tests {
             EnqueueOutcome::Dropped
         );
         let same = |whole: &mut EgressQueue, alone: &mut EgressQueue| {
-            let counters = |q: &EgressQueue| (q.accepted, q.dropped, q.marked, q.bytes_out);
-            assert_eq!(counters(whole), counters(alone));
-            assert_eq!(whole.peak_occupancy(), alone.peak_occupancy());
             for at in [now, t(1_010), t(1_020), t(1_100), t(5_000)] {
                 assert_eq!(
                     whole.backlog_at(at),
@@ -571,21 +482,24 @@ mod tests {
     #[test]
     fn utilization_and_occupancy_telemetry() {
         let mut q = EgressQueue::new(Bytes::from_kib(256));
-        let start = SimTime::ZERO;
-        let mut now = start;
+        let mut now = SimTime::ZERO;
+        let mut busy = SimDuration::ZERO;
         for _ in 0..100 {
-            q.enqueue(now, Bytes::new(1500), GBPS100);
+            let EnqueueOutcome::Accepted {
+                queueing,
+                serialization,
+                ..
+            } = q.enqueue(now, Bytes::new(1500), GBPS100)
+            else {
+                panic!("an idle port accepts");
+            };
+            assert!(queueing.is_zero(), "at 50% load no frame waits");
+            busy += serialization;
             now += SimDuration::from_nanos(240); // offered at 50% load
         }
-        let util = q.utilization(start, now, GBPS100);
-        assert!(
-            (0.4..0.7).contains(&util),
-            "expected ~0.5 utilization, got {util}"
-        );
-        assert!(q.mean_occupancy(now) >= 0.0);
-        assert!(q.peak_occupancy() >= 1500.0);
-        q.reset_counters();
-        assert_eq!(q.accepted, 0);
-        assert_eq!(q.bytes_out, 0);
+        assert_eq!(busy.ratio(now.saturating_since(SimTime::ZERO)), 0.5);
+        // Each offer finds the previous frame gone, so the occupancy steps
+        // to one frame and holds it until the next offer.
+        assert_eq!(q.mean_occupancy(now), 1500.0);
     }
 }
