@@ -35,8 +35,9 @@
 //!   engines as `LinkTable::forward`; each engine keeps only its own
 //!   bookkeeping and scheduling around it.
 //! * A train allocates nothing of its own beyond its route's first walk.
-//!   Injection, written once for both engines as `LinkTable::inject`, first
-//!   asks the first link's port whether the train's first frame fits; if
+//!   Injection, written once for both engines as `LinkTable::inject` and
+//!   `Source::offer_train`, first asks the first link's port whether the
+//!   train's first frame fits; if
 //!   not, it offers that frame alone, which tail-drops it, and builds
 //!   nothing. Otherwise it builds a fresh train into a packet buffer from
 //!   the table's spare list and offers it to the port, and the frames past
@@ -62,6 +63,7 @@
 use crate::control::{self, ControlStep};
 use crate::controller::CrcConfig;
 use crate::metrics::FabricMetrics;
+use crate::nic::Source;
 use rackfabric_phy::bypass::BypassTable;
 use rackfabric_phy::{LinkState, PhyState, PlpTiming};
 use rackfabric_sim::config::SimConfig;
@@ -70,9 +72,9 @@ use rackfabric_sim::stats::Counter;
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::{BitRate, Bytes};
 use rackfabric_switch::model::SwitchModel;
-use rackfabric_switch::packet::{FlowId, Packet, PacketId};
-use rackfabric_switch::queue::{EgressQueue, EnqueueOutcome};
-use rackfabric_switch::train::{train_frames, Train};
+use rackfabric_switch::packet::Packet;
+use rackfabric_switch::queue::EgressQueue;
+use rackfabric_switch::train::Train;
 use rackfabric_topo::arena::{LinkArena, LinkIdx};
 use rackfabric_topo::cache::{InternedRoute, RouteCache};
 use rackfabric_topo::routing::{self, RoutingAlgorithm};
@@ -314,28 +316,20 @@ impl LinkTable {
 
     /// Offers the next train of a flow at its source, the injection both
     /// engines run: the route lookup, the first-hop checks, and admission
-    /// to the first link's egress port. When the port has no room for the
-    /// first frame, the train is turned away unbuilt. Otherwise it is sized
-    /// by the link's rate window and built into a recycled buffer, its
-    /// packets numbered from the source node's sequence, and the frames past
-    /// the port's first tail-drop are cut off again. A tail-drop counts one
-    /// drop in `dropped`, as do a turned-away train and a dead first link.
+    /// to the first link's egress port by [`Source::offer_train`], which
+    /// turns a train away unbuilt when the port has no room for its first
+    /// frame. A tail-drop counts one drop in `dropped`, as do a turned-away
+    /// train and a dead first link.
     pub(crate) fn inject(
         &mut self,
         net: &Network<'_>,
         config: &FabricConfig,
         now: SimTime,
-        source: Source<'_>,
+        mut source: Source<'_>,
         dropped: &mut Counter,
     ) -> Injection {
-        let Source {
-            index,
-            flow,
-            progress,
-            next_packet,
-        } = source;
-        let remaining = flow.size.as_u64().saturating_sub(progress.injected);
-        if remaining == 0 || progress.completed {
+        let (flow, remaining) = (source.flow, source.remaining());
+        if remaining == 0 || source.progress.completed {
             return Injection::Idle;
         }
         let retry_at = now + config.retry_delay;
@@ -353,8 +347,8 @@ impl LinkTable {
         if route.hops() == 0 {
             // Degenerate self-flow: no link rate bounds it, deliver all
             // remaining bytes at once.
-            progress.injected += remaining;
-            progress.delivered += remaining;
+            source.progress.injected += remaining;
+            source.progress.delivered += remaining;
             return Injection::Local;
         }
 
@@ -370,43 +364,18 @@ impl LinkTable {
             return Injection::Wait(fence);
         }
 
-        // A train whose first frame the port has no room for is turned away
-        // before it is built: offering that frame alone drops it with the
-        // accounting `enqueue_train` would do, and takes no packet id.
-        let mtu = config.mtu.as_u64();
-        let queue = &mut self.ports[net.arena.port(flow.src, first_link).index()];
-        let first = Bytes::new(remaining.min(mtu));
-        if !queue.admits(now, first) {
-            let outcome = queue.enqueue(now, first, hot.capacity);
-            debug_assert_eq!(outcome, EnqueueOutcome::Dropped);
+        let port = &mut self.ports[net.arena.port(flow.src, first_link).index()];
+        let Some((packets, admission)) =
+            source.offer_train(port, hot, config, now, &mut self.spare)
+        else {
             dropped.incr();
             return Injection::Wait(retry_at);
-        }
-
-        // Size the train by the link's rate window. Packet ids are
-        // node-scoped: the source node in the high bits, its sequence in the
-        // low 40.
-        let budget = train_frames(hot.capacity, config.train_window, config.mtu);
-        let frames = budget.min(remaining.div_ceil(mtu)).max(1);
-        let (node_ids, flow_id) = ((flow.src.as_u32() as u64) << 40, FlowId(index as u64));
-        let mut left = remaining;
-        let mut packets = self.spare.pop().unwrap_or_default();
-        packets.extend((0..frames).map(|_| {
-            let size = left.min(mtu);
-            left -= size;
-            let id = PacketId(node_ids | *next_packet);
-            *next_packet += 1;
-            Packet::new(id, flow_id, flow.src, flow.dst, Bytes::new(size), now)
-        }));
-        let admission =
-            queue.enqueue_train(&mut packets, hot.capacity, hot.propagation, hot.fec, true);
-        packets.truncate(admission.accepted);
+        };
         if admission.dropped {
             dropped.incr();
         }
-        debug_assert!(admission.accepted > 0, "the port admitted no first frame");
         let accepted_bytes: u64 = packets.iter().map(|p| p.size.as_u64()).sum();
-        progress.injected += accepted_bytes;
+        source.progress.injected += accepted_bytes;
         self.epoch_bytes[first_link.index()] += accepted_bytes;
         Injection::Sent(Sent {
             route: route.clone(),
@@ -535,17 +504,6 @@ pub(crate) enum Hop {
     /// Nothing left: the egress link is dead, or the port dropped the
     /// train's first frame. The source re-sends `bytes`.
     Lost { bytes: u64 },
-}
-
-/// A flow's source-side state, as one injection reads and updates it.
-pub(crate) struct Source<'a> {
-    /// The flow's index, which its packets carry as their [`FlowId`].
-    pub(crate) index: usize,
-    pub(crate) flow: Flow,
-    /// The flow's progress, kept where the flow is sourced.
-    pub(crate) progress: &'a mut FlowProgress,
-    /// The sequence number of the source node's next packet.
-    pub(crate) next_packet: &'a mut u64,
 }
 
 /// What one injection attempt did (see [`LinkTable::inject`]).
@@ -935,6 +893,8 @@ mod tests {
     use super::*;
     use rackfabric_sim::time::SimTime;
     use rackfabric_sim::DetRng;
+    use rackfabric_switch::packet::FlowId;
+    use rackfabric_switch::queue::EnqueueOutcome;
     use rackfabric_workload::{MapReduceShuffle, Workload};
 
     fn small_shuffle(nodes: usize, partition: Bytes) -> Vec<Flow> {

@@ -59,6 +59,7 @@ mod control;
 pub mod controller;
 pub mod fabric;
 pub mod metrics;
+mod nic;
 pub mod policy;
 pub mod price;
 pub mod reconfigure;

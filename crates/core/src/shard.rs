@@ -58,10 +58,9 @@
 //! `run_fabric`.
 
 use crate::control::ControlStep;
-use crate::fabric::{
-    FabricConfig, FlowProgress, Hop, Injection, LinkHot, LinkTable, Network, Source,
-};
+use crate::fabric::{FabricConfig, FlowProgress, Hop, Injection, LinkHot, LinkTable, Network};
 use crate::metrics::FabricMetrics;
+use crate::nic::Source;
 use rackfabric_obs::profile::{WindowProfile, WindowProfiler};
 use rackfabric_obs::{Observer, TimeDomain};
 use rackfabric_phy::PhyState;
