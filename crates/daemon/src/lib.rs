@@ -17,7 +17,7 @@
 //!   worker a numbered `daemon worker` trace lane, gauges and a response
 //!   latency histogram in the obs registry.
 //! - [`client`] — a small blocking client for tests, the load generator
-//!   and scripting.
+//!   and scripting, whose clones share a pool of idle connections.
 //!
 //! The determinism contract: a `done` event's `result` payload for a given
 //! command is byte-identical to what the batch path produces for the same

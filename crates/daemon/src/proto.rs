@@ -1,6 +1,12 @@
 //! The wire protocol: line-delimited canonical JSON over a localhost TCP
 //! connection.
 //!
+//! A connection carries requests one after another: the daemon answers a
+//! request's events in full before it reads the next request line, so a
+//! client may send its next request once it has read a terminal event.
+//! Both ends set `TCP_NODELAY`, so a request's event lines never wait on a
+//! delayed ACK.
+//!
 //! Every request and every event is one JSON object on one line, encoded
 //! **canonically** (sorted keys, no whitespace) exactly like the journal's
 //! records — `encode(decode(x)) == x` for every valid message, so two equal
@@ -261,7 +267,7 @@ impl Event {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -286,9 +292,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn events_round_trip_canonically() {
-        let examples = vec![
+    /// One event of each kind, with escaped job ids, nested results and
+    /// control characters among the `done` events.
+    pub(crate) fn example_events() -> Vec<Event> {
+        vec![
             Event::Accepted { job: "j-1".into() },
             Event::Rejected {
                 reason: "queue full".into(),
@@ -324,8 +331,12 @@ mod tests {
                 held: 8,
             }),
             Event::ShuttingDown,
-        ];
-        for event in examples {
+        ]
+    }
+
+    #[test]
+    fn events_round_trip_canonically() {
+        for event in example_events() {
             let line = event.canonical_json();
             let parsed = json::parse(&line).unwrap();
             assert_eq!(json::canonical(&parsed), line, "the line is canonical");

@@ -1,6 +1,8 @@
 //! The daemon itself: a TCP acceptor, per-connection protocol threads, and
 //! a bounded worker pool draining the [`Scheduler`] through one shared
-//! [`Executor`].
+//! [`Executor`]. A connection carries requests one after another for as
+//! long as its client keeps it open, and every accepted stream sets
+//! `TCP_NODELAY`, so each event line leaves as soon as it is written.
 //!
 //! The design keeps every determinism property of the batch path because
 //! the daemon *is* the batch path behind a socket: workers call the exact
@@ -13,9 +15,10 @@
 //!
 //! Worker trace lanes start at [`DAEMON_LANE_BASE`] (see the lane table in
 //! `rackfabric-obs`). The service feeds the metrics registry with
-//! `daemon.queue_depth` / `daemon.active_jobs` gauges, warm-hit /
-//! rejection / cancellation counters, and the `daemon.response_ns`
-//! histogram (enqueue-to-completion residence, wall domain).
+//! `daemon.queue_depth` / `daemon.active_jobs` gauges, connection /
+//! warm-hit / rejection / cancellation counters, and the
+//! `daemon.response_ns` histogram (enqueue-to-completion residence, wall
+//! domain).
 //!
 //! A connection holds its claim on a submitted job as a guard: seeing the
 //! job's end lets the claim go inside [`Scheduler::watch`], and dropping
@@ -192,10 +195,11 @@ impl Drop for Daemon {
     }
 }
 
-/// The acceptor: one protocol thread per connection. Connection threads
-/// are detached — they die with their sockets, and shutdown completes
-/// every job they could be watching. A failed `accept` is counted and
-/// retried after [`ACCEPT_BACKOFF`]; only a shutdown ends the loop.
+/// The acceptor: one protocol thread per connection, counted as
+/// `daemon.connections`. Connection threads are detached — they die with
+/// their sockets, and shutdown completes every job they could be watching.
+/// A failed `accept` is counted and retried after [`ACCEPT_BACKOFF`]; only
+/// a shutdown ends the loop.
 fn accept_loop(listener: TcpListener, sched: Arc<Scheduler>, observer: Observer) {
     loop {
         let accepted = listener.accept();
@@ -207,6 +211,11 @@ fn accept_loop(listener: TcpListener, sched: Arc<Scheduler>, observer: Observer)
             std::thread::sleep(ACCEPT_BACKOFF);
             continue;
         };
+        observer.count("daemon.connections", TimeDomain::Wall, 1);
+        // A request's events go out as separate writes; with Nagle's
+        // algorithm on, each one after the first waits for the client's
+        // delayed ACK. A stream that refuses the option still serves.
+        let _ = stream.set_nodelay(true);
         let sched = sched.clone();
         let observer = observer.clone();
         let _ = std::thread::Builder::new()
@@ -223,10 +232,11 @@ fn write_event(mut stream: &TcpStream, event: &Event) -> io::Result<()> {
     stream.write_all(line.as_bytes())
 }
 
-/// One connection: read request lines, answer with event lines. A submit
-/// streams its job's lifecycle (`accepted`, `started`, terminal) before
-/// the next request is read. Reads and writes share the one socket
-/// descriptor, so a connection needs no second one.
+/// One connection: read request lines, one after another, and answer each
+/// with event lines. A submit streams its job's lifecycle (`accepted`,
+/// `started`, terminal) before the next request is read, so a client can
+/// keep the connection for its next request. Reads and writes share the
+/// one socket descriptor, so a connection needs no second one.
 fn serve_connection(stream: TcpStream, sched: &Scheduler, observer: &Observer) -> io::Result<()> {
     let writer = &stream;
     let mut reader = BufReader::new(&stream);

@@ -9,7 +9,8 @@
 //!
 //! There is one grammar. [`Reader`] is a pull reader over a document
 //! (object fields, array items, numbers as their source text, strings
-//! borrowed unless escaped, and a checking [`Reader::skip`]), and [`parse`]
+//! borrowed unless escaped, a checking [`Reader::skip`], and
+//! [`Reader::raw`], which also returns what it skipped), and [`parse`]
 //! builds its [`JsonValue`] tree through it. A decoder that reads a document
 //! in place, such as the result store's, therefore accepts exactly the
 //! documents [`parse`] accepts. Either takes time linear in its input's
@@ -431,7 +432,8 @@ pub enum Kind {
 /// [`Reader::begin_object`] / [`Reader::begin_array`] followed by
 /// [`Reader::next_field`] / [`Reader::next_item`] until they report the
 /// end, each field or item read in turn. [`Reader::skip`] reads past a
-/// value without building it, checking it all the same. Numbers come back
+/// value without building it, checking it all the same, and
+/// [`Reader::raw`] also returns the value's source text. Numbers come back
 /// as their source text and strings borrowed from the input unless they
 /// hold escapes. [`Reader::finish`] checks that nothing follows the
 /// document. Errors carry [`parse`]'s messages and offsets, and nesting
@@ -760,6 +762,16 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// Reads past the next value, checking it exactly as [`Reader::skip`]
+    /// does, and returns the value's source text.
+    pub fn raw(&mut self) -> Result<&'a str, JsonError> {
+        let start = self.pos;
+        self.skip()?;
+        // A value starts and ends on an ASCII byte, so both ends are char
+        // boundaries.
+        Ok(&self.input[start..self.pos])
+    }
+
     /// Reads the next value into a tree.
     pub fn value(&mut self) -> Result<JsonValue, JsonError> {
         Ok(match self.peek()? {
@@ -1014,16 +1026,9 @@ mod tests {
         assert_eq!(seen, ["plain", "escAped", "n", "list", "nested"]);
     }
 
-    #[test]
-    fn skip_checks_what_parse_checks_with_the_same_errors() {
-        let doc = r#"{"a": [1, -2.5e-3, "s\u00e9\ud83d\ude00", {"b": null}], "c": true}"#;
-        let skipped = |text: &str| {
-            let mut r = Reader::new(text);
-            r.skip().and_then(|()| r.finish())
-        };
-        assert_eq!(skipped(doc), Ok(()));
-        // Every prefix, and every single-byte replacement by a byte that
-        // means something to the grammar, fails (or passes) alike.
+    /// Every prefix of `doc`, and every replacement of one of its
+    /// characters by a byte that means something to the grammar.
+    fn damaged(doc: &str) -> Vec<String> {
         let mut variants: Vec<String> = (0..doc.len())
             .filter(|&i| doc.is_char_boundary(i))
             .map(|i| doc[..i].to_string())
@@ -1040,10 +1045,60 @@ mod tests {
                 variants.push(v);
             }
         }
-        for v in &variants {
+        variants
+    }
+
+    #[test]
+    fn skip_checks_what_parse_checks_with_the_same_errors() {
+        let doc = r#"{"a": [1, -2.5e-3, "s\u00e9\ud83d\ude00", {"b": null}], "c": true}"#;
+        let skipped = |text: &str| {
+            let mut r = Reader::new(text);
+            r.skip().and_then(|()| r.finish())
+        };
+        assert_eq!(skipped(doc), Ok(()));
+        for v in &damaged(doc) {
             assert_eq!(skipped(v), parse(v).map(drop), "{v}");
         }
         assert_eq!(skipped(&"[".repeat(100_000)).unwrap_err().offset, MAX_DEPTH);
+    }
+
+    #[test]
+    fn raw_returns_source_text_and_fails_where_skip_fails() {
+        let doc = r#" {"obj": {"k" : [1, "a"] }, "list": [ true,null ],
+                       "esc": "q\"\u00e9\n\ud83d\ude00", "num": -1.5e+3, "none": {}} "#;
+        let mut r = Reader::new(doc);
+        r.begin_object().unwrap();
+        let mut fields = Vec::new();
+        while let Some(name) = r.next_field().unwrap() {
+            fields.push((name.into_owned(), r.raw().unwrap()));
+        }
+        r.finish().unwrap();
+        let want = [
+            ("obj", r#"{"k" : [1, "a"] }"#),
+            ("list", "[ true,null ]"),
+            ("esc", r#""q\"\u00e9\n\ud83d\ude00""#),
+            ("num", "-1.5e+3"),
+            ("none", "{}"),
+        ];
+        assert_eq!(fields.len(), want.len());
+        for ((name, text), (want_name, want_text)) in fields.iter().zip(want) {
+            assert_eq!((name.as_str(), *text), (want_name, want_text));
+        }
+        assert_eq!(Reader::new(doc).raw(), Ok(doc.trim()));
+
+        // Damaged documents fail at the same offset with the same message,
+        // and an intact value's text is what the reader stepped over.
+        for v in &damaged(doc.trim()) {
+            let (mut by_raw, mut by_skip) = (Reader::new(v), Reader::new(v));
+            let raw = by_raw.raw();
+            assert_eq!(raw.clone().map(drop), by_skip.skip(), "{v}");
+            if let Ok(text) = raw {
+                assert!(v.trim_start().starts_with(text), "{v}");
+                assert_eq!(by_raw.pos, by_skip.pos, "{v}");
+            }
+        }
+        let deep = "[".repeat(100_000);
+        assert_eq!(Reader::new(&deep).raw().unwrap_err().offset, MAX_DEPTH);
     }
 
     #[test]

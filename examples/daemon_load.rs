@@ -1,6 +1,6 @@
 //! Load generator for `rackfabricd`: boots the daemon in-process, fires a
 //! storm of concurrent submissions from many client threads over a small
-//! pool of distinct scenarios, and checks the service's two core promises
+//! pool of distinct scenarios, and checks the service's promises
 //! under contention:
 //!
 //! 1. **Determinism** — every response for the same command is
@@ -11,6 +11,8 @@
 //!    (store puts == distinct scenarios).
 //! 3. **Bounded state** — once every client has its reply, the scheduler
 //!    holds no job (`held == 0`), however many requests it served.
+//! 4. **Connection reuse** — the client threads share one client's pool,
+//!    so the daemon accepts no more connections than there are threads.
 //!
 //! It prints the response-time histogram (p50/p99/max) from the daemon's
 //! obs registry and can export artifacts for CI's byte-comparison gate:
@@ -311,6 +313,23 @@ fn main() {
             "daemon_load: wrote {} warm sample line(s) to {path}",
             samples.len()
         );
+    }
+
+    // Connection reuse: the client threads share one pool, and a thread
+    // holds one connection at a time, so the daemon accepts at most one
+    // connection per client thread.
+    let connections = registry
+        .counter("daemon.connections", TimeDomain::Wall)
+        .get();
+    eprintln!(
+        "daemon_load: {connections} connection(s) accepted for {} client thread(s)",
+        args.clients
+    );
+    if connections > args.clients as u64 {
+        fail(format!(
+            "{connections} connections accepted for {} client threads",
+            args.clients
+        ));
     }
 
     client

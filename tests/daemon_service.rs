@@ -449,3 +449,85 @@ fn an_overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
     client.shutdown().unwrap();
     daemon.wait();
 }
+
+#[test]
+fn sequential_submits_on_one_connection_never_wait_for_a_delayed_ack() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let ref_dir = tmp_dir("nodelay-ref");
+    let dir = tmp_dir("nodelay");
+    let command = spec_pool(1).remove(0);
+    let reference = reference_lines(&ref_dir, std::slice::from_ref(&command)).remove(0);
+    let (_exec, daemon, _observer) = boot(&dir, 1, 4);
+
+    // A plain socket, Nagle's algorithm left on: only the daemon's side
+    // sets `TCP_NODELAY`. Without it, each request's `started` and `done`
+    // lines wait for this end's delayed ACK (≈40 ms) once the connection
+    // leaves quick-ACK mode, and 50 requests take seconds.
+    let stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    let mut reader = BufReader::new(&stream);
+    let mut line = Request::Submit {
+        tenant: "one-connection".into(),
+        priority: 0,
+        command,
+    }
+    .canonical_json();
+    line.push('\n');
+    let request = line.clone();
+    let mut submit = || {
+        (&stream).write_all(request.as_bytes()).unwrap();
+        loop {
+            line.clear();
+            assert_ne!(reader.read_line(&mut line).unwrap(), 0, "closed early");
+            if let Some(result) = done_result_bytes(line.trim_end()) {
+                assert_eq!(result, reference);
+                return;
+            }
+        }
+    };
+    // The first submit runs the engine; the timed ones are warm.
+    submit();
+    let start = Instant::now();
+    for _ in 0..50 {
+        submit();
+    }
+    let elapsed = start.elapsed();
+    println!("nodelay: 50 warm submits on one connection in {elapsed:.2?}");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 warm submits on one connection took {elapsed:?}"
+    );
+
+    let client = Client::new(daemon.addr(), CLIENT_TIMEOUT);
+    client.shutdown().unwrap();
+    daemon.wait();
+}
+
+#[test]
+fn one_client_serves_sequential_requests_over_one_connection() {
+    let ref_dir = tmp_dir("reuse-ref");
+    let dir = tmp_dir("reuse");
+    let command = spec_pool(1).remove(0);
+    let reference = reference_lines(&ref_dir, std::slice::from_ref(&command)).remove(0);
+    let (_exec, daemon, observer) = boot(&dir, 1, 4);
+
+    let client = Client::new(daemon.addr(), CLIENT_TIMEOUT);
+    for n in 0..50 {
+        let reply = client.submit("reuse", 0, command.clone()).unwrap();
+        assert_eq!(reply.result_json, reference, "request {n}");
+    }
+    assert_eq!(client.status().unwrap().held, 0);
+    let connections = observer
+        .registry()
+        .expect("boot() attaches a registry")
+        .counter("daemon.connections", TimeDomain::Wall);
+    assert_eq!(
+        connections.get(),
+        1,
+        "sequential requests through one client share its connection"
+    );
+
+    client.shutdown().unwrap();
+    daemon.wait();
+}
