@@ -13,13 +13,16 @@
 //! is answered store-first and identical in-flight submits share one job.
 //! Connections set `TCP_NODELAY`, and all socket reads are bounded by the
 //! client's timeout — a wedged daemon produces an error, never a hung test.
+//! Only a client's later requests gain from the pool: its first opens a
+//! connection, and the daemon starts a thread for it.
 //!
-//! A client that sends one request pays for a connection (and the daemon
-//! for a thread) every time; only later requests ride on a warm one.
+//! A `done` line's `result` is kept as the line's own text, not parsed into
+//! a tree: the daemon writes canonical lines, so that text is the result's
+//! canonical rendering.
 
 use crate::proto::{Event, Request, StatusCounts};
 use rackfabric_cmd::command::Command;
-use rackfabric_sim::json::{JsonError, Reader};
+use rackfabric_sim::json::Reader;
 use std::borrow::Cow;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -114,7 +117,7 @@ impl Client {
             let text = line.trim_end();
             events.push(text.to_string());
             // The `done` line is read in place, its result kept as text.
-            if let Ok(Some(done)) = read_done(text) {
+            if let Some(done) = read_done(text) {
                 let reply = SubmitReply {
                     job: done.job.into_owned(),
                     cached: done.cached,
@@ -201,7 +204,6 @@ impl Client {
 
 /// Writes one request line on `conn` and reads the first reply line.
 fn exchange(conn: &mut Connection, request: &str, line: &mut String) -> io::Result<()> {
-    line.clear();
     conn.get_ref().write_all(request.as_bytes())?;
     read_event_line(conn, line)
 }
@@ -236,8 +238,10 @@ fn closed(e: &io::Error) -> bool {
 /// `shutting-down` the daemon stops.
 fn ends_cleanly(event: &Event) -> bool {
     match event {
-        Event::Done { .. } | Event::Rejected { .. } | Event::Cancelled { .. } => true,
-        Event::Status(_) => true,
+        Event::Done { .. }
+        | Event::Rejected { .. }
+        | Event::Cancelled { .. }
+        | Event::Status(_) => true,
         Event::Error { job, .. } => job.is_some(),
         Event::Accepted { .. } | Event::Started { .. } | Event::ShuttingDown => false,
     }
@@ -261,38 +265,35 @@ struct Done<'a> {
 /// Reads `line` as a `done` event without building its result. `None`
 /// when the line is another event, or a `done` event that lacks a field or
 /// holds one of the wrong kind.
-fn read_done(line: &str) -> Result<Option<Done<'_>>, JsonError> {
+fn read_done(line: &str) -> Option<Done<'_>> {
     let mut r = Reader::new(line);
-    r.begin_object()?;
+    r.begin_object().ok()?;
     let (mut done, mut job, mut cached, mut result) = (false, None, None, None);
-    while let Some(name) = r.next_field()? {
+    while let Some(name) = r.next_field().ok()? {
         match &*name {
             "event" => {
-                if r.string()? != "done" {
-                    return Ok(None);
+                if r.string().ok()? != "done" {
+                    return None;
                 }
                 done = true;
             }
-            "job" => job = Some(r.string()?),
+            "job" => job = Some(r.string().ok()?),
             "cached" => {
-                cached = match r.raw()? {
+                cached = match r.raw().ok()? {
                     "true" => Some(true),
                     "false" => Some(false),
-                    _ => return Ok(None),
+                    _ => return None,
                 }
             }
-            "result" => result = Some(r.raw()?),
-            _ => r.skip()?,
+            "result" => result = Some(r.raw().ok()?),
+            _ => r.skip().ok()?,
         }
     }
-    r.finish()?;
-    Ok(match (done, job, cached, result) {
-        (true, Some(job), Some(cached), Some(result)) => Some(Done {
-            job,
-            cached,
-            result,
-        }),
-        _ => None,
+    r.finish().ok()?;
+    done.then_some(Done {
+        job: job?,
+        cached: cached?,
+        result: result?,
     })
 }
 
@@ -303,8 +304,7 @@ fn read_done(line: &str) -> Result<Option<Done<'_>>, JsonError> {
 /// The daemon writes canonical lines, so the result's own text is already
 /// its canonical rendering.
 pub fn done_result_bytes(line: &str) -> Option<String> {
-    let done = read_done(line).ok()??;
-    Some(done.result.to_string())
+    read_done(line).map(|done| done.result.to_string())
 }
 
 #[cfg(test)]
@@ -454,7 +454,7 @@ mod tests {
     #[test]
     fn a_timeout_a_connection_error_and_shutdown_pool_nothing() {
         let (done_tx, done_rx) = mpsc::channel::<()>();
-        let (client, server) = scripted(Duration::from_millis(200), move |listener| {
+        let (client, server) = scripted(TIMEOUT, move |listener| {
             // A request the daemon never answers.
             let mut silent = accept(listener);
             request(&mut silent);
@@ -475,7 +475,8 @@ mod tests {
             done_rx.recv().unwrap();
             vec![silent, refused, last]
         });
-        let err = client.status().expect_err("nothing answers");
+        let impatient = Client::new(client.addr, Duration::from_millis(200));
+        let err = impatient.status().expect_err("nothing answers");
         assert!(
             matches!(
                 err.kind(),
@@ -483,7 +484,7 @@ mod tests {
             ),
             "{err}"
         );
-        assert_eq!(idle(&client), 0, "a timed-out request's connection");
+        assert_eq!(idle(&impatient), 0, "a timed-out request's connection");
         let err = client.submit("t", 0, command()).unwrap_err();
         assert!(err.to_string().contains("request line too long"), "{err}");
         assert_eq!(idle(&client), 0, "a connection-level error's connection");
