@@ -467,14 +467,14 @@ fn sequential_submits_on_one_connection_never_wait_for_a_delayed_ack() {
     let stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
     stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
     let mut reader = BufReader::new(&stream);
-    let mut line = Request::Submit {
+    let request = Request::Submit {
         tenant: "one-connection".into(),
         priority: 0,
         command,
     }
-    .canonical_json();
-    line.push('\n');
-    let request = line.clone();
+    .canonical_json()
+        + "\n";
+    let mut line = String::new();
     let mut submit = || {
         (&stream).write_all(request.as_bytes()).unwrap();
         loop {
