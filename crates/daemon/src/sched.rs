@@ -291,9 +291,22 @@ impl Scheduler {
     /// the job is let go at once. Returns the job's total residence time
     /// (enqueue -> completion), zero for an id not held.
     pub fn complete(&self, id: u64, end: JobEnd) -> Duration {
+        self.complete_then(id, end, |_| {})
+    }
+
+    /// [`Scheduler::complete`], handing the residence time to `record`
+    /// before any watcher can see the end, so a client that has its reply
+    /// finds its job's sample already recorded.
+    pub(crate) fn complete_then(
+        &self,
+        id: u64,
+        end: JobEnd,
+        record: impl FnOnce(Duration),
+    ) -> Duration {
         let mut state = self.lock();
         state.active = state.active.saturating_sub(1);
         let residence = state.end(id, end).unwrap_or_default();
+        record(residence);
         self.changed.notify_all();
         residence
     }

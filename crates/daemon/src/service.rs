@@ -438,12 +438,13 @@ fn worker_loop(w: usize, exec: &Executor, sched: &Scheduler, observer: &Observer
             JobEnd::Cancelled => observer.count("daemon.cancelled", TimeDomain::Wall, 1),
             JobEnd::Failed(_) => observer.count("daemon.failed", TimeDomain::Wall, 1),
         }
-        let residence = sched.complete(id, end);
-        observer.record(
-            "daemon.response_ns",
-            TimeDomain::Wall,
-            residence.as_nanos().min(u64::MAX as u128) as u64,
-        );
+        sched.complete_then(id, end, |residence| {
+            observer.record(
+                "daemon.response_ns",
+                TimeDomain::Wall,
+                residence.as_nanos().min(u64::MAX as u128) as u64,
+            )
+        });
         observer.gauge_set(
             "daemon.active_jobs",
             TimeDomain::Wall,
