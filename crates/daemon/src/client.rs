@@ -322,11 +322,10 @@ mod tests {
     /// listener, and hands back the connections it keeps open so that they
     /// close only when the test joins it.
     fn scripted(
-        timeout: Duration,
         script: impl FnOnce(&TcpListener) -> Vec<Connection> + Send + 'static,
     ) -> (Client, JoinHandle<Vec<Connection>>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = Client::new(listener.local_addr().unwrap(), timeout);
+        let client = Client::new(listener.local_addr().unwrap(), TIMEOUT);
         (client, std::thread::spawn(move || script(&listener)))
     }
 
@@ -372,7 +371,7 @@ mod tests {
             .collect();
         assert!(done.len() >= 2, "the fixtures hold done events");
         let script = done.clone();
-        let (client, server) = scripted(TIMEOUT, move |listener| {
+        let (client, server) = scripted(move |listener| {
             let mut conn = accept(listener);
             for event in &script {
                 let Event::Done { job, .. } = event else {
@@ -415,7 +414,7 @@ mod tests {
     fn a_pooled_connection_the_peer_closed_is_replaced_once() {
         let (closed_tx, closed_rx) = mpsc::channel();
         let (done_tx, done_rx) = mpsc::channel::<()>();
-        let (client, server) = scripted(TIMEOUT, move |listener| {
+        let (client, server) = scripted(move |listener| {
             let mut first = accept(listener);
             assert_eq!(request(&mut first), Request::Status);
             reply(&first, &[status()]);
@@ -454,7 +453,7 @@ mod tests {
     #[test]
     fn a_timeout_a_connection_error_and_shutdown_pool_nothing() {
         let (done_tx, done_rx) = mpsc::channel::<()>();
-        let (client, server) = scripted(TIMEOUT, move |listener| {
+        let (client, server) = scripted(move |listener| {
             // A request the daemon never answers.
             let mut silent = accept(listener);
             request(&mut silent);
@@ -498,7 +497,7 @@ mod tests {
 
     #[test]
     fn concurrent_requests_through_clones_use_their_own_connections() {
-        let (client, server) = scripted(TIMEOUT, |listener| {
+        let (client, server) = scripted(|listener| {
             // Neither request is answered before both have arrived, so
             // both are in flight at once.
             let mut conns = [accept(listener), accept(listener)];
