@@ -128,7 +128,9 @@ pub enum Event {
         /// Why.
         reason: String,
     },
-    /// A worker picked the job up.
+    /// A worker picked the job up. Every submit of a job that reached a
+    /// worker gets this line before its terminal one, however soon the job
+    /// ended; a job cancelled while queued gets none.
     Started {
         /// Job id.
         job: String,

@@ -10,14 +10,20 @@
 //!
 //! Two tenants submitting the **same** command concurrently must not burn
 //! the engine twice: the store would deduplicate the persisted result
-//! anyway, but both executions would still run. The scheduler keys every
-//! queued/active job by its command's canonical JSON, rendered once at
-//! submission; a submission matching an in-flight job *attaches* to it —
-//! same job id, same terminal event, one execution. (Once a job completes
-//! its key is released: a later identical submission schedules normally
-//! and is answered by the store as a warm hit.)
+//! anyway, but both executions would still run. A job is *in flight*
+//! while its id is in the run queue or the running list, and a submission
+//! whose command equals an in-flight job's (`PartialEq`; the daemon's
+//! decoder has already made spec text canonical) *attaches* to it — same
+//! job id, same events, one execution. An ended job attaches nothing: a
+//! later identical submission schedules normally and is answered by the
+//! store as a warm hit.
 //!
 //! ## Job lifecycle
+//!
+//! A job is queued, then running, then ended; its ended state records
+//! whether it reached a worker. Every watcher therefore observes the same
+//! phases however late it first looks: `Started` then `Ended`, or `Ended`
+//! alone for a job cancelled while queued.
 //!
 //! A job is *held* (counted by [`StatusCounts::held`]) from its submission
 //! until it has ended **and** its last watcher has seen the end, whichever
@@ -75,8 +81,12 @@ pub enum JobEnd {
 #[derive(Debug, Clone)]
 enum JobState {
     Queued,
-    Active,
-    Ended(JobEnd),
+    Running,
+    Ended {
+        /// Whether the job reached a worker before it ended.
+        started: bool,
+        end: JobEnd,
+    },
 }
 
 /// What a submission got.
@@ -111,11 +121,8 @@ pub enum Observed {
 
 struct JobEntry {
     priority: i64,
-    seq: u64,
     tenant: String,
     command: Command,
-    /// The command's canonical JSON: its single-flight key.
-    key: String,
     /// Watchers that have neither seen the end nor given up.
     watchers: u32,
     state: JobState,
@@ -126,13 +133,12 @@ struct JobEntry {
 #[derive(Default)]
 struct State {
     jobs: BTreeMap<u64, JobEntry>,
-    /// Queued job ids (selection scans for max priority / min seq; queues
+    /// Queued job ids (selection scans for max priority / min id; queues
     /// are short — bounded — so a scan beats a fancier structure).
     queue: Vec<u64>,
-    /// Canonical command JSON -> in-flight (queued or active) job id.
-    inflight: BTreeMap<String, u64>,
+    /// Ids of the jobs on a worker.
+    running: Vec<u64>,
     next_id: u64,
-    active: u64,
     completed: u64,
     warm_hits: u64,
     rejected: u64,
@@ -142,15 +148,15 @@ struct State {
 }
 
 impl State {
-    /// Ends a queued or active job: frees its key, counts the end, and lets
-    /// the entry go at once when no watcher is left to see the end. Returns
-    /// the job's residence time (enqueue -> end), `None` when `id` is not
-    /// held.
+    /// Ends a queued or running job: takes it out of flight, counts the
+    /// end, and lets the entry go at once when no watcher is left to see
+    /// the end. Returns the job's residence time (enqueue -> end), `None`
+    /// when `id` is not held.
     fn end(&mut self, id: u64, end: JobEnd) -> Option<Duration> {
         let entry = self.jobs.get_mut(&id)?;
-        if self.inflight.get(&entry.key) == Some(&id) {
-            self.inflight.remove(&entry.key);
-        }
+        let started = matches!(entry.state, JobState::Running);
+        self.queue.retain(|&other| other != id);
+        self.running.retain(|&other| other != id);
         self.completed += 1;
         match &end {
             JobEnd::Done { cached: true, .. } => self.warm_hits += 1,
@@ -161,7 +167,7 @@ impl State {
         if entry.watchers == 0 {
             self.jobs.remove(&id);
         } else {
-            entry.state = JobState::Ended(end);
+            entry.state = JobState::Ended { started, end };
         }
         Some(residence)
     }
@@ -173,9 +179,9 @@ impl State {
         let entry = self.jobs.get_mut(&id)?;
         entry.watchers = entry.watchers.saturating_sub(1);
         match &entry.state {
-            JobState::Ended(end) if entry.watchers > 0 => Some(end.clone()),
-            JobState::Ended(_) => match self.jobs.remove(&id)?.state {
-                JobState::Ended(end) => Some(end),
+            JobState::Ended { end, .. } if entry.watchers > 0 => Some(end.clone()),
+            JobState::Ended { .. } => match self.jobs.remove(&id)?.state {
+                JobState::Ended { end, .. } => Some(end),
                 _ => None,
             },
             _ => None,
@@ -223,13 +229,18 @@ impl Scheduler {
         command: Command,
         cancel: CancelToken,
     ) -> Submitted {
-        let key = command.canonical_json();
         let mut state = self.lock();
         if state.shutting_down {
             state.rejected += 1;
             return Submitted::Rejected("shutting down".to_string());
         }
-        if let Some(&id) = state.inflight.get(&key) {
+        let in_flight = state
+            .queue
+            .iter()
+            .chain(&state.running)
+            .copied()
+            .find(|id| state.jobs[id].command == command);
+        if let Some(id) = in_flight {
             state.dedup_attached += 1;
             let entry = state.jobs.get_mut(&id).expect("an in-flight job is held");
             entry.watchers += 1;
@@ -241,15 +252,12 @@ impl Scheduler {
         }
         state.next_id += 1;
         let id = state.next_id;
-        state.inflight.insert(key.clone(), id);
         state.jobs.insert(
             id,
             JobEntry {
                 priority,
-                seq: id,
                 tenant: tenant.to_string(),
                 command,
-                key,
                 watchers: 1,
                 state: JobState::Queued,
                 cancel,
@@ -269,14 +277,14 @@ impl Scheduler {
             if let Some(pos) = best_queued(&state) {
                 let id = state.queue.swap_remove(pos);
                 let entry = state.jobs.get_mut(&id).expect("queued job exists");
-                entry.state = JobState::Active;
+                entry.state = JobState::Running;
                 let picked = (
                     id,
                     entry.tenant.clone(),
                     entry.command.clone(),
                     entry.cancel.clone(),
                 );
-                state.active += 1;
+                state.running.push(id);
                 self.changed.notify_all();
                 return Some(picked);
             }
@@ -287,7 +295,7 @@ impl Scheduler {
         }
     }
 
-    /// Marks an active job terminal and wakes its watchers; with none left,
+    /// Marks a running job terminal and wakes its watchers; with none left,
     /// the job is let go at once. Returns the job's total residence time
     /// (enqueue -> completion), zero for an id not held.
     pub fn complete(&self, id: u64, end: JobEnd) -> Duration {
@@ -304,15 +312,14 @@ impl Scheduler {
         record: impl FnOnce(Duration),
     ) -> Duration {
         let mut state = self.lock();
-        state.active = state.active.saturating_sub(1);
         let residence = state.end(id, end).unwrap_or_default();
         record(residence);
         self.changed.notify_all();
         residence
     }
 
-    /// Cancels a job: queued jobs drop to `Cancelled` immediately; an
-    /// active job's token trips (its campaign interrupts at the next job
+    /// Cancels a job: queued jobs drop to `Cancelled` immediately; a
+    /// running job's token trips (its campaign interrupts at the next job
     /// boundary and completes as cancelled). Returns false for jobs that
     /// are unknown, already terminal or no longer held.
     pub fn cancel(&self, id: u64) -> bool {
@@ -323,18 +330,18 @@ impl Scheduler {
         entry.cancel.cancel();
         match entry.state {
             JobState::Queued => {}
-            JobState::Active => return true,
-            JobState::Ended(_) => return false,
+            JobState::Running => return true,
+            JobState::Ended { .. } => return false,
         }
-        state.queue.retain(|&q| q != id);
         state.end(id, JobEnd::Cancelled);
         self.changed.notify_all();
         true
     }
 
     /// Waits (bounded by `timeout`) for the job's next phase after
-    /// `saw_started`: `Started` once a worker picks it up, then `Ended`.
-    /// `None` on timeout, or for an id that is unknown or no longer held.
+    /// `saw_started`: `Started` once a worker has picked it up, even when
+    /// the job has ended since, then `Ended`. `None` on timeout, or for an
+    /// id that is unknown or no longer held.
     ///
     /// The caller must be one of the job's watchers (see the module docs).
     /// Returning `Ended` lets that watcher go, so each watcher sees the end
@@ -345,8 +352,10 @@ impl Scheduler {
         loop {
             match state.jobs.get(&id).map(|entry| &entry.state) {
                 None => return None,
-                Some(JobState::Ended(_)) => return state.release(id).map(Observed::Ended),
-                Some(JobState::Active) if !saw_started => return Some(Observed::Started),
+                Some(JobState::Running | JobState::Ended { started: true, .. }) if !saw_started => {
+                    return Some(Observed::Started)
+                }
+                Some(JobState::Ended { .. }) => return state.release(id).map(Observed::Ended),
                 _ => {}
             }
             let now = Instant::now();
@@ -370,13 +379,13 @@ impl Scheduler {
         }
     }
 
-    /// Begins draining: submissions reject, queued jobs cancel, active
+    /// Begins draining: submissions reject, queued jobs cancel, running
     /// jobs' tokens trip, idle workers wake up and exit.
     pub fn shutdown(&self) {
         let mut state = self.lock();
         state.shutting_down = true;
         for entry in state.jobs.values() {
-            if !matches!(entry.state, JobState::Ended(_)) {
+            if !matches!(entry.state, JobState::Ended { .. }) {
                 entry.cancel.cancel();
             }
         }
@@ -396,7 +405,7 @@ impl Scheduler {
         let state = self.lock();
         StatusCounts {
             queued: state.queue.len() as u64,
-            active: state.active,
+            active: state.running.len() as u64,
             completed: state.completed,
             warm_hits: state.warm_hits,
             rejected: state.rejected,
@@ -413,7 +422,7 @@ impl Scheduler {
 
     /// Currently active jobs (gauge feed).
     pub fn active_jobs(&self) -> u64 {
-        self.lock().active
+        self.lock().running.len() as u64
     }
 }
 
@@ -424,16 +433,14 @@ fn best_queued(state: &State) -> Option<usize> {
         .queue
         .iter()
         .enumerate()
-        .max_by_key(|(_, &id)| {
-            let entry = &state.jobs[&id];
-            (entry.priority, std::cmp::Reverse(entry.seq))
-        })
+        .max_by_key(|(_, &id)| (state.jobs[&id].priority, std::cmp::Reverse(id)))
         .map(|(pos, _)| pos)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rackfabric_sweep::key::JobKey;
 
     fn cmd(seed: u64) -> Command {
         Command::RunScenario {
@@ -466,12 +473,28 @@ mod tests {
             sched.submit("b", 0, cmd(8)),
             Submitted::Enqueued(_)
         ));
+        // The same spec text under another op is another command.
+        let Command::RunScenario { spec_json } = cmd(7) else {
+            unreachable!("cmd builds run-scenario commands")
+        };
+        let cell = Command::ExecuteCell {
+            key: JobKey(7),
+            spec_json,
+        };
+        assert!(matches!(sched.submit("c", 0, cell), Submitted::Enqueued(_)));
         assert_eq!(sched.counts().dedup_attached, 1);
-        assert_eq!(sched.counts().queued, 2);
+        assert_eq!(sched.counts().queued, 3);
 
-        // After completion the key is released: a resubmission enqueues.
+        // A submission that arrives while the job runs attaches too.
         let (picked, _, _, _) = sched.next_job().unwrap();
         assert_eq!(picked, id);
+        assert!(matches!(
+            sched.submit("d", 0, cmd(7)),
+            Submitted::Attached(got) if got == id
+        ));
+        assert_eq!(sched.counts().dedup_attached, 2);
+
+        // An ended job attaches nothing: a resubmission enqueues afresh.
         sched.complete(
             id,
             JobEnd::Done {
@@ -481,8 +504,35 @@ mod tests {
         );
         assert!(matches!(
             sched.submit("a", 0, cmd(7)),
-            Submitted::Enqueued(_)
+            Submitted::Enqueued(fresh) if fresh != id
         ));
+    }
+
+    #[test]
+    fn a_watcher_sees_every_phase_the_job_went_through_however_late_it_looks() {
+        let sched = Scheduler::new(16);
+        // Run and completed before its watcher first looks.
+        let id = sched.submit("a", 0, cmd(1)).job_id().unwrap();
+        assert_eq!(sched.next_job().unwrap().0, id);
+        sched.complete(id, done("{}"));
+        assert!(matches!(
+            sched.watch(id, false, Duration::ZERO),
+            Some(Observed::Started)
+        ));
+        assert!(matches!(
+            sched.watch(id, true, Duration::ZERO),
+            Some(Observed::Ended(JobEnd::Done { .. }))
+        ));
+        assert_eq!(sched.counts().held, 0);
+
+        // Cancelled while queued: it never started.
+        let queued = sched.submit("a", 0, cmd(2)).job_id().unwrap();
+        assert!(sched.cancel(queued));
+        assert!(matches!(
+            sched.watch(queued, false, Duration::ZERO),
+            Some(Observed::Ended(JobEnd::Cancelled))
+        ));
+        assert_eq!(sched.counts().held, 0);
     }
 
     fn done(result: &str) -> JobEnd {

@@ -8,8 +8,6 @@
 //! them, so the form deliberately **excludes** every proven result-neutral
 //! knob:
 //!
-//! * the scheduler choice (`SchedulerKind`) — heap and calendar deliver
-//!   events in identical order (`crates/sim/tests/scheduler_equivalence.rs`),
 //! * the shard **count** — every `shards >= 1` run is byte-identical
 //!   (`tests/shard_determinism.rs`); only the engine *kind* (monolithic vs
 //!   sharded, a genuinely different model) is written,
@@ -52,10 +50,10 @@ pub fn canonical_spec_json(spec: &ScenarioSpec) -> String {
 
 /// Decodes a canonical spec JSON document into a runnable spec.
 ///
-/// Key-neutral fields (name, scheduler) get defaults; the engine kind maps
-/// back to `shards` 0 (monolithic) or 1 (sharded) — any positive shard
-/// count is key-equivalent, so 1 is the canonical representative. An error
-/// names the field or the kind that was wrong.
+/// The key-neutral name gets a default; the engine kind maps back to
+/// `shards` 0 (monolithic) or 1 (sharded) — any positive shard count is
+/// key-equivalent, so 1 is the canonical representative. An error names the
+/// field or the kind that was wrong.
 pub fn decode_spec(spec_json: &str) -> Result<ScenarioSpec, String> {
     let doc = json::parse(spec_json).map_err(|e| format!("spec json: {e}"))?;
     let topology = decode_topology(field(&doc, "topology")?)?;
@@ -96,8 +94,8 @@ pub fn decode_spec(spec_json: &str) -> Result<ScenarioSpec, String> {
 // writer does not sort them.
 
 fn write_spec(w: &mut CanonicalWriter, spec: &ScenarioSpec) {
-    // `spec.name`, `spec.scheduler` and the shard count are intentionally
-    // absent — see the module docs.
+    // `spec.name` and the shard count are intentionally absent — see the
+    // module docs.
     let engine = match spec.shards {
         0 => "monolithic",
         _ => "sharded",

@@ -14,10 +14,9 @@ use rackfabric::fabric::AdaptiveFabric;
 use rackfabric::metrics::RunSummary;
 use rackfabric_obs::{Observer, TimeDomain};
 use rackfabric_phy::{PlpCommand, PlpExecutor};
-use rackfabric_sim::engine::SchedulerKind;
 use rackfabric_sim::queue::Scheduler;
 use rackfabric_sim::stats::Histogram;
-use rackfabric_sim::{CalendarQueue, EventQueue, Simulator};
+use rackfabric_sim::{CalendarQueue, Simulator};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -94,16 +93,13 @@ impl MatrixResult {
 }
 
 /// Executes a single fully resolved scenario (what each worker thread runs):
-/// the monolithic engine on the spec's configured scheduler, or the sharded
-/// multi-rack engine when `spec.shards >= 1`.
+/// the monolithic engine on the calendar queue, or the sharded multi-rack
+/// engine when `spec.shards >= 1`.
 pub fn run_scenario(spec: &ScenarioSpec) -> JobResult {
     if spec.shards >= 1 {
         return run_scenario_sharded(spec);
     }
-    match spec.scheduler {
-        SchedulerKind::Calendar => run_scenario_on(spec, CalendarQueue::new()),
-        SchedulerKind::Heap => run_scenario_on(spec, EventQueue::new()),
-    }
+    run_scenario_on(spec, CalendarQueue::new())
 }
 
 /// Executes a scenario on the sharded engine. Results are byte-identical
@@ -132,8 +128,11 @@ fn run_scenario_sharded(spec: &ScenarioSpec) -> JobResult {
     }
 }
 
-/// Executes a scenario on an explicit scheduler implementation.
-fn run_scenario_on<S: Scheduler<rackfabric::fabric::FabricEvent>>(
+/// Executes a scenario on the monolithic engine over an explicit
+/// pending-event set, whatever `spec.shards` says. Tests and `perf_smoke`
+/// pass the reference binary-heap `EventQueue` here to check the calendar
+/// queue's exports byte for byte.
+pub fn run_scenario_on<S: Scheduler<rackfabric::fabric::FabricEvent>>(
     spec: &ScenarioSpec,
     scheduler: S,
 ) -> JobResult {

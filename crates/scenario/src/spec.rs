@@ -10,7 +10,6 @@ use rackfabric::fabric::FabricConfig;
 use rackfabric::policy::CrcPolicy;
 use rackfabric_phy::{FecMode, PlpTiming, PowerState};
 use rackfabric_sim::config::SimConfig;
-use rackfabric_sim::engine::SchedulerKind;
 use rackfabric_sim::rng::DetRng;
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::{BitRate, Bytes};
@@ -397,10 +396,6 @@ pub struct ScenarioSpec {
     pub event_budget: u64,
     /// Stop as soon as every flow completes.
     pub stop_when_done: bool,
-    /// Which pending-event-set implementation drives the run. Results are
-    /// scheduler-independent; sweeps use this to cross-check the calendar
-    /// engine against the reference heap.
-    pub scheduler: SchedulerKind,
     /// Which engine runs the cell: `0` is the monolithic single-core engine
     /// (`run_fabric`); `n >= 1` is the sharded multi-rack engine partitioned
     /// into `n` rack groups. Sharded results are byte-identical for every
@@ -436,15 +431,8 @@ impl ScenarioSpec {
             horizon: SimTime::from_millis(50),
             event_budget: u64::MAX,
             stop_when_done: true,
-            scheduler: SchedulerKind::default(),
             shards: 0,
         }
-    }
-
-    /// Sets the engine scheduler, returning the modified spec.
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 
     /// Selects the sharded engine with `n` rack groups (`0` reverts to the

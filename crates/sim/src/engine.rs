@@ -10,41 +10,17 @@
 //! The pending-event set is pluggable through the
 //! [`Scheduler`] trait: [`Simulator::new`] uses the
 //! [`CalendarQueue`] (the fast default),
-//! while [`Simulator::with_scheduler`] accepts any implementation — the
-//! binary-heap [`EventQueue`] is kept as a
-//! reference for cross-checking, see [`HeapSimulator`]. Every scheduler
+//! while [`Simulator::with_scheduler`] accepts any implementation — tests
+//! pass the binary-heap [`EventQueue`](crate::queue::EventQueue) as the
+//! reference the calendar queue is cross-checked against. Every scheduler
 //! delivers events in the same `(time, EventId)` order, so the choice never
 //! changes simulation results, only wall-clock speed.
 
 use crate::calendar::CalendarQueue;
 use crate::event::{Context, EventId, Model};
-use crate::queue::{EventQueue, Scheduler};
+use crate::queue::Scheduler;
 use crate::rng::DetRng;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
-
-/// Which pending-event-set implementation an engine run uses. All kinds
-/// deliver identical event orders; the choice only affects wall-clock speed.
-/// Declarative configs (scenario specs) carry this so sweeps can cross-check
-/// the schedulers against each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize, Hash)]
-pub enum SchedulerKind {
-    /// The reference binary-heap [`EventQueue`].
-    Heap,
-    /// The two-level [`CalendarQueue`] (default).
-    #[default]
-    Calendar,
-}
-
-impl SchedulerKind {
-    /// Short name for labels and exports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedulerKind::Heap => "heap",
-            SchedulerKind::Calendar => "calendar",
-        }
-    }
-}
 
 /// Why a call to [`Simulator::run_until`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,22 +52,11 @@ pub struct Simulator<M: Model, S: Scheduler<M::Event> = CalendarQueue<<M as Mode
     initialized: bool,
 }
 
-/// A simulator running on the reference binary-heap scheduler, used to
-/// cross-check the calendar queue.
-pub type HeapSimulator<M> = Simulator<M, EventQueue<<M as Model>::Event>>;
-
 impl<M: Model> Simulator<M, CalendarQueue<M::Event>> {
     /// Creates a simulator over `model`, seeding all randomness from `seed`,
     /// on the default calendar-queue scheduler.
     pub fn new(model: M, seed: u64) -> Self {
         Simulator::with_scheduler(model, seed, CalendarQueue::new())
-    }
-}
-
-impl<M: Model> HeapSimulator<M> {
-    /// Creates a simulator on the reference binary-heap scheduler.
-    pub fn new_heap(model: M, seed: u64) -> Self {
-        Simulator::with_scheduler(model, seed, EventQueue::new())
     }
 }
 
@@ -231,6 +196,7 @@ impl<M: Model, S: Scheduler<M::Event>> Simulator<M, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::EventQueue;
     use crate::time::SimDuration;
 
     /// Records the order in which events were delivered.
@@ -428,7 +394,7 @@ mod tests {
             remaining: 500,
             trace: Vec::new(),
         };
-        let mut heap_sim = Simulator::new_heap(model(), 11);
+        let mut heap_sim = Simulator::with_scheduler(model(), 11, EventQueue::new());
         heap_sim.run();
         let mut cal_sim = Simulator::new(model(), 11);
         cal_sim.run();

@@ -76,7 +76,7 @@ pub mod windowed;
 pub mod prelude {
     pub use crate::calendar::CalendarQueue;
     pub use crate::config::SimConfig;
-    pub use crate::engine::{HeapSimulator, RunOutcome, SchedulerKind, Simulator};
+    pub use crate::engine::{RunOutcome, Simulator};
     pub use crate::event::{Context, Model};
     pub use crate::queue::{EventQueue, Scheduler};
     pub use crate::rng::DetRng;
@@ -88,7 +88,7 @@ pub mod prelude {
 
 pub use calendar::CalendarQueue;
 pub use config::SimConfig;
-pub use engine::{HeapSimulator, RunOutcome, SchedulerKind, Simulator};
+pub use engine::{RunOutcome, Simulator};
 pub use event::{Context, Model};
 pub use queue::{EventQueue, Scheduler};
 pub use rng::DetRng;

@@ -3,8 +3,8 @@
 //! A [`JobKey`] is a 128-bit FNV-1a hash of the canonical JSON of a fully
 //! resolved [`ScenarioSpec`] — the complete simulation input, rendered by
 //! [`canonical_spec_json`] (`rackfabric_scenario::codec`, whose module docs
-//! list what the form deliberately leaves out: scheduler, shard count and
-//! display names). Two specs get the same key exactly when the engine is
+//! list what the form deliberately leaves out: shard count and display
+//! names). Two specs get the same key exactly when the engine is
 //! guaranteed to produce byte-identical results for them.
 
 pub use rackfabric_scenario::codec::canonical_spec_json;
@@ -57,7 +57,6 @@ pub fn job_key(spec: &ScenarioSpec) -> JobKey {
 mod tests {
     use super::*;
     use rackfabric_scenario::spec::{ControllerSpec, WorkloadSpec};
-    use rackfabric_sim::engine::SchedulerKind;
     use rackfabric_sim::time::{SimDuration, SimTime};
     use rackfabric_sim::units::Bytes;
     use rackfabric_topo::spec::TopologySpec;
@@ -137,8 +136,6 @@ mod tests {
     #[test]
     fn result_neutral_fields_do_not_change_the_key() {
         let k = job_key(&base());
-        // Scheduler choice never affects results.
-        assert_eq!(k, job_key(&base().scheduler(SchedulerKind::Heap)));
         // Campaign name is a label.
         let mut renamed = base();
         renamed.name = "other-name".into();

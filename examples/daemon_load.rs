@@ -13,6 +13,8 @@
 //!    holds no job (`held == 0`), however many requests it served.
 //! 4. **Connection reuse** — the client threads share one client's pool,
 //!    so the daemon accepts no more connections than there are threads.
+//! 5. **One event sequence** — every reply's events are exactly
+//!    `accepted`, `started`, `done`, however soon the store answered.
 //!
 //! It prints the response-time histogram (p50/p99/max) from the daemon's
 //! obs registry and can export artifacts for CI's byte-comparison gate:
@@ -39,6 +41,7 @@ use rackfabric_obs::metrics::Registry;
 use rackfabric_obs::trace::TraceSink;
 use rackfabric_obs::{Observer, TimeDomain};
 use rackfabric_scenario::prelude::*;
+use rackfabric_sim::json;
 use rackfabric_sim::prelude::*;
 use rackfabric_sweep::key::canonical_spec_json;
 use rackfabric_sweep::store::ResultStore;
@@ -146,6 +149,20 @@ fn fail(message: String) -> ! {
     std::process::exit(1);
 }
 
+/// Fails unless `reply`'s events are exactly `accepted`, `started`,
+/// `done`: every job here reaches a worker, and none is cancelled.
+fn check_lifecycle(reply: &SubmitReply, what: &str) {
+    let kinds: Vec<Option<String>> = reply
+        .events
+        .iter()
+        .map(|line| Some(json::parse(line).ok()?.get("event")?.as_str()?.to_string()))
+        .collect();
+    let expected = ["accepted", "started", "done"].map(|kind| Some(kind.to_string()));
+    if kinds != expected {
+        fail(format!("{what}: events {:?}", reply.events));
+    }
+}
+
 fn main() {
     let args = match parse_args() {
         Ok(args) => args,
@@ -206,7 +223,10 @@ fn main() {
                 let tenant = format!("tenant-{}", c % 4);
                 let priority = (n % 3) as i64;
                 match client.submit(&tenant, priority, pool[n].clone()) {
-                    Ok(reply) => replies.push((n, reply.result_json)),
+                    Ok(reply) => {
+                        check_lifecycle(&reply, &format!("client {c} request {r}"));
+                        replies.push((n, reply.result_json));
+                    }
                     Err(e) => fail(format!("client {c} request {r}: {e}")),
                 }
             }
@@ -301,7 +321,10 @@ fn main() {
         let mut samples = Vec::with_capacity(pool.len());
         for (n, command) in pool.iter().enumerate() {
             match client.submit("sampler", 0, command.clone()) {
-                Ok(reply) if reply.cached => samples.push(reply.result_json),
+                Ok(reply) if reply.cached => {
+                    check_lifecycle(&reply, &format!("sample {n}"));
+                    samples.push(reply.result_json);
+                }
                 Ok(_) => fail(format!("sample {n}: expected a warm response")),
                 Err(e) => fail(format!("sample {n}: {e}")),
             }

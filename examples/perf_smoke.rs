@@ -58,7 +58,9 @@
 
 use rackfabric::prelude::{RoutingAlgorithm, TopologySpec};
 use rackfabric_obs::prelude::{Observer, TraceSink, WindowProfile};
+use rackfabric_scenario::aggregate::aggregate_cells;
 use rackfabric_scenario::prelude::*;
+use rackfabric_scenario::runner::run_scenario_on;
 use rackfabric_sim::json;
 use rackfabric_sim::prelude::*;
 use std::sync::Arc;
@@ -74,7 +76,7 @@ const PRE_PR_EVENTS_PER_SEC_BASELINE: f64 = 654_893.0;
 /// How many history entries the bench file retains.
 const HISTORY_CAP: usize = 50;
 
-fn matrix(tiny: bool, scheduler: SchedulerKind) -> Matrix {
+fn matrix(tiny: bool) -> Matrix {
     let (rack, horizon) = if tiny {
         (TopologySpec::grid(3, 3, 2), SimTime::from_millis(10))
     } else {
@@ -88,8 +90,7 @@ fn matrix(tiny: bool, scheduler: SchedulerKind) -> Matrix {
             load: 1.0,
         },
     )
-    .horizon(horizon)
-    .scheduler(scheduler);
+    .horizon(horizon);
     Matrix::new(base)
         .axis(
             "controller",
@@ -99,6 +100,27 @@ fn matrix(tiny: bool, scheduler: SchedulerKind) -> Matrix {
             ],
         )
         .master_seed(7)
+}
+
+/// Runs every job of `matrix` in turn on the reference binary-heap
+/// `EventQueue` and aggregates the cells as `Runner::run` does: the
+/// reference the calendar queue's exports are compared with.
+fn run_on_heap(matrix: &Matrix) -> MatrixResult {
+    let jobs: Vec<JobRecord> = matrix
+        .expand()
+        .into_iter()
+        .map(|job| {
+            let result = run_scenario_on(&job.spec, EventQueue::new());
+            JobRecord {
+                job,
+                outcome: JobOutcome::Completed(Box::new(result)),
+            }
+        })
+        .collect();
+    MatrixResult {
+        cells: aggregate_cells(&jobs),
+        jobs,
+    }
 }
 
 /// The sharded-engine sweep: multi-rack cells, each run at `shards` rack
@@ -357,7 +379,7 @@ fn main() {
     // Event counts and all simulation results are identical across passes
     // (enforced below); only the wall measurement varies.
     let mut passes: Vec<MatrixResult> = (0..3)
-        .map(|_| Runner::single_threaded().run(&matrix(tiny, SchedulerKind::Calendar)))
+        .map(|_| Runner::single_threaded().run(&matrix(tiny)))
         .collect();
     for pass in &passes {
         if pass.failed_jobs() > 0 {
@@ -381,8 +403,8 @@ fn main() {
     // Correctness cross-checks (never timing-sensitive):
     // 1. heap vs calendar must export byte-identical aggregates,
     // 2. 1 thread vs N threads must export byte-identical aggregates.
-    let heap = Runner::single_threaded().run(&matrix(tiny, SchedulerKind::Heap));
-    let parallel = Runner::new(0).run(&matrix(tiny, SchedulerKind::Calendar));
+    let heap = run_on_heap(&matrix(tiny));
+    let parallel = Runner::new(0).run(&matrix(tiny));
     let heap_ok = timed.to_csv() == heap.to_csv() && timed.to_json() == heap.to_json();
     let threads_ok = timed.to_csv() == parallel.to_csv() && timed.to_json() == parallel.to_json();
     if !heap_ok {

@@ -28,6 +28,7 @@ use rackfabric_daemon::prelude::*;
 use rackfabric_obs::metrics::Registry;
 use rackfabric_obs::{Observer, TimeDomain};
 use rackfabric_scenario::prelude::*;
+use rackfabric_sim::json;
 use rackfabric_sim::prelude::*;
 use rackfabric_sweep::key::canonical_spec_json;
 use rackfabric_sweep::lock::StoreLock;
@@ -93,6 +94,20 @@ fn reference_lines(dir: &TestDir, commands: &[Command]) -> Vec<String> {
             execute_oneshot(&exec, command)
                 .expect("reference execution")
                 .1
+        })
+        .collect()
+}
+
+/// The kind of each event line of a reply (its `event` field).
+fn event_kinds(reply: &SubmitReply) -> Vec<String> {
+    reply
+        .events
+        .iter()
+        .map(|line| {
+            json::parse(line)
+                .ok()
+                .and_then(|event| Some(event.get("event")?.as_str()?.to_string()))
+                .unwrap_or_else(|| format!("unreadable {line:?}"))
         })
         .collect()
 }
@@ -516,6 +531,12 @@ fn one_client_serves_sequential_requests_over_one_connection() {
     for n in 0..50 {
         let reply = client.submit("reuse", 0, command.clone()).unwrap();
         assert_eq!(reply.result_json, reference, "request {n}");
+        // However soon the store answers, the job reached a worker.
+        assert_eq!(
+            event_kinds(&reply),
+            ["accepted", "started", "done"],
+            "request {n}"
+        );
     }
     assert_eq!(client.status().unwrap().held, 0);
     let connections = observer

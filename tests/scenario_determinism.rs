@@ -6,22 +6,19 @@
 
 use rackfabric::prelude::TopologySpec;
 use rackfabric_phy::FecMode;
+use rackfabric_scenario::aggregate::aggregate_cells;
 use rackfabric_scenario::prelude::*;
+use rackfabric_scenario::runner::run_scenario_on;
 use rackfabric_sim::prelude::*;
 
 /// 4 rack sizes × 4 loads × 4 seeds = 64 jobs in 16 cells.
 fn sweep_matrix() -> Matrix {
-    sweep_matrix_on(SchedulerKind::Calendar)
-}
-
-fn sweep_matrix_on(scheduler: SchedulerKind) -> Matrix {
     let base = ScenarioSpec::new(
         "determinism-sweep",
         TopologySpec::grid(3, 3, 2),
         WorkloadSpec::shuffle(Bytes::from_kib(2)),
     )
-    .horizon(SimTime::from_millis(30))
-    .scheduler(scheduler);
+    .horizon(SimTime::from_millis(30));
     Matrix::new(base)
         .axis(
             "racks",
@@ -94,14 +91,34 @@ fn one_thread_and_n_threads_agree_bit_for_bit() {
     }
 }
 
+/// Runs every job of `matrix` in turn on the reference binary-heap
+/// `EventQueue` and aggregates the cells as `Runner::run` does.
+fn run_on_heap(matrix: &Matrix) -> MatrixResult {
+    let jobs: Vec<JobRecord> = matrix
+        .expand()
+        .into_iter()
+        .map(|job| {
+            let result = run_scenario_on(&job.spec, EventQueue::new());
+            JobRecord {
+                job,
+                outcome: JobOutcome::Completed(Box::new(result)),
+            }
+        })
+        .collect();
+    MatrixResult {
+        cells: aggregate_cells(&jobs),
+        jobs,
+    }
+}
+
 /// The hot-path acceptance criterion: the calendar-queue engine and the
 /// reference heap engine must render **byte-identical** CSV/JSON matrix
 /// exports, across thread counts. Every float, histogram percentile and
 /// counter participates via the textual comparison.
 #[test]
 fn heap_and_calendar_schedulers_export_identical_bytes() {
-    let calendar = Runner::new(4).run(&sweep_matrix_on(SchedulerKind::Calendar));
-    let heap = Runner::single_threaded().run(&sweep_matrix_on(SchedulerKind::Heap));
+    let calendar = Runner::new(4).run(&sweep_matrix());
+    let heap = run_on_heap(&sweep_matrix());
     assert_eq!(calendar.to_csv(), heap.to_csv());
     assert_eq!(calendar.to_json(), heap.to_json());
     assert_eq!(calendar.jobs_csv(), heap.jobs_csv());
