@@ -41,7 +41,6 @@ use rackfabric_obs::metrics::Registry;
 use rackfabric_obs::trace::TraceSink;
 use rackfabric_obs::{Observer, TimeDomain};
 use rackfabric_scenario::prelude::*;
-use rackfabric_sim::json;
 use rackfabric_sim::prelude::*;
 use rackfabric_sweep::key::canonical_spec_json;
 use rackfabric_sweep::store::ResultStore;
@@ -152,13 +151,15 @@ fn fail(message: String) -> ! {
 /// Fails unless `reply`'s events are exactly `accepted`, `started`,
 /// `done`: every job here reaches a worker, and none is cancelled.
 fn check_lifecycle(reply: &SubmitReply, what: &str) {
-    let kinds: Vec<Option<String>> = reply
-        .events
-        .iter()
-        .map(|line| Some(json::parse(line).ok()?.get("event")?.as_str()?.to_string()))
-        .collect();
-    let expected = ["accepted", "started", "done"].map(|kind| Some(kind.to_string()));
-    if kinds != expected {
+    let events: Vec<Option<Event>> = reply.events.iter().map(|l| Event::from_line(l)).collect();
+    if !matches!(
+        events.as_slice(),
+        [
+            Some(Event::Accepted { .. }),
+            Some(Event::Started { .. }),
+            Some(Event::Done { .. })
+        ]
+    ) {
         fail(format!("{what}: events {:?}", reply.events));
     }
 }
