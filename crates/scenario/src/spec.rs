@@ -665,6 +665,83 @@ mod tests {
         assert_ne!(spec.build_flows(), spec.clone().seed(10).build_flows());
     }
 
+    /// FNV-1a, 64-bit, over one `id src dst size start_ps` line per flow.
+    fn flow_digest(flows: &[Flow]) -> String {
+        let text: String = flows
+            .iter()
+            .map(|f| {
+                format!(
+                    "{} {} {} {} {}\n",
+                    f.id.0,
+                    f.src.as_u32(),
+                    f.dst.as_u32(),
+                    f.size.as_u64(),
+                    f.start_at.as_picos()
+                )
+            })
+            .collect();
+        let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        format!("{hash:016x}")
+    }
+
+    /// Pins the flows of one small spec of each workload kind: a change to
+    /// the generators or to the order of their random draws moves a digest.
+    #[test]
+    fn build_flows_are_pinned_for_every_workload_kind() {
+        let size = Bytes::from_kib(16);
+        let cases = [
+            WorkloadSpec::Shuffle {
+                partition: size,
+                load: 0.75,
+            },
+            WorkloadSpec::Incast {
+                request: size,
+                load: 1.5,
+            },
+            WorkloadSpec::Permutation { size, load: 0.5 },
+            WorkloadSpec::Uniform {
+                flows_per_node: 2.0,
+                size,
+                mean_interarrival: SimDuration::from_micros(2),
+                load: 0.75,
+            },
+            WorkloadSpec::Hotspot {
+                flows_per_node: 2.0,
+                size,
+                zipf_exponent: 1.2,
+                load: 1.0,
+            },
+            WorkloadSpec::SingleFlow { size, load: 2.0 },
+            WorkloadSpec::Storage {
+                ops_per_node: 2.0,
+                io_size: size,
+                read_fraction: 0.5,
+                load: 1.0,
+            },
+        ];
+        let got: Vec<(String, usize, String)> = cases
+            .into_iter()
+            .map(|workload| {
+                let spec = ScenarioSpec::new("pin", TopologySpec::grid(4, 4, 1), workload).seed(11);
+                let flows = spec.build_flows();
+                (spec.workload.label(), flows.len(), flow_digest(&flows))
+            })
+            .collect();
+        let want = [
+            ("shuffle", 240, "1fc1e8d1ed7522c7"),
+            ("incast", 15, "e66efadb275ea0cd"),
+            ("permutation", 16, "7966f28c79848b8d"),
+            ("uniform", 24, "9a486f9eb191aac5"),
+            ("hotspot", 32, "ab8fe5db0cdf73d8"),
+            ("single-flow", 1, "a1f7b2c066e03a4f"),
+            ("storage", 24, "f1562b449a4324f6"),
+        ]
+        .map(|(label, count, digest)| (label.to_string(), count, digest.to_string()));
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn labels_are_compact() {
         assert_eq!(WorkloadSpec::shuffle(Bytes::new(1)).label(), "shuffle");
