@@ -8,7 +8,6 @@
 //! campaign shows up as exactly the `execute-cell` lines of the cells that
 //! contain it — auditable, not implicit.
 
-use crate::command::Command;
 use crate::journal::LogRecord;
 
 /// How many `-`/`+` lines are rendered before eliding the rest.
@@ -190,22 +189,23 @@ pub fn diff_journal_dirs(
     Ok(out)
 }
 
-/// Test-and-CLI helper: wraps bare commands as sequenced records.
-pub fn as_records(commands: Vec<Command>) -> Vec<LogRecord> {
-    commands
-        .into_iter()
-        .enumerate()
-        .map(|(seq, command)| LogRecord {
-            seq: seq as u64,
-            command,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::Command;
     use rackfabric_sweep::key::JobKey;
+
+    /// Wraps bare commands as sequenced records.
+    fn as_records(commands: Vec<Command>) -> Vec<LogRecord> {
+        commands
+            .into_iter()
+            .enumerate()
+            .map(|(seq, command)| LogRecord {
+                seq: seq as u64,
+                command,
+            })
+            .collect()
+    }
 
     fn cell(i: u128) -> Command {
         Command::ExecuteCell {

@@ -142,7 +142,10 @@ impl FabricConfig {
     }
 
     /// The static packet-switched baseline over the same topology: no CRC, no
-    /// PLP commands, shortest-hop routing.
+    /// PLP commands, shortest-hop routing. It is the same substrate (switches,
+    /// links, workload) with the Closed Ring Control switched off, so every
+    /// experiment that claims a win for the adaptive fabric compares against
+    /// it: what you get if you never issue a PLP command.
     pub fn baseline(spec: TopologySpec) -> Self {
         FabricConfig {
             adaptive: false,
@@ -976,6 +979,26 @@ mod tests {
             baseline.metrics.delivered_bytes,
             adaptive.metrics.delivered_bytes
         );
+    }
+
+    #[test]
+    fn baseline_config_disables_the_crc() {
+        let c = FabricConfig::baseline(TopologySpec::grid(2, 2, 2));
+        assert!(!c.adaptive);
+        assert_eq!(c.routing, RoutingAlgorithm::ShortestHop);
+        assert!(c.upgrade_spec.is_none());
+    }
+
+    #[test]
+    fn baseline_never_issues_plp_commands() {
+        let flows =
+            MapReduceShuffle::all_to_all(4, Bytes::from_kib(4)).generate(&mut DetRng::new(1));
+        let mut config = FabricConfig::baseline(TopologySpec::grid(2, 2, 2));
+        config.sim = SimConfig::with_seed(1).horizon(SimTime::from_millis(50));
+        let fabric = run_fabric(config, flows);
+        assert!(fabric.all_flows_complete());
+        assert!(fabric.metrics.reconfig_events.is_empty());
+        assert_eq!(fabric.metrics.topology_reconfigurations, 0);
     }
 
     #[test]

@@ -24,12 +24,12 @@
 //! * [`reconfigure`] — planning and applying whole-topology changes
 //!   (e.g. grid → torus) as PLP command sequences.
 //! * [`fabric`] — the discrete-event fabric simulation tying the physical
-//!   layer, switching, workloads and the CRC together.
+//!   layer, switching, workloads and the CRC together;
+//!   [`FabricConfig::baseline`] is the same fabric with the CRC disabled
+//!   (the static packet-switched comparison point).
 //! * [`shard`] — the sharded multi-rack engine: the same fabric partitioned
 //!   into rack groups, advanced in conservative time windows with
 //!   bit-identical results for any shard count.
-//! * [`baseline`] — the same fabric with the CRC disabled (the static
-//!   packet-switched comparison point).
 //! * [`metrics`] — per-run metrics and summaries.
 //!
 //! ## Quick start
@@ -53,7 +53,6 @@
 //! assert!(summary.packet_latency.p99 > 0.0);
 //! ```
 
-pub mod baseline;
 pub mod breakeven;
 mod control;
 pub mod controller;
@@ -67,7 +66,6 @@ pub mod shard;
 
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
-    pub use crate::baseline::{baseline_config, run_baseline};
     pub use crate::breakeven::{evaluate as breakeven_evaluate, min_flow_size, BreakEvenInput};
     pub use crate::controller::{ClosedRingControl, CrcConfig, CrcDecision};
     pub use crate::fabric::{run_fabric, AdaptiveFabric, FabricConfig, FabricEvent};
@@ -81,7 +79,6 @@ pub mod prelude {
     pub use rackfabric_topo::spec::TopologySpec;
 }
 
-pub use baseline::run_baseline;
 pub use controller::{ClosedRingControl, CrcConfig};
 pub use fabric::{run_fabric, AdaptiveFabric, FabricConfig};
 pub use metrics::{FabricMetrics, RunSummary};

@@ -300,15 +300,6 @@ impl WindowProfile {
         self.workers.iter().map(|w| w.early_advances).sum()
     }
 
-    /// All workers' wait histograms merged into one.
-    pub fn merged_barrier_wait(&self) -> HistogramSnapshot {
-        let mut merged = HistogramSnapshot::default();
-        for worker in &self.workers {
-            merged.merge(&worker.wait_histogram);
-        }
-        merged
-    }
-
     /// Per-shard event counts, shard order.
     pub fn shard_events(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.events).collect()
@@ -467,7 +458,10 @@ mod tests {
         }
         profiler.record_barrier_wait(2, 0);
         let profile = profiler.snapshot();
-        let merged = profile.merged_barrier_wait();
+        let mut merged = HistogramSnapshot::default();
+        for worker in &profile.workers {
+            merged.merge(&worker.wait_histogram);
+        }
         assert_eq!(merged.count, 6);
         assert_eq!(merged.sum, 10 + 12 + 14 + 1_000 + 2_000_000);
         assert_eq!(merged.max, 2_000_000);

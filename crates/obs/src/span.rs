@@ -61,13 +61,6 @@ impl Span {
         }
     }
 
-    /// Attaches a float argument (no-op when disabled).
-    pub fn arg_f64(&mut self, key: &'static str, value: f64) {
-        if let Some(inner) = &mut self.inner {
-            inner.args.push((key, ArgValue::F64(value)));
-        }
-    }
-
     /// Attaches a string argument (no-op when disabled).
     pub fn arg_str(&mut self, key: &'static str, value: impl Into<String>) {
         if let Some(inner) = &mut self.inner {

@@ -97,11 +97,6 @@ impl Media {
     pub fn channel_loss_db(&self, length: Length) -> f64 {
         self.attenuation_db_per_m * length.as_m_f64() + self.connector_loss_db
     }
-
-    /// True if a link of this length can train at all.
-    pub fn supports_reach(&self, length: Length) -> bool {
-        length <= self.max_reach
-    }
 }
 
 #[cfg(test)]
@@ -148,14 +143,6 @@ mod tests {
         );
         // 3 m DAC: 6 dB/m * 3 + 1.5 = 19.5 dB.
         assert!((copper.channel_loss_db(Length::from_m(3)) - 19.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reach_limits_are_enforced() {
-        assert!(Media::copper_dac().supports_reach(Length::from_m(5)));
-        assert!(!Media::copper_dac().supports_reach(Length::from_m(20)));
-        assert!(Media::optical_fiber().supports_reach(Length::from_m(40)));
-        assert!(!Media::backplane().supports_reach(Length::from_m(2)));
     }
 
     #[test]

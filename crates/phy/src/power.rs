@@ -7,7 +7,6 @@
 //! a per-bit dynamic cost, each FEC engine its own cost, and each bypass a
 //! small cross-connect cost; a powered-down lane costs (almost) nothing.
 
-use crate::fec::FecMode;
 use crate::link::{Link, LinkState};
 use rackfabric_sim::units::{BitRate, Power};
 use serde::{Deserialize, Serialize};
@@ -100,16 +99,12 @@ impl PowerModel {
         }
         per_lane * delta
     }
-
-    /// Power cost of enabling FEC `mode` on a link with `lanes` active lanes.
-    pub fn fec_cost(&self, mode: FecMode, lanes: usize) -> Power {
-        mode.power_per_lane() * lanes as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fec::FecMode;
     use crate::link::LinkId;
     use crate::media::Media;
     use rackfabric_sim::units::Length;
@@ -163,7 +158,6 @@ mod tests {
         l.set_fec(FecMode::Rs544);
         let with = m.link_power(&l, BitRate::ZERO, PowerState::Active);
         assert_eq!(with - without, Power::from_milliwatts(800));
-        assert_eq!(m.fec_cost(FecMode::Rs544, 4), Power::from_milliwatts(800));
     }
 
     #[test]

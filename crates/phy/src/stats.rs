@@ -136,15 +136,6 @@ impl TelemetryReport {
         self.links.iter().find(|l| l.link == id)
     }
 
-    /// The most congested link, if any links are present.
-    pub fn most_congested(&self, queue_reference_bytes: f64) -> Option<&LinkTelemetry> {
-        self.links.iter().max_by(|a, b| {
-            a.congestion_score(queue_reference_bytes)
-                .partial_cmp(&b.congestion_score(queue_reference_bytes))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
-
     /// Mean utilization across up links (0 when there are none).
     pub fn mean_utilization(&self) -> f64 {
         let up: Vec<&LinkTelemetry> = self.links.iter().filter(|l| l.up).collect();
@@ -216,14 +207,12 @@ mod tests {
         r.links.push(telemetry(2, 0.5, 0.0));
         assert!(r.link(LinkId(1)).is_some());
         assert!(r.link(LinkId(9)).is_none());
-        assert_eq!(r.most_congested(64_000.0).unwrap().link, LinkId(1));
         assert!((r.mean_utilization() - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn empty_report_is_well_behaved() {
         let r = TelemetryReport::new(SimTime::ZERO);
-        assert!(r.most_congested(1.0).is_none());
         assert_eq!(r.mean_utilization(), 0.0);
     }
 }

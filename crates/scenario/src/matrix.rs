@@ -12,8 +12,7 @@ use crate::spec::{ControllerSpec, FecSetting, ScenarioSpec, WorkloadSpec};
 use rackfabric::policy::CrcPolicy;
 use rackfabric_phy::PlpTiming;
 use rackfabric_sim::rng::DetRng;
-use rackfabric_sim::time::{SimDuration, SimTime};
-use rackfabric_sim::units::{BitRate, Bytes, Length};
+use rackfabric_sim::units::{Bytes, Length};
 use rackfabric_switch::model::{SwitchKind, SwitchModel};
 use rackfabric_topo::routing::RoutingAlgorithm;
 use rackfabric_topo::spec::TopologySpec;
@@ -31,8 +30,6 @@ pub enum AxisValue {
     Load(f64),
     /// Set the initial FEC codec.
     Fec(FecSetting),
-    /// Cap the initially active lanes per link.
-    ActiveLanes(Option<usize>),
     /// Replace the controller.
     Controller(ControllerSpec),
     /// Set the CRC policy (keeps the controller's epoch and routing; turns a
@@ -43,13 +40,6 @@ pub enum AxisValue {
     /// Valiant or adaptive routing and an adaptive controller's default is
     /// replaced).
     Routing(RoutingAlgorithm),
-    /// Set the per-lane signalling rate.
-    LaneRate(BitRate),
-    /// Set the packetisation size.
-    Mtu(Bytes),
-    /// Set the packet-train rate window (how many bytes each link drain
-    /// event batches; the train-batching knob of the hot path).
-    TrainWindow(SimDuration),
     /// Set the switch datapath model (forwarding discipline + pipeline
     /// latency) used at every node.
     SwitchModel(SwitchModel),
@@ -64,8 +54,6 @@ pub enum AxisValue {
     /// Apply several mutations as one axis value (for knobs that must move
     /// together, e.g. a topology and its matching escalation target).
     Multi(Vec<AxisValue>),
-    /// Set the simulation horizon.
-    Horizon(SimTime),
     /// Select the engine: `0` = monolithic, `n >= 1` = sharded multi-rack
     /// engine with `n` rack groups. Sweeps use this axis to cross-check
     /// 1-shard against N-shard runs (byte-identical exports).
@@ -86,7 +74,6 @@ impl AxisValue {
             AxisValue::Workload(w) => spec.workload = w.clone(),
             AxisValue::Load(l) => spec.workload = spec.workload.clone().with_load(*l),
             AxisValue::Fec(f) => spec.phy.fec = *f,
-            AxisValue::ActiveLanes(n) => spec.phy.active_lanes = *n,
             AxisValue::Controller(c) => spec.controller = *c,
             AxisValue::Policy(p) => match &mut spec.controller {
                 ControllerSpec::Adaptive { policy, .. } => *policy = *p,
@@ -99,9 +86,6 @@ impl AxisValue {
                 }
             },
             AxisValue::Routing(r) => spec.routing = Some(*r),
-            AxisValue::LaneRate(rate) => spec.lane_rate = *rate,
-            AxisValue::Mtu(m) => spec.mtu = *m,
-            AxisValue::TrainWindow(w) => spec.train_window = *w,
             AxisValue::SwitchModel(m) => spec.switch = *m,
             AxisValue::PortBuffer(b) => spec.port_buffer = *b,
             AxisValue::PlpTiming(t) => spec.plp_timing = *t,
@@ -111,7 +95,6 @@ impl AxisValue {
                     value.apply(spec);
                 }
             }
-            AxisValue::Horizon(h) => spec.horizon = *h,
             AxisValue::Shards(n) => spec.shards = *n,
             AxisValue::RackSpacing(l) => {
                 spec.topology = spec.topology.clone().with_rack_spacing(*l);
@@ -129,8 +112,6 @@ impl AxisValue {
             AxisValue::Workload(w) => w.label(),
             AxisValue::Load(l) => format!("{l}"),
             AxisValue::Fec(f) => f.label(),
-            AxisValue::ActiveLanes(Some(n)) => format!("{n}"),
-            AxisValue::ActiveLanes(None) => "all".into(),
             AxisValue::Controller(c) => c.label(),
             AxisValue::Policy(p) => p.name().into(),
             AxisValue::Routing(r) => match r {
@@ -141,9 +122,6 @@ impl AxisValue {
                 RoutingAlgorithm::Valiant => "valiant".into(),
                 RoutingAlgorithm::Adaptive => "adaptive".into(),
             },
-            AxisValue::LaneRate(rate) => format!("{}gbps", rate.as_gbps_f64()),
-            AxisValue::Mtu(m) => format!("{}B", m.as_u64()),
-            AxisValue::TrainWindow(w) => format!("{}ns", w.as_nanos_f64()),
             AxisValue::SwitchModel(m) => {
                 let kind = match m.kind {
                     SwitchKind::CutThrough => "cut-through",
@@ -168,7 +146,6 @@ impl AxisValue {
                 .map(|v| v.label())
                 .collect::<Vec<_>>()
                 .join("+"),
-            AxisValue::Horizon(h) => format!("{}us", h.as_micros_f64()),
             AxisValue::Shards(0) => "monolithic".into(),
             AxisValue::Shards(n) => format!("{n}"),
             AxisValue::RackSpacing(l) => {
@@ -311,7 +288,7 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rackfabric_sim::units::Bytes;
+    use rackfabric_sim::time::SimDuration;
 
     fn base() -> ScenarioSpec {
         ScenarioSpec::new(
@@ -416,38 +393,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn train_window_and_mtu_axes_mutate_the_spec() {
-        let m = Matrix::new(base())
-            .axis(
-                "train_window",
-                vec![
-                    AxisValue::TrainWindow(SimDuration::from_nanos(250)),
-                    AxisValue::TrainWindow(SimDuration::from_micros(2)),
-                ],
-            )
-            .axis(
-                "mtu",
-                vec![
-                    AxisValue::Mtu(Bytes::new(1500)),
-                    AxisValue::Mtu(Bytes::new(9000)),
-                ],
-            );
-        let jobs = m.expand();
-        assert_eq!(jobs.len(), 4);
-        assert_eq!(jobs[0].spec.train_window, SimDuration::from_nanos(250));
-        assert_eq!(jobs[0].spec.mtu.as_u64(), 1500);
-        assert_eq!(jobs[3].spec.train_window, SimDuration::from_micros(2));
-        assert_eq!(jobs[3].spec.mtu.as_u64(), 9000);
-        assert_eq!(jobs[0].labels[0].1, "250ns");
-        assert_eq!(jobs[3].labels[1].1, "9000B");
-        // The knob reaches the engine configuration.
-        assert_eq!(
-            jobs[0].spec.to_fabric_config().train_window,
-            SimDuration::from_nanos(250)
-        );
     }
 
     #[test]

@@ -18,8 +18,8 @@ use rackfabric_topo::routing::RoutingAlgorithm;
 use rackfabric_topo::spec::TopologySpec;
 use rackfabric_topo::NodeId;
 use rackfabric_workload::{
-    ArrivalProcess, Flow, FlowSizeDistribution, HotspotWorkload, IncastWorkload, MapReduceShuffle,
-    PermutationWorkload, StorageWorkload, UniformWorkload, Workload, WorkloadFlowId,
+    ArrivalProcess, Flow, HotspotWorkload, IncastWorkload, MapReduceShuffle, PermutationWorkload,
+    StorageWorkload, UniformWorkload, Workload, WorkloadFlowId,
 };
 use serde::{Deserialize, Serialize};
 
@@ -187,7 +187,7 @@ impl WorkloadSpec {
             .generate(rng),
             WorkloadSpec::Permutation { size, load } => PermutationWorkload {
                 nodes,
-                sizes: FlowSizeDistribution::Fixed(scaled(*size, *load)),
+                size: scaled(*size, *load),
                 arrivals: ArrivalProcess::AllAtOnce(SimTime::ZERO),
             }
             .generate(rng),
@@ -199,7 +199,7 @@ impl WorkloadSpec {
             } => UniformWorkload {
                 nodes,
                 flows: ((flows_per_node * load * nodes as f64).round() as usize).max(1),
-                sizes: FlowSizeDistribution::Fixed(*size),
+                size: *size,
                 arrivals: ArrivalProcess::Poisson {
                     mean_interarrival: *mean_interarrival,
                     start: SimTime::ZERO,
@@ -215,7 +215,7 @@ impl WorkloadSpec {
                 nodes,
                 flows: ((flows_per_node * load * nodes as f64).round() as usize).max(1),
                 zipf_exponent: *zipf_exponent,
-                sizes: FlowSizeDistribution::Fixed(*size),
+                size: *size,
                 arrivals: ArrivalProcess::AllAtOnce(SimTime::ZERO),
             }
             .generate(rng),
@@ -639,11 +639,15 @@ mod tests {
         )
         .upgrade(TopologySpec::torus(3, 3, 1))
         .seed(77)
-        .horizon(SimTime::from_millis(10));
+        .horizon(SimTime::from_millis(10))
+        .mtu(Bytes::new(9000))
+        .train_window(SimDuration::from_nanos(250));
         let config = spec.to_fabric_config();
         assert!(config.adaptive);
         assert_eq!(config.sim.seed, 77);
         assert_eq!(config.sim.horizon, SimTime::from_millis(10));
+        assert_eq!(config.mtu, Bytes::new(9000));
+        assert_eq!(config.train_window, SimDuration::from_nanos(250));
         assert_eq!(
             config.upgrade_spec.as_ref().unwrap().name,
             TopologySpec::torus(3, 3, 1).name

@@ -82,7 +82,7 @@ pub mod prelude {
     pub use crate::rng::DetRng;
     pub use crate::stats::{Counter, Histogram, Series, Summary, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::units::{BitRate, Bytes, Energy, Length, Power};
+    pub use crate::units::{BitRate, Bytes, Length, Power};
     pub use crate::windowed::{ShardModel, SyncHook, WindowCtx, WindowedOutcome, WindowedSim};
 }
 

@@ -9,7 +9,7 @@
 //!
 //! Besides raw integers, this module provides the handful of distributions
 //! the workload generators need: uniform ranges, exponential inter-arrival
-//! times, Pareto and log-normal flow sizes, and Zipf hotspot selection.
+//! times, and Zipf hotspot selection.
 
 use rand::RngCore;
 
@@ -103,32 +103,6 @@ impl DetRng {
         assert!(mean > 0.0, "exponential mean must be positive");
         let u = 1.0 - self.next_f64(); // avoid ln(0)
         -mean * u.ln()
-    }
-
-    /// A bounded Pareto sample (heavy-tailed flow sizes).
-    pub fn pareto(&mut self, shape: f64, min: f64, max: f64) -> f64 {
-        assert!(
-            shape > 0.0 && min > 0.0 && max > min,
-            "invalid Pareto parameters"
-        );
-        let u = self.next_f64();
-        let ha = max.powf(-shape);
-        let la = min.powf(-shape);
-        let x = (ha + u * (la - ha)).powf(-1.0 / shape);
-        x.clamp(min, max)
-    }
-
-    /// A log-normal sample parameterised by the mean and sigma of the
-    /// underlying normal.
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        (mu + sigma * self.standard_normal()).exp()
-    }
-
-    /// A standard normal via Box–Muller.
-    pub fn standard_normal(&mut self) -> f64 {
-        let u1 = (1.0 - self.next_f64()).max(f64::MIN_POSITIVE);
-        let u2 = self.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
     /// A Zipf-distributed index in `[0, n)` with exponent `s` (s=0 is
@@ -272,15 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_stays_in_bounds() {
-        let mut r = DetRng::new(17);
-        for _ in 0..10_000 {
-            let x = r.pareto(1.2, 100.0, 1e7);
-            assert!((100.0..=1e7).contains(&x));
-        }
-    }
-
-    #[test]
     fn zipf_prefers_low_indices() {
         let mut r = DetRng::new(19);
         let mut counts = [0u32; 16];
@@ -301,17 +266,6 @@ mod tests {
         for &c in &counts {
             assert!((1500..2500).contains(&c), "count {c} deviates from uniform");
         }
-    }
-
-    #[test]
-    fn standard_normal_moments() {
-        let mut r = DetRng::new(29);
-        let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.standard_normal()).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean was {mean}");
-        assert!((var - 1.0).abs() < 0.05, "variance was {var}");
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Duration until `later`, saturating at zero.
-    pub fn saturating_until(self, later: SimTime) -> SimDuration {
-        SimDuration(later.0.saturating_sub(self.0))
-    }
-
     /// Adds a duration, saturating at [`SimTime::MAX`].
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -125,14 +120,6 @@ impl SimDuration {
     /// Creates a duration from seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * PS_PER_S)
-    }
-    /// Creates a duration from fractional nanoseconds, rounding to the
-    /// nearest picosecond. Negative and non-finite inputs clamp to zero.
-    pub fn from_nanos_f64(ns: f64) -> Self {
-        if !ns.is_finite() || ns <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration((ns * PS_PER_NS as f64).round() as u64)
     }
     /// Creates a duration from fractional seconds, rounding to the nearest
     /// picosecond. Negative and non-finite inputs clamp to zero.
@@ -407,9 +394,8 @@ mod tests {
 
     #[test]
     fn float_constructors_clamp_bad_input() {
-        assert_eq!(SimDuration::from_nanos_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_nanos_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_nanos_f64(1.5).as_picos(), 1_500);
+        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(0.25).as_picos(), 250 * PS_PER_MS);
     }
 

@@ -130,10 +130,6 @@ impl BitRate {
     pub const fn from_gbps(gbps: u64) -> Self {
         BitRate(gbps * 1_000_000_000)
     }
-    /// Creates a rate from megabits per second.
-    pub const fn from_mbps(mbps: u64) -> Self {
-        BitRate(mbps * 1_000_000)
-    }
     /// The raw bits-per-second value.
     pub const fn as_bps(self) -> u64 {
         self.0
@@ -260,10 +256,6 @@ impl Length {
     pub const fn from_mm(mm: u64) -> Self {
         Length(mm)
     }
-    /// Creates a length from centimetres.
-    pub const fn from_cm(cm: u64) -> Self {
-        Length(cm * 10)
-    }
     /// Creates a length from metres.
     pub const fn from_m(m: u64) -> Self {
         Length(m * 1000)
@@ -351,12 +343,6 @@ impl Power {
     pub fn saturating_sub(self, other: Power) -> Power {
         Power(self.0.saturating_sub(other.0))
     }
-    /// Energy consumed over `d` at this power.
-    pub fn energy_over(self, d: SimDuration) -> Energy {
-        // mW * ps = 1e-15 J; accumulate in picojoules: mW * ps / 1000.
-        let pj = (self.0 as u128 * d.as_picos() as u128) / 1000;
-        Energy::from_picojoules(pj.min(u64::MAX as u128) as u64)
-    }
     /// Scales power by a non-negative factor.
     pub fn scale(self, factor: f64) -> Power {
         if !factor.is_finite() || factor <= 0.0 {
@@ -413,74 +399,6 @@ impl fmt::Display for Power {
             write!(f, "{:.2}W", self.0 as f64 / 1e3)
         } else {
             write!(f, "{}mW", self.0)
-        }
-    }
-}
-
-/// Electrical energy, stored in picojoules.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-pub struct Energy(u64);
-
-impl Energy {
-    /// Zero energy.
-    pub const ZERO: Energy = Energy(0);
-
-    /// Creates energy from picojoules.
-    pub const fn from_picojoules(pj: u64) -> Self {
-        Energy(pj)
-    }
-    /// Creates energy from microjoules.
-    pub const fn from_microjoules(uj: u64) -> Self {
-        Energy(uj * 1_000_000)
-    }
-    /// Creates energy from joules.
-    pub const fn from_joules(j: u64) -> Self {
-        Energy(j * 1_000_000_000_000)
-    }
-    /// The energy in picojoules.
-    pub const fn as_picojoules(self) -> u64 {
-        self.0
-    }
-    /// The energy in joules as a float.
-    pub fn as_joules_f64(self) -> f64 {
-        self.0 as f64 / 1e12
-    }
-    /// Saturating addition.
-    pub fn saturating_add(self, other: Energy) -> Energy {
-        Energy(self.0.saturating_add(other.0))
-    }
-}
-
-impl Add for Energy {
-    type Output = Energy;
-    fn add(self, rhs: Energy) -> Energy {
-        Energy(self.0 + rhs.0)
-    }
-}
-impl AddAssign for Energy {
-    fn add_assign(&mut self, rhs: Energy) {
-        self.0 += rhs.0;
-    }
-}
-impl Sum for Energy {
-    fn sum<I: Iterator<Item = Energy>>(iter: I) -> Energy {
-        Energy(iter.map(|e| e.0).sum())
-    }
-}
-
-impl fmt::Debug for Energy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(self, f)
-    }
-}
-impl fmt::Display for Energy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1_000_000_000_000 {
-            write!(f, "{:.3}J", self.as_joules_f64())
-        } else if self.0 >= 1_000_000 {
-            write!(f, "{:.3}uJ", self.0 as f64 / 1e6)
-        } else {
-            write!(f, "{}pJ", self.0)
         }
     }
 }
@@ -617,16 +535,9 @@ mod tests {
     }
 
     #[test]
-    fn power_and_energy() {
+    fn power_scales_by_lane_count() {
         let serdes = Power::from_milliwatts(750);
         assert_eq!(serdes * 4, Power::from_milliwatts(3000));
-        // 1 W for 1 s is 1 J.
-        let e = Power::from_watts(1).energy_over(SimDuration::from_secs(1));
-        assert_eq!(e.as_picojoules(), 1_000_000_000_000);
-        assert!((e.as_joules_f64() - 1.0).abs() < 1e-9);
-        // 750 mW for 1 us is 750 nJ.
-        let e2 = serdes.energy_over(SimDuration::from_micros(1));
-        assert_eq!(e2.as_picojoules(), 750_000);
     }
 
     #[test]
@@ -635,7 +546,6 @@ mod tests {
         assert_eq!(format!("{}", Bytes::from_kib(2)), "2.00KiB");
         assert_eq!(format!("{}", Power::from_kilowatts(12)), "12.00kW");
         assert_eq!(format!("{}", Length::from_m(3)), "3m");
-        assert_eq!(format!("{}", Energy::from_joules(2)), "2.000J");
     }
 
     #[test]

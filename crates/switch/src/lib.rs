@@ -13,8 +13,7 @@
 //!   delay and of the occupancy telemetry the Closed Ring Control prices
 //!   links by.
 //! * [`model`] — cut-through and store-and-forward switch datapath models
-//!   (per-hop latency), plus an iSLIP-style round-robin crossbar arbiter used
-//!   by the cycle-level hardware model.
+//!   (per-hop latency).
 //! * [`train`] — packet trains: batches of back-to-back frames that move
 //!   through the fabric with one event per link drain instead of one per
 //!   packet, the event-collapsing core of the hot-path refactor.
@@ -24,7 +23,7 @@ pub mod packet;
 pub mod queue;
 pub mod train;
 
-pub use model::{CrossbarArbiter, SwitchKind, SwitchModel};
+pub use model::{SwitchKind, SwitchModel};
 pub use packet::{FlowId, LatencyBreakdown, Packet, PacketId};
 pub use queue::{EgressQueue, EnqueueOutcome, TrainAdmission};
 pub use train::{train_frames, Train};

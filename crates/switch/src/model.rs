@@ -13,10 +13,6 @@
 //! Both are parameterised by a pipeline latency; the default of 400 ns for
 //! cut-through is in the range published for commodity rack switches of the
 //! paper's era (300–500 ns port-to-port).
-//!
-//! A round-robin [`CrossbarArbiter`] (a simplified single-iteration iSLIP) is
-//! also provided; the event-driven fabric model uses egress queues directly,
-//! but the cycle-level NetFPGA model and the unit tests exercise the arbiter.
 
 use crate::packet::CUT_THROUGH_HEADER;
 use rackfabric_phy::Link;
@@ -102,70 +98,6 @@ impl SwitchModel {
     }
 }
 
-/// A single-iteration round-robin crossbar arbiter over virtual output
-/// queues: each output grants one requesting input per arbitration round,
-/// rotating its grant pointer for fairness; each input accepts at most one
-/// grant per round, rotating its accept pointer.
-#[derive(Debug, Clone)]
-pub struct CrossbarArbiter {
-    ports: usize,
-    grant_pointer: Vec<usize>,
-    accept_pointer: Vec<usize>,
-}
-
-impl CrossbarArbiter {
-    /// Creates an arbiter for a `ports x ports` crossbar.
-    pub fn new(ports: usize) -> Self {
-        CrossbarArbiter {
-            ports,
-            grant_pointer: vec![0; ports],
-            accept_pointer: vec![0; ports],
-        }
-    }
-
-    /// Number of ports.
-    pub fn ports(&self) -> usize {
-        self.ports
-    }
-
-    /// Runs one arbitration round. `requests[input][output]` is true when the
-    /// input's VOQ toward that output is non-empty. Returns `(input, output)`
-    /// matches; each input and each output appears at most once.
-    pub fn arbitrate(&mut self, requests: &[Vec<bool>]) -> Vec<(usize, usize)> {
-        assert_eq!(requests.len(), self.ports, "request matrix has wrong shape");
-        // Grant phase: every output picks one requesting input, round robin
-        // from its pointer.
-        let mut grants: Vec<Option<usize>> = vec![None; self.ports]; // per output -> input
-        for (output, grant) in grants.iter_mut().enumerate() {
-            for k in 0..self.ports {
-                let input = (self.grant_pointer[output] + k) % self.ports;
-                if requests[input].get(output).copied().unwrap_or(false) {
-                    *grant = Some(input);
-                    break;
-                }
-            }
-        }
-        // Accept phase: every input accepts one granting output, round robin.
-        let mut matches = Vec::new();
-        let mut input_taken = vec![false; self.ports];
-        for (input, taken) in input_taken.iter_mut().enumerate() {
-            for k in 0..self.ports {
-                let output = (self.accept_pointer[input] + k) % self.ports;
-                if grants[output] == Some(input) && !*taken {
-                    matches.push((input, output));
-                    *taken = true;
-                    // Pointers advance past the matched peer (iSLIP rule).
-                    self.grant_pointer[output] = (input + 1) % self.ports;
-                    self.accept_pointer[input] = (output + 1) % self.ports;
-                    break;
-                }
-            }
-        }
-        matches.sort_unstable();
-        matches
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,52 +161,5 @@ mod tests {
         let switch_hop = m.traversal_latency(Bytes::new(1500), &link);
         let media_hop = link.propagation_delay();
         assert!(switch_hop.as_nanos_f64() > 20.0 * media_hop.as_nanos_f64());
-    }
-
-    #[test]
-    fn arbiter_matches_non_conflicting_requests_in_one_round() {
-        let mut arb = CrossbarArbiter::new(4);
-        // Input i wants output (i+1)%4: a perfect permutation.
-        let requests: Vec<Vec<bool>> = (0..4)
-            .map(|i| (0..4).map(|o| o == (i + 1) % 4).collect())
-            .collect();
-        let matches = arb.arbitrate(&requests);
-        assert_eq!(matches.len(), 4);
-        for (i, o) in matches {
-            assert_eq!(o, (i + 1) % 4);
-        }
-    }
-
-    #[test]
-    fn arbiter_resolves_output_contention_fairly_over_rounds() {
-        let mut arb = CrossbarArbiter::new(4);
-        // Inputs 0 and 1 both want output 0 only.
-        let requests: Vec<Vec<bool>> = vec![
-            vec![true, false, false, false],
-            vec![true, false, false, false],
-            vec![false, false, false, false],
-            vec![false, false, false, false],
-        ];
-        let r1 = arb.arbitrate(&requests);
-        assert_eq!(r1.len(), 1, "only one grant for a contended output");
-        let winner1 = r1[0].0;
-        let r2 = arb.arbitrate(&requests);
-        let winner2 = r2[0].0;
-        assert_ne!(winner1, winner2, "round robin alternates the winner");
-    }
-
-    #[test]
-    fn arbiter_with_no_requests_matches_nothing() {
-        let mut arb = CrossbarArbiter::new(3);
-        let requests = vec![vec![false; 3]; 3];
-        assert!(arb.arbitrate(&requests).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong shape")]
-    fn arbiter_rejects_malformed_request_matrix() {
-        let mut arb = CrossbarArbiter::new(3);
-        let requests = vec![vec![false; 3]; 2];
-        arb.arbitrate(&requests);
     }
 }

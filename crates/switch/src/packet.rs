@@ -16,8 +16,6 @@ pub struct FlowId(pub u64);
 /// Standard Ethernet maximum transmission unit used throughout the
 /// experiments.
 pub const MTU: Bytes = Bytes::new(1500);
-/// Minimum Ethernet frame.
-pub const MIN_FRAME: Bytes = Bytes::new(64);
 /// Bytes of header a cut-through switch must receive before it can make a
 /// forwarding decision (DMAC + SMAC + EtherType + a shim).
 pub const CUT_THROUGH_HEADER: Bytes = Bytes::new(64);
@@ -184,7 +182,6 @@ mod tests {
 
     #[test]
     fn frame_constants_are_ordered() {
-        assert!(MIN_FRAME < MTU);
         assert!(CUT_THROUGH_HEADER <= MTU);
     }
 }

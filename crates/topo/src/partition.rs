@@ -185,12 +185,6 @@ impl FabricPartition {
         &self.owner
     }
 
-    /// True when `link` crosses a shard boundary.
-    #[inline]
-    pub fn is_cut(&self, link: LinkIdx) -> bool {
-        self.cut[link.index()]
-    }
-
     /// Number of cut links in this epoch.
     #[inline]
     pub fn cut_count(&self) -> usize {

@@ -72,10 +72,6 @@ pub struct EdgeSpec {
 }
 
 impl EdgeSpec {
-    /// True if this edge connects the same unordered node pair as `other`.
-    pub fn same_pair(&self, other: &EdgeSpec) -> bool {
-        (self.a == other.a && self.b == other.b) || (self.a == other.b && self.b == other.a)
-    }
     /// Canonical (min, max) form of the node pair.
     pub fn pair(&self) -> (NodeId, NodeId) {
         if self.a <= self.b {
@@ -635,7 +631,7 @@ mod tests {
             media: MediaKind::OpticalFiber,
             class: LinkClass::IntraRack,
         };
-        assert!(e1.same_pair(&e2));
+        assert_eq!(e1.pair(), e2.pair());
         assert_eq!(e1.pair(), (NodeId(1), NodeId(3)));
     }
 

@@ -5,29 +5,12 @@
 //! reducer and the job only finishes when the *last* flow finishes, so a
 //! single slow link drags the whole rack down.
 
-use crate::flow::{ArrivalProcess, Flow, FlowSizeDistribution, WorkloadFlowId};
+use crate::flow::{ArrivalProcess, Flow, WorkloadFlowId};
 use rackfabric_sim::rng::DetRng;
 use rackfabric_sim::time::SimTime;
 use rackfabric_sim::units::Bytes;
 use rackfabric_topo::NodeId;
 use serde::{Deserialize, Serialize};
-
-/// A named traffic pattern, for experiment configuration files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TrafficPattern {
-    /// All-to-all shuffle with a barrier.
-    MapReduce,
-    /// Many senders, one receiver.
-    Incast,
-    /// A random permutation: every node sends to exactly one other node.
-    Permutation,
-    /// Uniform random source/destination pairs.
-    Uniform,
-    /// Zipf-skewed destinations (a few hot sleds).
-    Hotspot,
-    /// Disaggregated-storage read/write between compute and storage sleds.
-    Storage,
-}
 
 /// Common interface of all generators.
 pub trait Workload {
@@ -39,7 +22,7 @@ pub trait Workload {
 
 fn make_flows(
     pairs: Vec<(NodeId, NodeId)>,
-    sizes: &FlowSizeDistribution,
+    size: Bytes,
     arrivals: &ArrivalProcess,
     rng: &mut DetRng,
 ) -> Vec<Flow> {
@@ -52,7 +35,7 @@ fn make_flows(
             id: WorkloadFlowId(i as u64),
             src,
             dst,
-            size: sizes.sample(rng),
+            size,
             start_at,
         })
         .collect()
@@ -83,16 +66,6 @@ impl MapReduceShuffle {
             start: SimTime::ZERO,
         }
     }
-    /// Total bytes the shuffle moves (self-transfers excluded).
-    pub fn total_bytes(&self) -> Bytes {
-        let pairs = self
-            .mappers
-            .iter()
-            .flat_map(|m| self.reducers.iter().map(move |r| (m, r)))
-            .filter(|(m, r)| m != r)
-            .count() as u64;
-        self.partition_size * pairs
-    }
 }
 
 impl Workload for MapReduceShuffle {
@@ -105,7 +78,7 @@ impl Workload for MapReduceShuffle {
             .collect();
         make_flows(
             pairs,
-            &FlowSizeDistribution::Fixed(self.partition_size),
+            self.partition_size,
             &ArrivalProcess::AllAtOnce(self.start),
             rng,
         )
@@ -138,7 +111,7 @@ impl Workload for IncastWorkload {
             .collect();
         make_flows(
             pairs,
-            &FlowSizeDistribution::Fixed(self.request_size),
+            self.request_size,
             &ArrivalProcess::AllAtOnce(self.start),
             rng,
         )
@@ -154,8 +127,8 @@ impl Workload for IncastWorkload {
 pub struct PermutationWorkload {
     /// Number of nodes.
     pub nodes: usize,
-    /// Flow size distribution.
-    pub sizes: FlowSizeDistribution,
+    /// Bytes per flow.
+    pub size: Bytes,
     /// Arrival process.
     pub arrivals: ArrivalProcess,
 }
@@ -168,7 +141,7 @@ impl Workload for PermutationWorkload {
             .enumerate()
             .map(|(src, &dst)| (NodeId(src as u32), NodeId(dst as u32)))
             .collect();
-        make_flows(pairs, &self.sizes, &self.arrivals, rng)
+        make_flows(pairs, self.size, &self.arrivals, rng)
     }
     fn name(&self) -> &'static str {
         "permutation"
@@ -182,8 +155,8 @@ pub struct UniformWorkload {
     pub nodes: usize,
     /// Number of flows to generate.
     pub flows: usize,
-    /// Flow size distribution.
-    pub sizes: FlowSizeDistribution,
+    /// Bytes per flow.
+    pub size: Bytes,
     /// Arrival process.
     pub arrivals: ArrivalProcess,
 }
@@ -199,7 +172,7 @@ impl Workload for UniformWorkload {
             }
             pairs.push((NodeId(src as u32), NodeId(dst as u32)));
         }
-        make_flows(pairs, &self.sizes, &self.arrivals, rng)
+        make_flows(pairs, self.size, &self.arrivals, rng)
     }
     fn name(&self) -> &'static str {
         "uniform"
@@ -216,8 +189,8 @@ pub struct HotspotWorkload {
     pub flows: usize,
     /// Zipf exponent (0 = uniform; 1–2 = strongly skewed).
     pub zipf_exponent: f64,
-    /// Flow size distribution.
-    pub sizes: FlowSizeDistribution,
+    /// Bytes per flow.
+    pub size: Bytes,
     /// Arrival process.
     pub arrivals: ArrivalProcess,
 }
@@ -233,7 +206,7 @@ impl Workload for HotspotWorkload {
             }
             pairs.push((NodeId(src as u32), NodeId(dst as u32)));
         }
-        make_flows(pairs, &self.sizes, &self.arrivals, rng)
+        make_flows(pairs, self.size, &self.arrivals, rng)
     }
     fn name(&self) -> &'static str {
         "hotspot"
@@ -271,12 +244,7 @@ impl Workload for StorageWorkload {
                 pairs.push((compute, storage)); // write
             }
         }
-        make_flows(
-            pairs,
-            &FlowSizeDistribution::Fixed(self.io_size),
-            &self.arrivals,
-            rng,
-        )
+        make_flows(pairs, self.io_size, &self.arrivals, rng)
     }
     fn name(&self) -> &'static str {
         "storage"
@@ -297,7 +265,6 @@ mod tests {
         assert!(flows.iter().all(|f| f.src != f.dst));
         assert!(flows.iter().all(|f| f.size == Bytes::from_kib(256)));
         assert!(flows.iter().all(|f| f.start_at == SimTime::ZERO));
-        assert_eq!(w.total_bytes(), Bytes::from_kib(256) * 56);
         // Every ordered pair appears exactly once.
         let mut pairs: Vec<(u32, u32)> = flows
             .iter()
@@ -326,7 +293,7 @@ mod tests {
     fn permutation_has_unique_destinations_and_no_self_flows() {
         let w = PermutationWorkload {
             nodes: 32,
-            sizes: FlowSizeDistribution::Fixed(Bytes::from_mib(1)),
+            size: Bytes::from_mib(1),
             arrivals: ArrivalProcess::AllAtOnce(SimTime::ZERO),
         };
         let flows = w.generate(&mut DetRng::new(3));
@@ -343,7 +310,7 @@ mod tests {
         let w = UniformWorkload {
             nodes: 16,
             flows: 500,
-            sizes: FlowSizeDistribution::Uniform(Bytes::new(1000), Bytes::new(2000)),
+            size: Bytes::new(1500),
             arrivals: ArrivalProcess::Poisson {
                 mean_interarrival: SimDuration::from_micros(1),
                 start: SimTime::ZERO,
@@ -363,7 +330,7 @@ mod tests {
             nodes: 16,
             flows: 2000,
             zipf_exponent: 1.5,
-            sizes: FlowSizeDistribution::Fixed(Bytes::new(1500)),
+            size: Bytes::new(1500),
             arrivals: ArrivalProcess::AllAtOnce(SimTime::ZERO),
         };
         let flows = w.generate(&mut DetRng::new(5));
@@ -408,11 +375,7 @@ mod tests {
         let w = UniformWorkload {
             nodes: 8,
             flows: 100,
-            sizes: FlowSizeDistribution::Pareto {
-                shape: 1.3,
-                min: Bytes::new(1000),
-                max: Bytes::from_mib(10),
-            },
+            size: Bytes::from_kib(8),
             arrivals: ArrivalProcess::Poisson {
                 mean_interarrival: SimDuration::from_micros(5),
                 start: SimTime::ZERO,

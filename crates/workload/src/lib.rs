@@ -8,17 +8,16 @@
 //! an entire system". This crate generates that workload and the other
 //! standard rack patterns used in the evaluation:
 //!
-//! * [`flow`] — flow descriptors, flow-size distributions, Poisson arrival
-//!   processes.
+//! * [`flow`] — flow descriptors and Poisson arrival processes.
 //! * [`generators`] — MapReduce shuffle (all-to-all with a barrier), incast,
 //!   permutation, uniform random, Zipf hotspot, and disaggregated-storage
-//!   (NVMe-style read/write) traffic, plus trace record/replay.
+//!   (NVMe-style read/write) traffic.
 
 pub mod flow;
 pub mod generators;
 
-pub use flow::{ArrivalProcess, Flow, FlowSizeDistribution, WorkloadFlowId};
+pub use flow::{ArrivalProcess, Flow, WorkloadFlowId};
 pub use generators::{
     HotspotWorkload, IncastWorkload, MapReduceShuffle, PermutationWorkload, StorageWorkload,
-    TrafficPattern, UniformWorkload, Workload,
+    UniformWorkload, Workload,
 };

@@ -10,14 +10,14 @@
 use rackfabric::prelude::*;
 use rackfabric_sim::prelude::*;
 use rackfabric_sim::units::Power;
-use rackfabric_workload::{ArrivalProcess, FlowSizeDistribution, UniformWorkload, Workload};
+use rackfabric_workload::{ArrivalProcess, UniformWorkload, Workload};
 
 fn run_with_policy(policy: CrcPolicy, label: &str) {
     let spec = TopologySpec::grid(4, 4, 4);
     let flows = UniformWorkload {
         nodes: 16,
         flows: 60,
-        sizes: FlowSizeDistribution::Fixed(Bytes::from_kib(32)),
+        size: Bytes::from_kib(32),
         arrivals: ArrivalProcess::Poisson {
             mean_interarrival: SimDuration::from_micros(20),
             start: SimTime::ZERO,
