@@ -57,6 +57,16 @@ impl Scale {
             Scale::Paper => "paper",
         }
     }
+
+    /// The scale a `regenerate-figure` command names: the inverse of
+    /// [`Scale::golden_dir`].
+    pub fn from_name(name: &str) -> Option<Scale> {
+        match name {
+            "tiny" => Some(Scale::Tiny),
+            "paper" => Some(Scale::Paper),
+            _ => None,
+        }
+    }
 }
 
 /// One executed figure: its identity, byte-deterministic CSV export, and
@@ -788,8 +798,10 @@ pub fn figure_defs(scale: Scale) -> Vec<FigureDef> {
 /// Runs one figure through the command layer. `remaining` is the shared
 /// fresh-execution allowance (`None` = unbounded); it is decremented by
 /// what this campaign executed, so a cap interrupts the figure *sequence*
-/// at a job boundary, not just one campaign.
-fn run_figure(
+/// at a job boundary, not just one campaign. An analytic figure renders
+/// without touching the executor: it journals nothing and its run has no
+/// `outcome`.
+pub fn run_figure(
     def: FigureDef,
     scale: Scale,
     exec: &Executor,
@@ -874,23 +886,20 @@ impl CampaignResolver for FigureResolver {
         let Command::RegenerateFigure { id, scale, budget } = command else {
             return Ok(false);
         };
-        let scale = match scale.as_str() {
-            "tiny" => Scale::Tiny,
-            "paper" => Scale::Paper,
-            _ => return Ok(false),
+        let Some(scale) = Scale::from_name(scale) else {
+            return Ok(false);
         };
         let Some(def) = figure_defs(scale).into_iter().find(|d| d.id == id) else {
             return Ok(false);
         };
-        let FigureKind::Sim(matrix, _) = def.kind else {
-            return Ok(false);
+        let opts = FigureOptions {
+            budget: *budget,
+            ..FigureOptions::default()
         };
-        let mut sweep = Sweep::new(*matrix);
-        if let Some(policy) = budget {
-            sweep = sweep.budget(*policy);
-        }
-        exec.regenerate_figure(id, scale.golden_dir(), &sweep)?;
-        Ok(true)
+        // An analytic figure has no campaign to replay: its marker counts
+        // as skipped.
+        let run = run_figure(def, scale, exec, &opts, &mut None)?;
+        Ok(run.outcome.is_some())
     }
 }
 

@@ -30,13 +30,12 @@
 
 use crate::proto::{Event, Request};
 use crate::sched::{JobEnd, Observed, Scheduler, Submitted};
-use rackfabric_bench::figures::{figure_defs, FigureKind, Scale};
+use rackfabric_bench::figures::{figure_defs, run_figure, FigureOptions, Scale};
 use rackfabric_cmd::command::Command;
 use rackfabric_cmd::decode_spec;
 use rackfabric_cmd::executor::Executor;
 use rackfabric_obs::{Observer, TimeDomain};
 use rackfabric_sim::json::{self, obj, string, uint, JsonValue};
-use rackfabric_sweep::campaign::Sweep;
 use rackfabric_sweep::cancel::CancelToken;
 use rackfabric_sweep::key::job_key;
 use rackfabric_sweep::store::outcome_value;
@@ -476,37 +475,31 @@ fn execute_command(exec: &Executor, command: &Command, cancel: &CancelToken) -> 
         Command::RunScenario { spec_json } => run_spec(exec, spec_json, None),
         Command::ExecuteCell { key, spec_json } => run_spec(exec, spec_json, Some(*key)),
         Command::RegenerateFigure { id, scale, budget } => {
-            let scale = match scale.as_str() {
-                "tiny" => Scale::Tiny,
-                "paper" => Scale::Paper,
-                other => return JobEnd::Failed(format!("unknown figure scale {other:?}")),
+            let Some(scale) = Scale::from_name(scale) else {
+                return JobEnd::Failed(format!("unknown figure scale {scale:?}"));
             };
             let Some(def) = figure_defs(scale).into_iter().find(|def| def.id == *id) else {
                 return JobEnd::Failed(format!("unknown figure {id:?}"));
             };
-            // A figure's answer: its export and the jobs it executed (none
-            // means the store answered it).
-            let done = |executed: usize, export: String| JobEnd::Done {
-                cached: executed == 0,
-                result: obj([
-                    ("executed", uint(executed as u64)),
-                    ("export", JsonValue::String(export)),
-                    ("figure", string(def.id)),
-                    ("interrupted", JsonValue::Bool(false)),
-                ]),
+            let opts = FigureOptions {
+                budget: *budget,
+                max_new_jobs: None,
+                cancel: Some(cancel.clone()),
             };
-            let (matrix, export) = match def.kind {
-                FigureKind::Analytic(render) => return done(0, render()),
-                FigureKind::Sim(matrix, export) => (matrix, export),
-            };
-            let mut sweep = Sweep::new(*matrix).cancel(cancel.clone());
-            if let Some(policy) = budget {
-                sweep = sweep.budget(*policy);
-            }
-            match exec.regenerate_figure(id, scale.golden_dir(), &sweep) {
+            match run_figure(def, scale, exec, &opts, &mut None) {
                 Err(e) => JobEnd::Failed(e.to_string()),
-                Ok(outcome) if outcome.interrupted => JobEnd::Cancelled,
-                Ok(outcome) => done(outcome.executed, export(&outcome)),
+                Ok(run) if run.interrupted => JobEnd::Cancelled,
+                // A figure's answer: its export and the jobs it executed
+                // (none means the store answered it).
+                Ok(run) => JobEnd::Done {
+                    cached: run.executed == 0,
+                    result: obj([
+                        ("executed", uint(run.executed as u64)),
+                        ("export", JsonValue::String(run.export)),
+                        ("figure", string(run.id)),
+                        ("interrupted", JsonValue::Bool(false)),
+                    ]),
+                },
             }
         }
         Command::GcStore { live } => match exec.gc(live) {

@@ -11,7 +11,8 @@
 //!   `cargo run -p rackfabric-bench --bin sweep -- --figures --tiny
 //!   --update-golden`),
 //! * a second run against the same store must execute **zero** jobs and
-//!   reproduce identical bytes (the resume gate),
+//!   reproduce identical bytes (the resume gate), and the daemon's
+//!   `regenerate-figure` answer for each figure must carry those bytes,
 //! * a campaign interrupted mid-flight by `max_new_jobs` must recover from
 //!   its journal to the exact same golden bytes, re-executing nothing that
 //!   was already journaled and stored (the crash-recovery gate),
@@ -23,6 +24,7 @@ use rackfabric_cmd::command::Command;
 use rackfabric_cmd::Executor;
 use rackfabric_daemon::prelude::*;
 use rackfabric_scenario::runner::Runner;
+use rackfabric_sim::json::{self, JsonValue};
 use rackfabric_sweep::prelude::*;
 use rackfabric_sweep::testdir::TestDir;
 use std::path::{Path, PathBuf};
@@ -70,6 +72,25 @@ fn tiny_figures_match_goldens_and_resume_to_zero_jobs() {
             c.export_file()
         );
         assert_eq!(c.export_file(), w.export_file());
+    }
+
+    // The daemon's figure path answers every figure, analytic ones too, from
+    // the same warm store with the same export bytes.
+    for w in &warm {
+        let command = Command::RegenerateFigure {
+            id: w.id.to_string(),
+            scale: Scale::Tiny.golden_dir().to_string(),
+            budget: None,
+        };
+        let (cached, line) = execute_oneshot(&exec, &command).unwrap();
+        assert!(cached, "{} must be answered by the warm store", w.id);
+        let answer = json::parse(&line).unwrap();
+        assert_eq!(
+            answer.get("export").and_then(JsonValue::as_str),
+            Some(w.export.as_str()),
+            "{}: the daemon's export must equal run_figures'",
+            w.id
+        );
     }
 }
 
