@@ -170,12 +170,24 @@ impl Executor {
         self.journal_append(&Command::RunScenario {
             spec_json: spec_json.clone(),
         })?;
+        let outcome = self.run_and_put(&key, spec.clone(), &spec_json)?;
+        Ok((outcome, false))
+    }
+
+    /// Executes `spec` as a one-job batch and persists its outcome under
+    /// `key` with `spec_json` as the record's spec.
+    fn run_and_put(
+        &self,
+        key: &JobKey,
+        spec: rackfabric_scenario::spec::ScenarioSpec,
+        spec_json: &str,
+    ) -> io::Result<JobOutcome> {
         let job = Job {
             index: 0,
             cell: 0,
             replicate: 0,
             labels: Vec::new(),
-            spec: spec.clone(),
+            spec,
         };
         let outcome = self
             .runner
@@ -183,8 +195,8 @@ impl Executor {
             .into_iter()
             .next()
             .expect("one job in, one outcome out");
-        self.store.put(&key, &spec_json, &outcome)?;
-        Ok((outcome, false))
+        self.store.put(key, spec_json, &outcome)?;
+        Ok(outcome)
     }
 
     /// Runs a sweep campaign through the command layer: an `expand-matrix`
@@ -300,51 +312,45 @@ impl Executor {
         Ok(stats)
     }
 
-    /// Replays one journaled job record. With `Some(key)` the record's own
-    /// key is trusted for the store lookup (and verified against the
-    /// decoded spec before executing); without, the key is derived.
+    /// Replays one journaled job record, decoding its spec at most once.
+    /// With `Some(key)` the record's own key is trusted for the store lookup
+    /// (and verified against the decoded spec before executing); without,
+    /// the key is derived.
     fn replay_cell(
         &self,
         key: Option<JobKey>,
         spec_json: &str,
         stats: &mut RecoveryStats,
     ) -> io::Result<()> {
-        let key = match key {
-            Some(key) => key,
+        let decode =
+            || decode_spec(spec_json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
+        let (key, decoded) = match key {
+            Some(key) => (key, None),
             None => {
-                let spec = decode_spec(spec_json)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                job_key(&spec)
+                let spec = decode()?;
+                (job_key(&spec), Some(spec))
             }
         };
         if self.store.get(&key).is_some() {
             stats.cells_already_stored += 1;
             return Ok(());
         }
-        let spec =
-            decode_spec(spec_json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let derived = job_key(&spec);
-        if derived != key {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("journaled key {key} does not match its spec (derived {derived})"),
-            ));
-        }
-        let job = Job {
-            index: 0,
-            cell: 0,
-            replicate: 0,
-            labels: Vec::new(),
-            spec,
+        let spec = match decoded {
+            Some(spec) => spec,
+            None => {
+                let spec = decode()?;
+                let derived = job_key(&spec);
+                if derived != key {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("journaled key {key} does not match its spec (derived {derived})"),
+                    ));
+                }
+                spec
+            }
         };
-        let outcome = self
-            .runner
-            .run_jobs(std::slice::from_ref(&job))
-            .into_iter()
-            .next()
-            .expect("one job in, one outcome out");
-        self.store
-            .put(&derived, &canonical_spec_json(&job.spec), &outcome)?;
+        let spec_json = canonical_spec_json(&spec);
+        self.run_and_put(&key, spec, &spec_json)?;
         stats.cells_replayed += 1;
         Ok(())
     }
