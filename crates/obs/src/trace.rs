@@ -34,8 +34,6 @@ pub const DEFAULT_CAPACITY: usize = 200_000;
 pub enum ArgValue {
     /// An unsigned integer.
     U64(u64),
-    /// A float.
-    F64(f64),
     /// A string (escaped on render).
     Str(String),
 }
@@ -44,13 +42,6 @@ impl ArgValue {
     fn render(&self, out: &mut String) {
         match self {
             ArgValue::U64(v) => out.push_str(&v.to_string()),
-            ArgValue::F64(v) => {
-                if v.is_finite() {
-                    out.push_str(&format!("{v}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
             ArgValue::Str(s) => {
                 out.push('"');
                 for c in s.chars() {
