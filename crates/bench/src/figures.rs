@@ -1150,5 +1150,20 @@ mod tests {
             budget: None,
         };
         assert!(!FigureResolver.replay(&unknown, &exec).unwrap());
+        let unknown_scale = Command::RegenerateFigure {
+            id: "e1".into(),
+            scale: "huge".into(),
+            budget: None,
+        };
+        assert!(!FigureResolver.replay(&unknown_scale, &exec).unwrap());
+        // An analytic figure has no campaign to replay: its marker is
+        // skipped too, and no job runs.
+        let analytic = Command::RegenerateFigure {
+            id: "e5".into(),
+            scale: "tiny".into(),
+            budget: None,
+        };
+        assert!(!FigureResolver.replay(&analytic, &exec).unwrap());
+        assert!(exec.store().is_empty());
     }
 }
