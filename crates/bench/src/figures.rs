@@ -1166,4 +1166,93 @@ mod tests {
         assert!(!FigureResolver.replay(&analytic, &exec).unwrap());
         assert!(exec.store().is_empty());
     }
+
+    #[test]
+    fn a_journal_of_the_retired_demo_campaign_recovers_with_its_markers_skipped() {
+        use rackfabric_cmd::journal::{read_log, Journal};
+
+        // What the retired demo campaign (`sweep` without figures) wrote: an
+        // `expand-matrix` marker for `sweep-campaign`, one `execute-cell`
+        // per fresh job and an `emit-report` record, over a store holding
+        // every job's result.
+        let dir = rackfabric_sweep::testdir::TestDir::new("figure-resolver-demo-journal");
+        let base = ScenarioSpec::new(
+            "sweep-campaign",
+            TopologySpec::grid(2, 2, 2),
+            WorkloadSpec::Shuffle {
+                partition: Bytes::from_kib(2),
+                load: 1.0,
+            },
+        )
+        .horizon(SimTime::from_millis(10));
+        let matrix = Matrix::new(base)
+            .axis("load", vec![AxisValue::Load(0.5), AxisValue::Load(1.0)])
+            .axis(
+                "controller",
+                vec![
+                    AxisValue::Controller(ControllerSpec::Baseline),
+                    AxisValue::Controller(ControllerSpec::adaptive_default()),
+                ],
+            )
+            .master_seed(11);
+        let store = ResultStore::open(dir.join("store")).unwrap();
+        Sweep::new(matrix.clone())
+            .run(&store, &Runner::single_threaded())
+            .unwrap();
+        let jobs = matrix.expand();
+        let mut journal = Journal::open(dir.join("journal")).unwrap();
+        journal
+            .append(&Command::ExpandMatrix {
+                campaign: "sweep-campaign".into(),
+                cells: matrix.cell_count() as u64,
+                jobs: jobs.len() as u64,
+            })
+            .unwrap();
+        for job in &jobs {
+            journal
+                .append(&Command::ExecuteCell {
+                    key: job_key(&job.spec),
+                    spec_json: canonical_spec_json(&job.spec),
+                })
+                .unwrap();
+        }
+        journal
+            .append(&Command::EmitReport {
+                campaign: "sweep-campaign (tiny)".into(),
+                dir: "sweep-out".into(),
+            })
+            .unwrap();
+        drop(journal);
+
+        // A crash between one job's write-ahead record and its store write.
+        let lost = job_key(&jobs[1].spec);
+        let hex = lost.hex();
+        std::fs::remove_file(
+            dir.join("store")
+                .join("objects")
+                .join(&hex[..2])
+                .join(format!("{}.json", &hex[2..])),
+        )
+        .unwrap();
+
+        // Opening the journal keeps every record: both markers still decode.
+        let exec = Executor::with_journal(
+            ResultStore::open(dir.join("store")).unwrap(),
+            Runner::single_threaded(),
+            dir.join("journal"),
+        )
+        .unwrap();
+        let (records, tail) = read_log(&dir.join("journal")).unwrap();
+        assert!(tail.clean, "the journal must open without truncation");
+        assert_eq!(records.len(), jobs.len() + 2);
+
+        let stats = exec.recover(&FigureResolver).unwrap();
+        assert_eq!(stats.commands, jobs.len() + 2);
+        assert_eq!(stats.markers_skipped, 2, "expand-matrix and emit-report");
+        assert_eq!(stats.campaigns_replayed, 0);
+        assert_eq!(stats.cells_already_stored, jobs.len() - 1);
+        assert_eq!(stats.cells_replayed, 1, "only the lost cell re-executes");
+        assert!(exec.store().get(&lost).is_some());
+        assert_eq!(exec.store().len(), jobs.len());
+    }
 }
