@@ -1,14 +1,16 @@
-//! `sweep` — the campaign CLI driving `rackfabric-sweep` end to end through
-//! the command layer: journal (write-ahead campaign log) → resume
-//! (content-addressed store) → budget (CI-convergence replication) →
-//! report (CSV/JSON/SVG/markdown) → bundle (one-file export of all three).
+//! `sweep` — the paper-figure campaign CLI. Every figure campaign (e1..e11)
+//! runs through the command layer: journal (write-ahead campaign log) →
+//! resume (content-addressed store) → budget (CI-convergence replication)
+//! → gallery (CSV exports + per-figure SVG/markdown reports, pinned against
+//! `golden/`) → bundle (one-file export of store, journal and gallery).
 //!
 //! ```text
 //! sweep --store DIR --out DIR [options]
 //!
 //!   --store DIR         result store directory (default: sweep-store)
-//!   --out DIR           report output directory (default: sweep-out)
-//!   --tiny              CI-sized campaign (small racks, short horizon)
+//!   --out DIR           gallery output directory (default: sweep-out)
+//!   --tiny              CI-sized campaigns, pinned against golden/tiny/
+//!                       (default: paper size, golden/paper/)
 //!   --budget            budgeted replication instead of fixed seeds
 //!   --ci-target F       target p99 CI relative half-width (default 0.25)
 //!   --min-replicates N  replication floor per cell (default 3)
@@ -17,13 +19,15 @@
 //!   --max-new-jobs N    stop after N fresh executions (interruption knob)
 //!   --threads N         runner threads (default 0 = one per core)
 //!   --expect-cached     fail if any job executes (the CI resume gate)
-//!   --gc                after the run, GC store records the campaign no
-//!                       longer references (orphans left by campaign edits)
+//!   --update-golden     regenerate the goldens instead of checking them
+//!   --golden DIR        golden root directory (default: golden)
+//!   --gc                after the run, GC store records the campaigns no
+//!                       longer reference (orphans left by campaign edits)
 //!   --stats             print cumulative store traffic (cache hits/misses,
 //!                       puts, GC activity) and exit without running jobs
-//!   --trace DIR         write a Chrome-trace JSON of the campaign (job
-//!                       lifecycle, store lookups, execute/persist phases)
-//!                       into DIR; open it at https://ui.perfetto.dev
+//!   --trace DIR         write a Chrome-trace JSON of the campaigns (job
+//!                       lifecycle, resolve waves, store lookups, execute
+//!                       phases) into DIR; open it at https://ui.perfetto.dev
 //!
 //! command layer (journal, recovery, diff, bundles):
 //!
@@ -36,88 +40,32 @@
 //!                       didn't re-execute; fully stored jobs cost zero
 //!   --diff A B          render a command-by-command diff of two journal
 //!                       directories and exit
-//!   --export-bundle F   after the run, export store + journal + reports
+//!   --export-bundle F   after the run, export store + journal + gallery
 //!                       as the single self-contained bundle file F
 //!   --import-bundle F   restore a bundle into --out (store/, journal/,
 //!                       reports/ subdirectories) and exit
-//!
-//! figure mode (the paper-figure campaigns e1..e11):
-//!
-//!   --figures           run every paper-figure campaign through the store,
-//!                       write the gallery (CSV exports + per-figure SVG
-//!                       reports) to --out, and diff each export against
-//!                       golden/<scale>/ byte for byte (exit 1 on drift)
-//!                       (--budget and --max-new-jobs apply here too; both
-//!                       skip the golden gate, which pins fixed replicates)
-//!   --update-golden     regenerate the goldens instead of checking them
-//!   --golden DIR        golden root directory (default: golden)
 //! ```
 //!
-//! Running the same campaign twice against one store executes zero jobs the
-//! second time and writes byte-identical reports — `--expect-cached` plus a
-//! directory diff is the resume-determinism gate in CI. The `paper-figures`
-//! CI job applies the same gate to `--figures` and additionally pins every
-//! export against the checked-in `golden/` files; its recovery arm
-//! interrupts a figure campaign with `--max-new-jobs`, replays the journal
-//! with `--recover`, and requires the recovered report directory to be
-//! byte-identical to an uninterrupted run's.
+//! Each export is diffed against `golden/<scale>/` byte for byte (exit 1 on
+//! drift). `--budget` and `--max-new-jobs` produce exports the
+//! fixed-replicate goldens cannot pin, so both skip that gate.
+//!
+//! Running the campaigns twice against one store executes zero jobs the
+//! second time and writes a byte-identical gallery — `--expect-cached` plus
+//! a directory diff is the resume-determinism gate of the `paper-figures`
+//! CI job, which also pins every export against the checked-in `golden/`
+//! files. Its recovery arm interrupts the campaigns with `--max-new-jobs`,
+//! replays the journal with `--recover`, and requires the recovered gallery
+//! to be byte-identical to an uninterrupted run's.
 
-use rackfabric::prelude::TopologySpec;
 use rackfabric_bench::figures::{self, FigureOptions, FigureResolver, Scale};
 use rackfabric_cmd::prelude::*;
 use rackfabric_obs::trace::TraceSink;
 use rackfabric_obs::Observer;
 use rackfabric_scenario::prelude::*;
-use rackfabric_sim::prelude::*;
 use rackfabric_sweep::prelude::*;
 use std::path::Path;
 use std::sync::Arc;
-
-/// The demo campaign: racks × load × controller heavy shuffle, the same
-/// space `examples/scenario_sweep.rs` explores, now resumable.
-fn campaign_matrix(tiny: bool) -> Matrix {
-    let (racks, partition, horizon) = if tiny {
-        (
-            vec![
-                AxisValue::Topology(TopologySpec::grid(2, 2, 2)),
-                AxisValue::Topology(TopologySpec::grid(3, 3, 2)),
-            ],
-            Bytes::from_kib(2),
-            SimTime::from_millis(10),
-        )
-    } else {
-        (
-            vec![
-                AxisValue::Topology(TopologySpec::grid(3, 3, 2)),
-                AxisValue::Topology(TopologySpec::grid(4, 4, 2)),
-                AxisValue::Topology(TopologySpec::grid(6, 6, 2)),
-            ],
-            Bytes::from_kib(16),
-            SimTime::from_millis(40),
-        )
-    };
-    let base = ScenarioSpec::new(
-        "sweep-campaign",
-        TopologySpec::grid(3, 3, 2),
-        WorkloadSpec::Shuffle {
-            partition,
-            load: 1.0,
-        },
-    )
-    .horizon(horizon);
-    Matrix::new(base)
-        .axis("racks", racks)
-        .axis("load", vec![AxisValue::Load(0.5), AxisValue::Load(1.0)])
-        .axis(
-            "controller",
-            vec![
-                AxisValue::Controller(ControllerSpec::Baseline),
-                AxisValue::Controller(ControllerSpec::adaptive_default()),
-            ],
-        )
-        .replicates(if tiny { 2 } else { 3 })
-        .master_seed(11)
-}
 
 struct Args {
     store: String,
@@ -131,7 +79,6 @@ struct Args {
     max_new_jobs: Option<usize>,
     threads: usize,
     expect_cached: bool,
-    figures: bool,
     update_golden: bool,
     golden: String,
     gc: bool,
@@ -184,7 +131,6 @@ fn parse_args() -> Result<Args, String> {
         max_new_jobs: None,
         threads: 0,
         expect_cached: false,
-        figures: false,
         update_golden: false,
         golden: "golden".into(),
         gc: false,
@@ -246,7 +192,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--threads: {e}"))?
             }
             "--expect-cached" => args.expect_cached = true,
-            "--figures" => args.figures = true,
             "--update-golden" => args.update_golden = true,
             "--golden" => args.golden = value(&mut i)?,
             "--gc" => args.gc = true,
@@ -335,125 +280,19 @@ fn main() {
     };
 
     if args.recover {
-        run_recovery(&args, &exec);
+        run_recovery(&exec);
     }
 
-    if args.figures {
-        run_figure_mode(&args, &exec);
-        export_bundle_if_requested(&args, &exec);
-        finish_observability(&args, exec.store(), &observer);
-        return;
-    }
-    let name = if args.tiny {
-        "sweep-campaign (tiny)"
-    } else {
-        "sweep-campaign"
-    };
-
-    let mut sweep = Sweep::new(campaign_matrix(args.tiny)).observed(observer.clone());
-    if args.budget {
-        sweep = sweep.budget(args.budget_policy());
-    }
-    if let Some(cap) = args.max_new_jobs {
-        sweep = sweep.max_new_jobs(cap);
-    }
-
-    eprintln!(
-        "sweep: campaign `{name}` against store {} ({} record(s) warm)",
-        args.store,
-        exec.store().len()
-    );
-    let outcome = match exec.run_campaign(&sweep) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("sweep: FAIL — campaign aborted: {e}");
-            std::process::exit(1);
-        }
-    };
-    eprintln!(
-        "sweep: {} job(s) — {} executed, {} cache hit(s), {} skipped{}",
-        outcome.total_jobs(),
-        outcome.executed,
-        outcome.cached,
-        outcome.skipped,
-        if outcome.interrupted {
-            " [interrupted]"
-        } else {
-            ""
-        }
-    );
-    for budget in &outcome.cell_budgets {
-        eprintln!(
-            "  cell {}: {} replicate(s), stop={}",
-            budget.cell,
-            budget.replicates,
-            budget.stop.label()
-        );
-    }
-
-    if let Err(e) = exec.emit_report(name, Path::new(&args.out), &outcome) {
-        eprintln!("sweep: FAIL — cannot write report to {}: {e}", args.out);
-        std::process::exit(1);
-    }
-    eprintln!("sweep: wrote report to {}", args.out);
-
-    if args.gc {
-        let live: Vec<JobKey> = outcome
-            .records
-            .iter()
-            .map(|r| job_key(&r.job.spec))
-            .collect();
-        match exec.gc(&live) {
-            Ok(stats) => eprintln!(
-                "sweep: gc kept {} record(s), removed {}",
-                stats.kept, stats.removed
-            ),
-            Err(e) => {
-                eprintln!("sweep: FAIL — gc: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
+    run_figures(&args, &exec);
     export_bundle_if_requested(&args, &exec);
     finish_observability(&args, exec.store(), &observer);
-
-    if args.expect_cached && outcome.executed > 0 {
-        eprintln!(
-            "sweep: FAIL — expected a fully warm store but {} job(s) executed",
-            outcome.executed
-        );
-        std::process::exit(1);
-    }
 }
 
-/// Campaign-marker resolver for the CLI's `--recover`: figure markers
-/// replay through the bench figure table, the demo campaign replays by
-/// rebuilding its matrix at the invocation's scale. Either way the replay
-/// is store-first, so fully stored campaigns cost zero executions.
-struct CliResolver {
-    tiny: bool,
-}
-
-impl CampaignResolver for CliResolver {
-    fn replay(&self, command: &Command, exec: &Executor) -> std::io::Result<bool> {
-        match command {
-            Command::RegenerateFigure { .. } => FigureResolver.replay(command, exec),
-            Command::ExpandMatrix { campaign, .. } if campaign == "sweep-campaign" => {
-                exec.run_campaign(&Sweep::new(campaign_matrix(self.tiny)))?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-}
-
-/// `--recover`: replay the journal before the requested mode runs, so an
+/// `--recover`: replay the journal before the campaigns run, so an
 /// interrupted prior invocation completes first (already-stored jobs cost
-/// zero executions).
-fn run_recovery(args: &Args, exec: &Executor) {
-    let resolver = CliResolver { tiny: args.tiny };
-    match exec.recover(&resolver) {
+/// zero executions). Figure markers replay through the figure table.
+fn run_recovery(exec: &Executor) {
+    match exec.recover(&FigureResolver) {
         Ok(stats) => eprintln!(
             "sweep: recovered journal — {} command(s): {} cell(s) re-executed, \
              {} already stored, {} campaign(s) replayed, {} marker(s) skipped{}",
@@ -536,12 +375,11 @@ fn finish_observability(args: &Args, store: &ResultStore, observer: &Observer) {
     }
 }
 
-/// `--figures`: drive every paper-figure campaign (e1..e11) through the
-/// command layer, write the report gallery, and pin (or regenerate) the
-/// goldens. `--budget` and `--max-new-jobs` both produce exports the fixed-
+/// Drives every paper-figure campaign (e1..e11) through the command layer,
+/// writes the report gallery, and pins (or regenerates) the goldens. `--budget` and `--max-new-jobs` both produce exports the fixed-
 /// replicate goldens cannot pin, so they skip the golden gate (and refuse
 /// `--update-golden`).
-fn run_figure_mode(args: &Args, exec: &Executor) {
+fn run_figures(args: &Args, exec: &Executor) {
     let scale = if args.tiny { Scale::Tiny } else { Scale::Paper };
     let opts = FigureOptions {
         budget: args.budget.then(|| args.budget_policy()),

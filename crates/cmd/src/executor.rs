@@ -1,17 +1,20 @@
 //! The [`Executor`]: the single boundary through which every surface —
-//! sweep CLI, bench figure campaigns, test harnesses — invokes the engine.
+//! sweep CLI, bench figure campaigns, daemon, test harnesses — invokes the
+//! engine.
 //!
 //! An executor owns a [`ResultStore`] and a [`Runner`] and optionally an
 //! open [`Journal`]. Every mutation it performs is journaled **ahead** of
 //! the mutation itself:
 //!
-//! * each fresh sweep-cell execution appends an `execute-cell` record
-//!   (complete with the canonical spec, so the record alone is runnable);
-//! * each campaign run appends an `expand-matrix` or `regenerate-figure`
-//!   marker before its first cell, which is what lets [`Executor::recover`]
-//!   complete jobs the crash happened *before* — they were never
-//!   individually journaled, but the campaign marker was;
-//! * gc, report emission and bundle operations append their own records.
+//! * [`Executor::regenerate_figure`] appends a `regenerate-figure` marker
+//!   before the campaign's first job, which is what lets
+//!   [`Executor::recover`] complete jobs the crash happened *before* — they
+//!   were never individually journaled, but the campaign marker was;
+//! * each of the campaign's store misses appends an `execute-cell` record
+//!   (complete with the canonical spec, so the record alone is runnable)
+//!   through the orchestrator's write-ahead hook, before it executes;
+//! * a store miss of [`Executor::run_scenario`] appends `run-scenario`;
+//! * gc and bundle export append their own records.
 //!
 //! Without a journal the executor is a plain pass-through: same Command
 //! vocabulary, no durability, byte-identical results either way.
@@ -22,8 +25,7 @@ use crate::journal::{read_log, Journal};
 use rackfabric_scenario::codec::decode_spec;
 use rackfabric_scenario::matrix::Job;
 use rackfabric_scenario::runner::{JobOutcome, Runner};
-use rackfabric_sweep::campaign::{DirectBoundary, EngineBoundary, Sweep, SweepOutcome};
-use rackfabric_sweep::emit::write_report;
+use rackfabric_sweep::campaign::{Sweep, SweepOutcome};
 use rackfabric_sweep::key::{canonical_spec_json, job_key, JobKey};
 use rackfabric_sweep::store::{GcStats, ResultStore};
 use std::io;
@@ -61,11 +63,12 @@ pub struct RecoveryStats {
     /// Journaled jobs whose results were already in the store — recovery
     /// executes zero of these.
     pub cells_already_stored: usize,
-    /// Campaign markers replayed through the resolver (store-first, so a
+    /// Figure markers replayed through the resolver (store-first, so a
     /// fully stored campaign costs zero executions).
     pub campaigns_replayed: usize,
-    /// Records that needed no replay (reports, gc, bundles, unknown
-    /// campaigns).
+    /// Records that needed no replay: gc, bundle export, figure markers the
+    /// resolver does not replay, and the `expand-matrix` and `emit-report`
+    /// records of older journals.
     pub markers_skipped: usize,
     /// True when the journal ended in a torn record (healed on the next
     /// append).
@@ -162,11 +165,11 @@ impl Executor {
         &self,
         spec: &rackfabric_scenario::spec::ScenarioSpec,
     ) -> io::Result<(JobOutcome, bool)> {
-        let key = job_key(spec);
+        let spec_json = canonical_spec_json(spec);
+        let key = JobKey::of_preimage(&spec_json);
         if let Some(outcome) = self.store.get(&key) {
             return Ok((outcome, true));
         }
-        let spec_json = canonical_spec_json(spec);
         self.journal_append(&Command::RunScenario {
             spec_json: spec_json.clone(),
         })?;
@@ -199,23 +202,11 @@ impl Executor {
         Ok(outcome)
     }
 
-    /// Runs a sweep campaign through the command layer: an `expand-matrix`
-    /// marker is journaled up front, then every store-miss batch flows
-    /// through this executor's [`EngineBoundary`] (journal, execute,
-    /// persist). Results are byte-identical to [`Sweep::run`].
-    pub fn run_campaign(&self, sweep: &Sweep) -> io::Result<SweepOutcome> {
-        self.journal_append(&Command::ExpandMatrix {
-            campaign: sweep.matrix.base.name.clone(),
-            cells: sweep.matrix.cell_count() as u64,
-            jobs: sweep.matrix.job_count() as u64,
-        })?;
-        sweep.run_via(&self.store, &self.runner, self)
-    }
-
     /// Runs one figure campaign, journaling a `regenerate-figure` marker
-    /// ahead of it. The marker is what recovery hands to the
-    /// [`CampaignResolver`], completing even the jobs the interruption
-    /// prevented from ever being journaled individually.
+    /// ahead of it and an `execute-cell` record ahead of each store miss.
+    /// The marker is what recovery hands to the [`CampaignResolver`],
+    /// completing even the jobs the interruption prevented from ever being
+    /// journaled individually. Results are byte-identical to [`Sweep::run`].
     pub fn regenerate_figure(
         &self,
         id: &str,
@@ -227,7 +218,12 @@ impl Executor {
             scale: scale.to_string(),
             budget: sweep.budget,
         })?;
-        sweep.run_via(&self.store, &self.runner, self)
+        sweep.run_with(&self.store, &self.runner, |key, spec_json| {
+            self.journal_append(&Command::ExecuteCell {
+                key: *key,
+                spec_json: spec_json.to_string(),
+            })
+        })
     }
 
     /// Garbage-collects the store down to `live` keys, journaled.
@@ -239,20 +235,6 @@ impl Executor {
             live: sorted.clone(),
         })?;
         self.store.gc(sorted.iter())
-    }
-
-    /// Renders a campaign report file set into `dir`, journaled.
-    pub fn emit_report(
-        &self,
-        campaign: &str,
-        dir: &Path,
-        outcome: &SweepOutcome,
-    ) -> io::Result<()> {
-        self.journal_append(&Command::EmitReport {
-            campaign: campaign.to_string(),
-            dir: dir.display().to_string(),
-        })?;
-        write_report(dir, campaign, outcome)
     }
 
     /// Exports store + journal + `reports` as one bundle file, journaled
@@ -296,14 +278,15 @@ impl Executor {
                 Command::RunScenario { spec_json } => {
                     self.replay_cell(None, spec_json, &mut stats)?;
                 }
-                cmd @ Command::RegenerateFigure { .. } | cmd @ Command::ExpandMatrix { .. } => {
+                cmd @ Command::RegenerateFigure { .. } => {
                     if resolver.replay(cmd, self)? {
                         stats.campaigns_replayed += 1;
                     } else {
                         stats.markers_skipped += 1;
                     }
                 }
-                Command::GcStore { .. }
+                Command::ExpandMatrix { .. }
+                | Command::GcStore { .. }
                 | Command::EmitReport { .. }
                 | Command::ExportBundle { .. }
                 | Command::ImportBundle { .. } => stats.markers_skipped += 1,
@@ -356,25 +339,6 @@ impl Executor {
     }
 }
 
-impl EngineBoundary for Executor {
-    /// Journal each fresh job write-ahead, then delegate to the exact
-    /// execute+persist path the orchestrator always used.
-    fn execute_batch(
-        &self,
-        jobs: &[Job],
-        store: &ResultStore,
-        runner: &Runner,
-    ) -> io::Result<Vec<JobOutcome>> {
-        for job in jobs {
-            self.journal_append(&Command::ExecuteCell {
-                key: job_key(&job.spec),
-                spec_json: canonical_spec_json(&job.spec),
-            })?;
-        }
-        DirectBoundary.execute_batch(jobs, store, runner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,7 +376,9 @@ mod tests {
             root.join("cmd").join("journal"),
         )
         .unwrap();
-        let via_cmd = exec.run_campaign(&Sweep::new(small_matrix())).unwrap();
+        let via_cmd = exec
+            .regenerate_figure("e-unit", "tiny", &Sweep::new(small_matrix()))
+            .unwrap();
         assert_eq!(via_cmd.executed, 4);
         assert_eq!(
             rackfabric_scenario::export::cells_to_csv(&direct.cells),
@@ -425,8 +391,8 @@ mod tests {
         assert!(tail.clean);
         assert_eq!(records.len(), 1 + 4);
         assert!(matches!(
-            records[0].command,
-            Command::ExpandMatrix { jobs: 4, .. }
+            &records[0].command,
+            Command::RegenerateFigure { id, scale, budget: None } if id == "e-unit" && scale == "tiny"
         ));
     }
 
@@ -442,10 +408,19 @@ mod tests {
 
         // Interrupted: 2 of 4 jobs execute, then the "process dies".
         let partial = exec
-            .run_campaign(&Sweep::new(small_matrix()).max_new_jobs(2))
+            .regenerate_figure(
+                "e-unit",
+                "tiny",
+                &Sweep::new(small_matrix()).max_new_jobs(2),
+            )
             .unwrap();
         assert!(partial.interrupted);
         assert_eq!(partial.executed, 2);
+        let (records, _) = read_log(&exec.journal_dir().unwrap()).unwrap();
+        assert!(matches!(
+            records[0].command,
+            Command::RegenerateFigure { .. }
+        ));
 
         // Recovery replays the journal. The 2 executed cells are stored
         // (zero re-executions); the campaign marker itself is skipped by

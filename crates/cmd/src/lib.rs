@@ -2,10 +2,10 @@
 //!
 //! The **command execution layer**: one deterministic instruction set —
 //! [`Command`] — for every externally reachable operation (run a scenario,
-//! expand a matrix, execute a sweep cell, regenerate a figure, gc the
-//! store, emit a report, export/import a bundle), and one [`Executor`]
-//! through which the sweep CLI, the bench figure campaigns and the test
-//! harnesses all invoke the engine.
+//! regenerate a figure, execute one of its cells, gc the store, export a
+//! bundle), and one [`Executor`] through which the sweep CLI, the bench
+//! figure campaigns, the daemon and the test harnesses all invoke the
+//! engine.
 //!
 //! On top of the executor sits the **campaign journal** ([`journal`]): an
 //! append-only log of length-prefixed, CRC-checksummed, canonical-JSON
@@ -27,11 +27,13 @@
 //!   byte-for-byte.
 //!
 //! Routing through the command layer never moves an export byte: the
-//! executor's [`EngineBoundary`] implementation journals each store-miss
-//! batch and then delegates to the exact execute+persist path the sweep
-//! orchestrator used before this crate existed.
+//! executor hands the sweep orchestrator a write-ahead hook
+//! ([`Sweep::run_with`]) that journals each store miss, and the
+//! orchestrator then executes and persists it exactly as [`Sweep::run`]
+//! does.
 //!
-//! [`EngineBoundary`]: rackfabric_sweep::campaign::EngineBoundary
+//! [`Sweep::run_with`]: rackfabric_sweep::campaign::Sweep::run_with
+//! [`Sweep::run`]: rackfabric_sweep::campaign::Sweep::run
 
 pub mod bundle;
 pub mod command;

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use rackfabric_cmd::journal::{read_log, LogRecord};
-use rackfabric_cmd::{Executor, NoCampaigns};
+use rackfabric_cmd::{Command, Executor, NoCampaigns};
 use rackfabric_scenario::matrix::{AxisValue, Matrix};
 use rackfabric_scenario::runner::Runner;
 use rackfabric_scenario::spec::{ScenarioSpec, WorkloadSpec};
@@ -24,9 +24,9 @@ use rackfabric_topo::spec::TopologySpec;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-/// The fixture: one journaled two-job campaign, run once per process and
-/// kept in memory. Each test recovers in a directory of its own, holding a
-/// copy of the campaign's warm store that recovery only ever reads.
+/// The fixture: one journaled two-job figure campaign, run once per process
+/// and kept in memory. Each test recovers in a directory of its own, holding
+/// a copy of the campaign's warm store that recovery only ever reads.
 struct Fixture {
     /// The warm store's files: path relative to the store root, contents.
     store: Vec<(PathBuf, Vec<u8>)>,
@@ -55,12 +55,21 @@ fn fixture() -> &'static Fixture {
         let matrix = Matrix::new(base)
             .axis("load", vec![AxisValue::Load(0.5), AxisValue::Load(1.0)])
             .master_seed(3);
-        exec.run_campaign(&Sweep::new(matrix)).unwrap();
+        exec.regenerate_figure("torn-write", "tiny", &Sweep::new(matrix))
+            .unwrap();
 
         let bytes = std::fs::read(root.join("journal").join("seg-00000000.wal")).unwrap();
         let (records, tail) = read_log(&root.join("journal")).unwrap();
         assert!(tail.clean);
-        assert_eq!(records.len(), 3, "expand-matrix marker + 2 execute-cell");
+        assert_eq!(
+            records.len(),
+            3,
+            "regenerate-figure marker + 2 execute-cell"
+        );
+        assert!(matches!(
+            records[0].command,
+            Command::RegenerateFigure { .. }
+        ));
         Fixture {
             store: files_under(&root.join("store")),
             bytes,

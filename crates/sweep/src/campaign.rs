@@ -7,7 +7,9 @@
 //! persisted before aggregation. Re-running an unchanged campaign against a
 //! warm store therefore executes **zero** jobs and reproduces byte-identical
 //! exports; editing one axis value re-executes only the cells that contain
-//! it.
+//! it. [`Sweep::run_with`] hands each miss's key and spec text to a
+//! write-ahead hook before the miss executes; the command layer journals
+//! the job there.
 //!
 //! With a [`BudgetPolicy`] attached, the fixed replicate count is replaced
 //! by convergence-driven replication: every cell starts at the policy
@@ -24,7 +26,7 @@
 
 use crate::budget::{converged, rel_halfwidth, BudgetPolicy, CellBudget, StopReason};
 use crate::cancel::CancelToken;
-use crate::key::{canonical_spec_json, job_key};
+use crate::key::{canonical_spec_json, job_key, JobKey};
 use crate::store::ResultStore;
 use rackfabric_obs::{Observer, TimeDomain};
 use rackfabric_scenario::aggregate::{aggregate_cells, CellSummary};
@@ -35,55 +37,9 @@ use rackfabric_sim::rng::DetRng;
 use rackfabric_sim::stats::Histogram;
 use std::io;
 
-/// The trace lane the campaign orchestrator records on (resolve / execute /
-/// persist spans). Distinct from the runner's job-worker lanes.
+/// The trace lane the campaign orchestrator records on (resolve, store
+/// lookup and execute spans). Distinct from the runner's job-worker lanes.
 const SWEEP_LANE: u64 = 2000;
-
-/// The single seam between the sweep orchestrator and the engine: every
-/// store-miss batch of a campaign flows through exactly one
-/// [`EngineBoundary::execute_batch`] call, which must execute the jobs and
-/// persist each outcome before returning.
-///
-/// [`DirectBoundary`] is the plain implementation ([`Sweep::run`] uses it);
-/// a command layer implements this trait to journal each batch write-ahead
-/// without the orchestrator knowing. Implementations must not change the
-/// outcomes themselves — routing through a boundary never moves an export
-/// byte.
-pub trait EngineBoundary {
-    /// Executes `jobs` (all store misses) and persists every outcome into
-    /// `store`, returning the outcomes in job order.
-    fn execute_batch(
-        &self,
-        jobs: &[Job],
-        store: &ResultStore,
-        runner: &Runner,
-    ) -> io::Result<Vec<JobOutcome>>;
-}
-
-/// The pass-through engine boundary: run the batch on the scenario runner
-/// and persist each result, exactly as the orchestrator did before the
-/// boundary existed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DirectBoundary;
-
-impl EngineBoundary for DirectBoundary {
-    fn execute_batch(
-        &self,
-        jobs: &[Job],
-        store: &ResultStore,
-        runner: &Runner,
-    ) -> io::Result<Vec<JobOutcome>> {
-        let results = runner.run_jobs(jobs);
-        for (job, outcome) in jobs.iter().zip(&results) {
-            store.put(
-                &job_key(&job.spec),
-                &canonical_spec_json(&job.spec),
-                outcome,
-            )?;
-        }
-        Ok(results)
-    }
-}
 
 /// A resumable sweep campaign over one scenario matrix.
 #[derive(Debug, Clone)]
@@ -151,19 +107,20 @@ impl Sweep {
     /// prior store contents and interruption points never change the final
     /// (complete) exports.
     pub fn run(&self, store: &ResultStore, runner: &Runner) -> io::Result<SweepOutcome> {
-        self.run_via(store, runner, &DirectBoundary)
+        self.run_with(store, runner, |_, _| Ok(()))
     }
 
-    /// [`Sweep::run`] with an explicit [`EngineBoundary`]: every store-miss
-    /// batch is executed and persisted through `boundary` instead of the
-    /// direct runner+store path. The command layer uses this to journal
-    /// fresh executions write-ahead; outcomes and exports are byte-identical
-    /// either way.
-    pub fn run_via(
+    /// [`Sweep::run`] with a write-ahead hook: `write_ahead(&key, &spec_json)`
+    /// runs once per store miss, in job order, before the batch holding
+    /// that miss executes, with the key and spec text its store record
+    /// gets. An error from the hook stops the campaign before the batch
+    /// runs. The command layer journals each fresh job through it;
+    /// outcomes and exports are byte-identical either way.
+    pub fn run_with(
         &self,
         store: &ResultStore,
         runner: &Runner,
-        boundary: &dyn EngineBoundary,
+        mut write_ahead: impl FnMut(&JobKey, &str) -> io::Result<()>,
     ) -> io::Result<SweepOutcome> {
         if let Some(sink) = self.observer.trace() {
             sink.name_lane(SWEEP_LANE, "sweep");
@@ -171,7 +128,7 @@ impl Sweep {
         let mut dispatcher = Dispatcher {
             store,
             runner,
-            boundary,
+            write_ahead: &mut write_ahead,
             executed: 0,
             cached: 0,
             skipped: 0,
@@ -416,7 +373,7 @@ fn merge_distributions(records: &[JobRecord]) -> Vec<CellDistributions> {
 struct Dispatcher<'a> {
     store: &'a ResultStore,
     runner: &'a Runner,
-    boundary: &'a dyn EngineBoundary,
+    write_ahead: &'a mut dyn FnMut(&JobKey, &str) -> io::Result<()>,
     executed: usize,
     cached: usize,
     skipped: usize,
@@ -428,25 +385,29 @@ struct Dispatcher<'a> {
 
 impl Dispatcher<'_> {
     /// Resolves one batch of jobs: store hits are returned directly, misses
-    /// run on the scenario runner (respecting the fresh-execution cap) and
-    /// are persisted before returning. `None` marks a job skipped by an
-    /// interruption.
+    /// pass the write-ahead hook, run on the scenario runner (respecting the
+    /// fresh-execution cap) and are persisted before returning. Each job's
+    /// key preimage is rendered once, for the lookup, the hook and the put.
+    /// `None` marks a job skipped by an interruption.
     fn resolve(&mut self, jobs: &[Job]) -> io::Result<Vec<Option<JobOutcome>>> {
         let mut resolve_span = self.observer.span(SWEEP_LANE, "resolve", "sweep");
         resolve_span.arg_u64("jobs", jobs.len() as u64);
         let mut outcomes: Vec<Option<JobOutcome>> = Vec::with_capacity(jobs.len());
-        let mut pending: Vec<usize> = Vec::new();
+        // Misses as (job index, key, key preimage).
+        let mut pending: Vec<(usize, JobKey, String)> = Vec::new();
         {
             let _lookup_span = self.observer.span(SWEEP_LANE, "store lookup", "sweep");
             for (i, job) in jobs.iter().enumerate() {
-                match self.store.get(&job_key(&job.spec)) {
+                let spec_json = canonical_spec_json(&job.spec);
+                let key = JobKey::of_preimage(&spec_json);
+                match self.store.get(&key) {
                     Some(outcome) => {
                         self.cached += 1;
                         outcomes.push(Some(outcome));
                     }
                     None => {
                         outcomes.push(None);
-                        pending.push(i);
+                        pending.push((i, key, spec_json));
                     }
                 }
             }
@@ -487,19 +448,19 @@ impl Dispatcher<'_> {
                 }
             }
             let slice = &pending[offset..(offset + chunk).min(pending.len())];
-            let batch: Vec<Job> = slice.iter().map(|&i| jobs[i].clone()).collect();
-            // The boundary both executes and persists — one span covers the
-            // whole mutation so traces stay meaningful whichever boundary
-            // runs.
-            let results = {
-                let mut span = self.observer.span(SWEEP_LANE, "execute", "sweep");
-                span.arg_u64("jobs", batch.len() as u64);
-                self.boundary
-                    .execute_batch(&batch, self.store, self.runner)?
-            };
-            for (&i, outcome) in slice.iter().zip(results) {
+            // One span covers the whole mutation: write-ahead, execute and
+            // persist (it ends with this chunk).
+            let mut span = self.observer.span(SWEEP_LANE, "execute", "sweep");
+            span.arg_u64("jobs", slice.len() as u64);
+            for (_, key, spec_json) in slice {
+                (self.write_ahead)(key, spec_json)?;
+            }
+            let batch: Vec<Job> = slice.iter().map(|(i, ..)| jobs[*i].clone()).collect();
+            let results = self.runner.run_jobs(&batch);
+            for ((i, key, spec_json), outcome) in slice.iter().zip(results) {
+                self.store.put(key, spec_json, &outcome)?;
                 self.executed += 1;
-                outcomes[i] = Some(outcome);
+                outcomes[*i] = Some(outcome);
             }
             offset += slice.len();
         }
@@ -641,6 +602,81 @@ mod tests {
             .unwrap();
         assert_eq!(none.executed, 0);
         assert!(none.interrupted);
+    }
+
+    #[test]
+    fn write_ahead_sees_each_miss_in_job_order_with_its_store_key_and_spec() {
+        let (dir, store) = tmp_store("hook");
+        let runner = Runner::single_threaded();
+        let sweep = Sweep::new(small_matrix());
+        let mut calls: Vec<(JobKey, String)> = Vec::new();
+        let outcome = sweep
+            .run_with(&store, &runner, |key, spec_json| {
+                calls.push((*key, spec_json.to_string()));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(outcome.executed, 4);
+        let jobs = small_matrix().expand();
+        assert_eq!(calls.len(), jobs.len(), "once per miss");
+        for (job, (key, spec_json)) in jobs.iter().zip(&calls) {
+            assert_eq!(*key, job_key(&job.spec), "job order");
+            assert_eq!(*spec_json, canonical_spec_json(&job.spec));
+            // The store record carries the same key and spec text.
+            let hex = key.hex();
+            let record = std::fs::read_to_string(
+                dir.join("objects")
+                    .join(&hex[..2])
+                    .join(format!("{}.json", &hex[2..])),
+            )
+            .unwrap();
+            assert!(
+                record.contains(&format!(
+                    "\"key\": \"{hex}\", \"spec\": {spec_json}, \"outcome\": "
+                )),
+                "record of {hex} does not hold the hook's spec text"
+            );
+        }
+
+        // A warm re-run has no miss, so the hook never runs.
+        let mut warm_calls = 0;
+        let warm = sweep
+            .run_with(&store, &runner, |_, _| {
+                warm_calls += 1;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(warm.executed, 0);
+        assert_eq!(warm_calls, 0);
+    }
+
+    #[test]
+    fn a_failing_write_ahead_stops_the_campaign_before_its_batch_runs() {
+        let (_dir, store) = tmp_store("hook-fails");
+        let registry = std::sync::Arc::new(rackfabric_obs::metrics::Registry::new());
+        let runner = Runner::single_threaded()
+            .with_observer(Observer::off().with_registry(registry.clone()));
+        let mut calls = 0;
+        let err = Sweep::new(small_matrix())
+            .run_with(&store, &runner, |_, _| {
+                calls += 1;
+                if calls == 2 {
+                    Err(io::Error::other("journal full"))
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+        assert_eq!(err.to_string(), "journal full");
+        assert_eq!(calls, 2, "no miss after the failing one reaches the hook");
+        assert_eq!(
+            registry
+                .counter("runner.jobs_completed", TimeDomain::Sim)
+                .get(),
+            0,
+            "no job of the batch executes"
+        );
+        assert!(store.is_empty(), "nothing is persisted");
     }
 
     #[test]

@@ -28,6 +28,12 @@ impl JobKey {
         }
         u128::from_str_radix(hex, 16).ok().map(JobKey)
     }
+
+    /// The key of a spec whose canonical JSON (the key preimage) is already
+    /// rendered: a caller that also needs the text renders it once.
+    pub fn of_preimage(spec_json: &str) -> JobKey {
+        JobKey(fnv1a_128(spec_json.as_bytes()))
+    }
 }
 
 impl fmt::Display for JobKey {
@@ -50,7 +56,7 @@ fn fnv1a_128(bytes: &[u8]) -> u128 {
 
 /// The content-addressed key of a fully resolved spec.
 pub fn job_key(spec: &ScenarioSpec) -> JobKey {
-    JobKey(fnv1a_128(canonical_spec_json(spec).as_bytes()))
+    JobKey::of_preimage(&canonical_spec_json(spec))
 }
 
 #[cfg(test)]

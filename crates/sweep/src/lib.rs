@@ -18,8 +18,9 @@
 //!   confidence interval converges below a target, instead of a fixed seed
 //!   count.
 //! * [`campaign`] — the [`Sweep`] orchestrator: store-first resolution,
-//!   incremental dispatch through [`Runner::run_jobs`],
-//!   deterministic budgeted expansion, interruption via `max_new_jobs`.
+//!   incremental dispatch through [`Runner::run_jobs`], a write-ahead hook
+//!   per store miss, deterministic budgeted expansion, interruption via
+//!   `max_new_jobs`.
 //! * [`report`] / [`emit`] — dependency-free SVG line/CDF plots and a
 //!   markdown campaign summary, all byte-deterministic.
 //!
@@ -71,9 +72,7 @@ pub mod testdir;
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use crate::budget::{BudgetPolicy, CellBudget, StopReason};
-    pub use crate::campaign::{
-        CellDistributions, DirectBoundary, EngineBoundary, Sweep, SweepOutcome,
-    };
+    pub use crate::campaign::{CellDistributions, Sweep, SweepOutcome};
     pub use crate::cancel::CancelToken;
     pub use crate::emit::{render_files, write_report};
     pub use crate::key::{canonical_spec_json, job_key, JobKey};
@@ -83,7 +82,7 @@ pub mod prelude {
 }
 
 pub use budget::{BudgetPolicy, CellBudget, StopReason};
-pub use campaign::{CellDistributions, DirectBoundary, EngineBoundary, Sweep, SweepOutcome};
+pub use campaign::{CellDistributions, Sweep, SweepOutcome};
 pub use cancel::CancelToken;
 pub use key::{canonical_spec_json, job_key, JobKey};
 pub use lock::StoreLock;
