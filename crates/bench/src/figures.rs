@@ -798,9 +798,10 @@ pub fn figure_defs(scale: Scale) -> Vec<FigureDef> {
 /// Runs one figure through the command layer. `remaining` is the shared
 /// fresh-execution allowance (`None` = unbounded); it is decremented by
 /// what this campaign executed, so a cap interrupts the figure *sequence*
-/// at a job boundary, not just one campaign. An analytic figure renders
-/// without touching the executor: it journals nothing and its run has no
-/// `outcome`.
+/// at a job boundary, not just one campaign. The campaign records its
+/// `sweep` trace lane on the observer of `exec`'s runner. An analytic
+/// figure renders without touching the executor: it journals nothing and
+/// its run has no `outcome`.
 pub fn run_figure(
     def: FigureDef,
     scale: Scale,
@@ -823,7 +824,7 @@ pub fn run_figure(
         }
         FigureKind::Sim(matrix, export) => (matrix, export),
     };
-    let mut sweep = Sweep::new(*matrix);
+    let mut sweep = Sweep::new(*matrix).observed(exec.runner().observer().clone());
     if let Some(policy) = opts.budget {
         sweep = sweep.budget(policy);
     }

@@ -253,6 +253,11 @@ impl Runner {
         self
     }
 
+    /// The observer this runner's job spans and counters go to.
+    pub fn observer(&self) -> &Observer {
+        &self.observer
+    }
+
     /// The worker count this runner uses.
     pub fn threads(&self) -> usize {
         self.threads

@@ -152,3 +152,47 @@ fn observed_sweep_reproduces_reports_and_store_records() {
     assert_eq!(stats.puts, observed.executed as u64);
     assert_eq!(stats.misses, observed.total_jobs() as u64);
 }
+
+#[test]
+fn traced_figure_pass_records_the_sweep_lane_and_exports_identical_bytes() {
+    use rackfabric_bench::figures::{run_figures, Scale};
+    use rackfabric_cmd::Executor;
+    use std::sync::Arc;
+
+    let (_plain_dir, plain_store) = tmp_store("figures-plain");
+    let plain = run_figures(Scale::Tiny, &Executor::new(plain_store, Runner::new(2))).unwrap();
+
+    // The sweep binary's `--trace`: a sink on the executor's runner only.
+    let sink = Arc::new(TraceSink::new());
+    let runner = Runner::new(2).with_observer(Observer::off().with_trace(sink.clone()));
+    let (_traced_dir, traced_store) = tmp_store("figures-traced");
+    let traced = run_figures(Scale::Tiny, &Executor::new(traced_store, runner)).unwrap();
+
+    assert_eq!(plain.len(), traced.len());
+    for (p, t) in plain.iter().zip(&traced) {
+        assert_eq!(
+            p.export,
+            t.export,
+            "{} moved under tracing",
+            p.export_file()
+        );
+    }
+
+    // A cold pass resolves each simulation-backed figure in one wave: one
+    // resolve, one store lookup and one execute span per figure on the
+    // orchestrator's lane, beside the runner's job spans.
+    let simulated = traced.iter().filter(|f| f.outcome.is_some()).count();
+    let executed: usize = traced.iter().map(|f| f.executed).sum();
+    let events = sink.events();
+    let spans = |name: &str, cat: &str| {
+        events
+            .iter()
+            .filter(|e| e.phase == 'X' && e.name == name && e.cat == cat)
+            .count()
+    };
+    assert_eq!(spans("resolve", "sweep"), simulated);
+    assert_eq!(spans("store lookup", "sweep"), simulated);
+    assert_eq!(spans("execute", "sweep"), simulated);
+    assert_eq!(spans("job", "runner"), executed);
+    assert_eq!(sink.dropped(), 0);
+}
