@@ -22,8 +22,11 @@ pub enum Command {
         /// Canonical spec JSON (the job-key preimage).
         spec_json: String,
     },
-    /// Marker: a campaign expanded its matrix. Carries the declared shape
-    /// so a log reads as a self-describing run history.
+    /// Marker: a campaign expanded its matrix. No code writes it any more:
+    /// the `sweep` binary's demo campaign wrote it before the figure
+    /// campaigns became the only campaigns. It still decodes because
+    /// [`Journal::open`](crate::journal::Journal::open) truncates a log at
+    /// the first record it cannot decode; recovery skips it.
     ExpandMatrix {
         /// Campaign name (display label, not part of any job key).
         campaign: String,
@@ -59,7 +62,9 @@ pub enum Command {
         /// Keys that must survive, sorted.
         live: Vec<JobKey>,
     },
-    /// Render a campaign report file set into `dir`.
+    /// Render a campaign report file set into `dir`. No code writes it any
+    /// more: only the retired demo campaign did. It still decodes for the
+    /// same reason as [`Command::ExpandMatrix`]; recovery skips it.
     EmitReport {
         /// Campaign name used in the report header.
         campaign: String,
@@ -69,13 +74,6 @@ pub enum Command {
     /// Export store + journal + reports as one self-contained bundle file.
     ExportBundle {
         /// Destination bundle path.
-        dest: String,
-    },
-    /// Import a bundle, recreating store/journal/reports byte-for-byte.
-    ImportBundle {
-        /// Source bundle path.
-        src: String,
-        /// Destination root directory.
         dest: String,
     },
 }
@@ -97,7 +95,6 @@ impl Command {
             Command::GcStore { .. } => "gc-store",
             Command::EmitReport { .. } => "emit-report",
             Command::ExportBundle { .. } => "export-bundle",
-            Command::ImportBundle { .. } => "import-bundle",
         }
     }
 
@@ -160,11 +157,6 @@ impl Command {
             Command::ExportBundle { dest } => {
                 obj([("dest", string(dest)), ("op", string("export-bundle"))])
             }
-            Command::ImportBundle { src, dest } => obj([
-                ("dest", string(dest)),
-                ("op", string("import-bundle")),
-                ("src", string(src)),
-            ]),
         }
     }
 
@@ -224,10 +216,6 @@ impl Command {
             "export-bundle" => Some(Command::ExportBundle {
                 dest: value.get("dest")?.as_str()?.to_string(),
             }),
-            "import-bundle" => Some(Command::ImportBundle {
-                src: value.get("src")?.as_str()?.to_string(),
-                dest: value.get("dest")?.as_str()?.to_string(),
-            }),
             _ => None,
         }
     }
@@ -260,9 +248,6 @@ impl Command {
                 format!("emit-report {campaign:?} -> {dir}")
             }
             Command::ExportBundle { dest } => format!("export-bundle -> {dest}"),
-            Command::ImportBundle { src, dest } => {
-                format!("import-bundle {src} -> {dest}")
-            }
         }
     }
 }
@@ -330,10 +315,6 @@ mod tests {
             },
             Command::ExportBundle {
                 dest: "campaign.rfb".into(),
-            },
-            Command::ImportBundle {
-                src: "campaign.rfb".into(),
-                dest: "restored".into(),
             },
         ]
     }

@@ -288,8 +288,7 @@ impl Executor {
                 Command::ExpandMatrix { .. }
                 | Command::GcStore { .. }
                 | Command::EmitReport { .. }
-                | Command::ExportBundle { .. }
-                | Command::ImportBundle { .. } => stats.markers_skipped += 1,
+                | Command::ExportBundle { .. } => stats.markers_skipped += 1,
             }
         }
         Ok(stats)

@@ -546,3 +546,77 @@ fn one_client_serves_sequential_requests_over_one_connection() {
     client.shutdown().unwrap();
     daemon.wait();
 }
+
+#[test]
+fn bundle_submits_are_refused_and_the_connection_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let ref_dir = tmp_dir("bundle-ref");
+    let dir = tmp_dir("bundle");
+    let command = spec_pool(1).remove(0);
+    let reference = reference_lines(&ref_dir, std::slice::from_ref(&command)).remove(0);
+    let (_exec, daemon, _observer) = boot(&dir, 1, 4);
+
+    let stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    let mut reader = BufReader::new(&stream);
+    let send = |line: String| (&stream).write_all((line + "\n").as_bytes()).unwrap();
+    let mut next_event = || {
+        let mut line = String::new();
+        assert_ne!(reader.read_line(&mut line).unwrap(), 0, "closed early");
+        line.trim_end().to_string()
+    };
+    let submit = |command: Command| {
+        Request::Submit {
+            tenant: "bundles".into(),
+            priority: 0,
+            command,
+        }
+        .canonical_json()
+    };
+
+    // An export-bundle command decodes, reaches a worker, and fails there:
+    // only the sweep binary exports bundles.
+    send(submit(Command::ExportBundle {
+        dest: "campaign.rfb".into(),
+    }));
+    let events: Vec<Option<Event>> = (0..3).map(|_| Event::from_line(&next_event())).collect();
+    assert_eq!(
+        events,
+        [
+            Some(Event::Accepted { job: "j-1".into() }),
+            Some(Event::Started { job: "j-1".into() }),
+            Some(Event::Error {
+                job: Some("j-1".into()),
+                reason: "op \"export-bundle\" is not servable over the daemon API".into()
+            }),
+        ]
+    );
+
+    // No command imports a bundle: the request line itself is malformed.
+    send(
+        "{\"command\":{\"dest\":\"restored\",\"op\":\"import-bundle\",\"src\":\"campaign.rfb\"},\
+         \"op\":\"submit\",\"priority\":0,\"tenant\":\"bundles\"}"
+            .to_string(),
+    );
+    assert_eq!(
+        next_event(),
+        "{\"event\":\"error\",\"job\":null,\"reason\":\"malformed request\"}"
+    );
+
+    // The same connection then serves a normal request.
+    send(submit(command));
+    assert_eq!(
+        Event::from_line(&next_event()),
+        Some(Event::Accepted { job: "j-2".into() })
+    );
+    assert_eq!(
+        Event::from_line(&next_event()),
+        Some(Event::Started { job: "j-2".into() })
+    );
+    assert_eq!(done_result_bytes(&next_event()), Some(reference));
+
+    let client = Client::new(daemon.addr(), CLIENT_TIMEOUT);
+    client.shutdown().unwrap();
+    daemon.wait();
+}
