@@ -3,10 +3,9 @@
 //! The paper is explicitly *media agnostic*: the architecture only requires
 //! that whatever medium is in use exposes some subset of the Physical Layer
 //! Primitives. The simulator still needs concrete numbers for propagation
-//! velocity, attenuation and per-lane reach, so this module provides the
-//! three media found inside a rack-scale system: direct-attach copper,
-//! multi-mode optical fibre, and the electrical backplane connecting sleds in
-//! the same chassis.
+//! velocity and attenuation, so this module provides the three media found
+//! inside a rack-scale system: direct-attach copper, multi-mode optical
+//! fibre, and the electrical backplane connecting sleds in the same chassis.
 
 use rackfabric_sim::time::SimDuration;
 use rackfabric_sim::units::Length;
@@ -36,8 +35,6 @@ pub struct Media {
     pub connector_loss_db: f64,
     /// Transmit-side signal-to-noise ratio in dB before channel loss.
     pub tx_snr_db: f64,
-    /// Maximum supported reach; links longer than this refuse to train.
-    pub max_reach: Length,
 }
 
 impl Media {
@@ -50,7 +47,6 @@ impl Media {
             attenuation_db_per_m: 6.0,
             connector_loss_db: 1.5,
             tx_snr_db: 36.0,
-            max_reach: Length::from_m(7),
         }
     }
 
@@ -63,7 +59,6 @@ impl Media {
             attenuation_db_per_m: 0.0035,
             connector_loss_db: 3.0,
             tx_snr_db: 34.0,
-            max_reach: Length::from_m(100),
         }
     }
 
@@ -75,7 +70,6 @@ impl Media {
             attenuation_db_per_m: 20.0,
             connector_loss_db: 1.0,
             tx_snr_db: 38.0,
-            max_reach: Length::from_m(1),
         }
     }
 
@@ -112,9 +106,6 @@ mod tests {
         // than PCB trace.
         assert!(fiber.attenuation_db_per_m < copper.attenuation_db_per_m);
         assert!(copper.attenuation_db_per_m < backplane.attenuation_db_per_m);
-        // Fibre reaches the whole rack, copper a few metres, backplane less.
-        assert!(fiber.max_reach > copper.max_reach);
-        assert!(copper.max_reach > backplane.max_reach);
     }
 
     #[test]
