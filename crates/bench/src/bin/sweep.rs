@@ -283,7 +283,7 @@ fn main() {
         run_recovery(&exec);
     }
 
-    run_figures(&args, &exec);
+    run_campaigns(&args, &exec);
     export_bundle_if_requested(&args, &exec);
     finish_observability(&args, exec.store(), &observer);
 }
@@ -379,7 +379,7 @@ fn finish_observability(args: &Args, store: &ResultStore, observer: &Observer) {
 /// writes the report gallery, and pins (or regenerates) the goldens. `--budget` and `--max-new-jobs` both produce exports the fixed-
 /// replicate goldens cannot pin, so they skip the golden gate (and refuse
 /// `--update-golden`).
-fn run_figures(args: &Args, exec: &Executor) {
+fn run_campaigns(args: &Args, exec: &Executor) {
     let scale = if args.tiny { Scale::Tiny } else { Scale::Paper };
     let opts = FigureOptions {
         budget: args.budget.then(|| args.budget_policy()),

@@ -21,7 +21,7 @@
 //! `golden/<scale>/<figure>.csv` by [`compare_export`] (readable per-column
 //! diffs) in `tests/paper_figures.rs` and the CI `paper-figures` job.
 //! Intentional result changes regenerate goldens via
-//! `cargo run -p rackfabric-bench --bin sweep -- --figures --update-golden`.
+//! `cargo run -p rackfabric-bench --bin sweep -- --update-golden`.
 
 use rackfabric::prelude::*;
 use rackfabric_cmd::{CampaignResolver, Command, Executor};

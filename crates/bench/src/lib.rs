@@ -2,7 +2,7 @@
 //!
 //! [`figures`] defines every figure (e1–e11) as a campaign resolved through
 //! the content-addressed result store and pins each export against
-//! `golden/`; `sweep --figures` regenerates the gallery.
+//! `golden/`; `sweep` runs them and regenerates the gallery.
 
 pub mod figures;
 

@@ -8,8 +8,7 @@
 //!
 //! * each export must match its checked-in `golden/tiny/*.csv` **byte for
 //!   byte** (an intentional result change regenerates goldens via
-//!   `cargo run -p rackfabric-bench --bin sweep -- --figures --tiny
-//!   --update-golden`),
+//!   `cargo run -p rackfabric-bench --bin sweep -- --tiny --update-golden`),
 //! * a second run against the same store must execute **zero** jobs and
 //!   reproduce identical bytes (the resume gate), and the daemon's
 //!   `regenerate-figure` answer for each figure must carry those bytes,
