@@ -376,8 +376,9 @@ fn finish_observability(args: &Args, store: &ResultStore, observer: &Observer) {
 }
 
 /// Drives every paper-figure campaign (e1..e11) through the command layer,
-/// writes the report gallery, and pins (or regenerates) the goldens. `--budget` and `--max-new-jobs` both produce exports the fixed-
-/// replicate goldens cannot pin, so they skip the golden gate (and refuse
+/// writes the report gallery, and pins (or regenerates) the goldens.
+/// `--budget` and `--max-new-jobs` both produce exports the fixed-replicate
+/// goldens cannot pin, so they skip the golden gate (and refuse
 /// `--update-golden`).
 fn run_campaigns(args: &Args, exec: &Executor) {
     let scale = if args.tiny { Scale::Tiny } else { Scale::Paper };

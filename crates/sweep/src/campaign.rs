@@ -328,13 +328,6 @@ pub struct SweepOutcome {
     pub cell_budgets: Vec<CellBudget>,
 }
 
-impl SweepOutcome {
-    /// Total jobs the campaign touched this invocation.
-    pub fn total_jobs(&self) -> usize {
-        self.executed + self.cached + self.skipped
-    }
-}
-
 /// Per-cell merged latency distributions.
 #[derive(Debug, Clone)]
 pub struct CellDistributions {
