@@ -18,7 +18,7 @@
 //! policy (FEC, lanes, power, bypass chains), controller, lane rate, switch
 //! model, port buffers, PLP timing table, MTU, train window, seed, horizon,
 //! event budget — is written field by field in sorted key order, straight
-//! into one string ([`json::CanonicalWriter`]), so the form is canonical JSON
+//! into one string ([`CanonicalWriter`]), so the form is canonical JSON
 //! and stable across axis orderings and code-level field reorderings.
 //!
 //! [`decode_spec`] lets the journal replay an `execute-cell` record without
@@ -32,13 +32,14 @@
 use crate::spec::{ControllerSpec, FecSetting, PhyPolicy, ScenarioSpec, WorkloadSpec};
 use rackfabric::policy::CrcPolicy;
 use rackfabric_phy::{FecMode, MediaKind, PlpTiming, PowerState};
-use rackfabric_sim::json::{self, CanonicalWriter, JsonValue};
+use rackfabric_sim::json::{CanonicalWriter, JsonError, Kind, Reader};
 use rackfabric_sim::time::{SimDuration, SimTime};
 use rackfabric_sim::units::{BitRate, Bytes, Length, Power};
 use rackfabric_switch::model::{SwitchKind, SwitchModel};
 use rackfabric_topo::routing::RoutingAlgorithm;
 use rackfabric_topo::spec::{EdgeSpec, LinkClass, TopologyKind, TopologySpec};
 use rackfabric_topo::NodeId;
+use std::borrow::Cow;
 
 /// The canonical JSON of a spec: every result-shaping field, with sorted
 /// object keys and no whitespace.
@@ -48,46 +49,29 @@ pub fn canonical_spec_json(spec: &ScenarioSpec) -> String {
     w.finish()
 }
 
-/// Decodes a canonical spec JSON document into a runnable spec.
+/// Decodes a canonical spec JSON document into a runnable spec, in one
+/// pass over its text with [`Reader`]: no tree of it is built.
 ///
 /// The key-neutral name gets a default; the engine kind maps back to
 /// `shards` 0 (monolithic) or 1 (sharded) — any positive shard count is
 /// key-equivalent, so 1 is the canonical representative. An error names the
 /// field or the kind that was wrong.
+///
+/// A document decodes exactly as [`json::parse`](rackfabric_sim::json::parse)
+/// and a walk of its tree would decode it. A text that is not JSON fails
+/// with the parser's error, wherever the fault is. The first field of a
+/// name counts, and fields the spec does not name are passed over. Of
+/// several wrong fields, the one the walk reaches first is reported: the
+/// walk takes topology, workload, upgrade, controller, engine, the scalar
+/// fields, routing, phy, PLP timing and switch in that order, and a nested
+/// object's fields in the order of its type's fields.
+/// `crates/sweep/tests/key_stability.rs` holds the decoder to that walk.
 pub fn decode_spec(spec_json: &str) -> Result<ScenarioSpec, String> {
-    let doc = json::parse(spec_json).map_err(|e| format!("spec json: {e}"))?;
-    let topology = decode_topology(field(&doc, "topology")?)?;
-    let workload = decode_workload(field(&doc, "workload")?)?;
-    let mut spec = ScenarioSpec::new("replayed", topology, workload);
-
-    spec.upgrade = match field(&doc, "upgrade")? {
-        JsonValue::Null => None,
-        t => Some(decode_topology(t)?),
-    };
-    spec.controller = decode_controller(field(&doc, "controller")?)?;
-    spec.shards = match str_field(&doc, "engine")? {
-        "monolithic" => 0,
-        "sharded" => 1,
-        other => return Err(format!("unknown engine kind {other:?}")),
-    };
-    spec.event_budget = uint_field(&doc, "event_budget")?;
-    spec.horizon = SimTime::from_picos(uint_field(&doc, "horizon_ps")?);
-    spec.lane_rate = BitRate::from_bps(uint_field(&doc, "lane_rate_bps")?);
-    spec.mtu = Bytes::new(uint_field(&doc, "mtu_bytes")?);
-    spec.port_buffer = Bytes::new(uint_field(&doc, "port_buffer_bytes")?);
-    spec.seed = uint_field(&doc, "seed")?;
-    spec.stop_when_done = field(&doc, "stop_when_done")?
-        .as_bool()
-        .ok_or("stop_when_done: not a bool")?;
-    spec.train_window = SimDuration::from_picos(uint_field(&doc, "train_window_ps")?);
-    spec.routing = match str_field(&doc, "routing")? {
-        "controller-default" => None,
-        name => Some(from_wire(name)?),
-    };
-    spec.phy = decode_phy(field(&doc, "phy")?)?;
-    spec.plp_timing = decode_plp_timing(field(&doc, "plp_timing")?)?;
-    spec.switch = decode_switch(field(&doc, "switch")?)?;
-    Ok(spec)
+    let mut r = Reader::new(spec_json);
+    let fields = read_spec(&mut r)
+        .and_then(|fields| r.finish().map(|()| fields))
+        .map_err(|e| format!("spec json: {e}"))?;
+    fields.into_spec()
 }
 
 // The writers below emit each object's fields in ascending key order: the
@@ -150,18 +134,6 @@ fn write_phy(w: &mut CanonicalWriter, phy: &PhyPolicy) {
     w.end_object();
 }
 
-fn decode_phy(doc: &JsonValue) -> Result<PhyPolicy, String> {
-    Ok(PhyPolicy {
-        bypassed_nodes: uint_field(doc, "bypassed_nodes")? as usize,
-        fec: from_wire(str_field(doc, "fec")?)?,
-        active_lanes: match field(doc, "lanes")? {
-            JsonValue::Null => None,
-            n => Some(n.as_u64().ok_or("phy.lanes: not a number")? as usize),
-        },
-        power: from_wire(str_field(doc, "power")?)?,
-    })
-}
-
 fn write_plp_timing(w: &mut CanonicalWriter, t: &PlpTiming) {
     w.begin_object();
     w.key("bundle_ps").uint(t.bundle.as_picos());
@@ -175,32 +147,12 @@ fn write_plp_timing(w: &mut CanonicalWriter, t: &PlpTiming) {
     w.end_object();
 }
 
-fn decode_plp_timing(doc: &JsonValue) -> Result<PlpTiming, String> {
-    let ps = |name: &str| uint_field(doc, name).map(SimDuration::from_picos);
-    Ok(PlpTiming {
-        split: ps("split_ps")?,
-        bundle: ps("bundle_ps")?,
-        move_lanes: ps("move_lanes_ps")?,
-        set_active_lanes: ps("set_active_lanes_ps")?,
-        set_power: ps("set_power_ps")?,
-        set_fec: ps("set_fec_ps")?,
-        bypass: ps("bypass_ps")?,
-    })
-}
-
 fn write_switch(w: &mut CanonicalWriter, switch: &SwitchModel) {
     w.begin_object();
     w.key("kind").string(wire_name(switch.kind));
     w.key("pipeline_ps")
         .uint(switch.pipeline_latency.as_picos());
     w.end_object();
-}
-
-fn decode_switch(doc: &JsonValue) -> Result<SwitchModel, String> {
-    Ok(SwitchModel {
-        kind: from_wire(str_field(doc, "kind")?)?,
-        pipeline_latency: SimDuration::from_picos(uint_field(doc, "pipeline_ps")?),
-    })
 }
 
 fn write_topology(w: &mut CanonicalWriter, t: &TopologySpec) {
@@ -236,69 +188,6 @@ fn write_topology(w: &mut CanonicalWriter, t: &TopologySpec) {
     w.end_object();
 }
 
-fn decode_topology(doc: &JsonValue) -> Result<TopologySpec, String> {
-    let kind = from_wire(str_field(doc, "kind")?)?;
-    let dims = match field(doc, "dims")? {
-        JsonValue::Null => None,
-        d => match d.as_array().ok_or("dims: not an array")? {
-            [rows, cols] => Some((
-                rows.as_u64().ok_or("dims[0]: not a u64")? as usize,
-                cols.as_u64().ok_or("dims[1]: not a u64")? as usize,
-            )),
-            _ => return Err("dims: expected [rows, cols]".into()),
-        },
-    };
-    let edges = field(doc, "edges")?
-        .as_array()
-        .ok_or("edges: not an array")?
-        .iter()
-        .enumerate()
-        .map(|(i, edge)| decode_edge(i, edge))
-        .collect::<Result<Vec<EdgeSpec>, String>>()?;
-    Ok(TopologySpec {
-        // Display names are key-excluded; replayed topologies get a marker.
-        name: "replayed".into(),
-        kind,
-        nodes: uint_field(doc, "nodes")? as usize,
-        edges,
-        dims,
-    })
-}
-
-/// Decodes edge number `index` of a topology's edge list.
-fn decode_edge(index: usize, doc: &JsonValue) -> Result<EdgeSpec, String> {
-    let parts = doc.as_array().ok_or("edge: not an array")?;
-    if parts.len() != 6 {
-        return Err(format!("edge: expected 6 fields, got {}", parts.len()));
-    }
-    let num = |i: usize| -> Result<u64, String> {
-        parts[i]
-            .as_u64()
-            .ok_or_else(|| format!("edge[{i}]: not a u64"))
-    };
-    let text = |i: usize| -> Result<&str, String> {
-        parts[i]
-            .as_str()
-            .ok_or_else(|| format!("edge[{i}]: not a string"))
-    };
-    // Requests reach this decoder from untrusted lines: an endpoint past
-    // `u32::MAX` is an error, never a truncated (different) node.
-    let node = |i: usize| -> Result<NodeId, String> {
-        let n = num(i)?;
-        u32::try_from(n)
-            .map(NodeId)
-            .map_err(|_| format!("edges[{index}]: node {n} does not fit a u32 node id"))
-    };
-    Ok(EdgeSpec {
-        a: node(0)?,
-        b: node(1)?,
-        lanes: num(2)? as usize,
-        length: Length::from_mm(num(3)?),
-        media: from_wire(text(4)?)?,
-        class: from_wire(text(5)?)?,
-    })
-}
-
 fn write_controller(w: &mut CanonicalWriter, c: &ControllerSpec) {
     w.begin_object();
     match c {
@@ -320,18 +209,6 @@ fn write_controller(w: &mut CanonicalWriter, c: &ControllerSpec) {
     w.end_object();
 }
 
-fn decode_controller(doc: &JsonValue) -> Result<ControllerSpec, String> {
-    match str_field(doc, "kind")? {
-        "baseline" => Ok(ControllerSpec::Baseline),
-        "adaptive" => Ok(ControllerSpec::Adaptive {
-            policy: decode_policy(field(doc, "policy")?)?,
-            epoch: SimDuration::from_picos(uint_field(doc, "epoch_ps")?),
-            routing: from_wire(str_field(doc, "routing")?)?,
-        }),
-        other => Err(format!("unknown controller kind {other:?}")),
-    }
-}
-
 /// A CRC policy; its `kind` is [`CrcPolicy::name`].
 fn write_policy(w: &mut CanonicalWriter, p: &CrcPolicy) {
     w.begin_object();
@@ -343,17 +220,6 @@ fn write_policy(w: &mut CanonicalWriter, p: &CrcPolicy) {
     }
     w.key("kind").string(p.name());
     w.end_object();
-}
-
-fn decode_policy(doc: &JsonValue) -> Result<CrcPolicy, String> {
-    let budget = || uint_field(doc, "budget_mw").map(Power::from_milliwatts);
-    Ok(match str_field(doc, "kind")? {
-        "latency_minimize" => CrcPolicy::LatencyMinimize,
-        "congestion_balance" => CrcPolicy::CongestionBalance,
-        "power_cap" => CrcPolicy::PowerCap { budget: budget()? },
-        "hybrid" => CrcPolicy::Hybrid { budget: budget()? },
-        other => return Err(format!("unknown crc policy {other:?}")),
-    })
 }
 
 fn write_workload(w: &mut CanonicalWriter, workload: &WorkloadSpec) {
@@ -418,47 +284,6 @@ fn write_workload(w: &mut CanonicalWriter, workload: &WorkloadSpec) {
         }
     }
     w.end_object();
-}
-
-fn decode_workload(doc: &JsonValue) -> Result<WorkloadSpec, String> {
-    let load = float_field(doc, "load")?;
-    Ok(match str_field(doc, "kind")? {
-        "shuffle" => WorkloadSpec::Shuffle {
-            partition: Bytes::new(uint_field(doc, "partition_bytes")?),
-            load,
-        },
-        "incast" => WorkloadSpec::Incast {
-            request: Bytes::new(uint_field(doc, "request_bytes")?),
-            load,
-        },
-        "permutation" => WorkloadSpec::Permutation {
-            size: Bytes::new(uint_field(doc, "size_bytes")?),
-            load,
-        },
-        "single_flow" => WorkloadSpec::SingleFlow {
-            size: Bytes::new(uint_field(doc, "size_bytes")?),
-            load,
-        },
-        "uniform" => WorkloadSpec::Uniform {
-            flows_per_node: float_field(doc, "flows_per_node")?,
-            size: Bytes::new(uint_field(doc, "size_bytes")?),
-            mean_interarrival: SimDuration::from_picos(uint_field(doc, "mean_interarrival_ps")?),
-            load,
-        },
-        "hotspot" => WorkloadSpec::Hotspot {
-            flows_per_node: float_field(doc, "flows_per_node")?,
-            size: Bytes::new(uint_field(doc, "size_bytes")?),
-            zipf_exponent: float_field(doc, "zipf_exponent")?,
-            load,
-        },
-        "storage" => WorkloadSpec::Storage {
-            ops_per_node: float_field(doc, "ops_per_node")?,
-            io_size: Bytes::new(uint_field(doc, "io_size_bytes")?),
-            read_fraction: float_field(doc, "read_fraction")?,
-            load,
-        },
-        other => return Err(format!("unknown workload kind {other:?}")),
-    })
 }
 
 /// A field-less enum the canonical form names: one wire name per variant,
@@ -542,32 +367,518 @@ wire_names! {
     ];
 }
 
-fn field<'a>(doc: &'a JsonValue, name: &str) -> Result<&'a JsonValue, String> {
-    doc.get(name)
-        .ok_or_else(|| format!("missing field {name:?}"))
+// The reader below decodes each object's fields in whatever order the
+// document lists them, into slots, and checks the slots in the order the
+// tree walk of `decode_spec`'s contract visits them.
+
+/// One field of an object read in place: `None` until the field's first
+/// occurrence, then what that occurrence decoded to, or what was wrong with
+/// it. Later fields of the same name are passed over, as a tree lookup
+/// finds the first.
+type Slot<T> = Option<Result<T, String>>;
+
+/// A value read in place: the outer error ends the decode (the text is not
+/// JSON), the inner one is the value's own fault.
+type Read<T> = Result<Result<T, String>, JsonError>;
+
+/// The slot's value, or why it has none.
+fn take<T>(slot: Slot<T>, name: &str) -> Result<T, String> {
+    slot.unwrap_or_else(|| Err(format!("missing field {name:?}")))
 }
 
-fn str_field<'a>(doc: &'a JsonValue, name: &str) -> Result<&'a str, String> {
-    field(doc, name)?
-        .as_str()
-        .ok_or_else(|| format!("{name}: not a string"))
+/// Reads the object at the reader, handing `field` each field's name with
+/// the reader at the field's value, which `field` reads or passes over
+/// whole. A value that is not an object is passed over: it has no fields.
+fn read_object<'a>(
+    r: &mut Reader<'a>,
+    mut field: impl FnMut(&str, &mut Reader<'a>) -> Result<(), JsonError>,
+) -> Result<(), JsonError> {
+    if r.peek()? != Kind::Object {
+        return r.skip();
+    }
+    r.begin_object()?;
+    while let Some(name) = r.next_field()? {
+        field(&name, r)?;
+    }
+    Ok(())
 }
 
-fn uint_field(doc: &JsonValue, name: &str) -> Result<u64, String> {
-    field(doc, name)?
-        .as_u64()
-        .ok_or_else(|| format!("{name}: not a u64"))
+/// Reads the field at the reader into `slot`, unless an earlier field of
+/// the same name filled it.
+fn fill<'a, T>(
+    slot: &mut Slot<T>,
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Read<T>,
+) -> Result<(), JsonError> {
+    if slot.is_some() {
+        return r.skip();
+    }
+    *slot = Some(read(r)?);
+    Ok(())
 }
 
-fn float_field(doc: &JsonValue, name: &str) -> Result<f64, String> {
-    field(doc, name)?
-        .as_f64()
-        .ok_or_else(|| format!("{name}: not a number"))
+/// Passes over the value at the reader, which is `wrong`.
+fn wrong<T>(r: &mut Reader<'_>, wrong: String) -> Read<T> {
+    r.skip()?;
+    Ok(Err(wrong))
+}
+
+fn read_uint(r: &mut Reader<'_>, name: &str) -> Read<u64> {
+    if r.peek()? != Kind::Number {
+        return wrong(r, format!("{name}: not a u64"));
+    }
+    Ok(r.number()?
+        .parse()
+        .map_err(|_| format!("{name}: not a u64")))
+}
+
+fn read_float(r: &mut Reader<'_>, name: &str) -> Read<f64> {
+    if r.peek()? != Kind::Number {
+        return wrong(r, format!("{name}: not a number"));
+    }
+    Ok(r.number()?
+        .parse()
+        .map_err(|_| format!("{name}: not a number")))
+}
+
+fn read_str<'a>(r: &mut Reader<'a>, name: &str) -> Read<Cow<'a, str>> {
+    if r.peek()? != Kind::String {
+        return wrong(r, format!("{name}: not a string"));
+    }
+    Ok(Ok(r.string()?))
+}
+
+fn read_wire<T: WireName>(r: &mut Reader<'_>, name: &str) -> Read<T> {
+    Ok(read_str(r, name)?.and_then(|wire| from_wire(&wire)))
+}
+
+/// `None` for `null`, else what `read` makes of the value.
+fn read_nullable<'a, T>(
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Read<T>,
+) -> Read<Option<T>> {
+    if r.peek()? == Kind::Null {
+        r.skip()?;
+        return Ok(Ok(None));
+    }
+    Ok(read(r)?.map(Some))
+}
+
+/// An item of a fixed-length array (an edge, `dims`).
+enum Item<'a> {
+    Number(&'a str),
+    String(Cow<'a, str>),
+    Other,
+}
+
+impl Item<'_> {
+    fn uint(&self) -> Option<u64> {
+        match self {
+            Item::Number(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+}
+
+/// Reads the array at the reader: its first `N` items and how many items
+/// it has. `None` when the value is not an array.
+fn read_tuple<'a, const N: usize>(
+    r: &mut Reader<'a>,
+) -> Result<Option<([Item<'a>; N], usize)>, JsonError> {
+    if r.peek()? != Kind::Array {
+        r.skip()?;
+        return Ok(None);
+    }
+    r.begin_array()?;
+    let mut items = std::array::from_fn(|_| Item::Other);
+    let mut len = 0;
+    while r.next_item()? {
+        let item = match r.peek()? {
+            Kind::Number => Item::Number(r.number()?),
+            Kind::String => Item::String(r.string()?),
+            _ => {
+                r.skip()?;
+                Item::Other
+            }
+        };
+        if let Some(slot) = items.get_mut(len) {
+            *slot = item;
+        }
+        len += 1;
+    }
+    Ok(Some((items, len)))
+}
+
+/// A spec document's top-level fields.
+#[derive(Default)]
+struct SpecFields {
+    topology: Slot<TopologySpec>,
+    workload: Slot<WorkloadSpec>,
+    upgrade: Slot<Option<TopologySpec>>,
+    controller: Slot<ControllerSpec>,
+    engine: Slot<usize>,
+    event_budget: Slot<u64>,
+    horizon_ps: Slot<u64>,
+    lane_rate_bps: Slot<u64>,
+    mtu_bytes: Slot<u64>,
+    port_buffer_bytes: Slot<u64>,
+    seed: Slot<u64>,
+    stop_when_done: Slot<bool>,
+    train_window_ps: Slot<u64>,
+    routing: Slot<Option<RoutingAlgorithm>>,
+    phy: Slot<PhyPolicy>,
+    plp_timing: Slot<PlpTiming>,
+    switch: Slot<SwitchModel>,
+}
+
+fn read_spec(r: &mut Reader<'_>) -> Result<SpecFields, JsonError> {
+    let mut f = SpecFields::default();
+    read_object(r, |name, r| match name {
+        "controller" => fill(&mut f.controller, r, read_controller),
+        "engine" => fill(&mut f.engine, r, |r| {
+            Ok(read_str(r, name)?.and_then(|kind| match &*kind {
+                "monolithic" => Ok(0),
+                "sharded" => Ok(1),
+                other => Err(format!("unknown engine kind {other:?}")),
+            }))
+        }),
+        "event_budget" => fill(&mut f.event_budget, r, |r| read_uint(r, name)),
+        "horizon_ps" => fill(&mut f.horizon_ps, r, |r| read_uint(r, name)),
+        "lane_rate_bps" => fill(&mut f.lane_rate_bps, r, |r| read_uint(r, name)),
+        "mtu_bytes" => fill(&mut f.mtu_bytes, r, |r| read_uint(r, name)),
+        "phy" => fill(&mut f.phy, r, read_phy),
+        "plp_timing" => fill(&mut f.plp_timing, r, read_plp_timing),
+        "port_buffer_bytes" => fill(&mut f.port_buffer_bytes, r, |r| read_uint(r, name)),
+        "routing" => fill(&mut f.routing, r, |r| {
+            Ok(read_str(r, name)?.and_then(|routing| match &*routing {
+                "controller-default" => Ok(None),
+                routing => from_wire(routing).map(Some),
+            }))
+        }),
+        "seed" => fill(&mut f.seed, r, |r| read_uint(r, name)),
+        "stop_when_done" => fill(&mut f.stop_when_done, r, |r| {
+            Ok(match r.raw()? {
+                "true" => Ok(true),
+                "false" => Ok(false),
+                _ => Err("stop_when_done: not a bool".into()),
+            })
+        }),
+        "switch" => fill(&mut f.switch, r, read_switch),
+        "topology" => fill(&mut f.topology, r, read_topology),
+        "train_window_ps" => fill(&mut f.train_window_ps, r, |r| read_uint(r, name)),
+        "upgrade" => fill(&mut f.upgrade, r, |r| read_nullable(r, read_topology)),
+        "workload" => fill(&mut f.workload, r, read_workload),
+        _ => r.skip(),
+    })?;
+    Ok(f)
+}
+
+impl SpecFields {
+    fn into_spec(self) -> Result<ScenarioSpec, String> {
+        let topology = take(self.topology, "topology")?;
+        let workload = take(self.workload, "workload")?;
+        let mut spec = ScenarioSpec::new("replayed", topology, workload);
+        spec.upgrade = take(self.upgrade, "upgrade")?;
+        spec.controller = take(self.controller, "controller")?;
+        spec.shards = take(self.engine, "engine")?;
+        spec.event_budget = take(self.event_budget, "event_budget")?;
+        spec.horizon = SimTime::from_picos(take(self.horizon_ps, "horizon_ps")?);
+        spec.lane_rate = BitRate::from_bps(take(self.lane_rate_bps, "lane_rate_bps")?);
+        spec.mtu = Bytes::new(take(self.mtu_bytes, "mtu_bytes")?);
+        spec.port_buffer = Bytes::new(take(self.port_buffer_bytes, "port_buffer_bytes")?);
+        spec.seed = take(self.seed, "seed")?;
+        spec.stop_when_done = take(self.stop_when_done, "stop_when_done")?;
+        spec.train_window = SimDuration::from_picos(take(self.train_window_ps, "train_window_ps")?);
+        spec.routing = take(self.routing, "routing")?;
+        spec.phy = take(self.phy, "phy")?;
+        spec.plp_timing = take(self.plp_timing, "plp_timing")?;
+        spec.switch = take(self.switch, "switch")?;
+        Ok(spec)
+    }
+}
+
+fn read_phy(r: &mut Reader<'_>) -> Read<PhyPolicy> {
+    let (mut bypassed_nodes, mut fec, mut lanes, mut power) = (None, None, None, None);
+    read_object(r, |name, r| match name {
+        "bypassed_nodes" => fill(&mut bypassed_nodes, r, |r| read_uint(r, name)),
+        "fec" => fill(&mut fec, r, |r| read_wire(r, name)),
+        "lanes" => fill(&mut lanes, r, |r| {
+            read_nullable(r, |r| {
+                Ok(read_uint(r, name)?.map_err(|_| "phy.lanes: not a number".to_string()))
+            })
+        }),
+        "power" => fill(&mut power, r, |r| read_wire(r, name)),
+        _ => r.skip(),
+    })?;
+    let phy = || -> Result<PhyPolicy, String> {
+        Ok(PhyPolicy {
+            bypassed_nodes: take(bypassed_nodes, "bypassed_nodes")? as usize,
+            fec: take(fec, "fec")?,
+            active_lanes: take(lanes, "lanes")?.map(|n| n as usize),
+            power: take(power, "power")?,
+        })
+    };
+    Ok(phy())
+}
+
+fn read_plp_timing(r: &mut Reader<'_>) -> Read<PlpTiming> {
+    let (mut bundle, mut bypass, mut move_lanes, mut set_active_lanes) = (None, None, None, None);
+    let (mut set_fec, mut set_power, mut split) = (None, None, None);
+    read_object(r, |name, r| {
+        let slot = match name {
+            "bundle_ps" => &mut bundle,
+            "bypass_ps" => &mut bypass,
+            "move_lanes_ps" => &mut move_lanes,
+            "set_active_lanes_ps" => &mut set_active_lanes,
+            "set_fec_ps" => &mut set_fec,
+            "set_power_ps" => &mut set_power,
+            "split_ps" => &mut split,
+            _ => return r.skip(),
+        };
+        fill(slot, r, |r| read_uint(r, name))
+    })?;
+    let ps = |slot, name| take(slot, name).map(SimDuration::from_picos);
+    let timing = || -> Result<PlpTiming, String> {
+        Ok(PlpTiming {
+            split: ps(split, "split_ps")?,
+            bundle: ps(bundle, "bundle_ps")?,
+            move_lanes: ps(move_lanes, "move_lanes_ps")?,
+            set_active_lanes: ps(set_active_lanes, "set_active_lanes_ps")?,
+            set_power: ps(set_power, "set_power_ps")?,
+            set_fec: ps(set_fec, "set_fec_ps")?,
+            bypass: ps(bypass, "bypass_ps")?,
+        })
+    };
+    Ok(timing())
+}
+
+fn read_switch(r: &mut Reader<'_>) -> Read<SwitchModel> {
+    let (mut kind, mut pipeline) = (None, None);
+    read_object(r, |name, r| match name {
+        "kind" => fill(&mut kind, r, |r| read_wire(r, name)),
+        "pipeline_ps" => fill(&mut pipeline, r, |r| read_uint(r, name)),
+        _ => r.skip(),
+    })?;
+    let switch = || -> Result<SwitchModel, String> {
+        Ok(SwitchModel {
+            kind: take(kind, "kind")?,
+            pipeline_latency: SimDuration::from_picos(take(pipeline, "pipeline_ps")?),
+        })
+    };
+    Ok(switch())
+}
+
+fn read_topology(r: &mut Reader<'_>) -> Read<TopologySpec> {
+    let (mut kind, mut dims, mut edges, mut nodes) = (None, None, None, None);
+    read_object(r, |name, r| match name {
+        "dims" => fill(&mut dims, r, |r| read_nullable(r, read_dims)),
+        "edges" => fill(&mut edges, r, read_edges),
+        "kind" => fill(&mut kind, r, |r| read_wire(r, name)),
+        "nodes" => fill(&mut nodes, r, |r| read_uint(r, name)),
+        _ => r.skip(),
+    })?;
+    let topology = || -> Result<TopologySpec, String> {
+        Ok(TopologySpec {
+            // Display names are key-excluded; replayed topologies get a marker.
+            name: "replayed".into(),
+            kind: take(kind, "kind")?,
+            dims: take(dims, "dims")?,
+            edges: take(edges, "edges")?,
+            nodes: take(nodes, "nodes")? as usize,
+        })
+    };
+    Ok(topology())
+}
+
+fn read_dims(r: &mut Reader<'_>) -> Read<(usize, usize)> {
+    let Some((dims, len)) = read_tuple::<2>(r)? else {
+        return Ok(Err("dims: not an array".into()));
+    };
+    if len != 2 {
+        return Ok(Err("dims: expected [rows, cols]".into()));
+    }
+    let dim = |i: usize| {
+        dims[i]
+            .uint()
+            .map(|n| n as usize)
+            .ok_or_else(|| format!("dims[{i}]: not a u64"))
+    };
+    Ok(dim(0).and_then(|rows| Ok((rows, dim(1)?))))
+}
+
+/// Reads a topology's edge list; the first wrong edge is its fault.
+fn read_edges(r: &mut Reader<'_>) -> Read<Vec<EdgeSpec>> {
+    if r.peek()? != Kind::Array {
+        return wrong(r, "edges: not an array".into());
+    }
+    r.begin_array()?;
+    let mut edges = Ok(Vec::new());
+    let mut index = 0;
+    while r.next_item()? {
+        match &mut edges {
+            Ok(list) => match read_edge(r, index)? {
+                Ok(edge) => list.push(edge),
+                Err(e) => edges = Err(e),
+            },
+            Err(_) => r.skip()?,
+        }
+        index += 1;
+    }
+    Ok(edges)
+}
+
+/// Decodes edge number `index` of a topology's edge list.
+fn read_edge(r: &mut Reader<'_>, index: usize) -> Read<EdgeSpec> {
+    let Some((parts, len)) = read_tuple::<6>(r)? else {
+        return Ok(Err("edge: not an array".into()));
+    };
+    if len != 6 {
+        return Ok(Err(format!("edge: expected 6 fields, got {len}")));
+    }
+    let num = |i: usize| {
+        parts[i]
+            .uint()
+            .ok_or_else(|| format!("edge[{i}]: not a u64"))
+    };
+    let text = |i: usize| match &parts[i] {
+        Item::String(text) => Ok(&**text),
+        _ => Err(format!("edge[{i}]: not a string")),
+    };
+    // Requests reach this decoder from untrusted lines: an endpoint past
+    // `u32::MAX` is an error, never a truncated (different) node.
+    let node = |i: usize| -> Result<NodeId, String> {
+        let n = num(i)?;
+        u32::try_from(n)
+            .map(NodeId)
+            .map_err(|_| format!("edges[{index}]: node {n} does not fit a u32 node id"))
+    };
+    let edge = || -> Result<EdgeSpec, String> {
+        Ok(EdgeSpec {
+            a: node(0)?,
+            b: node(1)?,
+            lanes: num(2)? as usize,
+            length: Length::from_mm(num(3)?),
+            media: from_wire(text(4)?)?,
+            class: from_wire(text(5)?)?,
+        })
+    };
+    Ok(edge())
+}
+
+fn read_controller(r: &mut Reader<'_>) -> Read<ControllerSpec> {
+    let (mut kind, mut policy, mut epoch, mut routing) = (None, None, None, None);
+    read_object(r, |name, r| match name {
+        "epoch_ps" => fill(&mut epoch, r, |r| read_uint(r, name)),
+        "kind" => fill(&mut kind, r, |r| read_str(r, name)),
+        "policy" => fill(&mut policy, r, read_policy),
+        "routing" => fill(&mut routing, r, |r| read_wire(r, name)),
+        _ => r.skip(),
+    })?;
+    let controller = || -> Result<ControllerSpec, String> {
+        match &*take(kind, "kind")? {
+            "baseline" => Ok(ControllerSpec::Baseline),
+            "adaptive" => Ok(ControllerSpec::Adaptive {
+                policy: take(policy, "policy")?,
+                epoch: SimDuration::from_picos(take(epoch, "epoch_ps")?),
+                routing: take(routing, "routing")?,
+            }),
+            other => Err(format!("unknown controller kind {other:?}")),
+        }
+    };
+    Ok(controller())
+}
+
+fn read_policy(r: &mut Reader<'_>) -> Read<CrcPolicy> {
+    let (mut kind, mut budget) = (None, None);
+    read_object(r, |name, r| match name {
+        "budget_mw" => fill(&mut budget, r, |r| read_uint(r, name)),
+        "kind" => fill(&mut kind, r, |r| read_str(r, name)),
+        _ => r.skip(),
+    })?;
+    let policy = || -> Result<CrcPolicy, String> {
+        let budget = || take(budget, "budget_mw").map(Power::from_milliwatts);
+        Ok(match &*take(kind, "kind")? {
+            "latency_minimize" => CrcPolicy::LatencyMinimize,
+            "congestion_balance" => CrcPolicy::CongestionBalance,
+            "power_cap" => CrcPolicy::PowerCap { budget: budget()? },
+            "hybrid" => CrcPolicy::Hybrid { budget: budget()? },
+            other => return Err(format!("unknown crc policy {other:?}")),
+        })
+    };
+    Ok(policy())
+}
+
+fn read_workload(r: &mut Reader<'_>) -> Read<WorkloadSpec> {
+    let mut kind = None;
+    let (mut load, mut flows_per_node, mut zipf_exponent) = (None, None, None);
+    let (mut ops_per_node, mut read_fraction) = (None, None);
+    let (mut partition, mut request, mut size) = (None, None, None);
+    let (mut io_size, mut mean_interarrival) = (None, None);
+    read_object(r, |name, r| match name {
+        "kind" => fill(&mut kind, r, |r| read_str(r, name)),
+        "load" => fill(&mut load, r, |r| read_float(r, name)),
+        "flows_per_node" => fill(&mut flows_per_node, r, |r| read_float(r, name)),
+        "zipf_exponent" => fill(&mut zipf_exponent, r, |r| read_float(r, name)),
+        "ops_per_node" => fill(&mut ops_per_node, r, |r| read_float(r, name)),
+        "read_fraction" => fill(&mut read_fraction, r, |r| read_float(r, name)),
+        "partition_bytes" => fill(&mut partition, r, |r| read_uint(r, name)),
+        "request_bytes" => fill(&mut request, r, |r| read_uint(r, name)),
+        "size_bytes" => fill(&mut size, r, |r| read_uint(r, name)),
+        "io_size_bytes" => fill(&mut io_size, r, |r| read_uint(r, name)),
+        "mean_interarrival_ps" => fill(&mut mean_interarrival, r, |r| read_uint(r, name)),
+        _ => r.skip(),
+    })?;
+    let workload = || -> Result<WorkloadSpec, String> {
+        let load = take(load, "load")?;
+        let bytes = |slot, name| take(slot, name).map(Bytes::new);
+        Ok(match &*take(kind, "kind")? {
+            "shuffle" => WorkloadSpec::Shuffle {
+                partition: bytes(partition, "partition_bytes")?,
+                load,
+            },
+            "incast" => WorkloadSpec::Incast {
+                request: bytes(request, "request_bytes")?,
+                load,
+            },
+            "permutation" => WorkloadSpec::Permutation {
+                size: bytes(size, "size_bytes")?,
+                load,
+            },
+            "single_flow" => WorkloadSpec::SingleFlow {
+                size: bytes(size, "size_bytes")?,
+                load,
+            },
+            "uniform" => WorkloadSpec::Uniform {
+                flows_per_node: take(flows_per_node, "flows_per_node")?,
+                size: bytes(size, "size_bytes")?,
+                mean_interarrival: SimDuration::from_picos(take(
+                    mean_interarrival,
+                    "mean_interarrival_ps",
+                )?),
+                load,
+            },
+            "hotspot" => WorkloadSpec::Hotspot {
+                flows_per_node: take(flows_per_node, "flows_per_node")?,
+                size: bytes(size, "size_bytes")?,
+                zipf_exponent: take(zipf_exponent, "zipf_exponent")?,
+                load,
+            },
+            "storage" => WorkloadSpec::Storage {
+                ops_per_node: take(ops_per_node, "ops_per_node")?,
+                io_size: bytes(io_size, "io_size_bytes")?,
+                read_fraction: take(read_fraction, "read_fraction")?,
+                load,
+            },
+            other => return Err(format!("unknown workload kind {other:?}")),
+        })
+    };
+    Ok(workload())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rackfabric_sim::json;
 
     /// Byte-equal canonical forms hash to equal job keys, so this is the
     /// key contract without the sweep layer.

@@ -10,13 +10,16 @@
 //! * distinct whenever a result-shaping field differs,
 //! * unchanged by a round trip through the spec codec
 //!   (`rackfabric_scenario::codec`): decoding a canonical form and encoding
-//!   it again gives back its bytes, and so its key.
+//!   it again gives back its bytes, and so its key. The codec decodes in
+//!   place; [`reference`] keeps the tree walk it replaced, and every
+//!   generated form and its damaged variants must decode the same in both.
 
 use proptest::prelude::*;
 use rackfabric::policy::CrcPolicy;
 use rackfabric_phy::{FecMode, MediaKind, PlpTiming, PowerState};
 use rackfabric_scenario::codec::decode_spec;
 use rackfabric_scenario::prelude::*;
+use rackfabric_sim::json;
 use rackfabric_sim::prelude::*;
 use rackfabric_sweep::prelude::*;
 use rackfabric_switch::model::{SwitchKind, SwitchModel};
@@ -347,7 +350,9 @@ proptest! {
     /// Decoding a spec's canonical form and encoding it again gives back the
     /// same bytes, and so the same key. The drawn specs reach every variant
     /// of the field-less enums, every workload kind, both controllers and
-    /// every CRC policy, with numbers across their whole range.
+    /// every CRC policy, with numbers across their whole range. The
+    /// in-place decoder reads the form, and damaged variants of it, as the
+    /// tree walk it replaced did.
     #[test]
     fn decoding_the_canonical_form_gives_back_its_bytes_and_key(
         topology_kind in 0usize..1_000,
@@ -380,6 +385,7 @@ proptest! {
         stop_when_done in 0usize..2,
         shards in 0usize..4,
         seed in 0u64..u64::MAX,
+        damage in 0u64..u64::MAX,
     ) {
         let topology_kinds =
             variants!(TopologyKind: Line, Ring, Grid, Torus, Hypercube, FatTree, Dragonfly);
@@ -488,7 +494,491 @@ proptest! {
         let decoded = decode_spec(&canonical).unwrap_or_else(|e| panic!("{e}: {canonical}"));
         prop_assert_eq!(canonical_spec_json(&decoded), canonical);
         prop_assert_eq!(job_key(&decoded), job_key(&spec));
+        prop_assert_eq!(Ok(decoded), reference::decode_spec(&canonical));
+        for variant in sampled_damage(&canonical, damage, 24) {
+            let _ = decodes_as_the_tree_walk(&variant);
+        }
     }
+}
+
+/// The spec decoder before it read specs in place: [`json::parse`] the
+/// whole document, then walk the tree. The in-place decoder must return
+/// what this one returns for every text: the same spec, or the same error.
+mod reference {
+    use super::*;
+    use rackfabric_sim::json::{self, JsonValue};
+
+    /// A field-less enum's wire names, as the codec's own table lists them.
+    trait WireName: Copy + 'static {
+        const WHAT: &'static str;
+        const NAMES: &'static [(&'static str, Self)];
+    }
+
+    fn from_wire<T: WireName>(name: &str) -> Result<T, String> {
+        let variant = T::NAMES.iter().find(|(n, _)| *n == name).map(|e| e.1);
+        variant.ok_or_else(|| format!("unknown {} {name:?}", T::WHAT))
+    }
+
+    macro_rules! wire_names {
+        ($($t:ty, $what:literal: [$(($name:literal, $v:expr)),+ $(,)?];)+) => {$(
+            impl WireName for $t {
+                const WHAT: &'static str = $what;
+                const NAMES: &'static [(&'static str, Self)] = &[$(($name, $v)),+];
+            }
+        )+};
+    }
+
+    wire_names! {
+        RoutingAlgorithm, "routing algorithm": [
+            ("ShortestHop", RoutingAlgorithm::ShortestHop),
+            ("MinCost", RoutingAlgorithm::MinCost),
+            ("Ecmp", RoutingAlgorithm::Ecmp),
+            ("DimensionOrdered", RoutingAlgorithm::DimensionOrdered),
+            ("Valiant", RoutingAlgorithm::Valiant),
+            ("Adaptive", RoutingAlgorithm::Adaptive),
+        ];
+        FecSetting, "fec setting": [
+            ("default", FecSetting::Default),
+            ("none", FecSetting::Fixed(FecMode::None)),
+            ("firecode", FecSetting::Fixed(FecMode::FireCode)),
+            ("rs528", FecSetting::Fixed(FecMode::Rs528)),
+            ("rs544", FecSetting::Fixed(FecMode::Rs544)),
+        ];
+        PowerState, "power state": [
+            ("active", PowerState::Active),
+            ("low_power", PowerState::LowPower),
+            ("off", PowerState::Off),
+        ];
+        SwitchKind, "switch kind": [
+            ("cut_through", SwitchKind::CutThrough),
+            ("store_and_forward", SwitchKind::StoreAndForward),
+        ];
+        TopologyKind, "topology kind": [
+            ("Line", TopologyKind::Line),
+            ("Ring", TopologyKind::Ring),
+            ("Grid", TopologyKind::Grid),
+            ("Torus", TopologyKind::Torus),
+            ("Hypercube", TopologyKind::Hypercube),
+            ("FatTree", TopologyKind::FatTree),
+            ("Dragonfly", TopologyKind::Dragonfly),
+        ];
+        MediaKind, "media kind": [
+            ("CopperDac", MediaKind::CopperDac),
+            ("OpticalFiber", MediaKind::OpticalFiber),
+            ("Backplane", MediaKind::Backplane),
+        ];
+        LinkClass, "link class": [
+            ("IntraRack", LinkClass::IntraRack),
+            ("InterRack", LinkClass::InterRack),
+        ];
+    }
+
+    /// The spec `spec_json` holds, or the first thing wrong with it.
+    pub fn decode_spec(spec_json: &str) -> Result<ScenarioSpec, String> {
+        let doc = json::parse(spec_json).map_err(|e| format!("spec json: {e}"))?;
+        let topology = decode_topology(field(&doc, "topology")?)?;
+        let workload = decode_workload(field(&doc, "workload")?)?;
+        let mut spec = ScenarioSpec::new("replayed", topology, workload);
+
+        spec.upgrade = match field(&doc, "upgrade")? {
+            JsonValue::Null => None,
+            t => Some(decode_topology(t)?),
+        };
+        spec.controller = decode_controller(field(&doc, "controller")?)?;
+        spec.shards = match str_field(&doc, "engine")? {
+            "monolithic" => 0,
+            "sharded" => 1,
+            other => return Err(format!("unknown engine kind {other:?}")),
+        };
+        spec.event_budget = uint_field(&doc, "event_budget")?;
+        spec.horizon = SimTime::from_picos(uint_field(&doc, "horizon_ps")?);
+        spec.lane_rate = BitRate::from_bps(uint_field(&doc, "lane_rate_bps")?);
+        spec.mtu = Bytes::new(uint_field(&doc, "mtu_bytes")?);
+        spec.port_buffer = Bytes::new(uint_field(&doc, "port_buffer_bytes")?);
+        spec.seed = uint_field(&doc, "seed")?;
+        spec.stop_when_done = field(&doc, "stop_when_done")?
+            .as_bool()
+            .ok_or("stop_when_done: not a bool")?;
+        spec.train_window = SimDuration::from_picos(uint_field(&doc, "train_window_ps")?);
+        spec.routing = match str_field(&doc, "routing")? {
+            "controller-default" => None,
+            name => Some(from_wire(name)?),
+        };
+        spec.phy = decode_phy(field(&doc, "phy")?)?;
+        spec.plp_timing = decode_plp_timing(field(&doc, "plp_timing")?)?;
+        spec.switch = decode_switch(field(&doc, "switch")?)?;
+        Ok(spec)
+    }
+
+    fn decode_phy(doc: &JsonValue) -> Result<PhyPolicy, String> {
+        Ok(PhyPolicy {
+            bypassed_nodes: uint_field(doc, "bypassed_nodes")? as usize,
+            fec: from_wire(str_field(doc, "fec")?)?,
+            active_lanes: match field(doc, "lanes")? {
+                JsonValue::Null => None,
+                n => Some(n.as_u64().ok_or("phy.lanes: not a number")? as usize),
+            },
+            power: from_wire(str_field(doc, "power")?)?,
+        })
+    }
+
+    fn decode_plp_timing(doc: &JsonValue) -> Result<PlpTiming, String> {
+        let ps = |name: &str| uint_field(doc, name).map(SimDuration::from_picos);
+        Ok(PlpTiming {
+            split: ps("split_ps")?,
+            bundle: ps("bundle_ps")?,
+            move_lanes: ps("move_lanes_ps")?,
+            set_active_lanes: ps("set_active_lanes_ps")?,
+            set_power: ps("set_power_ps")?,
+            set_fec: ps("set_fec_ps")?,
+            bypass: ps("bypass_ps")?,
+        })
+    }
+
+    fn decode_switch(doc: &JsonValue) -> Result<SwitchModel, String> {
+        Ok(SwitchModel {
+            kind: from_wire(str_field(doc, "kind")?)?,
+            pipeline_latency: SimDuration::from_picos(uint_field(doc, "pipeline_ps")?),
+        })
+    }
+
+    fn decode_topology(doc: &JsonValue) -> Result<TopologySpec, String> {
+        let kind = from_wire(str_field(doc, "kind")?)?;
+        let dims = match field(doc, "dims")? {
+            JsonValue::Null => None,
+            d => match d.as_array().ok_or("dims: not an array")? {
+                [rows, cols] => Some((
+                    rows.as_u64().ok_or("dims[0]: not a u64")? as usize,
+                    cols.as_u64().ok_or("dims[1]: not a u64")? as usize,
+                )),
+                _ => return Err("dims: expected [rows, cols]".into()),
+            },
+        };
+        let edges = field(doc, "edges")?
+            .as_array()
+            .ok_or("edges: not an array")?
+            .iter()
+            .enumerate()
+            .map(|(i, edge)| decode_edge(i, edge))
+            .collect::<Result<Vec<EdgeSpec>, String>>()?;
+        Ok(TopologySpec {
+            // Display names are key-excluded; replayed topologies get a marker.
+            name: "replayed".into(),
+            kind,
+            nodes: uint_field(doc, "nodes")? as usize,
+            edges,
+            dims,
+        })
+    }
+
+    /// Decodes edge number `index` of a topology's edge list.
+    fn decode_edge(index: usize, doc: &JsonValue) -> Result<EdgeSpec, String> {
+        let parts = doc.as_array().ok_or("edge: not an array")?;
+        if parts.len() != 6 {
+            return Err(format!("edge: expected 6 fields, got {}", parts.len()));
+        }
+        let num = |i: usize| -> Result<u64, String> {
+            parts[i]
+                .as_u64()
+                .ok_or_else(|| format!("edge[{i}]: not a u64"))
+        };
+        let text = |i: usize| -> Result<&str, String> {
+            parts[i]
+                .as_str()
+                .ok_or_else(|| format!("edge[{i}]: not a string"))
+        };
+        // Requests reach this decoder from untrusted lines: an endpoint past
+        // `u32::MAX` is an error, never a truncated (different) node.
+        let node = |i: usize| -> Result<NodeId, String> {
+            let n = num(i)?;
+            u32::try_from(n)
+                .map(NodeId)
+                .map_err(|_| format!("edges[{index}]: node {n} does not fit a u32 node id"))
+        };
+        Ok(EdgeSpec {
+            a: node(0)?,
+            b: node(1)?,
+            lanes: num(2)? as usize,
+            length: Length::from_mm(num(3)?),
+            media: from_wire(text(4)?)?,
+            class: from_wire(text(5)?)?,
+        })
+    }
+
+    fn decode_controller(doc: &JsonValue) -> Result<ControllerSpec, String> {
+        match str_field(doc, "kind")? {
+            "baseline" => Ok(ControllerSpec::Baseline),
+            "adaptive" => Ok(ControllerSpec::Adaptive {
+                policy: decode_policy(field(doc, "policy")?)?,
+                epoch: SimDuration::from_picos(uint_field(doc, "epoch_ps")?),
+                routing: from_wire(str_field(doc, "routing")?)?,
+            }),
+            other => Err(format!("unknown controller kind {other:?}")),
+        }
+    }
+
+    fn decode_policy(doc: &JsonValue) -> Result<CrcPolicy, String> {
+        let budget = || uint_field(doc, "budget_mw").map(Power::from_milliwatts);
+        Ok(match str_field(doc, "kind")? {
+            "latency_minimize" => CrcPolicy::LatencyMinimize,
+            "congestion_balance" => CrcPolicy::CongestionBalance,
+            "power_cap" => CrcPolicy::PowerCap { budget: budget()? },
+            "hybrid" => CrcPolicy::Hybrid { budget: budget()? },
+            other => return Err(format!("unknown crc policy {other:?}")),
+        })
+    }
+
+    fn decode_workload(doc: &JsonValue) -> Result<WorkloadSpec, String> {
+        let load = float_field(doc, "load")?;
+        Ok(match str_field(doc, "kind")? {
+            "shuffle" => WorkloadSpec::Shuffle {
+                partition: Bytes::new(uint_field(doc, "partition_bytes")?),
+                load,
+            },
+            "incast" => WorkloadSpec::Incast {
+                request: Bytes::new(uint_field(doc, "request_bytes")?),
+                load,
+            },
+            "permutation" => WorkloadSpec::Permutation {
+                size: Bytes::new(uint_field(doc, "size_bytes")?),
+                load,
+            },
+            "single_flow" => WorkloadSpec::SingleFlow {
+                size: Bytes::new(uint_field(doc, "size_bytes")?),
+                load,
+            },
+            "uniform" => WorkloadSpec::Uniform {
+                flows_per_node: float_field(doc, "flows_per_node")?,
+                size: Bytes::new(uint_field(doc, "size_bytes")?),
+                mean_interarrival: SimDuration::from_picos(uint_field(
+                    doc,
+                    "mean_interarrival_ps",
+                )?),
+                load,
+            },
+            "hotspot" => WorkloadSpec::Hotspot {
+                flows_per_node: float_field(doc, "flows_per_node")?,
+                size: Bytes::new(uint_field(doc, "size_bytes")?),
+                zipf_exponent: float_field(doc, "zipf_exponent")?,
+                load,
+            },
+            "storage" => WorkloadSpec::Storage {
+                ops_per_node: float_field(doc, "ops_per_node")?,
+                io_size: Bytes::new(uint_field(doc, "io_size_bytes")?),
+                read_fraction: float_field(doc, "read_fraction")?,
+                load,
+            },
+            other => return Err(format!("unknown workload kind {other:?}")),
+        })
+    }
+
+    fn field<'a>(doc: &'a JsonValue, name: &str) -> Result<&'a JsonValue, String> {
+        doc.get(name)
+            .ok_or_else(|| format!("missing field {name:?}"))
+    }
+
+    fn str_field<'a>(doc: &'a JsonValue, name: &str) -> Result<&'a str, String> {
+        field(doc, name)?
+            .as_str()
+            .ok_or_else(|| format!("{name}: not a string"))
+    }
+
+    fn uint_field(doc: &JsonValue, name: &str) -> Result<u64, String> {
+        field(doc, name)?
+            .as_u64()
+            .ok_or_else(|| format!("{name}: not a u64"))
+    }
+
+    fn float_field(doc: &JsonValue, name: &str) -> Result<f64, String> {
+        field(doc, name)?
+            .as_f64()
+            .ok_or_else(|| format!("{name}: not a number"))
+    }
+}
+/// Characters that mean something to the JSON grammar, and one that does
+/// not.
+const GRAMMAR: [char; 16] = [
+    '"', ',', ':', '[', ']', '{', '}', '0', '9', '-', '.', 'e', 'n', '\\', ' ', 'x',
+];
+
+/// A value of each kind, and numbers just past what a `u32` node id and a
+/// `u64` hold, to put where a spec's field holds something else.
+const WRONG: [&str; 12] = [
+    "null",
+    "false",
+    "0",
+    "4294967296",
+    "18446744073709551616",
+    "-1",
+    "2.5",
+    "\"x\"",
+    "\"Grid\"",
+    "[]",
+    "[1,2]",
+    "{}",
+];
+
+/// Asserts that the in-place decoder returns for `text` what the tree walk
+/// returns, and returns it.
+fn decodes_as_the_tree_walk(text: &str) -> Result<ScenarioSpec, String> {
+    let decoded = decode_spec(text);
+    assert_eq!(decoded, reference::decode_spec(text), "{text}");
+    decoded
+}
+
+/// `text` cut before its character at byte `at`, and that character
+/// replaced by `with`.
+fn text_damage(text: &str, at: usize, with: char) -> [String; 2] {
+    let len = text[at..].chars().next().map_or(0, char::len_utf8);
+    let mut replaced = text.to_string();
+    replaced.replace_range(at..at + len, &with.to_string());
+    [text[..at].to_string(), replaced]
+}
+
+/// The path of every value inside `doc`: indices into objects' fields and
+/// arrays' items, outermost first.
+fn value_paths(doc: &json::JsonValue, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    let children: Vec<&json::JsonValue> = match doc {
+        json::JsonValue::Object(fields) => fields.iter().map(|(_, v)| v).collect(),
+        json::JsonValue::Array(items) => items.iter().collect(),
+        _ => return,
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        path.push(i);
+        out.push(path.clone());
+        value_paths(child, path, out);
+        path.pop();
+    }
+}
+
+/// The object or array holding the value at `path`.
+fn parent_at<'a>(doc: &'a mut json::JsonValue, path: &[usize]) -> &'a mut json::JsonValue {
+    path[..path.len() - 1]
+        .iter()
+        .fold(doc, |value, &i| match value {
+            json::JsonValue::Object(fields) => &mut fields[i].1,
+            json::JsonValue::Array(items) => &mut items[i],
+            _ => unreachable!("a path runs through objects and arrays"),
+        })
+}
+
+/// `doc` with its fields in reverse order and whitespace between tokens:
+/// the same document to a decoder that looks fields up by name.
+fn reversed(doc: &json::JsonValue) -> String {
+    match doc {
+        json::JsonValue::Object(fields) => {
+            let fields: Vec<String> = fields
+                .iter()
+                .rev()
+                .map(|(name, value)| {
+                    format!(
+                        "{} : {}",
+                        json::canonical(&json::string(name)),
+                        reversed(value)
+                    )
+                })
+                .collect();
+            format!("{{ {} }}", fields.join(" , "))
+        }
+        json::JsonValue::Array(items) => {
+            let items: Vec<String> = items.iter().map(reversed).collect();
+            format!("[ {} ]", items.join(" , "))
+        }
+        scalar => json::canonical(scalar),
+    }
+}
+
+/// The spec document `doc` damaged at the value at `path`: that value
+/// replaced by `wrong`, removed, and, in an object, shadowed by an earlier
+/// field of the same name holding `wrong` and shadowing a later one. Each
+/// variant is rendered canonically and reversed.
+fn tree_damage(doc: &json::JsonValue, path: &[usize], wrong: &str) -> Vec<String> {
+    let wrong = json::parse(wrong).expect("WRONG holds JSON values");
+    let last = path[path.len() - 1];
+    let mut variants = Vec::new();
+    let mut edited = |edit: &dyn Fn(&mut json::JsonValue)| {
+        let mut copy = doc.clone();
+        edit(parent_at(&mut copy, path));
+        variants.push(json::canonical(&copy));
+        variants.push(reversed(&copy));
+    };
+    edited(&|parent| match parent {
+        json::JsonValue::Object(fields) => fields[last].1 = wrong.clone(),
+        json::JsonValue::Array(items) => items[last] = wrong.clone(),
+        _ => unreachable!(),
+    });
+    edited(&|parent| match parent {
+        json::JsonValue::Object(fields) => drop(fields.remove(last)),
+        json::JsonValue::Array(items) => drop(items.remove(last)),
+        _ => unreachable!(),
+    });
+    for at in [last, last + 1] {
+        edited(&|parent| {
+            if let json::JsonValue::Object(fields) = parent {
+                let name = fields[last].0.clone();
+                fields.insert(at, (name, wrong.clone()));
+            }
+        });
+    }
+    variants
+}
+
+/// `count` damaged variants of the canonical spec `text`, drawn by `seed`.
+fn sampled_damage(text: &str, seed: u64, count: usize) -> Vec<String> {
+    let doc = json::parse(text).expect("a canonical spec is JSON");
+    let mut paths = Vec::new();
+    value_paths(&doc, &mut Vec::new(), &mut paths);
+    let boundaries: Vec<usize> = text.char_indices().map(|(i, _)| i).collect();
+    let mut rng = DetRng::new(seed);
+    let mut variants = Vec::new();
+    while variants.len() < count {
+        if rng.chance(0.5) {
+            let at = boundaries[rng.index(boundaries.len())];
+            variants.extend(text_damage(text, at, GRAMMAR[rng.index(GRAMMAR.len())]));
+        } else {
+            let path = &paths[rng.index(paths.len())];
+            variants.extend(tree_damage(&doc, path, WRONG[rng.index(WRONG.len())]));
+        }
+    }
+    variants
+}
+
+/// Each pinned spec's canonical form cut at every eighth character, that
+/// character replaced, and every eighth value replaced, removed, shadowed
+/// and shadowing, in canonical and reversed renderings: the in-place
+/// decoder returns what the tree walk returned for every variant, and the
+/// variants reach intact specs, JSON errors and many distinct field errors.
+#[test]
+fn damaged_specs_decode_as_the_tree_walk_decoded_them() {
+    let (mut intact, mut not_json) = (0, 0);
+    let mut faults = BTreeSet::new();
+    for (n, (spec, _)) in pinned_specs().into_iter().enumerate() {
+        let text = canonical_spec_json(&spec);
+        let doc = json::parse(&text).unwrap();
+        let mut variants = vec![reversed(&doc)];
+        for (i, (at, _)) in text.char_indices().enumerate().step_by(8) {
+            variants.extend(text_damage(&text, at, GRAMMAR[(i * 7 + n) % GRAMMAR.len()]));
+        }
+        let mut paths = Vec::new();
+        value_paths(&doc, &mut Vec::new(), &mut paths);
+        for (i, path) in paths.iter().enumerate().step_by(8) {
+            variants.extend(tree_damage(&doc, path, WRONG[(i * 5 + n) % WRONG.len()]));
+        }
+        for variant in &variants {
+            match decodes_as_the_tree_walk(variant) {
+                Ok(_) => intact += 1,
+                Err(e) if e.starts_with("spec json: ") => not_json += 1,
+                Err(e) => {
+                    faults.insert(e);
+                }
+            }
+        }
+    }
+    assert!(
+        intact > 0 && not_json > 0 && faults.len() > 100,
+        "{intact} intact, {not_json} not JSON, {} distinct faults",
+        faults.len()
+    );
 }
 
 /// Every workload kind at `load`, then the same kind with one parameter
