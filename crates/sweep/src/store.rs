@@ -25,7 +25,9 @@ use crate::key::JobKey;
 use crate::lock::StoreLock;
 use rackfabric::metrics::RunSummary;
 use rackfabric_scenario::runner::{JobOutcome, JobResult};
-use rackfabric_sim::json::{self, float, obj, string, uint, JsonError, JsonValue, Kind, Reader};
+use rackfabric_sim::json::{
+    self, float, obj, string, uint, CanonicalWriter, JsonError, JsonValue, Kind, Reader,
+};
 use rackfabric_sim::stats::{Histogram, Summary};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -326,9 +328,10 @@ impl ResultStore {
     }
 }
 
-/// The outcome as a JSON tree, fields in the order records list them.
-/// [`outcome_to_json`] is its canonical rendering, a store record holds it
-/// in the record layout, and `rackfabricd` answers with the tree itself.
+/// The outcome as a JSON tree, fields in the order records list them. A
+/// store record holds it in the record layout, and `rackfabricd` workers
+/// answer with the tree itself; [`outcome_to_json`] writes its canonical
+/// rendering without building it.
 pub fn outcome_value(outcome: &JobOutcome) -> JsonValue {
     match outcome {
         JobOutcome::Failed(message) => obj([("failed", string(message))]),
@@ -349,12 +352,31 @@ pub fn outcome_value(outcome: &JobOutcome) -> JsonValue {
 }
 
 /// Renders a job outcome as **canonical** JSON (sorted keys, no
-/// whitespace, one line): the canonical form of a record's `outcome` field.
-/// Equal outcomes render to equal bytes, which is what lets a service hand
-/// results over a wire and still promise byte-identical answers to the
-/// batch path.
+/// whitespace, one line): the canonical form of a record's `outcome` field,
+/// `json::canonical(&outcome_value(outcome))`, written straight into one
+/// string. Equal outcomes render to equal bytes, which is what lets a
+/// service hand results over a wire and still promise byte-identical
+/// answers to the batch path.
 pub fn outcome_to_json(outcome: &JobOutcome) -> String {
-    json::canonical(&outcome_value(outcome))
+    let mut w = CanonicalWriter::default();
+    w.begin_object();
+    match outcome {
+        JobOutcome::Failed(message) => {
+            w.key("failed").string(message);
+        }
+        JobOutcome::Completed(result) => {
+            w.key("all_flows_complete").bool(result.all_flows_complete);
+            w.key("events_processed").uint(result.events_processed);
+            w.key("packet_latency");
+            write_histogram(&mut w, &result.packet_latency);
+            w.key("queueing_latency");
+            write_histogram(&mut w, &result.queueing_latency);
+            w.key("summary");
+            write_summary(&mut w, &result.summary);
+        }
+    }
+    w.end_object();
+    w.finish()
 }
 
 /// Parses an outcome rendered by [`outcome_to_json`] (or the `outcome`
@@ -535,6 +557,69 @@ fn stat_summary_value(s: &Summary) -> JsonValue {
         ("p99", float(s.p99)),
         ("p999", float(s.p999)),
     ])
+}
+
+// The writers below emit the fields of the trees above in ascending key
+// order, which is the canonical rendering of those trees.
+
+fn write_histogram(w: &mut CanonicalWriter, h: &Histogram) {
+    w.begin_object();
+    w.key("buckets").begin_array();
+    for (value, count) in h.sparse_counts() {
+        w.begin_array().uint(value).uint(count).end_array();
+    }
+    w.end_array();
+    match (h.min_sample(), h.max_sample()) {
+        (Some(min), Some(max)) => w.key("max").uint(max).key("min").uint(min),
+        _ => w.key("max").null().key("min").null(),
+    };
+    w.key("sum").string(&h.sample_sum().to_string());
+    w.end_object();
+}
+
+fn write_summary(w: &mut CanonicalWriter, s: &RunSummary) {
+    w.begin_object();
+    w.key("completed_flows").uint(s.completed_flows as u64);
+    w.key("delivered_bytes").uint(s.delivered_bytes);
+    w.key("delivered_packets").uint(s.delivered_packets);
+    w.key("dropped_packets").uint(s.dropped_packets);
+    w.key("flow_completion_max_us")
+        .float(s.flow_completion_max_us);
+    w.key("flow_completion_mean_us")
+        .float(s.flow_completion_mean_us);
+    w.key("job_completion_us");
+    match s.job_completion_us {
+        Some(us) => w.float(us),
+        None => w.null(),
+    };
+    w.key("max_power_w").float(s.max_power_w);
+    w.key("mean_power_w").float(s.mean_power_w);
+    w.key("packet_latency");
+    write_stat_summary(w, &s.packet_latency);
+    w.key("plp_commands").uint(s.plp_commands as u64);
+    w.key("propagation_fraction").float(s.propagation_fraction);
+    w.key("queueing_latency");
+    write_stat_summary(w, &s.queueing_latency);
+    w.key("route_cache_hit_rate").float(s.route_cache_hit_rate);
+    w.key("route_cache_hits").uint(s.route_cache_hits);
+    w.key("route_cache_misses").uint(s.route_cache_misses);
+    w.key("switching_fraction").float(s.switching_fraction);
+    w.key("topology_reconfigurations")
+        .uint(s.topology_reconfigurations.into());
+    w.end_object();
+}
+
+fn write_stat_summary(w: &mut CanonicalWriter, s: &Summary) {
+    w.begin_object();
+    w.key("count").uint(s.count);
+    w.key("max").float(s.max);
+    w.key("mean").float(s.mean);
+    w.key("min").float(s.min);
+    w.key("p50").float(s.p50);
+    w.key("p90").float(s.p90);
+    w.key("p99").float(s.p99);
+    w.key("p999").float(s.p999);
+    w.end_object();
 }
 
 /// A number read in place, as [`JsonValue::as_u64`] reads it; any other

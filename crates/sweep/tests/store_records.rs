@@ -7,6 +7,10 @@
 //! one-pass decoder existed, truncated at every byte, with characters
 //! replaced, with bytes appended, with another `format`) must miss in both
 //! or hit in both with the same outcome.
+//!
+//! [`outcome_to_json`] writes an outcome's canonical text without building
+//! its tree. Every outcome decoded here is rendered both ways, and the text
+//! must equal the canonical rendering of the tree (`outcome_value`).
 
 use rackfabric::metrics::RunSummary;
 use rackfabric_scenario::codec::decode_spec;
@@ -14,7 +18,7 @@ use rackfabric_scenario::runner::{JobOutcome, JobResult};
 use rackfabric_sim::json::{self, JsonValue};
 use rackfabric_sim::stats::{Histogram, Summary};
 use rackfabric_sweep::key::{canonical_spec_json, job_key, JobKey};
-use rackfabric_sweep::store::{outcome_from_record, outcome_to_json, ResultStore};
+use rackfabric_sweep::store::{outcome_from_record, outcome_to_json, outcome_value, ResultStore};
 use rackfabric_sweep::testdir::TestDir;
 
 /// FORMAT-4 records written by the store before its one-pass decoder, with
@@ -139,11 +143,19 @@ mod reference {
     }
 }
 
+/// The outcome's canonical text, as [`outcome_to_json`] writes it, which
+/// must be the canonical rendering of its tree.
+fn canonical_text(outcome: &JobOutcome) -> String {
+    let text = outcome_to_json(outcome);
+    assert_eq!(text, json::canonical(&outcome_value(outcome)));
+    text
+}
+
 /// Asserts that `text` decodes as the reference decodes it; returns the
 /// canonical outcome on a hit.
 fn decodes_as_before(text: &str, what: &str) -> Option<String> {
-    let got = outcome_from_record(text).map(|o| outcome_to_json(&o));
-    let want = reference::record(text).map(|o| outcome_to_json(&o));
+    let got = outcome_from_record(text).map(|o| canonical_text(&o));
+    let want = reference::record(text).map(|o| canonical_text(&o));
     assert_eq!(got, want, "{what}: {text}");
     got
 }
@@ -157,7 +169,7 @@ fn canonical_outcome_field(text: &str) -> String {
 fn records_written_before_decode_to_their_pinned_outcomes() {
     for (name, text, digest) in FIXTURES {
         let outcome = outcome_from_record(text).unwrap_or_else(|| panic!("{name} missed"));
-        let canonical = outcome_to_json(&outcome);
+        let canonical = canonical_text(&outcome);
         assert_eq!(
             format!("{:016x}", fnv1a_64(canonical.as_bytes())),
             digest,
