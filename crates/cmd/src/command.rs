@@ -165,6 +165,31 @@ impl Command {
         json::canonical(&self.to_value())
     }
 
+    /// Decodes one command from its JSON text, as [`Command::from_value`]
+    /// decodes the parsed text, except that a `run-scenario` or
+    /// `execute-cell` command keeps its spec's source text and builds no
+    /// tree of it (the spec's decoder reads the text in place). A spec
+    /// written canonically, as [`Command::canonical_json`] writes it, is
+    /// kept byte for byte either way. `None` marks a malformed or unknown
+    /// command.
+    pub fn from_json(text: &str) -> Option<Command> {
+        let [op, key, spec] = json::object_fields(text, ["op", "key", "spec"])?;
+        let string = |raw: &str| match json::parse(raw).ok()? {
+            JsonValue::String(text) => Some(text),
+            _ => None,
+        };
+        match string(op?)?.as_str() {
+            "run-scenario" => Some(Command::RunScenario {
+                spec_json: spec?.to_string(),
+            }),
+            "execute-cell" => Some(Command::ExecuteCell {
+                key: JobKey::from_hex(&string(key?)?)?,
+                spec_json: spec?.to_string(),
+            }),
+            _ => Command::from_value(&json::parse(text).ok()?),
+        }
+    }
+
     /// Decodes a structured value back into a command. `None` marks a
     /// malformed or unknown record (the journal reader treats it as
     /// corruption and truncates there).
@@ -328,6 +353,54 @@ mod tests {
             assert_eq!(back, cmd);
             // Canonical means a second encode is byte-identical.
             assert_eq!(back.canonical_json(), text);
+        }
+    }
+
+    #[test]
+    fn commands_read_in_place_decode_as_their_trees_do() {
+        let mut texts: Vec<String> = examples().iter().map(Command::canonical_json).collect();
+        texts.extend(
+            [
+                // Whitespace, field order, duplicates and unknown fields.
+                " { \"spec\" : {\"seed\": 7} , \"op\" : \"run-scenario\" } ",
+                "{\"op\":\"run-scenario\",\"op\":\"gc-store\",\"spec\":[1],\"x\":{}}",
+                "{\"op\":\"execute-cell\",\"key\":\"0f\",\"key\":5,\"spec\":null}",
+                "{\"op\":\"run-sc\\u0065nario\",\"spec\":\"text\"}",
+                // Malformed.
+                "{\"op\":\"run-scenario\"}",
+                "{\"op\":5,\"spec\":{}}",
+                "{\"op\":\"execute-cell\",\"key\":5,\"spec\":{}}",
+                "{\"op\":\"execute-cell\",\"spec\":{}}",
+                "{\"op\":\"run-scenario\",\"spec\":{}} x",
+                "{\"op\":\"run-scenario\",\"spec\":{]}",
+                "[\"run-scenario\"]",
+                "",
+            ]
+            .map(String::from),
+        );
+        // A spec keeps its source text, which renders canonically as the
+        // tree decoder's spec.
+        let canonical_spec = |command| match command {
+            Command::RunScenario { spec_json } => Command::RunScenario {
+                spec_json: json::canonical(&json::parse(&spec_json).unwrap()),
+            },
+            Command::ExecuteCell { key, spec_json } => Command::ExecuteCell {
+                key,
+                spec_json: json::canonical(&json::parse(&spec_json).unwrap()),
+            },
+            other => other,
+        };
+        for text in &texts {
+            let want = json::parse(text)
+                .ok()
+                .as_ref()
+                .and_then(Command::from_value);
+            let got = Command::from_json(text).map(canonical_spec);
+            assert_eq!(got, want, "{text}");
+        }
+        for command in examples() {
+            let text = command.canonical_json();
+            assert_eq!(Command::from_json(&text), Some(command), "{text}");
         }
     }
 

@@ -69,24 +69,43 @@ impl Request {
         json::canonical(&value)
     }
 
-    /// Decodes one request line. `None` marks a malformed or unknown
-    /// request (the server answers with an `error` event).
+    /// Decodes one request line, reading it in place: a submitted
+    /// command's spec keeps its source text ([`Command::from_json`]), and
+    /// no tree of it is built. `None` marks a malformed or unknown request
+    /// (the server answers with an `error` event).
     pub fn from_line(line: &str) -> Option<Request> {
-        let value = json::parse(line).ok()?;
-        match value.get("op")?.as_str()? {
+        let names = ["op", "tenant", "priority", "command", "job"];
+        let [op, tenant, priority, command, job] = json::object_fields(line, names)?;
+        let string = |raw: &str| match json::parse(raw).ok()? {
+            JsonValue::String(text) => Some(text),
+            _ => None,
+        };
+        match string(op?)?.as_str() {
             "submit" => Some(Request::Submit {
-                tenant: value.get("tenant")?.as_str()?.to_string(),
-                priority: value.get("priority")?.as_i64()?,
-                command: Command::from_value(value.get("command")?)?,
+                tenant: string(tenant?)?,
+                // A number's source text, as `JsonValue::as_i64` reads it.
+                priority: priority?.parse().ok()?,
+                command: Command::from_json(command?)?,
             }),
-            "cancel" => Some(Request::Cancel {
-                job: value.get("job")?.as_str()?.to_string(),
-            }),
+            "cancel" => Some(Request::Cancel { job: string(job?)? }),
             "status" => Some(Request::Status),
             "shutdown" => Some(Request::Shutdown),
             _ => None,
         }
     }
+}
+
+/// A `done` event's line (without the newline), with `write_result`
+/// appending the result's canonical text: written around the result
+/// instead of a copy of it, keys already in canonical order.
+pub(crate) fn done_line(job: &str, cached: bool, write_result: impl FnOnce(&mut String)) -> String {
+    let mut line = format!(
+        "{{\"cached\":{cached},\"event\":\"done\",\"job\":\"{}\",\"result\":",
+        json::escape(job)
+    );
+    write_result(&mut line);
+    line.push('}');
+    line
 }
 
 /// Scheduler counters reported by a `status` request.
@@ -128,9 +147,11 @@ pub enum Event {
         /// Why.
         reason: String,
     },
-    /// A worker picked the job up. Every submit of a job that reached a
-    /// worker gets this line before its terminal one, however soon the job
-    /// ended; a job cancelled while queued gets none.
+    /// The job started: a worker picked it up, or, for a submit the store
+    /// answers, the connection thread found its result, and sends this
+    /// line with `accepted` and `done` in one write. Every submit of a job
+    /// that started gets this line before its terminal one, however soon
+    /// the job ended; a job cancelled while queued gets none.
     Started {
         /// Job id.
         job: String,
@@ -177,17 +198,7 @@ impl Event {
                 job,
                 cached,
                 result,
-            } => {
-                // Rendered around the borrowed result instead of a copy of
-                // it, with the keys already in canonical order.
-                let mut line = format!(
-                    "{{\"cached\":{cached},\"event\":\"done\",\"job\":\"{}\",\"result\":",
-                    json::escape(job)
-                );
-                json::write_canonical(result, &mut line);
-                line.push('}');
-                return line;
-            }
+            } => return done_line(job, *cached, |line| json::write_canonical(result, line)),
             Event::Cancelled { job } => obj([("event", string("cancelled")), ("job", string(job))]),
             Event::Error { job, reason } => obj([
                 ("event", string("error")),
@@ -291,6 +302,62 @@ pub(crate) mod tests {
             let back = Request::from_line(&line).unwrap();
             assert_eq!(back, req);
             assert_eq!(back.canonical_json(), line, "canonical = idempotent");
+        }
+    }
+
+    /// The request decoder before it read lines in place: parse the line,
+    /// then read the tree.
+    fn request_from_tree(line: &str) -> Option<Request> {
+        let value = json::parse(line).ok()?;
+        match value.get("op")?.as_str()? {
+            "submit" => Some(Request::Submit {
+                tenant: value.get("tenant")?.as_str()?.to_string(),
+                priority: value.get("priority")?.as_i64()?,
+                command: Command::from_value(value.get("command")?)?,
+            }),
+            "cancel" => Some(Request::Cancel {
+                job: value.get("job")?.as_str()?.to_string(),
+            }),
+            "status" => Some(Request::Status),
+            "shutdown" => Some(Request::Shutdown),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn request_lines_read_in_place_decode_as_their_trees_do() {
+        let spec = "{\"b\": 1, \"a\": [2, {\"c\": null}]}";
+        let lines = [
+            format!("{{\"tenant\":\"t\", \"op\":\"submit\",\"priority\": -3, \"command\": {{\"op\":\"run-scenario\",\"spec\":{spec}}}}}"),
+            format!("{{\"op\":\"submit\",\"op\":\"status\",\"tenant\":\"t\",\"priority\":0,\"command\":{{\"key\":\"a1\",\"op\":\"execute-cell\",\"spec\":{spec}}}}}"),
+            "{\"op\":\"submit\",\"tenant\":\"t\",\"priority\":\"5\",\"command\":{\"op\":\"gc-store\",\"live\":[]}}".into(),
+            "{\"op\":\"submit\",\"tenant\":\"t\",\"priority\":1.5,\"command\":{\"op\":\"gc-store\",\"live\":[]}}".into(),
+            "{\"op\":\"submit\",\"tenant\":7,\"priority\":1,\"command\":{\"op\":\"gc-store\",\"live\":[]}}".into(),
+            "{\"op\":\"submit\",\"tenant\":\"t\",\"priority\":1,\"command\":{\"op\":\"gc-store\",\"live\":[]},\"x\":[]}".into(),
+            "{\"job\":\"j-\\u0031\",\"op\":\"cancel\",\"job\":5}".into(),
+            "{\"job\":5,\"op\":\"cancel\"}".into(),
+            "{\"op\":\"status\",\"op\":5}".into(),
+            "{\"op\":5,\"op\":\"status\"}".into(),
+            "{\"op\":\"shutdown\"} {}".into(),
+            "[\"status\"]".into(),
+        ];
+        for line in &lines {
+            let got = Request::from_line(line).map(|request| match request {
+                Request::Submit {
+                    tenant,
+                    priority,
+                    command,
+                } => Request::Submit {
+                    tenant,
+                    priority,
+                    // The spec keeps its source text; the tree decoder
+                    // rendered it canonically.
+                    command: Command::from_value(&json::parse(&command.canonical_json()).unwrap())
+                        .unwrap(),
+                },
+                other => other,
+            });
+            assert_eq!(got, request_from_tree(line), "{line}");
         }
     }
 

@@ -406,6 +406,36 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     Ok(value)
 }
 
+/// The object `text` holds, read in place: the source text
+/// ([`Reader::raw`]) of the first field of each of `names`, every other
+/// field checked and passed over. `None` when `text` is not one JSON
+/// object.
+///
+/// ```
+/// use rackfabric_sim::json::object_fields;
+/// let fields = object_fields(r#"{"b": [1, 2], "a": "x", "a": 3}"#, ["a", "b", "c"]);
+/// assert_eq!(fields, Some([Some(r#""x""#), Some("[1, 2]"), None]));
+/// ```
+pub fn object_fields<'a, const N: usize>(
+    text: &'a str,
+    names: [&str; N],
+) -> Option<[Option<&'a str>; N]> {
+    let mut r = Reader::new(text);
+    if r.peek().ok()? != Kind::Object {
+        return None;
+    }
+    r.begin_object().ok()?;
+    let mut found = [None; N];
+    while let Some(name) = r.next_field().ok()? {
+        match names.iter().position(|n| *n == name) {
+            Some(i) if found[i].is_none() => found[i] = Some(r.raw().ok()?),
+            _ => r.skip().ok()?,
+        }
+    }
+    r.finish().ok()?;
+    Some(found)
+}
+
 /// What kind of value comes next, as its first byte tells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
