@@ -13,7 +13,8 @@
 //!   deduplication (identical in-flight submissions share one execution),
 //!   per-job [`rackfabric_sweep::cancel::CancelToken`]s and backpressure;
 //!   it holds a job only until the job's last watcher has seen its end.
-//! - [`service`] — the daemon itself: acceptor + bounded worker pool, each
+//! - [`service`] — the daemon itself: acceptor, connection threads that
+//!   answer stored scenarios themselves, and a bounded worker pool, each
 //!   worker a numbered `daemon worker` trace lane, gauges and a response
 //!   latency histogram in the obs registry.
 //! - [`client`] — a small blocking client for tests, the load generator

@@ -12,11 +12,11 @@
 //! the engine twice: the store would deduplicate the persisted result
 //! anyway, but both executions would still run. A job is *in flight*
 //! while its id is in the run queue or the running list, and a submission
-//! whose command equals an in-flight job's (`PartialEq`; the daemon's
-//! decoder has already made spec text canonical) *attaches* to it — same
-//! job id, same events, one execution. An ended job attaches nothing: a
-//! later identical submission schedules normally and is answered by the
-//! store as a warm hit.
+//! whose command equals an in-flight job's (`PartialEq`; the daemon
+//! schedules a scenario with its spec's key preimage as its text, so equal
+//! specs are equal commands) *attaches* to it — same job id, same events,
+//! one execution. An ended job attaches nothing: the store answers a later
+//! identical submission.
 //!
 //! ## Job lifecycle
 //!
@@ -24,6 +24,12 @@
 //! whether it reached a worker. Every watcher therefore observes the same
 //! phases however late it first looks: `Started` then `Ended`, or `Ended`
 //! alone for a job cancelled while queued.
+//!
+//! A submit the store answers on its connection thread is a job that ends
+//! as it is counted ([`Scheduler::answered`]): it takes an id and counts as
+//! completed and as a warm hit, and the scheduler holds nothing for it. It
+//! never queues, so the queue bound and priorities do not apply to it; it
+//! never attaches to an in-flight job, and nothing attaches to it.
 //!
 //! A job is *held* (counted by [`StatusCounts::held`]) from its submission
 //! until it has ended **and** its last watcher has seen the end, whichever
@@ -267,6 +273,23 @@ impl Scheduler {
         state.queue.push(id);
         self.changed.notify_all();
         Submitted::Enqueued(id)
+    }
+
+    /// Counts a submit that the store answered on its connection thread: it
+    /// takes the next job id and ends at once, completed and warm, with no
+    /// entry, no queue slot, no worker and no wake-up. Once the daemon
+    /// drains it is refused (and counted rejected), as
+    /// [`Scheduler::submit`] would refuse it.
+    pub(crate) fn answered(&self) -> Result<u64, String> {
+        let mut state = self.lock();
+        if state.shutting_down {
+            state.rejected += 1;
+            return Err("shutting down".to_string());
+        }
+        state.next_id += 1;
+        state.completed += 1;
+        state.warm_hits += 1;
+        Ok(state.next_id)
     }
 
     /// Blocks until a job is available (returning it with its cancel token
@@ -630,6 +653,34 @@ mod tests {
         }));
         assert!(poison.is_err() && sched.state.is_poisoned());
         sched.release(id);
+    }
+
+    #[test]
+    fn a_store_answer_counts_as_a_warm_job_and_holds_nothing() {
+        let sched = Scheduler::new(1);
+        let queued = sched.submit("a", 0, cmd(1)).job_id().unwrap();
+        let before = sched.counts();
+        // A full queue does not refuse it, and it attaches to nothing.
+        let answered = sched.answered().unwrap();
+        assert_eq!(answered, queued + 1);
+        let after = sched.counts();
+        assert_eq!(
+            (after.completed, after.warm_hits),
+            (before.completed + 1, before.warm_hits + 1)
+        );
+        assert_eq!(
+            (after.queued, after.active, after.held, after.dedup_attached),
+            (
+                before.queued,
+                before.active,
+                before.held,
+                before.dedup_attached
+            )
+        );
+        assert!(!sched.cancel(answered), "nothing is held for it");
+        sched.shutdown();
+        assert_eq!(sched.answered(), Err("shutting down".to_string()));
+        assert_eq!(sched.counts().rejected, 1);
     }
 
     #[test]

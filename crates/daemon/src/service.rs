@@ -4,21 +4,36 @@
 //! long as its client keeps it open, and every accepted stream sets
 //! `TCP_NODELAY`, so each event line leaves as soon as it is written.
 //!
+//! A `run-scenario` or `execute-cell` submit is resolved store-first on its
+//! connection thread: the request line is read in place, the spec decoded
+//! once, its key derived once and the store read once. A hit takes only a
+//! job id and the completed and warm counts from the scheduler
+//! ([`Scheduler::answered`]) and goes back as `accepted`, `started` and
+//! `done` in one write, the result rendered once, straight from the stored
+//! outcome ([`outcome_to_json`]). A miss is scheduled with the spec's key
+//! preimage as its text; every other submit, a spec that does not decode
+//! and a key that does not match its spec are scheduled as they came, and
+//! a worker answers them with the same event lines as ever. The worker
+//! keeps its own store-first check, so a result stored between the
+//! connection thread's lookup and the worker still runs the engine once
+//! per distinct spec.
+//!
 //! The design keeps every determinism property of the batch path because
 //! the daemon *is* the batch path behind a socket: workers call the exact
 //! executor methods the CLI calls, results come from the same shared
 //! [`ResultStore`](rackfabric_sweep::store::ResultStore), and a response
 //! payload is the canonical rendering of the outcome tree
 //! ([`outcome_value`]) whose canonical text the batch path writes
-//! ([`outcome_to_json`](rackfabric_sweep::store::outcome_to_json)).
-//! Concurrency changes who waits, never what is computed.
+//! ([`outcome_to_json`]). Concurrency changes who waits, never what is
+//! computed.
 //!
 //! Worker trace lanes start at [`DAEMON_LANE_BASE`] (see the lane table in
 //! `rackfabric-obs`). The service feeds the metrics registry with
 //! `daemon.queue_depth` / `daemon.active_jobs` gauges, connection /
 //! warm-hit / rejection / cancellation counters, and the
-//! `daemon.response_ns` histogram (enqueue-to-completion residence, wall
-//! domain).
+//! `daemon.response_ns` histogram (wall domain): a scheduled job's
+//! enqueue-to-completion residence, a store answer's time from its request
+//! line to its write. A store answer has no worker `job` span.
 //!
 //! A connection holds its claim on a submitted job as a guard: seeing the
 //! job's end lets the claim go inside [`Scheduler::watch`], and dropping
@@ -28,22 +43,23 @@
 //! refused and its connection closed, and the acceptor outlives `accept`
 //! errors (counted as `daemon.accept_errors`).
 
-use crate::proto::{Event, Request};
+use crate::proto::{self, Event, Request};
 use crate::sched::{JobEnd, Observed, Scheduler, Submitted};
 use rackfabric_bench::figures::{figure_defs, run_figure, FigureOptions, Scale};
 use rackfabric_cmd::command::Command;
 use rackfabric_cmd::decode_spec;
 use rackfabric_cmd::executor::Executor;
 use rackfabric_obs::{Observer, TimeDomain};
+use rackfabric_scenario::runner::JobOutcome;
 use rackfabric_sim::json::{self, obj, string, uint, JsonValue};
 use rackfabric_sweep::cancel::CancelToken;
-use rackfabric_sweep::key::job_key;
-use rackfabric_sweep::store::outcome_value;
+use rackfabric_sweep::key::{canonical_spec_json, job_key, JobKey};
+use rackfabric_sweep::store::{outcome_to_json, outcome_value};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// First trace lane of the daemon's worker pool (worker `w` records on
 /// `DAEMON_LANE_BASE + w`). See the lane table in the obs crate.
@@ -134,7 +150,7 @@ impl Daemon {
             threads.push(
                 std::thread::Builder::new()
                     .name("rackfabricd-accept".to_string())
-                    .spawn(move || accept_loop(listener, sched, observer))?,
+                    .spawn(move || accept_loop(listener, exec, sched, observer))?,
             );
         }
         Ok(Daemon {
@@ -199,7 +215,12 @@ impl Drop for Daemon {
 /// their sockets, and shutdown completes every job they could be watching.
 /// A failed `accept` is counted and retried after [`ACCEPT_BACKOFF`]; only
 /// a shutdown ends the loop.
-fn accept_loop(listener: TcpListener, sched: Arc<Scheduler>, observer: Observer) {
+fn accept_loop(
+    listener: TcpListener,
+    exec: Arc<Executor>,
+    sched: Arc<Scheduler>,
+    observer: Observer,
+) {
     loop {
         let accepted = listener.accept();
         if sched.is_shutting_down() {
@@ -215,12 +236,13 @@ fn accept_loop(listener: TcpListener, sched: Arc<Scheduler>, observer: Observer)
         // algorithm on, each one after the first waits for the client's
         // delayed ACK. A stream that refuses the option still serves.
         let _ = stream.set_nodelay(true);
+        let exec = exec.clone();
         let sched = sched.clone();
         let observer = observer.clone();
         let _ = std::thread::Builder::new()
             .name("rackfabricd-conn".to_string())
             .spawn(move || {
-                let _ = serve_connection(stream, &sched, &observer);
+                let _ = serve_connection(stream, &exec, &sched, &observer);
             });
     }
 }
@@ -236,7 +258,12 @@ fn write_event(mut stream: &TcpStream, event: &Event) -> io::Result<()> {
 /// `started`, terminal) before the next request is read, so a client can
 /// keep the connection for its next request. Reads and writes share the
 /// one socket descriptor, so a connection needs no second one.
-fn serve_connection(stream: TcpStream, sched: &Scheduler, observer: &Observer) -> io::Result<()> {
+fn serve_connection(
+    stream: TcpStream,
+    exec: &Executor,
+    sched: &Scheduler,
+    observer: &Observer,
+) -> io::Result<()> {
     let writer = &stream;
     let mut reader = BufReader::new(&stream);
     let mut line = String::new();
@@ -248,6 +275,7 @@ fn serve_connection(stream: TcpStream, sched: &Scheduler, observer: &Observer) -
         if read == 0 {
             return Ok(());
         }
+        let received = Instant::now();
         if read as u64 > MAX_REQUEST_LINE && !line.ends_with('\n') {
             return write_event(
                 writer,
@@ -278,6 +306,13 @@ fn serve_connection(stream: TcpStream, sched: &Scheduler, observer: &Observer) -
                 command,
             } => {
                 observer.count("daemon.submitted", TimeDomain::Wall, 1);
+                let command = match resolve(exec, command) {
+                    Resolved::Stored(outcome) => {
+                        answer_from_store(writer, sched, observer, &outcome, received)?;
+                        continue;
+                    }
+                    Resolved::Scheduled(command) => command,
+                };
                 match sched.submit(&tenant, priority, command) {
                     Submitted::Rejected(reason) => {
                         observer.count("daemon.rejected", TimeDomain::Wall, 1);
@@ -327,6 +362,95 @@ fn serve_connection(stream: TcpStream, sched: &Scheduler, observer: &Observer) -
             }
         }
     }
+}
+
+/// Where a submit is answered.
+enum Resolved {
+    /// The store holds the scenario's outcome.
+    Stored(JobOutcome),
+    /// A worker runs the command.
+    Scheduled(Command),
+}
+
+/// Resolves a `run-scenario` or `execute-cell` submit store-first: its spec
+/// decoded once, its key derived once, the store read once. A miss is
+/// scheduled with the spec's key preimage as its text, so equal specs make
+/// equal commands however their requests spelled them. Every other
+/// command, a spec that does not decode and a key that does not match its
+/// spec go to a worker as they came, which answers them as it always did.
+fn resolve(exec: &Executor, command: Command) -> Resolved {
+    let (expect, spec_json) = match &command {
+        Command::RunScenario { spec_json } => (None, spec_json),
+        Command::ExecuteCell { key, spec_json } => (Some(*key), spec_json),
+        _ => return Resolved::Scheduled(command),
+    };
+    let Ok(spec) = decode_spec(spec_json) else {
+        return Resolved::Scheduled(command);
+    };
+    let preimage = canonical_spec_json(&spec);
+    let key = JobKey::of_preimage(&preimage);
+    if expect.is_some_and(|expected| expected != key) {
+        return Resolved::Scheduled(command);
+    }
+    match exec.store().get(&key) {
+        Some(outcome) => Resolved::Stored(outcome),
+        None => Resolved::Scheduled(match expect {
+            None => Command::RunScenario {
+                spec_json: preimage,
+            },
+            Some(key) => Command::ExecuteCell {
+                key,
+                spec_json: preimage,
+            },
+        }),
+    }
+}
+
+/// Answers a submit the store resolved, on its connection thread: a job id
+/// from the scheduler, then `accepted`, `started` and `done` in one write.
+/// The response sample is recorded before the write, so a client that has
+/// its reply finds it recorded.
+fn answer_from_store(
+    writer: &TcpStream,
+    sched: &Scheduler,
+    observer: &Observer,
+    outcome: &JobOutcome,
+    received: Instant,
+) -> io::Result<()> {
+    let id = match sched.answered() {
+        Ok(id) => id,
+        Err(reason) => {
+            observer.count("daemon.rejected", TimeDomain::Wall, 1);
+            return write_event(writer, &Event::Rejected { reason });
+        }
+    };
+    observer.count("daemon.warm_hits", TimeDomain::Wall, 1);
+    let lines = store_answer(id, &outcome_to_json(outcome));
+    observer.record(
+        "daemon.response_ns",
+        TimeDomain::Wall,
+        received.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+    );
+    let mut writer = writer;
+    writer.write_all(lines.as_bytes())
+}
+
+/// The event lines of job `id`, which the store answered with the canonical
+/// outcome `result`: `accepted`, `started` and `done`, each ending in a
+/// newline.
+fn store_answer(id: u64, result: &str) -> String {
+    let job = job_name(id);
+    let mut lines = String::with_capacity(result.len() + 160);
+    for event in [
+        Event::Accepted { job: job.clone() },
+        Event::Started { job: job.clone() },
+    ] {
+        lines.push_str(&event.canonical_json());
+        lines.push('\n');
+    }
+    lines.push_str(&proto::done_line(&job, true, |line| line.push_str(result)));
+    lines.push('\n');
+    lines
 }
 
 /// A connection's claim, as one of a job's watchers, on the job it
@@ -544,5 +668,37 @@ fn run_spec(
             cached,
             result: outcome_value(&outcome),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rackfabric_sweep::store::outcome_from_record;
+
+    #[test]
+    fn a_store_answer_is_the_lines_a_worker_answer_would_be() {
+        let records = [
+            include_str!("../../sweep/tests/fixtures/format4/completed.json"),
+            include_str!("../../sweep/tests/fixtures/format4/unfinished.json"),
+            include_str!("../../sweep/tests/fixtures/format4/failed_escaped.json"),
+        ];
+        for record in records {
+            let outcome = outcome_from_record(record).expect("a FORMAT-4 record");
+            let job = job_name(17);
+            let want: String = [
+                Event::Accepted { job: job.clone() },
+                Event::Started { job: job.clone() },
+                Event::Done {
+                    job: job.clone(),
+                    cached: true,
+                    result: outcome_value(&outcome),
+                },
+            ]
+            .iter()
+            .map(|event| event.canonical_json() + "\n")
+            .collect();
+            assert_eq!(store_answer(17, &outcome_to_json(&outcome)), want);
+        }
     }
 }

@@ -374,6 +374,81 @@ fn queued_jobs_cancel_over_the_wire_and_backpressure_rejects_overload() {
 }
 
 #[test]
+fn a_stored_spec_is_answered_while_the_only_worker_is_blocked() {
+    let ref_dir = tmp_dir("blocked-ref");
+    let dir = tmp_dir("blocked");
+    let command = spec_pool(1).remove(0);
+    let reference = reference_lines(&ref_dir, std::slice::from_ref(&command)).remove(0);
+    let (_exec, daemon, observer) = boot(&dir, 1, 4);
+    let client = Client::new(daemon.addr(), CLIENT_TIMEOUT);
+    let deadline = Duration::from_secs(90);
+
+    // The spec runs once, cold, and is stored.
+    let cold = client.submit("warmup", 0, command.clone()).unwrap();
+    assert!(!cold.cached);
+
+    // Block the only worker as the cancel test does: a `gc-store` waits on
+    // the store lock this test holds (the guard is declared after the
+    // daemon, so an unwinding assertion releases it first).
+    let gate = StoreLock::exclusive(dir.path()).unwrap();
+    let blocker = {
+        let client = client.clone();
+        std::thread::spawn(move || {
+            client.submit("blocker", 0, Command::GcStore { live: Vec::new() })
+        })
+    };
+    wait_until(&daemon, "the blocker to start", deadline, || {
+        daemon.scheduler().counts().active == 1
+    });
+    let before = client.status().unwrap();
+
+    // The stored spec is answered on its connection thread, not behind the
+    // blocker: all three lines, with the batch path's bytes.
+    let (tx, rx) = std::sync::mpsc::channel();
+    {
+        let client = client.clone();
+        std::thread::spawn(move || tx.send(client.submit("warm", 0, command)));
+    }
+    let warm = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("a stored spec waited behind the blocked worker")
+        .unwrap();
+    assert!(warm.cached);
+    assert!(ran_to_done(&warm), "{:?}", warm.events);
+    assert_eq!(warm.result_json, reference);
+
+    let after = client.status().unwrap();
+    assert_eq!(
+        (after.completed, after.warm_hits),
+        (before.completed + 1, before.warm_hits + 1),
+        "a store answer counts as a completed warm job"
+    );
+    assert_eq!(
+        (after.queued, after.active, after.held),
+        (before.queued, before.active, before.held),
+        "a store answer takes no queue slot, no worker and holds nothing"
+    );
+    let registry = observer.registry().expect("boot() attaches a registry");
+    let histogram = registry.histogram("daemon.response_ns", TimeDomain::Wall);
+    assert_eq!(
+        histogram.count(),
+        after.completed,
+        "one sample per completed job"
+    );
+
+    drop(gate);
+    assert!(
+        !blocker
+            .join()
+            .unwrap()
+            .expect("the blocker completes")
+            .cached
+    );
+    client.shutdown().unwrap();
+    daemon.wait();
+}
+
+#[test]
 fn a_too_deeply_nested_request_line_is_malformed_and_the_daemon_keeps_serving() {
     use std::io::{BufRead, BufReader, Write};
 
