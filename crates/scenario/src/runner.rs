@@ -1,11 +1,12 @@
 //! Parallel execution of an expanded scenario matrix.
 //!
 //! Jobs are independent single-threaded `Simulator` runs, so the runner is
-//! an embarrassingly parallel pool: worker threads steal the next unclaimed
-//! job from a shared atomic cursor and stream `(index, outcome)` pairs back
-//! over an mpsc channel. Results are re-ordered by job index before
-//! aggregation, so the output is **bit-identical regardless of thread count
-//! or scheduling** — the determinism the repository's experiments rely on.
+//! an embarrassingly parallel pool: workers steal the next unclaimed job
+//! from a shared atomic cursor and hand their `(index, outcome)` pairs back
+//! when the list runs out. Worker 0 is the calling thread. Results are
+//! re-ordered by job index before aggregation, so the output is
+//! **bit-identical regardless of thread count or scheduling** — the
+//! determinism the repository's experiments rely on.
 
 use crate::aggregate::{aggregate_cells, CellSummary};
 use crate::matrix::{Job, Matrix};
@@ -19,7 +20,6 @@ use rackfabric_sim::stats::Histogram;
 use rackfabric_sim::{CalendarQueue, Simulator};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// What one job produced.
 #[derive(Debug, Clone)]
@@ -290,56 +290,66 @@ impl Runner {
         self.execute(jobs)
     }
 
-    /// Runs the job list, returning outcomes in job order.
+    /// Runs the job list, returning outcomes in job order. Worker 0 runs on
+    /// the calling thread and the others on scoped threads, so a one-job
+    /// batch (every cold `rackfabricd` request) starts no thread.
     fn execute(&self, jobs: &[Job]) -> Vec<JobOutcome> {
         let workers = self.threads.min(jobs.len()).max(1);
         let cursor = AtomicUsize::new(0);
-        let (sender, receiver) = mpsc::channel::<(usize, JobOutcome)>();
         if let Some(sink) = self.observer.trace() {
             for w in 0..workers {
                 sink.name_lane(JOB_LANE_BASE + w as u64, format!("job worker {w}"));
             }
         }
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let sender = sender.clone();
-                let cursor = &cursor;
-                let observer = &self.observer;
-                scope.spawn(move || loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(index) else { break };
-                    let mut span = observer.span(JOB_LANE_BASE + w as u64, "job", "runner");
-                    span.arg_u64("index", index as u64);
-                    let outcome = match catch_unwind(AssertUnwindSafe(|| run_scenario(&job.spec))) {
-                        Ok(result) => {
-                            span.arg_u64("events", result.events_processed);
-                            observer.count("runner.jobs_completed", TimeDomain::Sim, 1);
-                            JobOutcome::Completed(Box::new(result))
-                        }
-                        Err(panic) => {
-                            span.arg_str("failed", "panic");
-                            observer.count("runner.jobs_failed", TimeDomain::Sim, 1);
-                            JobOutcome::Failed(panic_message(panic))
-                        }
-                    };
-                    drop(span);
-                    if sender.send((index, outcome)).is_err() {
-                        break;
+        // One worker: steal the next unclaimed job until none is left.
+        let work = |w: usize| {
+            let mut done = Vec::new();
+            loop {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(index) else { break };
+                let lane = JOB_LANE_BASE + w as u64;
+                let mut span = self.observer.span(lane, "job", "runner");
+                span.arg_u64("index", index as u64);
+                let outcome = match catch_unwind(AssertUnwindSafe(|| run_scenario(&job.spec))) {
+                    Ok(result) => {
+                        span.arg_u64("events", result.events_processed);
+                        self.observer
+                            .count("runner.jobs_completed", TimeDomain::Sim, 1);
+                        JobOutcome::Completed(Box::new(result))
                     }
-                });
+                    Err(panic) => {
+                        span.arg_str("failed", "panic");
+                        self.observer
+                            .count("runner.jobs_failed", TimeDomain::Sim, 1);
+                        JobOutcome::Failed(panic_message(panic))
+                    }
+                };
+                drop(span);
+                done.push((index, outcome));
             }
-            drop(sender);
+            done
+        };
 
-            let mut outcomes: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
-            for (index, outcome) in receiver {
+        let mut outcomes: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
+        std::thread::scope(|scope| {
+            let others: Vec<_> = (1..workers)
+                .map(|w| {
+                    let work = &work;
+                    scope.spawn(move || work(w))
+                })
+                .collect();
+            let mine = work(0);
+            let theirs = others
+                .into_iter()
+                .flat_map(|handle| handle.join().expect("a runner worker panicked"));
+            for (index, outcome) in mine.into_iter().chain(theirs) {
                 outcomes[index] = Some(outcome);
             }
-            outcomes
-                .into_iter()
-                .map(|o| o.expect("every job reports exactly once"))
-                .collect()
-        })
+        });
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("every job reports exactly once"))
+            .collect()
     }
 }
 
