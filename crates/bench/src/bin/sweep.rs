@@ -283,9 +283,17 @@ fn main() {
         run_recovery(&exec);
     }
 
-    run_campaigns(&args, &exec);
-    export_bundle_if_requested(&args, &exec);
+    // A failed run still flushes its store counters and writes its trace:
+    // a drifted or unexpectedly cold run is the one a user inspects.
+    let outcome = run_campaigns(&args, &exec);
+    if outcome.is_ok() {
+        export_bundle_if_requested(&args, &exec);
+    }
     finish_observability(&args, exec.store(), &observer);
+    if let Err(failure) = outcome {
+        eprintln!("sweep: FAIL — {failure}");
+        std::process::exit(1);
+    }
 }
 
 /// `--recover`: replay the journal before the campaigns run, so an
@@ -379,8 +387,10 @@ fn finish_observability(args: &Args, store: &ResultStore, observer: &Observer) {
 /// writes the report gallery, and pins (or regenerates) the goldens.
 /// `--budget` and `--max-new-jobs` both produce exports the fixed-replicate
 /// goldens cannot pin, so they skip the golden gate (and refuse
-/// `--update-golden`).
-fn run_campaigns(args: &Args, exec: &Executor) {
+/// `--update-golden`). A failure (an aborted campaign, golden drift, a
+/// gallery, golden or gc write error, a job executed under
+/// `--expect-cached`) comes back as what to report.
+fn run_campaigns(args: &Args, exec: &Executor) -> Result<(), String> {
     let scale = if args.tiny { Scale::Tiny } else { Scale::Paper };
     let opts = FigureOptions {
         budget: args.budget.then(|| args.budget_policy()),
@@ -400,13 +410,8 @@ fn run_campaigns(args: &Args, exec: &Executor) {
         args.store,
         exec.store().len()
     );
-    let runs = match figures::run_figures_with(scale, exec, &opts) {
-        Ok(runs) => runs,
-        Err(e) => {
-            eprintln!("sweep: FAIL — figure campaign aborted: {e}");
-            std::process::exit(1);
-        }
-    };
+    let runs = figures::run_figures_with(scale, exec, &opts)
+        .map_err(|e| format!("figure campaign aborted: {e}"))?;
     let mut executed = 0;
     for run in &runs {
         executed += run.executed;
@@ -426,18 +431,14 @@ fn run_campaigns(args: &Args, exec: &Executor) {
     let interrupted = runs.iter().any(|r| r.interrupted);
 
     let out = std::path::Path::new(&args.out);
-    if let Err(e) = figures::write_gallery(out, &runs) {
-        eprintln!("sweep: FAIL — cannot write gallery to {}: {e}", args.out);
-        std::process::exit(1);
-    }
+    figures::write_gallery(out, &runs)
+        .map_err(|e| format!("cannot write gallery to {}: {e}", args.out))?;
     eprintln!("sweep: wrote figure gallery to {}", args.out);
 
     let golden_root = std::path::Path::new(&args.golden);
     if args.update_golden {
-        if let Err(e) = figures::update_goldens(golden_root, scale, &runs) {
-            eprintln!("sweep: FAIL — cannot write goldens: {e}");
-            std::process::exit(1);
-        }
+        figures::update_goldens(golden_root, scale, &runs)
+            .map_err(|e| format!("cannot write goldens: {e}"))?;
         eprintln!(
             "sweep: regenerated {} golden(s) under {}/{}",
             runs.len(),
@@ -454,24 +455,17 @@ fn run_campaigns(args: &Args, exec: &Executor) {
              (recover with --recover against the same store and journal)"
         );
     } else {
-        let failures = match figures::check_goldens(golden_root, scale, &runs) {
-            Ok(failures) => failures,
-            Err(missing) => {
-                eprintln!("sweep: FAIL — {missing}");
-                std::process::exit(1);
-            }
-        };
+        let failures = figures::check_goldens(golden_root, scale, &runs)?;
         if !failures.is_empty() {
             for failure in &failures {
                 eprintln!("sweep: golden drift:\n{failure}");
             }
-            eprintln!(
-                "sweep: FAIL — {} figure export(s) drifted from golden/{} \
+            return Err(format!(
+                "{} figure export(s) drifted from golden/{} \
                  (intentional change? re-run with --update-golden)",
                 failures.len(),
                 scale.golden_dir()
-            );
-            std::process::exit(1);
+            ));
         }
         eprintln!(
             "sweep: all {} figure export(s) match golden/{}",
@@ -482,22 +476,17 @@ fn run_campaigns(args: &Args, exec: &Executor) {
 
     if args.gc {
         let live: Vec<JobKey> = figures::live_keys(&runs).into_iter().collect();
-        match exec.gc(&live) {
-            Ok(stats) => eprintln!(
-                "sweep: gc kept {} record(s), removed {}",
-                stats.kept, stats.removed
-            ),
-            Err(e) => {
-                eprintln!("sweep: FAIL — gc: {e}");
-                std::process::exit(1);
-            }
-        }
+        let stats = exec.gc(&live).map_err(|e| format!("gc: {e}"))?;
+        eprintln!(
+            "sweep: gc kept {} record(s), removed {}",
+            stats.kept, stats.removed
+        );
     }
 
     if args.expect_cached && executed > 0 {
-        eprintln!(
-            "sweep: FAIL — expected a fully warm store but {executed} figure job(s) executed"
-        );
-        std::process::exit(1);
+        return Err(format!(
+            "expected a fully warm store but {executed} figure job(s) executed"
+        ));
     }
+    Ok(())
 }
