@@ -923,6 +923,25 @@ fn tree_damage(doc: &json::JsonValue, path: &[usize], wrong: &str) -> Vec<String
     variants
 }
 
+/// The spec document `doc` with the values at `paths` replaced by `wrong`:
+/// several wrong fields, for the decoders to agree on which one to report.
+fn multi_damage(doc: &json::JsonValue, paths: &[&[usize]], wrong: &str) -> String {
+    let wrong = json::parse(wrong).expect("WRONG holds JSON values");
+    let mut copy = doc.clone();
+    // Deeper paths first: replacing an ancestor first could remove them.
+    let mut paths = paths.to_vec();
+    paths.sort_by_key(|path| std::cmp::Reverse(path.len()));
+    for path in paths {
+        let last = path[path.len() - 1];
+        match parent_at(&mut copy, path) {
+            json::JsonValue::Object(fields) => fields[last].1 = wrong.clone(),
+            json::JsonValue::Array(items) => items[last] = wrong.clone(),
+            _ => unreachable!(),
+        }
+    }
+    json::canonical(&copy)
+}
+
 /// `count` damaged variants of the canonical spec `text`, drawn by `seed`.
 fn sampled_damage(text: &str, seed: u64, count: usize) -> Vec<String> {
     let doc = json::parse(text).expect("a canonical spec is JSON");
@@ -935,6 +954,11 @@ fn sampled_damage(text: &str, seed: u64, count: usize) -> Vec<String> {
         if rng.chance(0.5) {
             let at = boundaries[rng.index(boundaries.len())];
             variants.extend(text_damage(text, at, GRAMMAR[rng.index(GRAMMAR.len())]));
+        } else if rng.chance(0.3) {
+            let pick: Vec<&[usize]> = (0..3)
+                .map(|_| paths[rng.index(paths.len())].as_slice())
+                .collect();
+            variants.push(multi_damage(&doc, &pick, WRONG[rng.index(WRONG.len())]));
         } else {
             let path = &paths[rng.index(paths.len())];
             variants.extend(tree_damage(&doc, path, WRONG[rng.index(WRONG.len())]));
@@ -944,8 +968,9 @@ fn sampled_damage(text: &str, seed: u64, count: usize) -> Vec<String> {
 }
 
 /// Each pinned spec's canonical form cut at every eighth character, that
-/// character replaced, and every eighth value replaced, removed, shadowed
-/// and shadowing, in canonical and reversed renderings: the in-place
+/// character replaced, every eighth value replaced, removed, shadowed and
+/// shadowing, in canonical and reversed renderings, and every pair of its
+/// top-level fields and all of them at once made wrong: the in-place
 /// decoder returns what the tree walk returned for every variant, and the
 /// variants reach intact specs, JSON errors and many distinct field errors.
 #[test]
@@ -964,6 +989,15 @@ fn damaged_specs_decode_as_the_tree_walk_decoded_them() {
         for (i, path) in paths.iter().enumerate().step_by(8) {
             variants.extend(tree_damage(&doc, path, WRONG[(i * 5 + n) % WRONG.len()]));
         }
+        // Every top-level field wrong at once, and each pair of them.
+        let top: Vec<Vec<usize>> = paths.iter().filter(|p| p.len() == 1).cloned().collect();
+        for (i, a) in top.iter().enumerate() {
+            for b in &top[i + 1..] {
+                variants.push(multi_damage(&doc, &[a, b], WRONG[(i + n) % WRONG.len()]));
+            }
+        }
+        let all: Vec<&[usize]> = top.iter().map(Vec::as_slice).collect();
+        variants.push(multi_damage(&doc, &all, "[]"));
         for variant in &variants {
             match decodes_as_the_tree_walk(variant) {
                 Ok(_) => intact += 1,
