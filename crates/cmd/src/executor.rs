@@ -486,4 +486,69 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert!(matches!(records[0].command, Command::RunScenario { .. }));
     }
+
+    fn one_shot_spec(seed: u64) -> ScenarioSpec {
+        ScenarioSpec::new(
+            "one-shot",
+            TopologySpec::grid(2, 2, 2),
+            WorkloadSpec::shuffle(Bytes::from_kib(1)),
+        )
+        .horizon(SimTime::from_millis(20))
+        .seed(seed)
+    }
+
+    /// An executor whose journal already holds `command`.
+    fn journaled(root: &TestDir, command: &Command) -> Executor {
+        let journal = root.join("journal");
+        Journal::open(&journal).unwrap().append(command).unwrap();
+        Executor::with_journal(
+            ResultStore::open(root.join("store")).unwrap(),
+            Runner::single_threaded(),
+            journal,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn recovery_refuses_a_cell_whose_key_is_not_its_specs_key() {
+        // What a key check does with a journaled key its spec no longer
+        // derives: recovery stops, naming both keys, and runs nothing.
+        let root = TestDir::new("cmd-executor-wrong-key");
+        let spec_json = canonical_spec_json(&one_shot_spec(5));
+        let derived = JobKey::of_preimage(&spec_json);
+        let journaled_key = job_key(&one_shot_spec(6));
+        let exec = journaled(
+            &root,
+            &Command::ExecuteCell {
+                key: journaled_key,
+                spec_json,
+            },
+        );
+        let err = exec.recover(&NoCampaigns).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let message = err.to_string();
+        assert!(
+            message.contains(&journaled_key.hex()) && message.contains(&derived.hex()),
+            "{message}"
+        );
+        assert!(exec.store().is_empty(), "nothing ran");
+    }
+
+    #[test]
+    fn recovery_counts_a_stored_cell_without_decoding_its_spec() {
+        let root = TestDir::new("cmd-executor-stored-key");
+        let key = job_key(&one_shot_spec(5));
+        let exec = journaled(
+            &root,
+            &Command::ExecuteCell {
+                key,
+                spec_json: "not a spec".to_string(),
+            },
+        );
+        let outcome = JobOutcome::Failed("stored before the crash".to_string());
+        exec.store().put(&key, "{}", &outcome).unwrap();
+        let stats = exec.recover(&NoCampaigns).unwrap();
+        assert_eq!(stats.cells_already_stored, 1);
+        assert_eq!(stats.cells_replayed, 0);
+    }
 }

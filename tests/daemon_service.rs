@@ -695,3 +695,112 @@ fn bundle_submits_are_refused_and_the_connection_keeps_serving() {
     client.shutdown().unwrap();
     daemon.wait();
 }
+
+#[test]
+fn execute_cell_and_bad_specs_are_answered_over_one_connection() {
+    use rackfabric_cmd::decode_spec;
+    use rackfabric_sweep::key::JobKey;
+    use std::io::{BufRead, BufReader, Write};
+
+    let ref_dir = tmp_dir("cell-ref");
+    let dir = tmp_dir("cell");
+    let specs: Vec<String> = spec_pool(2)
+        .into_iter()
+        .map(|command| match command {
+            Command::RunScenario { spec_json } => spec_json,
+            other => panic!("spec_pool builds run-scenario commands, not {other:?}"),
+        })
+        .collect();
+    let key = JobKey::of_preimage(&specs[0]);
+    let other_key = JobKey::of_preimage(&specs[1]);
+    let cell = Command::ExecuteCell {
+        key,
+        spec_json: specs[0].clone(),
+    };
+    let after = Command::RunScenario {
+        spec_json: specs[1].clone(),
+    };
+    let broken = "{\"name\":\"not-a-spec\"}".to_string();
+
+    // The batch path's answers: the cell cold, then warm, then the request
+    // that follows the failures.
+    let ref_exec = Executor::new(ResultStore::open(ref_dir.path()).unwrap(), Runner::new(1));
+    let cold = execute_oneshot(&ref_exec, &cell).unwrap();
+    let warm = execute_oneshot(&ref_exec, &cell).unwrap();
+    let served = execute_oneshot(&ref_exec, &after).unwrap();
+    assert_eq!((cold.0, warm.0, served.0), (false, true, false));
+    let done_line = |job: &str, (cached, result): &(bool, String)| {
+        format!("{{\"cached\":{cached},\"event\":\"done\",\"job\":\"{job}\",\"result\":{result}}}")
+    };
+
+    let (_exec, daemon, _observer) = boot(&dir, 1, 4);
+    let stream = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    let mut reader = BufReader::new(&stream);
+    let mut submit = |command: Command| {
+        let line = Request::Submit {
+            tenant: "cells".into(),
+            priority: 0,
+            command,
+        }
+        .canonical_json();
+        (&stream).write_all((line + "\n").as_bytes()).unwrap();
+        (0..3)
+            .map(|_| {
+                let mut line = String::new();
+                assert_ne!(reader.read_line(&mut line).unwrap(), 0, "closed early");
+                line.trim_end().to_string()
+            })
+            .collect::<Vec<String>>()
+    };
+    let opening = |job: &str| {
+        [
+            Event::Accepted { job: job.into() }.canonical_json(),
+            Event::Started { job: job.into() }.canonical_json(),
+        ]
+    };
+    let error = |job: &str, reason: String| {
+        Event::Error {
+            job: Some(job.into()),
+            reason,
+        }
+        .canonical_json()
+    };
+
+    // An execute-cell carrying its own spec's key, cold and then warm.
+    let lines = submit(cell.clone());
+    assert_eq!(lines[..2], opening("j-1"));
+    assert_eq!(lines[2], done_line("j-1", &cold));
+    let lines = submit(cell);
+    assert_eq!(lines[..2], opening("j-2"));
+    assert_eq!(lines[2], done_line("j-2", &warm));
+
+    // An execute-cell whose key belongs to another spec.
+    let lines = submit(Command::ExecuteCell {
+        key: other_key,
+        spec_json: specs[0].clone(),
+    });
+    assert_eq!(lines[..2], opening("j-3"));
+    assert_eq!(
+        lines[2],
+        error(
+            "j-3",
+            format!("key {other_key} does not match its spec (derived {key})")
+        )
+    );
+
+    // A run-scenario whose spec does not decode.
+    let reason = format!("bad spec: {}", decode_spec(&broken).unwrap_err());
+    let lines = submit(Command::RunScenario { spec_json: broken });
+    assert_eq!(lines[..2], opening("j-4"));
+    assert_eq!(lines[2], error("j-4", reason));
+
+    // The connection then serves a normal request.
+    let lines = submit(after);
+    assert_eq!(lines[..2], opening("j-5"));
+    assert_eq!(lines[2], done_line("j-5", &served));
+
+    let client = Client::new(daemon.addr(), CLIENT_TIMEOUT);
+    client.shutdown().unwrap();
+    daemon.wait();
+}
