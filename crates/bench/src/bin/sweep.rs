@@ -76,7 +76,7 @@ struct Args {
     min_replicates: usize,
     max_replicates: usize,
     max_jobs: Option<u64>,
-    max_new_jobs: Option<usize>,
+    max_new_jobs: Option<u64>,
     threads: usize,
     expect_cached: bool,
     update_golden: bool,
@@ -394,10 +394,9 @@ fn run_campaigns(args: &Args, exec: &Executor) -> Result<(), String> {
     let scale = if args.tiny { Scale::Tiny } else { Scale::Paper };
     let opts = FigureOptions {
         budget: args.budget.then(|| args.budget_policy()),
-        max_new_jobs: args.max_new_jobs,
-        cancel: None,
+        cancel: args.max_new_jobs.map(CancelToken::after_jobs),
     };
-    if args.update_golden && (opts.budget.is_some() || opts.max_new_jobs.is_some()) {
+    if args.update_golden && (opts.budget.is_some() || opts.cancel.is_some()) {
         eprintln!(
             "sweep: --update-golden requires fixed replicates and no job cap \
              (drop --budget / --max-new-jobs)"

@@ -86,8 +86,9 @@ pub struct FigureRun {
     pub executed: usize,
     /// Jobs answered from the store.
     pub cached: usize,
-    /// True when a `max_new_jobs` cap cut this campaign short — the export
-    /// covers only the jobs that ran, and goldens must not be checked.
+    /// True when the run's cancel token cut this campaign short — the
+    /// export covers only the jobs that ran, and goldens must not be
+    /// checked.
     pub interrupted: bool,
     /// The underlying sweep outcome (simulation campaigns only) — feeds the
     /// per-figure SVG report gallery.
@@ -630,19 +631,17 @@ pub struct FigureDef {
 }
 
 /// Per-invocation knobs for a figure run. The default (`fixed replicates,
-/// no cap`) is the byte-deterministic golden configuration.
+/// no token`) is the byte-deterministic golden configuration.
 #[derive(Debug, Clone, Default)]
 pub struct FigureOptions {
     /// Convergence-driven replication instead of the matrices' fixed
     /// replicate counts. Budgeted exports are *not* golden-comparable.
     pub budget: Option<BudgetPolicy>,
-    /// Campaign-wide cap on fresh executions, shared across all eleven
-    /// figures in order — the interruption knob the recovery CI arm pulls.
-    pub max_new_jobs: Option<usize>,
-    /// Cooperative cancellation, threaded into every figure's sweep: a
-    /// tripped token interrupts the sequence at a job boundary exactly like
-    /// an exhausted `max_new_jobs` cap, and recovery completes it the same
-    /// way. This is the daemon's cancel path.
+    /// The grant of fresh executions, shared by every figure's sweep in
+    /// order: once it grants no more, the sequence stops at a job boundary
+    /// and recovery completes it. `sweep --max-new-jobs N` passes
+    /// [`CancelToken::after_jobs`]`(N)`; the daemon passes each job's own
+    /// token, which its cancel request trips.
     pub cancel: Option<CancelToken>,
 }
 
@@ -795,10 +794,7 @@ pub fn figure_defs(scale: Scale) -> Vec<FigureDef> {
     ]
 }
 
-/// Runs one figure through the command layer. `remaining` is the shared
-/// fresh-execution allowance (`None` = unbounded); it is decremented by
-/// what this campaign executed, so a cap interrupts the figure *sequence*
-/// at a job boundary, not just one campaign. The campaign records its
+/// Runs one figure through the command layer. The campaign records its
 /// `sweep` trace lane on the observer of `exec`'s runner. An analytic
 /// figure renders without touching the executor: it journals nothing and
 /// its run has no `outcome`.
@@ -807,7 +803,6 @@ pub fn run_figure(
     scale: Scale,
     exec: &Executor,
     opts: &FigureOptions,
-    remaining: &mut Option<usize>,
 ) -> io::Result<FigureRun> {
     let (matrix, export) = match def.kind {
         FigureKind::Analytic(render) => {
@@ -828,16 +823,10 @@ pub fn run_figure(
     if let Some(policy) = opts.budget {
         sweep = sweep.budget(policy);
     }
-    if let Some(cap) = *remaining {
-        sweep = sweep.max_new_jobs(cap);
-    }
     if let Some(token) = &opts.cancel {
         sweep = sweep.cancel(token.clone());
     }
     let outcome = exec.regenerate_figure(def.id, scale.golden_dir(), &sweep)?;
-    if let Some(cap) = remaining.as_mut() {
-        *cap = cap.saturating_sub(outcome.executed);
-    }
     Ok(FigureRun {
         id: def.id,
         slug: def.slug,
@@ -858,19 +847,18 @@ pub fn run_figures(scale: Scale, exec: &Executor) -> io::Result<Vec<FigureRun>> 
 }
 
 /// [`run_figures`] with per-invocation knobs: budgeted replication and/or a
-/// campaign-wide fresh-execution cap. Even when the cap runs out early,
-/// every figure still journals its `regenerate-figure` marker (later
-/// campaigns run with a zero allowance) — which is exactly what lets
-/// recovery complete jobs the interruption never reached.
+/// cancel token shared by the whole sequence. Even when the token stops
+/// granting early, every figure still journals its `regenerate-figure`
+/// marker (later campaigns are granted nothing) — which is exactly what
+/// lets recovery complete jobs the interruption never reached.
 pub fn run_figures_with(
     scale: Scale,
     exec: &Executor,
     opts: &FigureOptions,
 ) -> io::Result<Vec<FigureRun>> {
-    let mut remaining = opts.max_new_jobs;
     figure_defs(scale)
         .into_iter()
-        .map(|def| run_figure(def, scale, exec, opts, &mut remaining))
+        .map(|def| run_figure(def, scale, exec, opts))
         .collect()
 }
 
@@ -899,7 +887,7 @@ impl CampaignResolver for FigureResolver {
         };
         // An analytic figure has no campaign to replay: its marker counts
         // as skipped.
-        let run = run_figure(def, scale, exec, &opts, &mut None)?;
+        let run = run_figure(def, scale, exec, &opts)?;
         Ok(run.outcome.is_some())
     }
 }

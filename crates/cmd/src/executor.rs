@@ -13,8 +13,14 @@
 //! * each of the campaign's store misses appends an `execute-cell` record
 //!   (complete with the canonical spec, so the record alone is runnable)
 //!   through the orchestrator's write-ahead hook, before it executes;
-//! * a store miss of [`Executor::run_scenario`] appends `run-scenario`;
+//! * a store miss of [`Executor::lookup`] that [`Executor::execute`] runs
+//!   appends `run-scenario`;
 //! * gc and bundle export append their own records.
+//!
+//! [`Executor::lookup`] is the one place a scenario spec meets its key: it
+//! decodes the spec, renders its key preimage, checks a given key against
+//! it and reads the store, each once. The daemon's connection threads and
+//! workers and journal replay all go through it.
 //!
 //! Without a journal the executor is a plain pass-through: same Command
 //! vocabulary, no durability, byte-identical results either way.
@@ -25,8 +31,9 @@ use crate::journal::{read_log, Journal};
 use rackfabric_scenario::codec::decode_spec;
 use rackfabric_scenario::matrix::Job;
 use rackfabric_scenario::runner::{JobOutcome, Runner};
+use rackfabric_scenario::spec::ScenarioSpec;
 use rackfabric_sweep::campaign::{Sweep, SweepOutcome};
-use rackfabric_sweep::key::{canonical_spec_json, job_key, JobKey};
+use rackfabric_sweep::key::{canonical_spec_json, JobKey};
 use rackfabric_sweep::store::{GcStats, ResultStore};
 use std::io;
 use std::path::Path;
@@ -73,6 +80,50 @@ pub struct RecoveryStats {
     /// True when the journal ended in a torn record (healed on the next
     /// append).
     pub torn_tail: bool,
+}
+
+/// What [`Executor::lookup`] found for one scenario spec.
+#[derive(Debug)]
+pub enum Lookup {
+    /// The store holds the spec's outcome.
+    Stored(JobOutcome),
+    /// The store holds none; [`Executor::execute`] runs it.
+    Miss(Miss),
+}
+
+/// A scenario spec the store does not hold, decoded and keyed once.
+#[derive(Debug)]
+pub struct Miss {
+    key: JobKey,
+    preimage: String,
+    spec: Box<ScenarioSpec>,
+}
+
+impl Miss {
+    /// Decodes `spec_json`, renders its key preimage and checks `expect`,
+    /// when given, against the key it derives. The error is the reason a
+    /// service reports.
+    fn decode(spec_json: &str, expect: Option<JobKey>) -> Result<Miss, String> {
+        let spec = Box::new(decode_spec(spec_json).map_err(|e| format!("bad spec: {e}"))?);
+        let preimage = canonical_spec_json(&spec);
+        let key = JobKey::of_preimage(&preimage);
+        match expect {
+            Some(expected) if expected != key => Err(format!(
+                "key {expected} does not match its spec (derived {key})"
+            )),
+            _ => Ok(Miss {
+                key,
+                preimage,
+                spec,
+            }),
+        }
+    }
+
+    /// The spec's key preimage: its canonical text, which hashes to its
+    /// key.
+    pub fn into_preimage(self) -> String {
+        self.preimage
+    }
 }
 
 /// Replays campaign-level journal records — the executor knows how to
@@ -148,49 +199,37 @@ impl Executor {
         Ok(())
     }
 
-    /// Runs one scenario store-first: a warm store answers without
-    /// executing; a miss is journaled, executed and persisted.
-    pub fn run_scenario(
-        &self,
-        spec: &rackfabric_scenario::spec::ScenarioSpec,
-    ) -> io::Result<JobOutcome> {
-        self.run_scenario_tracked(spec).map(|(outcome, _)| outcome)
+    /// Looks one scenario spec up in the store: decodes `spec_json`,
+    /// renders its key preimage, checks `expect` against the derived key
+    /// (when given) and reads the store, each once. Fails with the reason
+    /// a service reports: `bad spec: …`, or `key … does not match its spec
+    /// (derived …)`.
+    pub fn lookup(&self, spec_json: &str, expect: Option<JobKey>) -> Result<Lookup, String> {
+        let miss = Miss::decode(spec_json, expect)?;
+        Ok(match self.store.get(&miss.key) {
+            Some(outcome) => Lookup::Stored(outcome),
+            None => Lookup::Miss(miss),
+        })
     }
 
-    /// [`Executor::run_scenario`] plus the cache verdict: the flag is true
-    /// when the store answered (zero engine work). Services report this
-    /// per-request — the "warm query = cache hit" guarantee is observable,
-    /// not just implied.
-    pub fn run_scenario_tracked(
-        &self,
-        spec: &rackfabric_scenario::spec::ScenarioSpec,
-    ) -> io::Result<(JobOutcome, bool)> {
-        let spec_json = canonical_spec_json(spec);
-        let key = JobKey::of_preimage(&spec_json);
-        if let Some(outcome) = self.store.get(&key) {
-            return Ok((outcome, true));
-        }
+    /// Runs a miss: journals a `run-scenario` record ahead of the run,
+    /// executes the spec as a one-job batch and stores its outcome.
+    pub fn execute(&self, miss: Miss) -> io::Result<JobOutcome> {
         self.journal_append(&Command::RunScenario {
-            spec_json: spec_json.clone(),
+            spec_json: miss.preimage.clone(),
         })?;
-        let outcome = self.run_and_put(&key, spec.clone(), &spec_json)?;
-        Ok((outcome, false))
+        self.run_and_put(miss)
     }
 
-    /// Executes `spec` as a one-job batch and persists its outcome under
-    /// `key` with `spec_json` as the record's spec.
-    fn run_and_put(
-        &self,
-        key: &JobKey,
-        spec: rackfabric_scenario::spec::ScenarioSpec,
-        spec_json: &str,
-    ) -> io::Result<JobOutcome> {
+    /// Executes a miss as a one-job batch and persists its outcome under its
+    /// key, with its preimage as the record's spec.
+    fn run_and_put(&self, miss: Miss) -> io::Result<JobOutcome> {
         let job = Job {
             index: 0,
             cell: 0,
             replicate: 0,
             labels: Vec::new(),
-            spec,
+            spec: *miss.spec,
         };
         let outcome = self
             .runner
@@ -198,7 +237,7 @@ impl Executor {
             .into_iter()
             .next()
             .expect("one job in, one outcome out");
-        self.store.put(key, spec_json, &outcome)?;
+        self.store.put(&miss.key, &miss.preimage, &outcome)?;
         Ok(outcome)
     }
 
@@ -294,46 +333,32 @@ impl Executor {
         Ok(stats)
     }
 
-    /// Replays one journaled job record, decoding its spec at most once.
-    /// With `Some(key)` the record's own key is trusted for the store lookup
-    /// (and verified against the decoded spec before executing); without,
-    /// the key is derived.
+    /// Replays one journaled job record. With `Some(key)` the record's own
+    /// key is trusted for the store read, so a stored record is not even
+    /// decoded; a miss is decoded and its key checked as
+    /// [`Executor::lookup`] checks it, before it runs. Without a key,
+    /// `lookup` derives it. A replayed miss runs without a journal record of
+    /// its own: its record is the one being replayed.
     fn replay_cell(
         &self,
         key: Option<JobKey>,
         spec_json: &str,
         stats: &mut RecoveryStats,
     ) -> io::Result<()> {
-        let decode =
-            || decode_spec(spec_json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
-        let (key, decoded) = match key {
-            Some(key) => (key, None),
-            None => {
-                let spec = decode()?;
-                (job_key(&spec), Some(spec))
-            }
+        let found = match key {
+            Some(key) => match self.store.get(&key) {
+                Some(outcome) => Ok(Lookup::Stored(outcome)),
+                None => Miss::decode(spec_json, Some(key)).map(Lookup::Miss),
+            },
+            None => self.lookup(spec_json, None),
         };
-        if self.store.get(&key).is_some() {
-            stats.cells_already_stored += 1;
-            return Ok(());
+        match found.map_err(|reason| io::Error::new(io::ErrorKind::InvalidData, reason))? {
+            Lookup::Stored(_) => stats.cells_already_stored += 1,
+            Lookup::Miss(miss) => {
+                self.run_and_put(miss)?;
+                stats.cells_replayed += 1;
+            }
         }
-        let spec = match decoded {
-            Some(spec) => spec,
-            None => {
-                let spec = decode()?;
-                let derived = job_key(&spec);
-                if derived != key {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("journaled key {key} does not match its spec (derived {derived})"),
-                    ));
-                }
-                spec
-            }
-        };
-        let spec_json = canonical_spec_json(&spec);
-        self.run_and_put(&key, spec, &spec_json)?;
-        stats.cells_replayed += 1;
         Ok(())
     }
 }
@@ -342,9 +367,12 @@ impl Executor {
 mod tests {
     use super::*;
     use rackfabric_scenario::matrix::{AxisValue, Matrix};
-    use rackfabric_scenario::spec::{ScenarioSpec, WorkloadSpec};
+    use rackfabric_scenario::spec::WorkloadSpec;
     use rackfabric_sim::time::SimTime;
     use rackfabric_sim::units::Bytes;
+    use rackfabric_sweep::cancel::CancelToken;
+    use rackfabric_sweep::key::job_key;
+    use rackfabric_sweep::store::outcome_to_json;
     use rackfabric_sweep::testdir::TestDir;
     use rackfabric_topo::spec::TopologySpec;
 
@@ -410,7 +438,7 @@ mod tests {
             .regenerate_figure(
                 "e-unit",
                 "tiny",
-                &Sweep::new(small_matrix()).max_new_jobs(2),
+                &Sweep::new(small_matrix()).cancel(CancelToken::after_jobs(2)),
             )
             .unwrap();
         assert!(partial.interrupted);
@@ -461,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn run_scenario_is_store_first_and_journaled() {
+    fn lookup_is_store_first_and_execute_journals() {
         let root = TestDir::new("cmd-executor-scenario");
         let exec = Executor::with_journal(
             ResultStore::open(root.join("store")).unwrap(),
@@ -469,22 +497,40 @@ mod tests {
             root.join("journal"),
         )
         .unwrap();
-        let spec = ScenarioSpec::new(
-            "one-shot",
-            TopologySpec::grid(2, 2, 2),
-            WorkloadSpec::shuffle(Bytes::from_kib(1)),
-        )
-        .horizon(SimTime::from_millis(20))
-        .seed(5);
-        let first = exec.run_scenario(&spec).unwrap();
-        let second = exec.run_scenario(&spec).unwrap();
+        let spec = one_shot_spec(5);
+        let spec_json = canonical_spec_json(&spec);
+        let key = job_key(&spec);
+        // A miss hands on the spec's key preimage, however it was spelled.
+        let Ok(Lookup::Miss(miss)) = exec.lookup(&spec_json.replace(',', ", "), None) else {
+            panic!("a cold store misses");
+        };
+        assert_eq!(miss.into_preimage(), spec_json);
+        let Ok(Lookup::Miss(miss)) = exec.lookup(&spec_json, Some(key)) else {
+            panic!("a cold store misses");
+        };
+        let first = exec.execute(miss).unwrap();
         assert!(matches!(first, JobOutcome::Completed(_)));
-        assert!(matches!(second, JobOutcome::Completed(_)));
-        // Only the cold run journals: the warm one was answered by the
-        // store without any mutation.
+        let Ok(Lookup::Stored(second)) = exec.lookup(&spec_json, None) else {
+            panic!("the executed spec is stored");
+        };
+        assert_eq!(outcome_to_json(&second), outcome_to_json(&first));
+        // Only the cold run journals, with the spec's key preimage: the
+        // warm one was answered by the store without any mutation.
         let (records, _) = read_log(&exec.journal_dir().unwrap()).unwrap();
         assert_eq!(records.len(), 1);
-        assert!(matches!(records[0].command, Command::RunScenario { .. }));
+        assert!(matches!(
+            &records[0].command,
+            Command::RunScenario { spec_json: journaled } if *journaled == spec_json
+        ));
+
+        // The two reasons a lookup fails.
+        let other = job_key(&one_shot_spec(6));
+        assert_eq!(
+            exec.lookup(&spec_json, Some(other)).unwrap_err(),
+            format!("key {other} does not match its spec (derived {key})")
+        );
+        let err = exec.lookup("{}", None).unwrap_err();
+        assert!(err.starts_with("bad spec: "), "{err}");
     }
 
     fn one_shot_spec(seed: u64) -> ScenarioSpec {

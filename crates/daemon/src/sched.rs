@@ -26,7 +26,7 @@
 //! alone for a job cancelled while queued.
 //!
 //! A submit the store answers on its connection thread is a job that ends
-//! as it is counted ([`Scheduler::answered`]): it takes an id and counts as
+//! as it is counted (`Scheduler::answered`): it takes an id and counts as
 //! completed and as a warm hit, and the scheduler holds nothing for it. It
 //! never queues, so the queue bound and priorities do not apply to it; it
 //! never attaches to an in-flight job, and nothing attaches to it.
@@ -226,7 +226,7 @@ impl Scheduler {
 
     /// [`Scheduler::submit`] with a caller-supplied cancel token — the
     /// embedding hook the determinism harness uses to interrupt a campaign
-    /// at an exact job boundary (`CancelToken::after_checks`) instead of
+    /// after an exact number of jobs (`CancelToken::after_jobs`) instead of
     /// racing a cancel request against the worker.
     pub fn submit_with_token(
         &self,

@@ -5,16 +5,17 @@
 //! `TCP_NODELAY`, so each event line leaves as soon as it is written.
 //!
 //! A `run-scenario` or `execute-cell` submit is resolved store-first on its
-//! connection thread: the request line is read in place, the spec decoded
-//! once, its key derived once and the store read once. A hit takes only a
-//! job id and the completed and warm counts from the scheduler
-//! ([`Scheduler::answered`]) and goes back as `accepted`, `started` and
-//! `done` in one write, the result rendered once, straight from the stored
-//! outcome ([`outcome_to_json`]). A miss is scheduled with the spec's key
-//! preimage as its text; every other submit, a spec that does not decode
-//! and a key that does not match its spec are scheduled as they came, and
-//! a worker answers them with the same event lines as ever. The worker
-//! keeps its own store-first check, so a result stored between the
+//! connection thread: the request line is read in place and the spec
+//! looked up once ([`Executor::lookup`]: one decode, one preimage, one key
+//! check, one store read). A hit takes only a job id and the completed and
+//! warm counts from the scheduler (`Scheduler::answered`) and goes back
+//! as `accepted`, `started` and `done` in one write, the result rendered
+//! once, straight from the stored outcome ([`outcome_to_json`]). A miss is
+//! scheduled with the spec's key preimage as its text; every other submit,
+//! a spec that does not decode and a key that does not match its spec are
+//! scheduled as they came, and a worker answers them with the same event
+//! lines as ever. The worker looks the spec up again and runs a miss with
+//! [`Executor::execute`]: its store read means a result stored between the
 //! connection thread's lookup and the worker still runs the engine once
 //! per distinct spec.
 //!
@@ -47,13 +48,12 @@ use crate::proto::{self, Event, Request};
 use crate::sched::{JobEnd, Observed, Scheduler, Submitted};
 use rackfabric_bench::figures::{figure_defs, run_figure, FigureOptions, Scale};
 use rackfabric_cmd::command::Command;
-use rackfabric_cmd::decode_spec;
-use rackfabric_cmd::executor::Executor;
+use rackfabric_cmd::executor::{Executor, Lookup};
 use rackfabric_obs::{Observer, TimeDomain};
 use rackfabric_scenario::runner::JobOutcome;
 use rackfabric_sim::json::{self, obj, string, uint, JsonValue};
 use rackfabric_sweep::cancel::CancelToken;
-use rackfabric_sweep::key::{canonical_spec_json, job_key, JobKey};
+use rackfabric_sweep::key::JobKey;
 use rackfabric_sweep::store::{outcome_to_json, outcome_value};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -372,37 +372,28 @@ enum Resolved {
     Scheduled(Command),
 }
 
-/// Resolves a `run-scenario` or `execute-cell` submit store-first: its spec
-/// decoded once, its key derived once, the store read once. A miss is
-/// scheduled with the spec's key preimage as its text, so equal specs make
-/// equal commands however their requests spelled them. Every other
-/// command, a spec that does not decode and a key that does not match its
-/// spec go to a worker as they came, which answers them as it always did.
+/// Resolves a `run-scenario` or `execute-cell` submit store-first with one
+/// [`Executor::lookup`]. A miss is scheduled with the spec's key preimage
+/// as its text, so equal specs make equal commands however their requests
+/// spelled them. Every other command, a spec that does not decode and a key
+/// that does not match its spec go to a worker as they came, which answers
+/// them as it always did.
 fn resolve(exec: &Executor, command: Command) -> Resolved {
     let (expect, spec_json) = match &command {
         Command::RunScenario { spec_json } => (None, spec_json),
         Command::ExecuteCell { key, spec_json } => (Some(*key), spec_json),
         _ => return Resolved::Scheduled(command),
     };
-    let Ok(spec) = decode_spec(spec_json) else {
-        return Resolved::Scheduled(command);
-    };
-    let preimage = canonical_spec_json(&spec);
-    let key = JobKey::of_preimage(&preimage);
-    if expect.is_some_and(|expected| expected != key) {
-        return Resolved::Scheduled(command);
-    }
-    match exec.store().get(&key) {
-        Some(outcome) => Resolved::Stored(outcome),
-        None => Resolved::Scheduled(match expect {
-            None => Command::RunScenario {
-                spec_json: preimage,
-            },
-            Some(key) => Command::ExecuteCell {
-                key,
-                spec_json: preimage,
-            },
-        }),
+    match exec.lookup(spec_json, expect) {
+        Ok(Lookup::Stored(outcome)) => Resolved::Stored(outcome),
+        Ok(Lookup::Miss(miss)) => {
+            let spec_json = miss.into_preimage();
+            Resolved::Scheduled(match expect {
+                None => Command::RunScenario { spec_json },
+                Some(key) => Command::ExecuteCell { key, spec_json },
+            })
+        }
+        Err(_) => Resolved::Scheduled(command),
     }
 }
 
@@ -607,10 +598,9 @@ fn execute_command(exec: &Executor, command: &Command, cancel: &CancelToken) -> 
             };
             let opts = FigureOptions {
                 budget: *budget,
-                max_new_jobs: None,
                 cancel: Some(cancel.clone()),
             };
-            match run_figure(def, scale, exec, &opts, &mut None) {
+            match run_figure(def, scale, exec, &opts) {
                 Err(e) => JobEnd::Failed(e.to_string()),
                 Ok(run) if run.interrupted => JobEnd::Cancelled,
                 // A figure's answer: its export and the jobs it executed
@@ -643,31 +633,20 @@ fn execute_command(exec: &Executor, command: &Command, cancel: &CancelToken) -> 
     }
 }
 
-/// Runs one scenario spec store-first. With `expect`, the journaled key is
-/// verified against the decoded spec before any engine time is spent.
-fn run_spec(
-    exec: &Executor,
-    spec_json: &str,
-    expect: Option<rackfabric_sweep::key::JobKey>,
-) -> JobEnd {
-    let spec = match decode_spec(spec_json) {
-        Ok(spec) => spec,
-        Err(e) => return JobEnd::Failed(format!("bad spec: {e}")),
-    };
-    if let Some(expected) = expect {
-        let derived = job_key(&spec);
-        if derived != expected {
-            return JobEnd::Failed(format!(
-                "key {expected} does not match its spec (derived {derived})"
-            ));
-        }
-    }
-    match exec.run_scenario_tracked(&spec) {
-        Err(e) => JobEnd::Failed(e.to_string()),
-        Ok((outcome, cached)) => JobEnd::Done {
-            cached,
-            result: outcome_value(&outcome),
+/// Runs one scenario spec store-first. With `expect`, the key is checked
+/// against the spec before any engine time is spent.
+fn run_spec(exec: &Executor, spec_json: &str, expect: Option<JobKey>) -> JobEnd {
+    let (outcome, cached) = match exec.lookup(spec_json, expect) {
+        Err(reason) => return JobEnd::Failed(reason),
+        Ok(Lookup::Stored(outcome)) => (outcome, true),
+        Ok(Lookup::Miss(miss)) => match exec.execute(miss) {
+            Err(e) => return JobEnd::Failed(e.to_string()),
+            Ok(outcome) => (outcome, false),
         },
+    };
+    JobEnd::Done {
+        cached,
+        result: outcome_value(&outcome),
     }
 }
 

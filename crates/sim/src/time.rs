@@ -69,10 +69,6 @@ impl SimTime {
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / PS_PER_US as f64
     }
-    /// This instant expressed in (possibly fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_MS as f64
-    }
     /// This instant expressed in (possibly fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / PS_PER_S as f64
@@ -141,10 +137,6 @@ impl SimDuration {
     /// This duration expressed in (possibly fractional) microseconds.
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / PS_PER_US as f64
-    }
-    /// This duration expressed in (possibly fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_MS as f64
     }
     /// This duration expressed in (possibly fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {

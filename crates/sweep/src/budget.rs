@@ -52,9 +52,8 @@ pub enum StopReason {
     JobBudget,
     /// Too few successful replicates to estimate a CI (failures/no samples).
     Degenerate,
-    /// The invocation's fresh-execution cap (`max_new_jobs`) interrupted the
-    /// campaign before this cell could be decided; a re-run against the same
-    /// store continues it.
+    /// The campaign's cancel token stopped it before this cell could be
+    /// decided; a re-run against the same store continues it.
     Interrupted,
 }
 

@@ -19,10 +19,11 @@
 //! hash — so a cell keeps its seed schedule no matter how axes are
 //! reordered or what other cells exist.
 //!
-//! `max_new_jobs` models interruption: the sweep stops dispatching after
-//! that many fresh executions (cache hits don't count) and returns a
-//! partial result; a later run against the same store picks up exactly
-//! where it stopped.
+//! A [`CancelToken`] is the one way to stop a campaign early: the
+//! dispatcher asks it for each chunk of fresh executions (cache hits don't
+//! count), and once it grants fewer than asked the sweep stops dispatching
+//! and returns a partial result; a later run against the same store picks
+//! up exactly where it stopped.
 
 use crate::budget::{converged, rel_halfwidth, BudgetPolicy, CellBudget, StopReason};
 use crate::cancel::CancelToken;
@@ -49,19 +50,16 @@ pub struct Sweep {
     /// Convergence-driven replication; `None` keeps the matrix's fixed
     /// replicate count.
     pub budget: Option<BudgetPolicy>,
-    /// Stop dispatching after this many fresh executions (cache hits do not
-    /// count). `None` runs to completion. This is the interruption /
-    /// incremental-progress knob: a partial sweep resumes from the store.
-    pub max_new_jobs: Option<usize>,
     /// Campaign-level tracing/metrics (resolve waves, dispatch, persist,
     /// cache hit/miss counters). Observability only: outcomes, store records
     /// and exports are byte-identical with it on or off.
     pub observer: Observer,
-    /// Cooperative cancellation: with a token attached, store misses are
-    /// dispatched in runner-thread-sized chunks and the token is checked
-    /// between chunks. A tripped token stops the campaign exactly like
-    /// `max_new_jobs` does — completed jobs persisted, the rest skipped —
-    /// so a cancelled campaign resumes (or recovers) to identical bytes.
+    /// The grant of fresh executions: with a token attached, store misses
+    /// are dispatched in runner-thread-sized chunks, each granted by the
+    /// token first. Once it grants fewer jobs than a chunk holds, the
+    /// granted ones run and the campaign stops — completed jobs persisted,
+    /// the rest skipped — so an interrupted campaign resumes (or recovers)
+    /// to identical bytes. `None` runs every miss as one batch.
     pub cancel: Option<CancelToken>,
 }
 
@@ -71,7 +69,6 @@ impl Sweep {
         Sweep {
             matrix,
             budget: None,
-            max_new_jobs: None,
             observer: Observer::off(),
             cancel: None,
         }
@@ -80,13 +77,6 @@ impl Sweep {
     /// Attaches a replication budget, returning the modified sweep.
     pub fn budget(mut self, policy: BudgetPolicy) -> Sweep {
         self.budget = Some(policy);
-        self
-    }
-
-    /// Caps fresh executions for this invocation, returning the modified
-    /// sweep.
-    pub fn max_new_jobs(mut self, cap: usize) -> Sweep {
-        self.max_new_jobs = Some(cap);
         self
     }
 
@@ -132,7 +122,6 @@ impl Sweep {
             executed: 0,
             cached: 0,
             skipped: 0,
-            max_new_jobs: self.max_new_jobs,
             interrupted: false,
             observer: &self.observer,
             cancel: self.cancel.as_ref(),
@@ -260,8 +249,8 @@ impl Sweep {
                 cell: c,
                 replicates: members.len(),
                 rel_halfwidth: rel_halfwidth(&p99s, policy.confidence_z).unwrap_or(f64::INFINITY),
-                // An undecided cell here means the fresh-execution cap cut
-                // the campaign short, not that a job budget ran out.
+                // An undecided cell here means the cancel token cut the
+                // campaign short, not that a job budget ran out.
                 stop: stops[c].unwrap_or(StopReason::Interrupted),
             });
             for mut record in members {
@@ -320,9 +309,9 @@ pub struct SweepOutcome {
     pub executed: usize,
     /// Jobs answered from the store.
     pub cached: usize,
-    /// Jobs left undispatched because `max_new_jobs` ran out.
+    /// Jobs left undispatched because the cancel token granted no more.
     pub skipped: usize,
-    /// True when `max_new_jobs` cut the campaign short.
+    /// True when the cancel token cut the campaign short.
     pub interrupted: bool,
     /// Per-cell replication verdicts (budgeted sweeps only).
     pub cell_budgets: Vec<CellBudget>,
@@ -370,7 +359,6 @@ struct Dispatcher<'a> {
     executed: usize,
     cached: usize,
     skipped: usize,
-    max_new_jobs: Option<usize>,
     interrupted: bool,
     observer: &'a Observer,
     cancel: Option<&'a CancelToken>,
@@ -378,8 +366,8 @@ struct Dispatcher<'a> {
 
 impl Dispatcher<'_> {
     /// Resolves one batch of jobs: store hits are returned directly, misses
-    /// pass the write-ahead hook, run on the scenario runner (respecting the
-    /// fresh-execution cap) and are persisted before returning. Each job's
+    /// the cancel token grants pass the write-ahead hook, run on the
+    /// scenario runner and are persisted before returning. Each job's
     /// key preimage is rendered once, for the lookup, the hook and the put.
     /// `None` marks a job skipped by an interruption.
     fn resolve(&mut self, jobs: &[Job]) -> io::Result<Vec<Option<JobOutcome>>> {
@@ -412,35 +400,28 @@ impl Dispatcher<'_> {
             .count("sweep.cache_misses", TimeDomain::Sim, pending.len() as u64);
         resolve_span.arg_u64("warm", warm as u64);
         resolve_span.arg_u64("cold", pending.len() as u64);
-        if let Some(cap) = self.max_new_jobs {
-            let room = cap.saturating_sub(self.executed);
-            if pending.len() > room {
-                self.interrupted = true;
-                self.skipped += pending.len() - room;
-                pending.truncate(room);
-            }
-        }
-        if pending.is_empty() {
-            return Ok(outcomes);
-        }
         // Without a cancel token the whole miss set is one batch. With one,
-        // dispatch in runner-thread-sized chunks and check the token between
-        // chunks: jobs already handed to the engine complete and persist, so
-        // cancellation always leaves a clean store (and journal) prefix.
+        // dispatch in runner-thread-sized chunks, each granted by the token
+        // first: jobs already handed to the engine complete and persist, so
+        // an interruption always leaves a clean store (and journal) prefix.
         let chunk = match self.cancel {
             Some(_) => self.runner.threads().max(1),
             None => pending.len(),
         };
         let mut offset = 0;
         while offset < pending.len() {
-            if let Some(token) = self.cancel {
-                if token.checkpoint() {
-                    self.interrupted = true;
-                    self.skipped += pending.len() - offset;
+            let want = chunk.min(pending.len() - offset);
+            let granted = self.cancel.map_or(want, |token| token.grant(want));
+            if granted < want {
+                // The granted jobs run; every later miss is skipped.
+                self.interrupted = true;
+                self.skipped += pending.len() - offset - granted;
+                pending.truncate(offset + granted);
+                if granted == 0 {
                     break;
                 }
             }
-            let slice = &pending[offset..(offset + chunk).min(pending.len())];
+            let slice = &pending[offset..offset + granted];
             // One span covers the whole mutation: write-ahead, execute and
             // persist (it ends with this chunk).
             let mut span = self.observer.span(SWEEP_LANE, "execute", "sweep");
@@ -532,22 +513,23 @@ mod tests {
     fn interruption_resumes_to_identical_output() {
         let (_dir_a, store_a) = tmp_store("interrupt-a");
         let (_dir_b, store_b) = tmp_store("interrupt-b");
-        let runner = Runner::single_threaded();
+        let runner = Runner::new(2);
 
         // Reference: one uninterrupted run.
         let full = Sweep::new(small_matrix()).run(&store_a, &runner).unwrap();
 
-        // Interrupted: two executions, then resume.
+        // Interrupted: three executions, the last one alone in its
+        // two-job chunk, then resume.
         let partial = Sweep::new(small_matrix())
-            .max_new_jobs(2)
+            .cancel(CancelToken::after_jobs(3))
             .run(&store_b, &runner)
             .unwrap();
         assert!(partial.interrupted);
-        assert_eq!(partial.executed, 2);
-        assert_eq!(partial.skipped, 2);
+        assert_eq!(partial.executed, 3);
+        assert_eq!(partial.skipped, 1);
         let resumed = Sweep::new(small_matrix()).run(&store_b, &runner).unwrap();
-        assert_eq!(resumed.executed, 2, "resume runs only the remainder");
-        assert_eq!(resumed.cached, 2);
+        assert_eq!(resumed.executed, 1, "resume runs only the remainder");
+        assert_eq!(resumed.cached, 3);
         assert_eq!(
             rackfabric_scenario::export::cells_to_csv(&full.cells),
             rackfabric_scenario::export::cells_to_csv(&resumed.cells)
@@ -563,9 +545,10 @@ mod tests {
         // Reference: one uninterrupted run.
         let full = Sweep::new(small_matrix()).run(&store_a, &runner).unwrap();
 
-        // A fuse token cancels deterministically after two dispatch chunks
-        // (chunk = 1 job on a single-threaded runner).
-        let token = CancelToken::after_checks(2);
+        // A token that grants two jobs stops the campaign deterministically
+        // after two dispatch chunks (chunk = 1 job on a single-threaded
+        // runner).
+        let token = CancelToken::after_jobs(2);
         let partial = Sweep::new(small_matrix())
             .cancel(token.clone())
             .run(&store_b, &runner)
@@ -704,7 +687,7 @@ mod tests {
                 max_replicates: 4,
                 ..BudgetPolicy::default()
             })
-            .max_new_jobs(1);
+            .cancel(CancelToken::after_jobs(1));
         let outcome = sweep.run(&store, &runner).unwrap();
         assert!(outcome.interrupted);
         // No job budget was configured: undecided cells must say so.

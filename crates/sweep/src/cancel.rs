@@ -1,96 +1,80 @@
-//! Cooperative campaign cancellation.
+//! Cooperative campaign cancellation: the one way to stop a campaign.
 //!
-//! A [`CancelToken`] is a cheap, cloneable flag shared between the party
-//! that wants a campaign stopped (a daemon scheduler, a signal handler, a
-//! test) and the sweep dispatcher that checks it between dispatch chunks.
-//! Cancellation is **cooperative and batch-aligned**: jobs already handed
-//! to the engine run to completion and are persisted, so an interrupted
+//! A [`CancelToken`] is a cheap, cloneable grant of fresh executions shared
+//! between the party that wants a campaign stopped (a daemon scheduler, a
+//! capped `sweep` run, a test) and the sweep dispatcher, which asks it for
+//! each dispatch chunk. [`CancelToken::new`] grants any number until
+//! [`CancelToken::cancel`] is called; [`CancelToken::after_jobs`] grants
+//! exactly `n`, shared by every campaign it is attached to. A cancelled
+//! token grants nothing.
+//!
+//! Stopping is **cooperative and batch-aligned**: jobs already handed to
+//! the engine run to completion and are persisted, so an interrupted
 //! campaign always leaves a clean prefix in the store (and, behind the
-//! command layer, a clean write-ahead journal prefix). That makes a
-//! cancelled campaign indistinguishable from a `max_new_jobs` interruption:
-//! `Executor::recover` or a plain warm re-run completes it to byte-identical
-//! output.
-//!
-//! For deterministic tests, [`CancelToken::after_checks`] builds a token
-//! that trips itself after a fixed number of dispatcher checkpoints,
-//! removing the race between the cancelling thread and the dispatch loop.
+//! command layer, a clean write-ahead journal prefix). `Executor::recover`
+//! or a plain warm re-run completes it to byte-identical output.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A shared cancellation flag; clones observe the same state.
-#[derive(Debug, Clone, Default)]
+/// What a token that was given no allowance grants: any number of jobs.
+const UNLIMITED: u64 = u64::MAX;
+
+/// A shared grant of fresh executions; clones observe the same state.
+#[derive(Debug, Clone)]
 pub struct CancelToken {
-    inner: Arc<Inner>,
+    /// Fresh executions left to grant, or [`UNLIMITED`]; 0 once cancelled.
+    left: Arc<AtomicU64>,
 }
 
-#[derive(Debug)]
-struct Inner {
-    cancelled: AtomicBool,
-    /// Remaining dispatcher checkpoints before the token trips itself;
-    /// negative means "no fuse" (the token only trips via [`cancel`]).
-    ///
-    /// [`cancel`]: CancelToken::cancel
-    fuse: AtomicI64,
-}
-
-impl Default for Inner {
-    fn default() -> Inner {
-        Inner {
-            cancelled: AtomicBool::new(false),
-            fuse: AtomicI64::new(-1),
+impl Default for CancelToken {
+    fn default() -> CancelToken {
+        CancelToken {
+            left: Arc::new(AtomicU64::new(UNLIMITED)),
         }
     }
 }
 
 impl CancelToken {
-    /// A token that trips only when [`CancelToken::cancel`] is called.
+    /// A token that grants every execution until [`CancelToken::cancel`]
+    /// is called.
     pub fn new() -> CancelToken {
         CancelToken::default()
     }
 
-    /// A token that allows exactly `checks` dispatcher checkpoints and then
-    /// trips itself — a deterministic "cancel mid-campaign" for tests,
+    /// A token that grants exactly `jobs` fresh executions in all, then
+    /// nothing: a deterministic interruption after a fixed number of jobs,
     /// independent of thread timing.
-    pub fn after_checks(checks: u64) -> CancelToken {
-        let token = CancelToken::new();
-        token
-            .inner
-            .fuse
-            .store(checks.min(i64::MAX as u64) as i64, Ordering::SeqCst);
-        token
+    pub fn after_jobs(jobs: u64) -> CancelToken {
+        CancelToken {
+            left: Arc::new(AtomicU64::new(jobs)),
+        }
     }
 
-    /// Trips the token. Idempotent; all clones observe it.
+    /// Stops every grant. Idempotent; all clones observe it.
     pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::SeqCst);
+        self.left.store(0, Ordering::SeqCst);
     }
 
-    /// True once the token has tripped (does not consume fuse checkpoints).
+    /// True once the token grants nothing more: it was cancelled, or its
+    /// allowance is spent.
     pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::SeqCst)
+        self.left.load(Ordering::SeqCst) == 0
     }
 
-    /// A dispatcher checkpoint: returns `true` when the campaign must stop
-    /// dispatching. Counts against an [`after_checks`] fuse, tripping the
-    /// token permanently when it runs out.
-    ///
-    /// [`after_checks`]: CancelToken::after_checks
-    pub fn checkpoint(&self) -> bool {
-        if self.is_cancelled() {
-            return true;
-        }
-        let fuse = self.inner.fuse.load(Ordering::SeqCst);
-        if fuse < 0 {
-            return false;
-        }
-        let remaining = self.inner.fuse.fetch_sub(1, Ordering::SeqCst);
-        if remaining <= 0 {
-            self.cancel();
-            true
-        } else {
-            false
-        }
+    /// Asks to execute `jobs` more jobs; returns how many of them may run
+    /// (all of them, some, or none) and counts those against the
+    /// allowance.
+    pub(crate) fn grant(&self, jobs: usize) -> usize {
+        let jobs = jobs as u64;
+        let left = match self
+            .left
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |left| {
+                (left != UNLIMITED).then(|| left - left.min(jobs))
+            }) {
+            Ok(left) | Err(left) => left,
+        };
+        left.min(jobs) as usize
     }
 }
 
@@ -103,26 +87,34 @@ mod tests {
         let a = CancelToken::new();
         let b = a.clone();
         assert!(!a.is_cancelled() && !b.is_cancelled());
-        assert!(!a.checkpoint(), "an untripped token never interrupts");
+        assert_eq!(a.grant(1000), 1000, "an untripped token grants everything");
+        assert_eq!(b.grant(1000), 1000, "and counts nothing against it");
         b.cancel();
         assert!(a.is_cancelled());
-        assert!(a.checkpoint());
+        assert_eq!(a.grant(1), 0);
     }
 
     #[test]
-    fn fuse_trips_after_the_allowed_checkpoints() {
-        let token = CancelToken::after_checks(2);
-        assert!(!token.checkpoint());
-        assert!(!token.checkpoint());
-        assert!(token.checkpoint(), "third checkpoint trips the fuse");
-        assert!(token.is_cancelled(), "a tripped fuse is permanent");
-        assert!(token.checkpoint());
+    fn an_allowance_grants_exactly_its_jobs() {
+        let token = CancelToken::after_jobs(5);
+        let other = token.clone();
+        assert_eq!(token.grant(2), 2);
+        assert_eq!(other.grant(2), 2, "clones share one allowance");
+        assert!(!token.is_cancelled());
+        assert_eq!(token.grant(2), 1, "the last job of the allowance");
+        assert!(token.is_cancelled(), "a spent allowance is permanent");
+        assert_eq!(token.grant(2), 0);
+
+        let cancelled = CancelToken::after_jobs(5);
+        cancelled.cancel();
+        assert_eq!(cancelled.grant(1), 0, "a cancelled token grants nothing");
     }
 
     #[test]
     fn zero_fuse_trips_immediately() {
-        let token = CancelToken::after_checks(0);
-        assert!(!token.is_cancelled(), "pure reads never consume the fuse");
-        assert!(token.checkpoint());
+        let token = CancelToken::after_jobs(0);
+        assert!(token.is_cancelled());
+        assert_eq!(token.grant(1), 0);
+        assert_eq!(token.grant(0), 0, "asking for nothing is granted nothing");
     }
 }

@@ -19,8 +19,8 @@
 //!   count.
 //! * [`campaign`] — the [`Sweep`] orchestrator: store-first resolution,
 //!   incremental dispatch through [`Runner::run_jobs`], a write-ahead hook
-//!   per store miss, deterministic budgeted expansion, interruption via
-//!   `max_new_jobs`.
+//!   per store miss, deterministic budgeted expansion, interruption via a
+//!   [`CancelToken`] that grants fresh executions.
 //! * [`report`] / [`emit`] — dependency-free SVG line/CDF plots and a
 //!   markdown campaign summary, all byte-deterministic.
 //!
@@ -58,6 +58,7 @@
 //! [`ResultStore`]: store::ResultStore
 //! [`BudgetPolicy`]: budget::BudgetPolicy
 //! [`Sweep`]: campaign::Sweep
+//! [`CancelToken`]: cancel::CancelToken
 
 pub mod budget;
 pub mod campaign;
@@ -78,7 +79,7 @@ pub mod prelude {
     pub use crate::key::{canonical_spec_json, job_key, JobKey};
     pub use crate::lock::StoreLock;
     pub use crate::report::{cdf_plot, line_plot, PlotSeries};
-    pub use crate::store::{outcome_from_json, outcome_to_json, GcStats, ResultStore, StoreStats};
+    pub use crate::store::{outcome_to_json, GcStats, ResultStore, StoreStats};
 }
 
 pub use budget::{BudgetPolicy, CellBudget, StopReason};
@@ -86,4 +87,4 @@ pub use campaign::{CellDistributions, Sweep, SweepOutcome};
 pub use cancel::CancelToken;
 pub use key::{canonical_spec_json, job_key, JobKey};
 pub use lock::StoreLock;
-pub use store::{outcome_from_json, outcome_to_json, GcStats, ResultStore, StoreStats};
+pub use store::{outcome_to_json, GcStats, ResultStore, StoreStats};

@@ -379,15 +379,6 @@ pub fn outcome_to_json(outcome: &JobOutcome) -> String {
     w.finish()
 }
 
-/// Parses an outcome rendered by [`outcome_to_json`] (or the `outcome`
-/// field of a store record). `None` on malformed input.
-pub fn outcome_from_json(text: &str) -> Option<JobOutcome> {
-    let mut reader = Reader::new(text);
-    let outcome = read_outcome(&mut reader).ok()?;
-    reader.finish().ok()?;
-    outcome
-}
-
 /// Decodes a store record's text, as [`ResultStore::get`] does the file:
 /// `None` unless the whole text is JSON, its `format` is the current one and
 /// its `outcome` decodes. The first field of a name counts, as
@@ -1101,17 +1092,19 @@ mod tests {
         let text = outcome_to_json(&outcome);
         // Canonical form: parsing and re-rendering is the identity.
         assert_eq!(json::canonical(&json::parse(&text).unwrap()), text);
-        // Round trip preserves the outcome, so re-encoding reproduces the
-        // exact bytes — the daemon's byte-identical-response guarantee.
-        let back = outcome_from_json(&text).unwrap();
+        // Round trip through a record preserves the outcome, so re-encoding
+        // reproduces the exact bytes — the daemon's byte-identical-response
+        // guarantee.
+        let record = |outcome: &str| format!("{{\"format\": {FORMAT}, \"outcome\": {outcome}}}");
+        let back = outcome_from_record(&record(&text)).unwrap();
         assert_eq!(outcome_to_json(&back), text);
         let failed = JobOutcome::Failed("no compute sleds".into());
         let failed_text = outcome_to_json(&failed);
-        match outcome_from_json(&failed_text).unwrap() {
+        match outcome_from_record(&record(&failed_text)).unwrap() {
             JobOutcome::Failed(msg) => assert_eq!(msg, "no compute sleds"),
             _ => panic!("expected a failed outcome"),
         }
-        assert!(outcome_from_json("{ not json").is_none());
+        assert!(outcome_from_record(&record("{ not json")).is_none());
     }
 
     #[test]

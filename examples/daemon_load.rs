@@ -1,7 +1,8 @@
 //! Load generator for `rackfabricd`: boots the daemon in-process, fires a
 //! storm of concurrent submissions from many client threads over a small
-//! pool of distinct scenarios, and checks the service's promises
-//! under contention:
+//! pool of distinct scenarios (every odd one an `execute-cell` carrying its
+//! key, the rest `run-scenario`), and checks the service's promises under
+//! contention:
 //!
 //! 1. **Determinism** — every response for the same command is
 //!    byte-identical, cold or warm, regardless of which worker served it
@@ -42,7 +43,7 @@ use rackfabric_obs::trace::TraceSink;
 use rackfabric_obs::{Observer, TimeDomain};
 use rackfabric_scenario::prelude::*;
 use rackfabric_sim::prelude::*;
-use rackfabric_sweep::key::canonical_spec_json;
+use rackfabric_sweep::key::{canonical_spec_json, JobKey};
 use rackfabric_sweep::store::ResultStore;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -122,7 +123,9 @@ fn parse_args() -> Result<Args, String> {
 
 /// The scenario pool: tiny grid shuffles distinguished by seed and load —
 /// cheap enough that a thousand warm queries dominate the run, real enough
-/// that the first execution of each goes through the full engine.
+/// that the first execution of each goes through the full engine. Every odd
+/// one is submitted as an `execute-cell` carrying its key, the rest as a
+/// `run-scenario`, so each spec reaches the daemon under one command.
 fn spec_pool(count: usize) -> Vec<Command> {
     (0..count)
         .map(|n| {
@@ -136,8 +139,14 @@ fn spec_pool(count: usize) -> Vec<Command> {
             )
             .horizon(SimTime::from_millis(5))
             .seed(1000 + n as u64);
-            Command::RunScenario {
-                spec_json: canonical_spec_json(&spec),
+            let spec_json = canonical_spec_json(&spec);
+            if n % 2 == 1 {
+                Command::ExecuteCell {
+                    key: JobKey::of_preimage(&spec_json),
+                    spec_json,
+                }
+            } else {
+                Command::RunScenario { spec_json }
             }
         })
         .collect()

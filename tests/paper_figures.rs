@@ -12,7 +12,7 @@
 //! * a second run against the same store must execute **zero** jobs and
 //!   reproduce identical bytes (the resume gate), and the daemon's
 //!   `regenerate-figure` answer for each figure must carry those bytes,
-//! * a campaign interrupted mid-flight by `max_new_jobs` must recover from
+//! * a campaign interrupted mid-flight by a cancel token must recover from
 //!   its journal to the exact same golden bytes, re-executing nothing that
 //!   was already journaled and stored (the crash-recovery gate),
 //! * a perturbed export must *fail* the comparison with a readable
@@ -103,13 +103,13 @@ fn interrupted_figure_campaign_recovers_from_journal_to_golden_bytes() {
     )
     .unwrap();
 
-    // Interrupted: the shared fresh-execution allowance runs out inside the
-    // figure sequence; every figure still journals its marker.
+    // Interrupted: the token's grant of six fresh executions runs out
+    // inside the figure sequence; every figure still journals its marker.
     let partial = figures::run_figures_with(
         Scale::Tiny,
         &exec,
         &FigureOptions {
-            max_new_jobs: Some(6),
+            cancel: Some(CancelToken::after_jobs(6)),
             ..FigureOptions::default()
         },
     )
@@ -147,7 +147,7 @@ fn interrupted_figure_campaign_recovers_from_journal_to_golden_bytes() {
 fn daemon_cancelled_figure_campaign_recovers_from_journal_to_batch_bytes() {
     // The crash-recovery gate, extended to the daemon path: a figure
     // campaign cancelled mid-flight through `rackfabricd`'s scheduler
-    // leaves the same clean journal prefix as a `max_new_jobs`
+    // leaves the same clean journal prefix as a `--max-new-jobs`
     // interruption, `Executor::recover` completes it, and the recovered
     // store answers the daemon byte-identically to the batch path.
     let dir = tmp_dir("daemon-recover");
@@ -165,9 +165,9 @@ fn daemon_cancelled_figure_campaign_recovers_from_journal_to_batch_bytes() {
         budget: None,
     };
 
-    // Deterministic interruption: the token's fuse trips at the second
-    // job boundary (runner threads = 1, so each dispatch chunk is one
-    // job) — e1 tiny has 8 jobs, leaving 6 unexecuted.
+    // Deterministic interruption: the token grants two jobs (runner
+    // threads = 1, so each dispatch chunk is one job) — e1 tiny has 8
+    // jobs, leaving 6 unexecuted.
     let daemon = Daemon::start(
         exec.clone(),
         DaemonConfig {
@@ -176,7 +176,7 @@ fn daemon_cancelled_figure_campaign_recovers_from_journal_to_batch_bytes() {
         },
     )
     .unwrap();
-    let token = CancelToken::after_checks(2);
+    let token = CancelToken::after_jobs(2);
     let id = daemon
         .scheduler()
         .submit_with_token("ci", 0, command.clone(), token)
@@ -195,7 +195,7 @@ fn daemon_cancelled_figure_campaign_recovers_from_journal_to_batch_bytes() {
     };
     assert!(
         matches!(cancelled, JobEnd::Cancelled),
-        "the tripped fuse must surface as a cancellation: {cancelled:?}"
+        "the spent grant must surface as a cancellation: {cancelled:?}"
     );
     daemon.shutdown();
     assert_eq!(

@@ -93,7 +93,7 @@ fn interrupted_sweep_resumes_to_byte_identical_exports() {
     // executions, exactly as if the process had died mid-campaign (every
     // completed job is already durable in the store).
     let killed = Sweep::new(campaign([0.5, 1.0]))
-        .max_new_jobs(5)
+        .cancel(CancelToken::after_jobs(5))
         .run(&store, &runner)
         .unwrap();
     assert!(killed.interrupted);
