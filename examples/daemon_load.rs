@@ -158,7 +158,8 @@ fn fail(message: String) -> ! {
 }
 
 /// Fails unless `reply`'s events are exactly `accepted`, `started`,
-/// `done`: every job here reaches a worker, and none is cancelled.
+/// `done`: every job here starts, on a worker or on the connection thread
+/// that found it stored, and none is cancelled.
 fn check_lifecycle(reply: &SubmitReply, what: &str) {
     let events: Vec<Option<Event>> = reply.events.iter().map(|l| Event::from_line(l)).collect();
     if !matches!(

@@ -604,7 +604,7 @@ fn one_client_serves_sequential_requests_over_one_connection() {
     for n in 0..50 {
         let reply = client.submit("reuse", 0, command.clone()).unwrap();
         assert_eq!(reply.result_json, reference, "request {n}");
-        // However soon the store answers, the job reached a worker.
+        // However soon the store answers, the job started before it ended.
         assert!(ran_to_done(&reply), "request {n}: {:?}", reply.events);
     }
     assert_eq!(client.status().unwrap().held, 0);
